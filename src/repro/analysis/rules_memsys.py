@@ -5,10 +5,10 @@ The memory-system fast path (``Machine._advance_main`` with
 ``REPRO_FASTPATH`` on) services provable private hits against the
 caches' residency maps without entering the coherence engine.  Its
 correctness rests on one discipline: **every event that can change a
-line's hit status funnels through the engine** — eviction and
-invalidation inside :class:`~repro.coherence.protocol.CoherenceEngine`,
-interval advances through :meth:`CoherenceEngine.fastpath_epoch` (which
-fires the scheme's ``on_fastpath_epoch`` hook).  A scheme that reaches
+line's hit status happens inside the engine** — eviction,
+invalidation, downgrade and delayed-writeback activity in
+:class:`~repro.coherence.protocol.CoherenceEngine`, which keeps the
+maps the fast path reads exact.  A scheme that reaches
 into ``engine.l2s[pid]`` and invalidates a line directly, or flips a
 ``CacheLine``/``DirEntry`` field in place, mutates residency behind the
 filter's back; the stats would silently diverge between the fast and
@@ -28,8 +28,9 @@ packages (the engine and the caches themselves):
 
 Mutations through a bare local (``line.value = v`` after the engine
 handed the line out) stay legal: the engine-side call that produced the
-local is the audited entry point.  Schemes react to residency changes
-in ``on_fastpath_epoch`` instead of poking cache internals.
+local is the audited entry point.  Schemes change residency only by
+calling engine services (``checkpoint_writeback``, ``mark_delayed``,
+``invalidate_core``, ...), never by poking cache internals.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ class _CachePokeVisitor(ast.NodeVisitor):
         self.findings.append(Finding(
             self.ctx.relpath, lineno, "RL006",
             f"{what}; cache-line and directory state is mutated only "
-            f"inside coherence/mem — residency changes must funnel "
-            f"through CoherenceEngine.fastpath_epoch (schemes react in "
-            f"on_fastpath_epoch) or the fast-path filters go stale"))
+            f"inside coherence/mem — schemes change residency through "
+            f"CoherenceEngine services, or the fast-path filters go "
+            f"stale"))
 
     def _check_target(self, target: ast.expr, verb: str) -> None:
         if (isinstance(target, ast.Attribute)

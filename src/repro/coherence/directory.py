@@ -35,12 +35,12 @@ class DirEntry:
         self.lw_id: Optional[int] = None
 
     def sharer_list(self) -> list[int]:
-        out, mask, i = [], self.sharers, 0
+        """Sharer PIDs in ascending order (one step per set bit)."""
+        out, mask = [], self.sharers
         while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

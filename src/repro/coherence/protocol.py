@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.coherence.directory import Directory, EXCL, SHARED, UNCACHED
-from repro.interconnect import Interconnect, MessageClass
+from repro.interconnect import Interconnect
 from repro.mem import (
     Cache,
     EXCLUSIVE,
@@ -74,17 +74,6 @@ class DependenceTracker:
     def delayed_interval_of(self, pid: int) -> int:
         """Interval owning pid's Delayed lines (the one being drained)."""
         return self.interval_of(pid)
-
-    def on_fastpath_epoch(self, pid: int) -> None:
-        """``pid``'s fast-path residency epoch advanced.
-
-        Fired (via :meth:`CoherenceEngine.fastpath_epoch`) on every event
-        that can change a line's provable-hit status for ``pid`` —
-        eviction, invalidation, downgrade, checkpoint-interval advance
-        (WSIG epoch), delayed-writeback activity, rollback.  Schemes that
-        cache per-interval residency assumptions override this one hook
-        instead of poking cache internals; the default tracks nothing.
-        """
 
 
 class CoherenceEngine:
@@ -170,16 +159,14 @@ class CoherenceEngine:
     def fastpath_epoch(self, pid: int) -> None:
         """Advance ``pid``'s residency-filter epoch.
 
-        The single funnel for every event that can change a line's
-        provable-hit status for ``pid`` — eviction, invalidation,
-        downgrade, delayed-writeback activity, checkpoint-interval
-        advance, rollback.  Fires the scheme's
-        :meth:`DependenceTracker.on_fastpath_epoch` hook; fired
+        Counts every event that can change a line's provable-hit status
+        for ``pid`` — eviction, invalidation, downgrade,
+        delayed-writeback activity, checkpoint-interval advance,
+        rollback — into ``SimStats.fastpath_epoch_bumps``.  Bumped
         identically whether the fast path is on or off, so the epoch
         totals are mode-invariant.
         """
         self.fastpath_epochs[pid] += 1
-        self.tracker.on_fastpath_epoch(pid)
 
     def flush_fastpath(self, l1_loads: list, l2_loads: list,
                        stores: list) -> None:
@@ -246,14 +233,14 @@ class CoherenceEngine:
         self.energy_wsig += 1
         if not piggybacked:
             # Dedicated "are you the last writer?" query + reply.
-            self.network.send(MessageClass.DEP, 2)
+            self.network.dep_messages += 2
         if claims:
             self.tracker.record_consumer(producer, consumer, entry.addr,
                                          genuine)
             self.energy_depreg += 1
         else:
             # NO_WR: tell the directory to clear the stale LW-ID.
-            self.network.send(MessageClass.DEP, 1)
+            self.network.dep_messages += 1
             entry.lw_id = None
 
     def _stamp_writer(self, entry, pid: int) -> None:
@@ -267,26 +254,33 @@ class CoherenceEngine:
     # ------------------------------------------------------------------
     def _evict(self, pid: int, victim, now: float) -> None:
         """Handle an L2 victim: write back if dirty, update directory."""
-        self.fastpath_epoch(pid)
-        self.l1s[pid].invalidate(victim.addr)  # inclusion
-        interval = self.tracker.interval_of(pid)
+        self.fastpath_epochs[pid] += 1
+        addr = victim.addr
+        l1 = self.l1s[pid]
+        cset = l1._map.pop(addr, None)      # inclusion
+        if cset is not None:
+            del cset[addr]
+            l1._n_resident -= 1
+        # ``interval_of``/``delayed_interval_of`` are pure, so the
+        # interval is read only for a victim whose writeback logs it.
+        tracker = self.tracker
         if victim.delayed:
-            interval = self.tracker.delayed_interval_of(pid)
-            self.tracker.on_line_left_cache(pid, victim.addr, now)
+            interval = tracker.delayed_interval_of(pid)
+            tracker.on_line_left_cache(pid, addr, now)
             self.forced_delayed_writebacks += 1
+        elif victim.dirty:
+            interval = tracker.interval_of(pid)
         if victim.dirty:
             # Dirty displacement between checkpoints: the memory controller
             # logs the old value (Section 3.3.3).
-            self.channels.writeback(now, victim.addr, logged=True,
+            self.channels.writeback(now, addr, logged=True,
                                     checkpoint=False)
-            self.memory.writeback(now, pid, victim.addr, victim.value,
-                                  interval)
+            self.memory.writeback(now, pid, addr, victim.value, interval)
             self.energy_dram += 2
             self.energy_log += 1
-            self.network.send(MessageClass.BASE, 1)
-        else:
-            self.network.send(MessageClass.BASE, 1)  # PUTS notification
-        self.directory.evict_copy(victim.addr, pid)
+        # Writeback data or a PUTS notification: one message either way.
+        self.network.base_messages += 1
+        self.directory.evict_copy(addr, pid)
         self.energy_dir += 1
 
     def _install(self, pid: int, addr: int, state: int, value: int,
@@ -300,24 +294,26 @@ class CoherenceEngine:
     def _invalidate_sharers(self, entry, keep: int, now: float) -> int:
         """Invalidate all sharers except ``keep``; returns count."""
         count = 0
+        addr = entry.addr
+        epochs = self.fastpath_epochs
         for sharer in entry.sharer_list():
             if sharer == keep:
                 continue
-            self.fastpath_epoch(sharer)
-            line = self.l2s[sharer].invalidate(entry.addr)
-            self.l1s[sharer].invalidate(entry.addr)
+            epochs[sharer] += 1
+            line = self.l2s[sharer].invalidate(addr)
+            self.l1s[sharer].invalidate(addr)
             if line is not None and line.delayed:
                 # The checkpointed copy must reach memory before the line
                 # leaves the cache (Section 4.1).
-                self.channels.writeback(now, entry.addr, logged=True,
+                self.channels.writeback(now, addr, logged=True,
                                         checkpoint=True)
                 self.memory.writeback(
-                    now, sharer, entry.addr, line.value,
+                    now, sharer, addr, line.value,
                     self.tracker.delayed_interval_of(sharer))
-                self.tracker.on_line_left_cache(sharer, entry.addr, now)
+                self.tracker.on_line_left_cache(sharer, addr, now)
                 self.forced_delayed_writebacks += 1
             count += 1
-        self.network.send(MessageClass.BASE, 2 * count)  # inval + ack
+        self.network.base_messages += 2 * count  # inval + ack
         self.invalidations_sent += count
         entry.sharers = 0
         return count
@@ -326,7 +322,7 @@ class CoherenceEngine:
                           downgrade_to_shared: bool) -> int:
         """Serve a miss from the exclusive owner's L2; returns the value."""
         owner = entry.owner
-        self.fastpath_epoch(owner)  # downgrade or invalidation below
+        self.fastpath_epochs[owner] += 1  # downgrade or invalidation below
         oline = self.l2s[owner].peek(entry.addr)
         assert oline is not None, "directory owner lost the line"
         value = oline.value
@@ -362,7 +358,7 @@ class CoherenceEngine:
             self.l2s[owner].invalidate(entry.addr)
             self.l1s[owner].invalidate(entry.addr)
             entry.owner = pid
-        self.network.send(MessageClass.BASE, 2)  # forward + data
+        self.network.base_messages += 2  # forward + data
         return value
 
     # ------------------------------------------------------------------
@@ -372,29 +368,40 @@ class CoherenceEngine:
         """Execute a load; returns its latency in cycles."""
         config = self.config
         self.energy_l1 += 1
-        if self.l1s[pid].contains(addr):
+        # The L1 and L2 residency maps are probed directly (the same LRU
+        # touch and hit/miss counters ``contains``/``lookup`` keep).
+        l1 = self.l1s[pid]
+        cset = l1._map.get(addr)
+        if cset is not None:
             # Fast-path-eligible: counted here so the total is invariant
             # under REPRO_FASTPATH (the inline fast path batches the
             # same bump and the engine is then never entered).
+            cset.move_to_end(addr)
+            l1.n_hits += 1
             self.fast_loads += 1
             if config.check_coherence:
                 resident = self.l2s[pid].peek(addr)
                 assert resident is not None, "L1/L2 inclusion violated"
                 self._check_load(addr, resident.value)
             return config.l1.hit_cycles
+        l1.n_misses += 1
         self.energy_l2 += 1
-        line = self.l2s[pid].lookup(addr)
+        l2 = self.l2s[pid]
+        line = l2._map.get(addr)
         if line is not None:
             # Fast-path-eligible too (any resident line): counted here
             # so the total is invariant under REPRO_FASTPATH.
+            l2._sets[addr % l2.n_sets].move_to_end(addr)
+            l2.n_hits += 1
             self.fast_loads += 1
-            self.l1s[pid].fill(addr)
+            l1.fill(addr)
             self._check_load(addr, line.value)
             return config.l2.hit_cycles
+        l2.n_misses += 1
         # L2 miss -> home directory.
         entry = self.directory.entry(addr)
         self.energy_dir += 1
-        self.network.send(MessageClass.BASE, 2)  # request + response
+        self.network.base_messages += 2  # request + response
         latency = float(config.l2.hit_cycles)
         if entry.mode == EXCL and entry.owner != pid:
             self._handle_dependence(entry, pid, now, piggybacked=True)
@@ -433,7 +440,14 @@ class CoherenceEngine:
             self.golden[addr] = value
         self.energy_l1 += 1
         self.energy_l2 += 1
-        line = self.l2s[pid].lookup(addr)
+        # One probe of the L2 map (``lookup``'s LRU touch and counters).
+        l2 = self.l2s[pid]
+        line = l2._map.get(addr)
+        if line is None:
+            l2.n_misses += 1
+        else:
+            l2._sets[addr % l2.n_sets].move_to_end(addr)
+            l2.n_hits += 1
         latency = float(config.l2.hit_cycles)
         if line is not None and line.state == MODIFIED:
             if line.delayed:
@@ -459,7 +473,7 @@ class CoherenceEngine:
             return latency
         entry = self.directory.entry(addr)
         self.energy_dir += 1
-        self.network.send(MessageClass.BASE, 2)
+        self.network.base_messages += 2
         if line is not None and line.state == L_SHARED:
             # Upgrade: invalidate the other sharers.
             self._handle_dependence(entry, pid, now, piggybacked=False)

@@ -54,7 +54,9 @@ class ReboundScheme(BaseScheme):
     # DependenceTracker interface (driven by the coherence engine)
     # ------------------------------------------------------------------
     def on_write(self, pid: int, addr: int) -> None:
-        self.files[pid].on_write(addr)
+        # Straight to the active set's WSIG (what DepRegisterFile.on_write
+        # does, one call shorter on the engine's store path).
+        self.files[pid].sets[-1].wsig.add(addr)
 
     def record_producer(self, consumer: int, producer: int) -> None:
         if self.clusters.trivial:

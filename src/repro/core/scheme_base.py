@@ -108,12 +108,11 @@ class BaseScheme(DependenceTracker):
         """Open a new interval on ``pid`` (Dep set / epoch rotation).
 
         Overrides must call ``super()._rotate(pid, now)``: the interval
-        advance (WSIG epoch) is one of the events the fast-path
-        invalidation discipline funnels through
-        :meth:`CoherenceEngine.fastpath_epoch`, which in turn fires the
-        scheme's ``on_fastpath_epoch`` hook — schemes that cache
-        residency assumptions react there instead of poking cache
-        internals (reprolint RL006 rejects direct pokes).
+        advance (WSIG epoch) is one of the events
+        :meth:`CoherenceEngine.fastpath_epoch` counts into
+        ``SimStats.fastpath_epoch_bumps``.  Cache and directory state
+        changes only inside the coherence engine; schemes never poke
+        cache internals (reprolint RL006 rejects direct pokes).
         """
         self.machine.engine.fastpath_epoch(pid)
 

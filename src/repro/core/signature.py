@@ -69,7 +69,10 @@ class WriteSignature:
         return mask
 
     def add(self, addr: int) -> None:
-        self.bits |= self._mask(addr)
+        mask = self._masks.get(addr)
+        if mask is None:
+            mask = self._mask(addr)
+        self.bits |= mask
         self.exact.add(addr)
 
     def test(self, addr: int) -> tuple[bool, bool]:
@@ -81,7 +84,9 @@ class WriteSignature:
         negatives, asserted by the property tests).
         """
         self.tests += 1
-        mask = self._mask(addr)
+        mask = self._masks.get(addr)
+        if mask is None:
+            mask = self._mask(addr)
         claims = self.bits & mask == mask
         genuine = addr in self.exact
         if claims and not genuine:

@@ -19,7 +19,7 @@ Options::
     --cache-dir DIR    result cache location (default benchmarks/.cache)
     --no-cache         bypass the persistent result cache
     --no-vector        force scalar campaign runs (REPRO_VECTOR=0)
-    --chunk-size N     tasks per dispatch chunk (REPRO_CHUNK; adaptive)
+    --chunk-size N     tasks per dispatch chunk (REPRO_CHUNK; guided)
     --profile          print a per-run wall-clock table and the
                        aggregated workload-store counters at the end
 
@@ -117,7 +117,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                              "REPRO_VECTOR=0)")
     parser.add_argument("--chunk-size", type=int, default=None,
                         help="tasks packed per parallel dispatch chunk "
-                             "(default: REPRO_CHUNK or adaptive)")
+                             "(default: REPRO_CHUNK or guided "
+                             "self-scheduling)")
 
 
 def _add_serve_flags(parser: argparse.ArgumentParser) -> None:

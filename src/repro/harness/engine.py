@@ -19,25 +19,32 @@ reclaim the space.
 
 Workload store: generated workloads are shared across runs through a
 content-addressed store under ``<cache_dir>/workloads`` (see
-:mod:`repro.harness.workload_store`): ``run_many`` prebuilds each
-unique workload once and the pool workers mmap the entry and run over
-read-only views of the compiled-trace IR instead of re-running
+:mod:`repro.harness.workload_store`).  Each workload that two or more
+missing runs share is built once before they run — as one pool job per
+unbuilt workload on the parallel path (the builds run side by side and
+the run chunks go out once all of them finished), in the engine's own
+process on the serial path — and the runs mmap the entry and execute
+over read-only views of the compiled-trace IR instead of re-running
 ``SyntheticWorkload`` per run.  ``--no-cache`` (``REPRO_NO_CACHE=1``)
 disables it along with the result cache.
 
 Chunked dispatch: ``_run_parallel`` does not submit one pool future per
 task — per-future overhead (pickling a RunKey, a result round-trip, an
 executor wakeup) would dominate sub-second simulations.  Tasks are
-packed into per-worker *chunks* (adaptive size, ``REPRO_CHUNK`` / the
-``chunk_size`` argument to pin it), sorted so tasks sharing a workload
-digest land in the same chunk — together with the store's per-process
-spec LRU (``REPRO_WORKER_LRU``) a worker maps and parses each workload
-once for its whole chunk.  Workers write completed results into the
-disk cache themselves, so a chunk's finished siblings are persisted
-even when a later task in the chunk raises; every failing task still
-reports its own :class:`RunKey`.  Submission keeps a bounded in-flight
-window (2 chunks per worker) so thousand-run campaigns don't hold every
-pending future alive at once.
+packed into *chunks* by guided self-scheduling: each chunk takes
+``ceil(remaining / (4 * workers))`` tasks, capped at 32, so chunks
+shrink toward the tail of the plan and the last ones are single tasks
+— no worker is left running a multi-task chunk while the others idle
+(``REPRO_CHUNK`` / the ``chunk_size`` argument pins a fixed size
+instead).  Tasks are sorted so those sharing a workload digest land in
+the same chunk — together with the store's per-process spec LRU
+(``REPRO_WORKER_LRU``) a worker maps and parses each workload once for
+its whole chunk.  Workers write completed results into the disk cache
+themselves, so a chunk's finished siblings are persisted even when a
+later task in the chunk raises; every failing task still reports its
+own :class:`RunKey`.  Submission keeps a bounded in-flight window (2
+chunks per worker) so thousand-run campaigns don't hold every pending
+future alive at once.
 
 Vectorized campaign batches: ``run_many`` groups the missing keys by
 everything except their faults — (workload, cores, scheme, intervals,
@@ -60,7 +67,7 @@ settings)::
     REPRO_CACHE_DIR   result cache location (default: benchmarks/.cache)
     REPRO_NO_CACHE    set to 1 to bypass the disk cache entirely
     REPRO_VECTOR      0 forces scalar campaign runs; unset/1 = auto
-    REPRO_CHUNK       tasks per dispatch chunk (default: adaptive)
+    REPRO_CHUNK       tasks per dispatch chunk (default: guided, shrinking)
     REPRO_WORKER_LRU  per-process loaded-workload LRU size (default 16)
     REPRO_MMAP        0 forces copying workload loads; unset/1 = mmap
 """
@@ -374,6 +381,26 @@ def _run_chunk(chunk: list, store_root: Optional[str] = None,
     return outcomes, deltas
 
 
+def _build_workload(params: tuple, store_root: str) -> dict:
+    """Worker entry point: build one shared workload into the store.
+
+    ``params`` are :meth:`WorkloadStore.ensure`'s arguments.  Returns
+    the store-counter deltas, like :func:`_run_chunk`, so the engine's
+    ``builds`` count stays exact across processes.  A builder that
+    raises is left to fail inside each of its own runs, where the error
+    report carries the full :class:`RunKey` and healthy siblings still
+    complete.
+    """
+    store = _worker_store(store_root)
+    before = store.counters()
+    try:
+        store.ensure(*params)
+    except Exception:  # noqa: BLE001 - deferred to the runs themselves
+        pass
+    return {name: count - before[name]
+            for name, count in store.counters().items()}
+
+
 _FINGERPRINT: Optional[str] = None
 
 
@@ -514,7 +541,7 @@ class ExperimentEngine:
                 except ValueError:
                     raise ValueError(f"REPRO_CHUNK must be an integer "
                                      f"chunk size, got {env!r}") from None
-        #: Tasks packed per dispatch chunk (None = adaptive).
+        #: Tasks per dispatch chunk (None = guided self-scheduling).
         self.chunk_size = max(1, chunk_size) if chunk_size is not None \
             else None
         self.cache_dir = Path(cache_dir) if cache_dir is not None \
@@ -619,11 +646,11 @@ class ExperimentEngine:
                 self.memo[key] = cached
             else:
                 missing.append(key)
-        self._prepare_workloads(missing)
         tasks = self._plan_tasks(missing)
         if len(missing) > 1 and self.jobs > 1:
             self._run_parallel(tasks, len(missing))
         else:
+            self._prepare_workloads(missing)
             for task in tasks:
                 start = time.perf_counter()
                 if isinstance(task, list):
@@ -687,7 +714,6 @@ class ExperimentEngine:
             if on_land is not None:
                 on_land(key, stats, "run", seconds)
 
-        self._prepare_workloads(missing)
         tasks = self._plan_tasks(missing)
         self._land_hook = hook
         try:
@@ -697,6 +723,7 @@ class ExperimentEngine:
                 report.pending.extend(sub.pending)
                 report.cancelled = sub.cancelled
             else:
+                self._prepare_workloads(missing)
                 for index, task in enumerate(tasks):
                     if should_cancel is not None and should_cancel():
                         report.cancelled = True
@@ -798,31 +825,26 @@ class ExperimentEngine:
                 tasks.append(key)
         return tasks
 
-    def _prepare_workloads(self, missing: list[RunKey]) -> None:
-        """Prebuild each workload that several missing runs *share*.
+    def _shared_builds(self, keys: list[RunKey]) -> dict[str, tuple]:
+        """Store digest -> :meth:`WorkloadStore.ensure` arguments for
+        each workload that two or more of ``keys`` *share* and the store
+        does not hold yet.
 
         Many keys share one workload (every scheme/fault-plan/override
-        variant at the same app x cores x seed); building those once
-        here means the pool workers only deserialize compact IR bytes.
-        Workloads needed by a single run are left to that run's worker
-        (``get_or_build`` populates the store there), so a
-        low-sharing plan keeps its build parallelism.  Shared builds do
-        run serially here — the trade against letting workers race is
-        that every same-wave worker would duplicate the build; with
-        sharing ≥ 2 the single parent build is the cheaper side.
-        Best-effort: a
-        builder that raises is skipped here and fails inside its own
-        run, where the error report carries the full ``RunKey`` and
-        healthy siblings still complete.
+        variant at the same app x cores x seed); building those once up
+        front means every run only deserializes compact IR bytes.
+        Workloads needed by a single run are left to that run
+        (``get_or_build`` populates the store there), so a low-sharing
+        plan keeps its build parallelism.  Sharing is defined by the
+        *store address* (built-ins share one entry across
+        schemes/overrides), so digests are counted, not keys.
         """
         store = self.workload_store
-        if store is None or not missing:
-            return
-        # Sharing is defined by the *store address* (built-ins share one
-        # entry across schemes/overrides), so count digests, not keys.
+        if store is None or store.disabled:
+            return {}
         counts: dict[str, int] = {}
         params_for: dict[str, tuple] = {}
-        for key in missing:
+        for key in keys:
             config = resolve_config(key)
             digest = store.digest_for(key.app, key.n_cores, config,
                                       key.intervals, key.seed)
@@ -831,19 +853,33 @@ class ExperimentEngine:
             counts[digest] = counts.get(digest, 0) + 1
             params_for.setdefault(digest, (key.app, key.n_cores, config,
                                            key.intervals, key.seed))
+        return {digest: params for digest, params in params_for.items()
+                if counts[digest] >= 2
+                and not store.path_for(digest).exists()}
+
+    def _prepare_workloads(self, missing: list[RunKey]) -> None:
+        """Serial path: build each shared workload (:meth:`_shared_builds`)
+        in this process before the runs start.
+
+        The parallel path builds them in the pool instead
+        (:meth:`_dispatch`).  Best-effort: a builder that raises is
+        skipped here and fails inside its own run, where the error
+        report carries the full ``RunKey`` and healthy siblings still
+        complete.
+        """
+        builds = self._shared_builds(missing)
+        if not builds:
+            return
+        store = self.workload_store
         builds_before = store.builds
-        shared = 0
-        for digest, count in counts.items():
-            if count < 2:
-                continue
-            shared += 1
+        for params in builds.values():
             try:
-                store.ensure(*params_for[digest])
+                store.ensure(*params)
             except Exception:  # noqa: BLE001 - deferred to the run itself
                 pass
         built = store.builds - builds_before
         if self.verbose and built:  # pragma: no cover - progress printing
-            print(f"  [engine] prebuilt {built} of {shared} shared "
+            print(f"  [engine] prebuilt {built} of {len(builds)} shared "
                   f"workload(s) for {len(missing)} runs", flush=True)
 
     def _affinity_key(self, task):
@@ -864,25 +900,32 @@ class ExperimentEngine:
     def _chunk_tasks(self, tasks: list, workers: int) -> list[list]:
         """Pack the plan into dispatch chunks.
 
-        Size: ``chunk_size`` when pinned, else adaptive — about four
-        chunks per worker (capped at 32 tasks) so the pool stays
-        balanced when task costs vary, without falling back into
-        one-future-per-task overhead.  Order: stable-sorted so tasks
-        with the same workload affinity are adjacent (first-seen group
-        order), maximizing each worker's store-LRU hit rate; within a
-        group the submission order is preserved.
+        Size: ``chunk_size`` when pinned (every chunk that size), else
+        guided self-scheduling — each chunk takes
+        ``ceil(remaining / (4 * workers))`` tasks, capped at 32.  Early
+        chunks amortize per-future overhead over many tasks; chunks
+        shrink as the plan drains, and once at most ``4 * workers``
+        tasks remain every chunk is a single task, so no worker is
+        stuck behind a multi-task chunk of long runs while the others
+        idle.  Order: stable-sorted so
+        tasks with the same workload affinity are adjacent (first-seen
+        group order), maximizing each worker's store-LRU hit rate;
+        within a group the submission order is preserved.
         """
-        size = self.chunk_size
-        if size is None:
-            size = min(32, max(1, -(-len(tasks) // (workers * 4))))
         first_seen: dict = {}
         for task in tasks:
             first_seen.setdefault(self._affinity_key(task),
                                   len(first_seen))
         ordered = sorted(tasks, key=lambda task:
                          first_seen[self._affinity_key(task)])
-        return [ordered[i:i + size]
-                for i in range(0, len(ordered), size)]
+        chunks = []
+        start = 0
+        while start < len(ordered):
+            size = self.chunk_size or min(
+                32, -(-(len(ordered) - start) // (4 * workers)))
+            chunks.append(ordered[start:start + size])
+            start += size
+        return chunks
 
     def _merge_worker_counters(self, deltas: Optional[dict]) -> None:
         if not deltas:
@@ -934,6 +977,10 @@ class ExperimentEngine:
                   ) -> DispatchReport:
         """Chunked pool dispatch: the engine's one parallel data plane.
 
+        Shared workloads the store lacks (:meth:`_shared_builds`) are
+        built first, one pool job each, and the run chunks go out once
+        every build finished — the workers never wait on a parent-side
+        build, and no two runs race to build the same workload.
         Collects per-*key* failures (a failed replica batch reports
         every member, not just its first — each key must be
         individually describable and the failure count must match the
@@ -950,6 +997,9 @@ class ExperimentEngine:
         n_runs = sum(len(task) if isinstance(task, list) else 1
                      for task in tasks)
         n_batches = sum(1 for task in tasks if isinstance(task, list))
+        builds = self._shared_builds(
+            [key for task in tasks
+             for key in (task if isinstance(task, list) else [task])])
         workers = min(self.jobs, len(tasks))
         chunks = self._chunk_tasks(tasks, workers)
         workers = min(workers, len(chunks))
@@ -1012,6 +1062,22 @@ class ExperimentEngine:
                         leftovers.append(chunk)
 
             try:
+                if builds:
+                    build_futures = [pool.submit(_build_workload, params,
+                                                 store_root)
+                                     for params in builds.values()]
+                    for future in build_futures:
+                        try:
+                            self._merge_worker_counters(future.result())
+                        except Exception:  # noqa: BLE001
+                            # The worker died; the broken pool fails the
+                            # chunk submissions below, run by run.
+                            pass
+                    if self.verbose:  # pragma: no cover - progress printing
+                        print(f"  [engine] built {len(builds)} shared "
+                              f"workload(s) in the pool", flush=True)
+                    if should_cancel is not None and should_cancel():
+                        report.cancelled = True
                 for _ in range(min(2 * workers, len(chunks))):
                     submit_next()
                 while futures:

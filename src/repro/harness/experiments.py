@@ -2,8 +2,8 @@
 
 Each driver runs the simulations it needs (through the caching
 :class:`~repro.harness.runner.Runner`), returns a structured result and
-can render itself as the rows/series the paper's figure plots, plus the
-paper-vs-measured line EXPERIMENTS.md records.
+can render itself as the rows/series the paper's figure plots, plus a
+paper-vs-measured line (the result's ``notes``).
 
 Every driver also has a *planner* (``ALL_PLANS``) that enumerates the
 exact :class:`~repro.harness.engine.RunKey` set the driver will request,
@@ -249,7 +249,7 @@ def fig6_6_scalability(runner: Runner, apps: list[str] | None = None,
     apps = apps if apps is not None else SPLASH2
     runner.prefetch(plan_fig6_6(runner, apps, sizes))
     # Recovery latency averages a representative subset of the apps
-    # (noted in EXPERIMENTS.md) to bound the fault-run count.
+    # (the first five) to bound the fault-run count.
     recovery_apps = apps[:5]
     rows = []
     for n_cores in sizes:

@@ -1,8 +1,8 @@
 """Plain-text rendering of experiment results (tables and bar rows).
 
 The harness prints the same rows/series the paper's figures plot, plus a
-short "paper says / we measured" comparison line per experiment that
-EXPERIMENTS.md collects.
+short "paper says / we measured" comparison line per experiment (the
+driver's ``notes``).
 """
 
 from __future__ import annotations

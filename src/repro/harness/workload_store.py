@@ -5,8 +5,8 @@ share one: all the schemes of a figure sweep, every fault plan of a
 campaign and every config-override grid point at the same
 ``(app, n_cores, interval, intervals, seed)`` replay the *same* traces.
 Before this store, each pool worker re-ran ``SyntheticWorkload`` from
-the profile for every run; now the engine prebuilds each unique
-workload once and the workers deserialize the compact compiled-trace IR
+the profile for every run; now the engine builds each shared workload
+once and the workers deserialize the compact compiled-trace IR
 (:meth:`repro.workloads.base.WorkloadSpec.to_bytes`) instead.
 
 Content addressing: an entry's file name is a SHA-256 over
@@ -259,8 +259,9 @@ class WorkloadStore:
 
     def ensure(self, app, n_threads: int, config: MachineConfig,
                intervals: float, seed: int) -> Optional[str]:
-        """Make sure the entry exists (the engine's prebuild pass);
-        returns the digest, or None when the store is bypassed."""
+        """Make sure the entry exists (the engine's shared-workload
+        builds, in a pool job or in-process); returns the digest, or
+        None when the store is bypassed."""
         if self.disabled:
             return None
         digest = self.digest_for(app, n_threads, config, intervals, seed)

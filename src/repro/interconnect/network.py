@@ -22,33 +22,36 @@ class MessageClass:
 
 
 class Interconnect:
-    """Latency constants plus per-class message counters."""
+    """Latency constants plus per-class message counters.
+
+    The counters are plain int attributes: the coherence engine bumps
+    ``base_messages``/``dep_messages`` directly on its hot paths, and
+    :meth:`send` serves callers that pick the class at run time.
+    """
+
+    __slots__ = ("config", "base_messages", "dep_messages",
+                 "protocol_messages")
 
     def __init__(self, config: MachineConfig):
         self.config = config
-        self.counts = {MessageClass.BASE: 0,
-                       MessageClass.DEP: 0,
-                       MessageClass.PROTOCOL: 0}
+        self.base_messages = 0
+        self.dep_messages = 0
+        self.protocol_messages = 0
 
     # -- accounting -----------------------------------------------------------
     def send(self, msg_class: str, n: int = 1) -> None:
-        self.counts[msg_class] += n
-
-    @property
-    def base_messages(self) -> int:
-        return self.counts[MessageClass.BASE]
-
-    @property
-    def dep_messages(self) -> int:
-        return self.counts[MessageClass.DEP]
-
-    @property
-    def protocol_messages(self) -> int:
-        return self.counts[MessageClass.PROTOCOL]
+        if msg_class == MessageClass.BASE:
+            self.base_messages += n
+        elif msg_class == MessageClass.DEP:
+            self.dep_messages += n
+        elif msg_class == MessageClass.PROTOCOL:
+            self.protocol_messages += n
+        else:
+            raise KeyError(msg_class)
 
     @property
     def total_messages(self) -> int:
-        return sum(self.counts.values())
+        return self.base_messages + self.dep_messages + self.protocol_messages
 
     def dep_overhead_percent(self) -> float:
         """Extra coherence messages over the base protocol (Table 6.1)."""

@@ -70,9 +70,6 @@ class Cache:
         self._n_resident = 0          # O(1) len() (kept by insert/remove)
 
     # -- basic operations -------------------------------------------------
-    def _set_for(self, addr: int) -> OrderedDict:
-        return self._sets[addr % self.n_sets]
-
     def lookup(self, addr: int, touch: bool = True) -> Optional[CacheLine]:
         """Return the resident line or None; updates LRU order on hit."""
         line = self._map.get(addr)
@@ -91,7 +88,7 @@ class Cache:
     def insert(self, addr: int, state: int, value: int
                ) -> tuple[CacheLine, Optional[CacheLine]]:
         """Install ``addr``; returns ``(new_line, evicted_line_or_None)``."""
-        cset = self._set_for(addr)
+        cset = self._sets[addr % self.n_sets]
         line = self._map.get(addr)
         if line is not None:  # refill over an existing line: update in place
             line.state = state
@@ -114,7 +111,7 @@ class Cache:
         """Remove ``addr`` if present and return the removed line."""
         line = self._map.pop(addr, None)
         if line is not None:
-            del self._set_for(addr)[addr]
+            del self._sets[addr % self.n_sets][addr]
             self._n_resident -= 1
         return line
 
@@ -174,9 +171,6 @@ class L1Cache:
         self.n_misses = 0
         self._n_resident = 0          # O(1) len() (kept by fill/remove)
 
-    def _set_for(self, addr: int) -> OrderedDict:
-        return self._sets[addr % self.n_sets]
-
     def contains(self, addr: int) -> bool:
         cset = self._map.get(addr)
         if cset is not None:
@@ -187,7 +181,7 @@ class L1Cache:
         return False
 
     def fill(self, addr: int) -> None:
-        cset = self._set_for(addr)
+        cset = self._sets[addr % self.n_sets]
         if addr in cset:
             cset.move_to_end(addr)
             return

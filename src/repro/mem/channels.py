@@ -27,6 +27,7 @@ class MemoryChannels:
 
     def __init__(self, config: MachineConfig):
         self.config = config
+        # Lines interleave across channels by address: ``addr % n``.
         self.n = config.n_mem_channels
         # Demand-priority horizon: when the channel can take a new read.
         self.demand_busy = [0.0] * self.n
@@ -42,9 +43,6 @@ class MemoryChannels:
         self.demand_wait_cycles = 0.0
         self.demand_ckpt_wait_cycles = 0.0
 
-    def channel_of(self, addr: int) -> int:
-        return addr % self.n
-
     # -- demand path --------------------------------------------------------
     def demand_access(self, now: float, addr: int) -> tuple[float, float]:
         """A cache miss serviced by memory.
@@ -53,9 +51,10 @@ class MemoryChannels:
         fixed ``memory_cycles`` round trip, and how much of it checkpoint
         traffic caused (feeds IPCDelay).
         """
-        ch = self.channel_of(addr)
+        ch = addr % self.n
         occ = self.config.dram_occupancy
-        start = max(now, self.demand_busy[ch])
+        busy = self.demand_busy[ch]
+        start = busy if busy > now else now
         queue_wait = start - now
         # Writeback interference on a demand read is bounded by how much
         # of the channel the writeback traffic can occupy: at least one
@@ -64,16 +63,20 @@ class MemoryChannels:
         # writeback (all cores at once) therefore pressures reads far
         # more than one interaction set's drain — the reason Global_DWB
         # alone is "not good enough" (Section 6.2).
-        wb_backlog = max(0.0, self.wb_busy[ch] - start)
-        wb_occ = float(self.config.logged_wb_occupancy)
-        cap = wb_occ * (1.0 + self.bg_streams)
-        interference = min(wb_backlog, cap)
-        ckpt_backlog = max(0.0, self.ckpt_wb_busy[ch] - start)
-        ckpt_share = min(interference, ckpt_backlog)
-        done = start + occ
-        self.demand_busy[ch] = done
+        # (Conditional expressions instead of max()/min() calls: same
+        # values, cheaper on this per-miss path.)
+        wb_busy = self.wb_busy[ch]
+        wb_backlog = wb_busy - start
+        wb_backlog = wb_backlog if wb_backlog > 0.0 else 0.0
+        cap = float(self.config.logged_wb_occupancy) * (1.0 + self.bg_streams)
+        interference = cap if cap < wb_backlog else wb_backlog
+        ckpt_backlog = self.ckpt_wb_busy[ch] - start
+        ckpt_backlog = ckpt_backlog if ckpt_backlog > 0.0 else 0.0
+        ckpt_share = (ckpt_backlog if ckpt_backlog < interference
+                      else interference)
+        self.demand_busy[ch] = start + occ
         # Demand traffic steals bandwidth from the writeback queue.
-        self.wb_busy[ch] = max(self.wb_busy[ch], now) + occ
+        self.wb_busy[ch] = (now if now > wb_busy else wb_busy) + occ
         self.demand_accesses += 1
         extra = queue_wait + interference
         self.demand_wait_cycles += extra
@@ -89,7 +92,7 @@ class MemoryChannels:
         (Section 3.3.3); ``checkpoint`` marks the busy window as
         checkpoint-induced for IPCDelay attribution.
         """
-        ch = self.channel_of(addr)
+        ch = addr % self.n
         occ = (self.config.logged_wb_occupancy if logged
                else self.config.dram_occupancy)
         start = max(now, self.wb_busy[ch], self.demand_busy[ch])
@@ -110,7 +113,7 @@ class MemoryChannels:
         machine-wide drain (Global_DWB) makes these flushes far more
         expensive than one interaction set's drain.  Returns completion.
         """
-        ch = self.channel_of(addr)
+        ch = addr % self.n
         occ = self.config.logged_wb_occupancy
         contention = occ * self.bg_streams / (4.0 * self.n)
         start = max(now, self.demand_busy[ch]) + contention

@@ -11,7 +11,7 @@ drain interleaves in wall-clock time with interval ``i+1``'s evictions;
 tagging lets rollback undo exactly the entries of the discarded
 intervals, which a purely positional stub could not distinguish.  This
 realizes the paper's per-checkpoint stubs in the presence of overlapping
-writeback windows (DESIGN.md §7).
+writeback windows.
 
 Rolling processor ``p`` back to its checkpoint ``k`` applies, newest
 first, the old values of every entry of ``p`` with ``interval > k`` —
@@ -26,16 +26,28 @@ from typing import Iterable, Optional
 from repro.params import LOG_ENTRY_BYTES
 
 
-@dataclass(frozen=True)
 class LogEntry:
-    """One undo record: writer, line, old value and producing interval."""
+    """One undo record: writer, line, old value and producing interval.
 
-    seq: int
-    time: float
-    pid: int
-    addr: int
-    old_value: int
-    interval: int
+    A plain ``__slots__`` class: one is built per logged writeback, and
+    a frozen dataclass pays an ``object.__setattr__`` per field.
+    """
+
+    __slots__ = ("seq", "time", "pid", "addr", "old_value", "interval")
+
+    def __init__(self, seq: int, time: float, pid: int, addr: int,
+                 old_value: int, interval: int):
+        self.seq = seq
+        self.time = time
+        self.pid = pid
+        self.addr = addr
+        self.old_value = old_value
+        self.interval = interval
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"LogEntry(seq={self.seq}, time={self.time}, "
+                f"pid={self.pid}, addr={self.addr:#x}, "
+                f"old_value={self.old_value:#x}, interval={self.interval})")
 
 
 @dataclass(frozen=True)
@@ -72,8 +84,8 @@ class ReviveLog:
 
     def append(self, time: float, pid: int, addr: int, old_value: int,
                interval: int) -> LogEntry:
-        entry = LogEntry(self.next_seq(), time, pid, addr, old_value,
-                         interval)
+        self._seq += 1
+        entry = LogEntry(self._seq, time, pid, addr, old_value, interval)
         self.banks[addr % self.n_banks].append(entry)
         self.total_entries += 1
         tbin = int(time) // self.bin_cycles

@@ -50,7 +50,10 @@ class MainMemory:
         was made (False when the first-writeback filter suppressed it)."""
         self.writes += 1
         logged = False
-        seen = self._logged.setdefault((pid, interval), set())
+        key = (pid, interval)
+        seen = self._logged.get(key)
+        if seen is None:
+            seen = self._logged[key] = set()
         if addr not in seen:
             old = self._values.get(addr, 0)
             self.log.append(time, pid, addr, old, interval)

@@ -175,7 +175,9 @@ class MachineConfig:
 
         The checkpoint interval, cache capacities, detection latency and
         back-off window all shrink together so overhead *percentages* are
-        preserved (see DESIGN.md section 3).
+        preserved: the workload generators scale footprints and barrier
+        spacing with the same interval, keeping every per-interval ratio
+        the paper's results depend on.
         """
         base = MachineConfig(
             n_cores=n_cores,

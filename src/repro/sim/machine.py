@@ -1,11 +1,11 @@
 """The manycore machine: event loop, trace execution, run assembly.
 
-Execution model (DESIGN.md §4): a min-heap orders cores by local time;
-one trace record executes atomically at its timestamp against the shared
-structures (caches, directory, channels, log).  Checkpointing schemes
-inject delays through ``core.not_before`` and scheduled callbacks; fault
-injection reveals faults after the detection latency L and hands them to
-the scheme's rollback protocol.
+Execution model: a min-heap orders cores by local time (ties broken by
+push order); one trace record executes atomically at its timestamp
+against the shared structures (caches, directory, channels, log).
+Checkpointing schemes inject delays through ``core.not_before`` and
+scheduled callbacks; fault injection reveals faults after the detection
+latency L and hands them to the scheme's rollback protocol.
 
 Hot path: traces are consumed as the columnar IR of
 :class:`repro.trace.CompiledTrace` — the executor reads parallel
@@ -19,7 +19,12 @@ fusion condition is exactly the condition under which the serial heap
 discipline would pop the same core again next, the interleaving (and
 therefore every statistic) is bit-identical to the unbatched loop;
 ``fuse_quantum=1`` recovers the original one-record-per-pop behaviour
-and the parity tests compare the two.
+and the parity tests compare the two.  When a batch ends, the core is
+re-pushed and the next entry popped in one ``heapq.heappushpop`` sift:
+the re-pushed entry carries the largest sequence number, so the call
+returns exactly what a push followed by a pop would.  At 64 cores
+another core is nearly always due first, so most batches hold one
+record and this single sift is the per-record heap cost.
 """
 
 from __future__ import annotations
@@ -271,12 +276,15 @@ class Machine:
         clock and is stripped from forks, so it is unobservable.
 
         The trace executor is inlined into the pop loop (every local is
-        bound once per call, not once per record): on each pop the
-        owning core executes records until it blocks, stalls, or
-        another heap event becomes due at or before its next record —
-        the fused continuation re-runs the per-pop bookkeeping (clock,
-        cycle guard) inline, so results are bit-identical to the
-        one-record-per-pop discipline (``fuse_quantum=1``).  Fault
+        bound once per call, not once per record — each core's trace
+        columns, stats and cache maps as one tuple unpacked per pop): on
+        each pop the owning core executes records until it blocks,
+        stalls, or another heap event becomes due at or before its next
+        record — the fused continuation re-runs the per-pop bookkeeping
+        (clock, cycle guard) inline, so results are bit-identical to the
+        one-record-per-pop discipline (``fuse_quantum=1``).  A batch
+        that ends on such a due event re-pushes its core and takes the
+        next entry in one ``heappushpop``.  Fault
         delivery needs no bookkeeping here: faults are heap events, so
         they both break fusion and pop at their exact detection times.
         """
@@ -315,7 +323,7 @@ class Machine:
         limit = self._limit
         heap = self._heap
         heappop = heapq.heappop
-        heappush = heapq.heappush
+        heappushpop = heapq.heappushpop
         cores = self.cores
         scheme = self.scheme
         sync = self.sync
@@ -330,10 +338,11 @@ class Machine:
         check = self.config.check_coherence
         modified = MODIFIED
         golden = engine.golden
-        l1_maps = [l1._map for l1 in engine.l1s]
-        l1_fills = [l1.fill for l1 in engine.l1s]
-        l2_maps = [l2._map for l2 in engine.l2s]
-        l2_sets = [l2._sets for l2 in engine.l2s]
+        # Per-core hot locals, bound once per call and unpacked as one
+        # tuple per pop (trace columns and cache maps are never rebound).
+        hot = [(core, core.ops, core.args, len(core.ops), core.stats,
+                l1._map, l1.fill, l2._map, l2._sets, core.store_tag)
+               for core, l1, l2 in zip(cores, engine.l1s, engine.l2s)]
         l2_n_sets = self.config.l2.n_sets
         l1_hit_cycles = self.config.l1.hit_cycles
         l2_hit_cycles = self.config.l2.hit_cycles     # int: load hits
@@ -341,11 +350,17 @@ class Machine:
         fast_l1_loads = [0] * n_cores
         fast_l2_loads = [0] * n_cores
         fast_stores = [0] * n_cores
+        # The next heap entry to process when a fused batch re-pushed
+        # its core through heappushpop (None: pop one).
+        entry = None
         try:
             while self._n_done < n_cores:
-                if not heap:
-                    self._diagnose_deadlock()
-                when, _, kind, a, b = heappop(heap)
+                if entry is None:
+                    if not heap:
+                        self._diagnose_deadlock()
+                    entry = heappop(heap)
+                when, _, kind, a, b = entry
+                entry = None
                 if kind != _EXEC:
                     if kind == _PAUSE:
                         # Unobservable: the clock stays at the last real
@@ -364,7 +379,8 @@ class Machine:
                     self.now = when
                 if when > limit:
                     raise self._cycle_limit_exceeded()
-                core = cores[a]
+                (core, ops, args, n_records, stats, l1_map, l1_fill, l2_map,
+                 l2_set_list, store_tag) = hot[a]
                 if core.done or core.blocked is not None or b != core.epoch:
                     continue  # stale entry
                 if when < core.not_before:
@@ -373,16 +389,7 @@ class Machine:
                 # -- trace execution: a batch of records for ``core`` ------
                 t = core.time
                 now = when if when >= t else t
-                ops = core.ops
-                args = core.args
-                n_records = len(ops)
-                pid = core.pid
-                stats = core.stats
-                l1_map = l1_maps[pid]
-                l1_fill = l1_fills[pid]
-                l2_map = l2_maps[pid]
-                l2_set_list = l2_sets[pid]
-                store_tag = core.store_tag
+                pid = a
                 budget = quantum
                 while True:
                     # Checkpoint-initiation decisions run here, at the
@@ -519,10 +526,15 @@ class Machine:
                     nb = core.not_before
                     when = t if t >= nb else nb
                     if budget <= 0 or (heap and heap[0][0] <= when):
-                        core.epoch += 1
-                        self._seq += 1
-                        heappush(heap,
-                                 (when, self._seq, _EXEC, pid, core.epoch))
+                        # Re-push and pop in one sift: the new entry has
+                        # the largest seq, so this returns exactly what a
+                        # push followed by a pop would.
+                        epoch = core.epoch + 1
+                        core.epoch = epoch
+                        seq = self._seq + 1
+                        self._seq = seq
+                        entry = heappushpop(heap,
+                                            (when, seq, _EXEC, pid, epoch))
                         break
                     # ``self.now`` is not advanced record-by-record:
                     # nothing can observe it mid-batch (callbacks only run

@@ -10,7 +10,7 @@ BarCK optimization exists.
 
 The manager also knows how to repair its state when a set of processors
 rolls back (locks re-granted from checkpoint snapshots, barrier
-generations regressed); see DESIGN.md §4.
+generations regressed); see :meth:`SyncManager.rollback_cleanup`.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 A thread's execution is a sequence of compact records.  Compute bursts
 are run-length encoded; only the memory accesses that matter for
-coherence, checkpointing and dependence tracking are explicit (see
-DESIGN.md §3).
+coherence, checkpointing and dependence tracking are explicit (the
+synthetic generators in :mod:`repro.workloads` emit exactly those).
 
 Record formats (tuple form / IR column values)::
 

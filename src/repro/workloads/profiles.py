@@ -3,7 +3,8 @@
 The paper evaluates 13 SPLASH-2 codes, 4 PARSEC codes and Apache
 (Figure 4.3b).  We cannot run the binaries under Pin, so each app is
 modeled by the behavioural parameters that drive every Chapter 6 result
-(DESIGN.md §3):
+(quoted at paper scale; the generators rescale them with the checkpoint
+interval):
 
 * ``barrier_every`` — instructions between global barriers.  The paper
   states Ocean synchronizes every ~50k instructions; barrier-heavy codes

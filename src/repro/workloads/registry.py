@@ -179,7 +179,8 @@ def get_workload(app: WorkloadLike, n_threads: int, config: MachineConfig,
 
     ``app`` is a built-in profile name or a :class:`WorkloadTag`;
     ``intervals`` sets the run length in checkpoint intervals and the
-    footprints scale with ``config.checkpoint_interval`` (DESIGN.md §3).
+    footprints scale with ``config.checkpoint_interval``, so a scaled
+    machine keeps the paper's per-interval ratios.
     """
     name = workload_name(app)
     try:

@@ -54,7 +54,8 @@ class SyntheticWorkload:
         self.seed = seed
         self.space = AddressSpace()
         # Footprints scale with the interval so the ratio of checkpoint
-        # writeback volume to interval length is preserved (DESIGN.md §3).
+        # writeback volume to interval length is preserved at any
+        # ``MachineConfig.scaled`` scale.
         scale_ref = min(1.0, checkpoint_interval / REFERENCE_INTERVAL * 40)
         self.private_lines = max(8, int(profile.private_lines * scale_ref))
         self.shared_lines = max(4, int(profile.shared_lines * scale_ref))
@@ -133,7 +134,7 @@ class SyntheticWorkload:
             return []
         # Profiles quote barrier spacing in paper-scale instructions;
         # rescale so the *barriers per checkpoint interval* — what drives
-        # ICHK and the BarCK optimization — is preserved (DESIGN.md §3).
+        # ICHK and the BarCK optimization — is preserved at any scale.
         scaled = max(200, int(every * self.interval / REFERENCE_INTERVAL))
         n = self.total_instructions // scaled
         return [scaled * (i + 1) for i in range(n)]

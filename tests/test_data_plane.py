@@ -6,8 +6,9 @@ Three compounding optimizations share one correctness bar — bit-identical
 * ``CompiledTrace.from_buffer`` / ``WorkloadSpec.from_buffer`` build
   read-only memoryview columns over a serialized blob (the store mmaps
   entries instead of copying them);
-* ``_run_parallel`` packs tasks into per-worker chunks (affinity-sorted
-  by workload digest, workers persist their own cache entries);
+* ``_run_parallel`` builds shared workloads in the pool, then packs
+  tasks into guided-self-scheduling chunks (affinity-sorted by workload
+  digest, workers persist their own cache entries);
 * ``_batch_key`` widens replica batches across overrides of config
   fields the scheme declared fault-free invariant, so a
   detection-latency sweep under Global shares one leader walk.
@@ -238,15 +239,40 @@ class TestChunkedDispatch:
                                   workers=2)
         assert chunks == [[KEY_A1, KEY_A2], [KEY_B1, KEY_B2]]
 
+    @staticmethod
+    def _seed_tasks(n):
+        return [RunKey("blackscholes", 4, Scheme.NONE, INTERVALS, seed,
+                       SCALE) for seed in range(n)]
+
     def test_adaptive_size_bounds(self):
+        # Guided self-scheduling: ceil(remaining / (4 * workers)) per
+        # chunk, capped at 32 — sizes never grow, and the tail of every
+        # plan is single tasks.
         eng = ExperimentEngine(jobs=4, use_disk_cache=False)
-        tasks = [RunKey("blackscholes", 4, Scheme.NONE, INTERVALS, seed,
-                        SCALE) for seed in range(100)]
+        for n_tasks, workers in [(1000, 2), (300, 4), (100, 4), (10, 2),
+                                 (3, 2), (1, 1)]:
+            chunks = eng._chunk_tasks(self._seed_tasks(n_tasks), workers)
+            sizes = [len(chunk) for chunk in chunks]
+            assert all(1 <= size <= 32 for size in sizes), sizes
+            assert all(a >= b for a, b in zip(sizes, sizes[1:])), sizes
+            tail = sizes[-workers:]
+            assert tail == [1] * len(tail), sizes
+            assert len(chunks) >= min(n_tasks, 2 * workers)  # window fed
+
+    def test_guided_chunks_hold_every_task_once(self):
+        eng = ExperimentEngine(jobs=4, use_disk_cache=False)
+        tasks = self._seed_tasks(300)
         chunks = eng._chunk_tasks(tasks, workers=4)
-        assert sorted(key.seed for chunk in chunks for key in chunk) \
-            == list(range(100))
-        assert all(1 <= len(chunk) <= 32 for chunk in chunks)
-        assert len(chunks) >= 2 * 4          # window keeps workers fed
+        flat = [key for chunk in chunks for key in chunk]
+        assert len(flat) == len(tasks)
+        assert set(flat) == set(tasks)
+
+    def test_ten_tasks_on_two_workers_end_in_singles(self):
+        # The fig6_3@64 shape: with one fixed size the last chunks held
+        # two long runs back to back while the other worker idled.
+        eng = ExperimentEngine(jobs=2, use_disk_cache=False)
+        chunks = eng._chunk_tasks(self._seed_tasks(10), workers=2)
+        assert [len(chunk) for chunk in chunks] == [2] + [1] * 8
 
     def test_chunk_size_env_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHUNK", "many")
@@ -293,12 +319,49 @@ class TestChunkedDispatch:
                                chunk_size=2)
         eng.run_many(keys)
         counters = eng.store_counters()
-        # The parent prebuilt the shared workload once; every run then
-        # loaded it (in a worker or the parent).
+        # A pool build job built the shared workload once and shipped its
+        # counter deltas back; every run then loaded it in a worker.
         assert counters["builds"] == 1
+        assert eng.workload_store.builds == 0
         assert counters["hits"] >= 1
         assert counters["write_failures"] == 0
         assert counters["corrupt_rebuilds"] == 0
+
+    def test_shared_workloads_build_in_the_pool(self, tmp_path):
+        # Two shared workloads at -j 2: each is built exactly once, by a
+        # pool build job, never in the parent; a shared workload whose
+        # builder raises fails only its own runs, each by RunKey.
+        from repro.workloads import register_workload
+        from repro.workloads.registry import unregister_workload
+
+        def broken(n_threads, config, intervals, seed):
+            raise RuntimeError("builder exploded")
+
+        tag = register_workload("pool_broken_wl", broken,
+                                fingerprint="broken-v1")
+        try:
+            good = [KEY_A1, KEY_A2, KEY_B1, KEY_B2]
+            bad = [RunKey(tag, 4, Scheme.NONE, INTERVALS, 1, SCALE),
+                   RunKey(tag, 4, Scheme.GLOBAL, INTERVALS, 1, SCALE)]
+            eng = ExperimentEngine(jobs=2, cache_dir=tmp_path,
+                                   use_disk_cache=True, vector=False)
+            with pytest.raises(RuntimeError) as excinfo:
+                eng.run_many(good + bad)
+        finally:
+            unregister_workload("pool_broken_wl")
+        message = str(excinfo.value)
+        assert "2 of 6 run(s)" in message
+        assert "builder exploded" in message
+        for key in bad:
+            assert eng._describe(key) in message
+        for key in good:
+            assert key in eng.memo
+        assert eng.workload_store.builds == 0         # never the parent
+        assert eng.store_counters()["builds"] == 2    # once per workload
+        assert len(list(eng.workload_store.root.glob("*.wl"))) == 2
+        expect = ExperimentEngine(jobs=1, use_disk_cache=False)
+        for key in good:
+            assert eng.memo[key] == expect.run(key), key
 
     def test_no_cache_still_writes_nothing(self, tmp_path):
         eng = ExperimentEngine(jobs=2, cache_dir=tmp_path,

@@ -90,7 +90,7 @@ class TestRestore:
         assert logged  # re-executed interval logs afresh
 
     def test_delayed_writeback_interleaving_restores_exactly(self):
-        """The interval-tagging scenario of DESIGN.md §7.
+        """The interval-tagging scenario of the undo log (mem/log.py).
 
         Interval 1's delayed drain (value at the checkpoint) interleaves
         in wall-clock time with interval 2's eviction of the same line.
