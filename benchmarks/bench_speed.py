@@ -11,7 +11,7 @@ populated content-addressed workload store (warm) — the build path the
 engine's pool workers take.  The ``vector`` section sweeps the
 replica-batch width of the vectorized campaign executor against
 scalar per-replica runs at two fault densities, with per-replica
-parity asserted (skipped without numpy).
+parity asserted.
 
 The ``lint`` section times the ``reprolint`` static analysis pass over
 the full shipped tree (parse + all six contract rules), so the
@@ -19,11 +19,8 @@ analyzer's cost — it runs on every CI push — stays visible from PR to
 PR, and asserts the tree is clean while it is at it.
 
 The ``memsys`` section aggregates the memory-system counters of the
-matrix runs (fast-path hit rate, L1/L2 hit rates, invalidations) and
-A/B-times one representative configuration with ``REPRO_FASTPATH``
-off vs. on for the per-access latency split — after asserting both
-modes produced bit-identical runtimes, so the speedup is never bought
-with different results.
+matrix runs: the private-hit rate (accesses served without the
+directory), L1/L2 hit rates, invalidations and residency epochs.
 
 The ``engine`` section is the one part that measures the harness
 itself: the dispatch-overhead microbench drives ≥500 tiny
@@ -72,7 +69,7 @@ from repro.harness.workload_store import WorkloadStore
 from repro.params import MachineConfig, Scheme
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import Machine
-from repro.sim.vector import have_numpy, run_replica_batch
+from repro.sim.vector import run_replica_batch
 from repro.trace import TraceBuilder
 from repro.workloads import (
     PARSEC_APACHE,
@@ -238,45 +235,12 @@ def _measure_vector() -> dict:
 
 
 def _measure_memsys(matrix_stats) -> dict:
-    """Memory-system counters of the matrix runs, plus the per-access
-    latency split the fast path buys.
-
-    The counter aggregates come straight from the matrix ``SimStats``
-    (they are mode-invariant by contract, so the default fast-path runs
-    are the measurement).  The latency split A/B-times the first matrix
-    configuration with the fast path forced off vs. on — asserting
-    bit-identical runtimes first, so a divergence can never masquerade
-    as a speedup.
-    """
+    """Memory-system counters aggregated over the matrix runs."""
     accesses = sum(s.mem_accesses for s in matrix_stats)
     fast_ops = sum(s.fastpath_loads + s.fastpath_stores
                    for s in matrix_stats)
     loads = sum(s.l1_hits + s.l1_misses for s in matrix_stats)
     l2_refs = sum(s.l2_hits + s.l2_misses for s in matrix_stats)
-
-    app, n_cores, scheme = MATRIX[0]
-    config = MachineConfig.scaled(n_cores=n_cores, scheme=scheme,
-                                  scale=SCALE)
-    workload = get_workload(app, n_cores, config, intervals=INTERVALS,
-                            seed=1)
-    walls = {False: float("inf"), True: float("inf")}
-    runtimes = {}
-    ab_accesses = 0
-    # Interleaved A/B: both modes sample the same noise environment
-    # each round, so a load spike cannot charge one side only.
-    for _ in range(2 * REPEATS):
-        for mode in (False, True):
-            machine = Machine(config, workload, fastpath=mode)
-            start = time.perf_counter()
-            stats = machine.run()
-            walls[mode] = min(walls[mode],
-                              time.perf_counter() - start)
-            runtimes[mode] = stats.runtime
-            ab_accesses = stats.mem_accesses
-    assert runtimes[False] == runtimes[True], \
-        "fast path changed the simulated runtime; refusing to report"
-    slow_ns = walls[False] / ab_accesses * 1e9
-    fast_ns = walls[True] / ab_accesses * 1e9
     return {
         "mem_accesses": accesses,
         "fastpath_hit_rate": round(fast_ops / accesses, 4),
@@ -287,12 +251,6 @@ def _measure_memsys(matrix_stats) -> dict:
         "invalidations": sum(s.invalidations for s in matrix_stats),
         "fastpath_epoch_bumps": sum(s.fastpath_epoch_bumps
                                     for s in matrix_stats),
-        "per_access_ns": {
-            "config": f"{app} x{n_cores} {scheme.value}",
-            "slow_path": round(slow_ns, 1),
-            "fast_path": round(fast_ns, 1),
-            "speedup": round(slow_ns / fast_ns, 2),
-        },
     }
 
 
@@ -617,8 +575,7 @@ def test_kernel_speed():
         total_instr += stats.total_instructions
     store = _measure_workload_store()
     memsys = _measure_memsys(matrix_stats)
-    vector = _measure_vector() if have_numpy() else {
-        "skipped": "numpy not installed"}
+    vector = _measure_vector()
     lint = _measure_lint()
     engine = _measure_engine()
     service = _measure_service()
@@ -654,29 +611,22 @@ def test_kernel_speed():
           f"x{store['n_cores']}): cold {store['cold_build_s']:.3f}s, "
           f"store-warm {store['warm_load_s'] * 1e3:.3f}ms/pass "
           f"({speedup if isinstance(speedup, str) else f'{speedup:.0f}x'})")
-    split = memsys["per_access_ns"]
-    print(f"memsys: fast-path hit rate "
+    print(f"memsys: private-hit rate "
           f"{memsys['fastpath_hit_rate']:.1%} over "
           f"{memsys['mem_accesses']:,} accesses "
           f"(L1 {memsys['l1_hit_rate']:.1%}, "
           f"L2 {memsys['l2_hit_rate']:.1%}, "
-          f"{memsys['invalidations']} invalidations); "
-          f"{split['config']}: {split['slow_path']:.0f} -> "
-          f"{split['fast_path']:.0f} ns/access "
-          f"({split['speedup']:.2f}x)")
-    if "rows" in vector:
-        print(f"vector campaigns ({vector['app']} x{vector['n_cores']} "
-              f"{vector['scheme']}):")
-        for row in vector["rows"]:
-            print(f"  {row['density']:6s} N={row['width']:<3d} "
-                  f"scalar {row['scalar_wall_s']:7.3f}s  "
-                  f"vector {row['vector_wall_s']:7.3f}s  "
-                  f"{row['speedup']:5.2f}x "
-                  f"(spilled {row['spilled']}, direct "
-                  f"{row['direct_runs']}, served "
-                  f"{row['leader_served']})")
-    else:
-        print(f"vector campaigns: {vector['skipped']}")
+          f"{memsys['invalidations']} invalidations)")
+    print(f"vector campaigns ({vector['app']} x{vector['n_cores']} "
+          f"{vector['scheme']}):")
+    for row in vector["rows"]:
+        print(f"  {row['density']:6s} N={row['width']:<3d} "
+              f"scalar {row['scalar_wall_s']:7.3f}s  "
+              f"vector {row['vector_wall_s']:7.3f}s  "
+              f"{row['speedup']:5.2f}x "
+              f"(spilled {row['spilled']}, direct "
+              f"{row['direct_runs']}, served "
+              f"{row['leader_served']})")
     print(f"reprolint ({','.join(lint['rules'])}): "
           f"{lint['checked_files']} files in {lint['wall_s']:.3f}s "
           f"({lint['files_per_s']:,} files/s, "

@@ -1,10 +1,8 @@
 """Setup shim for environments without PEP 517 editable-install support.
 
-The simulator itself is pure standard library.  numpy is an optional
-extra (``pip install repro[vector]``) that unlocks the vectorized
-multi-replica campaign executor (:mod:`repro.sim.vector`); without it
-every campaign runs through the scalar kernel, bit-identically, with a
-one-line warning from the engine when a batch falls back.
+The simulator, the harness and the multi-replica campaign executor
+(:mod:`repro.sim.vector`) are pure standard library: nothing beyond
+Python itself is needed to run them.
 """
 
 from setuptools import find_packages, setup
@@ -17,7 +15,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.11",
-    extras_require={
-        "vector": ["numpy"],
-    },
 )

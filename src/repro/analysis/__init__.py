@@ -29,10 +29,10 @@ RL005     trace-              no in-place mutation of ``CompiledTrace``
           immutability        ``.ops``/``.args`` columns outside
                               ``trace.py`` — specs are shared across
                               runs (store LRU, mmap views, leaders)
-RL006     fastpath-           no direct cache-line/directory mutation
-          invalidation        outside ``coherence``/``mem`` — residency
-                              changes funnel through the engine so the
-                              fast-path filters stay coherent
+RL006     cache-ownership     no direct cache-line/directory mutation
+                              outside ``coherence``/``mem`` — the engine
+                              is the only writer, so directory,
+                              residency and counters stay consistent
 ========  ==================  ===========================================
 
 Run it with ``python -m repro.harness lint [--json] [--rules RL001,...]``;
@@ -60,7 +60,7 @@ from repro.analysis.rules_cache import CacheIdentityRule
 from repro.analysis.rules_determinism import DeterminismRule
 from repro.analysis.rules_fingerprint import FingerprintCoverageRule
 from repro.analysis.rules_fork import ForkSafetyRule
-from repro.analysis.rules_memsys import FastpathInvalidationRule
+from repro.analysis.rules_memsys import CacheOwnershipRule
 from repro.analysis.rules_trace import TraceImmutabilityRule
 
 __all__ = [
@@ -82,7 +82,7 @@ __all__ = [
     "FingerprintCoverageRule",
     "CacheIdentityRule",
     "TraceImmutabilityRule",
-    "FastpathInvalidationRule",
+    "CacheOwnershipRule",
 ]
 
 
@@ -91,7 +91,7 @@ def _register_builtins() -> None:
     exactly like the built-in schemes and workloads do."""
     for rule_cls in (ForkSafetyRule, DeterminismRule,
                      FingerprintCoverageRule, CacheIdentityRule,
-                     TraceImmutabilityRule, FastpathInvalidationRule):
+                     TraceImmutabilityRule, CacheOwnershipRule):
         register_rule(rule_cls())
 
 

@@ -1,18 +1,15 @@
-"""RL006 — fast-path invalidation discipline: no cache pokes outside
-``coherence``/``mem``.
+"""RL006 — cache ownership: no cache pokes outside ``coherence``/``mem``.
 
-The memory-system fast path (``Machine._advance_main`` with
-``REPRO_FASTPATH`` on) services provable private hits against the
-caches' residency maps without entering the coherence engine.  Its
-correctness rests on one discipline: **every event that can change a
-line's hit status happens inside the engine** — eviction,
-invalidation, downgrade and delayed-writeback activity in
-:class:`~repro.coherence.protocol.CoherenceEngine`, which keeps the
-maps the fast path reads exact.  A scheme that reaches
+:class:`~repro.coherence.protocol.CoherenceEngine` is the only writer of
+cache and directory state: hits, fills, evictions, invalidations,
+downgrades and delayed writebacks all happen inside it, and each one
+updates the directory (sharers, owner, LW-ID), the private caches'
+residency and the per-class counters together.  A scheme that reaches
 into ``engine.l2s[pid]`` and invalidates a line directly, or flips a
-``CacheLine``/``DirEntry`` field in place, mutates residency behind the
-filter's back; the stats would silently diverge between the fast and
-slow paths.
+``CacheLine``/``DirEntry`` field in place, changes one of those behind
+the others' back: the directory would name a sharer that no longer
+holds the line, or the hit/miss and energy counters would stop adding
+up.
 
 This rule bans, everywhere outside the ``coherence`` and ``mem``
 packages (the engine and the caches themselves):
@@ -75,8 +72,8 @@ class _CachePokeVisitor(ast.NodeVisitor):
             self.ctx.relpath, lineno, "RL006",
             f"{what}; cache-line and directory state is mutated only "
             f"inside coherence/mem — schemes change residency through "
-            f"CoherenceEngine services, or the fast-path filters go "
-            f"stale"))
+            f"CoherenceEngine services, so the directory, residency "
+            f"and counters stay consistent"))
 
     def _check_target(self, target: ast.expr, verb: str) -> None:
         if (isinstance(target, ast.Attribute)
@@ -108,12 +105,12 @@ class _CachePokeVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-class FastpathInvalidationRule(Rule):
+class CacheOwnershipRule(Rule):
     code = "RL006"
-    name = "fastpath-invalidation"
+    name = "cache-ownership"
     description = ("no direct cache-line/directory mutation outside "
-                   "coherence/mem — residency changes go through the "
-                   "engine so the fast-path filters stay coherent")
+                   "coherence/mem — the engine is the only writer, so "
+                   "directory, residency and counters stay consistent")
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         if ctx.in_packages("coherence", "mem"):

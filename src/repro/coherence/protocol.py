@@ -95,7 +95,8 @@ class CoherenceEngine:
         "energy_wsig", "energy_depreg",
         "fast_loads", "fast_stores", "fastpath_epochs",
         "ckpt_wait", "invalidations_sent", "forced_delayed_writebacks",
-        "golden",
+        "golden", "check", "l1_hit_cycles", "l2_hit_cycles",
+        "store_hit_cycles",
     )
 
     def __init__(self, config: MachineConfig, channels: MemoryChannels,
@@ -116,15 +117,13 @@ class CoherenceEngine:
         self.energy_log = 0
         self.energy_wsig = 0
         self.energy_depreg = 0
-        # Accesses serviceable on the fast path: loads hitting the L1
-        # residency filter, stores to MODIFIED non-Delayed lines.  These
-        # count *eligibility*, so the slow path bumps them in exactly the
-        # branches the inline fast path services — the totals are
-        # invariant under REPRO_FASTPATH.
+        # Private hits served without the directory: loads of any
+        # L1/L2-resident line, stores to MODIFIED non-Delayed lines
+        # (``SimStats.fastpath_loads``/``fastpath_stores``).
         self.fast_loads = 0
         self.fast_stores = 0
-        # Per-core residency-filter epochs: bumped on every event that
-        # can change a line's provable-hit status (see fastpath_epoch).
+        # Per-core residency epochs: bumped on every event that can
+        # change a line's hit status (see fastpath_epoch).
         self.fastpath_epochs = [0] * config.n_cores
         # Demand-wait cycles caused by checkpoint traffic, per core
         # (feeds the IPCDelay category of Figure 6.5).
@@ -135,6 +134,11 @@ class CoherenceEngine:
         # the simulator's serialization order.  Used by the coherence
         # property tests (config.check_coherence).
         self.golden: dict[int, int] = {}
+        # Read on every hit, so held here rather than behind ``config``.
+        self.check = config.check_coherence
+        self.l1_hit_cycles = config.l1.hit_cycles
+        self.l2_hit_cycles = config.l2.hit_cycles
+        self.store_hit_cycles = float(config.l2.hit_cycles)
 
     def energy_events(self) -> dict:
         """The per-class energy-event mapping (Counter-compatible shape).
@@ -154,61 +158,20 @@ class CoherenceEngine:
         return events
 
     # ------------------------------------------------------------------
-    # fast-path residency services
+    # residency services
     # ------------------------------------------------------------------
     def fastpath_epoch(self, pid: int) -> None:
-        """Advance ``pid``'s residency-filter epoch.
+        """Advance ``pid``'s residency epoch.
 
-        Counts every event that can change a line's provable-hit status
-        for ``pid`` — eviction, invalidation, downgrade,
-        delayed-writeback activity, checkpoint-interval advance,
-        rollback — into ``SimStats.fastpath_epoch_bumps``.  Bumped
-        identically whether the fast path is on or off, so the epoch
-        totals are mode-invariant.
+        Counts every event that can change a line's hit status for
+        ``pid`` — eviction, invalidation, downgrade, delayed-writeback
+        activity, checkpoint-interval advance, rollback — into
+        ``SimStats.fastpath_epoch_bumps``.
         """
         self.fastpath_epochs[pid] += 1
 
-    def flush_fastpath(self, l1_loads: list, l2_loads: list,
-                       stores: list) -> None:
-        """Fold batched per-core fast-path counters into the aggregates.
-
-        ``l1_loads[pid]``/``l2_loads[pid]``/``stores[pid]`` are the hits
-        the machine's inline fast path serviced since the last flush
-        (loads by the level that supplied them).  The bumps mirror, one
-        for one, what the slow path would have accumulated had each
-        access entered :meth:`load`/:meth:`store`: hit/miss counters on
-        the cache level each access touched, and the l1/l2 energy
-        events.  The lists are zeroed in place.
-        """
-        total_l1 = 0
-        total_l2 = 0
-        total_stores = 0
-        l1s = self.l1s
-        l2s = self.l2s
-        for pid, n in enumerate(l1_loads):
-            if n:
-                l1s[pid].n_hits += n
-                total_l1 += n
-                l1_loads[pid] = 0
-        for pid, n in enumerate(l2_loads):
-            if n:
-                l1s[pid].n_misses += n
-                l2s[pid].n_hits += n
-                total_l2 += n
-                l2_loads[pid] = 0
-        for pid, n in enumerate(stores):
-            if n:
-                l2s[pid].n_hits += n
-                total_stores += n
-                stores[pid] = 0
-        if total_l1 or total_l2 or total_stores:
-            self.fast_loads += total_l1 + total_l2
-            self.fast_stores += total_stores
-            self.energy_l1 += total_l1 + total_l2 + total_stores
-            self.energy_l2 += total_l2 + total_stores
-
     def _check_load(self, addr: int, value: int) -> None:
-        if self.config.check_coherence:
+        if self.check:
             expected = self.golden.get(addr, 0)
             assert value == expected, (
                 f"coherence violation at {addr:#x}: "
@@ -366,39 +329,37 @@ class CoherenceEngine:
     # ------------------------------------------------------------------
     def load(self, pid: int, addr: int, now: float) -> float:
         """Execute a load; returns its latency in cycles."""
-        config = self.config
         self.energy_l1 += 1
         # The L1 and L2 residency maps are probed directly (the same LRU
         # touch and hit/miss counters ``contains``/``lookup`` keep).
         l1 = self.l1s[pid]
         cset = l1._map.get(addr)
         if cset is not None:
-            # Fast-path-eligible: counted here so the total is invariant
-            # under REPRO_FASTPATH (the inline fast path batches the
-            # same bump and the engine is then never entered).
+            # L1 hit: fixed latency, LRU touch, no directory traffic.
             cset.move_to_end(addr)
             l1.n_hits += 1
             self.fast_loads += 1
-            if config.check_coherence:
+            if self.check:
                 resident = self.l2s[pid].peek(addr)
                 assert resident is not None, "L1/L2 inclusion violated"
                 self._check_load(addr, resident.value)
-            return config.l1.hit_cycles
+            return self.l1_hit_cycles
         l1.n_misses += 1
         self.energy_l2 += 1
         l2 = self.l2s[pid]
         line = l2._map.get(addr)
         if line is not None:
-            # Fast-path-eligible too (any resident line): counted here
-            # so the total is invariant under REPRO_FASTPATH.
+            # L2 hit (any resident line): refill the L1 presence filter.
             l2._sets[addr % l2.n_sets].move_to_end(addr)
             l2.n_hits += 1
             self.fast_loads += 1
             l1.fill(addr)
-            self._check_load(addr, line.value)
-            return config.l2.hit_cycles
+            if self.check:
+                self._check_load(addr, line.value)
+            return self.l2_hit_cycles
         l2.n_misses += 1
         # L2 miss -> home directory.
+        config = self.config
         entry = self.directory.entry(addr)
         self.energy_dir += 1
         self.network.base_messages += 2  # request + response
@@ -435,8 +396,7 @@ class CoherenceEngine:
 
     def store(self, pid: int, addr: int, value: int, now: float) -> float:
         """Execute a store (write-through L1, write-back L2); returns latency."""
-        config = self.config
-        if config.check_coherence:
+        if self.check:
             self.golden[addr] = value
         self.energy_l1 += 1
         self.energy_l2 += 1
@@ -448,15 +408,16 @@ class CoherenceEngine:
         else:
             l2._sets[addr % l2.n_sets].move_to_end(addr)
             l2.n_hits += 1
-        latency = float(config.l2.hit_cycles)
-        if line is not None and line.state == MODIFIED:
-            if line.delayed:
-                latency += self._force_delayed_writeback(pid, line, now)
+            if line.state == MODIFIED and not line.delayed:
+                # Private hit: already MODIFIED by self, nothing Delayed.
+                self.fast_stores += 1
                 line.value = value
-                return latency
-            # Fast-path-eligible (MODIFIED, not Delayed): counted here so
-            # the total is invariant under REPRO_FASTPATH.
-            self.fast_stores += 1
+                return self.store_hit_cycles
+        config = self.config
+        latency = self.store_hit_cycles
+        if line is not None and line.state == MODIFIED:
+            # MODIFIED but Delayed: flush the checkpointed copy first.
+            latency += self._force_delayed_writeback(pid, line, now)
             line.value = value
             return latency
         if line is not None and line.state == EXCLUSIVE:

@@ -108,7 +108,7 @@ class BaseScheme(DependenceTracker):
         """Open a new interval on ``pid`` (Dep set / epoch rotation).
 
         Overrides must call ``super()._rotate(pid, now)``: the interval
-        advance (WSIG epoch) is one of the events
+        advance (WSIG epoch) is one of the residency events
         :meth:`CoherenceEngine.fastpath_epoch` counts into
         ``SimStats.fastpath_epoch_bumps``.  Cache and directory state
         changes only inside the coherence engine; schemes never poke

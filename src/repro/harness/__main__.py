@@ -110,8 +110,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--vector", dest="vector", action="store_true",
                         default=None,
                         help="batch same-workload fault replicas through "
-                             "the vectorized executor (default: on when "
-                             "numpy is available)")
+                             "the vectorized executor (default: on)")
     parser.add_argument("--no-vector", dest="vector", action="store_false",
                         help="force scalar campaign runs (same as "
                              "REPRO_VECTOR=0)")

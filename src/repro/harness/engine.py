@@ -56,9 +56,7 @@ fault-detection time, producing bit-identical per-replica ``SimStats``.
 Results are memoized and disk-cached *per key*, exactly like scalar
 runs, so the cache format, the invariant harness and the campaign
 summaries see no difference.  ``REPRO_VECTOR=0`` (or ``--vector=off``
-mapped through the CLI's ``--no-vector``) forces the scalar path;
-without numpy the engine falls back to scalar runs with a one-line
-warning.
+mapped through the CLI's ``--no-vector``) forces the scalar path.
 
 Knobs (CLI flags on ``python -m repro.harness`` map onto the same
 settings)::
@@ -66,7 +64,7 @@ settings)::
     REPRO_JOBS        worker processes (default: os.cpu_count())
     REPRO_CACHE_DIR   result cache location (default: benchmarks/.cache)
     REPRO_NO_CACHE    set to 1 to bypass the disk cache entirely
-    REPRO_VECTOR      0 forces scalar campaign runs; unset/1 = auto
+    REPRO_VECTOR      0 forces scalar campaign runs; unset/1 = on
     REPRO_CHUNK       tasks per dispatch chunk (default: guided, shrinking)
     REPRO_WORKER_LRU  per-process loaded-workload LRU size (default 16)
     REPRO_MMAP        0 forces copying workload loads; unset/1 = mmap
@@ -92,7 +90,6 @@ from repro.params import MachineConfig, Scheme
 from repro.sim import SimStats
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import Machine, UnforkableMachineError
-from repro.sim.vector import have_numpy
 from repro.workloads import (
     get_workload,
     inject_output_io,
@@ -106,7 +103,7 @@ from repro.workloads.registry import is_builtin_workload
 #:    counters (ckpt_backoff, stall_overhang, rollback_waste), so
 #:    entries pickled before them would deserialize without the fields
 #:    the campaign tables now read.
-#: 3: memory-system fast path — SimStats grew the memsys counters
+#: 3: memory-system counters — SimStats grew the memsys counters
 #:    (l1/l2 hits+misses, fastpath loads/stores/epochs, invalidations,
 #:    mem_accesses) that ``--profile`` and the bench memsys section read.
 CACHE_FORMAT = 3
@@ -234,9 +231,9 @@ def execute_batch(keys: list[RunKey],
     under Global is served from one trace pass.  Returns the per-key
     stats in input order plus a flag saying whether the batch *fell
     back* to scalar runs — which happens when the machine cannot be
-    forked (an out-of-tree scheme scheduled a legacy closure callback)
-    or numpy is missing; either way the stats are the same
-    bit-identical results ``execute_run`` would produce.
+    forked (an out-of-tree scheme scheduled a legacy closure callback);
+    the stats are then the same bit-identical results ``execute_run``
+    would produce.
     """
     from repro.sim.vector import run_replica_batch
 
@@ -259,7 +256,7 @@ def execute_batch(keys: list[RunKey],
     try:
         result = run_replica_batch(config, workload, fault_lists,
                                    replica_configs=replica_configs)
-    except (UnforkableMachineError, ImportError):
+    except UnforkableMachineError:
         return [execute_run(key, store) for key in keys], True
     return result.stats, False
 
@@ -561,12 +558,8 @@ class ExperimentEngine:
             env = os.environ.get("REPRO_VECTOR")
             if env is not None and env != "":
                 vector = _env_flag("REPRO_VECTOR", env)
-        #: The *request* (None = auto): distinguishes "user said no"
-        #: from "numpy is missing" for the fallback warning below.
-        self._vector_requested = vector
-        #: Whether replica batches actually go through the vector path.
-        self.vector = (vector if vector is not None else True) \
-            and have_numpy()
+        #: Whether replica batches go through the vector path.
+        self.vector = vector if vector is not None else True
         self._vector_warned = False
         self.memo: dict[RunKey, SimStats] = {}
         #: Wall-clock seconds per key *computed* this session (not cached).
@@ -794,23 +787,13 @@ class ExperimentEngine:
         (scalar run) or a ``list[RunKey]`` (replica batch of two or
         more), placed at its first member's position in ``missing`` so
         serial execution keeps the submission order — a failing task
-        never masks work listed before it.  With vectorization off (or
-        unavailable) every key is a single; a one-line warning fires
-        once when batches *would* have formed but numpy is missing and
-        the user didn't opt out."""
+        never masks work listed before it.  With vectorization off every
+        key is a single."""
+        if not self.vector:
+            return list(missing)
         groups: dict[tuple, list[RunKey]] = {}
         for key in missing:
             groups.setdefault(self._batch_key(key), []).append(key)
-        if not self.vector:
-            if (any(len(group) >= 2 for group in groups.values())
-                    and not have_numpy()
-                    and self._vector_requested is not False
-                    and not self._vector_warned):
-                self._vector_warned = True
-                print("  [engine] warning: numpy unavailable; campaign "
-                      "batches fall back to scalar runs "
-                      "(pip install repro[vector])", flush=True)
-            return list(missing)
         tasks: list = []
         emitted: set = set()
         for key in missing:
@@ -951,8 +934,8 @@ class ExperimentEngine:
     def memsys_counters(self) -> dict[str, int]:
         """Memory-system counters summed over this engine's completed
         runs (the in-process memo: every run executed or loaded this
-        session).  Mode-invariant under ``REPRO_FASTPATH``; feeds the
-        ``--profile`` memsys row and the bench memsys section."""
+        session); feeds the ``--profile`` memsys row and the bench
+        memsys section."""
         totals = {name: 0 for name in (
             "l1_hits", "l1_misses", "l2_hits", "l2_misses",
             "fastpath_loads", "fastpath_stores", "fastpath_epoch_bumps",

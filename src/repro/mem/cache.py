@@ -59,10 +59,8 @@ class Cache:
         ]
         # Address -> line direct map over all sets: lookup/peek are one
         # dict probe; the per-set OrderedDicts keep carrying the LRU
-        # recency order (and are the eviction authority).  The map is
-        # mutated strictly in place (never rebound) so long-lived views
-        # of it — the machine's inline fast path binds it once per
-        # advance — stay valid across insertions and invalidations.
+        # recency order (and are the eviction authority).  The
+        # coherence engine probes it directly on every access.
         self._map: dict[int, CacheLine] = {}
         self.n_hits = 0
         self.n_misses = 0
@@ -161,11 +159,9 @@ class L1Cache:
             OrderedDict() for _ in range(self.n_sets)
         ]
         # Address -> owning set direct map: the residency filter the
-        # machine's inline load fast path probes.  Membership here is
-        # *exactly* ``contains`` membership (maintained on every fill and
-        # invalidation), so a map hit is a provable L1 hit.  Mutated in
-        # place only — never rebound — because the fast path binds it
-        # once per advance.
+        # coherence engine's load probes.  Membership here is *exactly*
+        # ``contains`` membership (maintained on every fill and
+        # invalidation), so a map hit is an L1 hit.
         self._map: dict[int, OrderedDict] = {}
         self.n_hits = 0
         self.n_misses = 0

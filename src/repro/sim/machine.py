@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import copy
 import heapq
-import os
 from typing import Callable, Optional
 
 from repro.coherence.protocol import CoherenceEngine
 from repro.core.factory import build_scheme
 from repro.core.scheme_base import BaseScheme
 from repro.interconnect import Interconnect
-from repro.mem import MODIFIED, MainMemory, MemoryChannels, ReviveLog
+from repro.mem import MainMemory, MemoryChannels, ReviveLog
 from repro.params import MachineConfig
 from repro.sim.cores import Core
 from repro.sim.events import DurableCall
@@ -89,33 +88,12 @@ class UnforkableMachineError(RuntimeError):
 DEFAULT_FUSE_QUANTUM = 256
 
 
-def _fastpath_default() -> bool:
-    """Resolve the ``REPRO_FASTPATH`` gate (default on).
-
-    Same strict on/off parsing as the harness ``REPRO_VECTOR`` idiom —
-    a typo like ``REPRO_FASTPATH=fasle`` must not silently pick either
-    behaviour — re-implemented here because ``repro.sim`` keeps zero
-    harness imports.
-    """
-    text = os.environ.get("REPRO_FASTPATH")
-    if text is None:
-        return True
-    lower = text.strip().lower()
-    if lower in ("1", "on", "true", "yes"):
-        return True
-    if lower in ("0", "off", "false", "no"):
-        return False
-    raise ValueError(f"REPRO_FASTPATH must be one of 1/0/on/off/true/"
-                     f"false/yes/no, got {text!r}")
-
-
 class Machine:
     """A manycore running one workload under one checkpointing scheme."""
 
     def __init__(self, config: MachineConfig, workload: WorkloadSpec,
                  faults: Optional[list[tuple[float, int]] | FaultPlan] = None,
-                 fuse_quantum: int = DEFAULT_FUSE_QUANTUM,
-                 fastpath: Optional[bool] = None):
+                 fuse_quantum: int = DEFAULT_FUSE_QUANTUM):
         if workload.n_threads > config.n_cores:
             raise ValueError(
                 f"workload needs {workload.n_threads} threads but the "
@@ -146,11 +124,6 @@ class Machine:
         if fuse_quantum < 1:
             raise ValueError("fuse_quantum must be >= 1")
         self.fuse_quantum = fuse_quantum
-        # Inline private-hit servicing (the memory-system fast path):
-        # None defers to REPRO_FASTPATH (default on).  Bit-identical
-        # either way — tests/test_fastpath.py pins the equivalence.
-        self.fastpath = (_fastpath_default() if fastpath is None
-                         else bool(fastpath))
         # The hot loop only calls post_op once a core has executed
         # post_op_gate() instructions since its checkpoint (the gate is
         # owned by the scheme, next to post_op itself).  Schemes that
@@ -277,7 +250,7 @@ class Machine:
 
         The trace executor is inlined into the pop loop (every local is
         bound once per call, not once per record — each core's trace
-        columns, stats and cache maps as one tuple unpacked per pop): on
+        columns and stats as one tuple unpacked per pop): on
         each pop the owning core executes records until it blocks,
         stalls, or another heap event becomes due at or before its next
         record — the fused continuation re-runs the per-pop bookkeeping
@@ -303,22 +276,10 @@ class Machine:
     def _advance_main(self) -> bool:
         """Application loop; returns False when paused mid-phase.
 
-        With ``self.fastpath`` on, LOAD/STORE records whose outcome is a
-        provable private hit are serviced inline against the caches'
-        residency maps without entering the coherence engine: a load of
-        any resident line (L1 or L2), a store to an L2 line already
-        MODIFIED and not Delayed.  All carry a fixed latency and no
-        observable side effect beyond counters (an L2-hit load also
-        refills the L1 presence filter, exactly as the slow path would),
-        which are batched per core in plain ints
-        and flushed into the engine aggregates on every exit from this
-        loop (pause, completion, exception) — before anything that could
-        observe them (``fork``, ``finalize``), so stats stay
-        bit-identical to the slow path.  LRU recency is maintained
-        exactly (same ``move_to_end`` the slow path performs), and map
-        membership is exactly cache membership, so the engine-entry
-        sequence — and therefore every transition, message and energy
-        event — is identical in both modes.
+        Every LOAD/STORE record enters the coherence engine, which owns
+        hit handling as a private cache controller would: hits are
+        served at the head of :meth:`CoherenceEngine.load`/``store`` and
+        only misses reach the directory.
         """
         limit = self._limit
         heap = self._heap
@@ -327,229 +288,163 @@ class Machine:
         cores = self.cores
         scheme = self.scheme
         sync = self.sync
-        engine = self.engine
-        engine_load = engine.load
-        engine_store = engine.store
+        engine_load = self.engine.load
+        engine_store = self.engine.store
         post_op_gate = self._post_op_gate
         io_cycles = self.config.io_cycles
         quantum = self.fuse_quantum
         n_cores = len(cores)
-        fastpath = self.fastpath
-        check = self.config.check_coherence
-        modified = MODIFIED
-        golden = engine.golden
         # Per-core hot locals, bound once per call and unpacked as one
-        # tuple per pop (trace columns and cache maps are never rebound).
+        # tuple per pop (trace columns are never rebound).
         hot = [(core, core.ops, core.args, len(core.ops), core.stats,
-                l1._map, l1.fill, l2._map, l2._sets, core.store_tag)
-               for core, l1, l2 in zip(cores, engine.l1s, engine.l2s)]
-        l2_n_sets = self.config.l2.n_sets
-        l1_hit_cycles = self.config.l1.hit_cycles
-        l2_hit_cycles = self.config.l2.hit_cycles     # int: load hits
-        l2_store_cycles = float(l2_hit_cycles)        # float: store base
-        fast_l1_loads = [0] * n_cores
-        fast_l2_loads = [0] * n_cores
-        fast_stores = [0] * n_cores
+                core.store_tag) for core in cores]
         # The next heap entry to process when a fused batch re-pushed
         # its core through heappushpop (None: pop one).
         entry = None
-        try:
-            while self._n_done < n_cores:
-                if entry is None:
-                    if not heap:
-                        self._diagnose_deadlock()
-                    entry = heappop(heap)
-                when, _, kind, a, b = entry
-                entry = None
-                if kind != _EXEC:
-                    if kind == _PAUSE:
-                        # Unobservable: the clock stays at the last real
-                        # event (a true run only advances it on real pops).
-                        return False
-                    if when > self.now:
-                        self.now = when
-                    if when > limit:
-                        raise self._cycle_limit_exceeded()
-                    if kind == _DCALL:
-                        a.fire(self, when)
-                    else:
-                        a(when)
-                    continue
+        while self._n_done < n_cores:
+            if entry is None:
+                if not heap:
+                    self._diagnose_deadlock()
+                entry = heappop(heap)
+            when, _, kind, a, b = entry
+            entry = None
+            if kind != _EXEC:
+                if kind == _PAUSE:
+                    # Unobservable: the clock stays at the last real
+                    # event (a true run only advances it on real pops).
+                    return False
                 if when > self.now:
                     self.now = when
                 if when > limit:
                     raise self._cycle_limit_exceeded()
-                (core, ops, args, n_records, stats, l1_map, l1_fill, l2_map,
-                 l2_set_list, store_tag) = hot[a]
-                if core.done or core.blocked is not None or b != core.epoch:
-                    continue  # stale entry
-                if when < core.not_before:
+                if kind == _DCALL:
+                    a.fire(self, when)
+                else:
+                    a(when)
+                continue
+            if when > self.now:
+                self.now = when
+            if when > limit:
+                raise self._cycle_limit_exceeded()
+            core, ops, args, n_records, stats, store_tag = hot[a]
+            if core.done or core.blocked is not None or b != core.epoch:
+                continue  # stale entry
+            if when < core.not_before:
+                self.push_core(core)
+                continue
+            # -- trace execution: a batch of records for ``core`` ----------
+            t = core.time
+            now = when if when >= t else t
+            pid = a
+            budget = quantum
+            while True:
+                # Checkpoint-initiation decisions run here, at the core's
+                # true position in the global time order — not at the
+                # end-time of a long record committed eagerly during an
+                # earlier pop.  Below the interval threshold post_op is a
+                # guaranteed no-op (BaseScheme contract), so skip it.
+                if core.instr_since_ckpt >= post_op_gate:
+                    scheme.post_op(core, now)
+                    if core.not_before > now:
+                        self.push_core(core)  # back-off / ckpt stall
+                        break
+                ip = core.ip
+                if ip < n_records:
+                    op = ops[ip]
+                    arg = args[ip]
+                else:
+                    op = END
+                if op == COMPUTE:
+                    core.time = now + arg
+                    core.instr_count += arg
+                    core.instr_since_ckpt += arg
+                    stats.busy += arg
+                    core.ip = ip + 1
+                elif op == LOAD:
+                    latency = engine_load(pid, arg, now)
+                    core.time = now + latency
+                    core.instr_count += 1
+                    core.instr_since_ckpt += 1
+                    stats.busy += latency
+                    core.ip = ip + 1
+                elif op == STORE:
+                    # The store's unique value (Core.next_store_value).
+                    seq = core.store_seq + 1
+                    core.store_seq = seq
+                    latency = engine_store(pid, arg, store_tag | seq, now)
+                    core.time = now + latency
+                    core.instr_count += 1
+                    core.instr_since_ckpt += 1
+                    stats.busy += latency
+                    core.ip = ip + 1
+                elif op == BARRIER:
+                    result = sync.barrier_arrive(self, core, arg, now)
+                    if result is None:
+                        break  # blocked; ip advances on release
+                    core.ip = ip + 1
+                    core.time = result
                     self.push_core(core)
-                    continue
-                # -- trace execution: a batch of records for ``core`` ------
+                    break
+                elif op == LOCK:
+                    result = sync.lock_acquire(self, core, arg, now)
+                    if result is None:
+                        break  # blocked; ip advances on grant
+                    core.ip = ip + 1
+                    core.time = result
+                    self.push_core(core)
+                    break
+                elif op == UNLOCK:
+                    core.time = sync.lock_release(self, core, arg, now)
+                    core.ip = ip + 1
+                    self.push_core(core)
+                    break
+                elif op == OUTPUT:
+                    # Output I/O must be preceded by a checkpoint (Sec 6.4).
+                    after = scheme.on_output(core, now)
+                    if after is None:
+                        # Busy (e.g. a delayed-writeback drain in flight):
+                        # the scheme set not_before; retry the same record
+                        # then.
+                        self.push_core(core)
+                        break
+                    core.time = after + io_cycles
+                    stats.busy += io_cycles
+                    core.instr_count += 1
+                    core.instr_since_ckpt += 1
+                    core.ip = ip + 1
+                    self.push_core(core)
+                    break
+                elif op == END:
+                    core.done = True
+                    stats.end_time = core.time
+                    self._n_done += 1
+                    scheme.on_core_done(core, now)
+                    break
+                else:  # pragma: no cover - malformed trace
+                    raise ValueError(f"unknown trace op {(op, arg)!r}")
+                # -- fused continuation ------------------------------------
+                budget -= 1
                 t = core.time
-                now = when if when >= t else t
-                pid = a
-                budget = quantum
-                while True:
-                    # Checkpoint-initiation decisions run here, at the
-                    # core's true position in the global time order — not
-                    # at the end-time of a long record committed eagerly
-                    # during an earlier pop.  Below the interval threshold
-                    # post_op is a guaranteed no-op (BaseScheme contract),
-                    # so skip it.
-                    if core.instr_since_ckpt >= post_op_gate:
-                        scheme.post_op(core, now)
-                        if core.not_before > now:
-                            self.push_core(core)  # back-off / ckpt stall
-                            break
-                    ip = core.ip
-                    if ip < n_records:
-                        op = ops[ip]
-                        arg = args[ip]
-                    else:
-                        op = END
-                    if op == COMPUTE:
-                        core.time = now + arg
-                        core.instr_count += arg
-                        core.instr_since_ckpt += arg
-                        stats.busy += arg
-                        core.ip = ip + 1
-                    elif op == LOAD:
-                        if not fastpath:
-                            latency = engine_load(pid, arg, now)
-                        elif (cset := l1_map.get(arg)) is not None:
-                            # Provable L1 hit: fixed latency, LRU touch,
-                            # batched counters; the engine is not entered.
-                            cset.move_to_end(arg)
-                            fast_l1_loads[pid] += 1
-                            latency = l1_hit_cycles
-                            if check:
-                                resident = l2_map.get(arg)
-                                assert resident is not None, \
-                                    "L1/L2 inclusion violated"
-                                assert resident.value == golden.get(arg, 0), \
-                                    f"coherence violation at {arg:#x}"
-                        elif (line := l2_map.get(arg)) is not None:
-                            # Provable L2 hit: fixed latency, LRU touch,
-                            # L1 refill (the slow path's only residency
-                            # side effect), batched counters.
-                            l2_set_list[arg % l2_n_sets].move_to_end(arg)
-                            l1_fill(arg)
-                            fast_l2_loads[pid] += 1
-                            latency = l2_hit_cycles
-                            if check:
-                                assert line.value == golden.get(arg, 0), \
-                                    f"coherence violation at {arg:#x}"
-                        else:
-                            latency = engine_load(pid, arg, now)
-                        core.time = now + latency
-                        core.instr_count += 1
-                        core.instr_since_ckpt += 1
-                        stats.busy += latency
-                        core.ip = ip + 1
-                    elif op == STORE:
-                        line = l2_map.get(arg) if fastpath else None
-                        if (line is not None and line.state == modified
-                                and not line.delayed):
-                            # Already MODIFIED by self, nothing Delayed:
-                            # the slow path would only set line.value and
-                            # return the L2 hit latency.
-                            seq = core.store_seq + 1
-                            core.store_seq = seq
-                            value = store_tag | seq
-                            if check:
-                                golden[arg] = value
-                            l2_set_list[arg % l2_n_sets].move_to_end(arg)
-                            line.value = value
-                            fast_stores[pid] += 1
-                            latency = l2_store_cycles
-                        else:
-                            latency = engine_store(pid, arg,
-                                                   core.next_store_value(),
-                                                   now)
-                        core.time = now + latency
-                        core.instr_count += 1
-                        core.instr_since_ckpt += 1
-                        stats.busy += latency
-                        core.ip = ip + 1
-                    elif op == BARRIER:
-                        result = sync.barrier_arrive(self, core, arg, now)
-                        if result is None:
-                            break  # blocked; ip advances on release
-                        core.ip = ip + 1
-                        core.time = result
-                        self.push_core(core)
-                        break
-                    elif op == LOCK:
-                        result = sync.lock_acquire(self, core, arg, now)
-                        if result is None:
-                            break  # blocked; ip advances on grant
-                        core.ip = ip + 1
-                        core.time = result
-                        self.push_core(core)
-                        break
-                    elif op == UNLOCK:
-                        core.time = sync.lock_release(self, core, arg,
-                                                      now)
-                        core.ip = ip + 1
-                        self.push_core(core)
-                        break
-                    elif op == OUTPUT:
-                        # Output I/O must be preceded by a checkpoint
-                        # (Sec 6.4).
-                        after = scheme.on_output(core, now)
-                        if after is None:
-                            # Busy (e.g. a delayed-writeback drain in
-                            # flight): the scheme set not_before; retry the
-                            # same record then.
-                            self.push_core(core)
-                            break
-                        core.time = after + io_cycles
-                        stats.busy += io_cycles
-                        core.instr_count += 1
-                        core.instr_since_ckpt += 1
-                        core.ip = ip + 1
-                        self.push_core(core)
-                        break
-                    elif op == END:
-                        core.done = True
-                        stats.end_time = core.time
-                        self._n_done += 1
-                        scheme.on_core_done(core, now)
-                        break
-                    else:  # pragma: no cover - malformed trace
-                        raise ValueError(f"unknown trace op {(op, arg)!r}")
-                    # -- fused continuation --------------------------------
-                    budget -= 1
-                    t = core.time
-                    nb = core.not_before
-                    when = t if t >= nb else nb
-                    if budget <= 0 or (heap and heap[0][0] <= when):
-                        # Re-push and pop in one sift: the new entry has
-                        # the largest seq, so this returns exactly what a
-                        # push followed by a pop would.
-                        epoch = core.epoch + 1
-                        core.epoch = epoch
-                        seq = self._seq + 1
-                        self._seq = seq
-                        entry = heappushpop(heap,
-                                            (when, seq, _EXEC, pid, epoch))
-                        break
-                    # ``self.now`` is not advanced record-by-record:
-                    # nothing can observe it mid-batch (callbacks only run
-                    # from pops), and the next pop re-synchronizes it.
-                    if when > limit:
-                        self.now = when
-                        raise self._cycle_limit_exceeded()
-                    now = when
-        finally:
-            # Every exit — pause, completion, deadlock/cycle-limit raise —
-            # folds the batched fast-path counters into the engine before
-            # anything (fork's deepcopy, finalize) can observe them.
-            if fastpath:
-                engine.flush_fastpath(fast_l1_loads, fast_l2_loads,
-                                      fast_stores)
+                nb = core.not_before
+                when = t if t >= nb else nb
+                if budget <= 0 or (heap and heap[0][0] <= when):
+                    # Re-push and pop in one sift: the new entry has the
+                    # largest seq, so this returns exactly what a push
+                    # followed by a pop would.
+                    epoch = core.epoch + 1
+                    core.epoch = epoch
+                    seq = self._seq + 1
+                    self._seq = seq
+                    entry = heappushpop(heap,
+                                        (when, seq, _EXEC, pid, epoch))
+                    break
+                # ``self.now`` is not advanced record-by-record: nothing
+                # can observe it mid-batch (callbacks only run from pops),
+                # and the next pop re-synchronizes it.
+                if when > limit:
+                    self.now = when
+                    raise self._cycle_limit_exceeded()
+                now = when
         self._phase = "drain"
         return True
 

@@ -138,9 +138,10 @@ class SimStats:
     energy_events: dict[str, int] = field(default_factory=dict)
     energy_joules: float = 0.0
     baseline_energy_joules: float = 0.0
-    # Memory-system counters (all invariant under REPRO_FASTPATH: the
-    # fast path batches the same bumps the slow path makes inline, and
-    # eligibility is counted identically in both modes).
+    # Memory-system counters.  ``fastpath_loads``/``fastpath_stores``
+    # count private hits (served without the directory) and
+    # ``fastpath_epoch_bumps`` the events that can change a line's hit
+    # status; the names are kept so cached results and digests match.
     l1_hits: int = 0
     l1_misses: int = 0
     l2_hits: int = 0
@@ -158,7 +159,8 @@ class SimStats:
 
     @property
     def fastpath_hit_rate(self) -> float:
-        """Fraction of memory accesses serviceable on the fast path."""
+        """Fraction of memory accesses served as private cache hits
+        (no directory traffic)."""
         if self.mem_accesses == 0:
             return 0.0
         return (self.fastpath_loads + self.fastpath_stores) / self.mem_accesses

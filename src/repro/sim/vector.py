@@ -5,12 +5,12 @@ that differ *only* in their fault plans — and a replica is bit-identical
 to every other until its first fault is detected.  The executor
 exploits exactly that: one fault-free **leader** machine walks the
 shared ``CompiledTrace`` ops/args columns once per batch, pausing at
-each replica's first fault-detection time (sorted ascending with
-numpy); at each pause the replica is **spilled** into a scalar
+each replica's first fault-detection time (sorted ascending); at each
+pause the replica is **spilled** into a scalar
 :class:`~repro.sim.machine.Machine` via :meth:`Machine.fork`, armed
 with its fault plan, and driven to completion by the ordinary scalar
 kernel.  Per-replica batch state (divergence clocks, fault counts,
-shared-prefix savings) lives in ``(N,)``-shaped numpy arrays; anything
+shared-prefix savings) lives in plain ``N``-element lists; anything
 divergence-heavy — rollbacks, cluster barriers, I/O injection after the
 spill — runs in the spilled scalar machine, so every replica's
 ``SimStats`` (including the exact cycle-bucket partition) is unchanged
@@ -34,13 +34,6 @@ Soundness rests on three properties of the scalar kernel:
   record; ``Machine.install_faults`` injects the fork's fault events
   with seqs below every live entry, preserving that order.
 
-The leader runs the same memory-system fast path as every scalar
-machine (``Machine.fastpath`` / ``REPRO_FASTPATH``): its batched
-per-core hit counters are flushed into the engine aggregates on every
-exit from the advance loop — in particular before each pause — so a
-fork's deep copy always clones a fully-folded engine and replica stats
-stay bit-identical in all four on/off x scalar/vector combinations.
-
 The speedup is the shared prefix: for first-detections at
 ``t_1 <= ... <= t_N`` over a run of length ``T``, the batch simulates
 ``T + sum(T - t_i)`` cycles instead of ``N * T``.  Dense fault
@@ -54,6 +47,7 @@ exact-prefix-sharing optimization, not a sampling one.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -62,21 +56,11 @@ from repro.sim.machine import Machine, UnforkableMachineError
 from repro.sim.stats import SimStats
 from repro.workloads.base import WorkloadSpec
 
-try:  # numpy is an optional extra (``repro[vector]``)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-__all__ = ["have_numpy", "run_replica_batch", "BatchResult", "BatchReport",
+__all__ = ["run_replica_batch", "BatchResult", "BatchReport",
            "UnforkableMachineError"]
 
 #: A replica's faults: the plain ``(time, pid)`` list a RunKey carries.
 FaultList = Sequence[tuple[float, int]]
-
-
-def have_numpy() -> bool:
-    """True when the vectorized executor can run at all."""
-    return _np is not None
 
 
 #: Forking the leader costs a deep copy of the whole machine state
@@ -105,9 +89,6 @@ class BatchReport:
     #: re-executing per replica: sum of divergence prefixes minus the
     #: one leader walk that actually happened.
     shared_prefix_cycles: float = 0.0
-    #: Trace records of the shared workload, walked once per batch
-    #: (vs. once per replica scalar): op -> count over all threads.
-    record_histogram: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -122,17 +103,7 @@ def _first_detect(faults: FaultList, detection_latency: float) -> float:
     """Detection time of a replica's earliest fault (inf if none)."""
     if not faults:
         return float("inf")
-    return min(time for time, _pid in faults) + detection_latency
-
-
-def _record_histogram(workload: WorkloadSpec) -> dict[int, int]:
-    """Op histogram over every thread's columns — one numpy pass per
-    batch over the shared trace IR (``np.frombuffer`` views)."""
-    total = _np.zeros(8, dtype=_np.int64)
-    for trace in workload.traces:
-        ops, _args = trace.numpy_columns()
-        total += _np.bincount(ops, minlength=8)[:8]
-    return {op: int(count) for op, count in enumerate(total) if count}
+    return float(min(time for time, _pid in faults) + detection_latency)
 
 
 def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
@@ -167,12 +138,9 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
     configs whose differences are declared invariant.
 
     Raises :class:`UnforkableMachineError` if the machine cannot be
-    forked (pending closure callbacks) and ``ImportError`` without
-    numpy; callers fall back to scalar runs in both cases.
+    forked (pending closure callbacks); callers fall back to scalar
+    runs.
     """
-    if _np is None:
-        raise ImportError("numpy is required for the vectorized "
-                          "campaign executor (pip install repro[vector])")
     n = len(fault_lists)
     if n == 0:
         return BatchResult([], BatchReport())
@@ -187,19 +155,18 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
         return config if replica_configs is None \
             else replica_configs[index]
 
-    # -- batch schedule: (N,)-shaped replica state ----------------------
-    first_detect = _np.array([
-        _first_detect(faults, config_of(i).detection_latency)
-        for i, faults in enumerate(fault_lists)])
-    forced = _np.full(n, _np.inf)
+    # -- batch schedule: per-replica state ------------------------------
+    first_detect = [_first_detect(faults, config_of(i).detection_latency)
+                    for i, faults in enumerate(fault_lists)]
+    forced = [float("inf")] * n
     if forced_spills is not None:
         for i, at in enumerate(forced_spills):
             if at is not None:
-                forced[i] = at
+                forced[i] = float(at)
     # A forced spill past the replica's first fault would fork a
     # machine whose fault already fired in the leader — clamp to the
     # fault: spilling *at* the detection time is the normal path.
-    divergence = _np.minimum(first_detect, forced)
+    divergence = [min(detect, at) for detect, at in zip(first_detect, forced)]
 
     # Cost model: a fork only pays when the shared prefix beats the
     # deep-copy.  Instruction counts lower-bound the run length (1-IPC
@@ -209,22 +176,21 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
     run_estimate = max((trace.instruction_count()
                         for trace in workload.traces), default=1)
     threshold = SPILL_THRESHOLD_FRACTION * run_estimate
-    finite = _np.isfinite(divergence)
-    direct = finite & (divergence < threshold) & _np.isinf(forced)
+    finite = [math.isfinite(t) for t in divergence]
+    direct = [finite[i] and divergence[i] < threshold
+              and math.isinf(forced[i]) for i in range(n)]
 
-    report = BatchReport(width=n,
-                         divergence=[float(t) for t in divergence],
-                         record_histogram=_record_histogram(workload))
+    report = BatchReport(width=n, divergence=list(divergence))
     results: list[Optional[SimStats]] = [None] * n
 
-    for index in _np.nonzero(direct)[0]:
+    for index in filter(direct.__getitem__, range(n)):
         results[index] = Machine(config_of(index), workload,
                                  faults=list(fault_lists[index])
                                  ).run(max_cycles)
         report.spilled += 1
         report.direct_runs += 1
 
-    fork_order = [int(i) for i in _np.argsort(divergence, kind="stable")
+    fork_order = [i for i in sorted(range(n), key=divergence.__getitem__)
                   if finite[i] and not direct[i]]
     served = [i for i in range(n)
               if divergence[i] == float("inf")]
@@ -233,7 +199,7 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
         leader = Machine(config, workload)
         leader.start(max_cycles)
     for position, index in enumerate(fork_order):
-        at = float(divergence[index])
+        at = divergence[index]
         if not leader.finished:
             leader.advance(pause_at=at)
         # The last forked replica of a batch with nobody left to serve

@@ -152,21 +152,6 @@ class CompiledTrace:
         """The equivalent tuple-trace list (debugging / compatibility)."""
         return list(self)
 
-    def numpy_columns(self):
-        """Zero-copy numpy views over the IR columns.
-
-        Returns ``(ops, args)`` as read-only ``int8``/``int64`` arrays
-        aliasing the underlying column buffers (``np.frombuffer``, no
-        copy) — the replica-batch executor scans one workload's columns
-        once per batch through these.  Raises ``ImportError`` when
-        numpy is unavailable; callers gate on
-        :func:`repro.sim.vector.have_numpy` first.
-        """
-        import numpy as np
-        ops = np.frombuffer(self.ops, dtype=np.int8)
-        args = np.frombuffer(self.args, dtype=np.int64)
-        return ops, args
-
     def instruction_count(self) -> int:
         """Instructions this trace retires (precomputed, O(1))."""
         return self.n_instructions
@@ -216,7 +201,7 @@ class CompiledTrace:
         views keep the underlying buffer (and a mapped store file)
         alive.  View-backed traces behave identically to array-backed
         ones everywhere the simulator reads them (``tolist``,
-        ``numpy_columns``, indexing, equality); the read-only contract
+        indexing, equality); the read-only contract
         is enforced both by the views themselves (writes raise) and
         statically by reprolint rule RL005.
 

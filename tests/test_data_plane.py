@@ -96,15 +96,6 @@ class TestTraceFromBuffer:
         with pytest.raises(ValueError, match="unknown trace op"):
             CompiledTrace.from_buffer(bytes(blob))
 
-    def test_numpy_columns_over_view(self):
-        np = pytest.importorskip("numpy")
-        trace = _spec().traces[0]
-        view = CompiledTrace.from_buffer(trace.to_bytes())
-        vops, vargs = view.numpy_columns()
-        cops, cargs = trace.numpy_columns()
-        assert np.array_equal(vops, cops)
-        assert np.array_equal(vargs, cargs)
-
 
 class TestSpecFromBuffer:
     def test_spec_round_trip_parity(self):
@@ -402,14 +393,12 @@ class TestBatchWidening:
             != ExperimentEngine._batch_key(other)
 
     def test_plan_forms_one_batch_across_l(self):
-        pytest.importorskip("numpy")
         keys = _l_keys(Scheme.GLOBAL)
         eng = ExperimentEngine(jobs=1, use_disk_cache=False, vector=True)
         tasks = eng._plan_tasks(list(keys))
         assert tasks == [keys]               # one batch spanning all L
 
     def test_fig_l_sensitivity_plan_batches_span_all_l(self):
-        pytest.importorskip("numpy")
         from repro.harness.experiments import plan_fig_l_sensitivity
         from repro.harness.runner import Runner
         eng = ExperimentEngine(jobs=1, use_disk_cache=False, vector=True)
@@ -428,7 +417,6 @@ class TestBatchWidening:
 
     @pytest.mark.parametrize("fault", [True, False])
     def test_widened_batch_parity(self, fault):
-        pytest.importorskip("numpy")
         keys = _l_keys(Scheme.GLOBAL, fault=fault)
         stats_list, fell_back = execute_batch(list(keys))
         assert not fell_back
@@ -438,7 +426,6 @@ class TestBatchWidening:
             assert stats.config == resolve_config(key)
 
     def test_replica_configs_validation(self):
-        pytest.importorskip("numpy")
         from repro.sim.vector import run_replica_batch
         config = _config()
         spec = _spec(config=config)
@@ -447,7 +434,6 @@ class TestBatchWidening:
                               replica_configs=[config])
 
     def test_replica_configs_vector_parity(self):
-        pytest.importorskip("numpy")
         from repro.sim.vector import run_replica_batch
         base = _config()
         fault_at = 1.6 * base.checkpoint_interval
