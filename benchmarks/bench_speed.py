@@ -58,7 +58,6 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
 
-from repro.harness import engine as engine_mod
 from repro.harness.engine import (
     ExperimentEngine,
     RunKey,
@@ -303,10 +302,10 @@ def _tiny_workload(n_threads, config, intervals, seed):
 
 
 def _per_task_run(key, store_root):
-    """One pre-chunking worker call: the worker-global store with the
-    LRU and mmap disabled re-reads and re-parses the spec from disk on
-    every run, exactly as the old ``_timed_run`` data plane did."""
-    return execute_run(key, engine_mod._worker_store(store_root))
+    """One pre-chunking worker call: a store with the LRU disabled
+    re-reads and re-parses the spec from disk on every run, as the old
+    ``_timed_run`` data plane did."""
+    return execute_run(key, WorkloadStore(store_root, lru_capacity=0))
 
 
 def _measure_engine() -> dict:
@@ -342,29 +341,19 @@ def _measure_engine() -> dict:
                 execute_run(key, store)
                 t_run = min(t_run, time.perf_counter() - start)
 
-            saved = {name: os.environ.get(name)
-                     for name in ("REPRO_WORKER_LRU", "REPRO_MMAP")}
-            os.environ.update(REPRO_WORKER_LRU="0", REPRO_MMAP="0")
             per_task_wall = float("inf")
-            try:
-                for _ in range(3):
-                    start = time.perf_counter()
-                    with ProcessPoolExecutor(max_workers=jobs) as pool:
-                        pending = {pool.submit(_per_task_run, key, tmp)
-                                   for key in keys}
-                        while pending:
-                            done, pending = wait(
-                                pending, return_when=FIRST_COMPLETED)
-                            for future in done:
-                                future.result()
-                    per_task_wall = min(per_task_wall,
-                                        time.perf_counter() - start)
-            finally:
-                for name, value in saved.items():
-                    if value is None:
-                        os.environ.pop(name, None)
-                    else:
-                        os.environ[name] = value
+            for _ in range(3):
+                start = time.perf_counter()
+                with ProcessPoolExecutor(max_workers=jobs) as pool:
+                    pending = {pool.submit(_per_task_run, key, tmp)
+                               for key in keys}
+                    while pending:
+                        done, pending = wait(
+                            pending, return_when=FIRST_COMPLETED)
+                        for future in done:
+                            future.result()
+                per_task_wall = min(per_task_wall,
+                                    time.perf_counter() - start)
 
             chunked_wall = float("inf")
             counters = None
@@ -458,9 +447,9 @@ def _measure_service() -> dict:
     direct engine batch of the same plan.
 
     Both legs run the identical ``SERVICE_RUNS`` tiny store-cached
-    keys on fresh engines (no disk cache, scalar) — the delta is pure
-    service machinery: the spool round-trip, the journal writer, the
-    per-landing state accounting.  Per-run landing latency comes from
+    keys on fresh engines (each with an empty result cache, scalar) —
+    the delta is pure service machinery: the spool round-trip, the
+    journal, the per-landing state accounting.  Per-run landing latency comes from
     the journal's own timestamps against the job's submission time.
     """
     from repro.harness.service import CampaignService
@@ -478,9 +467,12 @@ def _measure_service() -> dict:
             WorkloadStore(store_root).get_or_build(
                 tag, ENGINE_THREADS, resolve_config(keys[0]), 1.0, 1)
 
-            def fresh_engine() -> ExperimentEngine:
-                eng = ExperimentEngine(jobs=jobs, use_disk_cache=False,
-                                       vector=False)
+            def fresh_engine(cache: Path) -> ExperimentEngine:
+                # The service reads landed results back from the result
+                # cache, so both legs write one (empty at the start of
+                # every round: nothing replays).
+                eng = ExperimentEngine(jobs=jobs, cache_dir=cache,
+                                       use_disk_cache=True, vector=False)
                 eng.workload_store = WorkloadStore(store_root)
                 return eng
 
@@ -493,15 +485,16 @@ def _measure_service() -> dict:
             ratios: list[float] = []
             latencies: list[float] = []
             for round_no in range(REPEATS):
-                eng = fresh_engine()
+                eng = fresh_engine(Path(tmp) / f"batch{round_no}")
                 start = time.perf_counter()
                 eng.run_many(keys)
                 batch = time.perf_counter() - start
                 batch_wall = min(batch_wall, batch)
 
                 spool = Path(tmp) / f"spool{round_no}"
-                service = CampaignService(spool_dir=spool,
-                                          engine=fresh_engine())
+                service = CampaignService(
+                    spool_dir=spool,
+                    engine=fresh_engine(Path(tmp) / f"cache{round_no}"))
                 start = time.perf_counter()
                 job_id = service.submit(keys, label="bench")
                 service.serve(drain=True)

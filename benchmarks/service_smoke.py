@@ -116,7 +116,8 @@ def main() -> int:
           f"{status['computed']} computed, {status['replayed']} "
           f"replayed, 0 re-executed")
 
-    summary = cli("summary", job_id, "--spool", str(spool))
+    summary = cli("summary", job_id, "--spool", str(spool),
+                  "--cache-dir", str(cache))
     assert summary.returncode == 0, summary.stderr
     print(summary.stdout.rstrip())
     print("[smoke] PASS")

@@ -1,7 +1,7 @@
 """``reprolint``: contract-enforcing static analysis for the repro tree.
 
 The codebase rests on three contracts enforced, until now, only at
-runtime — after a cache is poisoned or a replica batch has degraded:
+runtime — after a cache is poisoned or a forked replica has diverged:
 bit-determinism (the content-addressed result/workload caches),
 fork-safety (every scheduled callback a ``DurableCall``), and
 fingerprint coverage (every module that can affect a ``SimStats``
@@ -11,7 +11,7 @@ statically.  Production rules:
 ========  ==================  ===========================================
 code      name                contract
 ========  ==================  ===========================================
-RL001     fork-safety         no closure callbacks through ``schedule``/
+RL001     fork-safety         no closure callbacks through ``.schedule``/
                               ``schedule_call``/heap pushes in
                               ``repro.sim``/``repro.core``
 RL002     determinism         no wall clocks, OS entropy, global random

@@ -7,15 +7,15 @@ enforced only *dynamically* — after the damage was done:
   (:mod:`repro.harness.engine`, :mod:`repro.harness.workload_store`)
   silently serve wrong entries if two runs of the same key can differ.
 * **Fork-safety** — every scheduled callback must be a
-  :class:`~repro.sim.events.DurableCall`; ``Machine.fork`` raises
-  ``UnforkableMachineError`` at runtime otherwise and the replica batch
-  quietly falls back to scalar runs.
+  :class:`~repro.sim.events.DurableCall`; ``copy.deepcopy`` treats
+  functions as atomic, so a closure on the heap of a forked replica
+  would fire into the pre-fork machine.
 * **Fingerprint coverage** — every module that can affect a
   ``SimStats`` must be hashed by ``code_fingerprint()``, or a code
   change keeps serving stale cache entries.
 
 ``reprolint`` proves these statically, before a poisoned cache or a
-degraded batch exists.  The framework mirrors the scheme/workload
+diverged replica exists.  The framework mirrors the scheme/workload
 registries: every rule is a named entry (``RL001`` ...) in a
 string-keyed registry; :func:`run_lint` parses the tree once and
 dispatches each module (and the whole project) to the selected rules.

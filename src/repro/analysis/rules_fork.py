@@ -2,13 +2,12 @@
 
 ``Machine.fork`` (the vectorized campaign executor's replica spill)
 deep-copies the event heap; ``copy.deepcopy`` treats functions as
-atomic, so a scheduled closure would keep firing into the *parent*
-machine.  The runtime guard (``UnforkableMachineError``) only trips
-once a batch has already formed — and then silently degrades it to
-scalar runs.  This rule bans the hazard at the source, inside
-``repro.sim`` and ``repro.core``:
+atomic, so a scheduled closure would keep firing into the *pre-fork*
+machine and the replica's results would silently diverge.  The machine
+has no closure entry point and no runtime check, so this rule is the
+guard, inside ``repro.sim`` and ``repro.core``:
 
-* any call through the legacy closure path ``<obj>.schedule(...)``;
+* any closure-scheduling call ``<obj>.schedule(...)``;
 * a ``lambda`` argument to ``schedule_call`` or a heap push;
 * a locally-defined function (a closure by construction) passed by
   name to ``schedule_call`` or a heap push.
@@ -62,8 +61,10 @@ class _ForkSafetyVisitor(ast.NodeVisitor):
         if name == "schedule" and isinstance(node.func, ast.Attribute):
             self.findings.append(Finding(
                 self.ctx.relpath, node.lineno, "RL001",
-                "legacy closure scheduling (Machine.schedule); use "
-                "schedule_call with a DurableCall so forks stay sound"))
+                "closure scheduling (<obj>.schedule); use "
+                "schedule_call with a DurableCall (deepcopy treats "
+                "functions as atomic, so a closure would fire into the "
+                "pre-fork machine)"))
         elif name in _SINKS:
             for arg in ast.walk(node):
                 if isinstance(arg, ast.Lambda):
@@ -87,7 +88,7 @@ class ForkSafetyRule(Rule):
     code = "RL001"
     name = "fork-safety"
     description = ("no lambda/closure/local-function callbacks through "
-                   "Machine.schedule, schedule_call or heap pushes in "
+                   "<obj>.schedule, schedule_call or heap pushes in "
                    "repro.sim / repro.core — only DurableCall")
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:

@@ -19,7 +19,6 @@ Options::
     --cache-dir DIR    result cache location (default benchmarks/.cache)
     --no-cache         bypass the persistent result cache
     --no-vector        force scalar campaign runs (REPRO_VECTOR=0)
-    --chunk-size N     tasks per dispatch chunk (REPRO_CHUNK; guided)
     --profile          print a per-run wall-clock table and the
                        aggregated workload-store counters at the end
 
@@ -45,10 +44,12 @@ registry, so generators registered via
 the 18 built-in application profiles.
 
 The ``serve`` subcommand runs the persistent campaign service
-(:mod:`repro.harness.service`): a file-spool job queue, a streaming
-JSONL result journal, and kill-resilient restart replay.  Clients
-submit priority-ordered jobs and watch them from any process; the
-server shards them across the engine's worker pool::
+(:mod:`repro.harness.service`): a file-spool job queue, a JSONL
+journal indexing landed results in the result cache, and
+kill-resilient restart replay.  Clients submit priority-ordered jobs
+and watch them from any process; the server shards them across the
+engine's worker pool.  ``summary`` reads the result cache, so give it
+the server's ``--cache-dir``; the service refuses ``--no-cache``::
 
     python -m repro.harness serve start --drain            # the server
     python -m repro.harness serve submit --quick           # a client
@@ -114,10 +115,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-vector", dest="vector", action="store_false",
                         help="force scalar campaign runs (same as "
                              "REPRO_VECTOR=0)")
-    parser.add_argument("--chunk-size", type=int, default=None,
-                        help="tasks packed per parallel dispatch chunk "
-                             "(default: REPRO_CHUNK or guided "
-                             "self-scheduling)")
 
 
 def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
@@ -136,8 +133,9 @@ def _service_prefetch(engine: ExperimentEngine, keys, spool,
     """Run ``keys`` as one spooled service job, draining in-process.
 
     Lands every result in the engine memo (so the caller's driver
-    renders from cache hits) *and* in the spool's journal — a later
-    ``serve summary JOB`` reproduces the table without re-running.
+    renders from cache hits), in the result cache and in the spool's
+    journal — a later ``serve summary JOB`` with the same
+    ``--cache-dir`` reproduces the table without re-running.
     """
     from repro.harness.service import CampaignService
 
@@ -158,7 +156,7 @@ def _build_engine_and_runner(args) -> tuple[ExperimentEngine, Runner]:
     engine = ExperimentEngine(
         jobs=args.jobs, cache_dir=args.cache_dir,
         use_disk_cache=False if args.no_cache else None, verbose=True,
-        vector=args.vector, chunk_size=args.chunk_size)
+        vector=args.vector)
     runner = Runner(scale=args.scale, intervals=args.intervals,
                     verbose=True, engine=engine)
     return engine, runner
@@ -405,7 +403,12 @@ def serve_main(argv: list[str]) -> int:
         print(f"[serve] exiting: {processed} job(s) executed")
         return 0
 
-    service = CampaignService(spool_dir=spool)  # client-only: no engine
+    # The summary loads landed results from the result cache, so it
+    # takes the same engine flags as ``start``; every other client
+    # operation only touches the spool and needs no engine.
+    engine = (_build_engine_and_runner(args)[0]
+              if args.action == "summary" else None)
+    service = CampaignService(spool_dir=spool, engine=engine)
     if args.action == "submit":
         if args.quick:
             args.cores = [4]

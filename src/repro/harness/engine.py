@@ -28,25 +28,32 @@ over read-only views of the compiled-trace IR instead of re-running
 ``SyntheticWorkload`` per run.  ``--no-cache`` (``REPRO_NO_CACHE=1``)
 disables it along with the result cache.
 
-Chunked dispatch: ``_run_parallel`` does not submit one pool future per
+One run loop: :meth:`ExperimentEngine.run_stream` is the only
+execution path.  It replays what the memo and the disk cache hold,
+then runs the rest — in-process when one worker (or one run) is
+enough, otherwise through the chunked pool dispatch below — landing
+each result as it completes and collecting every failure by
+:class:`RunKey` instead of stopping at the first.
+:meth:`~ExperimentEngine.run_many` is ``run_stream`` plus one
+``RuntimeError`` naming every failing run.
+
+Chunked dispatch: the parallel path does not submit one pool future per
 task — per-future overhead (pickling a RunKey, a result round-trip, an
 executor wakeup) would dominate sub-second simulations.  Tasks are
 packed into *chunks* by guided self-scheduling: each chunk takes
 ``ceil(remaining / (4 * workers))`` tasks, capped at 32, so chunks
 shrink toward the tail of the plan and the last ones are single tasks
-— no worker is left running a multi-task chunk while the others idle
-(``REPRO_CHUNK`` / the ``chunk_size`` argument pins a fixed size
-instead).  Tasks are sorted so those sharing a workload digest land in
-the same chunk — together with the store's per-process spec LRU
-(``REPRO_WORKER_LRU``) a worker maps and parses each workload once for
-its whole chunk.  Workers write completed results into the disk cache
-themselves, so a chunk's finished siblings are persisted even when a
-later task in the chunk raises; every failing task still reports its
-own :class:`RunKey`.  Submission keeps a bounded in-flight window (2
-chunks per worker) so thousand-run campaigns don't hold every pending
-future alive at once.
+— no worker is left running a multi-task chunk while the others idle.
+Tasks are sorted so those sharing a workload digest land in adjacent
+chunks — together with the store's per-process spec LRU a worker maps
+and parses each workload once for its whole chunk.  Workers write
+completed results into the disk cache themselves, so a chunk's
+finished siblings are persisted even when a later task in the chunk
+raises; every failing task still reports its own :class:`RunKey`.
+Submission keeps a bounded in-flight window (2 chunks per worker) so
+thousand-run campaigns don't hold every pending future alive at once.
 
-Vectorized campaign batches: ``run_many`` groups the missing keys by
+Vectorized campaign batches: ``run_stream`` groups the missing keys by
 everything except their faults — (workload, cores, scheme, intervals,
 seed, scale, io_every, cluster, overrides) — and dispatches any group
 with two or more members to the replica-batch executor
@@ -55,8 +62,8 @@ shared workload once and each replica forks off it at its first
 fault-detection time, producing bit-identical per-replica ``SimStats``.
 Results are memoized and disk-cached *per key*, exactly like scalar
 runs, so the cache format, the invariant harness and the campaign
-summaries see no difference.  ``REPRO_VECTOR=0`` (or ``--vector=off``
-mapped through the CLI's ``--no-vector``) forces the scalar path.
+summaries see no difference.  ``REPRO_VECTOR=0`` (or the CLI's
+``--no-vector``) forces the scalar path.
 
 Knobs (CLI flags on ``python -m repro.harness`` map onto the same
 settings)::
@@ -65,9 +72,9 @@ settings)::
     REPRO_CACHE_DIR   result cache location (default: benchmarks/.cache)
     REPRO_NO_CACHE    set to 1 to bypass the disk cache entirely
     REPRO_VECTOR      0 forces scalar campaign runs; unset/1 = on
-    REPRO_CHUNK       tasks per dispatch chunk (default: guided, shrinking)
-    REPRO_WORKER_LRU  per-process loaded-workload LRU size (default 16)
-    REPRO_MMAP        0 forces copying workload loads; unset/1 = mmap
+
+(``REPRO_SERVE_SPOOL``, the campaign service's spool location, is read
+by :mod:`repro.harness.service`.)
 """
 
 from __future__ import annotations
@@ -89,7 +96,7 @@ from repro.harness.workload_store import WorkloadStore
 from repro.params import MachineConfig, Scheme
 from repro.sim import SimStats
 from repro.sim.faults import FaultPlan
-from repro.sim.machine import Machine, UnforkableMachineError
+from repro.sim.machine import Machine
 from repro.workloads import (
     get_workload,
     inject_output_io,
@@ -215,8 +222,7 @@ def execute_run(key: RunKey,
 
 
 def execute_batch(keys: list[RunKey],
-                  store: Optional[WorkloadStore] = None,
-                  ) -> tuple[list[SimStats], bool]:
+                  store: Optional[WorkloadStore] = None) -> list[SimStats]:
     """Run a same-workload replica group through the vector executor.
 
     ``keys`` must agree on every :class:`RunKey` field except their
@@ -229,11 +235,7 @@ def execute_batch(keys: list[RunKey],
     differ in invariant fields ride the same leader with their own
     resolved config (``replica_configs``) — a detection-latency sweep
     under Global is served from one trace pass.  Returns the per-key
-    stats in input order plus a flag saying whether the batch *fell
-    back* to scalar runs — which happens when the machine cannot be
-    forked (an out-of-tree scheme scheduled a legacy closure callback);
-    the stats are then the same bit-identical results ``execute_run``
-    would produce.
+    stats in input order.
     """
     from repro.sim.vector import run_replica_batch
 
@@ -253,12 +255,8 @@ def execute_batch(keys: list[RunKey],
     if any(key.overrides != keys[0].overrides for key in keys):
         replica_configs = [config if key.overrides == keys[0].overrides
                            else resolve_config(key) for key in keys]
-    try:
-        result = run_replica_batch(config, workload, fault_lists,
-                                   replica_configs=replica_configs)
-    except UnforkableMachineError:
-        return [execute_run(key, store) for key in keys], True
-    return result.stats, False
+    return run_replica_batch(config, workload, fault_lists,
+                             replica_configs=replica_configs).stats
 
 
 #: One store instance per root per worker process: pool tasks arrive as
@@ -341,10 +339,10 @@ def _run_chunk(chunk: list, store_root: Optional[str] = None,
 
     Each element of ``chunk`` is a lone :class:`RunKey` or a replica
     batch (``list[RunKey]``), exactly as ``_plan_tasks`` emitted it.
-    Per task the outcome is ``("ok", payload, seconds, fell_back,
-    cached)`` — ``payload`` is the ``SimStats`` (or list, for a batch)
-    and ``cached`` says every result already landed in the disk cache —
-    or ``("err", exc)``; a raising task never takes its chunk siblings
+    Per task the outcome is ``("ok", payload, seconds, cached)`` —
+    ``payload`` is the ``SimStats`` (or list, for a batch) and
+    ``cached`` says every result already landed in the disk cache — or
+    ``("err", exc)``; a raising task never takes its chunk siblings
     down, and completed siblings are already persisted when it does.
     The second return value is this call's workload-store counter
     deltas, so the engine can aggregate store behaviour across worker
@@ -357,9 +355,9 @@ def _run_chunk(chunk: list, store_root: Optional[str] = None,
         start = time.perf_counter()
         try:
             if isinstance(task, list):
-                payload, fell_back = execute_batch(task, store)
+                payload = execute_batch(task, store)
             else:
-                payload, fell_back = execute_run(task, store), False
+                payload = execute_run(task, store)
         except BaseException as exc:  # noqa: BLE001 - reported per task
             outcomes.append(("err", _portable_exc(exc)))
             continue
@@ -370,7 +368,7 @@ def _run_chunk(chunk: list, store_root: Optional[str] = None,
             stats_seq = payload if isinstance(task, list) else [payload]
             cached = all(_write_cache_entry(cache_dir, key, stats) is None
                          for key, stats in zip(keys, stats_seq))
-        outcomes.append(("ok", payload, seconds, fell_back, cached))
+        outcomes.append(("ok", payload, seconds, cached))
     deltas = None
     if store is not None:
         deltas = {name: count - before[name]
@@ -476,22 +474,6 @@ def default_cache_dir() -> Path:
 
 
 @dataclass
-class DispatchReport:
-    """What one chunked-dispatch pass did (internal to the engine).
-
-    ``failures`` holds one ``(key, exc)`` entry per *run* — a failed
-    replica batch of N keys contributes N entries, so failure counts
-    always match run counts.  ``pending`` are keys whose chunks were
-    never submitted because ``should_cancel`` fired; they are not
-    failures — nothing about them is known.
-    """
-
-    failures: list = field(default_factory=list)
-    pending: list = field(default_factory=list)
-    cancelled: bool = False
-
-
-@dataclass
 class StreamReport:
     """Result of :meth:`ExperimentEngine.run_stream`.
 
@@ -501,6 +483,11 @@ class StreamReport:
     so the caller reads the partition: ``results`` landed (streamed
     through ``on_land`` as they completed), ``failures`` raised inside
     their runs, ``pending`` were dropped by cancellation.
+
+    ``failures`` holds one ``(key, exc)`` entry per *run* — a failed
+    replica batch of N keys contributes N entries, so failure counts
+    always match run counts.  ``pending`` keys never started; they are
+    not failures — nothing about them is known.
     """
 
     results: dict = field(default_factory=dict)
@@ -527,20 +514,8 @@ class ExperimentEngine:
                  cache_dir: Optional[os.PathLike] = None,
                  use_disk_cache: Optional[bool] = None,
                  verbose: bool = False,
-                 vector: Optional[bool] = None,
-                 chunk_size: Optional[int] = None):
+                 vector: Optional[bool] = None):
         self.jobs = max(1, jobs if jobs is not None else default_jobs())
-        if chunk_size is None:
-            env = os.environ.get("REPRO_CHUNK")
-            if env:
-                try:
-                    chunk_size = int(env)
-                except ValueError:
-                    raise ValueError(f"REPRO_CHUNK must be an integer "
-                                     f"chunk size, got {env!r}") from None
-        #: Tasks per dispatch chunk (None = guided self-scheduling).
-        self.chunk_size = max(1, chunk_size) if chunk_size is not None \
-            else None
         self.cache_dir = Path(cache_dir) if cache_dir is not None \
             else default_cache_dir()
         if use_disk_cache is None:
@@ -560,7 +535,6 @@ class ExperimentEngine:
                 vector = _env_flag("REPRO_VECTOR", env)
         #: Whether replica batches go through the vector path.
         self.vector = vector if vector is not None else True
-        self._vector_warned = False
         self.memo: dict[RunKey, SimStats] = {}
         #: Wall-clock seconds per key *computed* this session (not cached).
         self.profile: dict[RunKey, float] = {}
@@ -572,7 +546,7 @@ class ExperimentEngine:
         #: installed by :meth:`run_stream` for the duration of a call:
         #: fires in the parent process the moment a computed result
         #: lands in the memo, on the serial and pool paths alike — the
-        #: campaign service journals results through it incrementally.
+        #: campaign service indexes results through it incrementally.
         self._land_hook: Optional[Callable] = None
         #: Workload-store counter deltas shipped back by pool workers
         #: (:meth:`store_counters` folds the parent store on top).
@@ -628,36 +602,21 @@ class ExperimentEngine:
         self.run_many(keys)
 
     def run_many(self, keys: Iterable[RunKey]) -> dict[RunKey, SimStats]:
-        """Deduplicate ``keys``, execute the missing ones, return all."""
+        """Deduplicate ``keys``, execute the missing ones, return all.
+
+        :meth:`run_stream` does the work, so every run executes even
+        when an earlier one fails; afterwards one ``RuntimeError``
+        names every failing run (chained from the first failure).
+        """
         unique = list(dict.fromkeys(keys))
-        missing = []
-        for key in unique:
-            if key in self.memo:
-                continue
-            cached = self._load_cached(key)
-            if cached is not None:
-                self.memo[key] = cached
-            else:
-                missing.append(key)
-        tasks = self._plan_tasks(missing)
-        if len(missing) > 1 and self.jobs > 1:
-            self._run_parallel(tasks, len(missing))
-        else:
-            self._prepare_workloads(missing)
-            for task in tasks:
-                start = time.perf_counter()
-                if isinstance(task, list):
-                    self._announce_batch(task)
-                    stats_list, fell_back = execute_batch(
-                        task, self.workload_store)
-                    self._finish_batch(task, stats_list,
-                                       time.perf_counter() - start,
-                                       fell_back)
-                else:
-                    self._announce(task)
-                    stats = execute_run(task, self.workload_store)
-                    self._finish(task, stats,
-                                 time.perf_counter() - start)
+        report = self.run_stream(unique)
+        if report.failures:
+            lines = [f"  {self.describe_failure(key, exc)}"
+                     for key, exc in report.failures]
+            raise RuntimeError(
+                f"simulation failed for {len(report.failures)} of "
+                f"{len(unique) - report.replayed} run(s):\n"
+                + "\n".join(lines)) from report.failures[0][1]
         return {key: self.memo[key] for key in unique}
 
     def run_stream(self, keys: Iterable[RunKey],
@@ -711,10 +670,7 @@ class ExperimentEngine:
         self._land_hook = hook
         try:
             if len(missing) > 1 and self.jobs > 1:
-                sub = self._dispatch(tasks, should_cancel=should_cancel)
-                report.failures.extend(sub.failures)
-                report.pending.extend(sub.pending)
-                report.cancelled = sub.cancelled
+                self._dispatch(tasks, report, should_cancel)
             else:
                 self._prepare_workloads(missing)
                 for index, task in enumerate(tasks):
@@ -728,11 +684,11 @@ class ExperimentEngine:
                     try:
                         if isinstance(task, list):
                             self._announce_batch(task)
-                            stats_list, fell_back = execute_batch(
+                            stats_list = execute_batch(
                                 task, self.workload_store)
                             self._finish_batch(
                                 task, stats_list,
-                                time.perf_counter() - start, fell_back)
+                                time.perf_counter() - start)
                         else:
                             self._announce(task)
                             stats = execute_run(task, self.workload_store)
@@ -883,8 +839,7 @@ class ExperimentEngine:
     def _chunk_tasks(self, tasks: list, workers: int) -> list[list]:
         """Pack the plan into dispatch chunks.
 
-        Size: ``chunk_size`` when pinned (every chunk that size), else
-        guided self-scheduling — each chunk takes
+        Size: guided self-scheduling — each chunk takes
         ``ceil(remaining / (4 * workers))`` tasks, capped at 32.  Early
         chunks amortize per-future overhead over many tasks; chunks
         shrink as the plan drains, and once at most ``4 * workers``
@@ -904,8 +859,7 @@ class ExperimentEngine:
         chunks = []
         start = 0
         while start < len(ordered):
-            size = self.chunk_size or min(
-                32, -(-(len(ordered) - start) // (4 * workers)))
+            size = min(32, -(-(len(ordered) - start) // (4 * workers)))
             chunks.append(ordered[start:start + size])
             start += size
         return chunks
@@ -945,20 +899,11 @@ class ExperimentEngine:
                 totals[name] += getattr(stats, name, 0)
         return totals
 
-    def _run_parallel(self, tasks: list, n_runs: int) -> None:
-        report = self._dispatch(tasks)
-        if report.failures:
-            lines = [f"  {self._describe(key)}: {exc!r}"
-                     for key, exc in report.failures]
-            raise RuntimeError(
-                f"simulation failed for {len(report.failures)} of "
-                f"{n_runs} run(s):\n" + "\n".join(lines)
-                ) from report.failures[0][1]
-
-    def _dispatch(self, tasks: list,
+    def _dispatch(self, tasks: list, report: StreamReport,
                   should_cancel: Optional[Callable[[], bool]] = None
-                  ) -> DispatchReport:
-        """Chunked pool dispatch: the engine's one parallel data plane.
+                  ) -> None:
+        """Chunked pool dispatch: the engine's one parallel data plane,
+        recording failures, pending keys and cancellation in ``report``.
 
         Shared workloads the store lacks (:meth:`_shared_builds`) are
         built first, one pool job each, and the run chunks go out once
@@ -993,7 +938,6 @@ class ExperimentEngine:
         store_root = str(self.workload_store.root) \
             if self.workload_store is not None else None
         cache_root = str(self.cache_dir) if self.use_disk_cache else None
-        report = DispatchReport()
         landed = 0
 
         def fail_task(task, exc: BaseException) -> None:
@@ -1010,10 +954,10 @@ class ExperimentEngine:
                 if outcome[0] == "err":
                     fail_task(task, outcome[1])
                     continue
-                _tag, payload, seconds, fell_back, cached = outcome
+                _tag, payload, seconds, cached = outcome
                 if isinstance(task, list):
                     self._finish_batch(task, payload, seconds,
-                                       fell_back, cached=cached)
+                                       cached=cached)
                     landed += len(task)
                 else:
                     self._finish(task, payload, seconds, cached=cached)
@@ -1112,7 +1056,6 @@ class ExperimentEngine:
                     else:
                         fail_task(task, submit_error or RuntimeError(
                             "task was never submitted"))
-        return report
 
     @staticmethod
     def _describe(key: RunKey) -> str:
@@ -1155,20 +1098,12 @@ class ExperimentEngine:
                   flush=True)
 
     def _finish_batch(self, group: list[RunKey], stats_list: list[SimStats],
-                      seconds: float, fell_back: bool,
-                      cached: bool = False) -> None:
+                      seconds: float, cached: bool = False) -> None:
         """Land a replica batch: cache entries are written *per key* (no
-        format change), the batch wall-clock is attributed evenly, and a
-        fallback batch records width 1 so ``--profile`` tells the truth."""
-        width = 1 if fell_back else len(group)
-        if fell_back and not self._vector_warned:
-            self._vector_warned = True
-            print(f"  [engine] warning: replica batch of {len(group)} "
-                  f"fell back to scalar runs (unforkable machine)",
-                  flush=True)
+        format change) and the batch wall-clock is attributed evenly."""
         share = seconds / len(group)
         for key, stats in zip(group, stats_list):
-            self.batch_width[key] = width
+            self.batch_width[key] = len(group)
             self._finish(key, stats, share, cached=cached)
 
     # ------------------------------------------------------------------

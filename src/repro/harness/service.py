@@ -14,19 +14,24 @@ long-running service:
   including while the server is down — and survive restarts by
   construction.
 
-* **Incremental results** — every landed run is appended to a JSONL
-  *result journal* by a background writer thread
-  (:class:`AsyncJournalWriter`), the moment the engine's
-  outcome-landing hook fires.  Progress is observable per job (state
+* **Incremental results** — every landed run is indexed in a JSONL
+  *result journal* the moment the engine's outcome-landing hook fires.
+  The result itself lives in one place only: the engine's
+  fingerprinted result cache, which the engine (or a pool worker)
+  writes before the run lands.  Progress is observable per job (state
   files updated as results land) and a partial campaign still has a
   partial summary.
 
-* **Restart replay** — the journal (fingerprint-invalidated, exactly
-  like the result cache) plus the engine's disk cache are replayed on
-  startup: a campaign killed mid-flight resumes with **zero
-  recomputation** of landed runs.  Pool workers write their own cache
-  entries, so even results that never reached the journal (killed
-  between landing and append) replay from disk.
+* **Restart replay** — on startup every journaled key of every job
+  (taken from the job's spool file) is loaded from the result cache:
+  a campaign killed mid-flight resumes with **zero recomputation** of
+  landed runs.  The cache's invalidation applies unchanged — a
+  simulator change, or a registered generator without a fingerprint,
+  is recomputed, never served stale.  Results that never reached the
+  journal (killed between landing and append) replay from the cache
+  when the job resumes; a run whose cache write failed is recomputed.
+  A service therefore needs the result cache: an engine built with
+  ``--no-cache`` is refused.
 
 * **Cancellation** — touching a cancel marker stops a running job
   cooperatively: un-submitted chunks are dropped, in-flight chunks
@@ -42,22 +47,18 @@ Spool layout (``REPRO_SERVE_SPOOL`` or ``<cache_dir>/service``)::
     stop               stop marker: a running server exits its loop
 
 Journal format: one JSON object per line —
-``{"job", "key", "fingerprint", "source", "seconds", "t", "pkl"}`` —
-where ``pkl`` is the base64 pickle of ``(RunKey, SimStats)`` and
-``fingerprint`` is the engine's code fingerprint at landing time, so
-replay after a simulator change recomputes instead of serving stale
-physics.  A truncated final line (the kill arrived mid-write) is
+``{"job", "key", "source", "seconds", "t"}`` — where ``key`` is the
+``RunKey`` repr, ``source`` is ``run`` (computed), ``memo`` or
+``disk`` (replayed), ``seconds`` the run's wall clock and ``t`` the
+landing time.  A truncated final line (the kill arrived mid-write) is
 skipped on replay, never a crash.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import pickle
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,11 +68,10 @@ from repro.harness.engine import (
     ExperimentEngine,
     RunKey,
     StreamReport,
-    code_fingerprint,
     default_cache_dir,
 )
 from repro.sim import SimStats
-from repro.sim.stats import CampaignSummary
+from repro.sim.stats import CampaignSummary, summarize_campaign
 
 JOURNAL_NAME = "journal.jsonl"
 
@@ -87,78 +87,6 @@ def default_spool_dir() -> Path:
     if env:
         return Path(env)
     return default_cache_dir() / "service"
-
-
-class AsyncJournalWriter:
-    """Append-only JSONL writer fed from a background thread.
-
-    Landing a result must never stall on disk latency — appends go
-    through an unbounded queue consumed by one daemon thread, which
-    writes records in landing order and flushes to the OS whenever the
-    queue drains (so a SIGKILL loses at most the records still in the
-    queue, and the engine's disk cache covers even those).
-    ``flush()`` blocks until everything queued so far is on disk;
-    ``close()`` drains and joins the thread.
-    """
-
-    _STOP = object()
-
-    def __init__(self, path: os.PathLike):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("a", encoding="utf-8")
-        self._queue: queue.Queue = queue.Queue()
-        self.written = 0
-        self._thread = threading.Thread(target=self._loop, daemon=True,
-                                        name="journal-writer")
-        self._thread.start()
-
-    def append(self, record: dict) -> None:
-        self._queue.put(record)
-
-    def flush(self) -> None:
-        """Block until every record queued before this call is written
-        and flushed (a flush marker rides the same ordered queue)."""
-        done = threading.Event()
-        self._queue.put(done)
-        done.wait()
-
-    def close(self) -> None:
-        if self._thread.is_alive():
-            self._queue.put(self._STOP)
-            self._thread.join()
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
-
-    def _loop(self) -> None:
-        # Flushes are throttled: when the queue keeps draining (tiny
-        # runs land faster than the fs can sync) a flush per record
-        # would cost a write syscall per landing.  A 50ms window bounds
-        # the kill-loss to records the engine's disk cache holds anyway.
-        last_flush = float("-inf")
-        while True:
-            item = self._queue.get()
-            if item is self._STOP:
-                break
-            if isinstance(item, threading.Event):
-                self._fh.flush()
-                last_flush = time.monotonic()
-                item.set()
-                continue
-            payload = item.pop("_payload", None)
-            if payload is not None:
-                # Serialization happens here, off the landing thread:
-                # landing a result costs the engine one queue put.
-                item["pkl"] = base64.b64encode(pickle.dumps(
-                    payload,
-                    protocol=pickle.HIGHEST_PROTOCOL)).decode()
-            self._fh.write(json.dumps(item, sort_keys=True) + "\n")
-            self.written += 1
-            if self._queue.empty() \
-                    and time.monotonic() - last_flush >= 0.05:
-                self._fh.flush()
-                last_flush = time.monotonic()
 
 
 @dataclass
@@ -184,15 +112,20 @@ class CampaignService:
     ``wait`` / ``request_stop``) only touch the spool and work without
     an engine — from a different process than the server, or with no
     server running at all.  Server-side operations (``serve`` /
-    ``run_job`` / ``replay``) execute jobs through the wrapped
+    ``run_job`` / ``replay``, and ``summarize`` / ``job_results``,
+    which read the result cache) go through the wrapped
     :class:`~repro.harness.engine.ExperimentEngine`: chunked affinity
     dispatch across the worker pool, worker-side cache writes,
     vectorized replica batches — the whole batch data plane, reused
-    per job.
+    per job.  The engine must keep its result cache on: the journal
+    only indexes results that live there.
     """
 
     def __init__(self, spool_dir: Optional[os.PathLike] = None,
                  engine: Optional[ExperimentEngine] = None):
+        if engine is not None and not engine.use_disk_cache:
+            raise ValueError("the campaign service reads results from "
+                             "the result cache; drop --no-cache")
         self.spool = Path(spool_dir) if spool_dir is not None \
             else default_spool_dir()
         self.queue_dir = self.spool / "queue"
@@ -203,7 +136,8 @@ class CampaignService:
                           self.cancel_dir):
             directory.mkdir(parents=True, exist_ok=True)
         self.engine = engine
-        self._writer: Optional[AsyncJournalWriter] = None
+        self._journal = None          # append handle, open during a job
+        self._last_flush = float("-inf")
         #: Journal index: job id -> set of key reprs already landed
         #: (so a resumed job never journals a key twice).
         self._journaled: dict[str, set[str]] = {}
@@ -336,35 +270,34 @@ class CampaignService:
         if self.engine is None:
             raise RuntimeError("this CampaignService is client-only; "
                                "construct it with an ExperimentEngine "
-                               "to serve jobs")
+                               "to serve or summarize jobs")
         return self.engine
 
     def replay(self) -> int:
-        """Load the journal into the engine's memo (once per service).
+        """Load every journaled result into the engine's memo (once per
+        service), straight from the result cache.
 
-        Entries whose code fingerprint no longer matches are skipped —
-        the journal invalidates exactly like the result cache — as are
-        truncated or unreadable lines (a SIGKILL can land mid-write).
-        Returns the number of results replayed into the memo.
+        A journaled key the cache no longer serves — stale code
+        fingerprint, a generator registered without a fingerprint, a
+        failed cache write — is skipped and recomputed when its job
+        resumes; truncated or unreadable journal lines (a SIGKILL can
+        land mid-write) are skipped too.  Returns the number of results
+        replayed into the memo.
         """
         engine = self._require_engine()
         if self._replayed:
             return 0
         self._replayed = True
+        self._journaled = self._journal_index()
         loaded = 0
-        current = code_fingerprint()
-        for record in self._journal_records():
-            self._journaled.setdefault(record["job"], set()).add(
-                record["key"])
-            if record.get("fingerprint") != current:
-                continue
-            payload = self._decode_payload(record)
-            if payload is None:
-                continue
-            key, stats = payload
-            if key not in engine.memo:
-                engine.memo[key] = stats
-                loaded += 1
+        for job_id, landed in self._journaled.items():
+            for key in self._landed_keys(job_id, landed):
+                if key in engine.memo:
+                    continue
+                stats = engine._load_cached(key)
+                if stats is not None:
+                    engine.memo[key] = stats
+                    loaded += 1
         return loaded
 
     def run_job(self, job: JobRecord) -> StreamReport:
@@ -372,7 +305,6 @@ class CampaignService:
         result to the journal and the job's state file."""
         engine = self._require_engine()
         self.replay()
-        writer = self._journal_writer()
         already = self._journaled.setdefault(job.job_id, set())
         status = self.status(job.job_id) or {"job": job.job_id}
         status.update(state="running", label=job.label,
@@ -383,7 +315,6 @@ class CampaignService:
                       status.get("submitted_at", 0.0))
         self._write_state(status)
         last_write = time.monotonic()
-        fingerprint = code_fingerprint()
 
         def on_land(key: RunKey, stats: SimStats, source: str,
                     seconds: float) -> None:
@@ -391,14 +322,12 @@ class CampaignService:
             text = repr(key)
             if text not in already:
                 already.add(text)
-                writer.append({
+                self._journal_append({
                     "job": job.job_id,
                     "key": text,
-                    "fingerprint": fingerprint,
                     "source": source,
                     "seconds": round(seconds, 6),
                     "t": time.time(),
-                    "_payload": (key, stats),
                 })
             status["landed"] = status.get("landed", 0) + 1
             if source == "run":
@@ -426,9 +355,11 @@ class CampaignService:
                     self.cancel_requested(job.job_id)
             return poll_state["cancelled"]
 
-        report = engine.run_stream(job.keys, on_land=on_land,
-                                   should_cancel=should_cancel)
-        writer.flush()
+        try:
+            report = engine.run_stream(job.keys, on_land=on_land,
+                                       should_cancel=should_cancel)
+        finally:
+            self.close()    # the job's index lines reach the file
         status["failed"] = len(report.failures)
         status["pending"] = len(report.pending)
         if report.cancelled:
@@ -500,53 +431,47 @@ class CampaignService:
     # summaries
     # ------------------------------------------------------------------
     def summarize(self, job_id: str) -> CampaignSummary:
-        """Campaign distributions over the runs of ``job_id`` that have
-        landed in the journal — for a finished job this is bit-identical
-        to ``summarize_campaign`` over the batch engine's results; for
-        a cancelled or still-running job it is the partial summary of
+        """Campaign distributions over the landed runs of ``job_id`` —
+        for a finished job this is bit-identical to
+        ``summarize_campaign`` over the batch engine's results; for a
+        cancelled or still-running job it is the partial summary of
         exactly the landed runs."""
-        summary = CampaignSummary()
-        current = code_fingerprint()
-        seen: dict[str, SimStats] = {}
-        for record in self._journal_records():
-            if record["job"] != job_id:
-                continue
-            if record.get("fingerprint") != current:
-                continue
-            payload = self._decode_payload(record)
-            if payload is None:
-                continue
-            seen[record["key"]] = payload[1]
-        for stats in seen.values():
-            summary.add(stats)
-        return summary
+        return summarize_campaign(self.job_results(job_id).values())
 
     def job_results(self, job_id: str) -> dict[RunKey, SimStats]:
-        """The landed results of one job, straight from the journal."""
+        """The landed results of one job in submission order, loaded
+        from the result cache (the journal says which keys landed)."""
+        engine = self._require_engine()
+        landed = self._journal_index().get(job_id, set())
         results: dict[RunKey, SimStats] = {}
-        current = code_fingerprint()
-        for record in self._journal_records():
-            if record["job"] != job_id \
-                    or record.get("fingerprint") != current:
-                continue
-            payload = self._decode_payload(record)
-            if payload is not None:
-                results[payload[0]] = payload[1]
+        for key in self._landed_keys(job_id, landed):
+            stats = engine._load_cached(key)
+            if stats is not None:
+                results[key] = stats
         return results
 
     def close(self) -> None:
-        """Flush and stop the journal writer thread."""
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
+        """Flush and close the journal."""
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _journal_writer(self) -> AsyncJournalWriter:
-        if self._writer is None:
-            self._writer = AsyncJournalWriter(self.journal_path)
-        return self._writer
+    def _journal_append(self, record: dict) -> None:
+        """Append one index line.  Flushes are throttled to one per
+        50 ms — a flush per landing would cost a write syscall per tiny
+        run — so a kill can lose the lines appended since the last
+        flush; their results are in the cache already, and the resumed
+        job replays them from there."""
+        if self._journal is None:
+            self._journal = self.journal_path.open("a", encoding="utf-8")
+        self._journal.write(json.dumps(record, sort_keys=True) + "\n")
+        now = time.monotonic()
+        if now - self._last_flush >= 0.05:
+            self._journal.flush()
+            self._last_flush = now
 
     def _journal_records(self):
         """Parsed journal lines, oldest first; garbage lines (torn
@@ -564,17 +489,20 @@ class CampaignService:
         except OSError:
             return
 
-    @staticmethod
-    def _decode_payload(record: dict
-                        ) -> Optional[tuple[RunKey, SimStats]]:
-        try:
-            key, stats = pickle.loads(
-                base64.b64decode(record["pkl"]))
-        except Exception:  # noqa: BLE001 - corrupt entry is a miss
-            return None
-        if not isinstance(key, RunKey) or not isinstance(stats, SimStats):
-            return None
-        return key, stats
+    def _journal_index(self) -> dict[str, set[str]]:
+        """Job id -> reprs of the keys the journal says landed."""
+        index: dict[str, set[str]] = {}
+        for record in self._journal_records():
+            index.setdefault(record["job"], set()).add(record["key"])
+        return index
+
+    def _landed_keys(self, job_id: str, landed: set[str]) -> list[RunKey]:
+        """The keys of ``job_id`` (from its spool file, in submission
+        order) whose reprs are in ``landed``."""
+        job = self._load_job(self.queue_dir / f"{job_id}.job")
+        if job is None:
+            return []
+        return [key for key in job.keys if repr(key) in landed]
 
     def _load_job(self, path: Path) -> Optional[JobRecord]:
         try:

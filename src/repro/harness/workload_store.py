@@ -33,13 +33,12 @@ engine surfaces the counters in ``--profile`` output.
 Zero-copy loads: entries are loaded by **mmap-ing** the store file and
 building the spec as read-only memoryview traces over the mapping
 (:meth:`WorkloadSpec.from_buffer`) — no read, no parse-time copy; the
-views keep the mapping alive.  ``REPRO_MMAP=0`` falls back to the
-copying ``read_bytes`` + ``from_bytes`` path.  On top of that sits a
-small per-store (hence per-worker-process) **LRU of loaded specs**
-keyed by digest (``REPRO_WORKER_LRU`` entries, default 16; 0 disables),
-so a worker that runs hundreds of tasks of one workload maps and
-parses it once — the engine's chunked dispatch packs same-digest tasks
-into the same worker to maximize exactly this hit rate.
+views keep the mapping alive.  On top of that sits a small per-store
+(hence per-worker-process) **LRU of loaded specs** keyed by digest
+(``lru_capacity`` entries, default 16; 0 disables), so a worker that
+runs hundreds of tasks of one workload maps and parses it once — the
+engine's chunked dispatch packs same-digest tasks next to each other
+to maximize exactly this hit rate.
 """
 
 from __future__ import annotations
@@ -59,25 +58,6 @@ from repro.workloads.registry import is_builtin_workload
 
 #: Default capacity of the per-store loaded-spec LRU.
 DEFAULT_LRU_CAPACITY = 16
-
-
-def _env_capacity() -> int:
-    env = os.environ.get("REPRO_WORKER_LRU")
-    if not env:
-        return DEFAULT_LRU_CAPACITY
-    try:
-        return max(0, int(env))
-    except ValueError:
-        raise ValueError(f"REPRO_WORKER_LRU must be an integer entry "
-                         f"count, got {env!r}") from None
-
-
-def _env_mmap() -> bool:
-    env = os.environ.get("REPRO_MMAP")
-    if env is None or env == "":
-        return True
-    from repro.harness.engine import _env_flag
-    return _env_flag("REPRO_MMAP", env)
 
 _WORKLOADS_DIR = Path(__file__).resolve().parents[1] / "workloads"
 _TRACE_MODULE = Path(__file__).resolve().parents[1] / "trace.py"
@@ -116,8 +96,7 @@ class WorkloadStore:
     """
 
     def __init__(self, root: os.PathLike,
-                 lru_capacity: Optional[int] = None,
-                 use_mmap: Optional[bool] = None):
+                 lru_capacity: int = DEFAULT_LRU_CAPACITY):
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
@@ -135,9 +114,7 @@ class WorkloadStore:
         #: otherwise pay mkdir + tmp-write + rebuild on every run while
         #: claiming to be disabled.
         self.disabled = False
-        self._lru_capacity = lru_capacity if lru_capacity is not None \
-            else _env_capacity()
-        self._use_mmap = use_mmap if use_mmap is not None else _env_mmap()
+        self._lru_capacity = lru_capacity
         self._lru: OrderedDict[str, WorkloadSpec] = OrderedDict()
 
     def counters(self) -> dict[str, int]:
@@ -191,15 +168,11 @@ class WorkloadStore:
             return spec
         path = self.path_for(digest)
         try:
-            if self._use_mmap:
-                with path.open("rb") as fh:
-                    # The mapping outlives the handle: the spec's trace
-                    # views hold it alive, the fd can close immediately.
-                    mapped = mmap.mmap(fh.fileno(), 0,
-                                       access=mmap.ACCESS_READ)
-                spec = WorkloadSpec.from_buffer(mapped)
-            else:
-                spec = WorkloadSpec.from_bytes(path.read_bytes())
+            with path.open("rb") as fh:
+                # The mapping outlives the handle: the spec's trace
+                # views hold it alive, the fd can close immediately.
+                mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            spec = WorkloadSpec.from_buffer(mapped)
         except FileNotFoundError:
             return None            # a clean miss, not a corrupt entry
         except Exception:

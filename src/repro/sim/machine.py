@@ -5,7 +5,10 @@ push order); one trace record executes atomically at its timestamp
 against the shared structures (caches, directory, channels, log).
 Checkpointing schemes inject delays through ``core.not_before`` and
 scheduled callbacks; fault injection reveals faults after the detection
-latency L and hands them to the scheme's rollback protocol.
+latency L and hands them to the scheme's rollback protocol.  Every
+scheduled callback is a :class:`~repro.sim.events.DurableCall`
+descriptor (``schedule_call``), never a closure, so a paused machine
+can always be forked (:meth:`Machine.fork`).
 
 Hot path: traces are consumed as the columnar IR of
 :class:`repro.trace.CompiledTrace` — the executor reads parallel
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import copy
 import heapq
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.coherence.protocol import CoherenceEngine
 from repro.core.factory import build_scheme
@@ -58,7 +61,6 @@ from repro.trace import (
 from repro.workloads.base import WorkloadSpec
 
 _EXEC = 0
-_CALL = 1      # legacy closure callback (out-of-tree schemes, tests)
 _DCALL = 2     # durable descriptor callback (fork-safe)
 _PAUSE = 3     # replica-batch pause sentinel (never observable)
 
@@ -75,12 +77,6 @@ _FAULT_SEQ_BASE = -(10 ** 9)
 
 class SimulationDeadlock(RuntimeError):
     """No runnable core remains while work is outstanding."""
-
-
-class UnforkableMachineError(RuntimeError):
-    """The machine holds state a fork cannot clone faithfully (e.g. a
-    pending closure callback scheduled via :meth:`Machine.schedule` by
-    an out-of-tree scheme); the caller must fall back to scalar runs."""
 
 
 #: Records fused per heap residency before a forced re-push (fairness
@@ -159,20 +155,10 @@ class Machine:
         heapq.heappush(self._heap,
                        (when, self._seq, _EXEC, core.pid, core.epoch))
 
-    def schedule(self, when: float, callback: Callable[[float], None]) -> None:
-        """Run ``callback(time)`` at simulated time ``when``.
-
-        Closure-based (legacy) entry point: still supported for
-        out-of-tree schemes and tests, but a machine with such a
-        callback pending cannot be forked (see :meth:`fork`); the
-        built-in schemes schedule through :meth:`schedule_call`.
-        """
-        self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, _CALL, callback, None))
-
     def schedule_call(self, when: float, call: DurableCall) -> None:
-        """Run ``call.fire(self, time)`` at simulated time ``when``
-        (the fork-safe scheduling primitive)."""
+        """Run ``call.fire(self, time)`` at simulated time ``when`` —
+        the one scheduling primitive.  Callbacks are descriptors, never
+        closures, so :meth:`fork` can deep-copy a pending heap."""
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, _DCALL, call, None))
 
@@ -317,10 +303,7 @@ class Machine:
                     self.now = when
                 if when > limit:
                     raise self._cycle_limit_exceeded()
-                if kind == _DCALL:
-                    a.fire(self, when)
-                else:
-                    a(when)
+                a.fire(self, when)
                 continue
             if when > self.now:
                 self.now = when
@@ -466,15 +449,12 @@ class Machine:
             when, _, kind, a, _ = heapq.heappop(heap)
             if kind == _PAUSE:
                 return False
-            if kind == _CALL or kind == _DCALL:
+            if kind == _DCALL:
                 if when > self.now:
                     self.now = when
                 if when > limit:
                     raise self._cycle_limit_exceeded()
-                if kind == _DCALL:
-                    a.fire(self, when)
-                else:
-                    a(when)
+                a.fire(self, when)
         self._phase = "done"
         return True
 
@@ -509,16 +489,10 @@ class Machine:
         advancing the clone is indistinguishable from advancing a
         machine that was *constructed* with the clone's state.  Pause
         sentinels are stripped — they belong to the parent's schedule.
-
-        Refuses (``UnforkableMachineError``) if a legacy closure
-        callback is pending: ``copy.deepcopy`` treats functions as
-        atomic, so a cloned closure would fire into the parent.  The
-        built-in schemes only schedule :class:`DurableCall`s.
+        Every pending callback is a :class:`DurableCall`, which re-binds
+        to whichever machine fires it, so the clone's heap fires into
+        the clone.
         """
-        if any(entry[2] == _CALL for entry in self._heap):
-            raise UnforkableMachineError(
-                "pending closure callback (Machine.schedule); only "
-                "DurableCall-scheduled machines can fork")
         memo = {id(self.config): self.config,
                 id(self.workload): self.workload}
         for core in self.cores:

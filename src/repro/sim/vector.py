@@ -24,11 +24,11 @@ Soundness rests on three properties of the scalar kernel:
   fusion condition only reads ``heap[0][0]``); record fusing is
   parity-guaranteed for *any* break pattern (``fuse_quantum=1`` is the
   repo's golden reference), and the sentinel never advances the clock.
-* **Forks are faithful.**  All built-in scheduled callbacks are
-  :class:`~repro.sim.events.DurableCall` descriptors that re-bind to
+* **Forks are faithful.**  Every scheduled callback is a
+  :class:`~repro.sim.events.DurableCall` descriptor that re-binds to
   the firing machine, so a fork's pending drains complete inside the
-  fork.  A pending legacy closure makes the machine unforkable and the
-  batch falls back to scalar runs (``UnforkableMachineError``).
+  fork (``Machine.schedule_call`` is the only scheduling primitive, and
+  reprolint RL001 keeps closures off the event heap).
 * **Fault ordering is reproduced.**  A scalar run schedules faults
   first (lowest seqs), so at equal timestamps a fault beats any trace
   record; ``Machine.install_faults`` injects the fork's fault events
@@ -52,12 +52,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.params import MachineConfig
-from repro.sim.machine import Machine, UnforkableMachineError
+from repro.sim.machine import Machine
 from repro.sim.stats import SimStats
 from repro.workloads.base import WorkloadSpec
 
-__all__ = ["run_replica_batch", "BatchResult", "BatchReport",
-           "UnforkableMachineError"]
+__all__ = ["run_replica_batch", "BatchResult", "BatchReport"]
 
 #: A replica's faults: the plain ``(time, pid)`` list a RunKey carries.
 FaultList = Sequence[tuple[float, int]]
@@ -136,10 +135,6 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
     workload, faults=fault_lists[i]).run(max_cycles)``.  The caller
     (``ExperimentEngine._batch_key``) is responsible for only grouping
     configs whose differences are declared invariant.
-
-    Raises :class:`UnforkableMachineError` if the machine cannot be
-    forked (pending closure callbacks); callers fall back to scalar
-    runs.
     """
     n = len(fault_lists)
     if n == 0:

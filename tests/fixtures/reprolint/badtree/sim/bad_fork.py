@@ -3,7 +3,7 @@ catch.  Lines are pinned by tests/test_reprolint.py."""
 
 import heapq
 
-_CALL = 1
+_CLOSURE = 1
 
 
 class BadScheme:
@@ -16,7 +16,7 @@ class BadScheme:
     def arm_local(self, machine, heap, when):
         def callback(t):
             self.fire(t)
-        heapq.heappush(heap, (when, 0, _CALL, callback, None))  # RL001
+        heapq.heappush(heap, (when, 0, _CLOSURE, callback, None))  # RL001
 
     def fire(self, when):
         pass

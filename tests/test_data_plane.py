@@ -6,8 +6,8 @@ Three compounding optimizations share one correctness bar — bit-identical
 * ``CompiledTrace.from_buffer`` / ``WorkloadSpec.from_buffer`` build
   read-only memoryview columns over a serialized blob (the store mmaps
   entries instead of copying them);
-* ``_run_parallel`` builds shared workloads in the pool, then packs
-  tasks into guided-self-scheduling chunks (affinity-sorted by workload
+* ``_dispatch`` builds shared workloads in the pool, then packs tasks
+  into guided-self-scheduling chunks (affinity-sorted by workload
   digest, workers persist their own cache entries);
 * ``_batch_key`` widens replica batches across overrides of config
   fields the scheme declared fault-free invariant, so a
@@ -21,6 +21,7 @@ import pytest
 from repro.harness.engine import (
     ExperimentEngine,
     RunKey,
+    _run_chunk,
     execute_batch,
     execute_run,
     resolve_config,
@@ -134,21 +135,6 @@ class TestSpecFromBuffer:
         assert run(WorkloadSpec.from_buffer(data)) \
             == run(WorkloadSpec.from_bytes(data))
 
-    def test_mmap_store_load_parity(self, tmp_path):
-        config = _config()
-        writer = WorkloadStore(tmp_path)
-        built = writer.get_or_build("blackscholes", 4, config,
-                                    INTERVALS, 1)
-        mapped = WorkloadStore(tmp_path, use_mmap=True,
-                               lru_capacity=0) \
-            .get_or_build("blackscholes", 4, config, INTERVALS, 1)
-        copied = WorkloadStore(tmp_path, use_mmap=False,
-                               lru_capacity=0) \
-            .get_or_build("blackscholes", 4, config, INTERVALS, 1)
-        assert Machine(config, mapped).run() \
-            == Machine(config, copied).run() \
-            == Machine(config, built).run()
-
 
 class TestStoreLRU:
     def test_second_load_is_lru_hit(self, tmp_path):
@@ -181,11 +167,6 @@ class TestStoreLRU:
         # not an LRU hit.
         store.get_or_build("blackscholes", 2, config, INTERVALS, 1)
         assert store.lru_hits == 0
-
-    def test_env_capacity_garbage_rejected(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_WORKER_LRU", "lots")
-        with pytest.raises(ValueError, match="REPRO_WORKER_LRU"):
-            WorkloadStore(tmp_path)
 
     def test_corrupt_entry_counted_and_rebuilt(self, tmp_path):
         config = _config()
@@ -224,11 +205,22 @@ KEY_B2 = RunKey("water_sp", 2, Scheme.GLOBAL, INTERVALS, 1, SCALE)
 
 class TestChunkedDispatch:
     def test_affinity_groups_share_a_chunk(self):
-        eng = ExperimentEngine(jobs=2, use_disk_cache=False,
-                               chunk_size=2)
-        chunks = eng._chunk_tasks([KEY_A1, KEY_B1, KEY_A2, KEY_B2],
-                                  workers=2)
-        assert chunks == [[KEY_A1, KEY_A2], [KEY_B1, KEY_B2]]
+        # Interleaved submissions of two workloads: the chunks hold each
+        # workload's tasks contiguously (first-seen group order,
+        # submission order within a group), so the first guided chunk
+        # holds four tasks of one workload.
+        a_keys = [RunKey("blackscholes", 4, Scheme.NONE, INTERVALS, 1,
+                         SCALE, overrides={"detection_latency": 2000 + i})
+                  for i in range(8)]
+        b_keys = [RunKey("water_sp", 2, Scheme.NONE, INTERVALS, 1, SCALE,
+                         overrides={"detection_latency": 2000 + i})
+                  for i in range(8)]
+        interleaved = [key for pair in zip(a_keys, b_keys) for key in pair]
+        eng = ExperimentEngine(jobs=1, use_disk_cache=False)
+        chunks = eng._chunk_tasks(interleaved, workers=1)
+        assert [key for chunk in chunks for key in chunk] \
+            == a_keys + b_keys
+        assert chunks[0] == a_keys[:4]
 
     @staticmethod
     def _seed_tasks(n):
@@ -265,49 +257,43 @@ class TestChunkedDispatch:
         chunks = eng._chunk_tasks(self._seed_tasks(10), workers=2)
         assert [len(chunk) for chunk in chunks] == [2] + [1] * 8
 
-    def test_chunk_size_env_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK", "many")
-        with pytest.raises(ValueError, match="REPRO_CHUNK"):
-            ExperimentEngine(jobs=1, use_disk_cache=False)
-
     def test_chunked_parallel_matches_serial(self):
         keys = [KEY_A1, KEY_A2, KEY_B1, KEY_B2]
         serial = ExperimentEngine(jobs=1, use_disk_cache=False)
         expect = serial.run_many(keys)
-        chunked = ExperimentEngine(jobs=3, use_disk_cache=False,
-                                   chunk_size=2)
+        chunked = ExperimentEngine(jobs=3, use_disk_cache=False)
         got = chunked.run_many(keys)
         for key in keys:
             assert got[key] == expect[key], key
 
     def test_failing_task_reports_itself_siblings_cache(self, tmp_path):
-        # All three tasks forced into ONE chunk: the raising run must
-        # report its own RunKey while its chunk siblings complete AND
-        # their results land in the disk cache (written by the worker).
+        # One chunk of three tasks, run in-process exactly as a pool
+        # worker runs it: the raising task reports its own error while
+        # its chunk siblings complete AND their results land in the disk
+        # cache (written by the worker itself).
         bad = RunKey("no_such_app", 4, Scheme.NONE, INTERVALS, 1, SCALE)
-        eng = ExperimentEngine(jobs=2, cache_dir=tmp_path,
-                               use_disk_cache=True, chunk_size=10)
-        with pytest.raises(RuntimeError) as excinfo:
-            eng.run_many([KEY_A1, bad, KEY_A2])
-        message = str(excinfo.value)
-        assert "no_such_app" in message
-        assert "1 of 3 run(s)" in message
-        assert KEY_A1 in eng.memo and KEY_A2 in eng.memo
-        assert eng._cache_path(KEY_A1).exists()
-        assert eng._cache_path(KEY_A2).exists()
+        outcomes, deltas = _run_chunk([KEY_A1, bad, KEY_A2],
+                                      str(tmp_path / "workloads"),
+                                      str(tmp_path))
+        assert [outcome[0] for outcome in outcomes] == ["ok", "err", "ok"]
+        assert "no_such_app" in repr(outcomes[1][1])
+        assert outcomes[0][3] and outcomes[2][3]     # cached by the worker
+        assert deltas["builds"] == 1                 # one shared workload
         # A fresh engine replays the siblings from disk.
         fresh = ExperimentEngine(jobs=1, cache_dir=tmp_path,
                                  use_disk_cache=True)
-        fresh.run_many([KEY_A1, KEY_A2])
+        got = fresh.run_many([KEY_A1, KEY_A2])
         assert fresh.disk_hits == 2
+        assert not fresh.profile
+        assert got[KEY_A1] == outcomes[0][1]
+        assert got[KEY_A2] == outcomes[2][1]
 
     def test_worker_store_counters_aggregate(self, tmp_path):
         keys = [RunKey("blackscholes", 4, Scheme.NONE, INTERVALS, 1,
                        SCALE, overrides={"detection_latency": 2000 + i})
                 for i in range(4)]
         eng = ExperimentEngine(jobs=2, cache_dir=tmp_path,
-                               use_disk_cache=True, vector=False,
-                               chunk_size=2)
+                               use_disk_cache=True, vector=False)
         eng.run_many(keys)
         counters = eng.store_counters()
         # A pool build job built the shared workload once and shipped its
@@ -356,7 +342,7 @@ class TestChunkedDispatch:
 
     def test_no_cache_still_writes_nothing(self, tmp_path):
         eng = ExperimentEngine(jobs=2, cache_dir=tmp_path,
-                               use_disk_cache=False, chunk_size=2)
+                               use_disk_cache=False)
         eng.run_many([KEY_A1, KEY_A2, KEY_B1])
         assert list(tmp_path.iterdir()) == []
 
@@ -418,8 +404,7 @@ class TestBatchWidening:
     @pytest.mark.parametrize("fault", [True, False])
     def test_widened_batch_parity(self, fault):
         keys = _l_keys(Scheme.GLOBAL, fault=fault)
-        stats_list, fell_back = execute_batch(list(keys))
-        assert not fell_back
+        stats_list = execute_batch(list(keys))
         for key, stats in zip(keys, stats_list):
             expect = execute_run(key)
             assert stats == expect, key

@@ -120,6 +120,20 @@ class TestParallelFailures:
         assert "2 of 3 run(s)" in message
         assert good in eng.memo
 
+    def test_serial_failure_names_the_run_and_later_runs_land(self):
+        # At -j 1 a failing run does not stop the plan: the runs planned
+        # after it still execute, and the error names the failing run,
+        # exactly as on the pool path.
+        good, good2 = MATRIX[0], MATRIX[1]
+        bad = RunKey("no_such_app", 4, Scheme.NONE, 1.5, 1, 300)
+        eng = ExperimentEngine(jobs=1, use_disk_cache=False)
+        with pytest.raises(RuntimeError) as excinfo:
+            eng.run_many([good, bad, good2])
+        message = str(excinfo.value)
+        assert "1 of 3 run(s)" in message
+        assert eng._describe(bad) in message
+        assert good in eng.memo and good2 in eng.memo
+
     def test_failed_batch_reports_every_replica_key(self):
         # Regression: a failed replica *batch* used to surface only its
         # first RunKey ("failed for 1 of N") — a dead chunk holding N
@@ -160,7 +174,7 @@ class TestParallelFailures:
 
         monkeypatch.setattr(engine_mod, "wait", interrupting_wait)
         eng = ExperimentEngine(jobs=2, cache_dir=tmp_path,
-                               use_disk_cache=True, chunk_size=1)
+                               use_disk_cache=True)
         with pytest.raises(KeyboardInterrupt):
             eng.run_many(MATRIX)
         assert len(eng.memo) >= 1          # completed chunks landed
@@ -229,3 +243,33 @@ class TestPickleRoundTrips:
         # Derived quantities survive too.
         assert clone.mean_ichk_fraction() == stats.mean_ichk_fraction()
         assert clone.breakdown() == stats.breakdown()
+
+
+#: Every ``REPRO_*`` environment setting the package reads.
+KNOBS = {"REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_NO_CACHE",
+         "REPRO_VECTOR", "REPRO_SERVE_SPOOL"}
+
+
+def test_knob_surface():
+    # A knob is any string literal that is exactly a REPRO_* name (an
+    # environment read, direct or through a helper).  Each one must be
+    # on the list above and have a row in README's knob table.
+    import ast
+    import re
+    from pathlib import Path
+
+    package = Path(engine_mod.__file__).resolve().parents[1]
+    found = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and re.fullmatch(r"REPRO_[A-Z_]+", node.value):
+                found.add(node.value)
+    assert found == KNOBS
+
+    readme = (package.parents[1] / "README.md").read_text()
+    table = readme.split("### Knobs", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[2] for line in table.splitlines()
+            if line.startswith("| ")]
+    assert {name for row in rows
+            for name in re.findall(r"REPRO_[A-Z_]+", row)} == KNOBS

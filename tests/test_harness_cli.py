@@ -151,7 +151,8 @@ class TestServeCli:
                      "--timeout", "5"])
         assert code == 0
         capsys.readouterr()
-        code = main(["serve", "summary", job, "--spool", str(spool)])
+        code = main(["serve", "summary", job, "--spool", str(spool),
+                     "--cache-dir", str(tmp_path / "cache")])
         assert code == 0
         assert "Journal summary" in capsys.readouterr().out
 
@@ -167,8 +168,9 @@ class TestServeCli:
                      "--spool", str(spool)]) == 1
         assert main(["serve", "cancel", "nope",
                      "--spool", str(spool)]) == 1
-        assert main(["serve", "summary", job,
-                     "--spool", str(spool)]) == 1  # nothing landed
+        # Nothing landed, so there is nothing to summarize.
+        assert main(["serve", "summary", job, "--spool", str(spool),
+                     "--cache-dir", str(tmp_path / "cache")]) == 1
 
     def test_campaign_routes_through_service(self, capsys, tmp_path):
         code = main(["campaign", "--serve", "--seeds", "1",

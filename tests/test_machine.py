@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.params import Scheme
+from repro.sim.events import DurableCall
 from repro.trace import COMPUTE, END, LOAD, OUTPUT, STORE
 from tests.conftest import make_machine, make_spec, tiny_config
 
@@ -60,12 +61,14 @@ class TestBasicExecution:
         # too instead of spinning past it silently.
         machine = make_machine([[(COMPUTE, 10), (END,)]],
                                config=tiny_config(2, Scheme.NONE))
+        step = DurableCall("machine", "_test_chain", ())
 
         def chain(now):
             if now < 1_000_000:
-                machine.schedule(now + 100.0, chain)
+                machine.schedule_call(now + 100.0, step)
 
-        machine.schedule(50.0, chain)
+        machine._test_chain = chain
+        machine.schedule_call(50.0, step)
         with pytest.raises(RuntimeError, match="exceeded"):
             machine.run(max_cycles=5_000)
 

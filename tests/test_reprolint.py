@@ -85,7 +85,7 @@ class TestRL001ForkSafety:
         assert {11, 14, 19} == lines
         messages = " ".join(f.message for f in findings)
         assert "DurableCall" in messages
-        assert "legacy closure scheduling" in messages
+        assert "closure scheduling" in messages
         assert "local function 'callback'" in messages
 
     def test_scoped_to_sim_and_core(self, tmp_path):

@@ -2,9 +2,10 @@
 
 The restart contract is the load-bearing one: a killed campaign must
 resume with *zero* recomputation of landed runs and summarize
-bit-identically to a cold batch-engine run of the same plan — the
-journal and the result cache are two layers of the same durability
-story (both fingerprint-invalidated, both replayed on startup).
+bit-identically to a cold batch-engine run of the same plan.  The
+journal only indexes which job landed which key; the results
+themselves are replayed from the fingerprinted result cache, so the
+cache's invalidation rules are the service's too.
 """
 
 import json
@@ -17,9 +18,8 @@ import time
 import pytest
 
 import repro.harness.engine as engine_mod
-from repro.harness.engine import ExperimentEngine, RunKey, code_fingerprint
+from repro.harness.engine import ExperimentEngine, RunKey
 from repro.harness.service import (
-    AsyncJournalWriter,
     CampaignService,
     JobRecord,
     default_spool_dir,
@@ -37,26 +37,6 @@ def make_service(tmp_path, jobs=1):
     engine = ExperimentEngine(jobs=jobs, cache_dir=tmp_path / "cache",
                               use_disk_cache=True)
     return CampaignService(spool_dir=tmp_path / "spool", engine=engine)
-
-
-class TestAsyncJournalWriter:
-    def test_records_land_in_order_and_survive_flush(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        writer = AsyncJournalWriter(path)
-        for i in range(50):
-            writer.append({"job": "j", "key": f"k{i}"})
-        writer.flush()
-        lines = path.read_text().splitlines()
-        assert [json.loads(line)["key"] for line in lines] \
-            == [f"k{i}" for i in range(50)]
-        writer.close()
-        assert writer.written == 50
-
-    def test_close_is_idempotent(self, tmp_path):
-        writer = AsyncJournalWriter(tmp_path / "journal.jsonl")
-        writer.append({"job": "j", "key": "k"})
-        writer.close()
-        writer.close()
 
 
 class TestSpoolProtocol:
@@ -124,10 +104,17 @@ class TestServeAndJournal:
                    (service.spool / "journal.jsonl").read_text()
                    .splitlines()]
         assert len(records) == 4
-        assert all(r["job"] == job_id for r in records)
-        assert all(r["fingerprint"] == code_fingerprint()
+        # An index line, not a second copy of the result: the SimStats
+        # live only in the result cache.
+        assert all(set(r) == {"job", "key", "source", "seconds", "t"}
                    for r in records)
+        assert not any("pkl" in r or "fingerprint" in r for r in records)
+        assert all(r["job"] == job_id for r in records)
+        assert sorted(r["key"] for r in records) \
+            == sorted(repr(key) for key in keys)
         assert all(r["source"] == "run" for r in records)
+        assert all(service.engine._cache_path(key).exists()
+                   for key in keys)
 
     def test_journal_results_bit_identical_to_batch_engine(self,
                                                            tmp_path):
@@ -216,7 +203,9 @@ class TestRestartReplay:
                    (second.spool / "journal.jsonl").read_text()
                    .splitlines()]
         per_key = [r["key"] for r in records if r["job"] == job_id]
-        assert sorted(per_key) == sorted(repr(key) for key in keys)
+        # Landing order: the two replayed runs, then the two computed
+        # ones, each journaled once.
+        assert per_key == [repr(key) for key in keys]
         cold = ExperimentEngine(jobs=1, use_disk_cache=False)
         assert second.summarize(job_id) \
             == summarize_campaign(cold.run_many(keys).values())
@@ -237,11 +226,44 @@ class TestRestartReplay:
         service.serve(drain=True)
         with (service.spool / "journal.jsonl").open("a") as fh:
             fh.write("{garbage\n")
-            fh.write('{"job": "x", "key": "y", "pkl": "!!"}\n')
+            fh.write('{"job": "x", "key": "y"}\n')  # no such job
             fh.write('{"job": "' + job_id + '"')  # torn mid-write
         fresh = make_service(tmp_path)
         assert fresh.replay() == 2
         assert fresh.summarize(job_id).n_runs == 2
+
+    def test_unfingerprinted_workload_is_recomputed(self, tmp_path):
+        # A generator registered without a fingerprint is never served
+        # from the result cache; a restart must not serve it from the
+        # journal either, or a changed generator's stale results would
+        # outlive it.
+        from repro.workloads import get_workload, register_workload
+        from repro.workloads.registry import unregister_workload
+
+        builds = []
+
+        def gen(n_threads, config, intervals, seed):
+            builds.append(seed)
+            return get_workload("blackscholes", n_threads, config,
+                                intervals=intervals, seed=seed)
+
+        tag = register_workload("nofp_service_wl", gen)
+        try:
+            keys = [RunKey(tag, 4, Scheme.REBOUND, 1.5, seed, 300)
+                    for seed in (1, 2)]
+            first = make_service(tmp_path)
+            first.submit(keys)
+            first.serve(drain=True)
+            assert len(builds) == 2
+            assert not list((tmp_path / "cache").glob("*.pkl"))
+            restarted = make_service(tmp_path)
+            assert restarted.replay() == 0
+            again = restarted.submit(keys)
+            restarted.serve(drain=True)
+        finally:
+            unregister_workload("nofp_service_wl")
+        assert restarted.status(again)["computed"] == 2
+        assert len(builds) == 4                  # the builder ran again
 
 
 class TestKillDashNine:
@@ -308,6 +330,12 @@ class TestKillDashNine:
 
 
 class TestKnobs:
+    def test_service_refuses_an_engine_without_the_cache(self, tmp_path):
+        engine = ExperimentEngine(jobs=1, cache_dir=tmp_path / "cache",
+                                  use_disk_cache=False)
+        with pytest.raises(ValueError, match="--no-cache"):
+            CampaignService(spool_dir=tmp_path / "spool", engine=engine)
+
     def test_spool_dir_knob(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_SPOOL", str(tmp_path / "s"))
         assert default_spool_dir() == tmp_path / "s"

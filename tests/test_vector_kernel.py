@@ -10,9 +10,8 @@ bit-identical to a scalar ``Machine.run`` of the same (config,
 workload, faults), for every registered scheme, with fault campaigns,
 output-I/O injection and cluster mode in the mix.  The engine-level
 grouping (``ExperimentEngine`` batching same-workload RunKeys) is held
-to the same standard, and every fallback edge (legacy closure
-callbacks, ``REPRO_VECTOR=0``) must land on the scalar path silently
-producing the same results.
+to the same standard, and ``REPRO_VECTOR=0`` must land on the scalar
+path producing the same results.
 """
 
 from __future__ import annotations
@@ -25,12 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.engine import ExperimentEngine, RunKey, execute_batch
+from repro.harness.engine import ExperimentEngine, RunKey
 from repro.harness.experiments import _campaign_plans
 from repro.harness.runner import Runner
 from repro.params import MachineConfig, Scheme
 from repro.sim.faults import FaultPlan
-from repro.sim.machine import Machine, UnforkableMachineError
+from repro.sim.machine import Machine
 from repro.sim.stats import CampaignSummary, percentile
 from repro.sim.vector import run_replica_batch
 from repro.workloads import get_workload, inject_output_io
@@ -217,16 +216,7 @@ def test_random_forced_spills_preserve_parity(spill_fractions):
         assert_stats_equal(_HYP_SCALAR[i], stats)
 
 
-# -- fallback edges ---------------------------------------------------------
-
-def test_legacy_closure_makes_machine_unforkable():
-    config = _config(4, Scheme.REBOUND)
-    machine = Machine(config, _spec(4, config))
-    machine.start()
-    machine.schedule(machine.now + 10.0, lambda when: None)
-    with pytest.raises(UnforkableMachineError):
-        machine.fork()
-
+# -- engine-level batching --------------------------------------------------
 
 def _engine_keys(n_plans=3):
     keys = [RunKey(app=APP, n_cores=4, scheme=Scheme.REBOUND,
@@ -238,24 +228,6 @@ def _engine_keys(n_plans=3):
                        intervals=INTERVALS, seed=1, scale=SCALE))
     return keys
 
-
-def test_execute_batch_falls_back_on_unforkable(monkeypatch):
-    import repro.sim.vector as vector
-
-    def raiser(*args, **kwargs):
-        raise UnforkableMachineError("pending closure callback")
-
-    monkeypatch.setattr(vector, "run_replica_batch", raiser)
-    keys = _engine_keys()
-    stats_list, fell_back = execute_batch(keys)
-    assert fell_back
-    for key, stats in zip(keys, stats_list):
-        assert_stats_equal(
-            _scalar(resolve := _config(4, Scheme.REBOUND),
-                    _spec(4, resolve), key.fault_list() or []), stats)
-
-
-# -- engine-level batching --------------------------------------------------
 
 def test_engine_batches_match_scalar_engine(monkeypatch):
     keys = _engine_keys()
