@@ -26,7 +26,7 @@ The ``engine`` section is the one part that measures the harness
 itself: the dispatch-overhead microbench drives ≥500 tiny
 store-cached runs through (a) the pre-chunking data plane — one
 future per task, all submitted upfront, workers re-parsing the spec
-from disk on every run — and (b) the shipped engine (windowed chunk
+from disk on every run — and (b) the shipped engine (guided chunk
 dispatch, worker-side spec LRU, mmap loads).  The workload is a
 purpose-registered few-op trace so simulation time is negligible and
 the wall clock is almost pure engine overhead; per-run overhead is
@@ -315,8 +315,8 @@ def _measure_engine() -> dict:
     future per task, all submitted upfront (deep executor queue),
     drained with ``wait(FIRST_COMPLETED)``, every worker run paying a
     fresh disk read + parse of the spec.  The measured leg is the
-    shipped ``ExperimentEngine`` default: affinity-grouped chunks
-    through a bounded submission window, specs served from the
+    shipped ``ExperimentEngine`` default: affinity-grouped guided
+    chunks, all submitted at once, specs served from the
     worker-side LRU.  Both legs are min-of-REPEATS wall clocks; the
     warm single-run cost ``t_run`` (measured in-process against an
     LRU-serving store) is subtracted so the per-run overheads compare
@@ -358,8 +358,7 @@ def _measure_engine() -> dict:
             chunked_wall = float("inf")
             counters = None
             for _ in range(3):
-                eng = ExperimentEngine(jobs=jobs, use_disk_cache=False,
-                                       vector=False)
+                eng = ExperimentEngine(jobs=jobs, use_disk_cache=False)
                 eng.workload_store = WorkloadStore(Path(tmp))
                 start = time.perf_counter()
                 eng.run_many(keys)
@@ -369,8 +368,7 @@ def _measure_engine() -> dict:
 
             curve = []
             for j in ENGINE_JOBS_CURVE:
-                eng = ExperimentEngine(jobs=j, use_disk_cache=False,
-                                       vector=False)
+                eng = ExperimentEngine(jobs=j, use_disk_cache=False)
                 eng.workload_store = WorkloadStore(Path(tmp))
                 start = time.perf_counter()
                 eng.run_many(keys)
@@ -447,7 +445,8 @@ def _measure_service() -> dict:
     direct engine batch of the same plan.
 
     Both legs run the identical ``SERVICE_RUNS`` tiny store-cached
-    keys on fresh engines (each with an empty result cache, scalar) —
+    keys on fresh engines (each with an empty result cache; the keys
+    differ in ``io_every``, so every key is its own batch) —
     the delta is pure service machinery: the spool round-trip, the
     journal, the per-landing state accounting.  Per-run landing latency comes from
     the journal's own timestamps against the job's submission time.
@@ -472,7 +471,7 @@ def _measure_service() -> dict:
                 # cache, so both legs write one (empty at the start of
                 # every round: nothing replays).
                 eng = ExperimentEngine(jobs=jobs, cache_dir=cache,
-                                       use_disk_cache=True, vector=False)
+                                       use_disk_cache=True)
                 eng.workload_store = WorkloadStore(store_root)
                 return eng
 

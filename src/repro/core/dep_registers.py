@@ -52,12 +52,6 @@ class DepRegisterSet:
     ckpt_complete_time: Optional[float] = None
     ckpt_started: bool = False
 
-    def clear_interaction(self) -> None:
-        self.producers = 0
-        self.consumers = 0
-        self.producers_genuine = 0
-        self.consumers_genuine = 0
-
 
 class DepRegisterFile:
     """Per-processor Dep register sets."""

@@ -18,7 +18,7 @@ Options::
     -j / --jobs N      worker processes (default REPRO_JOBS or CPU count)
     --cache-dir DIR    result cache location (default benchmarks/.cache)
     --no-cache         bypass the persistent result cache
-    --no-vector        force scalar campaign runs (REPRO_VECTOR=0)
+    --no-vector        run every key as its own batch (REPRO_VECTOR=0)
     --profile          print a per-run wall-clock table and the
                        aggregated workload-store counters at the end
 
@@ -113,7 +113,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                         help="batch same-workload fault replicas through "
                              "the vectorized executor (default: on)")
     parser.add_argument("--no-vector", dest="vector", action="store_false",
-                        help="force scalar campaign runs (same as "
+                        help="run every key as its own batch (same as "
                              "REPRO_VECTOR=0)")
 
 

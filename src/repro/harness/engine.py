@@ -30,11 +30,12 @@ disables it along with the result cache.
 
 One run loop: :meth:`ExperimentEngine.run_stream` is the only
 execution path.  It replays what the memo and the disk cache hold,
-then runs the rest — in-process when one worker (or one run) is
-enough, otherwise through the chunked pool dispatch below — landing
-each result as it completes and collecting every failure by
-:class:`RunKey` instead of stopping at the first.
-:meth:`~ExperimentEngine.run_many` is ``run_stream`` plus one
+plans the rest as replica batches, and runs them through one task loop
+(:func:`_run_tasks`) — in-process when one worker (or one run) is
+enough, otherwise inside the workers of the chunked pool dispatch below
+— landing each result through one method as it completes and
+collecting every failure by :class:`RunKey` instead of stopping at the
+first.  :meth:`~ExperimentEngine.run_many` is ``run_stream`` plus one
 ``RuntimeError`` naming every failing run.
 
 Chunked dispatch: the parallel path does not submit one pool future per
@@ -50,20 +51,20 @@ and parses each workload once for its whole chunk.  Workers write
 completed results into the disk cache themselves, so a chunk's
 finished siblings are persisted even when a later task in the chunk
 raises; every failing task still reports its own :class:`RunKey`.
-Submission keeps a bounded in-flight window (2 chunks per worker) so
-thousand-run campaigns don't hold every pending future alive at once.
+Every chunk is submitted at once (one future per chunk, not per task);
+chunks that have not started stay cancellable.
 
-Vectorized campaign batches: ``run_stream`` groups the missing keys by
-everything except their faults — (workload, cores, scheme, intervals,
-seed, scale, io_every, cluster, overrides) — and dispatches any group
-with two or more members to the replica-batch executor
-(:mod:`repro.sim.vector`): one fault-free leader machine walks the
-shared workload once and each replica forks off it at its first
-fault-detection time, producing bit-identical per-replica ``SimStats``.
-Results are memoized and disk-cached *per key*, exactly like scalar
-runs, so the cache format, the invariant harness and the campaign
-summaries see no difference.  ``REPRO_VECTOR=0`` (or the CLI's
-``--no-vector``) forces the scalar path.
+Replica batches: every task is a batch of the missing keys that agree
+on everything except their faults — (workload, cores, scheme,
+intervals, seed, scale, io_every, cluster, overrides) — and runs
+through the replica-batch executor (:mod:`repro.sim.vector`): one
+fault-free leader machine walks the shared workload once and each
+replica forks off it at its first fault-detection time, producing
+bit-identical per-replica ``SimStats``.  A lone key is a batch of one.
+Results are memoized and disk-cached *per key*, so the cache format,
+the invariant harness and the campaign summaries see no difference.
+``REPRO_VECTOR=0`` (or the CLI's ``--no-vector``) makes every key its
+own batch.
 
 Knobs (CLI flags on ``python -m repro.harness`` map onto the same
 settings)::
@@ -71,7 +72,7 @@ settings)::
     REPRO_JOBS        worker processes (default: os.cpu_count())
     REPRO_CACHE_DIR   result cache location (default: benchmarks/.cache)
     REPRO_NO_CACHE    set to 1 to bypass the disk cache entirely
-    REPRO_VECTOR      0 forces scalar campaign runs; unset/1 = on
+    REPRO_VECTOR      0 runs every key as its own batch; unset/1 = on
 
 (``REPRO_SERVE_SPOOL``, the campaign service's spool location, is read
 by :mod:`repro.harness.service`.)
@@ -80,7 +81,6 @@ by :mod:`repro.harness.service`.)
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import pickle
 import sys
@@ -203,6 +203,10 @@ def execute_run(key: RunKey,
                 store: Optional[WorkloadStore] = None) -> SimStats:
     """Build and run the simulation ``key`` describes (pure function).
 
+    The scalar reference: the engine runs every task through
+    :func:`execute_batch`, whose results the parity suites hold equal
+    to this function's.
+
     With a ``store``, the base workload comes from the content-addressed
     workload store (deserialized compiled-trace IR) instead of being
     regenerated; the result is identical either way — the store is
@@ -223,7 +227,8 @@ def execute_run(key: RunKey,
 
 def execute_batch(keys: list[RunKey],
                   store: Optional[WorkloadStore] = None) -> list[SimStats]:
-    """Run a same-workload replica group through the vector executor.
+    """Run a same-workload replica group (a lone key is a group of one)
+    through the vector executor — the engine's only task executor.
 
     ``keys`` must agree on every :class:`RunKey` field except their
     faults — and, for built-in workloads, except overrides of config
@@ -333,42 +338,47 @@ def _portable_exc(exc: BaseException) -> BaseException:
     return exc
 
 
-def _run_chunk(chunk: list, store_root: Optional[str] = None,
-               cache_dir: Optional[str] = None) -> tuple[list, Optional[dict]]:
-    """Worker entry point: run a pack of planned tasks back to back.
+def _run_tasks(chunk: list[list[RunKey]], store: Optional[WorkloadStore],
+               cache_dir: Optional[str]) -> list:
+    """The engine's one task loop: run planned replica batches back to
+    back, in the pool and on the serial path alike.
 
-    Each element of ``chunk`` is a lone :class:`RunKey` or a replica
-    batch (``list[RunKey]``), exactly as ``_plan_tasks`` emitted it.
-    Per task the outcome is ``("ok", payload, seconds, cached)`` —
-    ``payload`` is the ``SimStats`` (or list, for a batch) and
+    Per task the outcome is ``("ok", stats_list, seconds, cached)`` —
     ``cached`` says every result already landed in the disk cache — or
-    ``("err", exc)``; a raising task never takes its chunk siblings
-    down, and completed siblings are already persisted when it does.
+    ``("err", exc)``; a raising task never takes its siblings down, and
+    completed siblings are already persisted when it does.
+    ``KeyboardInterrupt`` is not a task failure: it propagates, so an
+    interrupted worker stops instead of running the rest of its chunk.
+    """
+    outcomes: list = []
+    for task in chunk:
+        start = time.perf_counter()
+        try:
+            stats_list = execute_batch(task, store)
+        except KeyboardInterrupt:
+            raise
+        except BaseException as exc:  # noqa: BLE001 - reported per task
+            outcomes.append(("err", _portable_exc(exc)))
+            continue
+        seconds = time.perf_counter() - start
+        cached = cache_dir is not None and all(
+            _write_cache_entry(cache_dir, key, stats) is None
+            for key, stats in zip(task, stats_list))
+        outcomes.append(("ok", stats_list, seconds, cached))
+    return outcomes
+
+
+def _run_chunk(chunk: list[list[RunKey]], store_root: Optional[str] = None,
+               cache_dir: Optional[str] = None) -> tuple[list, Optional[dict]]:
+    """Worker entry point: :func:`_run_tasks` over this process's store.
+
     The second return value is this call's workload-store counter
     deltas, so the engine can aggregate store behaviour across worker
     processes.
     """
     store = _worker_store(store_root)
     before = store.counters() if store is not None else None
-    outcomes: list = []
-    for task in chunk:
-        start = time.perf_counter()
-        try:
-            if isinstance(task, list):
-                payload = execute_batch(task, store)
-            else:
-                payload = execute_run(task, store)
-        except BaseException as exc:  # noqa: BLE001 - reported per task
-            outcomes.append(("err", _portable_exc(exc)))
-            continue
-        seconds = time.perf_counter() - start
-        cached = False
-        if cache_dir is not None:
-            keys = task if isinstance(task, list) else [task]
-            stats_seq = payload if isinstance(task, list) else [payload]
-            cached = all(_write_cache_entry(cache_dir, key, stats) is None
-                         for key, stats in zip(keys, stats_seq))
-        outcomes.append(("ok", payload, seconds, cached))
+    outcomes = _run_tasks(chunk, store, cache_dir)
     deltas = None
     if store is not None:
         deltas = {name: count - before[name]
@@ -538,16 +548,10 @@ class ExperimentEngine:
         self.memo: dict[RunKey, SimStats] = {}
         #: Wall-clock seconds per key *computed* this session (not cached).
         self.profile: dict[RunKey, float] = {}
-        #: Replica-batch width each computed key ran at (1 = scalar).
+        #: Replica-batch width each computed key ran at (1 = a lone key).
         self.batch_width: dict[RunKey, int] = {}
         self.disk_hits = 0
         self._store_warned = False
-        #: Outcome-landing callback (``hook(key, stats, seconds)``),
-        #: installed by :meth:`run_stream` for the duration of a call:
-        #: fires in the parent process the moment a computed result
-        #: lands in the memo, on the serial and pool paths alike — the
-        #: campaign service indexes results through it incrementally.
-        self._land_hook: Optional[Callable] = None
         #: Workload-store counter deltas shipped back by pool workers
         #: (:meth:`store_counters` folds the parent store on top).
         self._worker_counters: dict[str, int] = {}
@@ -631,9 +635,10 @@ class ExperimentEngine:
         as it becomes available: ``source`` is ``"memo"`` / ``"disk"``
         for replayed results (zero recomputation) and ``"run"`` for
         ones computed this call.  ``should_cancel`` is polled between
-        landings; once it returns True no further work is submitted,
-        in-flight chunks drain (and land), and the keys never executed
-        come back in ``pending``.
+        landings; once it returns True no further task starts,
+        in-flight chunks drain (and land), and the keys never started
+        come back in ``pending``.  Serial and pool execution share the
+        task loop (:func:`_run_tasks`) and the landing (:meth:`_land`).
         """
         report = StreamReport()
         unique = list(dict.fromkeys(keys))
@@ -659,50 +664,20 @@ class ExperimentEngine:
             return report
         if not missing:
             return report
-
-        def hook(key: RunKey, stats: SimStats, seconds: float) -> None:
-            report.results[key] = stats
-            report.computed += 1
-            if on_land is not None:
-                on_land(key, stats, "run", seconds)
-
         tasks = self._plan_tasks(missing)
-        self._land_hook = hook
-        try:
-            if len(missing) > 1 and self.jobs > 1:
-                self._dispatch(tasks, report, should_cancel)
-            else:
-                self._prepare_workloads(missing)
-                for index, task in enumerate(tasks):
-                    if should_cancel is not None and should_cancel():
-                        report.cancelled = True
-                        for rest in tasks[index:]:
-                            report.pending.extend(
-                                rest if isinstance(rest, list) else [rest])
-                        break
-                    start = time.perf_counter()
-                    try:
-                        if isinstance(task, list):
-                            self._announce_batch(task)
-                            stats_list = execute_batch(
-                                task, self.workload_store)
-                            self._finish_batch(
-                                task, stats_list,
-                                time.perf_counter() - start)
-                        else:
-                            self._announce(task)
-                            stats = execute_run(task, self.workload_store)
-                            self._finish(task, stats,
-                                         time.perf_counter() - start)
-                    except KeyboardInterrupt:
-                        raise
-                    except BaseException as exc:  # noqa: BLE001
-                        exc = _portable_exc(exc)
-                        for key in (task if isinstance(task, list)
-                                    else [task]):
-                            report.failures.append((key, exc))
-        finally:
-            self._land_hook = None
+        if len(missing) > 1 and self.jobs > 1:
+            self._dispatch(tasks, report, on_land, should_cancel)
+            return report
+        self._prepare_workloads(missing)
+        cache_root = str(self.cache_dir) if self.use_disk_cache else None
+        for index, task in enumerate(tasks):
+            if should_cancel is not None and should_cancel():
+                report.cancelled = True
+                report.pending.extend(key for rest in tasks[index:]
+                                      for key in rest)
+                break
+            outcome, = _run_tasks([task], self.workload_store, cache_root)
+            self._land(task, outcome, report, on_land)
         return report
 
     def describe_failure(self, key: RunKey, exc: BaseException) -> str:
@@ -738,31 +713,18 @@ class ExperimentEngine:
         return (key.app, key.n_cores, key.scheme, key.intervals, key.seed,
                 key.scale, key.io_every, key.cluster, overrides)
 
-    def _plan_tasks(self, missing: list[RunKey]) -> list:
-        """The execution plan: each element is a lone :class:`RunKey`
-        (scalar run) or a ``list[RunKey]`` (replica batch of two or
-        more), placed at its first member's position in ``missing`` so
-        serial execution keeps the submission order — a failing task
-        never masks work listed before it.  With vectorization off every
-        key is a single."""
+    def _plan_tasks(self, missing: list[RunKey]) -> list[list[RunKey]]:
+        """The execution plan: one replica batch per :meth:`_batch_key`
+        (a lone key is a batch of one), in first-seen order so serial
+        execution keeps the submission order — a failing task never
+        masks work listed before it.  With vectorization off every key
+        is its own batch."""
         if not self.vector:
-            return list(missing)
+            return [[key] for key in missing]
         groups: dict[tuple, list[RunKey]] = {}
         for key in missing:
             groups.setdefault(self._batch_key(key), []).append(key)
-        tasks: list = []
-        emitted: set = set()
-        for key in missing:
-            ident = self._batch_key(key)
-            if ident in emitted:
-                continue
-            group = groups[ident]
-            if len(group) >= 2:
-                tasks.append(group)
-                emitted.add(ident)
-            else:
-                tasks.append(key)
-        return tasks
+        return list(groups.values())
 
     def _shared_builds(self, keys: list[RunKey]) -> dict[str, tuple]:
         """Store digest -> :meth:`WorkloadStore.ensure` arguments for
@@ -796,36 +758,46 @@ class ExperimentEngine:
                 if counts[digest] >= 2
                 and not store.path_for(digest).exists()}
 
-    def _prepare_workloads(self, missing: list[RunKey]) -> None:
-        """Serial path: build each shared workload (:meth:`_shared_builds`)
-        in this process before the runs start.
+    def _prepare_workloads(self, missing: list[RunKey],
+                           pool: Optional[ProcessPoolExecutor] = None
+                           ) -> None:
+        """Build each shared workload (:meth:`_shared_builds`) before
+        the runs start: in this process, or — given the dispatch
+        ``pool`` — as one :func:`_build_workload` job per workload,
+        side by side, merging each job's store-counter deltas.
 
-        The parallel path builds them in the pool instead
-        (:meth:`_dispatch`).  Best-effort: a builder that raises is
-        skipped here and fails inside its own run, where the error
-        report carries the full ``RunKey`` and healthy siblings still
-        complete.
+        Best-effort: a builder that raises is skipped here and fails
+        inside its own runs, where the error report carries the full
+        ``RunKey`` and healthy siblings still complete.
         """
         builds = self._shared_builds(missing)
         if not builds:
             return
-        store = self.workload_store
-        builds_before = store.builds
-        for params in builds.values():
-            try:
-                store.ensure(*params)
-            except Exception:  # noqa: BLE001 - deferred to the run itself
-                pass
-        built = store.builds - builds_before
-        if self.verbose and built:  # pragma: no cover - progress printing
-            print(f"  [engine] prebuilt {built} of {len(builds)} shared "
-                  f"workload(s) for {len(missing)} runs", flush=True)
+        if pool is None:
+            for params in builds.values():
+                try:
+                    self.workload_store.ensure(*params)
+                except Exception:  # noqa: BLE001 - deferred to the runs
+                    pass
+        else:
+            root = str(self.workload_store.root)
+            for future in [pool.submit(_build_workload, params, root)
+                           for params in builds.values()]:
+                try:
+                    self._merge_worker_counters(future.result())
+                except Exception:  # noqa: BLE001
+                    # The worker died; the broken pool fails the run
+                    # chunks, run by run.
+                    pass
+        if self.verbose:  # pragma: no cover - progress printing
+            print(f"  [engine] built {len(builds)} shared workload(s) "
+                  f"for {len(missing)} runs", flush=True)
 
-    def _affinity_key(self, task):
+    def _affinity_key(self, task: list[RunKey]):
         """What a task must share to profit from a chunk-mate: the
         workload-store digest when addressable (built-ins share one
         entry across schemes/overrides), else the build parameters."""
-        key = task[0] if isinstance(task, list) else task
+        key = task[0]
         store = self.workload_store
         if store is not None:
             digest = store.digest_for(key.app, key.n_cores,
@@ -899,135 +871,84 @@ class ExperimentEngine:
                 totals[name] += getattr(stats, name, 0)
         return totals
 
-    def _dispatch(self, tasks: list, report: StreamReport,
+    def _dispatch(self, tasks: list[list[RunKey]], report: StreamReport,
+                  on_land: Optional[Callable] = None,
                   should_cancel: Optional[Callable[[], bool]] = None
                   ) -> None:
         """Chunked pool dispatch: the engine's one parallel data plane,
         recording failures, pending keys and cancellation in ``report``.
 
-        Shared workloads the store lacks (:meth:`_shared_builds`) are
-        built first, one pool job each, and the run chunks go out once
-        every build finished — the workers never wait on a parent-side
-        build, and no two runs race to build the same workload.
-        Collects per-*key* failures (a failed replica batch reports
-        every member, not just its first — each key must be
-        individually describable and the failure count must match the
-        run count), supports cooperative cancellation
-        (``should_cancel``: un-submitted chunks are dropped to
-        ``pending`` while in-flight chunks drain and land), and
-        survives ``KeyboardInterrupt`` in the wait loop by cancelling
-        the queued futures, landing every already-completed chunk in
-        the memo/cache, and re-raising with a one-line
-        partial-progress note — Ctrl-C on a campaign keeps what it
-        paid for, and the service's cancel path reuses the same
-        machinery.
+        Shared workloads the store lacks are built first, one pool job
+        each (:meth:`_prepare_workloads`), so the workers never wait on
+        a parent-side build and no two runs race to build the same
+        workload.  Then every chunk is submitted at once: the pool only
+        moves ``workers + 1`` of them into its call queue, so the rest
+        stay cancellable.  Cancellation (``should_cancel``) cancels the
+        chunks that have not started and reports their keys in
+        ``pending``, while in-flight chunks drain and land.  A submit
+        the pool refuses (a broken pool) fails the remaining chunks'
+        keys.  ``KeyboardInterrupt`` in the wait loop cancels the queued
+        chunks, lands every already-completed one in the memo/cache and
+        re-raises with a one-line partial-progress note — Ctrl-C on a
+        campaign keeps what it paid for.
         """
-        n_runs = sum(len(task) if isinstance(task, list) else 1
-                     for task in tasks)
-        n_batches = sum(1 for task in tasks if isinstance(task, list))
-        builds = self._shared_builds(
-            [key for task in tasks
-             for key in (task if isinstance(task, list) else [task])])
+        n_runs = sum(map(len, tasks))
         workers = min(self.jobs, len(tasks))
         chunks = self._chunk_tasks(tasks, workers)
         workers = min(workers, len(chunks))
         if self.verbose:  # pragma: no cover - progress printing
-            print(f"  [engine] {n_runs} runs ({n_batches} batches, "
-                  f"{len(tasks) - n_batches} singles) in {len(chunks)} "
-                  f"chunk(s) on {workers} workers ...", flush=True)
+            print(f"  [engine] {n_runs} runs as {len(tasks)} task(s) in "
+                  f"{len(chunks)} chunk(s) on {workers} workers ...",
+                  flush=True)
         store_root = str(self.workload_store.root) \
             if self.workload_store is not None else None
         cache_root = str(self.cache_dir) if self.use_disk_cache else None
-        landed = 0
 
-        def fail_task(task, exc: BaseException) -> None:
-            # Collect *every* failing key so one bad run doesn't mask
-            # its siblings (worker tracebacks don't carry arguments) —
-            # including every member of a failed replica batch.
-            for key in (task if isinstance(task, list) else [task]):
-                report.failures.append((key, exc))
-
-        def land_outcomes(chunk, outcomes, deltas) -> None:
-            nonlocal landed
+        def land_chunk(future) -> None:
+            chunk = futures.pop(future)
+            try:
+                outcomes, deltas = future.result()
+            except BaseException as exc:  # noqa: BLE001
+                # The whole worker died (OOM kill, broken pool): every
+                # task of the chunk is lost.
+                outcomes, deltas = [("err", exc)] * len(chunk), None
             self._merge_worker_counters(deltas)
             for task, outcome in zip(chunk, outcomes):
-                if outcome[0] == "err":
-                    fail_task(task, outcome[1])
-                    continue
-                _tag, payload, seconds, cached = outcome
-                if isinstance(task, list):
-                    self._finish_batch(task, payload, seconds,
-                                       cached=cached)
-                    landed += len(task)
-                else:
-                    self._finish(task, payload, seconds, cached=cached)
-                    landed += 1
+                self._land(task, outcome, report, on_land)
 
+        futures: dict = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            # Bounded in-flight window: a thousand-run campaign must not
-            # hold a future (and its pickled result) per task — two
-            # chunks per worker keep everyone busy while results land
-            # incrementally.
-            chunk_iter = iter(chunks)
-            futures: dict = {}
-            submit_error: Optional[BaseException] = None
-            leftovers: list = []
-
-            def submit_next() -> None:
-                nonlocal submit_error
-                for chunk in itertools.islice(chunk_iter, 1):
-                    if submit_error is not None or report.cancelled:
-                        leftovers.append(chunk)
-                        return
+            try:
+                self._prepare_workloads([key for task in tasks
+                                         for key in task], pool)
+                for chunk in chunks:
                     try:
                         futures[pool.submit(_run_chunk, chunk, store_root,
                                             cache_root)] = chunk
                     except BaseException as exc:  # noqa: BLE001
-                        # A broken pool refuses new work; drain what is
-                        # in flight and report the rest as failed.
-                        submit_error = exc
-                        leftovers.append(chunk)
-
-            try:
-                if builds:
-                    build_futures = [pool.submit(_build_workload, params,
-                                                 store_root)
-                                     for params in builds.values()]
-                    for future in build_futures:
-                        try:
-                            self._merge_worker_counters(future.result())
-                        except Exception:  # noqa: BLE001
-                            # The worker died; the broken pool fails the
-                            # chunk submissions below, run by run.
-                            pass
-                    if self.verbose:  # pragma: no cover - progress printing
-                        print(f"  [engine] built {len(builds)} shared "
-                              f"workload(s) in the pool", flush=True)
-                    if should_cancel is not None and should_cancel():
-                        report.cancelled = True
-                for _ in range(min(2 * workers, len(chunks))):
-                    submit_next()
-                while futures:
+                        for rest in chunks[len(futures):]:
+                            for task in rest:
+                                self._land(task, ("err", exc), report,
+                                           on_land)
+                        break
+                running = set(futures)
+                while running:
                     if (not report.cancelled and should_cancel is not None
                             and should_cancel()):
                         report.cancelled = True
-                    done, _ = wait(set(futures),
-                                   timeout=(0.1 if should_cancel is not None
-                                            else None),
-                                   return_when=FIRST_COMPLETED)
+                        for future in list(futures):    # plan order
+                            if future.cancel():
+                                report.pending.extend(
+                                    key for task in futures[future]
+                                    for key in task)
+                        running = {future for future in running
+                                   if not future.cancelled()}
+                        continue
+                    done, running = wait(
+                        running, return_when=FIRST_COMPLETED,
+                        timeout=0.1 if should_cancel is not None else None)
                     for future in done:
-                        chunk = futures.pop(future)
-                        try:
-                            outcomes, deltas = future.result()
-                        except BaseException as exc:  # noqa: BLE001
-                            # The whole worker died (OOM kill, broken
-                            # pool): every task of the chunk is lost.
-                            for task in chunk:
-                                fail_task(task, exc)
-                            submit_next()
-                            continue
-                        land_outcomes(chunk, outcomes, deltas)
-                        submit_next()
+                        land_chunk(future)
             except KeyboardInterrupt:
                 # Drop the queued chunks, let in-flight ones finish
                 # (they are small), and keep every completed result:
@@ -1036,26 +957,13 @@ class ExperimentEngine:
                 # consistent.  Then re-raise — the interrupt still
                 # means stop.
                 pool.shutdown(wait=True, cancel_futures=True)
-                for future, chunk in list(futures.items()):
+                for future in list(futures):
                     if future.done() and not future.cancelled():
-                        try:
-                            outcomes, deltas = future.result()
-                        except BaseException:  # noqa: BLE001
-                            continue
-                        land_outcomes(chunk, outcomes, deltas)
-                print(f"  [engine] interrupted: {landed} of {n_runs} "
-                      f"run(s) landed in the memo/cache; queued chunks "
-                      f"cancelled", flush=True)
+                        land_chunk(future)
+                print(f"  [engine] interrupted: {report.computed} of "
+                      f"{n_runs} run(s) landed in the memo/cache; queued "
+                      f"chunks cancelled", flush=True)
                 raise
-            leftovers.extend(chunk_iter)
-            for chunk in leftovers:
-                for task in chunk:
-                    if report.cancelled and submit_error is None:
-                        report.pending.extend(
-                            task if isinstance(task, list) else [task])
-                    else:
-                        fail_task(task, submit_error or RuntimeError(
-                            "task was never submitted"))
 
     @staticmethod
     def _describe(key: RunKey) -> str:
@@ -1066,45 +974,38 @@ class ExperimentEngine:
                 f"seed={key.seed}, scale={key.scale}, "
                 f"overrides={dict(key.overrides)})")
 
-    def _announce(self, key: RunKey) -> None:
-        if self.verbose:  # pragma: no cover - progress printing
-            scheme = getattr(key.scheme, "value", key.scheme)
-            print(f"  running {workload_name(key.app)} x{key.n_cores} "
-                  f"{scheme} ...", flush=True)
+    def _land(self, task: list[RunKey], outcome: tuple,
+              report: StreamReport, on_land: Optional[Callable]) -> None:
+        """Land one task's outcome from :func:`_run_tasks`.
 
-    def _announce_batch(self, group: list[RunKey]) -> None:
-        if self.verbose:  # pragma: no cover - progress printing
-            key = group[0]
-            scheme = getattr(key.scheme, "value", key.scheme)
-            print(f"  running {workload_name(key.app)} x{key.n_cores} "
-                  f"{scheme} [batch of {len(group)}] ...",
-                  flush=True)
-
-    def _finish(self, key: RunKey, stats: SimStats, seconds: float,
-                cached: bool = False) -> None:
-        """Land one result.  ``cached=True`` means the worker already
-        wrote the disk entry (chunked dispatch) — writing it again from
-        the parent would double every entry's serialization cost."""
-        self.memo[key] = stats
-        self.profile[key] = seconds
-        if not cached:
-            self._store_cached(key, stats)
-        if self._land_hook is not None:
-            self._land_hook(key, stats, seconds)
-        if self.verbose and self.jobs > 1:  # pragma: no cover
-            scheme = getattr(key.scheme, "value", key.scheme)
-            print(f"  [engine] done {workload_name(key.app)} "
-                  f"x{key.n_cores} {scheme} ({seconds:.1f}s)",
-                  flush=True)
-
-    def _finish_batch(self, group: list[RunKey], stats_list: list[SimStats],
-                      seconds: float, cached: bool = False) -> None:
-        """Land a replica batch: cache entries are written *per key* (no
-        format change) and the batch wall-clock is attributed evenly."""
-        share = seconds / len(group)
-        for key, stats in zip(group, stats_list):
-            self.batch_width[key] = len(group)
-            self._finish(key, stats, share, cached=cached)
+        A failure is recorded once per key (a failed replica batch
+        reports every member, so failure counts match run counts).  A
+        result is memoized and cache-written *per key* (no format
+        change), the task's wall clock is attributed evenly across its
+        keys, and ``on_land`` fires for each.  ``cached`` means the task
+        loop already wrote the disk entries — writing them again would
+        double every entry's serialization cost.
+        """
+        if outcome[0] == "err":
+            report.failures.extend((key, outcome[1]) for key in task)
+            return
+        _tag, stats_list, seconds, cached = outcome
+        share = seconds / len(task)
+        for key, stats in zip(task, stats_list):
+            self.memo[key] = stats
+            self.profile[key] = share
+            self.batch_width[key] = len(task)
+            if not cached:
+                self._store_cached(key, stats)
+            report.results[key] = stats
+            report.computed += 1
+            if on_land is not None:
+                on_land(key, stats, "run", share)
+            if self.verbose:  # pragma: no cover - progress printing
+                scheme = getattr(key.scheme, "value", key.scheme)
+                print(f"  [engine] done {workload_name(key.app)} "
+                      f"x{key.n_cores} {scheme} ({share:.1f}s)",
+                      flush=True)
 
     # ------------------------------------------------------------------
     # reporting
@@ -1115,8 +1016,8 @@ class ExperimentEngine:
         ``cluster`` and ``overrides`` are part of a run's identity, so
         without them two sweep grid points are indistinguishable in the
         profile table.  ``batch`` is the replica-batch width the run was
-        computed at (1 = scalar; batched runs report their share of the
-        batch's wall clock).
+        computed at (1 = a lone key; batched runs report their share of
+        the batch's wall clock).
         """
         rows = []
         for key, seconds in sorted(self.profile.items(),
@@ -1135,6 +1036,6 @@ class ExperimentEngine:
                          faults,
                          key.cluster,
                          overrides,
-                         self.batch_width.get(key, 1),
+                         self.batch_width[key],
                          f"{seconds:.2f}"])
         return rows

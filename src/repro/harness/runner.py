@@ -42,11 +42,6 @@ class Runner:
         elif self.verbose:
             self.engine.verbose = True
 
-    @property
-    def cache(self) -> dict:
-        """In-process memo (kept for backward compatibility)."""
-        return self.engine.memo
-
     def key(self, app: str, n_cores: int, scheme: Scheme,
             io_every: Optional[int] = None,
             fault_at: Optional[float] = None,

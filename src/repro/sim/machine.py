@@ -468,16 +468,6 @@ class Machine:
                                  "; ".join(states))
 
     # ------------------------------------------------------------------
-    # wiring helpers used by schemes and sync
-    # ------------------------------------------------------------------
-    def wake_core(self, core: Core, when: float) -> None:
-        """Unblock and reschedule a core at ``when``."""
-        core.blocked = None
-        core.block_site = None
-        core.time = max(core.time, when)
-        self.push_core(core)
-
-    # ------------------------------------------------------------------
     # replica forking (vectorized campaign batches)
     # ------------------------------------------------------------------
     def fork(self) -> "Machine":
@@ -607,9 +597,6 @@ class Machine:
         if self.config.check_coherence:
             stats.verify_cycle_accounting()
         return stats
-
-    def unfinished_cores(self) -> list[int]:
-        return [c.pid for c in self.cores if not c.done]
 
     @property
     def finished(self) -> bool:

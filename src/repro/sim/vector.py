@@ -37,11 +37,14 @@ Soundness rests on three properties of the scalar kernel:
 The speedup is the shared prefix: for first-detections at
 ``t_1 <= ... <= t_N`` over a run of length ``T``, the batch simulates
 ``T + sum(T - t_i)`` cycles instead of ``N * T``.  Dense fault
-campaigns (MTTF ~ one interval) divergence early and gain modestly;
+campaigns (MTTF ~ one interval) diverge early and gain modestly;
 sparse campaigns (and fault-free replicas, which are served directly
 from the leader's finalized stats) approach ``N``-fold savings.  No
 cycle of post-divergence work is ever approximated away — this is an
 exact-prefix-sharing optimization, not a sampling one.
+
+The experiment engine runs every task through this executor; a lone
+key is a batch of one.
 """
 
 from __future__ import annotations
@@ -78,7 +81,6 @@ class BatchReport:
     width: int = 0                     #: replicas in the batch
     spilled: int = 0                   #: replicas run by the scalar kernel
     leader_served: int = 0             #: fault-free replicas served
-    forced_spills: int = 0             #: test-injected early spills
     #: Spilled replicas that diverged too early to be worth a fork and
     #: ran standalone (subset of ``spilled``).
     direct_runs: int = 0
@@ -107,21 +109,17 @@ def _first_detect(faults: FaultList, detection_latency: float) -> float:
 
 def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
                       fault_lists: Sequence[FaultList],
-                      forced_spills: Optional[Sequence[Optional[float]]]
-                      = None,
-                      max_cycles: Optional[float] = None,
                       replica_configs:
                       Optional[Sequence[MachineConfig]] = None,
                       ) -> BatchResult:
     """Run N replicas of one workload, sharing their common prefix.
 
     ``fault_lists[i]`` is replica *i*'s fault campaign (empty = fault
-    free).  ``forced_spills[i]`` (tests only) forces replica *i* out of
-    the leader at that time even though no fault is due yet — the fork
-    machinery is exercised at arbitrary divergence points while the
-    results stay bit-identical.  Returns per-replica ``SimStats`` in
-    input order, each equal to ``Machine(config, workload,
-    faults=fault_lists[i]).run(max_cycles)``.
+    free).  Returns per-replica ``SimStats`` in input order, each equal
+    to ``Machine(config, workload, faults=fault_lists[i]).run()``.  A
+    batch of one takes one of three exact paths: a direct scalar run
+    (early fault), the leader's own run (fault-free), or the leader
+    itself armed with the faults (late fault, no fork).
 
     ``replica_configs[i]`` (default: ``config`` for everyone) lets the
     replicas differ in config fields the scheme declared **fault-free
@@ -132,16 +130,13 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
     detection latency, and each fork is re-pointed at its own config
     (:meth:`Machine.rebind_config`) before its faults are installed —
     replica *i*'s stats then equal ``Machine(replica_configs[i],
-    workload, faults=fault_lists[i]).run(max_cycles)``.  The caller
+    workload, faults=fault_lists[i]).run()``.  The caller
     (``ExperimentEngine._batch_key``) is responsible for only grouping
     configs whose differences are declared invariant.
     """
     n = len(fault_lists)
     if n == 0:
         return BatchResult([], BatchReport())
-    if forced_spills is not None and len(forced_spills) != n:
-        raise ValueError(f"forced_spills has {len(forced_spills)} "
-                         f"entries for {n} replicas")
     if replica_configs is not None and len(replica_configs) != n:
         raise ValueError(f"replica_configs has {len(replica_configs)} "
                          f"entries for {n} replicas")
@@ -150,38 +145,25 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
         return config if replica_configs is None \
             else replica_configs[index]
 
-    # -- batch schedule: per-replica state ------------------------------
-    first_detect = [_first_detect(faults, config_of(i).detection_latency)
-                    for i, faults in enumerate(fault_lists)]
-    forced = [float("inf")] * n
-    if forced_spills is not None:
-        for i, at in enumerate(forced_spills):
-            if at is not None:
-                forced[i] = float(at)
-    # A forced spill past the replica's first fault would fork a
-    # machine whose fault already fired in the leader — clamp to the
-    # fault: spilling *at* the detection time is the normal path.
-    divergence = [min(detect, at) for detect, at in zip(first_detect, forced)]
+    # -- batch schedule: per-replica divergence clocks -----------------
+    divergence = [_first_detect(faults, config_of(i).detection_latency)
+                  for i, faults in enumerate(fault_lists)]
 
     # Cost model: a fork only pays when the shared prefix beats the
     # deep-copy.  Instruction counts lower-bound the run length (1-IPC
     # cores only ever stall longer), so the threshold is conservative.
-    # Forced spills always fork — they exist to exercise the fork
-    # machinery at arbitrary points.
     run_estimate = max((trace.instruction_count()
                         for trace in workload.traces), default=1)
     threshold = SPILL_THRESHOLD_FRACTION * run_estimate
     finite = [math.isfinite(t) for t in divergence]
-    direct = [finite[i] and divergence[i] < threshold
-              and math.isinf(forced[i]) for i in range(n)]
+    direct = [finite[i] and divergence[i] < threshold for i in range(n)]
 
     report = BatchReport(width=n, divergence=list(divergence))
     results: list[Optional[SimStats]] = [None] * n
 
     for index in filter(direct.__getitem__, range(n)):
         results[index] = Machine(config_of(index), workload,
-                                 faults=list(fault_lists[index])
-                                 ).run(max_cycles)
+                                 faults=list(fault_lists[index])).run()
         report.spilled += 1
         report.direct_runs += 1
 
@@ -192,7 +174,7 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
     leader = None
     if fork_order or served:
         leader = Machine(config, workload)
-        leader.start(max_cycles)
+        leader.start()
     for position, index in enumerate(fork_order):
         at = divergence[index]
         if not leader.finished:
@@ -209,8 +191,6 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
         replica.advance()
         results[index] = replica.finalize()
         report.spilled += 1
-        if forced[index] < first_detect[index]:
-            report.forced_spills += 1
 
     if served:
         # Fault-free replicas: the leader *is* their run.  Serve the

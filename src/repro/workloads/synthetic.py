@@ -31,11 +31,6 @@ from repro.workloads.base import BarrierSpec, LockSpec, WorkloadSpec
 from repro.workloads.profiles import AppProfile, REFERENCE_INTERVAL
 
 
-def _scale(value: int, interval: int) -> int:
-    """Rescale a paper-interval-relative quantity to ``interval``."""
-    return max(1, int(value * interval / REFERENCE_INTERVAL))
-
-
 class SyntheticWorkload:
     """Builds a :class:`WorkloadSpec` from an application profile."""
 

@@ -21,6 +21,7 @@ import pytest
 from repro.harness.engine import (
     ExperimentEngine,
     RunKey,
+    _cache_path_for,
     _run_chunk,
     execute_batch,
     execute_run,
@@ -215,17 +216,18 @@ class TestChunkedDispatch:
         b_keys = [RunKey("water_sp", 2, Scheme.NONE, INTERVALS, 1, SCALE,
                          overrides={"detection_latency": 2000 + i})
                   for i in range(8)]
-        interleaved = [key for pair in zip(a_keys, b_keys) for key in pair]
+        interleaved = [[key] for pair in zip(a_keys, b_keys)
+                       for key in pair]
         eng = ExperimentEngine(jobs=1, use_disk_cache=False)
         chunks = eng._chunk_tasks(interleaved, workers=1)
-        assert [key for chunk in chunks for key in chunk] \
+        assert [key for chunk in chunks for [key] in chunk] \
             == a_keys + b_keys
-        assert chunks[0] == a_keys[:4]
+        assert chunks[0] == [[key] for key in a_keys[:4]]
 
     @staticmethod
     def _seed_tasks(n):
-        return [RunKey("blackscholes", 4, Scheme.NONE, INTERVALS, seed,
-                       SCALE) for seed in range(n)]
+        return [[RunKey("blackscholes", 4, Scheme.NONE, INTERVALS, seed,
+                        SCALE)] for seed in range(n)]
 
     def test_adaptive_size_bounds(self):
         # Guided self-scheduling: ceil(remaining / (4 * workers)) per
@@ -240,15 +242,16 @@ class TestChunkedDispatch:
             assert all(a >= b for a, b in zip(sizes, sizes[1:])), sizes
             tail = sizes[-workers:]
             assert tail == [1] * len(tail), sizes
-            assert len(chunks) >= min(n_tasks, 2 * workers)  # window fed
+            # at least two chunks per worker whenever the plan allows
+            assert len(chunks) >= min(n_tasks, 2 * workers)
 
     def test_guided_chunks_hold_every_task_once(self):
         eng = ExperimentEngine(jobs=4, use_disk_cache=False)
         tasks = self._seed_tasks(300)
         chunks = eng._chunk_tasks(tasks, workers=4)
-        flat = [key for chunk in chunks for key in chunk]
+        flat = [key for chunk in chunks for [key] in chunk]
         assert len(flat) == len(tasks)
-        assert set(flat) == set(tasks)
+        assert set(flat) == {key for [key] in tasks}
 
     def test_ten_tasks_on_two_workers_end_in_singles(self):
         # The fig6_3@64 shape: with one fixed size the last chunks held
@@ -272,7 +275,7 @@ class TestChunkedDispatch:
         # its chunk siblings complete AND their results land in the disk
         # cache (written by the worker itself).
         bad = RunKey("no_such_app", 4, Scheme.NONE, INTERVALS, 1, SCALE)
-        outcomes, deltas = _run_chunk([KEY_A1, bad, KEY_A2],
+        outcomes, deltas = _run_chunk([[KEY_A1], [bad], [KEY_A2]],
                                       str(tmp_path / "workloads"),
                                       str(tmp_path))
         assert [outcome[0] for outcome in outcomes] == ["ok", "err", "ok"]
@@ -285,15 +288,38 @@ class TestChunkedDispatch:
         got = fresh.run_many([KEY_A1, KEY_A2])
         assert fresh.disk_hits == 2
         assert not fresh.profile
-        assert got[KEY_A1] == outcomes[0][1]
-        assert got[KEY_A2] == outcomes[2][1]
+        assert [got[KEY_A1]] == outcomes[0][1]
+        assert [got[KEY_A2]] == outcomes[2][1]
+
+    def test_interrupt_stops_the_chunk(self, tmp_path):
+        # Ctrl-C is not a task failure: the task loop re-raises it
+        # instead of running the rest of the chunk, so the task after
+        # the interrupted one never runs and writes no cache entry.
+        from repro.workloads import register_workload
+        from repro.workloads.registry import unregister_workload
+
+        def interrupted(n_threads, config, intervals, seed):
+            raise KeyboardInterrupt
+
+        tag = register_workload("interrupting_wl", interrupted,
+                                fingerprint="interrupt-v1")
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                _run_chunk([[RunKey(tag, 4, Scheme.NONE, INTERVALS, 1,
+                                    SCALE)], [KEY_A1]],
+                           str(tmp_path / "workloads"), str(tmp_path))
+        finally:
+            unregister_workload("interrupting_wl")
+        assert not _cache_path_for(tmp_path, KEY_A1).exists()
 
     def test_worker_store_counters_aggregate(self, tmp_path):
+        # Keys that differ in io_every share one store digest but not a
+        # replica-batch identity: four tasks over one workload.
         keys = [RunKey("blackscholes", 4, Scheme.NONE, INTERVALS, 1,
-                       SCALE, overrides={"detection_latency": 2000 + i})
+                       SCALE, io_every=4000 + 1000 * i)
                 for i in range(4)]
         eng = ExperimentEngine(jobs=2, cache_dir=tmp_path,
-                               use_disk_cache=True, vector=False)
+                               use_disk_cache=True)
         eng.run_many(keys)
         counters = eng.store_counters()
         # A pool build job built the shared workload once and shipped its
@@ -321,7 +347,7 @@ class TestChunkedDispatch:
             bad = [RunKey(tag, 4, Scheme.NONE, INTERVALS, 1, SCALE),
                    RunKey(tag, 4, Scheme.GLOBAL, INTERVALS, 1, SCALE)]
             eng = ExperimentEngine(jobs=2, cache_dir=tmp_path,
-                                   use_disk_cache=True, vector=False)
+                                   use_disk_cache=True)
             with pytest.raises(RuntimeError) as excinfo:
                 eng.run_many(good + bad)
         finally:
@@ -394,8 +420,8 @@ class TestBatchWidening:
         tasks = eng._plan_tasks(list(dict.fromkeys(keys)))
         l_values = {key.overrides["detection_latency"] for key in keys}
         assert len(l_values) == 3
-        global_batches = [task for task in tasks if isinstance(task, list)
-                          and task[0].scheme is Scheme.GLOBAL]
+        global_batches = [task for task in tasks
+                          if task[0].scheme is Scheme.GLOBAL]
         assert global_batches
         widest = max(global_batches, key=len)
         assert {key.overrides["detection_latency"] for key in widest} \

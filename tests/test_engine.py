@@ -47,8 +47,9 @@ class TestParity:
         assert len(writer.profile) == len(MATRIX)
         # A fresh engine over the same cache dir must replay from disk:
         # make any recompute blow up.
-        monkeypatch.setattr(engine_mod, "execute_run",
-                            lambda key: pytest.fail(f"recomputed {key}"))
+        monkeypatch.setattr(engine_mod, "execute_batch",
+                            lambda keys, store: pytest.fail(
+                                f"recomputed {keys}"))
         reader = ExperimentEngine(jobs=1, cache_dir=tmp_path,
                                   use_disk_cache=True)
         got = reader.run_many(MATRIX)
@@ -187,6 +188,25 @@ class TestParallelFailures:
         assert not fresh.profile
 
 
+    def test_pool_cancel_reports_unstarted_chunks_pending(self):
+        # Every chunk is submitted up front; cancelling after the first
+        # landing cancels the chunks that have not started (their keys
+        # come back pending) while in-flight chunks drain and land.
+        keys = [RunKey("blackscholes", 4, Scheme.NONE, 1.5, seed, 300)
+                for seed in range(1, 13)]
+        landed = []
+        eng = ExperimentEngine(jobs=2, use_disk_cache=False)
+        report = eng.run_stream(
+            keys, on_land=lambda key, *_: landed.append(key),
+            should_cancel=lambda: bool(landed))
+        assert report.cancelled
+        assert report.pending
+        parts = [list(report.results), [key for key, _ in report.failures],
+                 report.pending]
+        assert sorted(map(repr, sum(parts, []))) == sorted(map(repr, keys))
+        assert set(report.results) == set(landed) == set(eng.memo)
+
+
 class TestProfileRows:
     def test_rows_carry_cluster_and_overrides(self):
         eng = ExperimentEngine(jobs=1, use_disk_cache=False)
@@ -210,7 +230,6 @@ class TestRunnerFacade:
         stats = runner.run("blackscholes", 4, Scheme.REBOUND)
         key = runner.key("blackscholes", 4, Scheme.REBOUND)
         assert eng.memo[key] is stats
-        assert runner.cache is eng.memo
 
     def test_prefetch_then_run_hits_memo(self):
         eng = ExperimentEngine(jobs=1, use_disk_cache=False)

@@ -242,8 +242,9 @@ class TestEngineWithOverrides:
                      overrides={"detection_latency": 10_000})
         writer = ExperimentEngine(jobs=1, cache_dir=tmp_path)
         first = writer.run(key)
-        monkeypatch.setattr(engine_mod, "execute_run",
-                            lambda k: pytest.fail(f"recomputed {k}"))
+        monkeypatch.setattr(engine_mod, "execute_batch",
+                            lambda keys, store: pytest.fail(
+                                f"recomputed {keys}"))
         reader = ExperimentEngine(jobs=1, cache_dir=tmp_path)
         assert reader.run(key) == first
         assert reader.disk_hits == 1

@@ -10,8 +10,8 @@ bit-identical to a scalar ``Machine.run`` of the same (config,
 workload, faults), for every registered scheme, with fault campaigns,
 output-I/O injection and cluster mode in the mix.  The engine-level
 grouping (``ExperimentEngine`` batching same-workload RunKeys) is held
-to the same standard, and ``REPRO_VECTOR=0`` must land on the scalar
-path producing the same results.
+to the same standard, and ``REPRO_VECTOR=0`` (every key its own batch
+of one) must produce the same results.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.engine import ExperimentEngine, RunKey
+from repro.harness.engine import ExperimentEngine, RunKey, execute_run
 from repro.harness.experiments import _campaign_plans
 from repro.harness.runner import Runner
 from repro.params import MachineConfig, Scheme
@@ -137,25 +137,53 @@ def test_leader_served_replicas_do_not_alias():
     assert result.report.spilled == 0
 
 
+def _spill(config, spec, fault_lists, spill_at):
+    """The executor's fork path at arbitrary points, driven through the
+    ``Machine`` primitives it relies on: one fault-free leader pauses at
+    each replica's spill time (ascending), forks, and the fork is armed
+    with that replica's faults and run out; the leader then finishes as
+    the fault-free run.  Returns (per-replica stats, leader stats)."""
+    leader = Machine(config, spec)
+    leader.start()
+    results = [None] * len(fault_lists)
+    for index in sorted(range(len(fault_lists)), key=spill_at.__getitem__):
+        if not leader.finished:
+            leader.advance(pause_at=spill_at[index])
+        replica = leader.fork()
+        replica.install_faults(list(fault_lists[index]))
+        replica.advance()
+        results[index] = replica.finalize()
+    if not leader.finished:
+        leader.advance()
+    return results, leader.finalize()
+
+
+def _first_detection(config, faults):
+    """A spill may not pass the replica's first fault detection: the
+    fault would already have fired in the fault-free leader."""
+    return min((at for at, _pid in faults), default=float("inf")) \
+        + config.detection_latency
+
+
 def test_forced_spill_is_unobservable():
-    """A replica forced out of the leader early (mid-interval, long
-    before any fault is due) must still report identical stats."""
+    """A replica forked off the leader early (mid-interval, long before
+    any fault is due) must still report identical stats, and so must
+    the leader it left."""
     config = _config(4, Scheme.REBOUND)
     spec = _spec(4, config)
     faults = [(1.2 * config.checkpoint_interval, 1)]
-    forced = [0.37 * config.checkpoint_interval, None]
-    result = run_replica_batch(config, spec, [faults, []],
-                               forced_spills=forced)
-    assert result.report.forced_spills == 1
-    assert_stats_equal(_scalar(config, spec, faults), result.stats[0])
-    assert_stats_equal(_scalar(config, spec, []), result.stats[1])
+    spill_at = 0.37 * config.checkpoint_interval
+    assert spill_at < _first_detection(config, faults)
+    (forked,), leader = _spill(config, spec, [faults], [spill_at])
+    assert_stats_equal(_scalar(config, spec, faults), forked)
+    assert_stats_equal(_scalar(config, spec, []), leader)
 
 
 def test_early_divergence_runs_direct():
     """A replica whose fault lands before the fork threshold skips the
     leader entirely (standalone scalar run) — cheaper than a fork whose
-    shared prefix is worth less than the deep copy — while a *forced*
-    spill at the same point must still fork (that is what it tests)."""
+    shared prefix is worth less than the deep copy — while a fork at
+    the same point must still be unobservable."""
     from repro.sim.vector import SPILL_THRESHOLD_FRACTION
     config = _config(4, Scheme.REBOUND)
     spec = _spec(4, config)
@@ -174,11 +202,8 @@ def test_early_divergence_runs_direct():
     assert_stats_equal(_scalar(config, spec, late), result.stats[1])
     assert_stats_equal(_scalar(config, spec, []), result.stats[2])
 
-    forced = run_replica_batch(config, spec, [[], []],
-                               forced_spills=[early, None])
-    assert forced.report.direct_runs == 0      # forced spills always fork
-    assert forced.report.forced_spills == 1
-    assert_stats_equal(_scalar(config, spec, []), forced.stats[0])
+    (forked,), _leader = _spill(config, spec, [[]], [early])
+    assert_stats_equal(_scalar(config, spec, []), forked)
 
 
 # -- hypothesis: arbitrary spill points preserve parity ---------------------
@@ -200,20 +225,20 @@ def _hyp_fixture():
     return _HYP_SPEC
 
 
-@given(st.lists(st.one_of(st.none(), st.floats(0.0, INTERVALS)),
-                min_size=3, max_size=3))
+@given(st.lists(st.floats(0.0, INTERVALS), min_size=3, max_size=3))
 @settings(max_examples=12, deadline=None)
 def test_random_forced_spills_preserve_parity(spill_fractions):
     spec = _hyp_fixture()
     interval = _HYP_CONFIG.checkpoint_interval
-    forced = [None if f is None else f * interval
-              for f in spill_fractions]
-    result = run_replica_batch(_HYP_CONFIG, spec,
-                               _campaign(_HYP_CONFIG),
-                               forced_spills=forced)
-    for i, stats in enumerate(result.stats):
+    fault_lists = _campaign(_HYP_CONFIG)
+    spill_at = [min(fraction * interval,
+                    _first_detection(_HYP_CONFIG, faults))
+                for fraction, faults in zip(spill_fractions, fault_lists)]
+    results, leader = _spill(_HYP_CONFIG, spec, fault_lists, spill_at)
+    for i, stats in enumerate(results):
         assert_run_invariants(stats)
         assert_stats_equal(_HYP_SCALAR[i], stats)
+    assert_stats_equal(_HYP_SCALAR[2], leader)      # the fault-free run
 
 
 # -- engine-level batching --------------------------------------------------
@@ -232,16 +257,18 @@ def _engine_keys(n_plans=3):
 def test_engine_batches_match_scalar_engine(monkeypatch):
     keys = _engine_keys()
     vec = ExperimentEngine(jobs=1, use_disk_cache=False, vector=True)
-    scal = ExperimentEngine(jobs=1, use_disk_cache=False, vector=False)
-    res_v, res_s = vec.run_many(keys), scal.run_many(keys)
+    single = ExperimentEngine(jobs=1, use_disk_cache=False, vector=False)
+    res_v, res_s = vec.run_many(keys), single.run_many(keys)
     width = len(keys)
     for key in keys:
-        assert_stats_equal(res_s[key], res_v[key])
+        expect = execute_run(key)
+        assert_stats_equal(expect, res_v[key])
+        assert_stats_equal(expect, res_s[key])
         assert vec.batch_width[key] == width
-        assert key not in scal.batch_width
+        assert single.batch_width[key] == 1
     # batched rows carry their width in the --profile table
     assert all(row[7] == width for row in vec.profile_rows())
-    assert all(row[7] == 1 for row in scal.profile_rows())
+    assert all(row[7] == 1 for row in single.profile_rows())
     # memoization still returns the same objects on re-request
     again = vec.run_many(keys)
     assert all(again[key] is res_v[key] for key in keys)
