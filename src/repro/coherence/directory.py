@@ -58,15 +58,13 @@ class Directory:
     protocol's round-trip constants.
     """
 
-    __slots__ = ("n_cores", "_entries", "lookups")
+    __slots__ = ("n_cores", "_entries")
 
     def __init__(self, n_cores: int):
         self.n_cores = n_cores
         self._entries: dict[int, DirEntry] = {}
-        self.lookups = 0
 
     def entry(self, addr: int) -> DirEntry:
-        self.lookups += 1
         entry = self._entries.get(addr)
         if entry is None:
             entry = DirEntry(addr)

@@ -24,9 +24,9 @@ Flows implemented (Figure 3.2a):
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
-from repro.coherence.directory import Directory, EXCL, SHARED, UNCACHED
+from repro.coherence.directory import Directory, EXCL, SHARED
 from repro.interconnect import Interconnect
 from repro.mem import (
     Cache,
@@ -35,9 +35,35 @@ from repro.mem import (
     MODIFIED,
     MainMemory,
     MemoryChannels,
+    ReviveLog,
 )
 from repro.mem import SHARED as L_SHARED
 from repro.params import MachineConfig
+
+
+class LineState(NamedTuple):
+    """A read-only copy of one L2 line (introspection accessors)."""
+
+    addr: int
+    state: int
+    value: int
+    dirty: bool
+    delayed: bool
+
+
+class EntryState(NamedTuple):
+    """A read-only copy of one directory entry (introspection)."""
+
+    addr: int
+    mode: int
+    owner: Optional[int]
+    sharers: int
+    lw_id: Optional[int]
+
+    def sharer_list(self) -> list[int]:
+        """Sharer PIDs in ascending order."""
+        return [pid for pid in range(self.sharers.bit_length())
+                if self.sharers >> pid & 1]
 
 
 class DependenceTracker:
@@ -64,6 +90,22 @@ class DependenceTracker:
         """Producer sets MyConsumers[consumer] (``genuine``=False on a
         Bloom false positive; tracked for the Table 6.1 statistic)."""
 
+    def record_dependence(self, consumer: int, producer: int,
+                          addr: int) -> bool:
+        """One LW-ID dependence, producer -> consumer; returns whether
+        the producer claims the write.
+
+        The consumer's MyProducers is set as the line arrives, before
+        any NO_WR could revert it (superset semantics, Section 3.3.2);
+        the producer records the consumer only if its WSIG claims
+        ``addr``.  This is the one tracker call per dependence the
+        engines make."""
+        self.record_producer(consumer, producer)
+        claims, genuine = self.query_writer(producer, addr)
+        if claims:
+            self.record_consumer(producer, consumer, addr, genuine)
+        return claims
+
     def on_line_left_cache(self, pid: int, addr: int, now: float) -> None:
         """A Delayed/dirty line left pid's L2 via coherence activity."""
 
@@ -78,6 +120,12 @@ class DependenceTracker:
 
 class CoherenceEngine:
     """Executes loads, stores, writebacks and invalidations.
+
+    This is the Python oracle of the compiled memory system
+    (:class:`repro.coherence.core.CompiledEngine`, which every
+    :class:`~repro.sim.machine.Machine` runs): the differential tests
+    run both and compare every :class:`~repro.sim.stats.SimStats`
+    field, so a change to one must be mirrored in the other.
 
     All latencies follow Figure 4.3(a); message counts are kept per class
     so the harness can report the extra traffic Rebound adds (Table 6.1).
@@ -99,12 +147,11 @@ class CoherenceEngine:
         "store_hit_cycles",
     )
 
-    def __init__(self, config: MachineConfig, channels: MemoryChannels,
-                 memory: MainMemory, network: Interconnect,
-                 tracker: DependenceTracker):
+    def __init__(self, config: MachineConfig, log: ReviveLog,
+                 network: Interconnect, tracker: DependenceTracker):
         self.config = config
-        self.channels = channels
-        self.memory = memory
+        self.channels = MemoryChannels(config)
+        self.memory = MainMemory(log)
         self.network = network
         self.tracker = tracker
         self.directory = Directory(config.n_cores)
@@ -139,6 +186,47 @@ class CoherenceEngine:
         self.l1_hit_cycles = config.l1.hit_cycles
         self.l2_hit_cycles = config.l2.hit_cycles
         self.store_hit_cycles = float(config.l2.hit_cycles)
+
+    def entry_points(self):
+        """``(load, store)`` for the machine loop."""
+        return self.load, self.store
+
+    def tally(self) -> dict[str, int]:
+        """The memory-system counters :class:`SimStats` reports."""
+        return {
+            "l1_hits": sum(l1.n_hits for l1 in self.l1s),
+            "l1_misses": sum(l1.n_misses for l1 in self.l1s),
+            "l2_hits": sum(l2.n_hits for l2 in self.l2s),
+            "l2_misses": sum(l2.n_misses for l2 in self.l2s),
+            "fastpath_loads": self.fast_loads,
+            "fastpath_stores": self.fast_stores,
+            "fastpath_epoch_bumps": sum(self.fastpath_epochs),
+            "invalidations": self.invalidations_sent,
+            "mem_accesses": self.energy_l1,  # one l1 event per access
+            "base_messages": self.network.base_messages,
+            "dep_messages": self.network.dep_messages,
+        }
+
+    # -- read-only introspection (same accessors as the compiled core) --
+    def peek_line(self, pid: int, addr: int) -> Optional[LineState]:
+        line = self.l2s[pid].peek(addr)
+        if line is None:
+            return None
+        return LineState(line.addr, line.state, line.value, line.dirty,
+                         line.delayed)
+
+    def l1_holds(self, pid: int, addr: int) -> bool:
+        return addr in self.l1s[pid]._map
+
+    def resident_lines(self, pid: int) -> int:
+        return len(self.l2s[pid])
+
+    def peek_entry(self, addr: int) -> Optional[EntryState]:
+        entry = self.directory.peek(addr)
+        return None if entry is None else _entry_state(entry)
+
+    def directory_entries(self) -> list[EntryState]:
+        return [_entry_state(entry) for entry in self.directory.entries()]
 
     def energy_events(self) -> dict:
         """The per-class energy-event mapping (Counter-compatible shape).
@@ -188,18 +276,14 @@ class CoherenceEngine:
             return
         if not self.tracker.enabled:
             return
-        # The consumer's MyProducers is updated as the line arrives, before
-        # any NO_WR could revert it (superset semantics, Section 3.3.2).
-        self.tracker.record_producer(consumer, producer)
+        claims = self.tracker.record_dependence(consumer, producer,
+                                                entry.addr)
         self.energy_depreg += 1
-        claims, genuine = self.tracker.query_writer(producer, entry.addr)
         self.energy_wsig += 1
         if not piggybacked:
             # Dedicated "are you the last writer?" query + reply.
             self.network.dep_messages += 2
         if claims:
-            self.tracker.record_consumer(producer, consumer, entry.addr,
-                                         genuine)
             self.energy_depreg += 1
         else:
             # NO_WR: tell the directory to clear the stale LW-ID.
@@ -565,3 +649,8 @@ class CoherenceEngine:
         self.l1s[pid].invalidate_all()
         self.energy_l2 += n
         return n
+
+
+def _entry_state(entry) -> EntryState:
+    return EntryState(entry.addr, entry.mode, entry.owner, entry.sharers,
+                      entry.lw_id)

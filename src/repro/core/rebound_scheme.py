@@ -89,6 +89,21 @@ class ReboundScheme(BaseScheme):
         if genuine:
             self.files[consumer].record_producer_genuine(producer)
 
+    def record_dependence(self, consumer: int, producer: int,
+                          addr: int) -> bool:
+        if not self.clusters.trivial:
+            return super().record_dependence(consumer, producer, addr)
+        # The three steps of the base method, without the query/record
+        # hand-off through ``_last_query``.
+        files = self.files
+        files[consumer].record_producer(producer)
+        claims, genuine, dep = files[producer].query_writer(addr)
+        if claims:
+            files[producer].record_consumer(dep, consumer, genuine)
+            if genuine:
+                files[consumer].record_producer_genuine(producer)
+        return claims
+
     def on_line_left_cache(self, pid: int, addr: int, now: float) -> None:
         core = self.machine.cores[pid]
         if core.pending_delayed > 0:

@@ -189,6 +189,18 @@ class RunKey:
         return None
 
 
+def _fault_note(key: RunKey) -> str:
+    """`` faults=N@T`` for a key that injects N faults, the first
+    detected at cycle T (empty for a fault-free key): the landing line
+    of a fault run must not read like its fault-free leader's."""
+    faults = key.fault_list()
+    if not faults:
+        return ""
+    first = min(time for time, _pid in faults)
+    detect = first + resolve_config(key).detection_latency
+    return f" faults={len(faults)}@{detect:.0f}"
+
+
 def resolve_config(key: RunKey) -> MachineConfig:
     """The fully resolved :class:`MachineConfig` of a run (scaled base
     plus the key's overrides) — the workload-store address depends on
@@ -416,8 +428,12 @@ def fingerprint_paths() -> list[Path]:
     audit the cache contract against the *actual* hashed set: every
     module reachable from ``execute_run``/``run_replica_batch`` must
     appear here, or editing it would keep serving stale cache entries.
+    The compiled memory system's C source is part of the set too (not
+    the build directories under ``__pycache__``).
     """
-    return sorted(_PACKAGE_DIR.rglob("*.py"))
+    return sorted(path for pattern in ("*.py", "*.c")
+                  for path in _PACKAGE_DIR.rglob(pattern)
+                  if "__pycache__" not in path.parts)
 
 
 def code_fingerprint() -> str:
@@ -1001,11 +1017,11 @@ class ExperimentEngine:
             report.computed += 1
             if on_land is not None:
                 on_land(key, stats, "run", share)
-            if self.verbose:  # pragma: no cover - progress printing
+            if self.verbose:
                 scheme = getattr(key.scheme, "value", key.scheme)
                 print(f"  [engine] done {workload_name(key.app)} "
-                      f"x{key.n_cores} {scheme} ({share:.1f}s)",
-                      flush=True)
+                      f"x{key.n_cores} {scheme}{_fault_note(key)} "
+                      f"({share:.1f}s)", flush=True)
 
     # ------------------------------------------------------------------
     # reporting

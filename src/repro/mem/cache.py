@@ -64,7 +64,6 @@ class Cache:
         self._map: dict[int, CacheLine] = {}
         self.n_hits = 0
         self.n_misses = 0
-        self.n_evictions = 0
         self._n_resident = 0          # O(1) len() (kept by insert/remove)
 
     # -- basic operations -------------------------------------------------
@@ -97,7 +96,6 @@ class Cache:
         if len(cset) >= self.assoc:
             _, victim = cset.popitem(last=False)
             del self._map[victim.addr]
-            self.n_evictions += 1
             self._n_resident -= 1
         line = CacheLine(addr, state, value)
         cset[addr] = line

@@ -16,7 +16,11 @@ from repro.mem.log import ReviveLog
 
 
 class MainMemory:
-    """Value store plus the logging behaviour of the memory controller."""
+    """Value store plus the logging behaviour of the memory controller.
+
+    The compiled memory system keeps the value image itself
+    (:class:`repro.coherence.core.CoreMemory` views it) and calls
+    :meth:`log_writeback` with the old value of each writeback."""
 
     def __init__(self, log: ReviveLog):
         self.log = log
@@ -48,22 +52,26 @@ class MainMemory:
                   interval: int) -> bool:
         """Write a dirty line of ``interval`` back; True if a log entry
         was made (False when the first-writeback filter suppressed it)."""
+        old = self._values.get(addr, 0)
+        self._values[addr] = value
+        return self.log_writeback(time, pid, addr, old, interval)
+
+    def log_writeback(self, time: float, pid: int, addr: int, old: int,
+                      interval: int) -> bool:
+        """The controller's side of a writeback that replaced ``old``:
+        log it unless ``pid`` already logged ``addr`` in ``interval``."""
         self.writes += 1
-        logged = False
         key = (pid, interval)
         seen = self._logged.get(key)
         if seen is None:
             seen = self._logged[key] = set()
-        if addr not in seen:
-            old = self._values.get(addr, 0)
-            self.log.append(time, pid, addr, old, interval)
-            seen.add(addr)
-            self.logged_writebacks += 1
-            logged = True
-        else:
+        if addr in seen:
             self.suppressed_logs += 1
-        self._values[addr] = value
-        return logged
+            return False
+        self.log.append(time, pid, addr, old, interval)
+        seen.add(addr)
+        self.logged_writebacks += 1
+        return True
 
     def end_interval(self, pid: int, interval: int) -> None:
         """Drop the first-writeback filter of a closed interval."""

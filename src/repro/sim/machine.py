@@ -36,11 +36,11 @@ import copy
 import heapq
 from typing import Optional
 
-from repro.coherence.protocol import CoherenceEngine
+from repro.coherence.core import CompiledEngine
 from repro.core.factory import build_scheme
 from repro.core.scheme_base import BaseScheme
 from repro.interconnect import Interconnect
-from repro.mem import MainMemory, MemoryChannels, ReviveLog
+from repro.mem import ReviveLog
 from repro.params import MachineConfig
 from repro.sim.cores import Core
 from repro.sim.events import DurableCall
@@ -98,12 +98,14 @@ class Machine:
         self.workload = workload
         self.log = ReviveLog(n_banks=config.n_mem_channels,
                              bin_cycles=max(1, config.checkpoint_interval))
-        self.memory = MainMemory(self.log)
-        self.channels = MemoryChannels(config)
         self.network = Interconnect(config)
         self.scheme = build_scheme(self)
-        self.engine = CoherenceEngine(config, self.channels, self.memory,
-                                      self.network, self.scheme)
+        # The memory system (caches, directory, channels, memory image)
+        # is the compiled core; memory and channels are views of it.
+        self.engine = CompiledEngine(config, self.log, self.network,
+                                     self.scheme)
+        self.memory = self.engine.memory
+        self.channels = self.engine.channels
         # Traces are consumed as the columnar IR; tuple traces are
         # compiled once here (compiled traces pass through untouched).
         self.cores = [Core(pid, compile_trace(trace))
@@ -262,10 +264,12 @@ class Machine:
     def _advance_main(self) -> bool:
         """Application loop; returns False when paused mid-phase.
 
-        Every LOAD/STORE record enters the coherence engine, which owns
-        hit handling as a private cache controller would: hits are
-        served at the head of :meth:`CoherenceEngine.load`/``store`` and
-        only misses reach the directory.
+        Every LOAD/STORE record makes one call into the memory system
+        (the compiled core's ``mem_load``/``mem_store``), which owns hit
+        handling as a private cache controller would: hits are served
+        at its head and only misses reach the directory.  A negative
+        latency means the core failed (a golden-image check, or an
+        exception in a scheme callback); the engine raises it.
         """
         limit = self._limit
         heap = self._heap
@@ -274,8 +278,8 @@ class Machine:
         cores = self.cores
         scheme = self.scheme
         sync = self.sync
-        engine_load = self.engine.load
-        engine_store = self.engine.store
+        engine = self.engine
+        engine_load, engine_store = engine.entry_points()
         post_op_gate = self._post_op_gate
         io_cycles = self.config.io_cycles
         quantum = self.fuse_quantum
@@ -345,6 +349,8 @@ class Machine:
                     core.ip = ip + 1
                 elif op == LOAD:
                     latency = engine_load(pid, arg, now)
+                    if latency < 0.0:
+                        engine.raise_failure()
                     core.time = now + latency
                     core.instr_count += 1
                     core.instr_since_ckpt += 1
@@ -355,6 +361,8 @@ class Machine:
                     seq = core.store_seq + 1
                     core.store_seq = seq
                     latency = engine_store(pid, arg, store_tag | seq, now)
+                    if latency < 0.0:
+                        engine.raise_failure()
                     core.time = now + latency
                     core.instr_count += 1
                     core.instr_since_ckpt += 1
@@ -554,9 +562,11 @@ class Machine:
     # ------------------------------------------------------------------
     def finalize(self) -> SimStats:
         stats = self.stats
+        engine = self.engine
+        counts = engine.tally()
         stats.cores = [core.stats for core in self.cores]
         for pid, core in enumerate(self.cores):
-            core.stats.ipc_delay += self.engine.ckpt_wait[pid]
+            core.stats.ipc_delay += engine.ckpt_wait[pid]
             core.stats.end_time = max(core.stats.end_time, core.time)
         stats.runtime = max((c.end_time for c in stats.cores), default=0.0)
         # Checkpoint-stall windows charged past a core's last committed
@@ -569,8 +579,8 @@ class Machine:
         stats.total_instructions = sum(c.instr_count for c in self.cores)
         for core in self.cores:
             core.stats.instructions = core.instr_count
-        stats.base_messages = self.network.base_messages
-        stats.dep_messages = self.network.dep_messages
+        stats.base_messages = counts["base_messages"]
+        stats.dep_messages = counts["dep_messages"]
         stats.protocol_messages = self.network.protocol_messages
         stats.log_bytes = self.log.total_bytes
         stats.max_interval_log_bytes = self.log.max_interval_bytes()
@@ -578,17 +588,12 @@ class Machine:
         stats.undelivered_faults = (len(self.faults.undelivered) +
                                     self.faults.outstanding)
         self.scheme.finalize(stats)
-        engine = self.engine
         stats.energy_events = engine.energy_events()
-        stats.l1_hits = sum(l1.n_hits for l1 in engine.l1s)
-        stats.l1_misses = sum(l1.n_misses for l1 in engine.l1s)
-        stats.l2_hits = sum(l2.n_hits for l2 in engine.l2s)
-        stats.l2_misses = sum(l2.n_misses for l2 in engine.l2s)
-        stats.fastpath_loads = engine.fast_loads
-        stats.fastpath_stores = engine.fast_stores
-        stats.fastpath_epoch_bumps = sum(engine.fastpath_epochs)
-        stats.invalidations = engine.invalidations_sent
-        stats.mem_accesses = engine.energy_l1  # one l1 event per load+store
+        for name in ("l1_hits", "l1_misses", "l2_hits", "l2_misses",
+                     "fastpath_loads", "fastpath_stores",
+                     "fastpath_epoch_bumps", "invalidations",
+                     "mem_accesses"):
+            setattr(stats, name, counts[name])
         # Useful-work accounting audit: with the golden coherence checker
         # on (every unit-test machine), also assert that the four cycle
         # buckets partition runtime x n_cores exactly and stay

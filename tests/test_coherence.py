@@ -1,11 +1,17 @@
-"""Tests for the MESI coherence engine and its LW-ID/Dep hooks."""
+"""Tests for the MESI coherence engine and its LW-ID/Dep hooks.
+
+Every case runs on the compiled core (the production engine) through
+its read-only accessors; the ``...Oracle`` classes re-run the same
+cases on the Python oracle.
+"""
 
 import pytest
 
+from repro.coherence.core import CompiledEngine
 from repro.coherence.directory import EXCL, SHARED, UNCACHED
 from repro.coherence.protocol import CoherenceEngine, DependenceTracker
 from repro.interconnect import Interconnect
-from repro.mem import EXCLUSIVE, MODIFIED, MainMemory, MemoryChannels, ReviveLog
+from repro.mem import EXCLUSIVE, MODIFIED, ReviveLog
 from repro.mem import SHARED as L_SHARED
 from tests.conftest import tiny_config
 
@@ -38,22 +44,24 @@ class RecordingTracker(DependenceTracker):
         self.left_cache.append((pid, addr))
 
 
-def make_engine(n_cores=4, tracker=None, **over):
-    config = tiny_config(n_cores=n_cores, **over)
-    log = ReviveLog()
-    memory = MainMemory(log)
-    channels = MemoryChannels(config)
-    network = Interconnect(config)
-    tracker = tracker if tracker is not None else RecordingTracker()
-    engine = CoherenceEngine(config, channels, memory, network, tracker)
-    return engine, tracker
+class EngineCase:
+    """Builds the engine under test (the compiled core by default)."""
+
+    engine_cls = CompiledEngine
+
+    def make_engine(self, n_cores=4, tracker=None, **over):
+        config = tiny_config(n_cores=n_cores, **over)
+        tracker = tracker if tracker is not None else RecordingTracker()
+        engine = self.engine_cls(config, ReviveLog(), Interconnect(config),
+                                 tracker)
+        return engine, tracker
 
 
-class TestLoads:
+class TestLoads(EngineCase):
     def test_cold_load_grants_exclusive_and_stamps_lwid(self):
-        engine, _ = make_engine()
+        engine, _ = self.make_engine()
         latency = engine.load(0, 100, 0.0)
-        entry = engine.directory.peek(100)
+        entry = engine.peek_entry(100)
         assert entry.mode == EXCL
         assert entry.owner == 0
         # RDX semantics: a load that finds the line uncached stamps LW-ID
@@ -62,108 +70,114 @@ class TestLoads:
         assert latency >= engine.config.memory_cycles
 
     def test_l1_then_l2_hits(self):
-        engine, _ = make_engine()
+        engine, _ = self.make_engine()
         engine.load(0, 100, 0.0)
         assert engine.load(0, 100, 10.0) == engine.config.l1.hit_cycles
-        engine.l1s[0].invalidate(100)
+        # Two lines of the same 2-way L1 set, other L2 sets, push line
+        # 100 out of the L1 only.
+        engine.load(0, 104, 11.0)
+        engine.load(0, 112, 12.0)
+        assert not engine.l1_holds(0, 100)
+        assert engine.peek_line(0, 100) is not None
         assert engine.load(0, 100, 20.0) == engine.config.l2.hit_cycles
 
     def test_read_from_owner_downgrades_to_shared(self):
-        engine, _ = make_engine()
+        engine, _ = self.make_engine()
         engine.store(0, 100, 7, 0.0)
         latency = engine.load(1, 100, 10.0)
-        entry = engine.directory.peek(100)
+        entry = engine.peek_entry(100)
         assert entry.mode == SHARED
         assert entry.sharers == 0b11
-        assert engine.l2s[0].peek(100).state == L_SHARED
-        assert not engine.l2s[0].peek(100).dirty  # sharing writeback
+        assert engine.peek_line(0, 100).state == L_SHARED
+        assert not engine.peek_line(0, 100).dirty  # sharing writeback
         assert engine.memory.peek(100) == 7
         assert latency >= engine.config.remote_l2_cycles
 
     def test_read_records_dependence(self):
-        engine, tracker = make_engine()
+        engine, tracker = self.make_engine()
         engine.store(0, 100, 7, 0.0)
         engine.load(1, 100, 10.0)
         assert (1, 0) in tracker.producer_records
         assert (0, 1, 100, True) in tracker.consumer_records
 
     def test_no_wr_clears_stale_lwid(self):
-        engine, tracker = make_engine()
+        engine, tracker = self.make_engine()
         engine.store(0, 100, 7, 0.0)
         engine.load(1, 100, 10.0)        # line now SHARED, lw=0
         tracker.claim = False            # WSIG cleared by a checkpoint
         engine.load(2, 100, 20.0)
-        entry = engine.directory.peek(100)
+        entry = engine.peek_entry(100)
         assert entry.lw_id is None       # lazily cleared (Section 3.3.2)
         # The consumer's MyProducers was still set (superset semantics).
         assert (2, 0) in tracker.producer_records
 
     def test_self_dependence_not_recorded(self):
-        engine, tracker = make_engine()
+        engine, tracker = self.make_engine()
         engine.store(0, 100, 7, 0.0)
         engine.checkpoint_writeback(0, 1.0)     # line now clean in L2
-        engine.l2s[0].invalidate(100)
-        engine.l1s[0].invalidate(100)
-        engine.directory.evict_copy(100, 0)     # LW-ID survives eviction
-        assert engine.directory.peek(100).lw_id == 0
+        # Four more lines of the same 4-way L2 set evict line 100.
+        for i, addr in enumerate((108, 116, 124, 132)):
+            engine.load(0, addr, 2.0 + i)
+        assert engine.peek_line(0, 100) is None
+        assert engine.peek_entry(100).lw_id == 0  # LW-ID survives eviction
         engine.load(0, 100, 10.0)               # reader == last writer
         assert tracker.producer_records == []
 
 
-class TestStores:
+class TestStores(EngineCase):
     def test_store_miss_takes_modified(self):
-        engine, tracker = make_engine()
+        engine, tracker = self.make_engine()
         engine.store(0, 100, 5, 0.0)
-        line = engine.l2s[0].peek(100)
+        line = engine.peek_line(0, 100)
         assert line.state == MODIFIED
         assert line.dirty
         assert line.value == 5
         assert (0, 100) in tracker.writes
 
     def test_silent_e_to_m_upgrade(self):
-        engine, _ = make_engine()
+        engine, _ = self.make_engine()
         engine.load(0, 100, 0.0)                  # E grant
-        base = engine.network.base_messages
+        base = engine.tally()["base_messages"]
         latency = engine.store(0, 100, 9, 10.0)
         assert latency == engine.config.l2.hit_cycles
-        assert engine.network.base_messages == base  # no traffic
-        assert engine.l2s[0].peek(100).state == MODIFIED
+        assert engine.tally()["base_messages"] == base  # no traffic
+        assert engine.peek_line(0, 100).state == MODIFIED
 
     def test_upgrade_invalidates_sharers(self):
-        engine, _ = make_engine()
+        engine, _ = self.make_engine()
         engine.store(0, 100, 1, 0.0)
         engine.load(1, 100, 10.0)
         engine.load(2, 100, 20.0)
         engine.store(1, 100, 2, 30.0)
-        entry = engine.directory.peek(100)
+        entry = engine.peek_entry(100)
         assert entry.mode == EXCL
         assert entry.owner == 1
         assert entry.lw_id == 1
-        assert engine.l2s[0].peek(100) is None
-        assert engine.l2s[2].peek(100) is None
+        assert engine.peek_line(0, 100) is None
+        assert engine.peek_line(2, 100) is None
 
     def test_waw_transfer_from_owner(self):
-        engine, tracker = make_engine()
+        engine, tracker = self.make_engine()
         engine.store(0, 100, 1, 0.0)
         engine.store(1, 100, 2, 10.0)
-        entry = engine.directory.peek(100)
+        entry = engine.peek_entry(100)
         assert entry.owner == 1
-        assert engine.l2s[0].peek(100) is None
+        assert engine.peek_line(0, 100) is None
         # WAW dependence recorded (WR row of Figure 3.2a).
         assert (1, 0) in tracker.producer_records
         # Dirty M->M transfer: memory not updated.
         assert engine.memory.peek(100) == 0
 
     def test_store_value_visible_to_reader(self):
-        engine, _ = make_engine()
+        engine, _ = self.make_engine()
         engine.store(0, 100, 42, 0.0)
         engine.load(1, 100, 10.0)
-        assert engine.l2s[1].peek(100).value == 42
+        assert engine.peek_line(1, 100).value == 42
 
 
-class TestEvictionAndWriteback:
+class TestEvictionAndWriteback(EngineCase):
     def test_dirty_eviction_logs_old_value(self):
-        engine, _ = make_engine()
+        engine, _ = self.make_engine()
         # Fill one L2 set (4 ways at 32 lines / 8 sets) and overflow it.
         n_sets = engine.config.l2.n_sets
         addrs = [i * n_sets for i in range(5)]
@@ -173,42 +187,42 @@ class TestEvictionAndWriteback:
         assert engine.memory.peek(addrs[0]) == addrs[0] + 1
 
     def test_checkpoint_writeback_cleans_lines(self):
-        engine, _ = make_engine()
+        engine, _ = self.make_engine()
         engine.store(0, 100, 5, 0.0)
         engine.store(0, 101, 6, 1.0)
         done, n_lines = engine.checkpoint_writeback(0, 10.0)
         assert n_lines == 2
         assert done > 10.0
         for addr in (100, 101):
-            line = engine.l2s[0].peek(addr)
+            line = engine.peek_line(0, addr)
             assert line.state == EXCLUSIVE
             assert not line.dirty
             assert engine.memory.peek(addr) in (5, 6)
         assert engine.dirty_line_addrs(0) == []
 
     def test_mark_and_complete_delayed(self):
-        engine, _ = make_engine()
+        engine, _ = self.make_engine()
         engine.store(0, 100, 5, 0.0)
         assert engine.mark_delayed(0) == 1
-        assert engine.l2s[0].peek(100).delayed
+        assert engine.peek_line(0, 100).delayed
         count = engine.complete_delayed(0, 20.0, interval=1)
         assert count == 1
-        assert not engine.l2s[0].peek(100).delayed
+        assert not engine.peek_line(0, 100).delayed
         assert engine.memory.peek(100) == 5
 
     def test_store_to_delayed_line_forces_writeback(self):
-        engine, tracker = make_engine()
+        engine, tracker = self.make_engine()
         engine.store(0, 100, 5, 0.0)
         engine.mark_delayed(0)
         engine.store(0, 100, 6, 10.0)
-        line = engine.l2s[0].peek(100)
+        line = engine.peek_line(0, 100)
         assert not line.delayed
         assert line.dirty
         assert engine.memory.peek(100) == 5    # checkpoint copy flushed
         assert (0, 100) in tracker.left_cache
 
     def test_remote_read_of_delayed_line_flushes_first(self):
-        engine, tracker = make_engine()
+        engine, tracker = self.make_engine()
         engine.store(0, 100, 5, 0.0)
         engine.mark_delayed(0)
         engine.load(1, 100, 10.0)
@@ -216,29 +230,45 @@ class TestEvictionAndWriteback:
         assert (0, 100) in tracker.left_cache
 
     def test_invalidate_core_purges_everything(self):
-        engine, _ = make_engine()
+        engine, _ = self.make_engine()
         engine.store(0, 100, 5, 0.0)
         engine.load(0, 200, 1.0)
         n = engine.invalidate_core(0)
         assert n == 2
-        assert len(engine.l2s[0]) == 0
-        assert engine.directory.peek(100).mode == UNCACHED
-        assert engine.directory.peek(100).lw_id is None
+        assert engine.resident_lines(0) == 0
+        assert engine.peek_entry(100).mode == UNCACHED
+        assert engine.peek_entry(100).lw_id is None
 
 
-class TestMessageAccounting:
+class TestMessageAccounting(EngineCase):
     def test_dedicated_lw_query_counts_dep_messages(self):
-        engine, _ = make_engine()
+        engine, _ = self.make_engine()
         engine.store(0, 100, 1, 0.0)
         engine.load(1, 100, 10.0)      # fwd to owner: piggybacked
-        piggy = engine.network.dep_messages
+        piggy = engine.tally()["dep_messages"]
         engine.load(2, 100, 20.0)      # from memory: dedicated query
-        assert engine.network.dep_messages > piggy
+        assert engine.tally()["dep_messages"] > piggy
 
     def test_golden_model_checks_loads(self):
-        engine, _ = make_engine(check_coherence=True)
+        engine, _ = self.make_engine(check_coherence=True)
         engine.store(0, 100, 5, 0.0)
         engine.load(1, 100, 10.0)      # must not raise
         engine.golden[100] = 999       # corrupt the golden image
         with pytest.raises(AssertionError):
             engine.load(2, 100, 20.0)
+
+
+class TestLoadsOracle(TestLoads):
+    engine_cls = CoherenceEngine
+
+
+class TestStoresOracle(TestStores):
+    engine_cls = CoherenceEngine
+
+
+class TestEvictionAndWritebackOracle(TestEvictionAndWriteback):
+    engine_cls = CoherenceEngine
+
+
+class TestMessageAccountingOracle(TestMessageAccounting):
+    engine_cls = CoherenceEngine

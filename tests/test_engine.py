@@ -72,6 +72,21 @@ class TestEngineMechanics:
         key = MATRIX[0]
         assert eng.run(key) is eng.run(key)
 
+    def test_verbose_landing_line_names_the_faults(self, capsys):
+        eng = ExperimentEngine(jobs=1, use_disk_cache=False)
+        eng.verbose = True
+        leader = MATRIX[0]
+        faulty = RunKey("blackscholes", 4, Scheme.REBOUND, 1.5, 1, 300,
+                        fault_at=12_000.0)
+        eng.run_many([leader, faulty])
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if "[engine] done" in line]
+        assert len(lines) == 2
+        assert lines[0] != lines[1]
+        assert "faults=" not in lines[0]
+        detect = 12_000 + engine_mod.resolve_config(faulty).detection_latency
+        assert f"faults=1@{detect}" in lines[1]
+
     def test_no_cache_writes_nothing(self, tmp_path):
         eng = ExperimentEngine(jobs=1, cache_dir=tmp_path,
                                use_disk_cache=False)

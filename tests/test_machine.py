@@ -97,7 +97,7 @@ class TestInterleaving:
             config=tiny_config(2, Scheme.NONE, check_coherence=True))
         machine.run()
         # Consumer's cache holds the producer's value.
-        assert machine.engine.l2s[1].peek(7).value == \
+        assert machine.engine.peek_line(1, 7).value == \
             machine.engine.golden[7]
 
     @given(st.lists(st.tuples(st.integers(0, 2),  # which op

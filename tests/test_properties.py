@@ -71,14 +71,14 @@ class TestSystemProperties:
         stats = machine.run()   # golden checker raises on violations
         assert all(core.done for core in machine.cores)
         # Directory invariants at quiescence.
-        for entry in machine.engine.directory.entries():
+        for entry in machine.engine.directory_entries():
             if entry.mode == EXCL:
                 assert entry.owner is not None
-                line = machine.engine.l2s[entry.owner].peek(entry.addr)
+                line = machine.engine.peek_line(entry.owner, entry.addr)
                 assert line is not None
             elif entry.mode == SHARED:
                 for pid in entry.sharer_list():
-                    assert machine.engine.l2s[pid].peek(entry.addr) \
+                    assert machine.engine.peek_line(pid, entry.addr) \
                         is not None
         # Every completed checkpoint's snapshot eventually closed.
         for core in machine.cores:

@@ -161,7 +161,7 @@ class TestDelayedWritebacks:
             [[(STORE, 1), (COMPUTE, 5000), (END,)]],
             config=tiny_config(2, Scheme.REBOUND))
         machine.run()
-        line = machine.engine.l2s[0].peek(1)
+        line = machine.engine.peek_line(0, 1)
         assert line is not None
         assert not line.dirty and not line.delayed
         assert machine.memory.peek(1) != 0

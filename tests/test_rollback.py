@@ -53,7 +53,7 @@ class TestGlobalRollback:
         stats = run_to_completion(machine)
         assert stats.rollbacks
         # After re-execution both stores are in the final state.
-        assert machine.engine.l2s[0].peek(1) is not None or \
+        assert machine.engine.peek_line(0, 1) is not None or \
             machine.memory.peek(1) != 0
 
     def test_fault_without_safe_checkpoint_rolls_to_start(self):
@@ -123,7 +123,7 @@ class TestReboundRollback:
         assert stats.rollbacks
         # Final state reflects full re-execution: line 1 was stored
         # twice; its final architectural value is the re-executed one.
-        final = machine.engine.l2s[0].peek(1)
+        final = machine.engine.peek_line(0, 1)
         assert final is not None and final.value >> 40 == 0
 
     def test_rollback_depth_bounded_no_domino(self):
