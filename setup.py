@@ -1,8 +1,9 @@
 """Setup shim for environments without PEP 517 editable-install support.
 
-The simulator, the harness and the multi-replica campaign executor
-(:mod:`repro.sim.vector`) are pure standard library: nothing beyond
-Python itself is needed to run them.
+The simulator and the harness are standard library plus one C file:
+the memory system (``repro/coherence/memsys.c``) ships as source and is
+compiled through ``cffi`` with the interpreter's C compiler on first
+import, into the package's ``__pycache__`` (which must be writable).
 """
 
 from setuptools import find_packages, setup
@@ -14,5 +15,7 @@ setup(
                  "reproduction"),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    package_data={"repro.coherence": ["memsys.c"]},
+    install_requires=["cffi"],
     python_requires=">=3.11",
 )

@@ -133,8 +133,8 @@ int64_t mem_map_key(mem_core_t *, int, int64_t);
 
 def module_name() -> str:
     """The extension's name: a digest of everything that shapes it (the
-    C source, this file's declarations, flags and wrapper edits, the
-    interpreter ABI and the cffi version)."""
+    C source, this file's declarations and flags, the interpreter ABI
+    and the cffi version)."""
     digest = hashlib.sha256()
     for part in (SOURCE.read_bytes(), Path(__file__).read_bytes(),
                  importlib.machinery.EXTENSION_SUFFIXES[0].encode(),
@@ -153,24 +153,6 @@ def _intact(library: Path, stamp: Path) -> bool:
         return stamp.read_text().strip() == _sha256(library)
     except OSError:
         return False
-
-
-#: The lines cffi's generated wrappers put around every call.
-_RELEASE_GIL = ("  Py_BEGIN_ALLOW_THREADS\n  _cffi_restore_errno();\n",
-                "  _cffi_save_errno();\n  Py_END_ALLOW_THREADS\n")
-
-
-def _keep_gil(code: str) -> str:
-    """The generated wrappers with the GIL kept across each call.
-
-    The core is single-threaded and calls back into Python, so cffi's
-    default -- release the GIL (and save errno) around every call, then
-    re-acquire it inside each callback -- costs two lock hand-offs per
-    access and buys nothing.  Without the expected lines the code is
-    returned unchanged (slower, still correct)."""
-    for lines in _RELEASE_GIL:
-        code = code.replace(lines, "")
-    return code
 
 
 def _compile_command(c_file: Path, output: Path) -> list[str]:
@@ -196,7 +178,6 @@ def _build(name: str, library: Path, stamp: Path) -> None:
         c_file = work / f"{name}.c"
         with contextlib.redirect_stdout(io.StringIO()):
             ffi.emit_c_code(str(c_file))
-        c_file.write_text(_keep_gil(c_file.read_text()))
         built = work / library.name
         command = _compile_command(c_file, built)
         shown = " ".join(shlex.quote(part) for part in command)
@@ -220,13 +201,27 @@ def _build(name: str, library: Path, stamp: Path) -> None:
 
 
 def load(build_dir: Path = BUILD_DIR):
-    """The compiled memory-system module, built first if needed."""
-    name = module_name()
+    """The compiled memory-system module, built first if needed.
+
+    A source that cannot be read (an install without ``memsys.c``) or a
+    build directory that cannot be written raises :class:`ImportError`
+    naming the path and the cause."""
+    try:
+        name = module_name()
+    except OSError as exc:
+        raise ImportError(
+            f"cannot build the compiled memory system: its source "
+            f"cannot be read: {exc}") from None
     library = build_dir / (name + importlib.machinery.EXTENSION_SUFFIXES[0])
     stamp = library.with_name(library.name + ".sha256")
     if not _intact(library, stamp):
-        build_dir.mkdir(parents=True, exist_ok=True)
-        _build(name, library, stamp)
+        try:
+            build_dir.mkdir(parents=True, exist_ok=True)
+            _build(name, library, stamp)
+        except OSError as exc:
+            raise ImportError(
+                f"cannot build the compiled memory system in {build_dir}: "
+                f"{exc}") from None
     loader = importlib.machinery.ExtensionFileLoader(name, str(library))
     spec = importlib.util.spec_from_file_location(name, library,
                                                   loader=loader)

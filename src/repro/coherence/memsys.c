@@ -23,7 +23,8 @@
  *   mem_cb_line        a logged writeback and/or a Delayed line left.
  * A callback returning a negative value marks the core failed; every
  * entry point then returns a negative result and the Python side
- * raises the stored exception.
+ * raises the stored exception.  A failed core sends no further event,
+ * so the first failure is the one that surfaces.
  *
  * The source reads no clock and no entropy. */
 
@@ -578,6 +579,36 @@ static double ch_priority_writeback(mem_core_t *c, double now, int64_t addr)
 /* memory image and Python events                                      */
 /* ------------------------------------------------------------------ */
 
+/* The Python events, each returning the callback's result (negative on
+ * failure).  None reaches Python once the core has failed: the scheme's
+ * state and the log stop changing with the first failure, and a second
+ * exception cannot replace the first. */
+static int event_line(mem_core_t *c, double now, int pid, int64_t addr,
+                      int64_t old, int kind, int64_t interval)
+{
+    int r = c->failed ? -1 : mem_cb_line(c->owner, now, pid, addr, old,
+                                         kind, interval);
+    if (r < 0)
+        fail(c, FAIL_CALLBACK);
+    return r;
+}
+
+static int event_dependence(mem_core_t *c, int consumer, int producer,
+                            int64_t addr)
+{
+    int r = c->failed ? -1 : mem_cb_dependence(c->owner, consumer,
+                                               producer, addr);
+    if (r < 0)
+        fail(c, FAIL_CALLBACK);
+    return r;
+}
+
+static void event_wsig(mem_core_t *c, int pid, int64_t addr)
+{
+    if (c->failed || mem_cb_wsig(c->owner, pid, addr) < 0)
+        fail(c, FAIL_CALLBACK);
+}
+
 /* MainMemory.writeback: the image takes ``value``; Python logs the old
  * value (first-writeback filter, interval lookup, ReviveLog.append). */
 static void memory_writeback(mem_core_t *c, double now, int pid,
@@ -586,8 +617,7 @@ static void memory_writeback(mem_core_t *c, double now, int pid,
 {
     int64_t old = map_get(&c->image, addr);
     map_set(c, &c->image, addr, value);
-    if (mem_cb_line(c->owner, now, pid, addr, old, kind, interval) < 0)
-        fail(c, FAIL_CALLBACK);
+    event_line(c, now, pid, addr, old, kind, interval);
 }
 
 static void check_load(mem_core_t *c, int64_t addr, int64_t value)
@@ -612,11 +642,9 @@ static void handle_dependence(mem_core_t *c, mem_dirent_t *e, int consumer,
     int claims;
     if (producer < 0 || producer == consumer || !c->tracking)
         return;
-    claims = mem_cb_dependence(c->owner, consumer, producer, e->addr);
-    if (claims < 0) {
-        fail(c, FAIL_CALLBACK);
+    claims = event_dependence(c, consumer, producer, e->addr);
+    if (claims < 0)
         return;
-    }
     c->energy_depreg++;
     c->energy_wsig++;
     if (!piggybacked)
@@ -633,8 +661,7 @@ static void on_write(mem_core_t *c, int pid, int64_t addr)
 {
     if (!c->tracking)
         return;
-    if (mem_cb_wsig(c->owner, pid, addr) < 0)
-        fail(c, FAIL_CALLBACK);
+    event_wsig(c, pid, addr);
     c->energy_wsig++;
 }
 
@@ -656,9 +683,8 @@ static void evict(mem_core_t *c, int pid, const mem_line_t *victim,
     l1_invalidate(c, pid, addr);    /* inclusion */
     if (victim->delayed) {
         c->forced_delayed_writebacks++;
-        if (!victim->dirty &&
-                mem_cb_line(c->owner, now, pid, addr, 0, LINE_LEFT, 0) < 0)
-            fail(c, FAIL_CALLBACK);
+        if (!victim->dirty)
+            event_line(c, now, pid, addr, 0, LINE_LEFT, 0);
     }
     if (victim->dirty) {
         ch_writeback(c, now, addr, 1, 0);

@@ -78,33 +78,19 @@ class DependenceTracker:
     def on_write(self, pid: int, addr: int) -> None:
         """A store or exclusive grant: add ``addr`` to pid's WSIG."""
 
-    def record_producer(self, consumer: int, producer: int) -> None:
-        """Consumer optimistically sets MyProducers[producer]."""
-
-    def query_writer(self, pid: int, addr: int) -> tuple[bool, bool]:
-        """'Are you the last writer of addr?' -> (claims, genuine)."""
-        return False, False
-
-    def record_consumer(self, producer: int, consumer: int, addr: int,
-                        genuine: bool) -> None:
-        """Producer sets MyConsumers[consumer] (``genuine``=False on a
-        Bloom false positive; tracked for the Table 6.1 statistic)."""
-
     def record_dependence(self, consumer: int, producer: int,
                           addr: int) -> bool:
         """One LW-ID dependence, producer -> consumer; returns whether
-        the producer claims the write.
+        the producer claims the write ('are you the last writer of
+        addr?').
 
-        The consumer's MyProducers is set as the line arrives, before
-        any NO_WR could revert it (superset semantics, Section 3.3.2);
-        the producer records the consumer only if its WSIG claims
-        ``addr``.  This is the one tracker call per dependence the
-        engines make."""
-        self.record_producer(consumer, producer)
-        claims, genuine = self.query_writer(producer, addr)
-        if claims:
-            self.record_consumer(producer, consumer, addr, genuine)
-        return claims
+        The consumer sets MyProducers[producer] as the line arrives,
+        before any NO_WR could revert it (superset semantics, Section
+        3.3.2); if its WSIG claims ``addr`` the producer sets
+        MyConsumers[consumer] (noting a Bloom false positive for the
+        Table 6.1 statistic).  This is the one tracker call per
+        dependence the engines make."""
+        return False
 
     def on_line_left_cache(self, pid: int, addr: int, now: float) -> None:
         """A Delayed/dirty line left pid's L2 via coherence activity."""

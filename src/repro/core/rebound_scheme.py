@@ -36,7 +36,6 @@ class ReboundScheme(BaseScheme):
         super().__init__(machine)
         self.files: list[DepRegisterFile] = []
         self.barrier_coordinator = BarrierCheckpointCoordinator(self)
-        self._last_query: Optional[tuple] = None
         self.depset_defers = 0
 
     def attach(self, machine: "Machine") -> None:
@@ -58,48 +57,29 @@ class ReboundScheme(BaseScheme):
         # does, one call shorter on the engine's store path).
         self.files[pid].sets[-1].wsig.add(addr)
 
-    def record_producer(self, consumer: int, producer: int) -> None:
-        if self.clusters.trivial:
-            self.files[consumer].record_producer(producer)
-            return
-        # Cluster mode: the bit identifies the producer's whole cluster,
-        # and every member of the consumer's cluster records it.
-        producer_mask = self.clusters.expand_pid(producer)
-        for member in self.clusters.members_of(
-                self.clusters.cluster_of(consumer)):
-            self.files[member].active.producers |= producer_mask
-
-    def query_writer(self, pid: int, addr: int) -> tuple[bool, bool]:
-        claims, genuine, dep = self.files[pid].query_writer(addr)
-        self._last_query = (pid, addr, dep)
-        return claims, genuine
-
-    def record_consumer(self, producer: int, consumer: int, addr: int,
-                        genuine: bool) -> None:
-        assert self._last_query is not None
-        qpid, qaddr, dep = self._last_query
-        assert qpid == producer and qaddr == addr, "query/record mismatch"
-        if self.clusters.trivial:
-            self.files[producer].record_consumer(dep, consumer, genuine)
-        else:
-            consumer_mask = self.clusters.expand_pid(consumer)
-            dep.consumers |= consumer_mask
-            if genuine:
-                dep.consumers_genuine |= consumer_mask
-        if genuine:
-            self.files[consumer].record_producer_genuine(producer)
-
     def record_dependence(self, consumer: int, producer: int,
                           addr: int) -> bool:
-        if not self.clusters.trivial:
-            return super().record_dependence(consumer, producer, addr)
-        # The three steps of the base method, without the query/record
-        # hand-off through ``_last_query``.
         files = self.files
-        files[consumer].record_producer(producer)
+        clusters = self.clusters
+        # MyProducers is set as the line arrives (superset semantics).
+        # In cluster mode (Chapter 8) the bit identifies the producer's
+        # whole cluster, and every member of the consumer's cluster
+        # records it.
+        if clusters.trivial:
+            files[consumer].record_producer(producer)
+        else:
+            producer_mask = clusters.expand_pid(producer)
+            for member in clusters.members_of(clusters.cluster_of(consumer)):
+                files[member].active.producers |= producer_mask
         claims, genuine, dep = files[producer].query_writer(addr)
         if claims:
-            files[producer].record_consumer(dep, consumer, genuine)
+            if clusters.trivial:
+                files[producer].record_consumer(dep, consumer, genuine)
+            else:
+                consumer_mask = clusters.expand_pid(consumer)
+                dep.consumers |= consumer_mask
+                if genuine:
+                    dep.consumers_genuine |= consumer_mask
             if genuine:
                 files[consumer].record_producer_genuine(producer)
         return claims

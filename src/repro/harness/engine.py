@@ -10,12 +10,12 @@ to an on-disk cache so later sessions and CI replay results instead of
 recomputing them.
 
 Cache invalidation: each entry's file name hashes the :class:`RunKey`
-together with a *code fingerprint* — a SHA-256 over every ``*.py`` file
-of the ``repro`` package, the interpreter's (major, minor) version and
-the pickle protocol — so any change to the simulator (or a cache dir
-shared across Python versions) silently invalidates all previous
-results.  Stale files are never read; delete the cache directory to
-reclaim the space.
+together with a *code fingerprint* — a SHA-256 over every ``*.py`` and
+``*.c`` file of the ``repro`` package, the interpreter's (major, minor)
+version and the pickle protocol — so any change to the simulator (or a
+cache dir shared across Python versions) silently invalidates all
+previous results.  Stale files are never read; delete the cache
+directory to reclaim the space.
 
 Workload store: generated workloads are shared across runs through a
 content-addressed store under ``<cache_dir>/workloads`` (see
@@ -193,11 +193,12 @@ def _fault_note(key: RunKey) -> str:
     """`` faults=N@T`` for a key that injects N faults, the first
     detected at cycle T (empty for a fault-free key): the landing line
     of a fault run must not read like its fault-free leader's."""
+    from repro.sim.vector import _first_detect
+
     faults = key.fault_list()
     if not faults:
         return ""
-    first = min(time for time, _pid in faults)
-    detect = first + resolve_config(key).detection_latency
+    detect = _first_detect(faults, resolve_config(key).detection_latency)
     return f" faults={len(faults)}@{detect:.0f}"
 
 

@@ -31,14 +31,11 @@ class RecordingTracker(DependenceTracker):
     def on_write(self, pid, addr):
         self.writes.append((pid, addr))
 
-    def record_producer(self, consumer, producer):
+    def record_dependence(self, consumer, producer, addr):
         self.producer_records.append((consumer, producer))
-
-    def query_writer(self, pid, addr):
-        return (self.claim, self.claim)
-
-    def record_consumer(self, producer, consumer, addr, genuine):
-        self.consumer_records.append((producer, consumer, addr, genuine))
+        if self.claim:
+            self.consumer_records.append((producer, consumer, addr, True))
+        return self.claim
 
     def on_line_left_cache(self, pid, addr, now):
         self.left_cache.append((pid, addr))

@@ -110,6 +110,18 @@ class TestBuild:
             build.load(tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_missing_source_is_an_import_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(build, "SOURCE", tmp_path / "memsys.c")
+        with pytest.raises(ImportError, match="source cannot be read"):
+            build.load(tmp_path)
+
+    def test_unwritable_build_directory_is_an_import_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(ImportError,
+                           match=f"in {blocker / 'build'}"):
+            build.load(blocker / "build")
+
 
 def test_fork_at_several_points_matches_a_fresh_run():
     """Forks of a paused machine finish exactly like a fresh run, and
@@ -156,6 +168,26 @@ def test_callback_exception_surfaces_at_the_access():
     # The core stays poisoned: no access runs on half-updated state.
     with pytest.raises(RuntimeError, match="failed earlier"):
         engine.load(1, 6, 1.0)
+
+
+def test_first_callback_exception_wins():
+    """A failed core sends no further event: the first exception of a
+    walk surfaces, and nothing more reaches the log."""
+    config = tiny_config(2)
+    engine = CompiledEngine(config, ReviveLog(), Interconnect(config),
+                            DependenceTracker())
+    engine.store(0, 5, 1, 0.0)
+    engine.store(0, 6, 2, 10.0)
+    calls = []
+
+    def explode(now, pid, addr, old, interval):
+        calls.append(addr)
+        raise KeyError(f"writeback {len(calls)} exploded")
+
+    engine.memory.log_writeback = explode
+    with pytest.raises(KeyError, match="writeback 1 exploded"):
+        engine.checkpoint_writeback(0, 20.0)
+    assert calls == [5]
 
 
 def test_callback_exception_stops_the_machine_loop(monkeypatch):
