@@ -12,14 +12,14 @@ the benchmark job, not just the unit suite.
 
 from conftest import publish  # noqa: F401  (keeps conftest import path)
 
-from repro.harness.experiments import plan_fig6_9
+from repro.harness.experiments import plan_experiment
 from tests.invariants import assert_run_invariants
 
 
 def test_campaign_invariants(benchmark, runner, params):
-    plan = plan_fig6_9(runner, apps=params.campaign_apps,
-                       sizes=params.campaign_sizes,
-                       n_seeds=params.campaign_seeds)
+    plan = plan_experiment("fig6_9", runner, apps=params.campaign_apps,
+                           sizes=params.campaign_sizes,
+                           n_seeds=params.campaign_seeds)
 
     def audit():
         results = runner.engine.run_many(plan)

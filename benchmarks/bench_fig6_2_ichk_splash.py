@@ -2,19 +2,18 @@
 
 from conftest import publish
 
-from repro.harness.experiments import fig6_2_ichk_splash
+from repro.harness.experiments import run_experiment
 
 
 def test_fig6_2_ichk_splash(benchmark, runner, params):
     sizes = (max(8, params.cores_splash // 2), params.cores_splash)
     result = benchmark.pedantic(
-        fig6_2_ichk_splash, args=(runner,),
+        run_experiment, args=("fig6_2", runner),
         kwargs={"sizes": sizes, "apps": params.splash_apps},
         rounds=1, iterations=1)
     publish(result)
     by_app = {row[0]: row[1:] for row in result.rows}
     if "ocean" in by_app:
         # Barrier-dominated codes chain the whole machine (paper ~100%).
-        assert float(by_app["ocean"][-1].rstrip("%")) > 85.0
-    avg = [float(v.rstrip("%")) for v in by_app["average"]]
-    assert all(30.0 <= a <= 100.0 for a in avg)
+        assert by_app["ocean"][-1] > 85.0
+    assert all(30.0 <= a <= 100.0 for a in by_app["average"])

@@ -2,17 +2,16 @@
 
 from conftest import publish
 
-from repro.harness.experiments import fig6_3_overhead
+from repro.harness.experiments import run_experiment
 
 
 def _averages(result):
-    return {h: float(v.rstrip("%"))
-            for h, v in zip(result.headers[1:], result.rows[-1][1:])}
+    return dict(zip(result.headers[1:], result.rows[-1][1:]))
 
 
 def test_fig6_3a_splash(benchmark, runner, params):
     result = benchmark.pedantic(
-        fig6_3_overhead, args=(runner,),
+        run_experiment, args=("fig6_3", runner),
         kwargs={"apps": params.splash_apps,
                 "n_cores": params.cores_splash, "suite": "SPLASH-2"},
         rounds=1, iterations=1)
@@ -27,7 +26,7 @@ def test_fig6_3a_splash(benchmark, runner, params):
 
 def test_fig6_3b_parsec_apache(benchmark, runner, params):
     result = benchmark.pedantic(
-        fig6_3_overhead, args=(runner,),
+        run_experiment, args=("fig6_3", runner),
         kwargs={"apps": params.parsec_apps,
                 "n_cores": params.cores_parsec,
                 "suite": "PARSEC/Apache"},

@@ -2,12 +2,12 @@
 
 from conftest import publish
 
-from repro.harness.experiments import fig6_5_breakdown
+from repro.harness.experiments import run_experiment
 
 
 def test_fig6_5_breakdown(benchmark, runner, params):
     result = benchmark.pedantic(
-        fig6_5_breakdown, args=(runner,),
+        run_experiment, args=("fig6_5", runner),
         kwargs={"apps": params.all_apps,
                 "splash_cores": params.cores_splash,
                 "parsec_cores": params.cores_parsec},
@@ -17,8 +17,8 @@ def test_fig6_5_breakdown(benchmark, runner, params):
     # overhead is dominated by IPCDelay (background traffic).
     global_wb = global_ipc = reb_wb = reb_ipc = 0.0
     for row in result.rows:
-        wb = float(row[2].rstrip("%")) + float(row[3].rstrip("%"))
-        ipc = float(row[5].rstrip("%"))
+        wb = row[2] + row[3]
+        ipc = row[5]
         if row[1] == "global":
             global_wb += wb
             global_ipc += ipc

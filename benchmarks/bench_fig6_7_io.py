@@ -2,18 +2,17 @@
 
 from conftest import publish
 
-from repro.harness.experiments import fig6_7_io
+from repro.harness.experiments import run_experiment
 
 
 def test_fig6_7_io(benchmark, runner, params):
     result = benchmark.pedantic(
-        fig6_7_io, args=(runner,),
+        run_experiment, args=("fig6_7", runner),
         kwargs={"apps": params.low_ichk_apps,
                 "n_cores": params.cores_splash},
         rounds=1, iterations=1)
     publish(result)
-    avg_global = float(result.rows[-1][1].rstrip("%"))
-    avg_rebound = float(result.rows[-1][2].rstrip("%"))
+    _, avg_global, avg_rebound = result.rows[-1]
     # Global-I/O collapses everyone's interval toward the I/O period
     # (~50%); Rebound isolates the I/O processor's checkpoints.
     assert avg_global < 70.0

@@ -10,13 +10,13 @@ localized rollback keeps availability above Global's at every L.
 
 from conftest import publish
 
-from repro.harness.experiments import fig_l_sensitivity
+from repro.harness.experiments import run_experiment
 
 
 def test_l_sensitivity(benchmark, runner, params):
     n_cores = min(params.campaign_sizes)
     result = benchmark.pedantic(
-        fig_l_sensitivity, args=(runner,),
+        run_experiment, args=("fig_l_sensitivity", runner),
         kwargs={"apps": params.campaign_apps, "n_cores": n_cores,
                 "n_seeds": params.campaign_seeds},
         rounds=1, iterations=1)
@@ -26,10 +26,9 @@ def test_l_sensitivity(benchmark, runner, params):
     for row in result.rows:
         latency_l, scheme, mean_recovery, avail = (row[0], row[2],
                                                    row[3], row[5])
-        if mean_recovery != "-":
-            recoveries.setdefault(scheme, []).append(
-                float(mean_recovery.replace(",", "")))
-        availabilities[(latency_l, scheme)] = float(avail.rstrip("%"))
+        if mean_recovery is not None:
+            recoveries.setdefault(scheme, []).append(mean_recovery)
+        availabilities[(latency_l, scheme)] = avail
     # Recovery latency is non-decreasing in L for every scheme.
     for scheme, latencies in recoveries.items():
         assert latencies == sorted(latencies), \
@@ -41,4 +40,4 @@ def test_l_sensitivity(benchmark, runner, params):
     # Effective (useful-work) availability never exceeds the fault-only
     # metric: checkpoint overhead is charged on top.
     for row in result.rows:
-        assert float(row[6].rstrip("%")) <= float(row[5].rstrip("%"))
+        assert row[6] <= row[5]

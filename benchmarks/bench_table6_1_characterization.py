@@ -2,24 +2,22 @@
 
 from conftest import publish
 
-from repro.harness.experiments import table6_1_characterization
+from repro.harness.experiments import run_experiment
 
 
 def test_table6_1_characterization(benchmark, runner, params):
     result = benchmark.pedantic(
-        table6_1_characterization, args=(runner,),
+        run_experiment, args=("table6_1", runner),
         kwargs={"apps": params.all_apps,
                 "splash_cores": params.cores_splash,
                 "parsec_cores": params.cores_parsec},
         rounds=1, iterations=1)
     publish(result)
-    avg = result.rows[-1]
-    fp_increase = float(avg[1].rstrip("%"))
-    msg_increase = float(avg[4].rstrip("%"))
+    _, fp_increase, _, _, msg_increase = result.rows[-1]
     # Paper: ~2.0% average ICHK inflation, ~4.2% extra messages; our
     # scaled WSIG makes the FP rate the same order of magnitude.
     assert 0.0 <= fp_increase < 30.0
     assert 0.0 < msg_increase < 25.0
     # Log volume must be nonzero for every app.
     for row in result.rows[:-1]:
-        assert float(row[2]) > 0.0
+        assert row[2] > 0.0

@@ -2,22 +2,13 @@
 
 from repro.harness.engine import ExperimentEngine, RunKey, execute_run
 from repro.harness.experiments import (
-    ALL_EXPERIMENTS,
-    ALL_PLANS,
+    FIGURES,
     ExperimentResult,
-    fig6_1_ichk_parsec,
-    fig6_2_ichk_splash,
-    fig6_3_overhead,
-    fig6_4_barrier,
-    fig6_5_breakdown,
-    fig6_6_scalability,
-    fig6_7_io,
-    fig6_8_power,
+    Figure,
     plan_experiment,
     run_experiment,
-    table6_1_characterization,
 )
-from repro.harness.report import format_bars, format_table, percent
+from repro.harness.report import format_table
 from repro.harness.runner import Runner
 from repro.harness.scenario import Overrides, SweepSpec
 
@@ -29,20 +20,9 @@ __all__ = [
     "ExperimentEngine",
     "execute_run",
     "ExperimentResult",
+    "Figure",
+    "FIGURES",
     "run_experiment",
     "plan_experiment",
-    "ALL_EXPERIMENTS",
-    "ALL_PLANS",
-    "fig6_1_ichk_parsec",
-    "fig6_2_ichk_splash",
-    "fig6_3_overhead",
-    "fig6_4_barrier",
-    "fig6_5_breakdown",
-    "fig6_6_scalability",
-    "fig6_7_io",
-    "fig6_8_power",
-    "table6_1_characterization",
     "format_table",
-    "format_bars",
-    "percent",
 ]

@@ -6,7 +6,7 @@ for an interactive session and prints each figure/table as text.
 Before anything runs, the planners of every requested experiment are
 unioned and deduplicated, and the engine executes the missing runs in one
 batch — in parallel across ``--jobs`` worker processes and backed by the
-persistent result cache — after which the drivers render from cache hits.
+persistent result cache — after which the figures render from cache hits.
 
 Options::
 
@@ -78,24 +78,16 @@ import time
 
 from repro.harness.engine import ExperimentEngine
 from repro.harness.experiments import (
-    ALL_EXPERIMENTS,
     CAMPAIGN_APPS,
-    fig6_9_campaign,
+    FIGURES,
     parse_variant,
     plan_experiment,
-    plan_fig6_9,
     run_experiment,
 )
 from repro.harness.report import format_table
 from repro.harness.runner import Runner
 from repro.harness.scenario import SweepSpec, parse_axis
-from repro.workloads import (
-    ALL_APPS,
-    PARSEC_APACHE,
-    SPLASH2,
-    resolve_workload,
-    workload_name,
-)
+from repro.workloads import resolve_workload, workload_name
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -132,7 +124,7 @@ def _service_prefetch(engine: ExperimentEngine, keys, spool,
                       label: str) -> str:
     """Run ``keys`` as one spooled service job, draining in-process.
 
-    Lands every result in the engine memo (so the caller's driver
+    Lands every result in the engine memo (so the caller's figure
     renders from cache hits), in the result cache and in the spool's
     journal — a later ``serve summary JOB`` with the same
     ``--cache-dir`` reproduces the table without re-running.
@@ -160,6 +152,17 @@ def _build_engine_and_runner(args) -> tuple[ExperimentEngine, Runner]:
     runner = Runner(scale=args.scale, intervals=args.intervals,
                     verbose=True, engine=engine)
     return engine, runner
+
+
+def _campaign_params(args) -> dict:
+    """fig6_9's parameters from the campaign flags."""
+    params = dict(
+        sizes=tuple(args.cores),
+        variants=tuple(parse_variant(token) for token in args.schemes),
+        n_seeds=args.seeds, base_seed=args.seed, mttf_intervals=args.mttf)
+    if args.apps is not None:
+        params["apps"] = [resolve_workload(token) for token in args.apps]
+    return params
 
 
 def campaign_main(argv: list[str]) -> int:
@@ -190,23 +193,16 @@ def campaign_main(argv: list[str]) -> int:
     _add_engine_flags(parser)
     _add_serve_flags(parser)
     args = parser.parse_args(argv)
-    variants = tuple(parse_variant(token) for token in args.schemes)
-    apps = ([resolve_workload(token) for token in args.apps]
-            if args.apps is not None else None)
+    params = _campaign_params(args)
     engine, runner = _build_engine_and_runner(args)
     start = time.time()
     if args.serve:
         # Land the whole plan through the service (spool + journal);
-        # the driver below then renders purely from memo hits.
-        _service_prefetch(
-            engine, plan_fig6_9(runner, apps, tuple(args.cores),
-                                variants, args.seeds, args.seed,
-                                args.mttf),
-            args.spool, label="campaign")
-    result = fig6_9_campaign(
-        runner, apps=apps, sizes=tuple(args.cores),
-        variants=variants, n_seeds=args.seeds, base_seed=args.seed,
-        mttf_intervals=args.mttf)
+        # the figure below then renders purely from memo hits.
+        _service_prefetch(engine, plan_experiment("fig6_9", runner,
+                                                  **params),
+                          args.spool, label="campaign")
+    result = run_experiment("fig6_9", runner, **params)
     print()
     print(result.render())
     print(f"[campaign took {time.time() - start:.1f}s: "
@@ -367,7 +363,7 @@ def serve_main(argv: list[str]) -> int:
                         help="start: idle poll interval in seconds")
     parser.add_argument("--max-seconds", type=float, default=None,
                         help="start: give up idling after this long")
-    # submit flags (a fig6_9 campaign plan, like the campaign driver)
+    # submit flags (a fig6_9 campaign plan, like the campaign command)
     parser.add_argument("--seed", type=int, default=100)
     parser.add_argument("--seeds", type=int, default=3)
     parser.add_argument("--mttf", type=float, default=1.0)
@@ -414,13 +410,8 @@ def serve_main(argv: list[str]) -> int:
             args.cores = [4]
             args.scale = 300
             args.intervals = 1.5
-        variants = tuple(parse_variant(token)
-                         for token in args.schemes)
-        apps = ([resolve_workload(token) for token in args.apps]
-                if args.apps is not None else None)
         runner = Runner(scale=args.scale, intervals=args.intervals)
-        keys = plan_fig6_9(runner, apps, tuple(args.cores), variants,
-                           args.seeds, args.seed, args.mttf)
+        keys = plan_experiment("fig6_9", runner, **_campaign_params(args))
         job_id = service.submit(keys, priority=args.priority,
                                 label=args.label or "campaign")
         print(f"[serve] spool {service.spool}: job {job_id} "
@@ -553,9 +544,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "lint":
         return lint_main(argv[1:])
     parser = argparse.ArgumentParser(prog="python -m repro.harness")
-    parser.add_argument("experiments", nargs="*",
-                        default=list(ALL_EXPERIMENTS),
-                        help=f"subset of {sorted(ALL_EXPERIMENTS)}")
+    parser.add_argument("experiments", nargs="*", default=list(FIGURES),
+                        help=f"subset of {sorted(FIGURES)}")
     parser.add_argument("--cores-splash", type=int, default=64)
     parser.add_argument("--cores-parsec", type=int, default=24)
     parser.add_argument("--scale", type=int, default=40)
@@ -571,45 +561,15 @@ def main(argv: list[str] | None = None) -> int:
         args.intervals = 2.0
         args.scale = 100
     engine, runner = _build_engine_and_runner(args)
-    kwargs_by_experiment = {
-        "fig6_1": {"n_cores": args.cores_parsec},
-        "fig6_2": {"sizes": (min(32, args.cores_splash),
-                             args.cores_splash)},
-        "fig6_3": {"n_cores": args.cores_splash},
-        "fig6_4": {"n_cores": args.cores_splash},
-        "fig6_5": {"splash_cores": args.cores_splash,
-                   "parsec_cores": args.cores_parsec},
-        "fig6_6": {"sizes": tuple(sorted({max(4, args.cores_splash // 4),
-                                          max(4, args.cores_splash // 2),
-                                          args.cores_splash}))},
-        "fig6_7": {"n_cores": args.cores_splash},
-        "fig6_8": {"n_cores": args.cores_splash},
-        "fig6_9": {"sizes": (max(4, args.cores_splash // 8),
-                             max(8, args.cores_splash // 4))},
-        "fig_l_sensitivity": {"n_cores": max(4, args.cores_splash // 8)},
-        "table6_1": {"splash_cores": args.cores_splash,
-                     "parsec_cores": args.cores_parsec},
-    }
-    if args.quick:
-        subset = {"apps": SPLASH2[:3]}
-        for name in ("fig6_2", "fig6_3", "fig6_6", "fig6_8"):
-            kwargs_by_experiment[name].update(subset)
-        kwargs_by_experiment["fig6_1"]["apps"] = PARSEC_APACHE[:2]
-        kwargs_by_experiment["fig6_5"]["apps"] = ALL_APPS[:3]
-        kwargs_by_experiment["fig6_7"]["apps"] = ["blackscholes"]
-        kwargs_by_experiment["fig6_9"].update(
-            {"apps": ["blackscholes"], "sizes": (4, 8), "n_seeds": 2})
-        kwargs_by_experiment["fig_l_sensitivity"].update(
-            {"apps": ["blackscholes"], "n_cores": 4})
-        kwargs_by_experiment["table6_1"]["apps"] = ALL_APPS[:4]
-    # Plan every requested figure up front so runs shared across figures
-    # execute exactly once, in one (possibly parallel) engine batch; the
-    # fig6_* driver kwargs ("suite" etc.) planners don't model are not in
-    # kwargs_by_experiment, so plans and drivers stay in lockstep.
-    plan = []
+    params = {}
     for name in args.experiments:
-        plan.extend(plan_experiment(name, runner,
-                                    **kwargs_by_experiment.get(name, {})))
+        figure = FIGURES[name]
+        params[name] = {**figure.cli(args.cores_splash, args.cores_parsec),
+                        **(figure.quick if args.quick else {})}
+    # Plan every requested figure up front so runs shared across figures
+    # execute exactly once, in one (possibly parallel) engine batch.
+    plan = [key for name in args.experiments
+            for key in plan_experiment(name, runner, **params[name])]
     unique = len(dict.fromkeys(plan))
     print(f"[plan] {len(args.experiments)} experiment(s): "
           f"{len(plan)} planned runs, {unique} unique, "
@@ -622,8 +582,7 @@ def main(argv: list[str] | None = None) -> int:
           f"disk cache)")
     for name in args.experiments:
         start = time.time()
-        result = run_experiment(name, runner,
-                                **kwargs_by_experiment.get(name, {}))
+        result = run_experiment(name, runner, **params[name])
         print()
         print(result.render())
         print(f"[{name} took {time.time() - start:.1f}s]")

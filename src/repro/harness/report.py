@@ -1,8 +1,8 @@
-"""Plain-text rendering of experiment results (tables and bar rows).
+"""Plain-text rendering of experiment results as tables.
 
 The harness prints the same rows/series the paper's figures plot, plus a
 short "paper says / we measured" comparison line per experiment (the
-driver's ``notes``).
+figure's ``notes``).
 """
 
 from __future__ import annotations
@@ -30,25 +30,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence],
             cell.ljust(widths[i])
             for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_bars(label_values: Sequence[tuple[str, float]], unit: str = "%",
-                width: int = 40, title: str = "") -> str:
-    """ASCII bar chart (one row per label)."""
-    lines = []
-    if title:
-        lines.append(title)
-    peak = max((v for _, v in label_values), default=0.0)
-    scale = width / peak if peak > 0 else 0.0
-    label_w = max((len(l) for l, _ in label_values), default=0)
-    for label, value in label_values:
-        bar = "#" * max(0, int(round(value * scale)))
-        lines.append(f"{label.ljust(label_w)}  {value:8.2f}{unit}  {bar}")
-    return "\n".join(lines)
-
-
-def percent(value: float, digits: int = 1) -> str:
-    return f"{100.0 * value:.{digits}f}%"
 
 
 def _fmt(cell) -> str:

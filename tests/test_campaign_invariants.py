@@ -22,7 +22,7 @@ from repro.harness.experiments import (
     CAMPAIGN_APPS,
     CAMPAIGN_VARIANTS,
     _campaign_plans,
-    plan_fig6_9,
+    plan_experiment,
 )
 from repro.harness.runner import Runner
 from repro.params import MachineConfig, Scheme
@@ -259,7 +259,7 @@ class TestFig69EffectiveAvailability:
         runner = Runner(scale=SCALE, intervals=INTERVALS,
                         engine=ExperimentEngine(jobs=2,
                                                 use_disk_cache=False))
-        runner.prefetch(plan_fig6_9(runner))
+        runner.prefetch(plan_experiment("fig6_9", runner))
         sizes = (8, 16)
         effective = {}
         overheads = {}

@@ -411,12 +411,12 @@ class TestBatchWidening:
         assert tasks == [keys]               # one batch spanning all L
 
     def test_fig_l_sensitivity_plan_batches_span_all_l(self):
-        from repro.harness.experiments import plan_fig_l_sensitivity
+        from repro.harness.experiments import plan_experiment
         from repro.harness.runner import Runner
         eng = ExperimentEngine(jobs=1, use_disk_cache=False, vector=True)
         runner = Runner(scale=SCALE, intervals=INTERVALS, engine=eng)
-        keys = plan_fig_l_sensitivity(runner, apps=["blackscholes"],
-                                      n_cores=4, n_seeds=1)
+        keys = plan_experiment("fig_l_sensitivity", runner,
+                               apps=["blackscholes"], n_cores=4, n_seeds=1)
         tasks = eng._plan_tasks(list(dict.fromkeys(keys)))
         l_values = {key.overrides["detection_latency"] for key in keys}
         assert len(l_values) == 3

@@ -1,18 +1,8 @@
-"""Tests for the experiment harness (runner caching + drivers)."""
+"""Tests for the experiment harness (runner caching + figures)."""
 
 import pytest
 
-from repro.harness import (
-    ALL_EXPERIMENTS,
-    Runner,
-    fig6_1_ichk_parsec,
-    fig6_3_overhead,
-    fig6_7_io,
-    format_bars,
-    format_table,
-    run_experiment,
-    table6_1_characterization,
-)
+from repro.harness import FIGURES, Runner, format_table, run_experiment
 from repro.params import Scheme
 
 
@@ -43,24 +33,29 @@ class TestRunner:
 
 class TestDrivers:
     def test_fig6_1(self, quick_runner):
-        result = fig6_1_ichk_parsec(quick_runner, n_cores=4, apps=APPS)
+        result = run_experiment("fig6_1", quick_runner, n_cores=4,
+                                apps=APPS)
         assert len(result.rows) == len(APPS) + 1
         assert "Rebound" in result.headers[-1]
         assert result.render()
 
     def test_fig6_3(self, quick_runner):
-        result = fig6_3_overhead(quick_runner, apps=APPS, n_cores=4)
+        result = run_experiment("fig6_3", quick_runner, apps=APPS,
+                                n_cores=4)
         assert result.rows[-1][0] == "average"
         assert len(result.headers) == 5
 
     def test_fig6_7(self, quick_runner):
-        result = fig6_7_io(quick_runner, apps=["blackscholes"], n_cores=4)
+        result = run_experiment("fig6_7", quick_runner,
+                                apps=["blackscholes"], n_cores=4)
         values = result.rows[0][1:]
-        assert all(v.endswith("%") for v in values)
+        assert all(isinstance(v, float) for v in values)
+        cells = result.render().splitlines()[3].split()[1:]
+        assert all(cell.endswith("%") for cell in cells)
 
     def test_table6_1(self, quick_runner):
-        result = table6_1_characterization(quick_runner, apps=APPS,
-                                           splash_cores=4, parsec_cores=4)
+        result = run_experiment("table6_1", quick_runner, apps=APPS,
+                                splash_cores=4, parsec_cores=4)
         assert len(result.rows) == len(APPS) + 1
 
     def test_run_experiment_by_name(self, quick_runner):
@@ -73,7 +68,7 @@ class TestDrivers:
             run_experiment("fig9_9")
 
     def test_all_experiments_registered(self):
-        assert set(ALL_EXPERIMENTS) == {
+        assert set(FIGURES) == {
             "fig6_1", "fig6_2", "fig6_3", "fig6_4", "fig6_5",
             "fig6_6", "fig6_7", "fig6_8", "fig6_9",
             "fig_l_sensitivity", "table6_1"}
@@ -86,13 +81,3 @@ class TestReport:
         lines = text.splitlines()
         assert lines[0] == "T"
         assert "1.50" in text and "10.25" in text
-
-    def test_format_bars(self):
-        text = format_bars([("g", 10.0), ("r", 2.0)], title="bars")
-        assert text.count("#") > 0
-        g_hashes = text.splitlines()[1].count("#")
-        r_hashes = text.splitlines()[2].count("#")
-        assert g_hashes > r_hashes
-
-    def test_format_bars_empty(self):
-        assert format_bars([]) == ""

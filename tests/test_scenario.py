@@ -31,14 +31,8 @@ from repro.harness.experiments import (
     _campaign_plans,
     _io_every,
     _recovery_fault_at,
-    plan_fig6_3,
-    plan_fig6_4,
-    plan_fig6_5,
-    plan_fig6_6,
-    plan_fig6_7,
-    plan_fig6_8,
-    plan_fig6_9,
-    plan_fig_l_sensitivity,
+    plan_experiment,
+    run_experiment,
 )
 from repro.harness.runner import Runner
 from repro.harness.scenario import (
@@ -327,13 +321,15 @@ class TestPlannerEquivalence:
         apps = SPLASH2[:3]
         expect = [runner.key(app, 8, scheme) for app in apps
                   for scheme in (*OVERHEAD_SCHEMES, Scheme.NONE)]
-        assert plan_fig6_3(runner, apps, 8) == expect
+        assert plan_experiment("fig6_3", runner, apps=apps, n_cores=8) \
+            == expect
 
     def test_fig6_4(self, runner):
         apps = ["ocean", "barnes"]
         expect = [runner.key(app, 8, scheme) for app in apps
                   for scheme in (*BARRIER_SCHEMES, Scheme.NONE)]
-        assert plan_fig6_4(runner, apps, 8) == expect
+        assert plan_experiment("fig6_4", runner, apps=apps, n_cores=8) \
+            == expect
 
     def test_fig6_5(self, runner):
         apps = ["ocean", "blackscholes", "barnes"]
@@ -342,7 +338,8 @@ class TestPlannerEquivalence:
             n_cores = 8 if app in SPLASH2 else 4
             expect.extend(runner.key(app, n_cores, scheme)
                           for scheme in BREAKDOWN_SCHEMES)
-        assert plan_fig6_5(runner, apps, 8, 4) == expect
+        assert plan_experiment("fig6_5", runner, apps=apps, splash_cores=8,
+                               parsec_cores=4) == expect
 
     def test_fig6_6(self, runner):
         apps = SPLASH2[:3]
@@ -356,7 +353,8 @@ class TestPlannerEquivalence:
                     expect.append(runner.key(app, n_cores, Scheme.NONE))
                     expect.append(runner.key(app, n_cores, scheme,
                                              fault_at=fault_at))
-        assert set(plan_fig6_6(runner, apps, sizes)) == set(expect)
+        assert set(plan_experiment("fig6_6", runner, apps=apps,
+                                   sizes=sizes)) == set(expect)
 
     def test_fig6_7(self, runner):
         apps = ["blackscholes"]
@@ -367,13 +365,15 @@ class TestPlannerEquivalence:
                 expect.append(runner.key(app, 8, scheme,
                                          io_every=io_every))
                 expect.append(runner.key(app, 8, scheme))
-        assert plan_fig6_7(runner, apps, 8) == expect
+        assert plan_experiment("fig6_7", runner, apps=apps, n_cores=8) \
+            == expect
 
     def test_fig6_8(self, runner):
         apps = SPLASH2[:3]
         expect = [runner.key(app, 8, scheme)
                   for scheme in POWER_SCHEMES for app in apps]
-        assert plan_fig6_8(runner, apps, 8) == expect
+        assert plan_experiment("fig6_8", runner, apps=apps, n_cores=8) \
+            == expect
 
     def test_fig6_9(self, runner):
         apps = ["blackscholes"]
@@ -388,11 +388,12 @@ class TestPlannerEquivalence:
                                    fault_plan=plan,
                                    cluster=variant.cluster)
                         for plan in plans)
-        assert plan_fig6_9(runner, apps, sizes, n_seeds=2) == expect
+        assert plan_experiment("fig6_9", runner, apps=apps, sizes=sizes,
+                               n_seeds=2) == expect
 
     def test_fig_l_sensitivity_keys_carry_overrides(self, runner):
-        keys = plan_fig_l_sensitivity(runner, ["blackscholes"], 4,
-                                      n_seeds=1)
+        keys = plan_experiment("fig_l_sensitivity", runner,
+                               apps=["blackscholes"], n_cores=4, n_seeds=1)
         assert keys
         latencies = {k.overrides["detection_latency"] for k in keys}
         assert len(latencies) == 3
@@ -401,16 +402,15 @@ class TestPlannerEquivalence:
 
 class TestLSensitivityShape:
     def test_mean_recovery_latency_non_decreasing_in_l(self):
-        from repro.harness.experiments import fig_l_sensitivity
         runner = Runner(scale=100, intervals=2.0)
-        result = fig_l_sensitivity(runner, apps=["blackscholes"],
-                                   n_cores=4, n_seeds=2)
+        result = run_experiment("fig_l_sensitivity", runner,
+                                apps=["blackscholes"], n_cores=4,
+                                n_seeds=2)
         by_scheme: dict[str, list[float]] = {}
         for row in result.rows:
             scheme, mean_recovery = row[2], row[3]
-            if mean_recovery != "-":
-                by_scheme.setdefault(scheme, []).append(
-                    float(mean_recovery.replace(",", "")))
+            if mean_recovery is not None:
+                by_scheme.setdefault(scheme, []).append(mean_recovery)
         assert by_scheme, "no recoveries happened at all"
         for scheme, latencies in by_scheme.items():
             assert latencies == sorted(latencies), \
