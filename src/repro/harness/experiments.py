@@ -347,8 +347,8 @@ FIGURES["fig6_5"] = Figure(
     spec=partial(_per_suite_spec, BREAKDOWN_SCHEMES),
     reduce=_breakdown_rows,
     title="Figure 6.5: overhead breakdown (normalized to Global = 100%)",
-    columns=lambda p: [("app", LABEL), ("scheme", LABEL)]
-    + [(name, PCT1) for name in (*BREAKDOWN_CATEGORIES, "total")],
+    columns=lambda p: [("app", LABEL), ("scheme", LABEL)] + [
+        (name, PCT1) for name in (*BREAKDOWN_CATEGORIES, "total")],
     notes="paper: Global/Rebound_NoDWB dominated by WBDelay+"
           "WBImbalance; Rebound by IPCDelay; SyncDelay minor")
 

@@ -93,10 +93,6 @@ def test_planned_keys_digest(quick_session, name):
     assert _sha(text) == PLAN_DIGESTS[name]
 
 
-def test_registry_holds_every_figure_in_cli_order():
-    assert tuple(FIGURES) == NAMES
-
-
 class TestFig62Sizes:
     def test_two_distinct_sizes_above_four_cores(self):
         for cores in range(5, 129):
