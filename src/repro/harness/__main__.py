@@ -78,7 +78,6 @@ import time
 
 from repro.harness.engine import ExperimentEngine
 from repro.harness.experiments import (
-    CAMPAIGN_APPS,
     FIGURES,
     parse_variant,
     plan_experiment,
@@ -154,6 +153,31 @@ def _build_engine_and_runner(args) -> tuple[ExperimentEngine, Runner]:
     return engine, runner
 
 
+def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
+    """The fig6_9 campaign parameters, defaulting to the figure's own."""
+    campaign = FIGURES["fig6_9"].defaults
+    parser.add_argument("--seed", type=int, default=campaign["base_seed"],
+                        help="base fault-plan seed (run i uses seed+i)")
+    parser.add_argument("--seeds", type=int, default=campaign["n_seeds"],
+                        help="number of seeded runs per campaign cell")
+    parser.add_argument("--mttf", type=float,
+                        default=campaign["mttf_intervals"],
+                        help="machine-wide MTTF in checkpoint intervals")
+    parser.add_argument("--apps", "--workloads", dest="apps", nargs="+",
+                        default=None,
+                        help=f"registered workload names (default "
+                             f"{campaign['apps']})")
+    parser.add_argument("--cores", type=int, nargs="+",
+                        default=list(campaign["sizes"]),
+                        help="processor counts to sweep")
+    parser.add_argument("--schemes", nargs="+",
+                        default=[v.label for v in campaign["variants"]],
+                        help="scheme variants; 'scheme@K' runs with "
+                             "Dep-register cluster size K")
+    parser.add_argument("--scale", type=int, default=40)
+    parser.add_argument("--intervals", type=float, default=3.0)
+
+
 def _campaign_params(args) -> dict:
     """fig6_9's parameters from the campaign flags."""
     params = dict(
@@ -172,24 +196,7 @@ def campaign_main(argv: list[str]) -> int:
         description="Monte Carlo fault campaign: seeded multi-fault "
                     "recovery runs aggregated into availability, "
                     "work-lost and IREC/recovery distributions.")
-    parser.add_argument("--seed", type=int, default=100,
-                        help="base fault-plan seed (run i uses seed+i)")
-    parser.add_argument("--seeds", type=int, default=3,
-                        help="number of seeded runs per campaign cell")
-    parser.add_argument("--mttf", type=float, default=1.0,
-                        help="machine-wide MTTF in checkpoint intervals")
-    parser.add_argument("--apps", "--workloads", dest="apps", nargs="+",
-                        default=None,
-                        help=f"registered workload names (default "
-                             f"{CAMPAIGN_APPS})")
-    parser.add_argument("--cores", type=int, nargs="+", default=[8, 16],
-                        help="processor counts to sweep")
-    parser.add_argument("--schemes", nargs="+",
-                        default=["global", "rebound", "rebound@4"],
-                        help="scheme variants; 'scheme@K' runs with "
-                             "Dep-register cluster size K")
-    parser.add_argument("--scale", type=int, default=40)
-    parser.add_argument("--intervals", type=float, default=3.0)
+    _add_campaign_flags(parser)
     _add_engine_flags(parser)
     _add_serve_flags(parser)
     args = parser.parse_args(argv)
@@ -364,16 +371,7 @@ def serve_main(argv: list[str]) -> int:
     parser.add_argument("--max-seconds", type=float, default=None,
                         help="start: give up idling after this long")
     # submit flags (a fig6_9 campaign plan, like the campaign command)
-    parser.add_argument("--seed", type=int, default=100)
-    parser.add_argument("--seeds", type=int, default=3)
-    parser.add_argument("--mttf", type=float, default=1.0)
-    parser.add_argument("--apps", "--workloads", dest="apps", nargs="+",
-                        default=None)
-    parser.add_argument("--cores", type=int, nargs="+", default=[8, 16])
-    parser.add_argument("--schemes", nargs="+",
-                        default=["global", "rebound", "rebound@4"])
-    parser.add_argument("--scale", type=int, default=40)
-    parser.add_argument("--intervals", type=float, default=3.0)
+    _add_campaign_flags(parser)
     parser.add_argument("--quick", action="store_true",
                         help="submit: tiny smoke-test campaign "
                              "(4 cores, scale 300, 1.5 intervals)")
