@@ -12,8 +12,8 @@ statically.  Production rules:
 code      name                contract
 ========  ==================  ===========================================
 RL001     fork-safety         no closure callbacks through ``.schedule``/
-                              ``schedule_call``/heap pushes in
-                              ``repro.sim``/``repro.core``
+                              ``schedule_call``/``_push_call``/heap
+                              pushes in ``repro.sim``/``repro.core``
 RL002     determinism         no wall clocks, OS entropy, global random
                               state, ``id()`` ordering or unordered-set
                               iteration in sim/core/workloads

@@ -1,16 +1,20 @@
 """RL001 — fork-safety: scheduled callbacks must be ``DurableCall``\\ s.
 
 ``Machine.fork`` (the vectorized campaign executor's replica spill)
-deep-copies the event heap; ``copy.deepcopy`` treats functions as
-atomic, so a scheduled closure would keep firing into the *pre-fork*
-machine and the replica's results would silently diverge.  The machine
-has no closure entry point and no runtime check, so this rule is the
-guard, inside ``repro.sim`` and ``repro.core``:
+clones the event heap and deep-copies the table of pending calls;
+``copy.deepcopy`` treats functions as atomic, so a scheduled closure
+would keep firing into the *pre-fork* machine and the replica's results
+would silently diverge.  The heap itself is C (``mem_loop_t`` in
+``memsys.c``) and holds only each call's key; the call goes into the
+machine's table through its heap entry points, ``schedule_call`` and
+``_push_call``.  The machine has no closure entry point and no runtime
+check, so this rule is the guard, inside ``repro.sim`` and
+``repro.core``:
 
 * any closure-scheduling call ``<obj>.schedule(...)``;
-* a ``lambda`` argument to ``schedule_call`` or a heap push;
+* a ``lambda`` argument to a heap entry point or a ``heappush``;
 * a locally-defined function (a closure by construction) passed by
-  name to ``schedule_call`` or a heap push.
+  name to a heap entry point or a ``heappush``.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from typing import Iterator, List
 
 from repro.analysis.framework import Finding, ModuleContext, Rule
 
-#: Callables whose arguments must stay closure-free: the DurableCall
-#: scheduling entry point and raw event-heap pushes.
-_SINKS = ("schedule_call", "heappush")
+#: Callables whose arguments must stay closure-free: the machine's heap
+#: entry points (``schedule_call``, and ``_push_call`` under a chosen
+#: seq) and raw ``heapq`` pushes.
+_SINKS = ("schedule_call", "_push_call", "heappush")
 
 
 def _call_name(func: ast.expr) -> str:
@@ -88,8 +93,8 @@ class ForkSafetyRule(Rule):
     code = "RL001"
     name = "fork-safety"
     description = ("no lambda/closure/local-function callbacks through "
-                   "<obj>.schedule, schedule_call or heap pushes in "
-                   "repro.sim / repro.core — only DurableCall")
+                   "<obj>.schedule, schedule_call, _push_call or heap "
+                   "pushes in repro.sim / repro.core — only DurableCall")
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not ctx.in_packages("sim", "core"):

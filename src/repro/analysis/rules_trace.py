@@ -19,8 +19,8 @@ fills fresh local arrays):
 * calling a mutating sequence method on such an attribute
   (``<expr>.args.append(v)``, ``.frombytes``, ``.byteswap``, ...).
 
-Plain attribute *rebinding* (``self.ops = trace.ops.tolist()`` in the
-core loop, ``DurableCall.args = args``) stays legal: it replaces the
+Plain attribute *rebinding* (``trace.ops = view.cast(...)`` in
+``trace.py``, ``DurableCall.args = args``) stays legal: it replaces the
 reference, never the shared buffer.
 """
 

@@ -128,6 +128,66 @@ int mem_map_get(mem_core_t *, int, int64_t, int64_t *);
 int mem_map_set(mem_core_t *, int, int64_t, int64_t);
 int64_t mem_map_size(mem_core_t *, int);
 int64_t mem_map_key(mem_core_t *, int, int64_t);
+
+#define OP_COMPUTE ...
+#define OP_LOAD ...
+#define OP_STORE ...
+#define OP_END ...
+#define EV_EXEC ...
+#define EV_CALL ...
+#define EV_PAUSE ...
+#define ADV_DONE ...
+#define ADV_PAUSE ...
+#define ADV_CALL ...
+#define ADV_POST_OP ...
+#define ADV_RECORD ...
+#define ADV_LIMIT ...
+#define ADV_DEADLOCK ...
+#define ADV_FAILED ...
+
+typedef struct {
+    double when;
+    int64_t seq;
+    int32_t kind;
+    int32_t pid;
+    int64_t arg;
+} mem_event_t;
+
+typedef struct {
+    int64_t ip;
+    int64_t instr_count;
+    int64_t instr_since_ckpt;
+    int64_t epoch;
+    int64_t store_seq;
+    double time;
+    double not_before;
+    double busy;
+    uint8_t done;
+    int8_t blocked;
+} mem_hot_t;
+
+typedef struct mem_loop {
+    int n;
+    mem_hot_t *hot;
+    int64_t heap_n;
+    int64_t seq;
+    int64_t n_done;
+    double now;
+    ...;
+} mem_loop_t;
+
+mem_loop_t *loop_new(int);
+mem_loop_t *loop_clone(const mem_loop_t *);
+void loop_free(mem_loop_t *);
+void loop_set_trace(mem_loop_t *, int, const int8_t *, const unsigned char *,
+                    int64_t);
+int loop_push_core(mem_loop_t *, int);
+int loop_push(mem_loop_t *, double, int64_t, int);
+int loop_pop(mem_loop_t *, mem_event_t *);
+double loop_next_when(mem_loop_t *);
+void loop_drop(mem_loop_t *, int);
+int mem_advance(mem_core_t *, mem_loop_t *, double, double, int64_t,
+                mem_event_t *);
 """
 
 
@@ -166,18 +226,24 @@ def _compile_command(c_file: Path, output: Path) -> list[str]:
     return command
 
 
-def _build(name: str, library: Path, stamp: Path) -> None:
+def emit(name: str, c_file: Path) -> None:
+    """Write the C file cffi generates for extension ``name``: the
+    wrappers around ``memsys.c``, which it includes verbatim."""
     import cffi
 
     ffi = cffi.FFI()
     ffi.cdef(CDEF)
     ffi.set_source(name, SOURCE.read_text())
+    with contextlib.redirect_stdout(io.StringIO()):
+        ffi.emit_c_code(str(c_file))
+
+
+def _build(name: str, library: Path, stamp: Path) -> None:
     work = library.parent / f"{name}.{os.getpid()}.tmp"
     work.mkdir(parents=True, exist_ok=True)
     try:
         c_file = work / f"{name}.c"
-        with contextlib.redirect_stdout(io.StringIO()):
-            ffi.emit_c_code(str(c_file))
+        emit(name, c_file)
         built = work / library.name
         command = _compile_command(c_file, built)
         shown = " ".join(shlex.quote(part) for part in command)
@@ -228,3 +294,4 @@ def load(build_dir: Path = BUILD_DIR):
     module = importlib.util.module_from_spec(spec)
     loader.exec_module(module)
     return module
+

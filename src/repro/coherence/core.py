@@ -8,9 +8,10 @@ the Python oracle, :class:`~repro.coherence.protocol.CoherenceEngine`,
 with bit-identical results; the oracle stays as the reference the
 differential tests compare against.
 
-The machine loop calls the core once per load or store through
-:meth:`CompiledEngine.entry_points` (no Python frame per access).  The
-core re-enters Python only for scheme events:
+The machine loop runs inside the core (:meth:`CompiledEngine.advance`,
+``mem_advance``), which executes loads and stores with no Python frame
+per access.  Within it, the core re-enters Python only for scheme
+events:
 
 * a dependence, when the tracker is enabled and LW-ID names another
   core: one :meth:`~repro.coherence.protocol.DependenceTracker.
@@ -35,7 +36,6 @@ the oracle's ``MemoryChannels`` code for the scheme-side services
 from __future__ import annotations
 
 import copy
-from functools import partial
 from typing import Optional
 
 from repro.coherence import build
@@ -268,11 +268,13 @@ class CompiledEngine:
     # ------------------------------------------------------------------
     # accesses
     # ------------------------------------------------------------------
-    def entry_points(self):
-        """``(load, store)`` for the machine loop: the core's functions
-        bound to this core.  A negative latency means the core failed
-        (:meth:`raise_failure`)."""
-        return partial(lib.mem_load, self._c), partial(lib.mem_store, self._c)
+    def advance(self, loop, limit: float, gate: float, quantum: int,
+                event) -> int:
+        """Run the machine loop ``loop`` (a ``mem_loop_t``) on this
+        memory system until it needs Python; returns an ``ADV_*`` reason
+        and fills ``event`` (see ``mem_advance`` in ``memsys.c``).
+        ``ADV_FAILED`` means the core failed (:meth:`raise_failure`)."""
+        return lib.mem_advance(self._c, loop, limit, gate, quantum, event)
 
     def load(self, pid: int, addr: int, now: float) -> float:
         """Execute a load; returns its latency in cycles."""

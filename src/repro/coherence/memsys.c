@@ -26,8 +26,19 @@
  * raises the stored exception.  A failed core sends no further event,
  * so the first failure is the one that surfaces.
  *
+ * The machine loop (mem_advance, at the end of this file) runs on a
+ * separate mem_loop_t: the event heap, every core's hot state and the
+ * trace columns.  It executes COMPUTE/LOAD/STORE records itself and
+ * returns to Python, with a reason code, for everything else: a
+ * scheduled call or pause popping, a synchronization, OUTPUT or END
+ * record, the scheme's post_op gate, the cycle limit, an empty heap or
+ * a failed core.  It is a translation of the Python loop
+ * (repro.sim.machine.Machine._advance_main) with the same order of
+ * heap pops, clock updates and floating-point operations.
+ *
  * The source reads no clock and no entropy. */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -1327,5 +1338,377 @@ mem_core_t *mem_clone(const mem_core_t *src)
     return c;
 oom:
     mem_free(c);
+    return NULL;
+}
+
+/* ------------------------------------------------------------------ */
+/* the machine loop                                                    */
+/* ------------------------------------------------------------------ */
+
+/* Trace ops (repro.trace); the loop executes the first three itself. */
+#define OP_COMPUTE 0
+#define OP_LOAD 1
+#define OP_STORE 2
+#define OP_END 7
+
+/* Heap entry kinds (repro.sim.machine). */
+#define EV_EXEC 0     /* run core ``pid`` if ``arg`` is still its epoch */
+#define EV_CALL 2     /* a scheduled DurableCall, keyed by ``seq`` */
+#define EV_PAUSE 3    /* a replica-batch pause sentinel */
+
+/* Why mem_advance returned. */
+#define ADV_DONE 0       /* every core finished its trace */
+#define ADV_PAUSE 1      /* a pause sentinel popped */
+#define ADV_CALL 2       /* a call popped: fire ``seq`` at ``when`` */
+#define ADV_POST_OP 3    /* the post_op gate: post_op(``pid``, ``when``) */
+#define ADV_RECORD 4     /* record ``kind`` (``arg``) of ``pid`` at ``when`` */
+#define ADV_LIMIT 5      /* the cycle limit was exceeded */
+#define ADV_DEADLOCK 6   /* the heap is empty with work outstanding */
+#define ADV_FAILED 7     /* the memory system failed (raise_failure) */
+
+/* A heap entry, and what mem_advance reports.  Entries order by
+ * (when, seq); seqs are unique, so the pop order is that of the Python
+ * loop's heapq of (when, seq, kind, a, b) tuples. */
+typedef struct {
+    double when;
+    int64_t seq;
+    int32_t kind;
+    int32_t pid;
+    int64_t arg;
+} mem_event_t;
+
+/* One core's hot state.  repro.sim.cores.Core is a ctypes structure
+ * with this layout over its entry of mem_loop_t.hot, so the Python code
+ * around the loop reads and writes these fields in place. */
+typedef struct {
+    int64_t ip, instr_count, instr_since_ckpt, epoch, store_seq;
+    double time, not_before, busy;
+    uint8_t done;
+    int8_t blocked;     /* 0: no, 1: on a lock, 2: at a barrier */
+} mem_hot_t;
+
+typedef struct mem_loop {
+    int n;              /* cores */
+    mem_hot_t *hot;
+    /* trace columns, owned by Python and read in place; args may be
+     * unaligned (a view into the workload store's file) */
+    const int8_t **ops;
+    const unsigned char **args;
+    int64_t *n_records;
+    /* the event heap */
+    mem_event_t *heap;
+    int64_t heap_n, heap_cap;
+    int64_t seq;        /* last seq handed out */
+    int64_t n_done;
+    double now;
+    /* a batch suspended at the post_op gate, resumed by mem_advance */
+    int suspended, batch_pid;
+    double batch_now;
+    int64_t batch_budget;
+} mem_loop_t;
+
+static inline int ev_before(const mem_event_t *x, const mem_event_t *y)
+{
+    return x->when < y->when || (x->when == y->when && x->seq < y->seq);
+}
+
+static int heap_push(mem_loop_t *l, double when, int64_t seq, int kind,
+                     int pid, int64_t arg)
+{
+    mem_event_t e;
+    int64_t i, parent;
+    if (l->heap_n == l->heap_cap) {
+        int64_t cap = l->heap_cap * 2;
+        mem_event_t *heap = realloc(l->heap, sizeof(mem_event_t) * cap);
+        if (!heap)
+            return 0;
+        l->heap = heap;
+        l->heap_cap = cap;
+    }
+    e.when = when;
+    e.seq = seq;
+    e.kind = kind;
+    e.pid = pid;
+    e.arg = arg;
+    for (i = l->heap_n++; i > 0; i = parent) {
+        parent = (i - 1) / 2;
+        if (!ev_before(&e, &l->heap[parent]))
+            break;
+        l->heap[i] = l->heap[parent];
+    }
+    l->heap[i] = e;
+    return 1;
+}
+
+/* Moves heap[i] down to its place. */
+static void heap_sift(mem_loop_t *l, int64_t i)
+{
+    mem_event_t e = l->heap[i];
+    int64_t child;
+    for (;;) {
+        child = 2 * i + 1;
+        if (child >= l->heap_n)
+            break;
+        if (child + 1 < l->heap_n &&
+                ev_before(&l->heap[child + 1], &l->heap[child]))
+            child++;
+        if (!ev_before(&l->heap[child], &e))
+            break;
+        l->heap[i] = l->heap[child];
+        i = child;
+    }
+    l->heap[i] = e;
+}
+
+static int heap_pop(mem_loop_t *l, mem_event_t *out)
+{
+    if (!l->heap_n)
+        return 0;
+    *out = l->heap[0];
+    if (--l->heap_n) {
+        l->heap[0] = l->heap[l->heap_n];
+        heap_sift(l, 0);
+    }
+    return 1;
+}
+
+/* Schedules core ``pid`` at ``when`` under a fresh epoch, which makes
+ * every older entry of the core stale. */
+static int push_exec(mem_loop_t *l, int pid, double when)
+{
+    l->hot[pid].epoch++;
+    l->seq++;
+    return heap_push(l, when, l->seq, EV_EXEC, pid, l->hot[pid].epoch);
+}
+
+/* Machine.push_core: a runnable core at max(time, not_before). */
+int loop_push_core(mem_loop_t *l, int pid)
+{
+    double t = l->hot[pid].time, nb = l->hot[pid].not_before;
+    if (l->hot[pid].done || l->hot[pid].blocked)
+        return 1;
+    return push_exec(l, pid, nb > t ? nb : t);
+}
+
+/* A call or pause entry under a seq the caller chose (a call's seq is
+ * its key in the Python table of pending calls). */
+int loop_push(mem_loop_t *l, double when, int64_t seq, int kind)
+{
+    return heap_push(l, when, seq, kind, 0, 0);
+}
+
+int loop_pop(mem_loop_t *l, mem_event_t *out)
+{
+    return heap_pop(l, out);
+}
+
+/* The earliest pending time (infinity when the heap is empty). */
+double loop_next_when(mem_loop_t *l)
+{
+    return l->heap_n ? l->heap[0].when : INFINITY;
+}
+
+/* Removes every entry of ``kind`` (a fork drops its parent's pauses). */
+void loop_drop(mem_loop_t *l, int kind)
+{
+    int64_t i, n = 0;
+    for (i = 0; i < l->heap_n; i++)
+        if (l->heap[i].kind != kind)
+            l->heap[n++] = l->heap[i];
+    l->heap_n = n;
+    for (i = n / 2 - 1; i >= 0; i--)
+        heap_sift(l, i);
+}
+
+void loop_set_trace(mem_loop_t *l, int pid, const int8_t *ops,
+                    const unsigned char *args, int64_t n_records)
+{
+    l->ops[pid] = ops;
+    l->args[pid] = args;
+    l->n_records[pid] = n_records;
+}
+
+static inline int64_t trace_arg(const mem_loop_t *l, int pid, int64_t ip)
+{
+    int64_t arg;
+    memcpy(&arg, l->args[pid] + 8 * ip, sizeof(arg));
+    return arg;
+}
+
+/* Machine._advance_main over the compiled memory system: pops entries
+ * and runs each popped core's batch of COMPUTE/LOAD/STORE records until
+ * something needs Python (see the ADV_ codes).  A batch continues while
+ * no heap entry is due at or before the core's next record, for at most
+ * ``quantum`` records; it then re-pushes the core.  A batch suspended
+ * for post_op resumes on the next call unless post_op stalled the core
+ * past the batch's clock. */
+int mem_advance(mem_core_t *c, mem_loop_t *l, double limit, double gate,
+                int64_t quantum, mem_event_t *out)
+{
+    mem_event_t e;
+    int pid = l->batch_pid, in_batch = l->suspended, gated = 0, op;
+    double now = l->batch_now, when, t, nb, lat;
+    int64_t budget = l->batch_budget, ip, arg, seq;
+    if (in_batch) {
+        /* post_op ran: the gate is passed for this record, unless
+         * post_op stalled the core, which ends the batch. */
+        l->suspended = 0;
+        gated = 1;
+        if (l->hot[pid].not_before > now) {
+            in_batch = gated = 0;
+            if (!loop_push_core(l, pid))
+                goto oom;
+        }
+    }
+    for (;;) {
+        if (!in_batch) {
+            if (l->n_done >= l->n)
+                return ADV_DONE;
+            if (!heap_pop(l, &e))
+                return ADV_DEADLOCK;
+            /* A pause leaves the clock at the last real event. */
+            if (e.kind == EV_PAUSE)
+                return ADV_PAUSE;
+            if (e.when > l->now)
+                l->now = e.when;
+            if (e.when > limit)
+                return ADV_LIMIT;
+            if (e.kind != EV_EXEC) {
+                *out = e;
+                return ADV_CALL;
+            }
+            pid = e.pid;
+            if (l->hot[pid].done || l->hot[pid].blocked || e.arg != l->hot[pid].epoch)
+                continue;  /* stale entry */
+            if (e.when < l->hot[pid].not_before) {
+                if (!loop_push_core(l, pid))
+                    goto oom;
+                continue;
+            }
+            t = l->hot[pid].time;
+            now = e.when >= t ? e.when : t;
+            budget = quantum;
+            in_batch = 1;
+        }
+        /* Checkpoint initiation runs at the core's true position in
+         * the global time order, before its next record. */
+        if (!gated && (double)l->hot[pid].instr_since_ckpt >= gate) {
+            l->suspended = 1;
+            l->batch_pid = pid;
+            l->batch_now = now;
+            l->batch_budget = budget;
+            out->pid = pid;
+            out->when = now;
+            return ADV_POST_OP;
+        }
+        gated = 0;
+        ip = l->hot[pid].ip;
+        op = ip < l->n_records[pid] ? l->ops[pid][ip] : OP_END;
+        arg = op == OP_END ? 0 : trace_arg(l, pid, ip);
+        if (op == OP_COMPUTE) {
+            l->hot[pid].time = now + (double)arg;
+            l->hot[pid].instr_count += arg;
+            l->hot[pid].instr_since_ckpt += arg;
+            l->hot[pid].busy += (double)arg;
+            l->hot[pid].ip = ip + 1;
+        } else if (op == OP_LOAD || op == OP_STORE) {
+            if (op == OP_LOAD) {
+                lat = mem_load(c, pid, arg, now);
+            } else {
+                /* The store's unique value (Core.next_store_value). */
+                seq = l->hot[pid].store_seq + 1;
+                l->hot[pid].store_seq = seq;
+                lat = mem_store(c, pid, arg, ((int64_t)pid << 40) | seq, now);
+            }
+            if (lat < 0.0)
+                return ADV_FAILED;
+            l->hot[pid].time = now + lat;
+            l->hot[pid].instr_count++;
+            l->hot[pid].instr_since_ckpt++;
+            l->hot[pid].busy += lat;
+            l->hot[pid].ip = ip + 1;
+        } else {
+            out->when = now;
+            out->kind = op;
+            out->pid = pid;
+            out->arg = arg;
+            return ADV_RECORD;
+        }
+        /* fused continuation */
+        budget--;
+        t = l->hot[pid].time;
+        nb = l->hot[pid].not_before;
+        when = t >= nb ? t : nb;
+        if (budget <= 0 || (l->heap_n && l->heap[0].when <= when)) {
+            in_batch = 0;
+            if (!push_exec(l, pid, when))
+                goto oom;
+            continue;
+        }
+        /* The clock is not advanced record by record (nothing can
+         * observe it mid-batch); the next pop re-synchronizes it. */
+        if (when > limit) {
+            l->now = when;
+            return ADV_LIMIT;
+        }
+        now = when;
+    }
+oom:
+    fail(c, FAIL_MEMORY);
+    return ADV_FAILED;
+}
+
+void loop_free(mem_loop_t *l)
+{
+    if (!l)
+        return;
+    free(l->hot);
+    free((void *)l->ops);
+    free((void *)l->args);
+    free(l->n_records);
+    free(l->heap);
+    free(l);
+}
+
+mem_loop_t *loop_new(int n)
+{
+    mem_loop_t *l = calloc(1, sizeof(mem_loop_t));
+    int64_t m = n > 0 ? n : 1;
+    if (!l)
+        return NULL;
+    l->n = n;
+    l->heap_cap = 64;
+    if (!ALLOC(l->hot, m) || !ALLOC(l->ops, m) || !ALLOC(l->args, m) ||
+            !ALLOC(l->n_records, m) || !ALLOC(l->heap, l->heap_cap)) {
+        loop_free(l);
+        return NULL;
+    }
+    return l;
+}
+
+/* A deep copy (Machine.fork); the trace columns are shared. */
+mem_loop_t *loop_clone(const mem_loop_t *src)
+{
+    mem_loop_t *l = malloc(sizeof(mem_loop_t));
+    int64_t m = src->n > 0 ? src->n : 1;
+    if (!l)
+        return NULL;
+    *l = *src;
+    l->hot = NULL;
+    l->ops = NULL;
+    l->args = NULL;
+    l->n_records = NULL;
+    l->heap = NULL;
+    DUP(l->hot, src->hot, m);
+    DUP(l->ops, src->ops, m);
+    DUP(l->args, src->args, m);
+    DUP(l->n_records, src->n_records, m);
+    l->heap = malloc(sizeof(mem_event_t) * src->heap_cap);
+    if (!l->heap)
+        goto oom;
+    memcpy(l->heap, src->heap, sizeof(mem_event_t) * src->heap_n);
+    return l;
+oom:
+    loop_free(l);
     return NULL;
 }

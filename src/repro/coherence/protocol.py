@@ -173,10 +173,6 @@ class CoherenceEngine:
         self.l2_hit_cycles = config.l2.hit_cycles
         self.store_hit_cycles = float(config.l2.hit_cycles)
 
-    def entry_points(self):
-        """``(load, store)`` for the machine loop."""
-        return self.load, self.store
-
     def tally(self) -> dict[str, int]:
         """The memory-system counters :class:`SimStats` reports."""
         return {

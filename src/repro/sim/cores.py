@@ -6,13 +6,24 @@ used by every checkpointing scheme: at a checkpoint the core's register
 state — here, its trace position, instruction counts and held
 synchronization state — is saved; a rollback rewinds the core to a
 snapshot, after which it re-executes the lost work.
+
+The fields the machine loop touches on every record (trace position,
+clock, instruction counts, epoch, store sequence, done/blocked and the
+``stats.busy`` accumulator) live in the compiled loop's per-core rows
+(``mem_hot_t`` in ``memsys.c``): :class:`Core` is a ``ctypes``
+structure laid over its row, so the loop in C and the Python code
+around it (synchronization, schemes) read and write the same fields,
+at C-level attribute cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import ctypes
+from dataclasses import dataclass, fields
 from typing import Optional
 
+from repro.coherence.core import ffi, lib
 from repro.sim.stats import CoreStats
 from repro.trace import CompiledTrace
 
@@ -35,48 +46,153 @@ class CoreSnapshot:
     overhead_mark: float = 0.0
 
 
-class Core:
-    """One tile's core: trace cursor, clock, block state, snapshots."""
+class CoreTable:
+    """The machine loop's state in C (``mem_loop_t``, ``memsys.c``): the
+    event heap, one :class:`Core` row per core and the trace columns.
 
-    __slots__ = (
-        "pid", "trace", "ops", "args", "ip", "time", "instr_count",
-        "instr_since_ckpt",
-        "done", "blocked", "block_site", "block_start", "epoch",
-        "not_before", "held_locks", "barrier_crossings", "stats",
-        "store_seq", "store_tag", "ckpt_busy_until", "snapshots",
-        "next_ckpt_id",
-        "pending_delayed", "delayed_ckpt_id", "waste_charged_until",
-        "recovery_until", "overhead_reclaim_mark", "stall_segments",
-    )
+    The trace columns are read in place: the table keeps their buffers
+    exported (alive, unresizable) while it lives, and a fork's table
+    shares them."""
 
-    def __init__(self, pid: int, trace):
+    __slots__ = ("c", "_keep")
+
+    def __init__(self, n: int):
+        self._adopt(lib.loop_new(n))
+        self._keep: list = []
+
+    def _adopt(self, raw) -> None:
+        if raw == ffi.NULL:
+            raise MemoryError("cannot allocate the machine loop")
+        self.c = ffi.gc(raw, lib.loop_free)
+
+    def row(self, pid: int) -> int:
+        """The address of core ``pid``'s row."""
+        return int(ffi.cast("uintptr_t", ffi.addressof(self.c.hot[pid])))
+
+    def bind_trace(self, pid: int, trace: CompiledTrace) -> None:
+        """Point core ``pid`` at its trace columns."""
+        if not len(trace):
+            return
+        lib.loop_set_trace(self.c, pid, self._pin(trace.ops, "int8_t *"),
+                           self._pin(trace.args, "unsigned char *"),
+                           len(trace))
+
+    def _pin(self, column, ctype: str):
+        """A pointer to ``column``'s first item, kept valid while the
+        table lives.
+
+        A view column (a trace loaded from the workload store) is pinned
+        through the object under it: the cycle collector cannot clear a
+        memoryview that has exports, and crashes if one is garbage."""
+        if not isinstance(column, memoryview):
+            owner = ffi.from_buffer(column)
+            self._keep.append(owner)
+            return ffi.cast(ctype, owner)
+        owner = ffi.from_buffer(column.obj)
+        view = ffi.from_buffer(column)
+        offset = (int(ffi.cast("uintptr_t", view)) -
+                  int(ffi.cast("uintptr_t", owner)))
+        ffi.release(view)
+        self._keep.append(owner)
+        return ffi.cast(ctype, ffi.cast("char *", owner) + offset)
+
+    def __deepcopy__(self, memo) -> "CoreTable":
+        clone = object.__new__(CoreTable)
+        memo[id(self)] = clone
+        clone._adopt(lib.loop_clone(self.c))
+        clone._keep = self._keep
+        return clone
+
+
+class LiveCoreStats(CoreStats):
+    """A core's :class:`CoreStats` while it runs: ``busy`` is the
+    core's row field, which the loop in C and ``SyncManager`` both add
+    to.  :meth:`Core.finish` swaps in a plain copy for the results."""
+
+    __slots__ = ("_core",)
+
+    def __init__(self, core: "Core"):
+        self._core = core
+        super().__init__()
+
+    @property
+    def busy(self) -> float:
+        return self._core.busy
+
+    @busy.setter
+    def busy(self, value: float) -> None:
+        self._core.busy = value
+
+    def plain(self) -> CoreStats:
+        return CoreStats(*(getattr(self, f.name) for f in fields(CoreStats)))
+
+    def __deepcopy__(self, memo) -> "LiveCoreStats":
+        clone = object.__new__(LiveCoreStats)
+        memo[id(self)] = clone
+        clone._core = copy.deepcopy(self._core, memo)
+        for f in fields(CoreStats):
+            if f.name != "busy":
+                setattr(clone, f.name, copy.deepcopy(getattr(self, f.name),
+                                                     memo))
+        return clone
+
+
+#: ``Core.blocked`` values by their row code.
+_BLOCKED = (None, "lock", "barrier")
+_BLOCK_CODES = {value: code for code, value in enumerate(_BLOCKED)}
+
+
+class Core(ctypes.Structure):
+    """One tile's core: trace cursor, clock, block state, snapshots.
+
+    The ``_fields_`` are the core's row of the machine loop
+    (``mem_hot_t``; checked against the C layout at import).  A
+    standalone core (unit tests) gets a table of its own; a machine's
+    cores share the machine's."""
+
+    _fields_ = [
+        ("ip", ctypes.c_int64),
+        ("instr_count", ctypes.c_int64),
+        ("instr_since_ckpt", ctypes.c_int64),
+        ("epoch", ctypes.c_int64),            # guards stale heap entries
+        ("store_seq", ctypes.c_int64),
+        ("time", ctypes.c_double),
+        ("not_before", ctypes.c_double),      # scheme-injected delay floor
+        ("busy", ctypes.c_double),            # stats.busy
+        ("done", ctypes.c_bool),
+        ("_blocked", ctypes.c_int8),
+    ]
+
+    # ctypes structures are unhashable by default; a core is an entity.
+    __hash__ = object.__hash__
+
+    def __new__(cls, pid: int, trace, table: Optional[CoreTable] = None):
+        table = CoreTable(pid + 1) if table is None else table
+        core = cls.from_address(table.row(pid))
+        core._t = table      # keeps the row's memory alive
+        return core
+
+    def __init__(self, pid: int, trace, table: Optional[CoreTable] = None):
         self.pid = pid
         self.trace = trace
-        # The hot loop indexes the columnar IR as plain lists: ``tolist``
-        # pre-boxes every op/arg once, so the per-record fetch is two
-        # allocation-free list lookups instead of a tuple fetch + two
-        # element reads.  A raw tuple trace (unit tests poking at core
-        # state directly) keeps ``ops``/``args`` unset — the machine
-        # always compiles traces before building cores.
+        # A raw tuple trace (unit tests poking at core state directly)
+        # has no columns for the loop; the machine always compiles
+        # traces before building cores.
         if isinstance(trace, CompiledTrace):
-            self.ops = trace.ops.tolist()
-            self.args = trace.args.tolist()
-        else:
-            self.ops = None
-            self.args = None
+            self._t.bind_trace(pid, trace)
         self.ip = 0
         self.time = 0.0
         self.instr_count = 0
         self.instr_since_ckpt = 0
         self.done = False
-        self.blocked: Optional[str] = None      # None|'lock'|'barrier'
+        self.blocked = None                     # None|'lock'|'barrier'
         self.block_site: Optional[int] = None
         self.block_start = 0.0
-        self.epoch = 0                          # guards stale heap entries
-        self.not_before = 0.0                   # scheme-injected delay floor
+        self.epoch = 0
+        self.not_before = 0.0
         self.held_locks: set[int] = set()
         self.barrier_crossings: dict[int, int] = {}
-        self.stats = CoreStats()
+        self.stats: CoreStats = LiveCoreStats(self)
         self.store_seq = 0
         self.store_tag = pid << 40      # high bits of every store value
         # While a checkpoint (or its delayed drain) is in flight the core
@@ -107,6 +223,28 @@ class Core:
         # so its overhang is tracked in ``stats.stall_overhang`` and
         # netted out of the useful-work overhead bucket.
         self.stall_segments: list[tuple[float, float]] = []
+
+    @property
+    def blocked(self) -> Optional[str]:
+        return _BLOCKED[self._blocked]
+
+    @blocked.setter
+    def blocked(self, value: Optional[str]) -> None:
+        self._blocked = _BLOCK_CODES[value]
+
+    def __deepcopy__(self, memo) -> "Core":
+        table = copy.deepcopy(self._t, memo)
+        clone = type(self).from_address(table.row(self.pid))
+        memo[id(self)] = clone
+        for name, value in vars(self).items():
+            setattr(clone, name, copy.deepcopy(value, memo))
+        return clone
+
+    def finish(self) -> None:
+        """Detach the stats from the row (the run is over): results
+        hold plain :class:`CoreStats`."""
+        if isinstance(self.stats, LiveCoreStats):
+            self.stats = self.stats.plain()
 
     def charge_stall(self, field: str, start: float, end: float) -> None:
         """Charge a checkpoint-stall window to CoreStats ``field`` and
@@ -221,3 +359,17 @@ class Core:
         self.pending_delayed = 0
         self.delayed_ckpt_id = None
         return wasted
+
+
+def _check_layout() -> None:
+    """``Core``'s fields must sit where ``memsys.c`` puts them."""
+    names = {"_blocked": "blocked"}
+    for name, _ in Core._fields_:
+        if getattr(Core, name).offset != ffi.offsetof(
+                "mem_hot_t", names.get(name, name)):
+            raise ImportError(f"Core.{name} is not at its mem_hot_t offset")
+    if ctypes.sizeof(Core) != ffi.sizeof("mem_hot_t"):
+        raise ImportError("Core and mem_hot_t differ in size")
+
+
+_check_layout()

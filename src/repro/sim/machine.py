@@ -10,39 +10,50 @@ scheduled callback is a :class:`~repro.sim.events.DurableCall`
 descriptor (``schedule_call``), never a closure, so a paused machine
 can always be forked (:meth:`Machine.fork`).
 
-Hot path: traces are consumed as the columnar IR of
-:class:`repro.trace.CompiledTrace` — the executor reads parallel
-``ops``/``args`` columns (``op = ops[ip]; arg = args[ip]``) instead of
-unpacking per-record tuples — and runs of consecutive
-COMPUTE/LOAD/STORE records of one core are fused into a single heap
-residency: the core keeps executing without a push/pop per record for
-as long as no other heap event is due at or before its next record, up
-to ``fuse_quantum`` records.  Because the
+Hot path: the loop runs in C.  The event heap, every core's hot state
+(:class:`~repro.sim.cores.CoreTable`) and the trace columns of the
+compiled IR (:class:`repro.trace.CompiledTrace`, read in place) live in
+``memsys.c``'s ``mem_loop_t``; ``mem_advance`` pops entries, executes
+COMPUTE/LOAD/STORE records against the compiled memory system, and
+returns to Python only for what Python owns: a scheduled
+``DurableCall`` or a pause sentinel popping, a BARRIER/LOCK/UNLOCK/
+OUTPUT/END record (:meth:`Machine._exec_record`), the scheme's
+``post_op`` gate, the cycle limit, an empty heap (deadlock) and a
+failed memory system.  The heap holds only a call's key; the
+``DurableCall`` itself stays in a Python table.
+
+Runs of consecutive COMPUTE/LOAD/STORE records of one core are fused
+into a single heap residency: the core keeps executing without a
+push/pop per record for as long as no other heap entry is due at or
+before its next record, up to ``fuse_quantum`` records.  Because the
 fusion condition is exactly the condition under which the serial heap
 discipline would pop the same core again next, the interleaving (and
 therefore every statistic) is bit-identical to the unbatched loop;
-``fuse_quantum=1`` recovers the original one-record-per-pop behaviour
-and the parity tests compare the two.  When a batch ends, the core is
-re-pushed and the next entry popped in one ``heapq.heappushpop`` sift:
-the re-pushed entry carries the largest sequence number, so the call
-returns exactly what a push followed by a pop would.  At 64 cores
-another core is nearly always due first, so most batches hold one
-record and this single sift is the per-record heap cost.
+``fuse_quantum=1`` recovers the one-record-per-pop behaviour and the
+parity tests compare the two.  When a batch ends, the core is re-pushed
+with the largest sequence number, so the next pop returns exactly what
+it would have without the batch.  A batch the ``post_op`` gate
+interrupts resumes, with its remaining budget, unless ``post_op``
+stalled the core.
+
+:meth:`Machine._advance_main` is the same loop in Python.  Only
+machines on the oracle memory system
+(:class:`~repro.coherence.protocol.CoherenceEngine`) run it; it is the
+reference the differential tests compare the C loop against.
 """
 
 from __future__ import annotations
 
 import copy
-import heapq
 from typing import Optional
 
-from repro.coherence.core import CompiledEngine
+from repro.coherence.core import CompiledEngine, ffi, lib
 from repro.core.factory import build_scheme
 from repro.core.scheme_base import BaseScheme
 from repro.interconnect import Interconnect
 from repro.mem import ReviveLog
 from repro.params import MachineConfig
-from repro.sim.cores import Core
+from repro.sim.cores import Core, CoreTable
 from repro.sim.events import DurableCall
 from repro.sim.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.sim.stats import SimStats
@@ -60,9 +71,9 @@ from repro.trace import (
 )
 from repro.workloads.base import WorkloadSpec
 
-_EXEC = 0
-_DCALL = 2     # durable descriptor callback (fork-safe)
-_PAUSE = 3     # replica-batch pause sentinel (never observable)
+_EXEC = lib.EV_EXEC
+_DCALL = lib.EV_CALL     # durable descriptor callback (fork-safe)
+_PAUSE = lib.EV_PAUSE    # replica-batch pause sentinel (never observable)
 
 #: Sentinel seq base: more negative than any fault seq, so a pause
 #: fires before a same-time fault would in a true run (the fork then
@@ -84,8 +95,19 @@ class SimulationDeadlock(RuntimeError):
 DEFAULT_FUSE_QUANTUM = 256
 
 
+def _loop_field(name: str) -> property:
+    """A machine attribute that is a field of the C loop state."""
+    return property(lambda self: getattr(self._table.c, name),
+                    lambda self, value: setattr(self._table.c, name, value))
+
+
 class Machine:
     """A manycore running one workload under one checkpointing scheme."""
+
+    #: Simulated time of the last popped event.
+    now = _loop_field("now")
+    #: Cores that executed their END record.
+    _n_done = _loop_field("n_done")
 
     def __init__(self, config: MachineConfig, workload: WorkloadSpec,
                  faults: Optional[list[tuple[float, int]] | FaultPlan] = None,
@@ -94,6 +116,7 @@ class Machine:
             raise ValueError(
                 f"workload needs {workload.n_threads} threads but the "
                 f"machine has {config.n_cores} cores")
+        self.fuse_quantum = fuse_quantum
         self.config = config
         self.workload = workload
         self.log = ReviveLog(n_banks=config.n_mem_channels,
@@ -106,10 +129,14 @@ class Machine:
                                      self.scheme)
         self.memory = self.engine.memory
         self.channels = self.engine.channels
+        # The loop's state: the event heap and the cores' hot fields.
         # Traces are consumed as the columnar IR; tuple traces are
         # compiled once here (compiled traces pass through untouched).
-        self.cores = [Core(pid, compile_trace(trace))
+        self._table = CoreTable(len(workload.traces))
+        self.cores = [Core(pid, compile_trace(trace), self._table)
                       for pid, trace in enumerate(workload.traces)]
+        #: Pending DurableCalls by heap seq (the heap holds the key).
+        self._calls: dict[int, DurableCall] = {}
         self.sync = SyncManager()
         for lock in workload.locks:
             self.sync.add_lock(lock.lock_id, lock.line)
@@ -119,9 +146,6 @@ class Machine:
         if isinstance(faults, FaultPlan):
             faults = list(faults.faults)
         self.faults = FaultInjector(faults or [], config.detection_latency)
-        if fuse_quantum < 1:
-            raise ValueError("fuse_quantum must be >= 1")
-        self.fuse_quantum = fuse_quantum
         # The hot loop only calls post_op once a core has executed
         # post_op_gate() instructions since its checkpoint (the gate is
         # owned by the scheme, next to post_op itself).  Schemes that
@@ -130,39 +154,51 @@ class Machine:
             self._post_op_gate = float("inf")
         else:
             self._post_op_gate = self.scheme.post_op_gate()
-        self._heap: list[tuple] = []
-        self._seq = 0
-        self._n_done = 0
         # Phased-run state: "init" (not started), "main" (application
-        # loop), "drain" (post-run background work), "done".
+        # loop), "drain" (post-run background work), "done", and
+        # "failed" (an exception left the loop mid-step).
         self._phase = "init"
         self._pause_seq = _PAUSE_SEQ_BASE
         self._limit = float("inf")
         self._max_cycles: Optional[float] = None
-        self.now = 0.0
         self.stats = SimStats(config=config, scheme=config.scheme,
                               workload=workload.name)
         self.scheme.attach(self)
+
+    @property
+    def fuse_quantum(self) -> int:
+        """Records fused per heap residency at most (read by every
+        :meth:`advance`)."""
+        return self._fuse_quantum
+
+    @fuse_quantum.setter
+    def fuse_quantum(self, value: int) -> None:
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < 1:
+            raise ValueError(
+                f"fuse_quantum must be an int >= 1, got {value!r}")
+        self._fuse_quantum = value
 
     # ------------------------------------------------------------------
     # scheduling primitives
     # ------------------------------------------------------------------
     def push_core(self, core: Core) -> None:
         """(Re)schedule a core at max(core.time, core.not_before)."""
-        if core.done or core.blocked is not None:
-            return
-        core.epoch += 1
-        self._seq += 1
-        when = max(core.time, core.not_before)
-        heapq.heappush(self._heap,
-                       (when, self._seq, _EXEC, core.pid, core.epoch))
+        if not lib.loop_push_core(self._table.c, core.pid):
+            raise MemoryError("cannot grow the event heap")
 
     def schedule_call(self, when: float, call: DurableCall) -> None:
         """Run ``call.fire(self, time)`` at simulated time ``when`` —
         the one scheduling primitive.  Callbacks are descriptors, never
         closures, so :meth:`fork` can deep-copy a pending heap."""
-        self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, _DCALL, call, None))
+        self._table.c.seq += 1
+        self._push_call(when, self._table.c.seq, call)
+
+    def _push_call(self, when: float, seq: int, call: DurableCall) -> None:
+        """Queue ``call`` under heap key ``seq``."""
+        self._calls[seq] = call
+        if not lib.loop_push(self._table.c, when, seq, _DCALL):
+            raise MemoryError("cannot grow the event heap")
 
     def _deliver_fault_at(self, index: int, when: float) -> None:
         """Durable fault delivery: event ``index`` of the injector."""
@@ -231,98 +267,124 @@ class Machine:
         With ``pause_at`` a sentinel heap entry is planted at that time:
         its presence gives the fused executor exactly the fusion horizon
         a pending fault at the same time would (the condition only reads
-        ``heap[0][0]``), and popping it suspends the loop with the
-        machine in precisely the state a true run with such a fault has
-        at the moment the fault fires.  The sentinel never advances the
-        clock and is stripped from forks, so it is unobservable.
+        the earliest pending time), and popping it suspends the loop
+        with the machine in precisely the state a true run with such a
+        fault has at the moment the fault fires.  The sentinel never
+        advances the clock and is stripped from forks, so it is
+        unobservable.
 
-        The trace executor is inlined into the pop loop (every local is
-        bound once per call, not once per record — each core's trace
-        columns and stats as one tuple unpacked per pop): on
-        each pop the owning core executes records until it blocks,
-        stalls, or another heap event becomes due at or before its next
-        record — the fused continuation re-runs the per-pop bookkeeping
-        (clock, cycle guard) inline, so results are bit-identical to the
-        one-record-per-pop discipline (``fuse_quantum=1``).  A batch
-        that ends on such a due event re-pushes its core and takes the
-        next entry in one ``heappushpop``.  Fault
-        delivery needs no bookkeeping here: faults are heap events, so
-        they both break fusion and pop at their exact detection times.
+        An exception escaping the loop (a scheme callback's, the cycle
+        limit, a deadlock, a failed coherence check) leaves the machine
+        mid-step; it then refuses to advance again.
         """
         if self._phase == "init":
             raise RuntimeError("machine not started")
+        if self._phase == "failed":
+            raise RuntimeError(
+                "machine failed in an earlier advance(); it cannot go on")
         if pause_at is not None:
             self._pause_seq -= 1
-            heapq.heappush(self._heap,
-                           (pause_at, self._pause_seq, _PAUSE, None, None))
-        if self._phase == "main" and not self._advance_main():
-            return True
-        if self._phase == "drain" and not self._advance_drain():
-            return True
+            if not lib.loop_push(self._table.c, pause_at, self._pause_seq,
+                                 _PAUSE):
+                raise MemoryError("cannot grow the event heap")
+        try:
+            # The compiled memory system runs the loop itself; the
+            # oracle has no ``advance`` and runs the Python loop.
+            main = (self._advance_compiled
+                    if hasattr(self.engine, "advance")
+                    else self._advance_main)
+            if self._phase == "main" and not main():
+                return True
+            if self._phase == "drain" and not self._advance_drain():
+                return True
+        except BaseException:
+            self._phase = "failed"
+            raise
         return False
 
-    def _advance_main(self) -> bool:
-        """Application loop; returns False when paused mid-phase.
+    def _advance_compiled(self) -> bool:
+        """Application loop on the compiled memory system; returns False
+        when paused mid-phase.
 
-        Every LOAD/STORE record makes one call into the memory system
-        (the compiled core's ``mem_load``/``mem_store``), which owns hit
-        handling as a private cache controller would: hits are served
-        at its head and only misses reach the directory.  A negative
-        latency means the core failed (a golden-image check, or an
-        exception in a scheme callback); the engine raises it.
+        ``mem_advance`` runs the loop and comes back only for an event
+        Python owns; each is handled here, then the loop resumes (a
+        batch suspended at the ``post_op`` gate picks up where it
+        stopped).
+        """
+        advance = self.engine.advance
+        loop = self._table.c
+        cores = self.cores
+        event = ffi.new("mem_event_t *")
+        while True:
+            reason = advance(loop, self._limit, self._post_op_gate,
+                             self._fuse_quantum, event)
+            if reason == lib.ADV_RECORD:
+                self._exec_record(cores[event.pid], event.kind, event.arg,
+                                  event.when)
+            elif reason == lib.ADV_CALL:
+                self._calls.pop(event.seq).fire(self, event.when)
+            elif reason == lib.ADV_POST_OP:
+                self.scheme.post_op(cores[event.pid], event.when)
+            elif reason == lib.ADV_DONE:
+                self._phase = "drain"
+                return True
+            elif reason == lib.ADV_PAUSE:
+                return False
+            elif reason == lib.ADV_LIMIT:
+                raise self._cycle_limit_exceeded()
+            elif reason == lib.ADV_DEADLOCK:
+                self._diagnose_deadlock()
+            else:
+                self.engine.raise_failure()
+
+    def _advance_main(self) -> bool:
+        """The reference loop, in Python: machines on the oracle memory
+        system run it.  Returns False when paused mid-phase.
+
+        It is ``mem_advance`` statement for statement, over the same
+        heap and the same core rows; the differential tests hold the
+        two to equal results.
         """
         limit = self._limit
-        heap = self._heap
-        heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
+        loop = self._table.c
+        pop = lib.loop_pop
+        next_when = lib.loop_next_when
         cores = self.cores
         scheme = self.scheme
-        sync = self.sync
-        engine = self.engine
-        engine_load, engine_store = engine.entry_points()
+        engine_load, engine_store = self.engine.load, self.engine.store
         post_op_gate = self._post_op_gate
-        io_cycles = self.config.io_cycles
-        quantum = self.fuse_quantum
+        quantum = self._fuse_quantum
         n_cores = len(cores)
-        # Per-core hot locals, bound once per call and unpacked as one
-        # tuple per pop (trace columns are never rebound).
-        hot = [(core, core.ops, core.args, len(core.ops), core.stats,
-                core.store_tag) for core in cores]
-        # The next heap entry to process when a fused batch re-pushed
-        # its core through heappushpop (None: pop one).
-        entry = None
-        while self._n_done < n_cores:
-            if entry is None:
-                if not heap:
-                    self._diagnose_deadlock()
-                entry = heappop(heap)
-            when, _, kind, a, b = entry
-            entry = None
-            if kind != _EXEC:
-                if kind == _PAUSE:
-                    # Unobservable: the clock stays at the last real
-                    # event (a true run only advances it on real pops).
-                    return False
-                if when > self.now:
-                    self.now = when
-                if when > limit:
-                    raise self._cycle_limit_exceeded()
-                a.fire(self, when)
-                continue
-            if when > self.now:
-                self.now = when
+        event = ffi.new("mem_event_t *")
+        while loop.n_done < n_cores:
+            if not pop(loop, event):
+                self._diagnose_deadlock()
+            when = event.when
+            kind = event.kind
+            if kind == _PAUSE:
+                # Unobservable: the clock stays at the last real event
+                # (a true run only advances it on real pops).
+                return False
+            if when > loop.now:
+                loop.now = when
             if when > limit:
                 raise self._cycle_limit_exceeded()
-            core, ops, args, n_records, stats, store_tag = hot[a]
-            if core.done or core.blocked is not None or b != core.epoch:
+            if kind != _EXEC:
+                self._calls.pop(event.seq).fire(self, when)
+                continue
+            pid = event.pid
+            core = cores[pid]
+            if core.done or core.blocked is not None \
+                    or event.arg != core.epoch:
                 continue  # stale entry
             if when < core.not_before:
                 self.push_core(core)
                 continue
             # -- trace execution: a batch of records for ``core`` ----------
+            trace = core.trace
+            ops, args, n_records = trace.ops, trace.args, len(trace)
             t = core.time
             now = when if when >= t else t
-            pid = a
             budget = quantum
             while True:
                 # Checkpoint-initiation decisions run here, at the core's
@@ -336,108 +398,95 @@ class Machine:
                         self.push_core(core)  # back-off / ckpt stall
                         break
                 ip = core.ip
-                if ip < n_records:
-                    op = ops[ip]
-                    arg = args[ip]
-                else:
-                    op = END
+                op = ops[ip] if ip < n_records else END
                 if op == COMPUTE:
+                    arg = args[ip]
                     core.time = now + arg
                     core.instr_count += arg
                     core.instr_since_ckpt += arg
-                    stats.busy += arg
+                    core.busy += arg
                     core.ip = ip + 1
-                elif op == LOAD:
-                    latency = engine_load(pid, arg, now)
-                    if latency < 0.0:
-                        engine.raise_failure()
+                elif op == LOAD or op == STORE:
+                    if op == LOAD:
+                        latency = engine_load(pid, args[ip], now)
+                    else:
+                        # The store's unique value (Core.next_store_value).
+                        seq = core.store_seq + 1
+                        core.store_seq = seq
+                        latency = engine_store(pid, args[ip],
+                                               core.store_tag | seq, now)
                     core.time = now + latency
                     core.instr_count += 1
                     core.instr_since_ckpt += 1
-                    stats.busy += latency
+                    core.busy += latency
                     core.ip = ip + 1
-                elif op == STORE:
-                    # The store's unique value (Core.next_store_value).
-                    seq = core.store_seq + 1
-                    core.store_seq = seq
-                    latency = engine_store(pid, arg, store_tag | seq, now)
-                    if latency < 0.0:
-                        engine.raise_failure()
-                    core.time = now + latency
-                    core.instr_count += 1
-                    core.instr_since_ckpt += 1
-                    stats.busy += latency
-                    core.ip = ip + 1
-                elif op == BARRIER:
-                    result = sync.barrier_arrive(self, core, arg, now)
-                    if result is None:
-                        break  # blocked; ip advances on release
-                    core.ip = ip + 1
-                    core.time = result
-                    self.push_core(core)
+                else:
+                    self._exec_record(core, op,
+                                      0 if op == END else args[ip], now)
                     break
-                elif op == LOCK:
-                    result = sync.lock_acquire(self, core, arg, now)
-                    if result is None:
-                        break  # blocked; ip advances on grant
-                    core.ip = ip + 1
-                    core.time = result
-                    self.push_core(core)
-                    break
-                elif op == UNLOCK:
-                    core.time = sync.lock_release(self, core, arg, now)
-                    core.ip = ip + 1
-                    self.push_core(core)
-                    break
-                elif op == OUTPUT:
-                    # Output I/O must be preceded by a checkpoint (Sec 6.4).
-                    after = scheme.on_output(core, now)
-                    if after is None:
-                        # Busy (e.g. a delayed-writeback drain in flight):
-                        # the scheme set not_before; retry the same record
-                        # then.
-                        self.push_core(core)
-                        break
-                    core.time = after + io_cycles
-                    stats.busy += io_cycles
-                    core.instr_count += 1
-                    core.instr_since_ckpt += 1
-                    core.ip = ip + 1
-                    self.push_core(core)
-                    break
-                elif op == END:
-                    core.done = True
-                    stats.end_time = core.time
-                    self._n_done += 1
-                    scheme.on_core_done(core, now)
-                    break
-                else:  # pragma: no cover - malformed trace
-                    raise ValueError(f"unknown trace op {(op, arg)!r}")
                 # -- fused continuation ------------------------------------
                 budget -= 1
                 t = core.time
                 nb = core.not_before
                 when = t if t >= nb else nb
-                if budget <= 0 or (heap and heap[0][0] <= when):
-                    # Re-push and pop in one sift: the new entry has the
-                    # largest seq, so this returns exactly what a push
-                    # followed by a pop would.
-                    epoch = core.epoch + 1
-                    core.epoch = epoch
-                    seq = self._seq + 1
-                    self._seq = seq
-                    entry = heappushpop(heap,
-                                        (when, seq, _EXEC, pid, epoch))
+                if budget <= 0 or next_when(loop) <= when:
+                    self.push_core(core)
                     break
-                # ``self.now`` is not advanced record-by-record: nothing
-                # can observe it mid-batch (callbacks only run from pops),
-                # and the next pop re-synchronizes it.
+                # The clock is not advanced record by record: nothing
+                # can observe it mid-batch (callbacks only run from
+                # pops), and the next pop re-synchronizes it.
                 if when > limit:
-                    self.now = when
+                    loop.now = when
                     raise self._cycle_limit_exceeded()
                 now = when
         self._phase = "drain"
         return True
+
+    def _exec_record(self, core: Core, op: int, arg: int,
+                     now: float) -> None:
+        """Execute ``core``'s BARRIER/LOCK/UNLOCK/OUTPUT/END record at
+        ``now``; the core's batch ends with it."""
+        ip = core.ip
+        if op == BARRIER:
+            result = self.sync.barrier_arrive(self, core, arg, now)
+            if result is None:
+                return  # blocked; ip advances on release
+            core.ip = ip + 1
+            core.time = result
+            self.push_core(core)
+        elif op == LOCK:
+            result = self.sync.lock_acquire(self, core, arg, now)
+            if result is None:
+                return  # blocked; ip advances on grant
+            core.ip = ip + 1
+            core.time = result
+            self.push_core(core)
+        elif op == UNLOCK:
+            core.time = self.sync.lock_release(self, core, arg, now)
+            core.ip = ip + 1
+            self.push_core(core)
+        elif op == OUTPUT:
+            # Output I/O must be preceded by a checkpoint (Sec 6.4).
+            after = self.scheme.on_output(core, now)
+            if after is None:
+                # Busy (e.g. a delayed-writeback drain in flight): the
+                # scheme set not_before; retry the same record then.
+                self.push_core(core)
+                return
+            io_cycles = self.config.io_cycles
+            core.time = after + io_cycles
+            core.stats.busy += io_cycles
+            core.instr_count += 1
+            core.instr_since_ckpt += 1
+            core.ip = ip + 1
+            self.push_core(core)
+        elif op == END:
+            core.done = True
+            core.stats.end_time = core.time
+            self._n_done += 1
+            self.scheme.on_core_done(core, now)
+        else:  # pragma: no cover - malformed trace
+            raise ValueError(f"unknown trace op {(op, arg)!r}")
 
     def _advance_drain(self) -> bool:
         """Post-run drain; returns False when paused mid-phase.
@@ -452,17 +501,19 @@ class Machine:
         undelivered by ``_deliver_fault``.
         """
         limit = self._limit
-        heap = self._heap
-        while heap:
-            when, _, kind, a, _ = heapq.heappop(heap)
+        loop = self._table.c
+        event = ffi.new("mem_event_t *")
+        while lib.loop_pop(loop, event):
+            kind = event.kind
             if kind == _PAUSE:
                 return False
             if kind == _DCALL:
-                if when > self.now:
-                    self.now = when
+                when = event.when
+                if when > loop.now:
+                    loop.now = when
                 if when > limit:
                     raise self._cycle_limit_exceeded()
-                a.fire(self, when)
+                self._calls.pop(event.seq).fire(self, when)
         self._phase = "done"
         return True
 
@@ -494,17 +545,11 @@ class Machine:
         memo = {id(self.config): self.config,
                 id(self.workload): self.workload}
         for core in self.cores:
-            # The trace columns (and their tolist'd hot-loop mirrors)
-            # are never mutated: every replica reads the same objects.
+            # The trace columns are never mutated: every replica reads
+            # the same objects (the C loop reads them in place).
             memo[id(core.trace)] = core.trace
-            if core.ops is not None:
-                memo[id(core.ops)] = core.ops
-                memo[id(core.args)] = core.args
         clone = copy.deepcopy(self, memo)
-        if any(entry[2] == _PAUSE for entry in clone._heap):
-            clone._heap = [entry for entry in clone._heap
-                           if entry[2] != _PAUSE]
-            heapq.heapify(clone._heap)
+        lib.loop_drop(clone._table.c, _PAUSE)
         return clone
 
     def rebind_config(self, config: MachineConfig) -> None:
@@ -546,15 +591,13 @@ class Machine:
         self.faults = FaultInjector(faults or [],
                                     self.config.detection_latency)
         for index, event in enumerate(self.faults.events):
-            heapq.heappush(
-                self._heap,
-                (event.detect_time, _FAULT_SEQ_BASE + index, _DCALL,
-                 DurableCall("machine", "_deliver_fault_at", (index,)),
-                 None))
+            self._push_call(event.detect_time, _FAULT_SEQ_BASE + index,
+                            DurableCall("machine", "_deliver_fault_at",
+                                        (index,)))
         # A replica forked past its drain (or even past the final pop)
         # still owes its faults an undelivered verdict: re-open the
         # drain so advance() pops them.
-        if self._phase == "done" and self._heap:
+        if self._phase == "done" and self._table.c.heap_n:
             self._phase = "drain"
 
     # ------------------------------------------------------------------
@@ -564,6 +607,8 @@ class Machine:
         stats = self.stats
         engine = self.engine
         counts = engine.tally()
+        for core in self.cores:
+            core.finish()
         stats.cores = [core.stats for core in self.cores]
         for pid, core in enumerate(self.cores):
             core.stats.ipc_delay += engine.ckpt_wait[pid]

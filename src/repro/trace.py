@@ -200,7 +200,7 @@ class CompiledTrace:
         memoryviews aliasing the buffer** — nothing is copied, and the
         views keep the underlying buffer (and a mapped store file)
         alive.  View-backed traces behave identically to array-backed
-        ones everywhere the simulator reads them (``tolist``,
+        ones everywhere the simulator reads them (in place from C,
         indexing, equality); the read-only contract
         is enforced both by the views themselves (writes raise) and
         statically by reprolint rule RL005.

@@ -125,6 +125,18 @@ class TestBatchedParity:
         with pytest.raises(ValueError, match="fuse_quantum"):
             Machine(tiny_config(2, Scheme.NONE), spec, fuse_quantum=0)
 
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, None])
+    def test_quantum_validated_on_assignment(self, bad):
+        # The loop reads the quantum on every advance(), so a value
+        # assigned after construction is checked like a constructor's.
+        machine = make_machine([[(COMPUTE, 10), (END,)]],
+                               config=tiny_config(2, Scheme.NONE))
+        with pytest.raises(ValueError, match="fuse_quantum"):
+            machine.fuse_quantum = bad
+        assert machine.fuse_quantum == DEFAULT_FUSE_QUANTUM
+        machine.fuse_quantum = 3
+        assert machine.fuse_quantum == 3
+
     def test_max_cycles_guard_still_fires_in_batch(self):
         # The per-record cycle guard must also trip inside a fused run
         # (single core, empty heap -> pure batching).

@@ -1,7 +1,9 @@
 """Contracts of the compiled memory system (``repro/coherence/memsys.c``):
 its place in the code fingerprint, its core-count limit, its build
-(concurrent, corrupted, no compiler), forking a paused machine, and
-failures raised inside it (callback exceptions, golden checks)."""
+(concurrent, corrupted, no compiler), forking a paused machine, the
+handles it does not expose, and failures raised inside it or its
+machine loop (callback exceptions, golden checks, the cycle limit,
+deadlocks), which leave the machine refusing to advance."""
 
 from __future__ import annotations
 
@@ -14,17 +16,18 @@ from pathlib import Path
 import pytest
 
 import repro.harness.engine as harness_engine
+import repro.sim.machine as machine_module
 from repro.coherence import build
 from repro.coherence.core import CompiledEngine, ffi
-from repro.coherence.protocol import DependenceTracker
+from repro.coherence.protocol import CoherenceEngine, DependenceTracker
 from repro.core.rebound_scheme import ReboundScheme
 from repro.interconnect import Interconnect
 from repro.mem import ReviveLog
 from repro.params import MachineConfig, Scheme
-from repro.sim.machine import Machine
-from repro.trace import COMPUTE, END, LOAD, STORE
+from repro.sim.machine import Machine, SimulationDeadlock
+from repro.trace import COMPUTE, END, LOAD, LOCK, STORE
 from repro.workloads import get_workload
-from tests.conftest import make_machine, make_spec, tiny_config
+from tests.conftest import lock_spec, make_machine, make_spec, tiny_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -210,3 +213,65 @@ def test_golden_violation_in_the_machine_loop_is_an_assertion():
     machine.engine.golden[3] = 12345
     with pytest.raises(AssertionError, match="coherence violation at 0x3"):
         machine.advance()
+
+
+def test_compiled_engine_exposes_no_cache_handles():
+    """Schemes cannot poke the caches or the directory of a compiled
+    machine: the handles RL006 guards exist only on the oracle."""
+    machine = make_machine([[(STORE, 3), (END,)], [(LOAD, 3), (END,)]])
+    assert type(machine.engine) is CompiledEngine
+    for name in ("l1s", "l2s", "directory"):
+        assert not hasattr(machine.engine, name)
+
+
+def _failure(build, max_cycles=None):
+    """``(type, message, machine.now)`` of what ``run()`` raises on the
+    compiled machine and on the oracle machine; both then refuse to
+    advance."""
+    outcomes = []
+    for engine in (CompiledEngine, CoherenceEngine):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(machine_module, "CompiledEngine", engine)
+            machine = build()
+            with pytest.raises(Exception) as caught:
+                machine.run(max_cycles=max_cycles)
+            with pytest.raises(RuntimeError, match="cannot go on"):
+                machine.advance()
+        outcomes.append((caught.type, str(caught.value), machine.now))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+def test_dependence_exception_in_a_fused_batch(monkeypatch):
+    """Core 1's batch fuses its COMPUTE with the load that reads core
+    0's store; the dependence callback's exception surfaces as is."""
+    def explode(self, consumer, producer, addr):
+        raise LookupError(f"dependence {producer}->{consumer} exploded")
+
+    monkeypatch.setattr(ReboundScheme, "record_dependence", explode)
+    kind, message, _ = _failure(lambda: make_machine(
+        [[(STORE, 3), (END,)], [(COMPUTE, 50), (LOAD, 3), (END,)]],
+        config=tiny_config(2, Scheme.REBOUND)))
+    assert (kind, message) == (LookupError, "dependence 0->1 exploded")
+
+
+def test_cycle_limit_overrun_in_a_batch():
+    kind, message, now = _failure(lambda: make_machine(
+        [[(COMPUTE, 40), (LOAD, 5)] * 50 + [(END,)]],
+        config=tiny_config(2, Scheme.NONE)), max_cycles=1000)
+    assert (kind, message) == (RuntimeError,
+                               "simulation exceeded 1,000 cycles")
+    assert now > 1000
+
+
+def test_lock_deadlock():
+    def build():
+        spec = make_spec([[(LOCK, 0), (END,)],
+                          [(COMPUTE, 10), (LOCK, 0), (END,)]],
+                         locks=[lock_spec()])
+        return Machine(tiny_config(2, Scheme.NONE), spec)
+
+    kind, message, _ = _failure(build)
+    assert kind is SimulationDeadlock
+    assert message == ("no runnable core; waiting: core 1: "
+                       "blocked=lock site=0 ip=1")

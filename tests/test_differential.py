@@ -14,6 +14,12 @@ scale, a fig6_6-style late-fault recovery run at 16 and 64 cores, and
 the hypothesis random-workload strategy of ``test_properties``.  One
 case also compares what ``SimStats`` does not summarize: the final
 memory image, the undo log and the directory.
+
+The compiled machine also runs its loop in C (``mem_advance``) while
+the oracle machine runs the Python loop, so these cases compare the two
+loops too.  The last cases drive each way the C loop returns to Python:
+a replica batch (pause, fork, installed faults), a scheme called after
+every record, and an output record retried after a busy ``on_output``.
 """
 
 from __future__ import annotations
@@ -23,9 +29,13 @@ from hypothesis import given, settings
 
 import repro.sim.machine as machine_module
 from repro.coherence.protocol import CoherenceEngine
+from repro.core import register_scheme, unregister_scheme
+from repro.core.global_scheme import GlobalScheme
+from repro.core.rebound_scheme import ReboundScheme
 from repro.params import MachineConfig, Scheme
 from repro.sim.machine import Machine
-from repro.workloads import get_workload
+from repro.sim.vector import run_replica_batch
+from repro.workloads import get_workload, inject_output_io
 from tests import test_memsys
 from tests.conftest import barrier_spec, lock_spec, make_machine, tiny_config
 from tests.test_properties import SCHEMES, random_workload
@@ -153,4 +163,92 @@ def test_random_workloads(workload, scheme):
         ).run(max_cycles=5e6)
 
     compiled, oracle = both(run)
+    assert compiled == oracle
+
+
+@pytest.mark.parametrize("scheme", [Scheme.GLOBAL, Scheme.REBOUND],
+                         ids=lambda s: s.value)
+def test_replica_batch_at_16_cores(scheme):
+    """The leader pauses at each replica's first detection time, forks
+    (cloning the C heap and core table) and arms the fork's faults."""
+    config = MachineConfig.scaled(n_cores=16, scheme=scheme, scale=150)
+    spec = get_workload("ocean", 16, config, intervals=2.0, seed=1)
+    interval = config.checkpoint_interval
+    fault_lists = [[(0.9 * interval, 5), (1.6 * interval, 2)],
+                   [(1.2 * interval, 3)], []]
+
+    def run():
+        result = run_replica_batch(config, spec, fault_lists)
+        assert (result.report.spilled, result.report.direct_runs,
+                result.report.leader_served) == (2, 0, 1)
+        return result.stats
+
+    compiled, oracle = both(run)
+    assert all(stats.rollbacks for stats in compiled[:2])
+    assert compiled == oracle
+
+
+class _EveryRecordScheme(ReboundScheme):
+    """Out-of-tree: ``post_op`` runs before every record, and every
+    fifth call stalls the core for a few cycles (a back-off)."""
+
+    def __init__(self, machine):
+        super().__init__(machine)
+        self.post_ops = 0
+
+    def post_op_gate(self) -> float:
+        return 0
+
+    def post_op(self, core, now: float) -> None:
+        self.post_ops += 1
+        if self.post_ops % 5 == 0:
+            self._charge_backoff(core, now, now + 7)
+            core.not_before = max(core.not_before, now + 7)
+            return
+        super().post_op(core, now)
+
+
+class _BusyOutputScheme(GlobalScheme):
+    """Out-of-tree: each core's first output finds the scheme busy."""
+
+    def __init__(self, machine):
+        super().__init__(machine)
+        self.refused: set[int] = set()
+
+    def on_output(self, core, now: float):
+        if core.pid not in self.refused:
+            self.refused.add(core.pid)
+            core.not_before = max(core.not_before, now + 50)
+            return None
+        return super().on_output(core, now)
+
+
+@pytest.fixture
+def out_of_tree_schemes():
+    tags = (register_scheme("every_record", _EveryRecordScheme,
+                            is_local=True, delayed_writebacks=True),
+            register_scheme("busy_output", _BusyOutputScheme))
+    yield tags
+    for tag in tags:
+        unregister_scheme(tag.value)
+
+
+def test_scheme_called_after_every_record(out_of_tree_schemes):
+    tag = out_of_tree_schemes[0]
+    config = MachineConfig.scaled(n_cores=8, scheme=tag, scale=150)
+    spec = get_workload("ocean", 8, config, intervals=2.0, seed=1)
+    compiled, oracle = both(lambda: Machine(config, spec).run())
+    assert compiled.checkpoints
+    assert sum(core.ckpt_backoff for core in compiled.cores) > 0
+    assert compiled == oracle
+
+
+def test_output_retried_after_a_busy_scheme(out_of_tree_schemes):
+    tag = out_of_tree_schemes[1]
+    config = MachineConfig.scaled(n_cores=8, scheme=tag, scale=150)
+    spec = inject_output_io(
+        get_workload("water_sp", 8, config, intervals=2.0, seed=1),
+        pid=2, every_instructions=config.checkpoint_interval // 2)
+    compiled, oracle = both(lambda: Machine(config, spec).run())
+    assert any(event.kind == "io" for event in compiled.checkpoints)
     assert compiled == oracle

@@ -88,6 +88,20 @@ class TestRL001ForkSafety:
         assert "closure scheduling" in messages
         assert "local function 'callback'" in messages
 
+    def test_machine_heap_entry_points_are_sinks(self, tmp_path):
+        # The machine's heap is C and holds a key; the call itself goes
+        # into the machine's table through these entry points.
+        (tmp_path / "sim").mkdir()
+        (tmp_path / "sim" / "mod.py").write_text(
+            "def arm(m):\n"
+            "    m.schedule_call(1.0, lambda t: None)\n"
+            "    m._push_call(1.0, -5, lambda t: None)\n")
+        report = run_lint(Project(root=tmp_path, package="pkg"),
+                          rules=["RL001"])
+        assert [(f.line, f.code) for f in report.findings] \
+            == [(2, "RL001"), (3, "RL001")]
+        assert "_push_call" in report.findings[1].message
+
     def test_scoped_to_sim_and_core(self, tmp_path):
         # The same hazard outside sim/ or core/ is not RL001's business
         # (the harness may schedule closures; it never forks).
