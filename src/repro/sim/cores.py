@@ -67,6 +67,8 @@ class CoreTable:
 
     def row(self, pid: int) -> int:
         """The address of core ``pid``'s row."""
+        if not 0 <= pid < self.c.n:
+            raise IndexError(f"core {pid} is not in a table of {self.c.n}")
         return int(ffi.cast("uintptr_t", ffi.addressof(self.c.hot[pid])))
 
     def bind_trace(self, pid: int, trace: CompiledTrace) -> None:

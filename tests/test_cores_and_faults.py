@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.cores import Core
+from repro.sim.cores import Core, CoreTable
 from repro.sim.faults import FaultInjector
 
 
@@ -75,6 +75,13 @@ class TestCoreSnapshots:
         core.take_snapshot(300.0)
         core.rollback_to(first, 400.0)
         assert [s.ckpt_id for s in core.snapshots] == [0, 1]
+
+    def test_core_outside_its_table_is_refused(self):
+        # A core is a view of its row in the machine loop's table.
+        table = CoreTable(2)
+        assert Core(1, [], table).pid == 1
+        with pytest.raises(IndexError, match="not in a table of 2"):
+            Core(2, [], table)
 
     def test_store_values_unique_across_rollback(self):
         """Re-executed stores must not reuse old value tags (the golden
