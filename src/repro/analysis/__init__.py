@@ -29,10 +29,6 @@ RL005     trace-              no in-place mutation of ``CompiledTrace``
           immutability        ``.ops``/``.args`` columns outside
                               ``trace.py`` — specs are shared across
                               runs (store LRU, mmap views, leaders)
-RL006     cache-ownership     no direct cache-line/directory mutation
-                              outside ``coherence``/``mem`` — the engine
-                              is the only writer, so directory,
-                              residency and counters stay consistent
 ========  ==================  ===========================================
 
 Run it with ``python -m repro.harness lint [--json] [--rules RL001,...]``;
@@ -60,7 +56,6 @@ from repro.analysis.rules_cache import CacheIdentityRule
 from repro.analysis.rules_determinism import DeterminismRule
 from repro.analysis.rules_fingerprint import FingerprintCoverageRule
 from repro.analysis.rules_fork import ForkSafetyRule
-from repro.analysis.rules_memsys import CacheOwnershipRule
 from repro.analysis.rules_trace import TraceImmutabilityRule
 
 __all__ = [
@@ -82,16 +77,15 @@ __all__ = [
     "FingerprintCoverageRule",
     "CacheIdentityRule",
     "TraceImmutabilityRule",
-    "CacheOwnershipRule",
 ]
 
 
 def _register_builtins() -> None:
-    """The six production rules register themselves at import time,
+    """The five production rules register themselves at import time,
     exactly like the built-in schemes and workloads do."""
     for rule_cls in (ForkSafetyRule, DeterminismRule,
                      FingerprintCoverageRule, CacheIdentityRule,
-                     TraceImmutabilityRule, CacheOwnershipRule):
+                     TraceImmutabilityRule):
         register_rule(rule_cls())
 
 

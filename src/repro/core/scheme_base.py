@@ -111,8 +111,8 @@ class BaseScheme(DependenceTracker):
         advance (WSIG epoch) is one of the residency events
         :meth:`CoherenceEngine.fastpath_epoch` counts into
         ``SimStats.fastpath_epoch_bumps``.  Cache and directory state
-        changes only inside the coherence engine; schemes never poke
-        cache internals (reprolint RL006 rejects direct pokes).
+        changes only inside the coherence engine; the compiled engine
+        exposes no cache or directory handles to poke.
         """
         self.machine.engine.fastpath_epoch(pid)
 

@@ -18,7 +18,6 @@ Options::
     -j / --jobs N      worker processes (default REPRO_JOBS or CPU count)
     --cache-dir DIR    result cache location (default benchmarks/.cache)
     --no-cache         bypass the persistent result cache
-    --no-vector        run every key as its own batch (REPRO_VECTOR=0)
     --profile          print a per-run wall-clock table and the
                        aggregated workload-store counters at the end
 
@@ -99,13 +98,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                              "benchmarks/.cache)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the persistent result cache")
-    parser.add_argument("--vector", dest="vector", action="store_true",
-                        default=None,
-                        help="batch same-workload fault replicas through "
-                             "the vectorized executor (default: on)")
-    parser.add_argument("--no-vector", dest="vector", action="store_false",
-                        help="run every key as its own batch (same as "
-                             "REPRO_VECTOR=0)")
 
 
 def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
@@ -146,8 +138,7 @@ def _service_prefetch(engine: ExperimentEngine, keys, spool,
 def _build_engine_and_runner(args) -> tuple[ExperimentEngine, Runner]:
     engine = ExperimentEngine(
         jobs=args.jobs, cache_dir=args.cache_dir,
-        use_disk_cache=False if args.no_cache else None, verbose=True,
-        vector=args.vector)
+        use_disk_cache=False if args.no_cache else None, verbose=True)
     runner = Runner(scale=args.scale, intervals=args.intervals,
                     verbose=True, engine=engine)
     return engine, runner

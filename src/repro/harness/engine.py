@@ -63,8 +63,6 @@ replica forks off it at its first fault-detection time, producing
 bit-identical per-replica ``SimStats``.  A lone key is a batch of one.
 Results are memoized and disk-cached *per key*, so the cache format,
 the invariant harness and the campaign summaries see no difference.
-``REPRO_VECTOR=0`` (or the CLI's ``--no-vector``) makes every key its
-own batch.
 
 Knobs (CLI flags on ``python -m repro.harness`` map onto the same
 settings)::
@@ -72,7 +70,6 @@ settings)::
     REPRO_JOBS        worker processes (default: os.cpu_count())
     REPRO_CACHE_DIR   result cache location (default: benchmarks/.cache)
     REPRO_NO_CACHE    set to 1 to bypass the disk cache entirely
-    REPRO_VECTOR      0 runs every key as its own batch; unset/1 = on
 
 (``REPRO_SERVE_SPOOL``, the campaign service's spool location, is read
 by :mod:`repro.harness.service`.)
@@ -461,7 +458,7 @@ def code_fingerprint() -> str:
 def _env_flag(name: str, text: str) -> bool:
     """Parse an on/off environment variable, rejecting garbage with a
     one-line error that names the variable (a typo like
-    ``REPRO_VECTOR=fasle`` must not silently pick either behaviour)."""
+    ``REPRO_NO_CACHE=fasle`` must not silently pick either behaviour)."""
     lower = text.strip().lower()
     if lower in ("1", "on", "true", "yes"):
         return True
@@ -541,7 +538,13 @@ class ExperimentEngine:
                  cache_dir: Optional[os.PathLike] = None,
                  use_disk_cache: Optional[bool] = None,
                  verbose: bool = False,
-                 vector: Optional[bool] = None):
+                 vector: bool = True):
+        # ``vector`` survives only for callers that still pass
+        # ``vector=True``: replica batching cannot be switched off.
+        if vector is not True:
+            raise ValueError(
+                f"vector={vector!r}: replica batching is the engine's "
+                f"only execution plan; vector=True is the only value")
         self.jobs = max(1, jobs if jobs is not None else default_jobs())
         self.cache_dir = Path(cache_dir) if cache_dir is not None \
             else default_cache_dir()
@@ -556,12 +559,6 @@ class ExperimentEngine:
             WorkloadStore(self.cache_dir / "workloads")
             if use_disk_cache else None)
         self.verbose = verbose
-        if vector is None:
-            env = os.environ.get("REPRO_VECTOR")
-            if env is not None and env != "":
-                vector = _env_flag("REPRO_VECTOR", env)
-        #: Whether replica batches go through the vector path.
-        self.vector = vector if vector is not None else True
         self.memo: dict[RunKey, SimStats] = {}
         #: Wall-clock seconds per key *computed* this session (not cached).
         self.profile: dict[RunKey, float] = {}
@@ -734,10 +731,7 @@ class ExperimentEngine:
         """The execution plan: one replica batch per :meth:`_batch_key`
         (a lone key is a batch of one), in first-seen order so serial
         execution keeps the submission order — a failing task never
-        masks work listed before it.  With vectorization off every key
-        is its own batch."""
-        if not self.vector:
-            return [[key] for key in missing]
+        masks work listed before it."""
         groups: dict[tuple, list[RunKey]] = {}
         for key in missing:
             groups.setdefault(self._batch_key(key), []).append(key)

@@ -9,7 +9,7 @@ snapshot, after which it re-executes the lost work.
 
 The fields the machine loop touches on every record (trace position,
 clock, instruction counts, epoch, store sequence, done/blocked and the
-``stats.busy`` accumulator) live in the compiled loop's per-core rows
+``busy`` accumulator) live in the compiled loop's per-core rows
 (``mem_hot_t`` in ``memsys.c``): :class:`Core` is a ``ctypes``
 structure laid over its row, so the loop in C and the Python code
 around it (synchronization, schemes) read and write the same fields,
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import ctypes
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.coherence.core import ffi, lib
@@ -106,39 +106,6 @@ class CoreTable:
         return clone
 
 
-class LiveCoreStats(CoreStats):
-    """A core's :class:`CoreStats` while it runs: ``busy`` is the
-    core's row field, which the loop in C and ``SyncManager`` both add
-    to.  :meth:`Core.finish` swaps in a plain copy for the results."""
-
-    __slots__ = ("_core",)
-
-    def __init__(self, core: "Core"):
-        self._core = core
-        super().__init__()
-
-    @property
-    def busy(self) -> float:
-        return self._core.busy
-
-    @busy.setter
-    def busy(self, value: float) -> None:
-        self._core.busy = value
-
-    def plain(self) -> CoreStats:
-        return CoreStats(*(getattr(self, f.name) for f in fields(CoreStats)))
-
-    def __deepcopy__(self, memo) -> "LiveCoreStats":
-        clone = object.__new__(LiveCoreStats)
-        memo[id(self)] = clone
-        clone._core = copy.deepcopy(self._core, memo)
-        for f in fields(CoreStats):
-            if f.name != "busy":
-                setattr(clone, f.name, copy.deepcopy(getattr(self, f.name),
-                                                     memo))
-        return clone
-
-
 #: ``Core.blocked`` values by their row code.
 _BLOCKED = (None, "lock", "barrier")
 _BLOCK_CODES = {value: code for code, value in enumerate(_BLOCKED)}
@@ -160,7 +127,7 @@ class Core(ctypes.Structure):
         ("store_seq", ctypes.c_int64),
         ("time", ctypes.c_double),
         ("not_before", ctypes.c_double),      # scheme-injected delay floor
-        ("busy", ctypes.c_double),            # stats.busy
+        ("busy", ctypes.c_double),            # finish() copies it to stats
         ("done", ctypes.c_bool),
         ("_blocked", ctypes.c_int8),
     ]
@@ -194,7 +161,7 @@ class Core(ctypes.Structure):
         self.not_before = 0.0
         self.held_locks: set[int] = set()
         self.barrier_crossings: dict[int, int] = {}
-        self.stats: CoreStats = LiveCoreStats(self)
+        self.stats = CoreStats()
         self.store_seq = 0
         self.store_tag = pid << 40      # high bits of every store value
         # While a checkpoint (or its delayed drain) is in flight the core
@@ -243,10 +210,8 @@ class Core(ctypes.Structure):
         return clone
 
     def finish(self) -> None:
-        """Detach the stats from the row (the run is over): results
-        hold plain :class:`CoreStats`."""
-        if isinstance(self.stats, LiveCoreStats):
-            self.stats = self.stats.plain()
+        """Copy the row's ``busy`` into the stats (the run is over)."""
+        self.stats.busy = self.busy
 
     def charge_stall(self, field: str, start: float, end: float) -> None:
         """Charge a checkpoint-stall window to CoreStats ``field`` and

@@ -112,11 +112,10 @@ class FaultEvent:
 class FaultInjector:
     """Hands faults to the scheme once their detection latency elapses.
 
-    Events resolve strictly in detection order, either through the pull
-    API (:meth:`due`, used by unit tests and external drivers) or the
-    push API (:meth:`mark_delivered` / :meth:`mark_undelivered`, used by
-    the machine's heap-event delivery).  The cursor makes every
-    operation O(1) per fault — campaign-scale fault lists stay linear.
+    Events resolve strictly in detection order through
+    :meth:`mark_delivered` / :meth:`mark_undelivered`, called by the
+    machine's heap-event delivery.  The cursor makes every operation
+    O(1) per fault — campaign-scale fault lists stay linear.
     """
 
     def __init__(self, faults: list[tuple[float, int]],
@@ -130,23 +129,6 @@ class FaultInjector:
         self._next = 0                     # first unresolved event
         self.delivered: list[FaultEvent] = []
         self.undelivered: list[FaultEvent] = []
-
-    @property
-    def pending(self) -> list[FaultEvent]:
-        """Events not yet delivered or written off, in detection order."""
-        return self.events[self._next:]
-
-    def due(self, now: float) -> list[FaultEvent]:
-        """Faults whose detection time has been reached."""
-        out = []
-        while self._next < len(self.events) and \
-                self.events[self._next].detect_time <= now:
-            event = self.events[self._next]
-            self._next += 1
-            event.detected = True
-            self.delivered.append(event)
-            out.append(event)
-        return out
 
     def _resolve(self, event: FaultEvent) -> None:
         if self._next >= len(self.events) or \

@@ -475,7 +475,7 @@ class Machine:
                 return
             io_cycles = self.config.io_cycles
             core.time = after + io_cycles
-            core.stats.busy += io_cycles
+            core.busy += io_cycles
             core.instr_count += 1
             core.instr_since_ckpt += 1
             core.ip = ip + 1

@@ -147,7 +147,7 @@ class SyncManager:
                                         now + latency)
         core.instr_count += 2
         core.instr_since_ckpt += 2
-        core.stats.busy += latency
+        core.busy += latency
         return latency
 
     # ------------------------------------------------------------------
@@ -166,7 +166,7 @@ class SyncManager:
             latency = machine.engine.load(core.pid, barrier.flag_line, now)
             core.instr_count += 1
             core.instr_since_ckpt += 1
-            core.stats.busy += latency
+            core.busy += latency
             core.barrier_crossings[barrier_id] = crossed + 1
             return now + latency
         # Update critical section: serialized RMW on the count line.

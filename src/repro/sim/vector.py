@@ -65,9 +65,11 @@ __all__ = ["run_replica_batch", "BatchResult", "BatchReport"]
 FaultList = Sequence[tuple[float, int]]
 
 
-#: Forking the leader costs a deep copy of the whole machine state
-#: (~10-15% of a full run's wall clock), so a replica only rides the
-#: leader when its shared prefix is worth more than the fork: replicas
+#: Forking the leader costs a deep copy of the whole machine state:
+#: 0.4-0.8 of a whole run's wall clock for a 16-core, scale-40 ocean or
+#: water_sp machine forked at half its run (``copy.deepcopy`` over
+#: 5k-21k objects), so a replica only rides the leader when its shared
+#: prefix is worth more than the fork: replicas
 #: whose first divergence lands before this fraction of the estimated
 #: run length are run standalone through the ordinary scalar kernel
 #: instead — bit-identical either way, the threshold only moves cost.

@@ -217,7 +217,7 @@ def test_golden_violation_in_the_machine_loop_is_an_assertion():
 
 def test_compiled_engine_exposes_no_cache_handles():
     """Schemes cannot poke the caches or the directory of a compiled
-    machine: the handles RL006 guards exist only on the oracle."""
+    machine: those handles exist only on the Python oracle."""
     machine = make_machine([[(STORE, 3), (END,)], [(LOAD, 3), (END,)]])
     assert type(machine.engine) is CompiledEngine
     for name in ("l1s", "l2s", "directory"):

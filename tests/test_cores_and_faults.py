@@ -98,34 +98,49 @@ class TestCoreSnapshots:
 class TestFaultInjector:
     def test_detection_delayed_by_latency(self):
         injector = FaultInjector([(100.0, 2)], detection_latency=50.0)
-        assert injector.due(149.0) == []
-        events = injector.due(150.0)
-        assert len(events) == 1
-        assert events[0].pid == 2
-        assert events[0].detect_time == 150.0
+        (event,) = injector.events
+        assert event.pid == 2
+        assert event.time == 100.0
+        assert event.detect_time == 150.0
+        assert not event.detected
 
     def test_faults_delivered_once(self):
         injector = FaultInjector([(10.0, 0)], detection_latency=5.0)
-        assert len(injector.due(100.0)) == 1
-        assert injector.due(200.0) == []
+        (event,) = injector.events
+        injector.mark_delivered(event)
+        assert event.detected
         assert injector.outstanding == 0
+        with pytest.raises(ValueError, match="out of detection order"):
+            injector.mark_delivered(event)
+        with pytest.raises(ValueError, match="out of detection order"):
+            injector.mark_undelivered(event)
+        assert injector.delivered == [event]
+        assert injector.undelivered == []
 
     def test_faults_sorted_by_time(self):
         injector = FaultInjector([(300.0, 1), (100.0, 0)],
                                  detection_latency=0.0)
-        events = injector.due(1e9)
-        assert [e.pid for e in events] == [0, 1]
+        assert [e.pid for e in injector.events] == [0, 1]
+        assert [e.detect_time for e in injector.events] == [100.0, 300.0]
 
     def test_multiple_due_at_once(self):
-        injector = FaultInjector([(1.0, 0), (2.0, 1)],
+        # Equal detection times resolve in (time, pid) order.
+        injector = FaultInjector([(1.0, 1), (1.0, 0)],
                                  detection_latency=10.0)
-        assert len(injector.due(20.0)) == 2
+        first, second = injector.events
+        assert (first.pid, second.pid) == (0, 1)
+        assert first.detect_time == second.detect_time == 11.0
+        injector.mark_delivered(first)
+        injector.mark_delivered(second)
+        assert injector.delivered == [first, second]
+        assert injector.outstanding == 0
 
     def test_push_api_resolves_in_order(self):
         injector = FaultInjector([(1.0, 0), (2.0, 1)],
                                  detection_latency=10.0)
-        first, second = injector.pending
+        first, second = injector.events
         injector.mark_delivered(first)
+        assert injector.outstanding == 1
         injector.mark_undelivered(second)
         assert injector.outstanding == 0
         assert injector.delivered == [first]
@@ -136,16 +151,21 @@ class TestFaultInjector:
         injector = FaultInjector([(1.0, 0), (2.0, 1)],
                                  detection_latency=10.0)
         with pytest.raises(ValueError, match="out of detection order"):
-            injector.mark_delivered(injector.pending[1])
+            injector.mark_delivered(injector.events[1])
+        with pytest.raises(ValueError, match="out of detection order"):
+            injector.mark_undelivered(injector.events[1])
+        assert injector.outstanding == 2
 
     def test_large_fault_list_drains_linearly(self):
-        # Campaign-scale lists: due() advances a cursor, never pops the
-        # head of a list (the old O(n^2) drain).
+        # Campaign-scale lists: resolving advances a cursor, never pops
+        # the head of a list (the old O(n^2) drain).
         n = 5_000
         injector = FaultInjector([(float(i), i % 7) for i in range(n)],
                                  detection_latency=1.0)
-        seen = 0
-        for now in range(0, n + 2, 500):
-            seen += len(injector.due(float(now)))
-        assert seen == n
+        for i, event in enumerate(injector.events):
+            if i % 2:
+                injector.mark_undelivered(event)
+            else:
+                injector.mark_delivered(event)
+        assert len(injector.delivered) + len(injector.undelivered) == n
         assert injector.outstanding == 0

@@ -406,14 +406,14 @@ class TestBatchWidening:
 
     def test_plan_forms_one_batch_across_l(self):
         keys = _l_keys(Scheme.GLOBAL)
-        eng = ExperimentEngine(jobs=1, use_disk_cache=False, vector=True)
+        eng = ExperimentEngine(jobs=1, use_disk_cache=False)
         tasks = eng._plan_tasks(list(keys))
         assert tasks == [keys]               # one batch spanning all L
 
     def test_fig_l_sensitivity_plan_batches_span_all_l(self):
         from repro.harness.experiments import plan_experiment
         from repro.harness.runner import Runner
-        eng = ExperimentEngine(jobs=1, use_disk_cache=False, vector=True)
+        eng = ExperimentEngine(jobs=1, use_disk_cache=False)
         runner = Runner(scale=SCALE, intervals=INTERVALS, engine=eng)
         keys = plan_experiment("fig_l_sensitivity", runner,
                                apps=["blackscholes"], n_cores=4, n_seeds=1)

@@ -281,7 +281,7 @@ class TestPickleRoundTrips:
 
 #: Every ``REPRO_*`` environment setting the package reads.
 KNOBS = {"REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_NO_CACHE",
-         "REPRO_VECTOR", "REPRO_SERVE_SPOOL"}
+         "REPRO_SERVE_SPOOL"}
 
 
 def test_knob_surface():

@@ -59,9 +59,9 @@ class TestShippedTreeClean:
         report = run_lint()
         assert report.ok, report.render()
         assert report.findings == []
-        # All six production rules actually ran over the whole package.
+        # All five production rules actually ran over the whole package.
         assert report.rules == ("RL001", "RL002", "RL003", "RL004",
-                                "RL005", "RL006")
+                                "RL005")
         assert report.checked_files >= 50
 
     def test_default_project_fingerprint_matches_engine(self):
@@ -228,46 +228,6 @@ class TestRL005TraceImmutability:
         assert [f.path for f in report.findings] == ["other.py"]
 
 
-class TestRL006FastpathInvalidation:
-    def test_every_poke_spelling_fires(self):
-        findings = findings_for("RL006")
-        assert all(f.path == "core/bad_cache_poke.py" for f in findings)
-        by_line = {finding.line: finding.message for finding in findings}
-        assert 5 in by_line and ".invalidate()" in by_line[5]
-        assert 6 in by_line and ".invalidate_all()" in by_line[6]
-        assert 7 in by_line and ".delayed" in by_line[7]
-        assert 8 in by_line and ".lw_id" in by_line[8]
-        assert ".directory" in by_line[8]
-        assert len(findings) == 4
-
-    def test_bare_local_mutation_is_legal(self):
-        # ``line = engine.l2s[pid].peek(addr); line.delayed = False``:
-        # the engine-side call is the audited entry point, and the rule
-        # must not chase dataflow into bare locals.
-        findings = findings_for("RL006")
-        assert all(finding.line not in (12, 13) for finding in findings)
-
-    def test_suppression_honoured(self):
-        report = run_lint(badtree_project(), rules=["RL006"])
-        assert all(finding.line != 14 for finding in report.findings)
-        assert report.suppressed == 1
-
-    def test_coherence_and_mem_are_exempt(self, tmp_path):
-        # The engine and the caches themselves own this state — the
-        # same spellings are the implementation there, not a poke.
-        poke = ("def drop(self, pid, addr):\n"
-                "    self.l2s[pid].invalidate(addr)\n")
-        (tmp_path / "coherence").mkdir()
-        (tmp_path / "coherence" / "protocol.py").write_text(poke)
-        (tmp_path / "mem").mkdir()
-        (tmp_path / "mem" / "cache.py").write_text(poke)
-        (tmp_path / "core").mkdir()
-        (tmp_path / "core" / "scheme.py").write_text(poke)
-        report = run_lint(Project(root=tmp_path, package="pkg"),
-                          rules=["RL006"])
-        assert [f.path for f in report.findings] == ["core/scheme.py"]
-
-
 class TestFramework:
     def test_unknown_rule_code_errors(self):
         with pytest.raises(LintError, match="RL999"):
@@ -286,7 +246,7 @@ class TestFramework:
         payload = json.loads(report.render_json())
         assert payload["ok"] is False
         assert payload["rules"] == ["RL001", "RL002", "RL003", "RL004",
-                                    "RL005", "RL006"]
+                                    "RL005"]
         assert payload["suppressed"] == report.suppressed
         assert len(payload["findings"]) == len(report.findings)
         first = payload["findings"][0]
@@ -389,8 +349,7 @@ class TestLintCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005",
-                     "RL006"):
+        for code in ("RL001", "RL002", "RL003", "RL004", "RL005"):
             assert code in out
 
 
@@ -410,19 +369,6 @@ class TestEnvParsing:
         assert default_jobs() == 3
         monkeypatch.setenv("REPRO_JOBS", "0")
         assert default_jobs() == 1          # clamped, as before
-
-    def test_repro_vector_garbage_rejected(self, monkeypatch, tmp_path):
-        from repro.harness.engine import ExperimentEngine
-        monkeypatch.setenv("REPRO_VECTOR", "fasle")
-        with pytest.raises(ValueError, match="REPRO_VECTOR.*'fasle'"):
-            ExperimentEngine(jobs=1, cache_dir=tmp_path)
-
-    def test_repro_vector_case_insensitive_off(self, monkeypatch,
-                                               tmp_path):
-        from repro.harness.engine import ExperimentEngine
-        monkeypatch.setenv("REPRO_VECTOR", "OFF")
-        engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-        assert engine.vector is False
 
     def test_repro_no_cache_garbage_rejected(self, monkeypatch,
                                              tmp_path):

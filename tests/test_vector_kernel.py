@@ -10,8 +10,8 @@ bit-identical to a scalar ``Machine.run`` of the same (config,
 workload, faults), for every registered scheme, with fault campaigns,
 output-I/O injection and cluster mode in the mix.  The engine-level
 grouping (``ExperimentEngine`` batching same-workload RunKeys) is held
-to the same standard, and ``REPRO_VECTOR=0`` (every key its own batch
-of one) must produce the same results.
+to the same standard: every batched result must equal the scalar
+reference ``execute_run`` of its key.
 """
 
 from __future__ import annotations
@@ -254,29 +254,22 @@ def _engine_keys(n_plans=3):
     return keys
 
 
-def test_engine_batches_match_scalar_engine(monkeypatch):
+def test_engine_batches_match_scalar_engine():
     keys = _engine_keys()
-    vec = ExperimentEngine(jobs=1, use_disk_cache=False, vector=True)
-    single = ExperimentEngine(jobs=1, use_disk_cache=False, vector=False)
-    res_v, res_s = vec.run_many(keys), single.run_many(keys)
+    vec = ExperimentEngine(jobs=1, use_disk_cache=False)
+    res_v = vec.run_many(keys)
     width = len(keys)
     for key in keys:
-        expect = execute_run(key)
-        assert_stats_equal(expect, res_v[key])
-        assert_stats_equal(expect, res_s[key])
+        assert_stats_equal(execute_run(key), res_v[key])
         assert vec.batch_width[key] == width
-        assert single.batch_width[key] == 1
     # batched rows carry their width in the --profile table
     assert all(row[7] == width for row in vec.profile_rows())
-    assert all(row[7] == 1 for row in single.profile_rows())
     # memoization still returns the same objects on re-request
     again = vec.run_many(keys)
     assert all(again[key] is res_v[key] for key in keys)
-    # REPRO_VECTOR=0 disables batching; unset means on
-    monkeypatch.setenv("REPRO_VECTOR", "0")
-    assert not ExperimentEngine(jobs=1, use_disk_cache=False).vector
-    monkeypatch.delenv("REPRO_VECTOR")
-    assert ExperimentEngine(jobs=1, use_disk_cache=False).vector
+    # replica batching is the only plan: the keyword takes no other value
+    with pytest.raises(ValueError, match="vector=False"):
+        ExperimentEngine(jobs=1, use_disk_cache=False, vector=False)
 
 
 def test_harness_import_path_is_numpy_free():
