@@ -62,6 +62,29 @@ typedef struct {
     int32_t mode;
 } mem_dirent_t;
 
+typedef struct {
+    int64_t interval_id;
+    double start_time;
+    uint64_t producers;
+    uint64_t consumers;
+    uint64_t producers_genuine;
+    uint64_t consumers_genuine;
+    double ckpt_complete_time;
+    int64_t wsig_tests;
+    int64_t wsig_false_positives;
+    uint8_t complete;
+    uint8_t ckpt_started;
+} mem_dep_t;
+
+typedef struct {
+    int64_t seq;
+    double time;
+    int64_t pid;
+    int64_t addr;
+    int64_t old_value;
+    int64_t interval;
+} mem_logent_t;
+
 typedef struct mem_core {
     void *owner;
     double *demand_busy;
@@ -91,20 +114,42 @@ typedef struct mem_core {
     int64_t forced_delayed_writebacks;
     int64_t base_messages;
     int64_t dep_messages;
+    mem_logent_t *log;
+    int64_t log_n;
+    int64_t log_seq;
+    int64_t log_total;
+    int64_t mem_writes;
+    int64_t logged_writebacks;
+    int64_t suppressed_logs;
     int failed;
     int64_t fail_addr;
     int64_t fail_loaded;
     int64_t fail_expected;
+    int64_t fail_pid;
     ...;
 } mem_core_t;
 
+#define FAIL_CALLBACK ...
+#define FAIL_GOLDEN ...
+#define FAIL_INCLUSION ...
+#define FAIL_OWNER ...
+#define FAIL_BLOOM ...
+#define LINE_LOG_CURRENT ...
+#define LINE_LOG_DELAYED ...
+#define HOOKS_NONE ...
+#define HOOKS_GLOBAL ...
+#define HOOKS_REBOUND ...
+#define HOOKS_PYTHON ...
+
 extern "Python" int mem_cb_dependence(void *, int, int, int64_t);
 extern "Python" int mem_cb_wsig(void *, int, int64_t);
-extern "Python" int mem_cb_line(void *, double, int, int64_t, int64_t, int,
-                                int64_t);
+extern "Python" int mem_cb_line(void *, double, int, int64_t, int,
+                                int64_t *);
 
 mem_core_t *mem_new(int, int, int, int, int, int, int64_t, int64_t, int64_t,
                     int64_t, int64_t, int64_t, int, int);
+int mem_set_hooks(mem_core_t *, int, int, int64_t, int, int);
+void mem_set_log(mem_core_t *, int64_t, int64_t);
 mem_core_t *mem_clone(const mem_core_t *);
 void mem_free(mem_core_t *);
 
@@ -128,6 +173,22 @@ int mem_map_get(mem_core_t *, int, int64_t, int64_t *);
 int mem_map_set(mem_core_t *, int, int64_t, int64_t);
 int64_t mem_map_size(mem_core_t *, int);
 int64_t mem_map_key(mem_core_t *, int, int64_t);
+
+mem_dep_t *mem_dep_row(mem_core_t *, int, int);
+uint64_t *mem_dep_words(mem_core_t *, int, int);
+int mem_dep_reset(mem_core_t *, int, int, int64_t, double);
+void mem_dep_order(mem_core_t *, int, const int32_t *, int);
+int mem_wsig_merge(mem_core_t *, int, int, int);
+int64_t mem_wsig_size(mem_core_t *, int, int);
+int64_t mem_wsig_key(mem_core_t *, int, int, int64_t);
+
+int mem_log_writeback(mem_core_t *, double, int, int64_t, int64_t, int64_t);
+void mem_end_interval(mem_core_t *, int, int64_t);
+int64_t mem_log_select(mem_core_t *, const int64_t *, mem_logent_t *);
+int64_t mem_log_discard(mem_core_t *, const int64_t *);
+int64_t mem_log_restore(mem_core_t *, const int64_t *, mem_logent_t *);
+int64_t mem_log_trim(mem_core_t *, double, int);
+int64_t mem_log_max_bin(mem_core_t *);
 
 #define OP_COMPUTE ...
 #define OP_LOAD ...
@@ -159,6 +220,9 @@ typedef struct {
     int64_t instr_since_ckpt;
     int64_t epoch;
     int64_t store_seq;
+    int64_t pending_delayed;
+    int64_t delayed_ckpt_id;
+    int64_t interval;
     double time;
     double not_before;
     double busy;
@@ -188,6 +252,7 @@ double loop_next_when(mem_loop_t *);
 void loop_drop(mem_loop_t *, int);
 int mem_advance(mem_core_t *, mem_loop_t *, double, double, int64_t,
                 mem_event_t *);
+void mem_bind_loop(mem_core_t *, mem_loop_t *);
 """
 
 

@@ -2,46 +2,56 @@
 
 :class:`CompiledEngine` owns one ``mem_core_t`` (``memsys.c``): the
 per-core L1/L2 caches, the directory, the memory channels' horizons,
-the memory value image, the golden image and every counter
-:class:`~repro.sim.stats.SimStats` reads.  It offers the services of
-the Python oracle, :class:`~repro.coherence.protocol.CoherenceEngine`,
-with bit-identical results; the oracle stays as the reference the
-differential tests compare against.
+the memory value image, the golden image, the ReVive undo log, Rebound's
+Dep registers and every counter :class:`~repro.sim.stats.SimStats`
+reads.  It offers the services of the Python oracle,
+:class:`~repro.coherence.protocol.CoherenceEngine`, with bit-identical
+results; the oracle stays as the reference the differential tests
+compare against.
 
 The machine loop runs inside the core (:meth:`CompiledEngine.advance`,
 ``mem_advance``), which executes loads and stores with no Python frame
-per access.  Within it, the core re-enters Python only for scheme
-events:
+per access.  The built-in trackers' per-access hooks run there too
+(:func:`native_hooks`): Rebound's dependence records and WSIG stamps
+work on the Dep registers in the core, and every writeback is logged in
+the core, its interval read from the Dep registers or the core's row.
+Python hears only about checkpoints and rollbacks.  Any other tracker
+(an out-of-tree :class:`~repro.coherence.protocol.DependenceTracker`,
+or a built-in one whose hooks a subclass overrides) is called back:
 
 * a dependence, when the tracker is enabled and LW-ID names another
   core: one :meth:`~repro.coherence.protocol.DependenceTracker.
   record_dependence` call, whose ``claims`` the core acts on;
 * a WSIG stamp, when the tracker is enabled;
-* a logged writeback (interval lookup, then
-  :meth:`~repro.mem.memory.MainMemory.log_writeback` with the old
-  value), and a Delayed line leaving the cache.
+* a writeback's interval (``interval_of``/``delayed_interval_of``), and
+  a Delayed line leaving the cache (``on_line_left_cache``).
 
-Golden-image checks (``check_coherence``) run inside the core.  A
-failed check, or an exception raised by a callback, poisons the core:
-every later entry point returns a negative result, and the Python side
-raises the failure (the callback's own exception, with its traceback).
+Golden-image checks (``check_coherence``) and the WSIG's
+no-false-negative check run inside the core.  A failed check, or an
+exception raised by a callback, poisons the core: every later entry
+point returns a negative result, and the Python side raises the failure
+(the callback's own exception, with its traceback).
 
-``machine.memory`` and ``machine.channels`` are views of the core:
-:class:`CoreMemory`, the oracle's ``MainMemory`` over a
-:class:`CoreMap` of the image, and :class:`CoreChannels`, which runs
+``machine.memory``, ``machine.log`` and ``machine.channels`` are views
+of the core: :class:`CoreMemory`, the oracle's ``MainMemory`` over a
+:class:`CoreMap` of the image, :class:`CoreLog`, a ``ReviveLog`` whose
+entries are built only when read, and :class:`CoreChannels`, which runs
 the oracle's ``MemoryChannels`` code for the scheme-side services
-(``bg_*``, ``restore``) on the core's horizons.
+(``bg_*``, ``restore``) on the core's horizons.  Rebound's Dep-register
+files are :class:`~repro.core.dep_registers.CoreDepRegisterFile` views
+(:meth:`CompiledEngine.dep_files`).
 """
 
 from __future__ import annotations
 
 import copy
+import ctypes
 from typing import Optional
 
 from repro.coherence import build
 from repro.coherence.protocol import EntryState, LineState
-from repro.mem import MainMemory, MemoryChannels, ReviveLog
-from repro.params import MachineConfig
+from repro.mem import LogEntry, MainMemory, MemoryChannels, ReviveLog
+from repro.params import LOG_ENTRY_BYTES, MachineConfig
 
 _module = build.load()
 ffi = _module.ffi
@@ -50,10 +60,30 @@ lib = _module.lib
 #: Sharers are one 64-bit mask per directory entry.
 MAX_CORES = 64
 
-# ``mem_cb_line`` kinds and failure codes (memsys.c).
-_LOG_CURRENT, _LOG_GIVEN, _LOG_DELAYED, _LEFT = range(4)
-_FAIL_CALLBACK, _FAIL_GOLDEN, _FAIL_INCLUSION, _FAIL_OWNER = 1, 2, 3, 4
 _IMAGE, _GOLDEN = 0, 1
+
+#: ``NATIVE_HOOKS`` names (set on the built-in trackers) -> core modes.
+_NATIVE = {"none": lib.HOOKS_NONE, "global": lib.HOOKS_GLOBAL,
+           "rebound": lib.HOOKS_REBOUND}
+#: The tracker methods the core runs in place of a built-in tracker.
+_HOOK_METHODS = ("on_write", "record_dependence", "on_line_left_cache",
+                 "interval_of", "delayed_interval_of")
+
+
+def native_hooks(tracker) -> int:
+    """The ``HOOKS_*`` mode the core runs for ``tracker``.
+
+    A tracker class declaring ``NATIVE_HOOKS`` has its hooks built into
+    the core.  A subclass inherits them only if it overrides none of
+    the hook methods and keeps ``enabled``; anything else is called
+    back (``HOOKS_PYTHON``)."""
+    cls = type(tracker)
+    base = next((k for k in cls.__mro__ if "NATIVE_HOOKS" in vars(k)), None)
+    if base is None or tracker.enabled != base.enabled or any(
+            getattr(cls, name) is not getattr(base, name)
+            for name in _HOOK_METHODS):
+        return lib.HOOKS_PYTHON
+    return _NATIVE[base.NATIVE_HOOKS]
 
 
 # Each callback runs its work under ``except BaseException``: an
@@ -84,19 +114,16 @@ def mem_cb_wsig(owner, pid, addr):
 
 
 @ffi.def_extern()
-def mem_cb_line(owner, now, pid, addr, old, kind, interval):
+def mem_cb_line(owner, now, pid, addr, kind, interval):
     engine = ffi.from_handle(owner)
     try:
         tracker = engine.tracker
-        if kind == _LOG_CURRENT:
-            interval = tracker.interval_of(pid)
-        elif kind != _LOG_GIVEN:
-            if kind == _LOG_DELAYED:
-                interval = tracker.delayed_interval_of(pid)
+        if kind == lib.LINE_LOG_CURRENT:
+            interval[0] = tracker.interval_of(pid)
+        else:
+            if kind == lib.LINE_LOG_DELAYED:
+                interval[0] = tracker.delayed_interval_of(pid)
             tracker.on_line_left_cache(pid, addr, now)
-            if kind == _LEFT:
-                return 0
-        engine.memory.log_writeback(now, pid, addr, old, interval)
     except BaseException as exc:
         engine.failure = exc
         return -1
@@ -143,15 +170,104 @@ class CoreMap:
         return CoreMap(copy.deepcopy(self._engine, memo), self._which)
 
 
-class CoreMemory(MainMemory):
-    """:class:`MainMemory` over the core's value image.  The core writes
-    the image on a writeback and calls :meth:`log_writeback` with the
-    old value; peeks, snapshots and rollback restores go through the
-    view."""
+def _entry(raw) -> LogEntry:
+    return LogEntry(raw.seq, raw.time, raw.pid, raw.addr, raw.old_value,
+                    raw.interval)
 
-    def __init__(self, log: ReviveLog, engine: "CompiledEngine"):
-        super().__init__(log)
+
+class CoreLog(ReviveLog):
+    """:class:`ReviveLog` over the core's undo log: the entries, the seq
+    counter the checkpoint markers share, the entry count and the bytes
+    per time bin live in the core.  Entries are built as
+    :class:`~repro.mem.log.LogEntry` objects only when read; the markers
+    are kept here."""
+
+    def __init__(self, engine: "CompiledEngine", n_banks: int,
+                 bin_cycles: int):
+        self._engine = engine
+        self.n_banks = n_banks
+        self.bin_cycles = max(1, bin_cycles)
+        self._end_markers = {}
+        self._begin_markers = {}
+
+    @property
+    def total_entries(self) -> int:
+        return self._engine._c.log_total
+
+    @property
+    def banks(self) -> list[list[LogEntry]]:
+        banks = [[] for _ in range(self.n_banks)]
+        c = self._engine._c
+        for i in range(c.log_n):
+            entry = _entry(c.log[i])
+            banks[entry.addr % self.n_banks].append(entry)
+        return banks
+
+    def next_seq(self) -> int:
+        self._engine._c.log_seq += 1
+        return self._engine._c.log_seq
+
+    def entries_after(self, targets: dict[int, int]) -> list[LogEntry]:
+        c = self._engine._c
+        out = ffi.new("mem_logent_t[]", max(1, c.log_n))
+        n = lib.mem_log_select(c, self._engine.targets(targets), out)
+        return [_entry(out[i]) for i in range(n)]
+
+    def discard_after(self, targets: dict[int, int]) -> int:
+        return lib.mem_log_discard(self._engine._c,
+                                   self._engine.targets(targets))
+
+    def trim_before(self, time: float) -> int:
+        trimmed = lib.mem_log_trim(self._engine._c, time, self.n_banks)
+        if trimmed < 0:
+            raise MemoryError("cannot trim the compiled undo log")
+        return trimmed
+
+    def live_entries(self) -> int:
+        return self._engine._c.log_n
+
+    def max_interval_bytes(self) -> int:
+        return lib.mem_log_max_bin(self._engine._c)
+
+
+def _memory_field(name: str) -> property:
+    return property(lambda self: getattr(self._engine._c, name))
+
+
+class CoreMemory(MainMemory):
+    """:class:`MainMemory` over the core: the value image is a
+    :class:`CoreMap`, and the core logs every writeback itself (the
+    first-writeback filter, the counters and the undo log are there).
+    Peeks, snapshots and the rollback restore go through the views."""
+
+    writes = _memory_field("mem_writes")
+    logged_writebacks = _memory_field("logged_writebacks")
+    suppressed_logs = _memory_field("suppressed_logs")
+
+    def __init__(self, log: CoreLog, engine: "CompiledEngine"):
+        self.log = log
+        self._engine = engine
         self._values = CoreMap(engine, _IMAGE)
+        self.reads = 0
+
+    def log_writeback(self, time: float, pid: int, addr: int, old: int,
+                      interval: int) -> bool:
+        logged = lib.mem_log_writeback(self._engine._c, time, pid, addr,
+                                       old, interval)
+        if self._engine._c.failed:
+            self._engine.raise_failure()
+        return bool(logged)
+
+    def end_interval(self, pid: int, interval: int) -> None:
+        lib.mem_end_interval(self._engine._c, pid, interval)
+
+    def restore(self, targets: dict[int, int]) -> list:
+        c = self._engine._c
+        out = ffi.new("mem_logent_t[]", max(1, c.log_n))
+        n = lib.mem_log_restore(c, self._engine.targets(targets), out)
+        if n < 0:
+            self._engine.raise_failure()
+        return [_entry(out[i]) for i in range(n)]
 
 
 def _channel_field(name: str) -> property:
@@ -195,10 +311,13 @@ class CompiledEngine:
     """
 
     #: Python state deep-copied by a fork (the core is cloned).
-    _PY_STATE = ("config", "network", "tracker", "memory", "channels")
+    _PY_STATE = ("config", "network", "tracker", "memory", "channels",
+                 "hooks")
 
     def __init__(self, config: MachineConfig, log: ReviveLog, network,
                  tracker):
+        """``log`` gives the undo log's banks and time bins; the log
+        itself is the core's (``memory.log``)."""
         if config.n_cores > MAX_CORES:
             raise ValueError(
                 f"the compiled memory system supports at most {MAX_CORES} "
@@ -209,6 +328,8 @@ class CompiledEngine:
         self.tracker = tracker
         #: The exception a callback raised, until it is re-raised.
         self.failure: Optional[BaseException] = None
+        #: The ``HOOKS_*`` mode (:func:`native_hooks`).
+        self.hooks = native_hooks(tracker)
         raw = lib.mem_new(
             config.n_cores, config.l1.n_sets, config.l1.assoc,
             config.l2.n_sets, config.l2.assoc, config.n_mem_channels,
@@ -217,7 +338,19 @@ class CompiledEngine:
             config.dram_occupancy, config.logged_wb_occupancy,
             int(config.check_coherence), int(bool(tracker.enabled)))
         self._adopt(raw)
-        self.memory = CoreMemory(log, self)
+        if self.hooks == lib.HOOKS_REBOUND:
+            bits = config.wsig_bits
+            if bits <= 0 or bits & (bits - 1):
+                raise ValueError("wsig_bits must be a positive power of two")
+        if not lib.mem_set_hooks(self._c, self.hooks, config.n_dep_sets,
+                                 config.wsig_bits, config.wsig_hashes,
+                                 config.dep_cluster_size):
+            raise MemoryError(
+                "cannot set up the compiled Dep registers (out of memory, "
+                "or more than 64 wsig_hashes)")
+        lib.mem_set_log(self._c, log.bin_cycles, LOG_ENTRY_BYTES)
+        self.memory = CoreMemory(CoreLog(self, log.n_banks, log.bin_cycles),
+                                 self)
         self.channels = CoreChannels(self)
         self._bind()
 
@@ -250,20 +383,86 @@ class CompiledEngine:
         """Raise what poisoned the core (a callback's exception or a
         failed golden/inclusion/ownership check)."""
         c = self._c
-        if c.failed == _FAIL_CALLBACK and self.failure is not None:
+        if c.failed == lib.FAIL_CALLBACK and self.failure is not None:
             exc, self.failure = self.failure, None
             raise exc
-        if c.failed == _FAIL_GOLDEN:
+        if c.failed == lib.FAIL_GOLDEN:
             raise AssertionError(
                 f"coherence violation at {c.fail_addr:#x}: loaded "
                 f"{c.fail_loaded:#x}, expected {c.fail_expected:#x}")
-        if c.failed == _FAIL_INCLUSION:
+        if c.failed == lib.FAIL_BLOOM:
+            raise AssertionError(
+                f"Bloom filter false negative: core {c.fail_pid} wrote line "
+                f"{c.fail_addr:#x} but its WSIG misses it")
+        if c.failed == lib.FAIL_INCLUSION:
             raise AssertionError("L1/L2 inclusion violated")
-        if c.failed == _FAIL_OWNER:
+        if c.failed == lib.FAIL_OWNER:
             raise AssertionError("directory owner lost the line")
-        if c.failed == _FAIL_CALLBACK:
+        if c.failed == lib.FAIL_CALLBACK:
             raise RuntimeError("the compiled memory system failed earlier")
         raise MemoryError("the compiled memory system ran out of memory")
+
+    # ------------------------------------------------------------------
+    # the machine's core rows, Dep registers and log targets
+    # ------------------------------------------------------------------
+    def bind_loop(self, table) -> None:
+        """Read the core rows of ``table`` (a
+        :class:`~repro.sim.cores.CoreTable`) on writebacks; a machine
+        binds its engine before any access, and a fork its clones."""
+        lib.mem_bind_loop(self._c, table.c)
+
+    def dep_files(self) -> Optional[list]:
+        """One :class:`~repro.core.dep_registers.CoreDepRegisterFile`
+        per core when the core runs Rebound's hooks, else None."""
+        if self.hooks != lib.HOOKS_REBOUND:
+            return None
+        from repro.core.dep_registers import (
+            CoreDepRegisterFile,
+            DepRegisterSet,
+        )
+        _check_dep_layout(DepRegisterSet)
+        config = self.config
+        return [CoreDepRegisterFile(self, pid, config.n_dep_sets,
+                                    config.wsig_bits, config.wsig_hashes)
+                for pid in range(config.n_cores)]
+
+    def dep_row(self, pid: int, slot: int) -> int:
+        """The address of ``pid``'s Dep-register row ``slot``."""
+        return int(ffi.cast("uintptr_t", lib.mem_dep_row(self._c, pid, slot)))
+
+    def dep_reset(self, pid: int, slot: int, interval_id: int,
+                  now: float) -> None:
+        if not lib.mem_dep_reset(self._c, pid, slot, interval_id, now):
+            self.raise_failure()
+
+    def dep_order(self, pid: int, slots: list[int]) -> None:
+        """Publish ``pid``'s live sets, oldest first."""
+        lib.mem_dep_order(self._c, pid, ffi.new("int32_t[]", slots),
+                          len(slots))
+
+    def wsig_words(self, pid: int, slot: int):
+        """The Bloom words of a WSIG, as a writable ``ctypes`` array."""
+        n = -(-self.config.wsig_bits // 64)
+        address = int(ffi.cast("uintptr_t",
+                               lib.mem_dep_words(self._c, pid, slot)))
+        return (ctypes.c_uint64 * n).from_address(address)
+
+    def wsig_exact(self, pid: int, slot: int) -> list[int]:
+        """A WSIG's exact shadow, in insertion order."""
+        c = self._c
+        return [lib.mem_wsig_key(c, pid, slot, i)
+                for i in range(lib.mem_wsig_size(c, pid, slot))]
+
+    def wsig_merge(self, pid: int, dst: int, src: int) -> None:
+        if not lib.mem_wsig_merge(self._c, pid, dst, src):
+            self.raise_failure()
+
+    def targets(self, targets: dict[int, int]):
+        """Rollback targets (pid -> checkpoint id) as the core's array."""
+        out = ffi.new("int64_t[]", [-1] * self.config.n_cores)
+        for pid, ckpt_id in targets.items():
+            out[pid] = ckpt_id
+        return out
 
     # ------------------------------------------------------------------
     # accesses
@@ -389,6 +588,18 @@ class CompiledEngine:
             lib.mem_dir_at(self._c, i, out)
             entries.append(_entry_state(out))
         return entries
+
+
+def _check_dep_layout(view) -> None:
+    """``view`` (``DepRegisterSet``) must lay over ``mem_dep_t``."""
+    names = {"_complete_time": "ckpt_complete_time", "_complete": "complete"}
+    for name, _ in view._fields_:
+        if getattr(view, name).offset != ffi.offsetof(
+                "mem_dep_t", names.get(name, name)):
+            raise ImportError(f"{view.__name__}.{name} is not at its "
+                              f"mem_dep_t offset")
+    if ctypes.sizeof(view) != ffi.sizeof("mem_dep_t"):
+        raise ImportError(f"{view.__name__} and mem_dep_t differ in size")
 
 
 def _entry_state(raw) -> EntryState:

@@ -1,12 +1,14 @@
 /* The compiled memory system: private L1/L2 caches, the full-map
- * directory with LW-ID, the memory channels' horizons and the memory
- * value image, driven by one call per load or store.
+ * directory with LW-ID, the memory channels' horizons, the memory
+ * value image, the ReVive undo log and Rebound's Dep registers, driven
+ * by one call per load or store.
  *
  * This is a line-for-line translation of the Python oracle
  * (repro.coherence.protocol.CoherenceEngine over repro.mem.Cache,
- * L1Cache, MemoryChannels, MainMemory and repro.coherence.directory):
- * every branch, counter bump and floating-point operation happens in
- * the oracle's order, so every SimStats field stays bit-identical.
+ * L1Cache, MemoryChannels, MainMemory, ReviveLog,
+ * repro.coherence.directory and repro.core.dep_registers): every
+ * branch, counter bump and floating-point operation happens in the
+ * oracle's order, so every SimStats field stays bit-identical.
  *
  * Exact order:
  *   - each cache set is an array in LRU order, oldest first: a hit
@@ -14,17 +16,34 @@
  *     oracle's OrderedDict sets do;
  *   - every walk (dirty lines, delayed lines, golden revert) visits
  *     sets in ascending index, oldest line first;
- *   - directory entries and image keys keep insertion order.
+ *   - directory entries, image keys and WSIG shadows keep insertion
+ *     order; log entries are kept in seq order.
  *
- * The core calls back into Python only for scheme events (see the
- * extern "Python" declarations in repro/coherence/build.py):
+ * Scheme hooks.  The built-in trackers run inside the core (``hooks``):
+ *   HOOKS_NONE     nothing tracked, every interval is 0 (no scheme);
+ *   HOOKS_GLOBAL   nothing tracked, the interval is the core row's
+ *                  (GlobalScheme);
+ *   HOOKS_REBOUND  the Dep registers and WSIGs live here (mem_depset_t,
+ *                  a ring of sets per core whose order Python
+ *                  publishes); a dependence or a WSIG stamp is handled
+ *                  in place, cluster mode included.
+ * Every writeback is logged here (first-writeback filter, undo entry,
+ * bytes per time bin); a Delayed line reads its interval from the core
+ * row's delayed_ckpt_id and counts down its pending_delayed.  Python
+ * hears only about checkpoints and rollbacks.
+ *
+ * Other trackers (HOOKS_PYTHON) are called back, see the extern
+ * "Python" declarations in repro/coherence/build.py:
  *   mem_cb_dependence  LW-ID names another core and tracking is on;
  *   mem_cb_wsig        a store stamps the writer's WSIG, tracking on;
- *   mem_cb_line        a logged writeback and/or a Delayed line left.
+ *   mem_cb_line        a writeback needs the writer's interval, and/or
+ *                      a Delayed line left the cache.
  * A callback returning a negative value marks the core failed; every
  * entry point then returns a negative result and the Python side
- * raises the stored exception.  A failed core sends no further event,
- * so the first failure is the one that surfaces.
+ * raises the stored exception.  A failed core sends no further event
+ * and logs nothing more, so the first failure is the one that surfaces.
+ * A WSIG that misses a line its exact shadow holds (a Bloom false
+ * negative) fails the core the same way.
  *
  * The machine loop (mem_advance, at the end of this file) runs on a
  * separate mem_loop_t: the event heap, every core's hot state and the
@@ -34,7 +53,8 @@
  * record, the scheme's post_op gate, the cycle limit, an empty heap or
  * a failed core.  It is a translation of the Python loop
  * (repro.sim.machine.Machine._advance_main) with the same order of
- * heap pops, clock updates and floating-point operations.
+ * heap pops, clock updates and floating-point operations.  The memory
+ * system reads the loop's core rows (mem_bind_loop).
  *
  * The source reads no clock and no entropy. */
 
@@ -52,7 +72,7 @@
 #define DIR_SHARED 1
 #define DIR_EXCL 2
 
-/* mem_cb_line kinds: which interval tags the log entry, and whether the
+/* Writeback kinds: which interval tags the log entry, and whether the
  * line was a Delayed line leaving the cache. */
 #define LINE_LOG_CURRENT 0   /* log tagged tracker.interval_of(pid) */
 #define LINE_LOG_GIVEN 1     /* log tagged with the interval passed */
@@ -64,6 +84,15 @@
 #define FAIL_INCLUSION 3
 #define FAIL_OWNER 4
 #define FAIL_MEMORY 5
+#define FAIL_BLOOM 6         /* a WSIG false negative (fail_addr, fail_pid) */
+
+#define HOOKS_NONE 0
+#define HOOKS_GLOBAL 1
+#define HOOKS_REBOUND 2
+#define HOOKS_PYTHON 3
+
+/* Most WSIG hash functions (repro.core.signature: n_hashes). */
+#define MAX_WSIG_HASHES 64
 
 typedef struct {
     int64_t addr;
@@ -99,6 +128,59 @@ typedef struct {
     mem_index_t ix;
     mem_dirent_t *ents;
 } mem_dir_t;
+
+/* One core's hot state.  repro.sim.cores.Core is a ctypes structure
+ * with this layout over its entry of mem_loop_t.hot, so the Python code
+ * around the loop reads and writes these fields in place.  The memory
+ * system reads pending_delayed, delayed_ckpt_id (-1: none) and interval
+ * (GlobalScheme's) when it logs a writeback. */
+typedef struct {
+    int64_t ip, instr_count, instr_since_ckpt, epoch, store_seq;
+    int64_t pending_delayed, delayed_ckpt_id, interval;
+    double time, not_before, busy;
+    uint8_t done;
+    int8_t blocked;     /* 0: no, 1: on a lock, 2: at a barrier */
+} mem_hot_t;
+
+/* A Dep-register set's fields (repro.core.dep_registers.DepRegisterSet
+ * is a ctypes structure with this layout over it). */
+typedef struct {
+    int64_t interval_id;
+    double start_time;
+    uint64_t producers, consumers, producers_genuine, consumers_genuine;
+    double ckpt_complete_time;      /* meaningful when complete */
+    int64_t wsig_tests, wsig_false_positives;
+    uint8_t complete;
+    uint8_t ckpt_started;
+} mem_dep_t;
+
+/* A Dep-register set: its fields and the WSIG's exact shadow (the Bloom
+ * words are mem_core_t.wsig). */
+typedef struct {
+    mem_dep_t d;
+    mem_index_t exact;
+} mem_depset_t;
+
+/* One undo-log entry (repro.mem.log.LogEntry). */
+typedef struct {
+    int64_t seq;
+    double time;
+    int64_t pid;
+    int64_t addr;
+    int64_t old_value;
+    int64_t interval;
+} mem_logent_t;
+
+/* The first-writeback filter of one (pid, interval): lines logged. */
+typedef struct {
+    int64_t interval;
+    mem_index_t lines;
+} mem_group_t;
+
+typedef struct {
+    mem_group_t *groups;
+    int32_t n, cap;
+} mem_filter_t;
 
 typedef struct mem_core {
     /* geometry and timing (from MachineConfig) */
@@ -137,16 +219,36 @@ typedef struct mem_core {
     int64_t invalidations_sent, forced_delayed_writebacks;
     int64_t base_messages, dep_messages;
 
+    /* scheme hooks (HOOKS_*) and the loop's core rows (mem_bind_loop) */
+    int hooks;
+    mem_hot_t *hot;
+
+    /* Dep registers (HOOKS_REBOUND): dep_slots sets per core, of which
+     * dep_n[pid] are live, oldest first at dep_order[pid * dep_slots] */
+    int dep_slots, wsig_words, wsig_hashes, cluster;
+    uint64_t wsig_mask;
+    mem_depset_t *deps;
+    uint64_t *wsig;
+    int32_t *dep_order, *dep_n;
+
+    /* the undo log (ReviveLog) and its memory controller (MainMemory) */
+    mem_logent_t *log;
+    int64_t log_n, log_cap;
+    int64_t log_seq, log_total, bin_cycles, entry_bytes;
+    mem_map_t log_bins;         /* time bin -> bytes logged */
+    mem_filter_t *filters;      /* per core */
+    int64_t mem_writes, logged_writebacks, suppressed_logs;
+
     /* failure report */
     int failed;
-    int64_t fail_addr, fail_loaded, fail_expected;
+    int64_t fail_addr, fail_loaded, fail_expected, fail_pid;
 } mem_core_t;
 
 static int mem_cb_dependence(void *owner, int consumer, int producer,
                              int64_t addr);
 static int mem_cb_wsig(void *owner, int pid, int64_t addr);
 static int mem_cb_line(void *owner, double now, int pid, int64_t addr,
-                       int64_t old, int kind, int64_t interval);
+                       int kind, int64_t *interval);
 
 /* ------------------------------------------------------------------ */
 /* helpers                                                             */
@@ -232,6 +334,35 @@ static int64_t ix_append(mem_index_t *ix, int64_t key)
     ix->keys[ix->n] = key;
     ix->slots[h] = ix->n + 1;
     return ix->n++;
+}
+
+/* Set semantics: adds ``key`` unless present.  Returns 1 if added, 0 if
+ * it was there, -1 when out of memory. */
+static int ix_add(mem_index_t *ix, int64_t key)
+{
+    if (ix_find(ix, key) >= 0)
+        return 0;
+    if (ix->n == ix->cap) {
+        int64_t *keys = realloc(ix->keys, sizeof(int64_t) * ix->cap * 2);
+        if (!keys)
+            return -1;
+        ix->keys = keys;
+        ix->cap *= 2;
+    }
+    return ix_append(ix, key) < 0 ? -1 : 1;
+}
+
+/* Empties the index; a large table shrinks back to the initial size. */
+static int ix_reset(mem_index_t *ix)
+{
+    if (ix->nslots > 1024) {
+        free(ix->keys);
+        free(ix->slots);
+        return ix_init(ix);
+    }
+    ix->n = 0;
+    memset(ix->slots, 0, sizeof(int64_t) * ix->nslots);
+    return 1;
 }
 
 static int ix_clone(mem_index_t *dst, const mem_index_t *src)
@@ -590,25 +721,256 @@ static double ch_priority_writeback(mem_core_t *c, double now, int64_t addr)
 /* memory image and Python events                                      */
 /* ------------------------------------------------------------------ */
 
-/* The Python events, each returning the callback's result (negative on
+/* ---- Dep registers and WSIGs (HOOKS_REBOUND) ---- */
+
+static inline mem_depset_t *dep_at(mem_core_t *c, int pid, int slot)
+{
+    return &c->deps[(int64_t)pid * c->dep_slots + slot];
+}
+
+static inline uint64_t *wsig_at(mem_core_t *c, int pid, int slot)
+{
+    return c->wsig + ((int64_t)pid * c->dep_slots + slot) * c->wsig_words;
+}
+
+/* The physical slot of ``pid``'s i-th live set, oldest first. */
+static inline int dep_slot(mem_core_t *c, int pid, int i)
+{
+    return c->dep_order[(int64_t)pid * c->dep_slots + i];
+}
+
+/* DepRegisterFile.active */
+static inline mem_depset_t *dep_active(mem_core_t *c, int pid)
+{
+    return dep_at(c, pid, dep_slot(c, pid, c->dep_n[pid] - 1));
+}
+
+/* repro.core.signature._mix */
+static inline uint64_t wsig_mix(int64_t value, uint64_t salt)
+{
+    uint64_t x = (uint64_t)value ^ (salt * 0x9E3779B97F4A7C15ull);
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9ull;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBull;
+    return x ^ (x >> 31);
+}
+
+/* The Bloom positions of ``addr`` (WriteSignature._positions). */
+static inline void wsig_positions(const mem_core_t *c, int64_t addr,
+                                  uint64_t *pos)
+{
+    int h;
+    for (h = 0; h < c->wsig_hashes; h++)
+        pos[h] = wsig_mix(addr, (uint64_t)h + 1) & c->wsig_mask;
+}
+
+/* WriteSignature.add */
+static void wsig_add(mem_core_t *c, int pid, int slot, int64_t addr)
+{
+    uint64_t pos[MAX_WSIG_HASHES];
+    uint64_t *words = wsig_at(c, pid, slot);
+    int h;
+    wsig_positions(c, addr, pos);
+    for (h = 0; h < c->wsig_hashes; h++)
+        words[pos[h] >> 6] |= 1ull << (pos[h] & 63);
+    if (ix_add(&dep_at(c, pid, slot)->exact, addr) < 0)
+        fail(c, FAIL_MEMORY);
+}
+
+/* WriteSignature.test over precomputed positions: returns ``claims``
+ * and stores ``genuine``, or -1 on a Bloom false negative. */
+static int wsig_test(mem_core_t *c, int pid, int slot, int64_t addr,
+                     const uint64_t *pos, int *genuine)
+{
+    mem_depset_t *set = dep_at(c, pid, slot);
+    const uint64_t *words = wsig_at(c, pid, slot);
+    int h, claims = 1;
+    set->d.wsig_tests++;
+    for (h = 0; h < c->wsig_hashes && claims; h++)
+        claims = (words[pos[h] >> 6] >> (pos[h] & 63)) & 1;
+    *genuine = ix_find(&set->exact, addr) >= 0;
+    if (claims && !*genuine)
+        set->d.wsig_false_positives++;
+    if (!claims && *genuine) {
+        if (!c->failed) {
+            c->failed = FAIL_BLOOM;
+            c->fail_addr = addr;
+            c->fail_pid = pid;
+        }
+        return -1;
+    }
+    return claims;
+}
+
+/* The cluster of ``pid`` as a mask (ClusterMap.expand_pid). */
+static inline uint64_t cluster_mask(const mem_core_t *c, int pid)
+{
+    int lo = pid / c->cluster * c->cluster;
+    int hi = lo + c->cluster < c->n_cores ? lo + c->cluster : c->n_cores;
+    uint64_t ones = hi - lo >= 64 ? ~0ull : (1ull << (hi - lo)) - 1;
+    return ones << lo;
+}
+
+/* ReboundScheme.record_dependence: returns ``claims`` (-1 on a Bloom
+ * false negative). */
+static int dep_record(mem_core_t *c, int consumer, int producer,
+                      int64_t addr)
+{
+    uint64_t pos[MAX_WSIG_HASHES];
+    mem_depset_t *dep = NULL;
+    int i, claims = 0, genuine = 0;
+    /* MyProducers is set as the line arrives (superset semantics); in
+     * cluster mode every member of the consumer's cluster records the
+     * producer's whole cluster. */
+    if (c->cluster == 1) {
+        dep_active(c, consumer)->d.producers |= 1ull << producer;
+    } else {
+        uint64_t members = cluster_mask(c, consumer);
+        uint64_t producer_mask = cluster_mask(c, producer);
+        while (members) {
+            dep_active(c, __builtin_ctzll(members))->d.producers |=
+                producer_mask;
+            members &= members - 1;
+        }
+    }
+    /* "Are you the last writer?" across the producer's live WSIGs,
+     * newest first (DepRegisterFile.query_writer). */
+    wsig_positions(c, addr, pos);
+    for (i = c->dep_n[producer] - 1; i >= 0; i--) {
+        int slot = dep_slot(c, producer, i);
+        claims = wsig_test(c, producer, slot, addr, pos, &genuine);
+        if (claims < 0)
+            return -1;
+        if (claims) {
+            dep = dep_at(c, producer, slot);
+            break;
+        }
+    }
+    if (!claims)
+        return 0;
+    if (c->cluster == 1) {
+        dep->d.consumers |= 1ull << consumer;
+        if (genuine)
+            dep->d.consumers_genuine |= 1ull << consumer;
+    } else {
+        uint64_t consumer_mask = cluster_mask(c, consumer);
+        dep->d.consumers |= consumer_mask;
+        if (genuine)
+            dep->d.consumers_genuine |= consumer_mask;
+    }
+    if (genuine)
+        dep_active(c, consumer)->d.producers_genuine |= 1ull << producer;
+    return 1;
+}
+
+/* ---- the undo log and the logging memory controller ---- */
+
+/* ReviveLog.append */
+static int log_append(mem_core_t *c, double time, int pid, int64_t addr,
+                      int64_t old, int64_t interval)
+{
+    mem_logent_t *e;
+    int64_t tbin;
+    if (c->log_n == c->log_cap) {
+        int64_t cap = c->log_cap ? c->log_cap * 2 : 256;
+        mem_logent_t *log = realloc(c->log, sizeof(mem_logent_t) * cap);
+        if (!log)
+            return 0;
+        c->log = log;
+        c->log_cap = cap;
+    }
+    e = &c->log[c->log_n++];
+    e->seq = ++c->log_seq;
+    e->time = time;
+    e->pid = pid;
+    e->addr = addr;
+    e->old_value = old;
+    e->interval = interval;
+    c->log_total++;
+    tbin = (int64_t)time / c->bin_cycles;
+    return map_set(c, &c->log_bins, tbin,
+                   map_get(&c->log_bins, tbin) + c->entry_bytes);
+}
+
+/* The first-writeback filter of (pid, interval), created if absent;
+ * NULL when out of memory. */
+static mem_group_t *filter_group(mem_core_t *c, int pid, int64_t interval)
+{
+    mem_filter_t *f = &c->filters[pid];
+    mem_group_t *g;
+    int i;
+    for (i = 0; i < f->n; i++)
+        if (f->groups[i].interval == interval)
+            return &f->groups[i];
+    if (f->n == f->cap) {
+        int cap = f->cap ? f->cap * 2 : 4;
+        mem_group_t *groups = realloc(f->groups, sizeof(mem_group_t) * cap);
+        if (!groups)
+            return NULL;
+        f->groups = groups;
+        f->cap = cap;
+    }
+    g = &f->groups[f->n];
+    g->interval = interval;
+    if (!ix_init(&g->lines)) {
+        ix_free(&g->lines);
+        return NULL;
+    }
+    f->n++;
+    return g;
+}
+
+static void filter_drop(mem_filter_t *f, int i)
+{
+    ix_free(&f->groups[i].lines);
+    memmove(f->groups + i, f->groups + i + 1,
+            sizeof(mem_group_t) * (f->n - i - 1));
+    f->n--;
+}
+
+/* MainMemory.log_writeback: log ``old`` unless ``pid`` already logged
+ * ``addr`` in ``interval``; returns 1 if an entry was made. */
+static int log_writeback(mem_core_t *c, double time, int pid, int64_t addr,
+                         int64_t old, int64_t interval)
+{
+    mem_group_t *g;
+    int added;
+    c->mem_writes++;
+    g = filter_group(c, pid, interval);
+    if (!g) {
+        fail(c, FAIL_MEMORY);
+        return 0;
+    }
+    if (ix_find(&g->lines, addr) >= 0) {
+        c->suppressed_logs++;
+        return 0;
+    }
+    added = log_append(c, time, pid, addr, old, interval) &&
+            ix_add(&g->lines, addr) > 0;
+    if (!added) {
+        fail(c, FAIL_MEMORY);
+        return 0;
+    }
+    c->logged_writebacks++;
+    return 1;
+}
+
+/* ---- Python events and the interval of a writeback ---- */
+
+/* The callbacks, each returning the callback's result (negative on
  * failure).  None reaches Python once the core has failed: the scheme's
  * state and the log stop changing with the first failure, and a second
  * exception cannot replace the first. */
-static int event_line(mem_core_t *c, double now, int pid, int64_t addr,
-                      int64_t old, int kind, int64_t interval)
-{
-    int r = c->failed ? -1 : mem_cb_line(c->owner, now, pid, addr, old,
-                                         kind, interval);
-    if (r < 0)
-        fail(c, FAIL_CALLBACK);
-    return r;
-}
-
 static int event_dependence(mem_core_t *c, int consumer, int producer,
                             int64_t addr)
 {
-    int r = c->failed ? -1 : mem_cb_dependence(c->owner, consumer,
-                                               producer, addr);
+    int r;
+    if (c->failed)
+        return -1;
+    if (c->hooks == HOOKS_REBOUND)
+        return dep_record(c, consumer, producer, addr);
+    r = mem_cb_dependence(c->owner, consumer, producer, addr);
     if (r < 0)
         fail(c, FAIL_CALLBACK);
     return r;
@@ -616,19 +978,64 @@ static int event_dependence(mem_core_t *c, int consumer, int producer,
 
 static void event_wsig(mem_core_t *c, int pid, int64_t addr)
 {
-    if (c->failed || mem_cb_wsig(c->owner, pid, addr) < 0)
+    if (c->failed)
+        return;
+    if (c->hooks == HOOKS_REBOUND)
+        wsig_add(c, pid, dep_slot(c, pid, c->dep_n[pid] - 1), addr);
+    else if (mem_cb_wsig(c->owner, pid, addr) < 0)
         fail(c, FAIL_CALLBACK);
 }
 
-/* MainMemory.writeback: the image takes ``value``; Python logs the old
- * value (first-writeback filter, interval lookup, ReviveLog.append). */
+/* tracker.interval_of(pid) */
+static inline int64_t current_interval(mem_core_t *c, int pid)
+{
+    if (c->hooks == HOOKS_REBOUND)
+        return dep_active(c, pid)->d.interval_id;
+    return c->hooks == HOOKS_GLOBAL ? c->hot[pid].interval : 0;
+}
+
+/* A writeback of ``kind`` left ``pid``'s cache: resolves the interval
+ * that tags its log entry (LINE_LOG_GIVEN keeps ``*interval``) and, for
+ * a Delayed line, runs tracker.on_line_left_cache.  Negative on
+ * failure. */
+static int line_event(mem_core_t *c, double now, int pid, int64_t addr,
+                      int kind, int64_t *interval)
+{
+    int r;
+    if (c->failed)
+        return -1;
+    if (kind == LINE_LOG_GIVEN)
+        return 0;
+    if (c->hooks == HOOKS_PYTHON) {
+        r = mem_cb_line(c->owner, now, pid, addr, kind, interval);
+        if (r < 0)
+            fail(c, FAIL_CALLBACK);
+        return r;
+    }
+    if (kind == LINE_LOG_CURRENT) {
+        *interval = current_interval(c, pid);
+        return 0;
+    }
+    if (kind == LINE_LOG_DELAYED)  /* tracker.delayed_interval_of(pid) */
+        *interval = c->hooks != HOOKS_NONE &&
+                    c->hot[pid].delayed_ckpt_id >= 0
+                    ? c->hot[pid].delayed_ckpt_id
+                    : current_interval(c, pid);
+    if (c->hooks == HOOKS_REBOUND && c->hot[pid].pending_delayed > 0)
+        c->hot[pid].pending_delayed--;
+    return 0;
+}
+
+/* MainMemory.writeback: the image takes ``value`` and the old value is
+ * logged under the writeback's interval. */
 static void memory_writeback(mem_core_t *c, double now, int pid,
                              int64_t addr, int64_t value, int kind,
                              int64_t interval)
 {
     int64_t old = map_get(&c->image, addr);
     map_set(c, &c->image, addr, value);
-    event_line(c, now, pid, addr, old, kind, interval);
+    if (line_event(c, now, pid, addr, kind, &interval) == 0)
+        log_writeback(c, now, pid, addr, old, interval);
 }
 
 static void check_load(mem_core_t *c, int64_t addr, int64_t value)
@@ -694,8 +1101,10 @@ static void evict(mem_core_t *c, int pid, const mem_line_t *victim,
     l1_invalidate(c, pid, addr);    /* inclusion */
     if (victim->delayed) {
         c->forced_delayed_writebacks++;
-        if (!victim->dirty)
-            event_line(c, now, pid, addr, 0, LINE_LEFT, 0);
+        if (!victim->dirty) {
+            int64_t unused = 0;
+            line_event(c, now, pid, addr, LINE_LEFT, &unused);
+        }
     }
     if (victim->dirty) {
         ch_writeback(c, now, addr, 1, 0);
@@ -1218,8 +1627,211 @@ int64_t mem_map_key(mem_core_t *c, int which, int64_t i)
 }
 
 /* ------------------------------------------------------------------ */
+/* Dep registers, seen from Python                                     */
+/* ------------------------------------------------------------------ */
+
+mem_dep_t *mem_dep_row(mem_core_t *c, int pid, int slot)
+{
+    return &dep_at(c, pid, slot)->d;
+}
+
+uint64_t *mem_dep_words(mem_core_t *c, int pid, int slot)
+{
+    return wsig_at(c, pid, slot);
+}
+
+/* A fresh set in ``slot`` (DepRegisterFile._new_set). */
+int mem_dep_reset(mem_core_t *c, int pid, int slot, int64_t interval_id,
+                  double start_time)
+{
+    mem_depset_t *set = dep_at(c, pid, slot);
+    memset(&set->d, 0, sizeof(mem_dep_t));
+    set->d.interval_id = interval_id;
+    set->d.start_time = start_time;
+    memset(wsig_at(c, pid, slot), 0, sizeof(uint64_t) * c->wsig_words);
+    if (!ix_reset(&set->exact)) {
+        fail(c, FAIL_MEMORY);
+        return 0;
+    }
+    return 1;
+}
+
+/* The live sets of ``pid``, oldest first, as Python's list holds them. */
+void mem_dep_order(mem_core_t *c, int pid, const int32_t *slots, int n)
+{
+    memcpy(c->dep_order + (int64_t)pid * c->dep_slots, slots,
+           sizeof(int32_t) * n);
+    c->dep_n[pid] = n;
+}
+
+/* WriteSignature.merge: ``dst`` takes the union with ``src``. */
+int mem_wsig_merge(mem_core_t *c, int pid, int dst, int src)
+{
+    uint64_t *to = wsig_at(c, pid, dst);
+    const uint64_t *from = wsig_at(c, pid, src);
+    const mem_index_t *exact = &dep_at(c, pid, src)->exact;
+    int64_t i;
+    for (i = 0; i < c->wsig_words; i++)
+        to[i] |= from[i];
+    for (i = 0; i < exact->n; i++) {
+        if (ix_add(&dep_at(c, pid, dst)->exact, exact->keys[i]) < 0) {
+            fail(c, FAIL_MEMORY);
+            return 0;
+        }
+    }
+    return 1;
+}
+
+int64_t mem_wsig_size(mem_core_t *c, int pid, int slot)
+{
+    return dep_at(c, pid, slot)->exact.n;
+}
+
+int64_t mem_wsig_key(mem_core_t *c, int pid, int slot, int64_t i)
+{
+    return dep_at(c, pid, slot)->exact.keys[i];
+}
+
+/* ------------------------------------------------------------------ */
+/* the undo log, seen from Python                                      */
+/* ------------------------------------------------------------------ */
+
+int mem_log_writeback(mem_core_t *c, double time, int pid, int64_t addr,
+                      int64_t old, int64_t interval)
+{
+    return log_writeback(c, time, pid, addr, old, interval);
+}
+
+/* MainMemory.end_interval: drop the filter of a closed interval. */
+void mem_end_interval(mem_core_t *c, int pid, int64_t interval)
+{
+    mem_filter_t *f = &c->filters[pid];
+    int i;
+    for (i = 0; i < f->n; i++) {
+        if (f->groups[i].interval == interval) {
+            filter_drop(f, i);
+            return;
+        }
+    }
+}
+
+static inline int undone(const mem_logent_t *e, const int64_t *targets)
+{
+    return targets[e->pid] >= 0 && e->interval > targets[e->pid];
+}
+
+/* ReviveLog.entries_after: the entries of the targeted cores (pid ->
+ * checkpoint id, -1 for none) newer than their target, newest first,
+ * into ``out`` (room for log_n); returns the count. */
+int64_t mem_log_select(mem_core_t *c, const int64_t *targets,
+                       mem_logent_t *out)
+{
+    int64_t i, n = 0;
+    for (i = c->log_n - 1; i >= 0; i--)
+        if (undone(&c->log[i], targets))
+            out[n++] = c->log[i];
+    return n;
+}
+
+/* ReviveLog.discard_after: drops those entries; returns the count. */
+int64_t mem_log_discard(mem_core_t *c, const int64_t *targets)
+{
+    int64_t i, kept = 0;
+    for (i = 0; i < c->log_n; i++)
+        if (!undone(&c->log[i], targets))
+            c->log[kept++] = c->log[i];
+    i = c->log_n - kept;
+    c->log_n = kept;
+    return i;
+}
+
+/* MainMemory.restore: undo the selected entries newest first into the
+ * image, discard them and the undone intervals' filters.  ``out`` gets
+ * the undone entries; returns their count. */
+int64_t mem_log_restore(mem_core_t *c, const int64_t *targets,
+                        mem_logent_t *out)
+{
+    int64_t i, n = mem_log_select(c, targets, out);
+    int pid, g;
+    for (i = 0; i < n; i++) {
+        map_set(c, &c->image, out[i].addr, out[i].old_value);
+        c->mem_writes++;
+    }
+    mem_log_discard(c, targets);
+    for (pid = 0; pid < c->n_cores; pid++) {
+        mem_filter_t *f = &c->filters[pid];
+        if (targets[pid] < 0)
+            continue;
+        for (g = f->n - 1; g >= 0; g--)
+            if (f->groups[g].interval > targets[pid])
+                filter_drop(f, g);
+    }
+    return c->failed ? -1 : n;
+}
+
+/* ReviveLog.trim_before: in each of ``n_banks`` banks (by address),
+ * drop the entries ahead of the first one at or after ``time``;
+ * returns the count (-1 when out of memory). */
+int64_t mem_log_trim(mem_core_t *c, double time, int n_banks)
+{
+    uint8_t *reached = calloc((size_t)n_banks, 1);
+    int64_t i, kept = 0;
+    if (!reached)
+        return -1;
+    for (i = 0; i < c->log_n; i++) {
+        int bank = (int)pymod(c->log[i].addr, n_banks);
+        if (!reached[bank] && c->log[i].time >= time)
+            reached[bank] = 1;
+        if (reached[bank])
+            c->log[kept++] = c->log[i];
+    }
+    free(reached);
+    i = c->log_n - kept;
+    c->log_n = kept;
+    return i;
+}
+
+/* ReviveLog.max_interval_bytes */
+int64_t mem_log_max_bin(mem_core_t *c)
+{
+    int64_t i, best = 0;
+    for (i = 0; i < c->log_bins.ix.n; i++)
+        if (c->log_bins.vals[i] > best)
+            best = c->log_bins.vals[i];
+    return best;
+}
+
+/* ------------------------------------------------------------------ */
 /* lifetime                                                            */
 /* ------------------------------------------------------------------ */
+
+static void free_hooks(mem_core_t *c)
+{
+    int64_t i, n = (int64_t)c->n_cores * c->dep_slots;
+    if (c->deps)
+        for (i = 0; i < n; i++)
+            ix_free(&c->deps[i].exact);
+    free(c->deps);
+    free(c->wsig);
+    free(c->dep_order);
+    free(c->dep_n);
+    c->deps = NULL;
+    c->wsig = NULL;
+    c->dep_order = c->dep_n = NULL;
+}
+
+static void free_filters(mem_core_t *c)
+{
+    int64_t i;
+    if (c->filters) {
+        for (i = 0; i < c->n_cores; i++) {
+            while (c->filters[i].n)
+                filter_drop(&c->filters[i], c->filters[i].n - 1);
+            free(c->filters[i].groups);
+        }
+    }
+    free(c->filters);
+}
 
 void mem_free(mem_core_t *c)
 {
@@ -1244,6 +1856,11 @@ void mem_free(mem_core_t *c)
     free(c->l2_misses);
     free(c->epochs);
     free(c->ckpt_wait);
+    free_hooks(c);
+    free_filters(c);
+    free(c->log);
+    ix_free(&c->log_bins.ix);
+    free(c->log_bins.vals);
     free(c);
 }
 
@@ -1282,11 +1899,53 @@ mem_core_t *mem_new(int n_cores, int l1_sets, int l1_assoc, int l2_sets,
             !ALLOC(c->ckpt_wb_busy, n_ch) ||
             !ALLOC(c->l1_hits, n_cores) || !ALLOC(c->l1_misses, n_cores) ||
             !ALLOC(c->l2_hits, n_cores) || !ALLOC(c->l2_misses, n_cores) ||
-            !ALLOC(c->epochs, n_cores) || !ALLOC(c->ckpt_wait, n_cores)) {
+            !ALLOC(c->epochs, n_cores) || !ALLOC(c->ckpt_wait, n_cores) ||
+            !ALLOC(c->filters, n_cores) || !map_init(&c->log_bins)) {
         mem_free(c);
         return NULL;
     }
+    c->hooks = HOOKS_PYTHON;
+    c->bin_cycles = 1;
     return c;
+}
+
+/* Selects the scheme hooks; HOOKS_REBOUND also allocates the Dep
+ * registers: ``n_sets`` slots per core (DepRegisterFile never holds
+ * more live sets), WSIGs of ``wsig_bits`` (a power of two) with
+ * ``wsig_hashes`` hashes, Dep-register clusters of ``cluster`` cores.
+ * Returns 0 when out of memory or out of range. */
+int mem_set_hooks(mem_core_t *c, int hooks, int n_sets, int64_t wsig_bits,
+                  int wsig_hashes, int cluster)
+{
+    int64_t i, n;
+    c->hooks = hooks;
+    if (hooks != HOOKS_REBOUND)
+        return 1;
+    if (n_sets < 1 || wsig_bits < 1 || wsig_hashes < 0 ||
+            wsig_hashes > MAX_WSIG_HASHES || cluster < 1)
+        return 0;
+    free_hooks(c);
+    c->dep_slots = n_sets;
+    c->wsig_words = (int)(wsig_bits + 63) / 64;
+    c->wsig_mask = (uint64_t)wsig_bits - 1;
+    c->wsig_hashes = wsig_hashes;
+    c->cluster = cluster;
+    n = (int64_t)c->n_cores * c->dep_slots;
+    if (!ALLOC(c->deps, n) || !ALLOC(c->wsig, n * c->wsig_words) ||
+            !ALLOC(c->dep_order, n) || !ALLOC(c->dep_n, c->n_cores))
+        return 0;
+    for (i = 0; i < n; i++)
+        if (!ix_init(&c->deps[i].exact))
+            return 0;
+    return 1;
+}
+
+/* The log's time bins and entry size (ReviveLog.bin_cycles,
+ * LOG_ENTRY_BYTES). */
+void mem_set_log(mem_core_t *c, int64_t bin_cycles, int64_t entry_bytes)
+{
+    c->bin_cycles = bin_cycles;
+    c->entry_bytes = entry_bytes;
 }
 
 #define DUP(dst, src, n) do { \
@@ -1295,8 +1954,54 @@ mem_core_t *mem_new(int n_cores, int l1_sets, int l1_assoc, int l2_sets,
         memcpy((dst), (src), sizeof(*(src)) * (size_t)(n)); \
     } while (0)
 
+/* The Dep registers, the log and the filters of ``src`` into ``c``,
+ * whose pointers to them are NULL. */
+static int clone_hooks(mem_core_t *c, const mem_core_t *src)
+{
+    int64_t i, n = (int64_t)src->n_cores * src->dep_slots;
+    int g;
+    if (src->deps) {
+        DUP(c->deps, src->deps, n);
+        for (i = 0; i < n; i++)
+            memset(&c->deps[i].exact, 0, sizeof(mem_index_t));
+        for (i = 0; i < n; i++)
+            if (!ix_clone(&c->deps[i].exact, &src->deps[i].exact))
+                goto oom;
+        DUP(c->wsig, src->wsig, n * src->wsig_words);
+        DUP(c->dep_order, src->dep_order, n);
+        DUP(c->dep_n, src->dep_n, src->n_cores);
+    }
+    c->log = malloc(sizeof(mem_logent_t) * (src->log_cap ? src->log_cap : 1));
+    if (!c->log)
+        goto oom;
+    if (src->log_n)
+        memcpy(c->log, src->log, sizeof(mem_logent_t) * src->log_n);
+    if (!map_clone(&c->log_bins, &src->log_bins))
+        goto oom;
+    if (!ALLOC(c->filters, src->n_cores))
+        goto oom;
+    for (i = 0; i < src->n_cores; i++) {
+        const mem_filter_t *from = &src->filters[i];
+        mem_filter_t *to = &c->filters[i];
+        if (!from->cap)
+            continue;
+        if (!ALLOC(to->groups, from->cap))
+            goto oom;
+        to->cap = from->cap;
+        for (g = 0; g < from->n; g++) {
+            to->groups[g].interval = from->groups[g].interval;
+            to->n = g + 1;
+            if (!ix_clone(&to->groups[g].lines, &from->groups[g].lines))
+                goto oom;
+        }
+    }
+    return 1;
+oom:
+    return 0;
+}
+
 /* A deep copy of the whole core (Machine.fork); the clone's owner
- * handle is set by the caller. */
+ * handle and its loop rows (mem_bind_loop) are set by the caller. */
 mem_core_t *mem_clone(const mem_core_t *src)
 {
     mem_core_t *c = malloc(sizeof(mem_core_t));
@@ -1313,6 +2018,12 @@ mem_core_t *mem_clone(const mem_core_t *src)
     c->epochs = NULL;
     c->ckpt_wait = NULL;
     c->owner = NULL;
+    c->deps = NULL;
+    c->wsig = NULL;
+    c->dep_order = c->dep_n = NULL;
+    c->log = NULL;
+    memset(&c->log_bins, 0, sizeof(c->log_bins));
+    c->filters = NULL;
     DUP(c->l1, src->l1, n * src->l1_sets * src->l1_assoc);
     DUP(c->l1_count, src->l1_count, n * src->l1_sets);
     DUP(c->l2, src->l2, n * src->l2_sets * src->l2_assoc);
@@ -1335,6 +2046,8 @@ mem_core_t *mem_clone(const mem_core_t *src)
     DUP(c->l2_misses, src->l2_misses, n);
     DUP(c->epochs, src->epochs, n);
     DUP(c->ckpt_wait, src->ckpt_wait, n);
+    if (!clone_hooks(c, src))
+        goto oom;
     return c;
 oom:
     mem_free(c);
@@ -1377,16 +2090,6 @@ typedef struct {
     int64_t arg;
 } mem_event_t;
 
-/* One core's hot state.  repro.sim.cores.Core is a ctypes structure
- * with this layout over its entry of mem_loop_t.hot, so the Python code
- * around the loop reads and writes these fields in place. */
-typedef struct {
-    int64_t ip, instr_count, instr_since_ckpt, epoch, store_seq;
-    double time, not_before, busy;
-    uint8_t done;
-    int8_t blocked;     /* 0: no, 1: on a lock, 2: at a barrier */
-} mem_hot_t;
-
 typedef struct mem_loop {
     int n;              /* cores */
     mem_hot_t *hot;
@@ -1406,6 +2109,13 @@ typedef struct mem_loop {
     double batch_now;
     int64_t batch_budget;
 } mem_loop_t;
+
+/* The memory system reads ``l``'s core rows (writeback intervals,
+ * Delayed lines); a fork binds its clones to each other. */
+void mem_bind_loop(mem_core_t *c, mem_loop_t *l)
+{
+    c->hot = l->hot;
+}
 
 static inline int ev_before(const mem_event_t *x, const mem_event_t *y)
 {

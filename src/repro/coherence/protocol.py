@@ -75,6 +75,12 @@ class DependenceTracker:
 
     enabled = False
 
+    #: The compiled core runs this class's hooks itself, with no call
+    #: per access, for instances of subclasses that override none of them
+    #: (``repro.coherence.core.native_hooks``): ``"none"`` here,
+    #: ``"global"`` and ``"rebound"`` on the built-in schemes.
+    NATIVE_HOOKS = "none"
+
     def on_write(self, pid: int, addr: int) -> None:
         """A store or exclusive grant: add ``addr`` to pid's WSIG."""
 

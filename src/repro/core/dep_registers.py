@@ -15,11 +15,18 @@ statistic and are invisible to the protocol.
 Register-state snapshots (trace position, held locks, ...) live with the
 core (:class:`repro.sim.cores.CoreSnapshot`); this module only holds the
 dependence-tracking hardware.
+
+:class:`DepRegisterFile` with :class:`WriteSignature` WSIGs is the Python
+reference.  A compiled machine keeps the registers in its core, which
+records dependences and WSIG stamps itself; there the file is a
+:class:`CoreDepRegisterFile` whose sets are views of the core's rows and
+whose set lifecycle is the same Python code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+import ctypes
 from typing import Optional
 
 from repro.core.signature import WriteSignature
@@ -36,21 +43,56 @@ def mask_to_pids(mask: int) -> list[int]:
     return out
 
 
-@dataclass
-class DepRegisterSet:
-    """One interval's dependence state (a row of Figure 4.1c/d)."""
+class DepRegisterSet(ctypes.Structure):
+    """One interval's dependence state (a row of Figure 4.1c/d).
 
-    interval_id: int
-    start_time: float
-    wsig: WriteSignature
-    producers: int = 0            # bit j: j produced data I consumed
-    consumers: int = 0            # bit j: j consumed data I produced
-    producers_genuine: int = 0    # excludes Bloom-FP edges (stats only)
-    consumers_genuine: int = 0
-    # Set when the checkpoint closing this interval fully completed
-    # (including delayed writebacks); None while open or draining.
-    ckpt_complete_time: Optional[float] = None
-    ckpt_started: bool = False
+    The fields have the layout of ``mem_dep_t`` (``memsys.c``; the
+    engine checks it before it hands out views).  In a compiled machine
+    running Rebound's hooks the set is a view of its row in the core
+    (:class:`CoreDepRegisterFile`) and ``wsig`` a
+    :class:`CoreWriteSignature`, whose counters are the row's
+    ``wsig_*`` fields; otherwise the set owns its buffer and ``wsig``
+    is a :class:`WriteSignature`.
+
+    ``producers`` bit j: j produced data I consumed; ``consumers`` bit
+    j: j consumed data I produced; the ``*_genuine`` masks exclude
+    edges created by Bloom false positives (statistics only)."""
+
+    _fields_ = [
+        ("interval_id", ctypes.c_int64),
+        ("start_time", ctypes.c_double),
+        ("producers", ctypes.c_uint64),
+        ("consumers", ctypes.c_uint64),
+        ("producers_genuine", ctypes.c_uint64),
+        ("consumers_genuine", ctypes.c_uint64),
+        ("_complete_time", ctypes.c_double),
+        ("wsig_tests", ctypes.c_int64),
+        ("wsig_false_positives", ctypes.c_int64),
+        ("_complete", ctypes.c_bool),
+        ("ckpt_started", ctypes.c_bool),
+    ]
+
+    def __init__(self, interval_id: int = 0, start_time: float = 0.0,
+                 wsig=None):
+        super().__init__(interval_id=interval_id, start_time=start_time)
+        self.wsig = wsig
+
+    @property
+    def ckpt_complete_time(self) -> Optional[float]:
+        """When the checkpoint closing this interval fully completed
+        (including delayed writebacks); None while open or draining."""
+        return self._complete_time if self._complete else None
+
+    @ckpt_complete_time.setter
+    def ckpt_complete_time(self, value: Optional[float]) -> None:
+        self._complete = value is not None
+        self._complete_time = 0.0 if value is None else value
+
+    def __deepcopy__(self, memo) -> "DepRegisterSet":
+        clone = type(self)()
+        ctypes.pointer(clone)[0] = self
+        clone.wsig = copy.deepcopy(self.wsig, memo)
+        return clone
 
 
 class DepRegisterFile:
@@ -68,6 +110,7 @@ class DepRegisterFile:
         self.retired_wsig_tests = 0
         self.retired_wsig_fps = 0
         self.sets.append(self._new_set(0.0))
+        self._publish()
 
     # -- set lifecycle ------------------------------------------------------
     def _new_set(self, now: float) -> DepRegisterSet:
@@ -81,6 +124,9 @@ class DepRegisterFile:
     def active(self) -> DepRegisterSet:
         return self.sets[-1]
 
+    def _publish(self) -> None:
+        """The list of live sets changed (a no-op here)."""
+
     def recycle(self, now: float, detection_latency: float) -> None:
         """Free sets whose closing checkpoint completed >= L cycles ago."""
         while len(self.sets) > 1:
@@ -91,6 +137,7 @@ class DepRegisterFile:
             self.retired_wsig_tests += oldest.wsig.tests
             self.retired_wsig_fps += oldest.wsig.false_positives
             self.sets.pop(0)
+            self._publish()
 
     def can_open_interval(self, now: float, detection_latency: float) -> bool:
         """True when a fresh Dep set can be allocated right now."""
@@ -111,6 +158,7 @@ class DepRegisterFile:
         self.active.ckpt_started = True
         dep = self._new_set(now)
         self.sets.append(dep)
+        self._publish()
         return dep
 
     def force_open(self, now: float) -> DepRegisterSet:
@@ -195,3 +243,84 @@ class DepRegisterFile:
         self.sets = [d for d in self.sets if d.interval_id <= interval_id]
         self._next_interval = interval_id + 1
         self.sets.append(self._new_set(now))
+        self._publish()
+
+
+class CoreWriteSignature:
+    """The WSIG of one Dep-register set in the compiled core: the Bloom
+    words and the exact shadow live there, the counters in the set's
+    row.  It offers what the set lifecycle and the statistics ask of a
+    :class:`WriteSignature`; the core itself adds and tests lines."""
+
+    __slots__ = ("_file", "_slot", "_row")
+
+    def __init__(self, file: "CoreDepRegisterFile", slot: int,
+                 row: DepRegisterSet):
+        self._file = file
+        self._slot = slot
+        self._row = row
+
+    @property
+    def tests(self) -> int:
+        return self._row.wsig_tests
+
+    @property
+    def false_positives(self) -> int:
+        return self._row.wsig_false_positives
+
+    @property
+    def words(self):
+        """The Bloom words, writable in place (a ``ctypes`` array)."""
+        return self._file._engine.wsig_words(self._file.pid, self._slot)
+
+    @property
+    def exact(self) -> set[int]:
+        return set(self._file._engine.wsig_exact(self._file.pid, self._slot))
+
+    def merge(self, other: "CoreWriteSignature") -> None:
+        self._file._engine.wsig_merge(self._file.pid, self._slot,
+                                      other._slot)
+
+
+class CoreDepRegisterFile(DepRegisterFile):
+    """The Dep registers of core ``pid`` in the compiled core.
+
+    ``engine`` (a :class:`~repro.coherence.core.CompiledEngine` running
+    Rebound's hooks) holds ``n_sets`` set rows per core; every set
+    in :attr:`sets` is a view of one of them, and every change to the
+    list is published to the core, which reads the active set and the
+    live sets newest first on each dependence and WSIG stamp.  The set
+    lifecycle is :class:`DepRegisterFile`'s own code."""
+
+    def __init__(self, engine, pid: int, n_sets: int, wsig_bits: int,
+                 wsig_hashes: int):
+        self._engine = engine
+        super().__init__(pid, n_sets, wsig_bits, wsig_hashes)
+
+    def _view(self, slot: int) -> DepRegisterSet:
+        row = DepRegisterSet.from_address(self._engine.dep_row(self.pid,
+                                                               slot))
+        row._slot = slot
+        row.wsig = CoreWriteSignature(self, slot, row)
+        return row
+
+    def _new_set(self, now: float) -> DepRegisterSet:
+        used = {dep._slot for dep in self.sets}
+        slot = min(set(range(self.n_sets)) - used)
+        self._engine.dep_reset(self.pid, slot, self._next_interval, now)
+        self._next_interval += 1
+        return self._view(slot)
+
+    def _publish(self) -> None:
+        self._engine.dep_order(self.pid, [dep._slot for dep in self.sets])
+
+    def __deepcopy__(self, memo) -> "CoreDepRegisterFile":
+        """The same file over the forked core (which cloned the rows and
+        their order)."""
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        for name, value in vars(self).items():
+            if name != "sets":
+                setattr(clone, name, copy.deepcopy(value, memo))
+        clone.sets = [clone._view(dep._slot) for dep in self.sets]
+        return clone

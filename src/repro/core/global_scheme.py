@@ -33,33 +33,42 @@ class GlobalScheme(BaseScheme):
     #: detection-latency sweep shares one fault-free leader prefix.
     FAULT_FREE_INVARIANT_OVERRIDES = frozenset({"detection_latency"})
 
+    #: The compiled core reads each core's interval from its row.
+    NATIVE_HOOKS = "global"
+
     def __init__(self, machine: "Machine"):
         super().__init__(machine)
-        # Per-core interval counter ("epoch"): checkpoint k closes epoch k.
-        self.epochs: list[int] = []
         self.global_busy_until = 0.0
 
     def attach(self, machine: "Machine") -> None:
-        self.epochs = [1] * self.config.n_cores
+        # Per-core interval counter ("epoch", ``core.interval``):
+        # checkpoint k closes epoch k.
+        for core in machine.cores:
+            core.interval = 1
+
+    @property
+    def epochs(self) -> list[int]:
+        """Every core's epoch."""
+        return [core.interval for core in self.machine.cores]
 
     # -- interval bookkeeping -------------------------------------------------
     def interval_of(self, pid: int) -> int:
-        return self.epochs[pid]
+        return self.machine.cores[pid].interval
 
     def delayed_interval_of(self, pid: int) -> int:
         core = self.machine.cores[pid]
         if core.delayed_ckpt_id is not None:
             return core.delayed_ckpt_id
-        return self.epochs[pid]
+        return core.interval
 
     def _rotate(self, pid: int, now: float) -> None:
         super()._rotate(pid, now)
-        self.epochs[pid] += 1
+        self.machine.cores[pid].interval += 1
 
     def _drop_dep_state(self, pid: int, ckpt_id: int, now: float) -> None:
         # Epoch numbering rewinds with the checkpoint ids so re-executed
         # intervals tag their log entries consistently.
-        self.epochs[pid] = ckpt_id + 1
+        self.machine.cores[pid].interval = ckpt_id + 1
 
     # -- policy ------------------------------------------------------------------
     def post_op(self, core: "Core", now: float) -> None:

@@ -32,6 +32,9 @@ class ReboundScheme(BaseScheme):
 
     enabled = True
 
+    #: The compiled core keeps the Dep registers and runs the hooks.
+    NATIVE_HOOKS = "rebound"
+
     def __init__(self, machine: "Machine"):
         super().__init__(machine)
         self.files: list[DepRegisterFile] = []
@@ -40,7 +43,11 @@ class ReboundScheme(BaseScheme):
 
     def attach(self, machine: "Machine") -> None:
         config = self.config
-        self.files = [
+        # A compiled core running these hooks holds the Dep registers;
+        # otherwise (the oracle, a subclass overriding a hook) they are
+        # Python objects.
+        files = getattr(machine.engine, "dep_files", lambda: None)()
+        self.files = files if files is not None else [
             DepRegisterFile(pid, config.n_dep_sets, config.wsig_bits,
                             config.wsig_hashes)
             for pid in range(config.n_cores)

@@ -80,8 +80,9 @@ class WriteSignature:
 
         ``claims`` is the hardware answer (Bloom); ``genuine`` is the
         exact-shadow truth.  ``claims and not genuine`` is a false
-        positive; ``not claims`` is always genuine-negative (no false
-        negatives, asserted by the property tests).
+        positive; ``not claims`` is always genuine-negative: a false
+        negative raises :class:`AssertionError`, under ``python -O``
+        too.
         """
         self.tests += 1
         mask = self._masks.get(addr)
@@ -91,7 +92,10 @@ class WriteSignature:
         genuine = addr in self.exact
         if claims and not genuine:
             self.false_positives += 1
-        assert claims or not genuine, "Bloom filter false negative"
+        if genuine and not claims:
+            raise AssertionError(
+                f"Bloom filter false negative: line {addr:#x} was written "
+                f"but the signature misses it")
         return claims, genuine
 
     def clear(self) -> None:

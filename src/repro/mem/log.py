@@ -70,12 +70,11 @@ class ReviveLog:
         self._seq = 0
         self._end_markers: dict[tuple[int, int], Marker] = {}
         self._begin_markers: dict[tuple[int, int], Marker] = {}
-        # Statistics: bytes appended per (pid, interval) and per time bin
-        # (the Table 6.1 "max log space per interval" row uses the bins).
+        # Statistics: bytes appended per time bin (the Table 6.1 "max
+        # log space per interval" row).
         self.total_entries = 0
         self.bytes_by_bin: dict[int, int] = {}
         self.bin_cycles = max(1, bin_cycles)
-        self.bytes_by_pid_interval: dict[tuple[int, int], int] = {}
 
     # -- appends ------------------------------------------------------------
     def next_seq(self) -> int:
@@ -90,9 +89,6 @@ class ReviveLog:
         self.total_entries += 1
         tbin = int(time) // self.bin_cycles
         self.bytes_by_bin[tbin] = self.bytes_by_bin.get(tbin, 0) + LOG_ENTRY_BYTES
-        key = (pid, interval)
-        self.bytes_by_pid_interval[key] = (
-            self.bytes_by_pid_interval.get(key, 0) + LOG_ENTRY_BYTES)
         return entry
 
     def mark_begin(self, time: float, pid: int, ckpt_id: int) -> Marker:

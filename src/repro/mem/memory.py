@@ -18,9 +18,9 @@ from repro.mem.log import ReviveLog
 class MainMemory:
     """Value store plus the logging behaviour of the memory controller.
 
-    The compiled memory system keeps the value image itself
-    (:class:`repro.coherence.core.CoreMemory` views it) and calls
-    :meth:`log_writeback` with the old value of each writeback."""
+    This is the oracle's controller.  The compiled memory system keeps
+    the value image, the first-writeback filter and the log itself
+    (:class:`repro.coherence.core.CoreMemory` views them)."""
 
     def __init__(self, log: ReviveLog):
         self.log = log

@@ -9,11 +9,13 @@ snapshot, after which it re-executes the lost work.
 
 The fields the machine loop touches on every record (trace position,
 clock, instruction counts, epoch, store sequence, done/blocked and the
-``busy`` accumulator) live in the compiled loop's per-core rows
-(``mem_hot_t`` in ``memsys.c``): :class:`Core` is a ``ctypes``
-structure laid over its row, so the loop in C and the Python code
-around it (synchronization, schemes) read and write the same fields,
-at C-level attribute cost.
+``busy`` accumulator), and those the memory system reads when it logs a
+writeback (the Delayed-line drain's ``pending_delayed`` and
+``delayed_ckpt_id``, GlobalScheme's ``interval``), live in the compiled
+loop's per-core rows (``mem_hot_t`` in ``memsys.c``): :class:`Core` is
+a ``ctypes`` structure laid over its row, so the C code and the Python
+code around it (synchronization, schemes) read and write the same
+fields, at C-level attribute cost.
 """
 
 from __future__ import annotations
@@ -125,6 +127,9 @@ class Core(ctypes.Structure):
         ("instr_since_ckpt", ctypes.c_int64),
         ("epoch", ctypes.c_int64),            # guards stale heap entries
         ("store_seq", ctypes.c_int64),
+        ("pending_delayed", ctypes.c_int64),  # lines still draining
+        ("_delayed_ckpt_id", ctypes.c_int64),  # -1: no drain
+        ("interval", ctypes.c_int64),         # GlobalScheme's interval
         ("time", ctypes.c_double),
         ("not_before", ctypes.c_double),      # scheme-injected delay floor
         ("busy", ctypes.c_double),            # finish() copies it to stats
@@ -172,8 +177,8 @@ class Core(ctypes.Structure):
             CoreSnapshot(0, 0, 0, 0.0, frozenset(), {}, complete_time=0.0)
         ]
         self.next_ckpt_id = 1
-        self.pending_delayed = 0                # lines still draining
-        self.delayed_ckpt_id: Optional[int] = None
+        self.pending_delayed = 0
+        self.delayed_ckpt_id = None
         # Clock watermarks for back-to-back rollbacks: cycles below
         # waste_charged_until were already written off as wasted work,
         # and recovery time before recovery_until was already counted.
@@ -192,6 +197,16 @@ class Core(ctypes.Structure):
         # so its overhang is tracked in ``stats.stall_overhang`` and
         # netted out of the useful-work overhead bucket.
         self.stall_segments: list[tuple[float, float]] = []
+
+    @property
+    def delayed_ckpt_id(self) -> Optional[int]:
+        """The checkpoint whose Delayed lines are draining, if any."""
+        value = self._delayed_ckpt_id
+        return None if value < 0 else value
+
+    @delayed_ckpt_id.setter
+    def delayed_ckpt_id(self, value: Optional[int]) -> None:
+        self._delayed_ckpt_id = -1 if value is None else value
 
     @property
     def blocked(self) -> Optional[str]:
@@ -330,7 +345,7 @@ class Core(ctypes.Structure):
 
 def _check_layout() -> None:
     """``Core``'s fields must sit where ``memsys.c`` puts them."""
-    names = {"_blocked": "blocked"}
+    names = {"_blocked": "blocked", "_delayed_ckpt_id": "delayed_ckpt_id"}
     for name, _ in Core._fields_:
         if getattr(Core, name).offset != ffi.offsetof(
                 "mem_hot_t", names.get(name, name)):

@@ -123,11 +123,13 @@ class Machine:
                              bin_cycles=max(1, config.checkpoint_interval))
         self.network = Interconnect(config)
         self.scheme = build_scheme(self)
-        # The memory system (caches, directory, channels, memory image)
-        # is the compiled core; memory and channels are views of it.
+        # The memory system (caches, directory, channels, memory image,
+        # undo log) is the compiled core; memory, log and channels are
+        # views of it.
         self.engine = CompiledEngine(config, self.log, self.network,
                                      self.scheme)
         self.memory = self.engine.memory
+        self.log = self.memory.log
         self.channels = self.engine.channels
         # The loop's state: the event heap and the cores' hot fields.
         # Traces are consumed as the columnar IR; tuple traces are
@@ -135,6 +137,7 @@ class Machine:
         self._table = CoreTable(len(workload.traces))
         self.cores = [Core(pid, compile_trace(trace), self._table)
                       for pid, trace in enumerate(workload.traces)]
+        self._bind_loop()
         #: Pending DurableCalls by heap seq (the heap holds the key).
         self._calls: dict[int, DurableCall] = {}
         self.sync = SyncManager()
@@ -164,6 +167,12 @@ class Machine:
         self.stats = SimStats(config=config, scheme=config.scheme,
                               workload=workload.name)
         self.scheme.attach(self)
+
+    def _bind_loop(self) -> None:
+        """Let the compiled memory system read the core rows (the
+        oracle reads them through the scheme)."""
+        if hasattr(self.engine, "bind_loop"):
+            self.engine.bind_loop(self._table)
 
     @property
     def fuse_quantum(self) -> int:
@@ -549,6 +558,7 @@ class Machine:
             # the same objects (the C loop reads them in place).
             memo[id(core.trace)] = core.trace
         clone = copy.deepcopy(self, memo)
+        clone._bind_loop()
         lib.loop_drop(clone._table.c, _PAUSE)
         return clone
 

@@ -65,14 +65,16 @@ __all__ = ["run_replica_batch", "BatchResult", "BatchReport"]
 FaultList = Sequence[tuple[float, int]]
 
 
-#: Forking the leader costs a deep copy of the whole machine state:
-#: 0.4-0.8 of a whole run's wall clock for a 16-core, scale-40 ocean or
-#: water_sp machine forked at half its run (``copy.deepcopy`` over
-#: 5k-21k objects), so a replica only rides the leader when its shared
-#: prefix is worth more than the fork: replicas
-#: whose first divergence lands before this fraction of the estimated
-#: run length are run standalone through the ordinary scalar kernel
-#: instead — bit-identical either way, the threshold only moves cost.
+#: Forking the leader costs a copy of the whole machine state: the
+#: compiled core (caches, directory, image, undo log, Dep registers) and
+#: the loop are cloned in C, the scheme, sync and core objects are
+#: deep-copied.  For a 16-core, scale-40 ocean or water_sp machine
+#: forked at half its run that is about 2 ms, 0.05-0.20 of a whole run.
+#: A replica only rides the leader when its shared prefix is worth more
+#: than the fork: replicas whose first divergence lands before this
+#: fraction of the estimated run length are run standalone through the
+#: ordinary scalar kernel instead — bit-identical either way, the
+#: threshold only moves cost.
 SPILL_THRESHOLD_FRACTION = 0.2
 
 

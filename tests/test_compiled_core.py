@@ -18,8 +18,9 @@ import pytest
 import repro.harness.engine as harness_engine
 import repro.sim.machine as machine_module
 from repro.coherence import build
-from repro.coherence.core import CompiledEngine, ffi
+from repro.coherence.core import CompiledEngine, ffi, lib
 from repro.coherence.protocol import CoherenceEngine, DependenceTracker
+from repro.core import register_scheme, unregister_scheme
 from repro.core.rebound_scheme import ReboundScheme
 from repro.interconnect import Interconnect
 from repro.mem import ReviveLog
@@ -173,35 +174,88 @@ def test_callback_exception_surfaces_at_the_access():
         engine.load(1, 6, 1.0)
 
 
+class _ExplodingLineTracker(DependenceTracker):
+    """Out-of-tree: overrides a line hook, so the core calls it back;
+    the first Delayed line that leaves a cache explodes."""
+
+    def __init__(self):
+        self.calls = []
+
+    def interval_of(self, pid):
+        self.calls.append(("interval_of", pid))
+        return 0
+
+    def delayed_interval_of(self, pid):
+        return 0
+
+    def on_line_left_cache(self, pid, addr, now):
+        self.calls.append(addr)
+        raise KeyError(f"writeback {len(self.calls)} exploded")
+
+
 def test_first_callback_exception_wins():
     """A failed core sends no further event: the first exception of a
     walk surfaces, and nothing more reaches the log."""
     config = tiny_config(2)
+    tracker = _ExplodingLineTracker()
     engine = CompiledEngine(config, ReviveLog(), Interconnect(config),
-                            DependenceTracker())
+                            tracker)
     engine.store(0, 5, 1, 0.0)
-    engine.store(0, 6, 2, 10.0)
-    calls = []
-
-    def explode(now, pid, addr, old, interval):
-        calls.append(addr)
-        raise KeyError(f"writeback {len(calls)} exploded")
-
-    engine.memory.log_writeback = explode
+    engine.mark_delayed(0)
+    # Fill core 1's set of line 5 with dirty lines: taking line 5 from
+    # core 0 (a Delayed writeback, the first event) then evicts one of
+    # them (a second writeback, which must not happen).
+    sets = config.l2.n_sets
+    for k in range(1, config.l2.assoc + 1):
+        engine.store(1, 5 + k * sets, 2, 10.0)
+    logged = engine.memory.log.total_entries
     with pytest.raises(KeyError, match="writeback 1 exploded"):
-        engine.checkpoint_writeback(0, 20.0)
-    assert calls == [5]
+        engine.store(1, 5, 3, 20.0)
+    assert tracker.calls == [5]
+    assert engine.memory.log.total_entries == logged
 
 
-def test_callback_exception_stops_the_machine_loop(monkeypatch):
-    def explode(self, pid, addr):
+class _ExplodingWsigScheme(ReboundScheme):
+    """Out-of-tree: a Rebound whose WSIG stamp is its own (called back)."""
+
+    def on_write(self, pid, addr):
         raise KeyError("wsig exploded")
 
-    monkeypatch.setattr(ReboundScheme, "on_write", explode)
+
+@pytest.fixture
+def exploding_wsig_scheme():
+    tag = register_scheme("exploding_wsig", _ExplodingWsigScheme,
+                          is_local=True, delayed_writebacks=True)
+    yield tag
+    unregister_scheme(tag.value)
+
+
+def test_callback_exception_stops_the_machine_loop(exploding_wsig_scheme):
     machine = make_machine([[(STORE, 3), (END,)], [(COMPUTE, 5), (END,)]],
-                           config=tiny_config(2, Scheme.REBOUND))
+                           config=tiny_config(2, exploding_wsig_scheme))
+    assert machine.engine.hooks == lib.HOOKS_PYTHON
     with pytest.raises(KeyError, match="wsig exploded"):
         machine.run()
+
+
+def test_wsig_false_negative_fails_the_core():
+    """The WSIG's no-false-negative check runs in the core, under
+    ``python -O`` too: a WSIG that lost a written line fails the next
+    dependence on it."""
+    machine = make_machine([[(STORE, 3), (COMPUTE, 50), (END,)],
+                            [(COMPUTE, 500), (LOAD, 3), (END,)]],
+                           config=tiny_config(2, Scheme.REBOUND))
+    assert machine.engine.hooks == lib.HOOKS_REBOUND
+    machine.start()
+    machine.advance(pause_at=100.0)
+    wsig = machine.scheme.files[0].active.wsig
+    assert 3 in wsig.exact
+    words = wsig.words
+    for i in range(len(words)):
+        words[i] = 0
+    with pytest.raises(AssertionError,
+                       match="false negative: core 0 wrote line 0x3"):
+        machine.advance()
 
 
 def test_golden_violation_in_the_machine_loop_is_an_assertion():
@@ -242,16 +296,28 @@ def _failure(build, max_cycles=None):
     return outcomes[0]
 
 
-def test_dependence_exception_in_a_fused_batch(monkeypatch):
-    """Core 1's batch fuses its COMPUTE with the load that reads core
-    0's store; the dependence callback's exception surfaces as is."""
-    def explode(self, consumer, producer, addr):
+class _ExplodingDependenceScheme(ReboundScheme):
+    """Out-of-tree: a Rebound whose dependence record is its own."""
+
+    def record_dependence(self, consumer, producer, addr):
         raise LookupError(f"dependence {producer}->{consumer} exploded")
 
-    monkeypatch.setattr(ReboundScheme, "record_dependence", explode)
+
+@pytest.fixture
+def exploding_dependence_scheme():
+    tag = register_scheme("exploding_dependence",
+                          _ExplodingDependenceScheme, is_local=True,
+                          delayed_writebacks=True)
+    yield tag
+    unregister_scheme(tag.value)
+
+
+def test_dependence_exception_in_a_fused_batch(exploding_dependence_scheme):
+    """Core 1's batch fuses its COMPUTE with the load that reads core
+    0's store; the dependence callback's exception surfaces as is."""
     kind, message, _ = _failure(lambda: make_machine(
         [[(STORE, 3), (END,)], [(COMPUTE, 50), (LOAD, 3), (END,)]],
-        config=tiny_config(2, Scheme.REBOUND)))
+        config=tiny_config(2, exploding_dependence_scheme)))
     assert (kind, message) == (LookupError, "dependence 0->1 exploded")
 
 

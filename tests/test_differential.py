@@ -11,9 +11,11 @@ Cases: every ``test_memsys`` campaign (pinned-digest matrix and the
 golden-checked campaign), the ``BENCH_speed.json`` kernel matrix,
 fig6_3's five schemes at 64 cores on water_sp and ocean at a reduced
 scale, a fig6_6-style late-fault recovery run at 16 and 64 cores, and
-the hypothesis random-workload strategy of ``test_properties``.  One
-case also compares what ``SimStats`` does not summarize: the final
-memory image, the undo log and the directory.
+the hypothesis random-workload strategy of ``test_properties``.  Some
+cases also compare what ``SimStats`` does not summarize: the final
+memory image, the undo log and the directory, and the Rebound hook
+state (Dep sets, WSIG counters, log entries) under saturated WSIGs,
+Dep-set pressure, the barrier optimization, clusters and a fork.
 
 The compiled machine also runs its loop in C (``mem_advance``) while
 the oracle machine runs the Python loop, so these cases compare the two
@@ -144,6 +146,93 @@ def test_final_memory_log_and_directory(scheme):
 
     compiled, oracle = both(run)
     assert compiled[1] and compiled[2]
+    assert compiled == oracle
+
+
+def _hook_state(machine):
+    """What the per-access hooks leave behind: every core's Dep sets
+    (interval ids, the four masks, checkpoint completion, WSIG counters
+    and exact shadow) with its file counters, and every undo log
+    entry."""
+    files = [([(dep.interval_id, dep.producers, dep.consumers,
+                dep.producers_genuine, dep.consumers_genuine,
+                dep.ckpt_complete_time, dep.wsig.tests,
+                dep.wsig.false_positives, sorted(dep.wsig.exact))
+               for dep in file.sets],
+              file.stall_events, file.retired_wsig_tests,
+              file.retired_wsig_fps)
+             for file in machine.scheme.files]
+    log = [(e.seq, e.time, e.pid, e.addr, e.old_value, e.interval)
+           for bank in machine.log.banks for e in bank]
+    return files, log
+
+
+#: Hook-state cases (name, scheme, config overrides), run with a
+#: checkpoint every 6,000 instructions: saturated WSIGs where false
+#: positives are common, two Dep sets recycled (short detection
+#: latency) and exhausted (long), the barrier optimization's
+#: ``force_open`` merge, Dep-register clusters.
+HOOK_CASES = (
+    ("wsig_bits_2", Scheme.REBOUND, dict(wsig_bits=2, wsig_hashes=1)),
+    ("wsig_bits_16", Scheme.REBOUND, dict(wsig_bits=16)),
+    ("two_dep_sets_recycled", Scheme.REBOUND_NODWB,
+     dict(n_dep_sets=2, detection_latency=2_000)),
+    ("two_dep_sets_stalled", Scheme.REBOUND,
+     dict(n_dep_sets=2, detection_latency=20_000)),
+    ("barrier_opt", Scheme.REBOUND_BARR, dict(n_dep_sets=2)),
+    ("barrier_opt_nodwb", Scheme.REBOUND_NODWB_BARR, dict(n_dep_sets=2)),
+    ("clusters_of_4", Scheme.REBOUND, dict(dep_cluster_size=4)),
+)
+
+
+@pytest.mark.parametrize("name,scheme,overrides", HOOK_CASES,
+                         ids=[case[0] for case in HOOK_CASES])
+def test_hook_state(name, scheme, overrides):
+    """The Dep registers, WSIGs and undo log of the compiled core against
+    the Python scheme's, after a run with a rollback."""
+    base = MachineConfig.scaled(n_cores=8, scheme=scheme, scale=150)
+    spec = get_workload("ocean", 8, base, intervals=2.0, seed=1)
+    config = base.replace(checkpoint_interval=6_000, **overrides)
+
+    def run():
+        machine = Machine(config, spec, faults=[
+            (3.5 * config.checkpoint_interval, 3)])
+        return machine.run(), _hook_state(machine)
+
+    compiled, oracle = both(run)
+    stats, (files, log) = compiled
+    assert stats.rollbacks and log and stats.wsig_false_positives
+    retired = sum(file[2] for file in files)
+    merged = sum(file[1] for file in files)
+    if name == "two_dep_sets_recycled":
+        assert retired
+    if name == "two_dep_sets_stalled":
+        assert sum(core.depset_stall for core in stats.cores)
+    if name.startswith("barrier_opt"):
+        assert merged
+    assert compiled == oracle
+
+
+def test_hook_state_of_a_fork():
+    """A fork taken mid-run carries the Dep registers, WSIGs and log
+    into its clone and finishes like the oracle's fork."""
+    config = MachineConfig.scaled(n_cores=8, scheme=Scheme.REBOUND,
+                                  scale=150)
+    spec = get_workload("ocean", 8, config, intervals=2.0, seed=1)
+
+    def run():
+        leader = Machine(config, spec)
+        leader.start()
+        leader.advance(pause_at=config.checkpoint_interval)
+        fork = leader.fork()
+        fork.install_faults([(1.5 * config.checkpoint_interval, 2)])
+        assert not fork.advance()
+        assert not leader.advance()
+        return (fork.finalize(), _hook_state(fork), leader.finalize(),
+                _hook_state(leader))
+
+    compiled, oracle = both(run)
+    assert compiled[0].rollbacks and not compiled[2].rollbacks
     assert compiled == oracle
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mem.log import ReviveLog
+from repro.mem.memory import MainMemory
 from repro.params import LOG_ENTRY_BYTES
 
 
@@ -115,3 +116,63 @@ class TestStats:
         log.append(1.0, 1, 3, 0, interval=1)
         assert log.entries_of([1]) == 2
         assert log.entries_of([0, 1]) == 3
+
+
+def _compiled_memory(n_banks: int, bin_cycles: int):
+    """The memory controller of a standalone compiled core
+    (``CoreMemory`` over its ``CoreLog``)."""
+    from repro.coherence.core import CompiledEngine
+    from repro.coherence.protocol import DependenceTracker
+    from repro.interconnect import Interconnect
+    from tests.conftest import tiny_config
+
+    config = tiny_config(4)
+    engine = CompiledEngine(config, ReviveLog(n_banks, bin_cycles),
+                            Interconnect(config), DependenceTracker())
+    return engine.memory
+
+
+def _entries(entries):
+    return [(e.seq, e.time, e.pid, e.addr, e.old_value, e.interval)
+            for e in entries]
+
+
+class TestCompiledLog:
+    @given(st.lists(
+        st.tuples(st.integers(0, 3),        # pid
+                  st.integers(0, 20),       # addr
+                  st.integers(1, 5),        # interval
+                  st.integers(0, 400)),     # time
+        min_size=1, max_size=60),
+        st.integers(0, 400))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_python_log(self, records, cut):
+        """The compiled core's log and first-writeback filter keep
+        ReviveLog's and MainMemory's API and results."""
+        memories = (MainMemory(ReviveLog(n_banks=3, bin_cycles=100)),
+                    _compiled_memory(n_banks=3, bin_cycles=100))
+        for memory in memories:
+            memory.log.mark_begin(0.0, 0, 1)
+            for pid, addr, interval, time in records:
+                memory.log_writeback(float(time), pid, addr, addr + 1,
+                                     interval)
+            memory.end_interval(1, 2)
+        python, compiled = (memory.log for memory in memories)
+        assert [(m.writes, m.logged_writebacks, m.suppressed_logs)
+                for m in memories] == \
+            [(memories[0].writes, memories[0].logged_writebacks,
+              memories[0].suppressed_logs)] * 2
+        assert compiled.total_entries == python.total_entries
+        assert compiled.max_interval_bytes() == python.max_interval_bytes()
+        targets = {0: 2, 2: 3}
+        assert _entries(compiled.entries_after(targets)) == \
+            _entries(python.entries_after(targets))
+        assert compiled.discard_after(targets) == \
+            python.discard_after(targets)
+        assert compiled.trim_before(float(cut)) == \
+            python.trim_before(float(cut))
+        assert compiled.live_entries() == python.live_entries()
+        assert [_entries(bank) for bank in compiled.banks] == \
+            [_entries(bank) for bank in python.banks]
+        assert compiled.mark_end(9.0, 0, 1).seq == \
+            python.mark_end(9.0, 0, 1).seq

@@ -1,5 +1,10 @@
 """Tests for the WSIG Bloom-filter write signature (Section 3.3.2)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +51,27 @@ class TestBasics:
         for addr in range(2, 40):
             sig.add(addr)
         assert sig.occupancy > first
+
+    def test_false_negative_raises(self):
+        sig = WriteSignature(256, 4)
+        sig.add(7)
+        sig.bits = 0
+        with pytest.raises(AssertionError,
+                           match="false negative: line 0x7"):
+            sig.test(7)
+
+    def test_false_negative_raises_under_python_O(self):
+        script = ("from repro.core.signature import WriteSignature\n"
+                  "sig = WriteSignature(256, 4)\n"
+                  "sig.add(7)\n"
+                  "sig.bits = 0\n"
+                  "sig.test(7)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode != 0
+        assert "AssertionError: Bloom filter false negative" in proc.stderr
 
     def test_rejects_non_power_of_two_size(self):
         with pytest.raises(ValueError):
