@@ -1,12 +1,19 @@
-"""Build and load the compiled memory system (``memsys.c``).
+"""Build and load the compiled extension: the memory system
+(``memsys.c``) and the synthetic trace generator's loop
+(``repro/workloads/synthetic.c``), one cffi module.
 
-The C source is wrapped by cffi in API mode and compiled once per
-(C source, this file, interpreter ABI tag, cffi version) into this
+The C sources are concatenated into one translation unit, wrapped by
+cffi in API mode and compiled once per (C source text, :data:`CDEF`,
+:data:`FLAGS`, interpreter ABI tag, cffi version) into the coherence
 package's ``__pycache__``; neither distutils nor setuptools is
-involved.  :func:`load` returns the loaded extension module (its
-``ffi`` and ``lib``); :mod:`repro.coherence.core` calls it at import
-time, so a process pays for a compile before it builds any machine,
-and only when no intact build exists.
+involved.  The name is a digest of the very text that is emitted: the
+sources are read once per load and the declarations are the ones in
+this process, so a build can never publish one text under another
+text's name.  :func:`load` returns the loaded extension module (its
+``ffi`` and ``lib``), the same object on every call in a process;
+:mod:`repro.coherence.core` calls it at import time, so a process pays
+for a compile before it builds any machine, and only when no intact
+build exists.
 
 Publishing is atomic: the library is compiled into a private temporary
 directory and moved into place with ``os.replace``, then a SHA-256 stamp
@@ -40,11 +47,15 @@ from pathlib import Path
 import _cffi_backend
 
 HERE = Path(__file__).resolve().parent
-SOURCE = HERE / "memsys.c"
+#: The extension's C sources, in the order they are concatenated.
+SOURCES = (HERE / "memsys.c", HERE.parent / "workloads" / "synthetic.c")
 BUILD_DIR = HERE / "__pycache__"
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-#: What Python sees of ``memsys.c``; cffi checks it against the source.
+#: Modules this process has loaded, by library path.
+_LOADED: dict[Path, object] = {}
+
+#: What Python sees of the C sources; cffi checks it against them.
 CDEF = """
 typedef struct {
     int64_t addr;
@@ -253,18 +264,52 @@ void loop_drop(mem_loop_t *, int);
 int mem_advance(mem_core_t *, mem_loop_t *, double, double, int64_t,
                 mem_event_t *);
 void mem_bind_loop(mem_core_t *, mem_loop_t *);
+
+#define SYN_EBOUND ...
+
+typedef struct {
+    int64_t total_instructions;
+    int64_t jitter_bound;
+    int64_t mem_every;
+    int64_t lock_gap;
+    int64_t lock_compute;
+    double shared_frac;
+    double write_frac;
+    double reuse;
+    int64_t private_start;
+    int64_t private_len;
+    int64_t shared_start;
+    int64_t shared_len;
+    const int64_t *peer_starts;
+    int64_t n_peers;
+    const int64_t *lock_ids;
+    const int64_t *lock_lines;
+    int64_t n_locks;
+    const int64_t *barriers;
+    int64_t n_barriers;
+} syn_thread_t;
+
+int64_t syn_capacity(const syn_thread_t *);
+int64_t syn_thread_trace(const syn_thread_t *, uint32_t *, int, int8_t *,
+                         int64_t *, int64_t, int64_t *);
 """
 
 
-def module_name() -> str:
+def source_text() -> str:
+    """The extension's C source: every file of :data:`SOURCES`, in
+    order (raises :class:`OSError` when one cannot be read)."""
+    return "".join(path.read_text() for path in SOURCES)
+
+
+def module_name(source: str) -> str:
     """The extension's name: a digest of everything that shapes it (the
-    C source, this file's declarations and flags, the interpreter ABI
-    and the cffi version)."""
+    C source text, the in-process :data:`CDEF` and :data:`FLAGS`, the
+    interpreter ABI and the cffi version)."""
     digest = hashlib.sha256()
-    for part in (SOURCE.read_bytes(), Path(__file__).read_bytes(),
-                 importlib.machinery.EXTENSION_SUFFIXES[0].encode(),
-                 _cffi_backend.__version__.encode()):
-        digest.update(part)
+    for part in (source, CDEF, " ".join(FLAGS),
+                 importlib.machinery.EXTENSION_SUFFIXES[0],
+                 _cffi_backend.__version__):
+        digest.update(part.encode())
         digest.update(b"\0")
     return "_memsys_" + digest.hexdigest()[:16]
 
@@ -291,24 +336,24 @@ def _compile_command(c_file: Path, output: Path) -> list[str]:
     return command
 
 
-def emit(name: str, c_file: Path) -> None:
+def emit(name: str, source: str, c_file: Path) -> None:
     """Write the C file cffi generates for extension ``name``: the
-    wrappers around ``memsys.c``, which it includes verbatim."""
+    wrappers around ``source``, which it includes verbatim."""
     import cffi
 
     ffi = cffi.FFI()
     ffi.cdef(CDEF)
-    ffi.set_source(name, SOURCE.read_text())
+    ffi.set_source(name, source)
     with contextlib.redirect_stdout(io.StringIO()):
         ffi.emit_c_code(str(c_file))
 
 
-def _build(name: str, library: Path, stamp: Path) -> None:
+def _build(name: str, source: str, library: Path, stamp: Path) -> None:
     work = library.parent / f"{name}.{os.getpid()}.tmp"
     work.mkdir(parents=True, exist_ok=True)
     try:
         c_file = work / f"{name}.c"
-        emit(name, c_file)
+        emit(name, source, c_file)
         built = work / library.name
         command = _compile_command(c_file, built)
         shown = " ".join(shlex.quote(part) for part in command)
@@ -332,23 +377,27 @@ def _build(name: str, library: Path, stamp: Path) -> None:
 
 
 def load(build_dir: Path = BUILD_DIR):
-    """The compiled memory-system module, built first if needed.
+    """The compiled extension module, built first if needed; a process
+    loads each build once and gets the same module on every call.
 
-    A source that cannot be read (an install without ``memsys.c``) or a
-    build directory that cannot be written raises :class:`ImportError`
-    naming the path and the cause."""
+    A source that cannot be read (an install without ``memsys.c`` or
+    ``synthetic.c``) or a build directory that cannot be written raises
+    :class:`ImportError` naming the path and the cause."""
     try:
-        name = module_name()
+        source = source_text()
     except OSError as exc:
         raise ImportError(
             f"cannot build the compiled memory system: its source "
             f"cannot be read: {exc}") from None
+    name = module_name(source)
     library = build_dir / (name + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if library in _LOADED:
+        return _LOADED[library]
     stamp = library.with_name(library.name + ".sha256")
     if not _intact(library, stamp):
         try:
             build_dir.mkdir(parents=True, exist_ok=True)
-            _build(name, library, stamp)
+            _build(name, source, library, stamp)
         except OSError as exc:
             raise ImportError(
                 f"cannot build the compiled memory system in {build_dir}: "
@@ -358,5 +407,5 @@ def load(build_dir: Path = BUILD_DIR):
                                                   loader=loader)
     module = importlib.util.module_from_spec(spec)
     loader.exec_module(module)
+    _LOADED[library] = module
     return module
-

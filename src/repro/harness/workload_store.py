@@ -12,11 +12,14 @@ once and the workers deserialize the compact compiled-trace IR
 Content addressing: an entry's file name is a SHA-256 over
 
 * the *generator fingerprint* — the ``repro.workloads`` package sources
-  plus ``repro/trace.py``, the interpreter's (major, minor) version,
+  (``*.py``, and ``*.c``: the generator's compiled loop
+  ``synthetic.c``) plus ``repro/trace.py``
+  (:func:`generator_paths`), the interpreter's (major, minor) version,
   the platform byte order and the store format version — so any change
   to the generators or the IR silently invalidates every entry, and a
   store shared across interpreter lines or architectures never serves a
-  foreign byte image;
+  foreign byte image (the seeding is Python's ``random``, whose stream
+  is only promised within one interpreter line);
 * the workload's *content fingerprint* from the registry (built-ins use
   the profile repr; registered generators opt in via
   ``register_workload(..., fingerprint=...)`` — no fingerprint means
@@ -65,6 +68,15 @@ _TRACE_MODULE = Path(__file__).resolve().parents[1] / "trace.py"
 _GENERATOR_FINGERPRINT: Optional[str] = None
 
 
+def generator_paths() -> list[Path]:
+    """The files :func:`generator_fingerprint` hashes: the workload
+    package's Python and C sources, then the trace IR module."""
+    return (sorted(path for pattern in ("*.py", "*.c")
+                   for path in _WORKLOADS_DIR.rglob(pattern)
+                   if "__pycache__" not in path.parts)
+            + [_TRACE_MODULE])
+
+
 def generator_fingerprint() -> str:
     """SHA-256 over the workload-generator sources and the IR format.
 
@@ -79,8 +91,7 @@ def generator_fingerprint() -> str:
             f"wire:{WORKLOAD_WIRE_FORMAT}"
             f"|python:{sys.version_info[0]}.{sys.version_info[1]}"
             f"|byteorder:{sys.byteorder}".encode())
-        paths = sorted(_WORKLOADS_DIR.rglob("*.py")) + [_TRACE_MODULE]
-        for path in paths:
+        for path in generator_paths():
             digest.update(path.name.encode())
             digest.update(path.read_bytes())
         _GENERATOR_FINGERPRINT = digest.hexdigest()

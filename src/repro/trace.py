@@ -104,11 +104,12 @@ class CompiledTrace:
         if len(ops) != len(args):
             raise ValueError(
                 f"ops/args column length mismatch: {len(ops)} != {len(args)}")
-        # Every op in 0..END is defined, so a C-speed min/max range check
-        # is exact validation.
-        if ops and (min(ops) < COMPUTE or max(ops) > END):
-            bad = next(op for op in ops if op not in OP_NAMES)
-            raise ValueError(f"unknown trace op {bad!r}")
+        # C-speed exact validation, as in from_buffer: any byte left
+        # after deleting every defined op is an unknown op.
+        bad = ops.tobytes().translate(None, delete=_VALID_OP_BYTES)
+        if bad:
+            raise ValueError(
+                f"unknown trace op {array(OP_TYPECODE, bad[:1])[0]!r}")
         self.ops = ops
         self.args = args
         if n_instructions is None:

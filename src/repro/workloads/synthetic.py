@@ -15,20 +15,34 @@ generator realizes the profile's communication structure:
 * Barriers are emitted at identical logical positions in every thread,
   so every thread crosses every barrier generation exactly once.
 
-Generation is deterministic in ``(profile, n_threads, seed)``, and the
-threads' traces are emitted directly into the columnar IR of
-:class:`repro.trace.CompiledTrace` through a
-:class:`repro.trace.TraceBuilder` — no intermediate tuple lists — which
-is also what the harness's content-addressed workload store serializes.
+Generation is deterministic in ``(profile, n_threads, seed)``.  The
+layout (regions, clusters, lock pools, barrier positions) and the
+seeding are Python: each thread gets its own ``random.Random``.  The
+per-record loop is C (``syn_thread_trace`` in ``synthetic.c``, compiled
+into the memory system's extension by :mod:`repro.coherence.build`):
+one call per thread takes the thread's generator state
+(``Random.getstate()``) and replays CPython's draws one for one, so the
+traces are byte-identical to a pure-Python loop over the same
+generator.  The columns it writes become a
+:class:`repro.trace.CompiledTrace`, which is also what the harness's
+content-addressed workload store serializes.  A draw bound of 2**32 or more (an interval or lock
+gap that large) raises :class:`ValueError` rather than drawing another
+stream.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 
-from repro.trace import AddressSpace, CompiledTrace, TraceBuilder
+from repro.coherence.build import load
+from repro.trace import ARG_TYPECODE, OP_TYPECODE, AddressSpace, CompiledTrace
 from repro.workloads.base import BarrierSpec, LockSpec, WorkloadSpec
 from repro.workloads.profiles import AppProfile, REFERENCE_INTERVAL
+
+_module = load()
+ffi = _module.ffi
+lib = _module.lib
 
 
 class SyntheticWorkload:
@@ -142,90 +156,70 @@ class SyntheticWorkload:
                 barrier_id=0, participants=list(range(self.n_threads)),
                 count_line=self.space.sync_line(),
                 flag_line=self.space.sync_line()))
-        traces = [self._thread_trace(tid) for tid in range(self.n_threads)]
+        positions = ffi.new("int64_t[]", self.barrier_positions)
+        traces = [self._thread_trace(tid, positions)
+                  for tid in range(self.n_threads)]
         return WorkloadSpec(name=self.profile.name, traces=traces,
                             locks=self.locks, barriers=barriers)
 
-    def _thread_trace(self, tid: int) -> CompiledTrace:
+    def _thread_trace(self, tid: int, positions) -> CompiledTrace:
+        """Thread ``tid``'s trace from the compiled loop; ``positions``
+        holds the barrier positions as a C array."""
         profile = self.profile
         rng = random.Random((self.seed * 1_000_003) ^ (tid * 97 + 11))
-        trace = TraceBuilder()
-        instr = 0
-        # Threads do not start in lockstep: thread creation, warm-up and
-        # data distribution skew them apart, which staggers the local
-        # checkpoints of different clusters (they re-align at barriers).
-        jitter = rng.randint(0, max(1, self.interval // 3))
-        trace.compute(jitter)
-        instr += jitter
-        barrier_idx = 0
-        recent: list[int] = []
-        cluster = self.cluster_of(tid)
-        peers = [p for p in cluster if p != tid]
-        lock_pool = self._lock_pool_for(tid)
-        lock_gap = (int(1000 / profile.lock_rate)
-                    if profile.lock_rate > 0 and lock_pool else None)
-        next_lock = rng.randint(1, lock_gap) if lock_gap else None
-        mem_every = profile.mem_every
-        while instr < self.total_instructions:
-            gap = rng.randint(max(1, mem_every // 2), mem_every * 3 // 2)
-            trace.compute(gap)
-            instr += gap
-            while (barrier_idx < len(self.barrier_positions)
-                   and instr >= self.barrier_positions[barrier_idx]):
-                trace.barrier(0)
-                barrier_idx += 1
-            if next_lock is not None and instr >= next_lock:
-                instr += self._emit_lock_section(trace, rng, lock_pool)
-                next_lock = instr + rng.randint(1, 2 * lock_gap)
-                continue
-            instr += self._emit_access(trace, rng, tid, peers, recent)
-        while barrier_idx < len(self.barrier_positions):
-            trace.barrier(0)
-            barrier_idx += 1
-        return trace.build()
-
-    def _emit_access(self, trace: TraceBuilder, rng: random.Random,
-                     tid: int, peers: list[int],
-                     recent: list[int]) -> int:
-        profile = self.profile
-        if peers and rng.random() < profile.shared_frac:
-            if rng.random() < profile.write_frac:
-                # Produce into the thread's own shared region.
-                region = self.shared_regions[tid]
-                trace.store(region[rng.randrange(len(region))])
-            else:
-                # Consume from a cluster peer's region (RAW dependence).
-                peer = peers[rng.randrange(len(peers))]
-                region = self.shared_regions[peer]
-                trace.load(region[rng.randrange(len(region))])
-            return 1
-        # Private access with temporal locality.
-        region = self.private_regions[tid]
-        if recent and rng.random() < profile.reuse:
-            line = recent[rng.randrange(len(recent))]
-        else:
-            line = region[rng.randrange(len(region))]
-            recent.append(line)
-            if len(recent) > 16:
-                recent.pop(0)
-        if rng.random() < profile.write_frac:
-            trace.store(line)
-        else:
-            trace.load(line)
-        return 1
-
-    def _emit_lock_section(self, trace: TraceBuilder, rng: random.Random,
-                           pool: list[int]) -> int:
-        """LOCK; RMW the protected migratory line; UNLOCK."""
-        lock_id = pool[rng.randrange(len(pool))]
-        data_line = self.lock_data[lock_id]
-        trace.lock(lock_id)
-        trace.load(data_line)
-        trace.compute(self.LOCK_SECTION_COMPUTE)
-        trace.store(data_line)
-        trace.unlock(lock_id)
-        # LOCK/UNLOCK expand to RMWs inside the simulator (2 instr each).
-        return 2 + self.LOCK_SECTION_COMPUTE + 2 + 2
+        _, state, _ = rng.getstate()
+        peers = ffi.new("int64_t[]", [self.shared_regions[p].start
+                                      for p in self.cluster_of(tid)
+                                      if p != tid])
+        pool = self._lock_pool_for(tid)
+        lock_ids = ffi.new("int64_t[]", pool)
+        lock_lines = ffi.new("int64_t[]",
+                             [self.lock_data[lock] for lock in pool])
+        params = ffi.new("syn_thread_t *", {
+            "total_instructions": self.total_instructions,
+            # Threads do not start in lockstep: thread creation, warm-up
+            # and data distribution skew them apart, which staggers the
+            # local checkpoints of different clusters (they re-align at
+            # barriers).
+            "jitter_bound": max(1, self.interval // 3),
+            "mem_every": profile.mem_every,
+            "lock_gap": (int(1000 / profile.lock_rate)
+                         if profile.lock_rate > 0 and pool else 0),
+            "lock_compute": self.LOCK_SECTION_COMPUTE,
+            "shared_frac": profile.shared_frac,
+            "write_frac": profile.write_frac,
+            "reuse": profile.reuse,
+            "private_start": self.private_regions[tid].start,
+            "private_len": self.private_lines,
+            "shared_start": self.shared_regions[tid].start,
+            "shared_len": self.shared_lines,
+            "peer_starts": peers, "n_peers": len(peers),
+            "lock_ids": lock_ids, "lock_lines": lock_lines,
+            "n_locks": len(pool),
+            "barriers": positions, "n_barriers": len(positions),
+        })
+        cap = lib.syn_capacity(params)
+        ops_c = ffi.new("int8_t[]", cap)
+        args_c = ffi.new("int64_t[]", cap)
+        n_instructions = ffi.new("int64_t *")
+        n = lib.syn_thread_trace(params, ffi.new("uint32_t[]", state[:-1]),
+                                 state[-1], ops_c, args_c, cap,
+                                 n_instructions)
+        if n == lib.SYN_EBOUND:
+            raise ValueError(
+                f"{profile.name}: a draw bound is empty or at least 2**32 "
+                f"(interval {self.interval}, mem_every {profile.mem_every}, "
+                f"lock_rate {profile.lock_rate})")
+        if n < 0:
+            raise RuntimeError(
+                f"{profile.name}: thread {tid} needs more than {cap} records")
+        # The columns are copied out at their exact length: ``cap`` is an
+        # upper bound, about twice the records a thread emits.
+        ops = array(OP_TYPECODE)
+        ops.frombytes(ffi.buffer(ops_c, n))
+        args = array(ARG_TYPECODE)
+        args.frombytes(ffi.buffer(args_c, 8 * n))
+        return CompiledTrace(ops, args, n_instructions=n_instructions[0])
 
 
 def build_workload(profile: AppProfile, n_threads: int,

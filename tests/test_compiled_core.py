@@ -59,7 +59,7 @@ def _finish(proc: subprocess.Popen) -> str:
 
 class TestFingerprint:
     def test_c_source_is_fingerprinted(self):
-        assert build.SOURCE in harness_engine.fingerprint_paths()
+        assert set(build.SOURCES) <= set(harness_engine.fingerprint_paths())
 
     def test_editing_the_c_source_changes_the_fingerprint(
             self, tmp_path, monkeypatch):
@@ -115,9 +115,29 @@ class TestBuild:
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_source_is_an_import_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(build, "SOURCE", tmp_path / "memsys.c")
+        monkeypatch.setattr(build, "SOURCES",
+                            (build.SOURCES[0], tmp_path / "synthetic.c"))
         with pytest.raises(ImportError, match="source cannot be read"):
             build.load(tmp_path)
+
+    def test_name_follows_the_declarations_in_this_process(
+            self, monkeypatch):
+        """The name digests the ``CDEF`` and flags the build emits, not
+        ``build.py`` on disk: a process that imported an older
+        ``build.py`` cannot publish its declarations under the new
+        file's name."""
+        source = build.source_text()
+        name = build.module_name(source)
+        monkeypatch.setattr(build, "CDEF",
+                            build.CDEF + "int mem_extra(void);\n")
+        assert build.module_name(source) != name
+        monkeypatch.undo()
+        monkeypatch.setattr(build, "FLAGS", build.FLAGS + ("-g",))
+        assert build.module_name(source) != name
+        assert build.module_name(source + "\n") != name
+
+    def test_a_process_loads_each_build_once(self):
+        assert build.load() is build.load()
 
     def test_unwritable_build_directory_is_an_import_error(self, tmp_path):
         blocker = tmp_path / "file"

@@ -10,6 +10,7 @@ are plain names, out-of-tree generators ride a picklable
 """
 
 import pickle
+import shutil
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.harness.engine import (
     execute_run,
     resolve_config,
 )
+import repro.harness.workload_store as workload_store
 from repro.harness.workload_store import WorkloadStore, generator_fingerprint
 from repro.params import MachineConfig, Scheme
 from repro.trace import TraceBuilder
@@ -104,6 +106,22 @@ class TestStoreRoundTrip:
 
     def test_generator_fingerprint_is_stable(self):
         assert generator_fingerprint() == generator_fingerprint()
+
+    def test_generator_fingerprint_covers_the_compiled_loop(
+            self, tmp_path, monkeypatch):
+        """``synthetic.c`` is hashed: editing it re-keys every entry."""
+        assert "synthetic.c" in {path.name for path in
+                                 workload_store.generator_paths()}
+        package = tmp_path / "workloads"
+        shutil.copytree(workload_store._WORKLOADS_DIR, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(workload_store, "_WORKLOADS_DIR", package)
+        monkeypatch.setattr(workload_store, "_GENERATOR_FINGERPRINT", None)
+        before = generator_fingerprint()
+        source = package / "synthetic.c"
+        source.write_bytes(source.read_bytes() + b"\n/* edited */\n")
+        monkeypatch.setattr(workload_store, "_GENERATOR_FINGERPRINT", None)
+        assert generator_fingerprint() != before
 
     def test_unwritable_store_disables_itself(self):
         store = WorkloadStore("/proc/no-such-dir/store")
