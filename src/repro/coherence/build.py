@@ -216,6 +216,9 @@ int64_t mem_log_max_bin(mem_core_t *);
 #define ADV_LIMIT ...
 #define ADV_DEADLOCK ...
 #define ADV_FAILED ...
+#define SYNC_PASSED ...
+#define SYNC_WAIT ...
+#define SYNC_LAST ...
 
 typedef struct {
     double when;
@@ -234,12 +237,35 @@ typedef struct {
     int64_t pending_delayed;
     int64_t delayed_ckpt_id;
     int64_t interval;
+    int64_t block_site;
     double time;
     double not_before;
     double busy;
+    double block_start;
+    double sync_wait;
     uint8_t done;
     int8_t blocked;
 } mem_hot_t;
+
+typedef struct {
+    int64_t lock_id;
+    int64_t line;
+    int32_t holder;
+    int32_t n_waiting;
+    int32_t waiting[64];
+} mem_lock_t;
+
+typedef struct {
+    int64_t barrier_id;
+    int64_t count_line;
+    int64_t flag_line;
+    int64_t gen;
+    int32_t n;
+    int32_t n_arrived;
+    int32_t parts[64];
+    int32_t arrived[64];
+    int64_t crossed[64];
+} mem_barrier_t;
 
 typedef struct mem_loop {
     int n;
@@ -248,10 +274,23 @@ typedef struct mem_loop {
     int64_t seq;
     int64_t n_done;
     double now;
+    int n_locks;
+    int n_barriers;
+    mem_lock_t *locks;
+    mem_barrier_t *barriers;
+    int64_t lock_acquisitions;
+    int64_t barrier_episodes;
+    int barrier_hooks;
     ...;
 } mem_loop_t;
 
-mem_loop_t *loop_new(int);
+mem_loop_t *loop_new(int, int, int);
+int loop_add_lock(mem_loop_t *, int64_t, int64_t);
+int loop_add_barrier(mem_loop_t *, int64_t, int64_t, int64_t, const int32_t *,
+                     int);
+int sync_grant_next(mem_core_t *, mem_loop_t *, int64_t, double);
+int sync_arrive(mem_core_t *, mem_loop_t *, int, int64_t, double, double *);
+double sync_release(mem_core_t *, mem_loop_t *, int, int64_t, double, double);
 mem_loop_t *loop_clone(const mem_loop_t *);
 void loop_free(mem_loop_t *);
 void loop_set_trace(mem_loop_t *, int, const int8_t *, const unsigned char *,

@@ -475,6 +475,31 @@ class CompiledEngine:
         ``ADV_FAILED`` means the core failed (:meth:`raise_failure`)."""
         return lib.mem_advance(self._c, loop, limit, gate, quantum, event)
 
+    def sync_arrive(self, loop, pid: int, barrier_id: int,
+                    now: float) -> tuple[int, float]:
+        """Core ``pid`` arrives at a barrier of ``loop`` up to the
+        scheme's hook: ``(SYNC_*, time)`` (``sync_arrive``)."""
+        t = ffi.new("double *")
+        code = lib.sync_arrive(self._c, loop, pid, barrier_id, now, t)
+        if code < 0:
+            self.raise_failure()
+        return code, t[0]
+
+    def sync_release(self, loop, pid: int, barrier_id: int, now: float,
+                     flag_time: float) -> float:
+        """The last arriver ``pid`` releases the barrier; returns the
+        release time (``sync_release``)."""
+        release = lib.sync_release(self._c, loop, pid, barrier_id, now,
+                                   flag_time)
+        if release < 0.0:
+            self.raise_failure()
+        return release
+
+    def sync_grant_next(self, loop, lock_id: int, now: float) -> None:
+        """Hands a free lock of ``loop`` to its first waiter."""
+        if lib.sync_grant_next(self._c, loop, lock_id, now) < 0:
+            self.raise_failure()
+
     def load(self, pid: int, addr: int, now: float) -> float:
         """Execute a load; returns its latency in cycles."""
         latency = lib.mem_load(self._c, pid, addr, now)

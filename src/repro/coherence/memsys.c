@@ -46,15 +46,18 @@
  * negative) fails the core the same way.
  *
  * The machine loop (mem_advance, at the end of this file) runs on a
- * separate mem_loop_t: the event heap, every core's hot state and the
- * trace columns.  It executes COMPUTE/LOAD/STORE records itself and
- * returns to Python, with a reason code, for everything else: a
- * scheduled call or pause popping, a synchronization, OUTPUT or END
- * record, the scheme's post_op gate, the cycle limit, an empty heap or
- * a failed core.  It is a translation of the Python loop
- * (repro.sim.machine.Machine._advance_main) with the same order of
- * heap pops, clock updates and floating-point operations.  The memory
- * system reads the loop's core rows (mem_bind_loop).
+ * separate mem_loop_t: the event heap, every core's hot state, the
+ * trace columns and the locks and barriers.  It executes COMPUTE, LOAD,
+ * STORE, LOCK and UNLOCK records itself, and BARRIER records unless the
+ * scheme's barrier hooks must run (barrier_hooks).  It returns to
+ * Python, with a reason code, for everything else: a scheduled call or
+ * pause popping, a hooked BARRIER, OUTPUT or END record (or a
+ * synchronization record Python must refuse), the scheme's post_op
+ * gate, the cycle limit, an empty heap or a failed core.  It is a
+ * translation of the Python loop (repro.sim.machine.Machine.
+ * _advance_main) and of repro.sim.sync.SyncManager with the same order
+ * of heap pops, accesses, clock updates and floating-point operations.
+ * The memory system reads the loop's core rows (mem_bind_loop).
  *
  * The source reads no clock and no entropy. */
 
@@ -137,7 +140,9 @@ typedef struct {
 typedef struct {
     int64_t ip, instr_count, instr_since_ckpt, epoch, store_seq;
     int64_t pending_delayed, delayed_ckpt_id, interval;
+    int64_t block_site;     /* the lock or barrier id blocked on; -1: none */
     double time, not_before, busy;
+    double block_start, sync_wait;
     uint8_t done;
     int8_t blocked;     /* 0: no, 1: on a lock, 2: at a barrier */
 } mem_hot_t;
@@ -2058,10 +2063,13 @@ oom:
 /* the machine loop                                                    */
 /* ------------------------------------------------------------------ */
 
-/* Trace ops (repro.trace); the loop executes the first three itself. */
+/* Trace ops (repro.trace); the loop executes all but OUTPUT and END. */
 #define OP_COMPUTE 0
 #define OP_LOAD 1
 #define OP_STORE 2
+#define OP_BARRIER 3
+#define OP_LOCK 4
+#define OP_UNLOCK 5
 #define OP_END 7
 
 /* Heap entry kinds (repro.sim.machine). */
@@ -2079,6 +2087,15 @@ oom:
 #define ADV_DEADLOCK 6   /* the heap is empty with work outstanding */
 #define ADV_FAILED 7     /* the memory system failed (raise_failure) */
 
+/* mem_hot_t.blocked */
+#define BLOCK_LOCK 1
+#define BLOCK_BARRIER 2
+
+/* What sync_arrive did. */
+#define SYNC_PASSED 0    /* a straggler passed a released generation */
+#define SYNC_WAIT 1      /* arrived; other participants have not */
+#define SYNC_LAST 2      /* arrived last: the barrier releases */
+
 /* A heap entry, and what mem_advance reports.  Entries order by
  * (when, seq); seqs are unique, so the pop order is that of the Python
  * loop's heapq of (when, seq, kind, a, b) tuples. */
@@ -2089,6 +2106,31 @@ typedef struct {
     int32_t pid;
     int64_t arg;
 } mem_event_t;
+
+/* Locks and barriers keep their lists of pids inline, so a loop with
+ * any has at most this many cores (the memory system's limit too). */
+#define SYNC_CORES 64
+
+/* A lock (repro.sim.sync.LockState is a ctypes structure with this
+ * layout over it): its line, its holder, and the pids waiting for it,
+ * first in line first. */
+typedef struct {
+    int64_t lock_id, line;
+    int32_t holder;     /* -1: free */
+    int32_t n_waiting;
+    int32_t waiting[SYNC_CORES];
+} mem_lock_t;
+
+/* A barrier (repro.sim.sync.BarrierState): its count and flag lines,
+ * its generation (releases so far), its n participants, the n_arrived
+ * pids that arrived in this generation, in order, and each core's
+ * crossings. */
+typedef struct {
+    int64_t barrier_id, count_line, flag_line, gen;
+    int32_t n, n_arrived;
+    int32_t parts[SYNC_CORES], arrived[SYNC_CORES];
+    int64_t crossed[SYNC_CORES];
+} mem_barrier_t;
 
 typedef struct mem_loop {
     int n;              /* cores */
@@ -2104,6 +2146,13 @@ typedef struct mem_loop {
     int64_t seq;        /* last seq handed out */
     int64_t n_done;
     double now;
+    /* locks and barriers, in the order Python added them */
+    int n_locks, n_barriers;
+    mem_lock_t *locks;
+    mem_barrier_t *barriers;
+    mem_index_t lock_ix, barrier_ix;    /* id -> slot */
+    int64_t lock_acquisitions, barrier_episodes;
+    int barrier_hooks;  /* BARRIER records go to Python (scheme hooks) */
     /* a batch suspended at the post_op gate, resumed by mem_advance */
     int suspended, batch_pid;
     double batch_now;
@@ -2245,9 +2294,244 @@ static inline int64_t trace_arg(const mem_loop_t *l, int pid, int64_t ip)
     return arg;
 }
 
+/* ------------------------------------------------------------------ */
+/* locks and barriers (repro.sim.sync.SyncManager)                     */
+/* ------------------------------------------------------------------ */
+
+/* Core.next_store_value: the unique value of ``pid``'s next store. */
+static inline int64_t store_value(mem_loop_t *l, int pid)
+{
+    return ((int64_t)pid << 40) | ++l->hot[pid].store_seq;
+}
+
+/* Python's max(0.0, d). */
+static inline double waited(double d)
+{
+    return d > 0.0 ? d : 0.0;
+}
+
+static void sync_block(mem_loop_t *l, int pid, int kind, int64_t site,
+                       double now)
+{
+    l->hot[pid].blocked = kind;
+    l->hot[pid].block_site = site;
+    l->hot[pid].block_start = now;
+    l->hot[pid].time = now;
+}
+
+/* A test&set on ``line``: a load, then a store.  Returns its latency,
+ * negative when the core failed. */
+static double sync_rmw(mem_core_t *c, mem_loop_t *l, int pid, int64_t line,
+                       double now)
+{
+    mem_hot_t *h = &l->hot[pid];
+    double lat = mem_load(c, pid, line, now), st;
+    if (lat < 0.0)
+        return lat;
+    st = mem_store(c, pid, line, store_value(l, pid), now + lat);
+    if (st < 0.0)
+        return st;
+    lat += st;
+    h->instr_count += 2;
+    h->instr_since_ckpt += 2;
+    h->busy += lat;
+    return lat;
+}
+
+/* ``pid`` stops waiting at ``now`` and is past the record it blocked on
+ * at ``done``.  Returns 0, or -1 when out of memory. */
+static int sync_wake(mem_core_t *c, mem_loop_t *l, int pid, double now,
+                     double done)
+{
+    mem_hot_t *w = &l->hot[pid];
+    w->sync_wait += waited(now - w->block_start);
+    w->blocked = 0;
+    w->block_site = -1;
+    w->time = done;
+    w->ip++;
+    if (!loop_push_core(l, pid)) {
+        fail(c, FAIL_MEMORY);
+        return -1;
+    }
+    return 0;
+}
+
+/* Hands lock slot ``k``, if free, to its first waiter still blocked on
+ * it; the waiter's test&set reads the releaser's store.  Returns 0, or
+ * -1 when the core failed. */
+static int sync_grant(mem_core_t *c, mem_loop_t *l, int64_t k, double now)
+{
+    mem_lock_t *lk = &l->locks[k];
+    mem_hot_t *w;
+    double lat;
+    int pid;
+    while (lk->n_waiting && lk->holder < 0) {
+        pid = lk->waiting[0];
+        lk->n_waiting--;
+        memmove(lk->waiting, lk->waiting + 1,
+                sizeof(int32_t) * (size_t)lk->n_waiting);
+        w = &l->hot[pid];
+        if (w->blocked != BLOCK_LOCK || w->block_site != lk->lock_id)
+            continue;   /* a stale entry (after a rollback) */
+        lat = sync_rmw(c, l, pid, lk->line, now);
+        if (lat < 0.0)
+            return -1;
+        lk->holder = pid;
+        l->lock_acquisitions++;
+        if (sync_wake(c, l, pid, now, now + lat) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* The grant after a rollback freed lock ``lock_id``; 0 or -1 (failed). */
+int sync_grant_next(mem_core_t *c, mem_loop_t *l, int64_t lock_id,
+                    double now)
+{
+    return sync_grant(c, l, ix_find(&l->lock_ix, lock_id), now);
+}
+
+/* Core ``pid`` arrives at barrier ``barrier_id`` at ``now``, up to the
+ * scheme's hook: SYNC_PASSED (``*t``: when it is past the record),
+ * SYNC_WAIT or SYNC_LAST (``*t``: its arrival), or -1 (failed). */
+int sync_arrive(mem_core_t *c, mem_loop_t *l, int pid, int64_t barrier_id,
+                double now, double *t)
+{
+    mem_barrier_t *b = &l->barriers[ix_find(&l->barrier_ix, barrier_id)];
+    int64_t *crossed = &b->crossed[pid];
+    mem_hot_t *h = &l->hot[pid];
+    double lat;
+    if (*crossed < b->gen) {
+        /* A rolled-back straggler re-arriving at a released generation:
+         * it observes the flag (the dependence on its writer) and
+         * passes through. */
+        lat = mem_load(c, pid, b->flag_line, now);
+        if (lat < 0.0)
+            return -1;
+        h->instr_count++;
+        h->instr_since_ckpt++;
+        h->busy += lat;
+        ++*crossed;
+        *t = now + lat;
+        return SYNC_PASSED;
+    }
+    /* The update section: arrivals chain WAW dependences through the
+     * count line. */
+    lat = sync_rmw(c, l, pid, b->count_line, now);
+    if (lat < 0.0)
+        return -1;
+    *t = now + lat;
+    b->arrived[b->n_arrived++] = pid;
+    return b->n_arrived == b->n ? SYNC_LAST : SYNC_WAIT;
+}
+
+/* The last arriver ``pid`` (at ``now``) writes barrier ``barrier_id``'s
+ * flag at ``flag_time`` (the scheme's gate) and wakes the spinners, each
+ * with a load that observes the flag.  Returns the release time, or -1
+ * when the core failed. */
+double sync_release(mem_core_t *c, mem_loop_t *l, int pid,
+                    int64_t barrier_id, double now, double flag_time)
+{
+    mem_barrier_t *b = &l->barriers[ix_find(&l->barrier_ix, barrier_id)];
+    mem_hot_t *h = &l->hot[pid], *w;
+    double lat, spin, release;
+    int32_t i, waiter;
+    l->barrier_episodes++;
+    lat = mem_store(c, pid, b->flag_line, store_value(l, pid), flag_time);
+    if (lat < 0.0)
+        return -1.0;
+    h->instr_count++;
+    h->instr_since_ckpt++;
+    release = flag_time + lat;
+    for (i = 0; i < b->n_arrived; i++) {
+        waiter = b->arrived[i];
+        w = &l->hot[waiter];
+        if (waiter == pid || w->blocked != BLOCK_BARRIER ||
+                w->block_site != b->barrier_id)
+            continue;
+        spin = mem_load(c, waiter, b->flag_line, release);
+        if (spin < 0.0)
+            return -1.0;
+        w->instr_count++;
+        w->instr_since_ckpt++;
+        b->crossed[waiter]++;
+        if (sync_wake(c, l, waiter, release, release + spin) < 0)
+            return -1.0;
+    }
+    b->crossed[pid]++;
+    h->sync_wait += waited(release - now);
+    b->n_arrived = 0;
+    b->gen++;
+    return release;
+}
+
+/* Machine._exec_record for core ``pid``'s LOCK, UNLOCK or BARRIER record
+ * ``ip`` at ``now``.  Returns 1 when done (the core is blocked, or past
+ * the record and pushed), 0 when Python must take the record (an
+ * unknown id, an unlock by a non-holder: Python raises), -1 when the
+ * core failed. */
+static int sync_record(mem_core_t *c, mem_loop_t *l, int pid, int op,
+                       int64_t arg, int64_t ip, double now)
+{
+    int64_t k = ix_find(op == OP_BARRIER ? &l->barrier_ix : &l->lock_ix,
+                        arg);
+    mem_lock_t *lk = NULL;
+    double t = 0.0;
+    int r;
+    if (k < 0)
+        return 0;
+    if (op != OP_BARRIER) {
+        lk = &l->locks[k];
+        if (op == OP_UNLOCK && lk->holder != pid)
+            return 0;
+    }
+    if (op == OP_BARRIER) {
+        r = sync_arrive(c, l, pid, arg, now, &t);
+        if (r == SYNC_WAIT) {
+            sync_block(l, pid, BLOCK_BARRIER, arg, t);
+            return 1;
+        }
+        if (r == SYNC_LAST)
+            t = sync_release(c, l, pid, arg, t, t);
+        if (r < 0 || t < 0.0)
+            return -1;
+    } else if (op == OP_LOCK) {
+        if (lk->holder >= 0) {
+            lk->waiting[lk->n_waiting++] = pid;
+            sync_block(l, pid, BLOCK_LOCK, arg, now);
+            return 1;
+        }
+        t = sync_rmw(c, l, pid, lk->line, now);
+        if (t < 0.0)
+            return -1;
+        t = now + t;
+        lk->holder = pid;
+        l->lock_acquisitions++;
+    } else {
+        t = mem_store(c, pid, lk->line, store_value(l, pid), now);
+        if (t < 0.0)
+            return -1;
+        l->hot[pid].instr_count++;
+        l->hot[pid].instr_since_ckpt++;
+        lk->holder = -1;
+        t = now + t;
+        if (sync_grant(c, l, k, t) < 0)
+            return -1;
+    }
+    l->hot[pid].ip = ip + 1;
+    l->hot[pid].time = t;
+    if (!loop_push_core(l, pid)) {
+        fail(c, FAIL_MEMORY);
+        return -1;
+    }
+    return 1;
+}
+
 /* Machine._advance_main over the compiled memory system: pops entries
  * and runs each popped core's batch of COMPUTE/LOAD/STORE records until
- * something needs Python (see the ADV_ codes).  A batch continues while
+ * something needs Python (see the ADV_ codes).  A LOCK, UNLOCK or
+ * BARRIER record (unless barrier_hooks) runs here too and ends the
+ * batch.  A batch continues while
  * no heap entry is due at or before the core's next record, for at most
  * ``quantum`` records; it then re-pushes the core.  A batch suspended
  * for post_op resumes on the next call unless post_op stalled the core
@@ -2256,9 +2540,9 @@ int mem_advance(mem_core_t *c, mem_loop_t *l, double limit, double gate,
                 int64_t quantum, mem_event_t *out)
 {
     mem_event_t e;
-    int pid = l->batch_pid, in_batch = l->suspended, gated = 0, op;
+    int pid = l->batch_pid, in_batch = l->suspended, gated = 0, op, r;
     double now = l->batch_now, when, t, nb, lat;
-    int64_t budget = l->batch_budget, ip, arg, seq;
+    int64_t budget = l->batch_budget, ip, arg;
     if (in_batch) {
         /* post_op ran: the gate is passed for this record, unless
          * post_op stalled the core, which ends the batch. */
@@ -2325,10 +2609,7 @@ int mem_advance(mem_core_t *c, mem_loop_t *l, double limit, double gate,
             if (op == OP_LOAD) {
                 lat = mem_load(c, pid, arg, now);
             } else {
-                /* The store's unique value (Core.next_store_value). */
-                seq = l->hot[pid].store_seq + 1;
-                l->hot[pid].store_seq = seq;
-                lat = mem_store(c, pid, arg, ((int64_t)pid << 40) | seq, now);
+                lat = mem_store(c, pid, arg, store_value(l, pid), now);
             }
             if (lat < 0.0)
                 return ADV_FAILED;
@@ -2338,6 +2619,15 @@ int mem_advance(mem_core_t *c, mem_loop_t *l, double limit, double gate,
             l->hot[pid].busy += lat;
             l->hot[pid].ip = ip + 1;
         } else {
+            r = op >= OP_BARRIER && op <= OP_UNLOCK &&
+                !(op == OP_BARRIER && l->barrier_hooks)
+                ? sync_record(c, l, pid, op, arg, ip, now) : 0;
+            if (r < 0)
+                return ADV_FAILED;
+            if (r) {
+                in_batch = 0;
+                continue;
+            }
             out->when = now;
             out->kind = op;
             out->pid = pid;
@@ -2377,23 +2667,72 @@ void loop_free(mem_loop_t *l)
     free((void *)l->args);
     free(l->n_records);
     free(l->heap);
+    free(l->locks);
+    free(l->barriers);
+    ix_free(&l->lock_ix);
+    ix_free(&l->barrier_ix);
     free(l);
 }
 
-mem_loop_t *loop_new(int n)
+/* A loop of ``n`` cores with room for ``n_locks`` locks and
+ * ``n_barriers`` barriers (loop_add_lock, loop_add_barrier). */
+mem_loop_t *loop_new(int n, int n_locks, int n_barriers)
 {
     mem_loop_t *l = calloc(1, sizeof(mem_loop_t));
     int64_t m = n > 0 ? n : 1;
     if (!l)
         return NULL;
     l->n = n;
+    l->n_locks = n_locks;
+    l->n_barriers = n_barriers;
     l->heap_cap = 64;
     if (!ALLOC(l->hot, m) || !ALLOC(l->ops, m) || !ALLOC(l->args, m) ||
-            !ALLOC(l->n_records, m) || !ALLOC(l->heap, l->heap_cap)) {
+            !ALLOC(l->n_records, m) || !ALLOC(l->heap, l->heap_cap) ||
+            !ALLOC(l->locks, n_locks + 1) ||
+            !ALLOC(l->barriers, n_barriers + 1) ||
+            !ix_init(&l->lock_ix) || !ix_init(&l->barrier_ix)) {
         loop_free(l);
         return NULL;
     }
     return l;
+}
+
+/* Fills the next lock slot; -1 when the table is full, the loop has
+ * more than SYNC_CORES cores, or ``lock_id`` is negative or taken (or
+ * out of memory). */
+int loop_add_lock(mem_loop_t *l, int64_t lock_id, int64_t line)
+{
+    int64_t k = l->lock_ix.n;
+    if (k >= l->n_locks || l->n > SYNC_CORES || lock_id < 0 ||
+            ix_add(&l->lock_ix, lock_id) != 1)
+        return -1;
+    l->locks[k].lock_id = lock_id;
+    l->locks[k].line = line;
+    l->locks[k].holder = -1;
+    return 0;
+}
+
+/* Fills the next barrier slot; -1 as loop_add_lock, or when a
+ * participant is not a core of the loop. */
+int loop_add_barrier(mem_loop_t *l, int64_t barrier_id, int64_t count_line,
+                     int64_t flag_line, const int32_t *parts, int n_parts)
+{
+    int64_t k = l->barrier_ix.n;
+    int i;
+    if (k >= l->n_barriers || l->n > SYNC_CORES || barrier_id < 0 ||
+            n_parts > l->n)
+        return -1;
+    for (i = 0; i < n_parts; i++)
+        if (parts[i] < 0 || parts[i] >= l->n)
+            return -1;
+    if (ix_add(&l->barrier_ix, barrier_id) != 1)
+        return -1;
+    l->barriers[k].barrier_id = barrier_id;
+    l->barriers[k].count_line = count_line;
+    l->barriers[k].flag_line = flag_line;
+    l->barriers[k].n = n_parts;
+    memcpy(l->barriers[k].parts, parts, sizeof(int32_t) * (size_t)n_parts);
+    return 0;
 }
 
 /* A deep copy (Machine.fork); the trace columns are shared. */
@@ -2401,6 +2740,7 @@ mem_loop_t *loop_clone(const mem_loop_t *src)
 {
     mem_loop_t *l = malloc(sizeof(mem_loop_t));
     int64_t m = src->n > 0 ? src->n : 1;
+    int64_t locks = src->n_locks + 1, barriers = src->n_barriers + 1;
     if (!l)
         return NULL;
     *l = *src;
@@ -2409,6 +2749,15 @@ mem_loop_t *loop_clone(const mem_loop_t *src)
     l->args = NULL;
     l->n_records = NULL;
     l->heap = NULL;
+    l->locks = NULL;
+    l->barriers = NULL;
+    memset(&l->lock_ix, 0, sizeof(mem_index_t));
+    memset(&l->barrier_ix, 0, sizeof(mem_index_t));
+    if (!ix_clone(&l->lock_ix, &src->lock_ix) ||
+            !ix_clone(&l->barrier_ix, &src->barrier_ix))
+        goto oom;
+    DUP(l->locks, src->locks, locks);
+    DUP(l->barriers, src->barriers, barriers);
     DUP(l->hot, src->hot, m);
     DUP(l->ops, src->ops, m);
     DUP(l->args, src->args, m);

@@ -19,6 +19,7 @@ barrier and hides its writebacks behind the barrier's imbalance time:
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.interconnect import MessageClass
@@ -31,12 +32,25 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.sync import BarrierState
 
 
+@dataclass(slots=True)
+class BarrierCheckpoint:
+    """A BarCK in progress at one barrier: who sent it, when, and each
+    member's ``(ckpt_id, interval, n_lines, start)`` by pid."""
+
+    initiator: int
+    time: float
+    members: dict[int, tuple] = field(default_factory=dict)
+
+
 class BarrierCheckpointCoordinator:
     """Implements the BarCK protocol for a :class:`ReboundScheme`."""
 
     def __init__(self, scheme: "ReboundScheme"):
         self.scheme = scheme
         self.barck_episodes = 0
+        #: The BarCK in progress by barrier id; it ends at the barrier's
+        #: release gate, or when a rollback clears it.
+        self.pending: dict[int, BarrierCheckpoint] = {}
 
     # ------------------------------------------------------------------
     def on_update(self, core: "Core", barrier: "BarrierState",
@@ -44,30 +58,30 @@ class BarrierCheckpointCoordinator:
         """A participant finished the barrier's Update section."""
         scheme = self.scheme
         config = scheme.config
-        if not barrier.barck_pending:
+        barck = self.pending.get(barrier.barrier_id)
+        if barck is None:
             threshold = (config.barrier_interest_fraction *
                          config.checkpoint_interval)
             if core.instr_since_ckpt < threshold:
                 return  # not interested; a later arriver may still be
-            barrier.barck_pending = True
-            barrier.barck_initiator = core.pid
-            barrier.barck_time = now
+            barck = BarrierCheckpoint(core.pid, now)
+            self.pending[barrier.barrier_id] = barck
             self.barck_episodes += 1
             scheme.machine.network.send(MessageClass.PROTOCOL,
                                         2 * barrier.n)
             # Processors already spinning are forced to participate.
-            for pid in list(barrier.arrived):
+            for pid in barrier.arrived:
                 if pid != core.pid:
                     self._member_checkpoint(scheme.machine.cores[pid],
-                                            barrier, now)
-        self._member_checkpoint(core, barrier, now)
+                                            barck, now)
+        self._member_checkpoint(core, barck, now)
 
-    def _member_checkpoint(self, core: "Core", barrier: "BarrierState",
+    def _member_checkpoint(self, core: "Core", barck: BarrierCheckpoint,
                            now: float) -> None:
         """One participant joins the barrier checkpoint (at its arrival)."""
         scheme = self.scheme
         machine = scheme.machine
-        if core.pid in barrier.barck_members:
+        if core.pid in barck.members:
             return
         # A still-draining previous checkpoint must complete before the
         # core can accept a new checkpoint request (Section 4.1).
@@ -87,8 +101,7 @@ class BarrierCheckpointCoordinator:
             machine.channels.bg_start()
         dep_file.force_open(now)
         core.instr_since_ckpt = 0
-        barrier.barck_members[core.pid] = (snap.ckpt_id, interval,
-                                           n_lines, now)
+        barck.members[core.pid] = (snap.ckpt_id, interval, n_lines, now)
 
     # ------------------------------------------------------------------
     def release_gate(self, barrier: "BarrierState", now: float) -> float:
@@ -100,15 +113,16 @@ class BarrierCheckpointCoordinator:
         """
         scheme = self.scheme
         machine = scheme.machine
-        if not barrier.barck_pending or not barrier.barck_members:
+        barck = self.pending.pop(barrier.barrier_id, None)
+        if barck is None or not barck.members:
             return now
         config = scheme.config
-        t_barck = barrier.barck_time
+        t_barck = barck.time
         release = now
         dirty_total = 0
         gate = not scheme.use_dwb
         for pid, (ckpt_id, interval, n_lines,
-                  start) in list(barrier.barck_members.items()):
+                  start) in barck.members.items():
             core = machine.cores[pid]
             drain = machine.channels.bg_drain_time(n_lines,
                                                    config.dwb_drain_period)
@@ -132,12 +146,10 @@ class BarrierCheckpointCoordinator:
                     DurableCall("scheme", "_complete_drain",
                                 (pid, ckpt_id, interval)))
         release += config.sync_cycles
-        initiator = barrier.barck_initiator
         machine.stats.checkpoints.append(CheckpointEvent(
-            time=t_barck,
-            initiator=initiator if initiator is not None else -1,
-            kind="barrier", size=len(barrier.barck_members),
-            genuine_size=len(barrier.barck_members),
+            time=t_barck, initiator=barck.initiator,
+            kind="barrier", size=len(barck.members),
+            genuine_size=len(barck.members),
             dirty_lines=dirty_total, duration=release - t_barck))
         # The visible critical-path extension lands on the last arriver.
         machine.cores[barrier.arrived[-1]].charge_stall(

@@ -19,7 +19,7 @@ from repro.core.checkpoint_protocol import build_ichk
 from repro.core.cluster import ClusterMap
 from repro.core.dep_registers import DepRegisterFile
 from repro.core.rollback_protocol import build_irec
-from repro.core.scheme_base import BaseScheme
+from repro.core.scheme_base import BaseScheme, overrides_barrier_hooks
 from repro.interconnect import MessageClass
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -199,6 +199,10 @@ class ReboundScheme(BaseScheme):
             return now
         return self.barrier_coordinator.release_gate(barrier, now)
 
+    def barrier_hooks_act(self) -> bool:
+        return (self.config.scheme.barrier_optimization or
+                overrides_barrier_hooks(self, ReboundScheme))
+
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
@@ -207,6 +211,8 @@ class ReboundScheme(BaseScheme):
         result = build_irec(self, pid, detect_time)
         self._execute_rollback(result.targets, detect_time, initiator=pid,
                                protocol_hops=result.depth + 2)
+        # Recovery abandons every BarCK in progress.
+        self.barrier_coordinator.pending.clear()
 
     def finalize(self, stats) -> None:
         super().finalize(stats)

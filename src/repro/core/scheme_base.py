@@ -25,6 +25,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.machine import Machine
 
 
+def overrides_barrier_hooks(scheme: "BaseScheme", base: type) -> bool:
+    """Whether ``scheme``'s class replaces a barrier hook of ``base``."""
+    cls = type(scheme)
+    return any(getattr(cls, name) is not getattr(base, name)
+               for name in ("on_barrier_update", "barrier_release_gate"))
+
+
 class BaseScheme(DependenceTracker):
     """Common skeleton; concrete schemes override the policy hooks."""
 
@@ -85,6 +92,13 @@ class BaseScheme(DependenceTracker):
     def barrier_release_gate(self, barrier, now: float) -> float:
         """Last chance to delay the barrier flag write (BarCK)."""
         return now
+
+    def barrier_hooks_act(self) -> bool:
+        """Whether the two barrier hooks above can act.  When they
+        cannot, the compiled machine loop runs BARRIER records without
+        calling them.  These do nothing; a subclass overriding either
+        is called."""
+        return overrides_barrier_hooks(self, BaseScheme)
 
     def on_core_done(self, core: "Core", now: float) -> None:
         """A core finished its trace."""

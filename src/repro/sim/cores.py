@@ -8,14 +8,16 @@ synchronization state — is saved; a rollback rewinds the core to a
 snapshot, after which it re-executes the lost work.
 
 The fields the machine loop touches on every record (trace position,
-clock, instruction counts, epoch, store sequence, done/blocked and the
-``busy`` accumulator), and those the memory system reads when it logs a
-writeback (the Delayed-line drain's ``pending_delayed`` and
+clock, instruction counts, epoch, store sequence, done/blocked, what a
+blocked core waits on and since when, and the ``busy`` and
+``sync_wait`` accumulators), and those the memory system reads when it
+logs a writeback (the Delayed-line drain's ``pending_delayed`` and
 ``delayed_ckpt_id``, GlobalScheme's ``interval``), live in the compiled
 loop's per-core rows (``mem_hot_t`` in ``memsys.c``): :class:`Core` is
 a ``ctypes`` structure laid over its row, so the C code and the Python
-code around it (synchronization, schemes) read and write the same
-fields, at C-level attribute cost.
+code around it (schemes, rollback) read and write the same fields.  A
+snapshot's held locks and barrier crossings are read off the loop's
+lock and barrier rows (:mod:`repro.sim.sync`).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Optional
 
 from repro.coherence.core import ffi, lib
 from repro.sim.stats import CoreStats
+from repro.sim.sync import SYNC_CORES, BarrierState, LockState, optional_field
 from repro.trace import CompiledTrace
 
 
@@ -50,22 +53,51 @@ class CoreSnapshot:
 
 class CoreTable:
     """The machine loop's state in C (``mem_loop_t``, ``memsys.c``): the
-    event heap, one :class:`Core` row per core and the trace columns.
+    event heap, one :class:`Core` row per core, the trace columns, and
+    the ``locks`` and ``barriers`` (views by id).
 
     The trace columns are read in place: the table keeps their buffers
     exported (alive, unresizable) while it lives, and a fork's table
     shares them."""
 
-    __slots__ = ("c", "_keep")
+    __slots__ = ("c", "_keep", "locks", "barriers")
 
-    def __init__(self, n: int):
-        self._adopt(lib.loop_new(n))
+    def __init__(self, n: int, locks=(), barriers=()):
+        self._adopt(lib.loop_new(n, len(locks), len(barriers)))
         self._keep: list = []
+        error = (f"{{}}: a negative or duplicate id, a participant that "
+                 f"is not a core, or over {SYNC_CORES} cores")
+        for lock in locks:
+            if lib.loop_add_lock(self.c, lock.lock_id, lock.line):
+                raise ValueError(error.format(lock))
+        for spec in barriers:
+            parts = spec.participants
+            if lib.loop_add_barrier(self.c, spec.barrier_id, spec.count_line,
+                                    spec.flag_line,
+                                    ffi.new("int32_t[]", parts), len(parts)):
+                raise ValueError(error.format(spec))
+        self._views()
 
     def _adopt(self, raw) -> None:
         if raw == ffi.NULL:
             raise MemoryError("cannot allocate the machine loop")
         self.c = ffi.gc(raw, lib.loop_free)
+
+    def _views(self) -> None:
+        """Lay :class:`LockState`/:class:`BarrierState` over the rows."""
+        self.locks, self.barriers = {}, {}
+        for k in range(self.c.n_locks):
+            lock = LockState.from_address(self._address(self.c.locks + k))
+            lock._t = self      # keeps the row's memory alive
+            self.locks[lock.lock_id] = lock
+        for k in range(self.c.n_barriers):
+            bar = BarrierState.from_address(self._address(self.c.barriers + k))
+            bar._t = self
+            self.barriers[bar.barrier_id] = bar
+
+    @staticmethod
+    def _address(pointer) -> int:
+        return int(ffi.cast("uintptr_t", pointer))
 
     def row(self, pid: int) -> int:
         """The address of core ``pid``'s row."""
@@ -105,6 +137,7 @@ class CoreTable:
         memo[id(self)] = clone
         clone._adopt(lib.loop_clone(self.c))
         clone._keep = self._keep
+        clone._views()
         return clone
 
 
@@ -130,9 +163,12 @@ class Core(ctypes.Structure):
         ("pending_delayed", ctypes.c_int64),  # lines still draining
         ("_delayed_ckpt_id", ctypes.c_int64),  # -1: no drain
         ("interval", ctypes.c_int64),         # GlobalScheme's interval
+        ("_block_site", ctypes.c_int64),      # -1: not blocked
         ("time", ctypes.c_double),
         ("not_before", ctypes.c_double),      # scheme-injected delay floor
         ("busy", ctypes.c_double),            # finish() copies it to stats
+        ("block_start", ctypes.c_double),
+        ("sync_wait", ctypes.c_double),       # finish() copies it to stats
         ("done", ctypes.c_bool),
         ("_blocked", ctypes.c_int8),
     ]
@@ -154,20 +190,10 @@ class Core(ctypes.Structure):
         # traces before building cores.
         if isinstance(trace, CompiledTrace):
             self._t.bind_trace(pid, trace)
-        self.ip = 0
-        self.time = 0.0
-        self.instr_count = 0
-        self.instr_since_ckpt = 0
-        self.done = False
-        self.blocked = None                     # None|'lock'|'barrier'
-        self.block_site: Optional[int] = None
-        self.block_start = 0.0
-        self.epoch = 0
-        self.not_before = 0.0
-        self.held_locks: set[int] = set()
-        self.barrier_crossings: dict[int, int] = {}
+        # The row starts zeroed (loop_new) but for its -1 fields.
+        self.block_site = None                  # the lock or barrier id
+        self.delayed_ckpt_id = None
         self.stats = CoreStats()
-        self.store_seq = 0
         self.store_tag = pid << 40      # high bits of every store value
         # While a checkpoint (or its delayed drain) is in flight the core
         # Nacks/Busies external checkpoint requests (Sections 3.3.4, 4.1).
@@ -177,8 +203,6 @@ class Core(ctypes.Structure):
             CoreSnapshot(0, 0, 0, 0.0, frozenset(), {}, complete_time=0.0)
         ]
         self.next_ckpt_id = 1
-        self.pending_delayed = 0
-        self.delayed_ckpt_id = None
         # Clock watermarks for back-to-back rollbacks: cycles below
         # waste_charged_until were already written off as wasted work,
         # and recovery time before recovery_until was already counted.
@@ -198,15 +222,17 @@ class Core(ctypes.Structure):
         # netted out of the useful-work overhead bucket.
         self.stall_segments: list[tuple[float, float]] = []
 
-    @property
-    def delayed_ckpt_id(self) -> Optional[int]:
-        """The checkpoint whose Delayed lines are draining, if any."""
-        value = self._delayed_ckpt_id
-        return None if value < 0 else value
+    #: The checkpoint whose Delayed lines are draining, if any.
+    delayed_ckpt_id = optional_field("_delayed_ckpt_id")
+    block_site = optional_field("_block_site")
 
-    @delayed_ckpt_id.setter
-    def delayed_ckpt_id(self, value: Optional[int]) -> None:
-        self._delayed_ckpt_id = -1 if value is None else value
+    #: The ids of the locks this core holds.
+    held_locks = property(lambda self: frozenset(
+        i for i, lock in self._t.locks.items() if lock._holder == self.pid))
+    #: Crossings by barrier id (barriers never crossed are left out).
+    barrier_crossings = property(lambda self: {
+        i: bar.crossed[self.pid] for i, bar in self._t.barriers.items()
+        if bar.crossed[self.pid]})
 
     @property
     def blocked(self) -> Optional[str]:
@@ -225,8 +251,9 @@ class Core(ctypes.Structure):
         return clone
 
     def finish(self) -> None:
-        """Copy the row's ``busy`` into the stats (the run is over)."""
+        """Copy the row's accumulators into the stats (the run is over)."""
         self.stats.busy = self.busy
+        self.stats.sync_wait = self.sync_wait
 
     def charge_stall(self, field: str, start: float, end: float) -> None:
         """Charge a checkpoint-stall window to CoreStats ``field`` and
@@ -327,8 +354,6 @@ class Core(ctypes.Structure):
         self.ip = snap.trace_ip
         self.instr_count = snap.instr_count
         self.instr_since_ckpt = 0
-        self.held_locks = set(snap.held_locks)
-        self.barrier_crossings = dict(snap.barrier_crossings)
         self.snapshots = [s for s in self.snapshots
                           if s.ckpt_id <= snap.ckpt_id]
         self.next_ckpt_id = snap.ckpt_id + 1
@@ -344,14 +369,16 @@ class Core(ctypes.Structure):
 
 
 def _check_layout() -> None:
-    """``Core``'s fields must sit where ``memsys.c`` puts them."""
-    names = {"_blocked": "blocked", "_delayed_ckpt_id": "delayed_ckpt_id"}
-    for name, _ in Core._fields_:
-        if getattr(Core, name).offset != ffi.offsetof(
-                "mem_hot_t", names.get(name, name)):
-            raise ImportError(f"Core.{name} is not at its mem_hot_t offset")
-    if ctypes.sizeof(Core) != ffi.sizeof("mem_hot_t"):
-        raise ImportError("Core and mem_hot_t differ in size")
+    """The row views' fields must sit where ``memsys.c`` puts them."""
+    for view, struct in ((Core, "mem_hot_t"), (LockState, "mem_lock_t"),
+                         (BarrierState, "mem_barrier_t")):
+        for name, _ in view._fields_:
+            if getattr(view, name).offset != ffi.offsetof(
+                    struct, name.lstrip("_")):
+                raise ImportError(f"{view.__name__}.{name} is not at its "
+                                  f"{struct} offset")
+        if ctypes.sizeof(view) != ffi.sizeof(struct):
+            raise ImportError(f"{view.__name__} and {struct} differ in size")
 
 
 _check_layout()

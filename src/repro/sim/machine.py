@@ -11,16 +11,17 @@ descriptor (``schedule_call``), never a closure, so a paused machine
 can always be forked (:meth:`Machine.fork`).
 
 Hot path: the loop runs in C.  The event heap, every core's hot state
-(:class:`~repro.sim.cores.CoreTable`) and the trace columns of the
-compiled IR (:class:`repro.trace.CompiledTrace`, read in place) live in
+(:class:`~repro.sim.cores.CoreTable`), the locks and barriers
+(:mod:`repro.sim.sync`) and the trace columns of the compiled IR
+(:class:`repro.trace.CompiledTrace`, read in place) live in
 ``memsys.c``'s ``mem_loop_t``; ``mem_advance`` pops entries, executes
-COMPUTE/LOAD/STORE records against the compiled memory system, and
-returns to Python only for what Python owns: a scheduled
-``DurableCall`` or a pause sentinel popping, a BARRIER/LOCK/UNLOCK/
-OUTPUT/END record (:meth:`Machine._exec_record`), the scheme's
-``post_op`` gate, the cycle limit, an empty heap (deadlock) and a
-failed memory system.  The heap holds only a call's key; the
-``DurableCall`` itself stays in a Python table.
+every record but OUTPUT and END against the compiled memory system,
+and returns to Python only for what Python owns: a ``DurableCall`` or a
+pause popping, an OUTPUT/END record, a BARRIER record whose scheme
+hooks can act or a sync record Python refuses
+(:meth:`Machine._exec_record`), the ``post_op`` gate, the cycle limit,
+an empty heap (deadlock) and a failed memory system.  The heap holds
+only a call's key; the ``DurableCall`` itself stays in a Python table.
 
 Runs of consecutive COMPUTE/LOAD/STORE records of one core are fused
 into a single heap residency: the core keeps executing without a
@@ -134,18 +135,16 @@ class Machine:
         # The loop's state: the event heap and the cores' hot fields.
         # Traces are consumed as the columnar IR; tuple traces are
         # compiled once here (compiled traces pass through untouched).
-        self._table = CoreTable(len(workload.traces))
+        self._table = CoreTable(len(workload.traces), workload.locks,
+                                workload.barriers)
         self.cores = [Core(pid, compile_trace(trace), self._table)
                       for pid, trace in enumerate(workload.traces)]
         self._bind_loop()
         #: Pending DurableCalls by heap seq (the heap holds the key).
         self._calls: dict[int, DurableCall] = {}
-        self.sync = SyncManager()
-        for lock in workload.locks:
-            self.sync.add_lock(lock.lock_id, lock.line)
-        for barrier in workload.barriers:
-            self.sync.add_barrier(barrier.barrier_id, barrier.participants,
-                                  barrier.count_line, barrier.flag_line)
+        self.sync = SyncManager(self._table)
+        # BARRIER records return to Python only for hooks that can act.
+        self._table.c.barrier_hooks = self.scheme.barrier_hooks_act()
         if isinstance(faults, FaultPlan):
             faults = list(faults.faults)
         self.faults = FaultInjector(faults or [], config.detection_latency)
@@ -456,23 +455,15 @@ class Machine:
         """Execute ``core``'s BARRIER/LOCK/UNLOCK/OUTPUT/END record at
         ``now``; the core's batch ends with it."""
         ip = core.ip
-        if op == BARRIER:
-            result = self.sync.barrier_arrive(self, core, arg, now)
+        if op == BARRIER or op == LOCK or op == UNLOCK:
+            sync = self.sync
+            result = (sync.barrier_arrive if op == BARRIER else
+                      sync.lock_acquire if op == LOCK else
+                      sync.lock_release)(self, core, arg, now)
             if result is None:
-                return  # blocked; ip advances on release
+                return  # blocked; ip advances on release or grant
             core.ip = ip + 1
             core.time = result
-            self.push_core(core)
-        elif op == LOCK:
-            result = self.sync.lock_acquire(self, core, arg, now)
-            if result is None:
-                return  # blocked; ip advances on grant
-            core.ip = ip + 1
-            core.time = result
-            self.push_core(core)
-        elif op == UNLOCK:
-            core.time = self.sync.lock_release(self, core, arg, now)
-            core.ip = ip + 1
             self.push_core(core)
         elif op == OUTPUT:
             # Output I/O must be preceded by a checkpoint (Sec 6.4).

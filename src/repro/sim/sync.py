@@ -8,80 +8,83 @@ barrier's count/flag lines chain *all* participants together, which is
 why barriers induce global interaction sets (Figure 4.2b) and why the
 BarCK optimization exists.
 
-The manager also knows how to repair its state when a set of processors
-rolls back (locks re-granted from checkpoint snapshots, barrier
-generations regressed); see :meth:`SyncManager.rollback_cleanup`.
+The state lives in the machine loop (``mem_loop_t``, ``memsys.c``):
+:class:`LockState` and :class:`BarrierState` are ``ctypes`` views of its
+rows, and a fork clones them with it.  ``mem_advance`` executes LOCK and
+UNLOCK records, and BARRIER records unless the scheme's hooks can act;
+then :meth:`SyncManager.barrier_arrive` calls them between the C
+primitives.  The Python code is the reference oracle machines run.
+:meth:`SyncManager.rollback_cleanup` repairs the state on a rollback.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import ctypes
 from typing import TYPE_CHECKING, Optional
 
+from repro.coherence.core import ffi, lib
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.cores import Core, CoreSnapshot
+    from repro.sim.cores import Core, CoreSnapshot, CoreTable
     from repro.sim.machine import Machine
 
 
-class LockState:
-    """A test-and-set lock on one cache line."""
-
-    __slots__ = ("lock_id", "line", "holder", "queue")
-
-    def __init__(self, lock_id: int, line: int):
-        self.lock_id = lock_id
-        self.line = line
-        self.holder: Optional[int] = None
-        self.queue: deque[int] = deque()
+def optional_field(name: str) -> property:
+    """A row field whose -1 reads as None."""
+    return property(
+        lambda self: None if getattr(self, name) < 0 else getattr(self, name),
+        lambda self, value: setattr(self, name, -1 if value is None else value))
 
 
-class BarrierState:
-    """A sense-reversing barrier: count line + flag line."""
+def _pid_list(row: str, count: str) -> property:
+    """The pids in the first ``count`` entries of the view's ``row``."""
+    def store(self, pids: list[int]) -> None:
+        getattr(self, row)[:len(pids)] = pids
+        setattr(self, count, len(pids))
+    return property(lambda self: getattr(self, row)[:getattr(self, count)],
+                    store)
 
-    __slots__ = ("barrier_id", "participants", "count_line", "flag_line",
-                 "arrived", "arrival_times", "gen", "barck_pending",
-                 "barck_initiator", "barck_time", "barck_members")
 
-    def __init__(self, barrier_id: int, participants: list[int],
-                 count_line: int, flag_line: int):
-        self.barrier_id = barrier_id
-        self.participants = list(participants)
-        self.count_line = count_line
-        self.flag_line = flag_line
-        self.arrived: list[int] = []
-        self.arrival_times: dict[int, float] = {}
-        self.gen = 0
-        # Barrier-optimization state (Section 4.2.1).
-        self.barck_pending = False
-        self.barck_initiator: Optional[int] = None
-        self.barck_time = 0.0
-        self.barck_members: dict[int, tuple] = {}
+#: Most cores of a machine with locks or barriers (``SYNC_CORES``).
+SYNC_CORES = 64
+_PIDS = ctypes.c_int32 * SYNC_CORES
 
-    @property
-    def n(self) -> int:
-        return len(self.participants)
+
+class LockState(ctypes.Structure):
+    """A test-and-set lock on one cache line (its ``mem_lock_t`` row);
+    ``queue`` lists the waiting pids, first in line first."""
+
+    _fields_ = [("lock_id", ctypes.c_int64), ("line", ctypes.c_int64),
+                ("_holder", ctypes.c_int32), ("n_waiting", ctypes.c_int32),
+                ("_waiting", _PIDS)]
+    holder = optional_field("_holder")
+    queue = _pid_list("_waiting", "n_waiting")
+
+
+class BarrierState(ctypes.Structure):
+    """A sense-reversing barrier: count line + flag line (its
+    ``mem_barrier_t`` row); ``crossed[pid]`` counts crossings."""
+
+    _fields_ = [("barrier_id", ctypes.c_int64),
+                ("count_line", ctypes.c_int64),
+                ("flag_line", ctypes.c_int64), ("gen", ctypes.c_int64),
+                ("n", ctypes.c_int32), ("n_arrived", ctypes.c_int32),
+                ("_parts", _PIDS), ("_arrived", _PIDS),
+                ("crossed", ctypes.c_int64 * SYNC_CORES)]
+    participants = _pid_list("_parts", "n")
+    arrived = _pid_list("_arrived", "n_arrived")
 
 
 class SyncManager:
-    """Owns all lock/barrier state for one machine."""
+    """All lock/barrier state of one machine: views of its loop's."""
 
-    def __init__(self):
-        self.locks: dict[int, LockState] = {}
-        self.barriers: dict[int, BarrierState] = {}
-        self.lock_acquisitions = 0
-        self.barrier_episodes = 0
+    def __init__(self, table: "CoreTable"):
+        self._t = table
 
-    def add_lock(self, lock_id: int, line: int) -> LockState:
-        lock = LockState(lock_id, line)
-        self.locks[lock_id] = lock
-        return lock
-
-    def add_barrier(self, barrier_id: int, participants: list[int],
-                    count_line: int, flag_line: int) -> BarrierState:
-        barrier = BarrierState(barrier_id, participants, count_line,
-                               flag_line)
-        self.barriers[barrier_id] = barrier
-        return barrier
+    locks = property(lambda self: self._t.locks)
+    barriers = property(lambda self: self._t.barriers)
+    lock_acquisitions = property(lambda self: self._t.c.lock_acquisitions)
+    barrier_episodes = property(lambda self: self._t.c.barrier_episodes)
 
     # ------------------------------------------------------------------
     # lock operations
@@ -93,14 +96,10 @@ class SyncManager:
         if lock.holder is None:
             latency = self._rmw(machine, core, lock.line, now)
             lock.holder = core.pid
-            core.held_locks.add(lock_id)
-            self.lock_acquisitions += 1
+            self._t.c.lock_acquisitions += 1
             return now + latency
-        lock.queue.append(core.pid)
-        core.blocked = "lock"
-        core.block_site = lock_id
-        core.block_start = now
-        core.time = now
+        lock.queue = lock.queue + [core.pid]
+        self._block(core, "lock", lock_id, now)
         return None
 
     def lock_release(self, machine: "Machine", core: "Core", lock_id: int,
@@ -113,15 +112,18 @@ class SyncManager:
         core.instr_count += 1
         core.instr_since_ckpt += 1
         lock.holder = None
-        core.held_locks.discard(lock_id)
         done = now + latency
         self._grant_next(machine, lock, done)
         return done
 
     def _grant_next(self, machine: "Machine", lock: LockState,
                     now: float) -> None:
+        if hasattr(machine.engine, "advance"):  # compiled: memsys.c's
+            machine.engine.sync_grant_next(self._t.c, lock.lock_id, now)
+            return
         while lock.queue and lock.holder is None:
-            pid = lock.queue.popleft()
+            pid, *rest = lock.queue
+            lock.queue = rest
             waiter = machine.cores[pid]
             if waiter.blocked != "lock" or waiter.block_site != lock.lock_id:
                 continue  # stale queue entry (e.g. after a rollback)
@@ -129,14 +131,8 @@ class SyncManager:
             # the RAW dependence that puts lock-passing in the ICHK.
             latency = self._rmw(machine, waiter, lock.line, now)
             lock.holder = pid
-            waiter.held_locks.add(lock.lock_id)
-            waiter.stats.sync_wait += max(0.0, now - waiter.block_start)
-            waiter.blocked = None
-            waiter.block_site = None
-            waiter.time = now + latency
-            waiter.ip += 1  # past the LOCK record it blocked on
-            self.lock_acquisitions += 1
-            machine.push_core(waiter)
+            self._t.c.lock_acquisitions += 1
+            self._wake(machine, waiter, now, now + latency)
 
     def _rmw(self, machine: "Machine", core: "Core", line: int,
              now: float) -> float:
@@ -150,6 +146,24 @@ class SyncManager:
         core.busy += latency
         return latency
 
+    @staticmethod
+    def _block(core: "Core", kind: str, site: int, now: float) -> None:
+        core.blocked = kind
+        core.block_site = site
+        core.block_start = now
+        core.time = now
+
+    @staticmethod
+    def _wake(machine: "Machine", waiter: "Core", now: float,
+              done: float) -> None:
+        """``waiter`` waited until ``now``; past its record at ``done``."""
+        waiter.sync_wait += max(0.0, now - waiter.block_start)
+        waiter.blocked = None
+        waiter.block_site = None
+        waiter.time = done
+        waiter.ip += 1
+        machine.push_core(waiter)
+
     # ------------------------------------------------------------------
     # barrier operations
     # ------------------------------------------------------------------
@@ -157,7 +171,29 @@ class SyncManager:
                        barrier_id: int, now: float) -> Optional[float]:
         """Arrive at a barrier; returns crossing time or None (blocked)."""
         barrier = self.barriers[barrier_id]
-        crossed = core.barrier_crossings.get(barrier_id, 0)
+        engine, loop = machine.engine, self._t.c
+        native = hasattr(engine, "advance")  # compiled: memsys.c's
+        code, t = (engine.sync_arrive(loop, core.pid, barrier_id, now)
+                   if native else self._arrive(machine, core, barrier, now))
+        if code == lib.SYNC_PASSED:
+            return t
+        is_last = code == lib.SYNC_LAST
+        machine.scheme.on_barrier_update(core, barrier, t, is_last)
+        if not is_last:
+            self._block(core, "barrier", barrier_id, t)
+            return None
+        # The BarCK checkpoint completes before the flag may be written
+        # (Section 4.2.1); the gate returns when the flag write may start.
+        flag_time = machine.scheme.barrier_release_gate(barrier, t)
+        if native:
+            return engine.sync_release(loop, core.pid, barrier_id, t,
+                                       flag_time)
+        return self._release(machine, core, barrier, t, flag_time)
+
+    def _arrive(self, machine: "Machine", core: "Core",
+                barrier: BarrierState, now: float) -> tuple[int, float]:
+        """``sync_arrive``: ``(SYNC_*, pass-through or arrival time)``."""
+        crossed = barrier.crossed[core.pid]
         if crossed < barrier.gen:
             # A rolled-back straggler re-arriving at a generation that
             # already released: the flag is set in memory, so it simply
@@ -167,31 +203,21 @@ class SyncManager:
             core.instr_count += 1
             core.instr_since_ckpt += 1
             core.busy += latency
-            core.barrier_crossings[barrier_id] = crossed + 1
-            return now + latency
+            barrier.crossed[core.pid] = crossed + 1
+            return lib.SYNC_PASSED, now + latency
         # Update critical section: serialized RMW on the count line.
         # Consecutive arrivals chain WAW dependences through this line.
         latency = self._rmw(machine, core, barrier.count_line, now)
-        t_arrived = now + latency
-        barrier.arrived.append(core.pid)
-        barrier.arrival_times[core.pid] = t_arrived
-        is_last = len(barrier.arrived) == barrier.n
-        machine.scheme.on_barrier_update(core, barrier, t_arrived, is_last)
-        if not is_last:
-            core.blocked = "barrier"
-            core.block_site = barrier_id
-            core.block_start = t_arrived
-            core.time = t_arrived
-            return None
-        return self._release(machine, core, barrier, t_arrived)
+        barrier.arrived = barrier.arrived + [core.pid]
+        return (lib.SYNC_LAST if barrier.n_arrived == barrier.n
+                else lib.SYNC_WAIT), now + latency
 
     def _release(self, machine: "Machine", last: "Core",
-                 barrier: BarrierState, now: float) -> float:
-        """Last arrival: (optionally checkpoint), set flag, wake spinners."""
-        self.barrier_episodes += 1
-        # The BarCK checkpoint completes before the flag may be written
-        # (Section 4.2.1); the gate returns when the flag write may start.
-        flag_time = machine.scheme.barrier_release_gate(barrier, now)
+                 barrier: BarrierState, now: float,
+                 flag_time: float) -> float:
+        """``sync_release``: the last arrival sets the flag at
+        ``flag_time`` and wakes the spinners; returns the release."""
+        self._t.c.barrier_episodes += 1
         latency = machine.engine.store(last.pid, barrier.flag_line,
                                        last.next_store_value(), flag_time)
         last.instr_count += 1
@@ -210,23 +236,12 @@ class SyncManager:
                                                release)
             waiter.instr_count += 1
             waiter.instr_since_ckpt += 1
-            waiter.stats.sync_wait += max(0.0, release - waiter.block_start)
-            waiter.blocked = None
-            waiter.block_site = None
-            waiter.time = release + spin_latency
-            waiter.ip += 1  # past the BARRIER record it blocked on
-            waiter.barrier_crossings[barrier.barrier_id] = \
-                waiter.barrier_crossings.get(barrier.barrier_id, 0) + 1
-            machine.push_core(waiter)
-        last.barrier_crossings[barrier.barrier_id] = \
-            last.barrier_crossings.get(barrier.barrier_id, 0) + 1
-        last.stats.sync_wait += max(0.0, release - now)
-        barrier.arrived.clear()
-        barrier.arrival_times.clear()
+            barrier.crossed[pid] += 1
+            self._wake(machine, waiter, release, release + spin_latency)
+        barrier.crossed[last.pid] += 1
+        last.sync_wait += max(0.0, release - now)
+        barrier.arrived = []
         barrier.gen += 1
-        barrier.barck_pending = False
-        barrier.barck_initiator = None
-        barrier.barck_members.clear()
         return release
 
     # ------------------------------------------------------------------
@@ -237,19 +252,19 @@ class SyncManager:
                          now: float) -> None:
         """Re-derive lock/barrier state after ``members`` rolled back.
 
-        Lock ownership is restored from each member's checkpoint snapshot
-        (the snapshot records which locks were held — i.e. the restored
-        memory image shows the lock word taken).  Barrier generations
-        regress to the minimum crossing count among participants; the
-        Appendix A consistency argument guarantees participants roll back
-        past a barrier release together.
+        Lock ownership and barrier crossings are restored from each
+        member's checkpoint snapshot (the snapshot records which locks
+        were held — i.e. the restored memory image shows the lock word
+        taken).  Barrier generations regress to the highest crossing
+        count among participants; the Appendix A consistency argument
+        guarantees participants roll back past a barrier release
+        together.
         """
         for lock in self.locks.values():
-            lock.queue = deque(p for p in lock.queue if p not in members)
-            if lock.holder in members:
-                held = lock.lock_id in snapshots[lock.holder].held_locks
-                if not held:
-                    lock.holder = None
+            lock.queue = [p for p in lock.queue if p not in members]
+            if lock.holder in members and \
+                    lock.lock_id not in snapshots[lock.holder].held_locks:
+                lock.holder = None
             for pid in members:
                 if lock.lock_id in snapshots[pid].held_locks:
                     assert lock.holder in (None, pid), \
@@ -261,16 +276,10 @@ class SyncManager:
             barrier.arrived = [p for p in barrier.arrived
                                if p not in members]
             for pid in members:
-                barrier.arrival_times.pop(pid, None)
-            crossings = []
-            for pid in barrier.participants:
-                core = machine.cores[pid]
-                crossings.append(
-                    core.barrier_crossings.get(barrier.barrier_id, 0))
+                barrier.crossed[pid] = snapshots[pid].barrier_crossings.get(
+                    barrier.barrier_id, 0)
             # A generation regresses only if *everyone* rolled back past
             # its release; lone stragglers catch up through the
             # pass-through path in barrier_arrive instead.
-            barrier.gen = max(crossings) if crossings else 0
-            barrier.barck_pending = False
-            barrier.barck_initiator = None
-            barrier.barck_members.clear()
+            barrier.gen = max((barrier.crossed[pid]
+                               for pid in barrier.participants), default=0)

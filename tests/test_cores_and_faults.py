@@ -4,15 +4,20 @@ import pytest
 
 from repro.sim.cores import Core, CoreTable
 from repro.sim.faults import FaultInjector
+from repro.workloads import BarrierSpec, LockSpec
 
 
 class TestCoreSnapshots:
     def test_snapshot_captures_context(self):
-        core = Core(0, [("x",)] * 10)
+        # Held locks and crossings live in the loop's lock and barrier
+        # tables: the core holds lock 7 and crossed barrier 0 twice.
+        table = CoreTable(1, locks=[LockSpec(7, 64)],
+                          barriers=[BarrierSpec(0, [0], 128, 192)])
+        core = Core(0, [("x",)] * 10, table)
         core.ip = 4
         core.instr_count = 123
-        core.held_locks.add(7)
-        core.barrier_crossings[0] = 2
+        table.locks[7].holder = 0
+        table.barriers[0].crossed[0] = 2
         snap = core.take_snapshot(500.0)
         assert snap.ckpt_id == 1
         assert snap.trace_ip == 4
