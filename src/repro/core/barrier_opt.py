@@ -84,8 +84,9 @@ class BarrierCheckpointCoordinator:
         if core.pid in barck.members:
             return
         # A still-draining previous checkpoint must complete before the
-        # core can accept a new checkpoint request (Section 4.1).
-        if core.pending_delayed > 0 and core.delayed_ckpt_id is not None:
+        # core can accept a new checkpoint request (Section 4.1) — even
+        # one that wrote back no lines: its snapshot closes only then.
+        if core.delayed_ckpt_id is not None:
             scheme._complete_drain(
                 core.pid, core.delayed_ckpt_id,
                 scheme.delayed_interval_of(core.pid), now)

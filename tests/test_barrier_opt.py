@@ -1,5 +1,7 @@
 """Tests for the BarCK barrier checkpoint optimization (Section 4.2.1)."""
 
+import pytest
+
 from repro.params import Scheme
 from repro.trace import BARRIER, COMPUTE, END, STORE
 from tests.conftest import barrier_spec, make_machine, tiny_config
@@ -132,3 +134,25 @@ class TestBarckSemantics:
         stats = machine.run()
         assert stats.rollbacks
         assert all(core.done for core in machine.cores)
+
+
+class TestBarckDrainHandoff:
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_drain_of_no_lines_still_closes_its_snapshot(self, seed):
+        """Core 1's interval checkpoint writes back no lines, and the
+        core joins a BarCK before that drain's completion fires: the
+        BarCK must complete the drain first, or the earlier snapshot
+        never closes (it can then never be a rollback target)."""
+        traces = [[(COMPUTE, 150), (COMPUTE, 161), (COMPUTE, 226),
+                   (COMPUTE, 226), (BARRIER, 0), (END,)],
+                  [(COMPUTE, 186), (COMPUTE, 186), (COMPUTE, 528),
+                   (BARRIER, 0), (END,)]]
+        config = tiny_config(2, Scheme.REBOUND_BARR, seed=seed,
+                             checkpoint_interval=900)
+        machine = make_machine(traces, barriers=[barrier_spec(2)],
+                               config=config)
+        stats = machine.run()
+        assert [e.kind for e in stats.checkpoints].count("barrier") == 1
+        assert [(core.pid, snap.ckpt_id) for core in machine.cores
+                for snap in core.snapshots
+                if snap.complete_time is None] == []
