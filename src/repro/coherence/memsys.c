@@ -2362,7 +2362,6 @@ static int sync_wake(mem_core_t *c, mem_loop_t *l, int pid, double now,
 static int sync_grant(mem_core_t *c, mem_loop_t *l, int64_t k, double now)
 {
     mem_lock_t *lk = &l->locks[k];
-    mem_hot_t *w;
     double lat;
     int pid;
     while (lk->n_waiting && lk->holder < 0) {
@@ -2370,8 +2369,8 @@ static int sync_grant(mem_core_t *c, mem_loop_t *l, int64_t k, double now)
         lk->n_waiting--;
         memmove(lk->waiting, lk->waiting + 1,
                 sizeof(int32_t) * (size_t)lk->n_waiting);
-        w = &l->hot[pid];
-        if (w->blocked != BLOCK_LOCK || w->block_site != lk->lock_id)
+        if (l->hot[pid].blocked != BLOCK_LOCK ||
+                l->hot[pid].block_site != lk->lock_id)
             continue;   /* a stale entry (after a rollback) */
         lat = sync_rmw(c, l, pid, lk->line, now);
         if (lat < 0.0)
@@ -2475,16 +2474,11 @@ static int sync_record(mem_core_t *c, mem_loop_t *l, int pid, int op,
 {
     int64_t k = ix_find(op == OP_BARRIER ? &l->barrier_ix : &l->lock_ix,
                         arg);
-    mem_lock_t *lk = NULL;
+    mem_lock_t *lk;
     double t = 0.0;
     int r;
     if (k < 0)
         return 0;
-    if (op != OP_BARRIER) {
-        lk = &l->locks[k];
-        if (op == OP_UNLOCK && lk->holder != pid)
-            return 0;
-    }
     if (op == OP_BARRIER) {
         r = sync_arrive(c, l, pid, arg, now, &t);
         if (r == SYNC_WAIT) {
@@ -2496,6 +2490,7 @@ static int sync_record(mem_core_t *c, mem_loop_t *l, int pid, int op,
         if (r < 0 || t < 0.0)
             return -1;
     } else if (op == OP_LOCK) {
+        lk = &l->locks[k];
         if (lk->holder >= 0) {
             lk->waiting[lk->n_waiting++] = pid;
             sync_block(l, pid, BLOCK_LOCK, arg, now);
@@ -2508,6 +2503,9 @@ static int sync_record(mem_core_t *c, mem_loop_t *l, int pid, int op,
         lk->holder = pid;
         l->lock_acquisitions++;
     } else {
+        lk = &l->locks[k];
+        if (lk->holder != pid)
+            return 0;
         t = mem_store(c, pid, lk->line, store_value(l, pid), now);
         if (t < 0.0)
             return -1;
@@ -2529,13 +2527,12 @@ static int sync_record(mem_core_t *c, mem_loop_t *l, int pid, int op,
 
 /* Machine._advance_main over the compiled memory system: pops entries
  * and runs each popped core's batch of COMPUTE/LOAD/STORE records until
- * something needs Python (see the ADV_ codes).  A LOCK, UNLOCK or
- * BARRIER record (unless barrier_hooks) runs here too and ends the
- * batch.  A batch continues while
- * no heap entry is due at or before the core's next record, for at most
- * ``quantum`` records; it then re-pushes the core.  A batch suspended
- * for post_op resumes on the next call unless post_op stalled the core
- * past the batch's clock. */
+ * something needs Python (see the ADV_ codes); a LOCK, UNLOCK or (unless
+ * barrier_hooks) BARRIER record runs here too and ends the batch.  A
+ * batch continues while no heap entry is due at or before the core's
+ * next record, for at most ``quantum`` records; it then re-pushes the
+ * core.  A batch suspended for post_op resumes on the next call unless
+ * post_op stalled the core past the batch's clock. */
 int mem_advance(mem_core_t *c, mem_loop_t *l, double limit, double gate,
                 int64_t quantum, mem_event_t *out)
 {

@@ -51,6 +51,11 @@ class CoreSnapshot:
     overhead_mark: float = 0.0
 
 
+#: Why the loop refuses a lock or barrier (``loop_add_*``).
+_REFUSED = (f"a negative or duplicate id, a participant that is not a "
+            f"core, or over {SYNC_CORES} cores")
+
+
 class CoreTable:
     """The machine loop's state in C (``mem_loop_t``, ``memsys.c``): the
     event heap, one :class:`Core` row per core, the trace columns, and
@@ -65,17 +70,15 @@ class CoreTable:
     def __init__(self, n: int, locks=(), barriers=()):
         self._adopt(lib.loop_new(n, len(locks), len(barriers)))
         self._keep: list = []
-        error = (f"{{}}: a negative or duplicate id, a participant that "
-                 f"is not a core, or over {SYNC_CORES} cores")
         for lock in locks:
             if lib.loop_add_lock(self.c, lock.lock_id, lock.line):
-                raise ValueError(error.format(lock))
+                raise ValueError(f"{lock}: {_REFUSED}")
         for spec in barriers:
             parts = spec.participants
             if lib.loop_add_barrier(self.c, spec.barrier_id, spec.count_line,
                                     spec.flag_line,
                                     ffi.new("int32_t[]", parts), len(parts)):
-                raise ValueError(error.format(spec))
+                raise ValueError(f"{spec}: {_REFUSED}")
         self._views()
 
     def _adopt(self, raw) -> None:
@@ -84,20 +87,19 @@ class CoreTable:
         self.c = ffi.gc(raw, lib.loop_free)
 
     def _views(self) -> None:
-        """Lay :class:`LockState`/:class:`BarrierState` over the rows."""
-        self.locks, self.barriers = {}, {}
-        for k in range(self.c.n_locks):
-            lock = LockState.from_address(self._address(self.c.locks + k))
-            lock._t = self      # keeps the row's memory alive
-            self.locks[lock.lock_id] = lock
-        for k in range(self.c.n_barriers):
-            bar = BarrierState.from_address(self._address(self.c.barriers + k))
-            bar._t = self
-            self.barriers[bar.barrier_id] = bar
+        """Lay :class:`LockState`/:class:`BarrierState` over the rows (a
+        view holds the loop, not the table: that would make a cycle)."""
+        locks = [self._view(LockState, self.c.locks + k)
+                 for k in range(self.c.n_locks)]
+        barriers = [self._view(BarrierState, self.c.barriers + k)
+                    for k in range(self.c.n_barriers)]
+        self.locks = {lock.lock_id: lock for lock in locks}
+        self.barriers = {bar.barrier_id: bar for bar in barriers}
 
-    @staticmethod
-    def _address(pointer) -> int:
-        return int(ffi.cast("uintptr_t", pointer))
+    def _view(self, view, pointer):
+        row = view.from_address(int(ffi.cast("uintptr_t", pointer)))
+        row._c = self.c     # keeps the row's memory alive
+        return row
 
     def row(self, pid: int) -> int:
         """The address of core ``pid``'s row."""

@@ -13,6 +13,10 @@ Python methods checks that the case takes the path it is named for.
 from __future__ import annotations
 
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -303,3 +307,23 @@ def test_views_refuse_bad_ids():
                       barriers=[BarrierSpec(3, [1, 0], 128, 192)])
     assert table.locks[4].holder is None and table.locks[4].queue == []
     assert table.barriers[3].participants == [1, 0]
+
+
+def test_unlock_by_non_holder_is_refused_under_optimize():
+    """The C loop hands such a record to Python, whose refusal must not
+    be an ``assert`` that ``python -O`` strips."""
+    script = (
+        "from repro.params import Scheme\n"
+        "from repro.trace import COMPUTE, END, LOCK, UNLOCK\n"
+        "from tests.conftest import lock_spec, make_machine, tiny_config\n"
+        "traces = [[(LOCK, 0), (COMPUTE, 500), (UNLOCK, 0), (END,)],\n"
+        "          [(COMPUTE, 10), (UNLOCK, 0), (END,)]]\n"
+        "make_machine(traces, locks=[lock_spec()],\n"
+        "             config=tiny_config(2, Scheme.NONE)).run()\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root}")
+    result = subprocess.run([sys.executable, "-O", "-c", script], cwd=root,
+                            env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode != 0
+    assert "unlock by non-holder" in result.stderr
