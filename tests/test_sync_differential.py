@@ -21,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from repro.coherence.core import lib
+from repro.core import register_scheme, unregister_scheme
+from repro.core.global_scheme import GlobalScheme
 from repro.params import Scheme
 from repro.sim.machine import Machine
 from repro.sim.sync import SyncManager
@@ -221,6 +223,46 @@ def test_barrier_hook_schemes(scheme):
     compiled, oracle = both(run)
     assert compiled == oracle
     assert compiled[0].rollbacks and compiled[2]
+
+
+class _SlowFlagScheme(GlobalScheme):
+    """Out-of-tree: every barrier's flag write waits 40 more cycles."""
+
+    def __init__(self, machine):
+        super().__init__(machine)
+        self.gates = 0
+
+    def barrier_release_gate(self, barrier, now: float) -> float:
+        self.gates += 1
+        return now + 40
+
+
+@pytest.fixture
+def slow_flag_scheme():
+    tag = register_scheme("slow_flag", _SlowFlagScheme)
+    yield tag
+    unregister_scheme(tag.value)
+
+
+def test_overridden_barrier_hook_is_called(slow_flag_scheme):
+    """A subclass overriding a barrier hook gets its BARRIER records
+    back in Python; the built-in schemes without BarCK do not."""
+    traces = [[(C, 100 * (pid + 1)), (BARRIER, 0), (C, 50), (BARRIER, 0),
+               (END,)] for pid in range(3)]
+    spec = make_spec(traces, barriers=[barrier_spec(3)])
+    plain = Machine(tiny_config(3, Scheme.GLOBAL), spec)
+    assert not plain._table.c.barrier_hooks
+    plain_stats = plain.run()
+
+    def run():
+        machine = Machine(tiny_config(3, slow_flag_scheme), spec)
+        assert machine._table.c.barrier_hooks
+        return machine.run(), sync_state(machine), machine.scheme.gates
+
+    compiled, oracle = both(run)
+    assert compiled == oracle
+    assert compiled[2] == 2
+    assert compiled[0].runtime == plain_stats.runtime + 80
 
 
 def _blocked_workload():
