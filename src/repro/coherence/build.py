@@ -63,6 +63,7 @@ typedef struct {
     uint8_t state;
     uint8_t dirty;
     uint8_t delayed;
+    int32_t dir_pos;
 } mem_line_t;
 
 typedef struct {
@@ -281,6 +282,10 @@ typedef struct mem_loop {
     int64_t lock_acquisitions;
     int64_t barrier_episodes;
     int barrier_hooks;
+    int64_t pops;
+    int64_t residencies;
+    int64_t records[8];
+    int64_t returns[8];
     ...;
 } mem_loop_t;
 

@@ -33,8 +33,9 @@ point returns a negative result, and the Python side raises the failure
 (the callback's own exception, with its traceback).
 
 ``machine.memory``, ``machine.log`` and ``machine.channels`` are views
-of the core: :class:`CoreMemory`, the oracle's ``MainMemory`` over a
-:class:`CoreMap` of the image, :class:`CoreLog`, a ``ReviveLog`` whose
+of the core, valid while the engine lives (they refer back to it
+weakly, :mod:`repro.backref`): :class:`CoreMemory`, the oracle's
+``MainMemory`` over a :class:`CoreMap` of the image, :class:`CoreLog`, a ``ReviveLog`` whose
 entries are built only when read, and :class:`CoreChannels`, which runs
 the oracle's ``MemoryChannels`` code for the scheme-side services
 (``bg_*``, ``restore``) on the core's horizons.  Rebound's Dep-register
@@ -48,6 +49,7 @@ import copy
 import ctypes
 from typing import Optional
 
+from repro.backref import BackRef, backref
 from repro.coherence import build
 from repro.coherence.protocol import EntryState, LineState
 from repro.mem import LogEntry, MainMemory, MemoryChannels, ReviveLog
@@ -94,7 +96,7 @@ def native_hooks(tracker) -> int:
 
 @ffi.def_extern()
 def mem_cb_dependence(owner, consumer, producer, addr):
-    engine = ffi.from_handle(owner)
+    engine = ffi.from_handle(owner)()
     try:
         return engine.tracker.record_dependence(consumer, producer, addr)
     except BaseException as exc:
@@ -104,7 +106,7 @@ def mem_cb_dependence(owner, consumer, producer, addr):
 
 @ffi.def_extern()
 def mem_cb_wsig(owner, pid, addr):
-    engine = ffi.from_handle(owner)
+    engine = ffi.from_handle(owner)()
     try:
         engine.tracker.on_write(pid, addr)
     except BaseException as exc:
@@ -115,7 +117,7 @@ def mem_cb_wsig(owner, pid, addr):
 
 @ffi.def_extern()
 def mem_cb_line(owner, now, pid, addr, kind, interval):
-    engine = ffi.from_handle(owner)
+    engine = ffi.from_handle(owner)()
     try:
         tracker = engine.tracker
         if kind == lib.LINE_LOG_CURRENT:
@@ -135,7 +137,8 @@ class CoreMap:
     (``MainMemory._values``) or the golden image (``engine.golden``).
     Missing lines read as absent, exactly like the oracle's dicts."""
 
-    __slots__ = ("_engine", "_which")
+    __slots__ = ("_engine_ref", "_which")
+    _engine = backref()
 
     def __init__(self, engine: "CompiledEngine", which: int):
         self._engine = engine
@@ -181,6 +184,8 @@ class CoreLog(ReviveLog):
     per time bin live in the core.  Entries are built as
     :class:`~repro.mem.log.LogEntry` objects only when read; the markers
     are kept here."""
+
+    _engine = backref()
 
     def __init__(self, engine: "CompiledEngine", n_banks: int,
                  bin_cycles: int):
@@ -243,6 +248,7 @@ class CoreMemory(MainMemory):
     writes = _memory_field("mem_writes")
     logged_writebacks = _memory_field("logged_writebacks")
     suppressed_logs = _memory_field("suppressed_logs")
+    _engine = backref()
 
     def __init__(self, log: CoreLog, engine: "CompiledEngine"):
         self.log = log
@@ -291,6 +297,7 @@ class CoreChannels(MemoryChannels):
     wb_transfers = _channel_field("wb_transfers")
     demand_wait_cycles = _channel_field("demand_wait_cycles")
     demand_ckpt_wait_cycles = _channel_field("demand_ckpt_wait_cycles")
+    _engine = backref()
 
     def __init__(self, engine: "CompiledEngine"):
         self._engine = engine
@@ -360,8 +367,10 @@ class CompiledEngine:
         self._c = ffi.gc(raw, lib.mem_free)
 
     def _bind(self) -> None:
-        """Point the core's callbacks at this engine and expose views."""
-        self._handle = ffi.new_handle(self)
+        """Point the core's callbacks at this engine and expose views.
+        The core's handle holds a :class:`~repro.backref.BackRef`, so
+        it does not keep the engine alive."""
+        self._handle = ffi.new_handle(BackRef(self))
         self._c.owner = self._handle
         self.ckpt_wait = self._c.ckpt_wait
         self.golden = CoreMap(self, _GOLDEN)

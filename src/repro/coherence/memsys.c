@@ -59,6 +59,16 @@
  * of heap pops, accesses, clock updates and floating-point operations.
  * The memory system reads the loop's core rows (mem_bind_loop).
  *
+ * Per-record cost.  At 64 cores a fused residency averages about one
+ * record, so the loop's heap step and the memory system's hash probes
+ * run about once per record.  The loop ends a batch with one heap step
+ * (replace-top, see mem_advance), whose descent chooses a child without
+ * a branch, and prefetches each core's trace columns ahead of it.  Each
+ * lookup probes its index once: a find-or-insert (ix_upsert, map_slot)
+ * serves a read followed by a write, and an L2 line keeps the position
+ * of its directory entry for its eviction.  The loop counts its pops,
+ * residencies, records and returns (integers only).
+ *
  * The source reads no clock and no entropy. */
 
 #include <math.h>
@@ -97,12 +107,16 @@
 /* Most WSIG hash functions (repro.core.signature: n_hashes). */
 #define MAX_WSIG_HASHES 64
 
+/* An L2 line.  dir_pos is the position of the line's directory entry
+ * (entries are never removed, so it is stable): an eviction finds the
+ * entry without a probe.  It sits in what would be padding. */
 typedef struct {
     int64_t addr;
     int64_t value;
     uint8_t state;
     uint8_t dirty;
     uint8_t delayed;
+    int32_t dir_pos;
 } mem_line_t;
 
 typedef struct {
@@ -341,20 +355,40 @@ static int64_t ix_append(mem_index_t *ix, int64_t key)
     return ix->n++;
 }
 
+/* The position of ``key``, appended if absent, with one probe either
+ * way (a rehash aside).  The caller grew the dense arrays so that
+ * ix->n < ix->cap.  Returns -1 when out of memory. */
+static int64_t ix_upsert(mem_index_t *ix, int64_t key)
+{
+    uint64_t mask = (uint64_t)ix->nslots - 1;
+    uint64_t h = mix(key) & mask;
+    int64_t s;
+    while ((s = ix->slots[h])) {
+        if (ix->keys[s - 1] == key)
+            return s - 1;
+        h = (h + 1) & mask;
+    }
+    if ((ix->n + 1) * 2 > ix->nslots)
+        return ix_append(ix, key);
+    ix->keys[ix->n] = key;
+    ix->slots[h] = ix->n + 1;
+    return ix->n++;
+}
+
 /* Set semantics: adds ``key`` unless present.  Returns 1 if added, 0 if
  * it was there, -1 when out of memory. */
 static int ix_add(mem_index_t *ix, int64_t key)
 {
-    if (ix_find(ix, key) >= 0)
-        return 0;
-    if (ix->n == ix->cap) {
+    int64_t n = ix->n, i;
+    if (n == ix->cap) {
         int64_t *keys = realloc(ix->keys, sizeof(int64_t) * ix->cap * 2);
         if (!keys)
             return -1;
         ix->keys = keys;
         ix->cap *= 2;
     }
-    return ix_append(ix, key) < 0 ? -1 : 1;
+    i = ix_upsert(ix, key);
+    return i < 0 ? -1 : i == n;
 }
 
 /* Empties the index; a large table shrinks back to the initial size. */
@@ -406,34 +440,44 @@ static int64_t map_get(const mem_map_t *m, int64_t key)
     return i < 0 ? 0 : m->vals[i];
 }
 
+/* The value of ``key``, inserted as 0 if absent: one probe for a read
+ * and a write.  NULL (the core failed) when out of memory. */
+static int64_t *map_slot(mem_core_t *c, mem_map_t *m, int64_t key)
+{
+    int64_t i, n = m->ix.n;
+    if (n == m->ix.cap) {
+        int64_t cap = m->ix.cap * 2;
+        int64_t *keys = realloc(m->ix.keys, sizeof(int64_t) * cap);
+        int64_t *vals;
+        if (!keys) {
+            fail(c, FAIL_MEMORY);
+            return NULL;
+        }
+        m->ix.keys = keys;
+        vals = realloc(m->vals, sizeof(int64_t) * cap);
+        if (!vals) {
+            fail(c, FAIL_MEMORY);
+            return NULL;
+        }
+        m->vals = vals;
+        m->ix.cap = cap;
+    }
+    i = ix_upsert(&m->ix, key);
+    if (i < 0) {
+        fail(c, FAIL_MEMORY);
+        return NULL;
+    }
+    if (i == n)
+        m->vals[i] = 0;
+    return &m->vals[i];
+}
+
 static int map_set(mem_core_t *c, mem_map_t *m, int64_t key, int64_t val)
 {
-    int64_t i = ix_find(&m->ix, key);
-    if (i < 0) {
-        if (m->ix.n == m->ix.cap) {
-            int64_t cap = m->ix.cap * 2;
-            int64_t *keys = realloc(m->ix.keys, sizeof(int64_t) * cap);
-            int64_t *vals;
-            if (!keys) {
-                fail(c, FAIL_MEMORY);
-                return 0;
-            }
-            m->ix.keys = keys;
-            vals = realloc(m->vals, sizeof(int64_t) * cap);
-            if (!vals) {
-                fail(c, FAIL_MEMORY);
-                return 0;
-            }
-            m->vals = vals;
-            m->ix.cap = cap;
-        }
-        i = ix_append(&m->ix, key);
-        if (i < 0) {
-            fail(c, FAIL_MEMORY);
-            return 0;
-        }
-    }
-    m->vals[i] = val;
+    int64_t *slot = map_slot(c, m, key);
+    if (!slot)
+        return 0;
+    *slot = val;
     return 1;
 }
 
@@ -460,11 +504,9 @@ static int dir_init(mem_dir_t *d)
 static mem_dirent_t *dir_entry(mem_core_t *c, int64_t addr)
 {
     mem_dir_t *d = &c->dir;
-    int64_t i = ix_find(&d->ix, addr);
+    int64_t i, n = d->ix.n;
     mem_dirent_t *e;
-    if (i >= 0)
-        return &d->ents[i];
-    if (d->ix.n == d->ix.cap) {
+    if (n == d->ix.cap) {
         int64_t cap = d->ix.cap * 2;
         int64_t *keys = realloc(d->ix.keys, sizeof(int64_t) * cap);
         mem_dirent_t *ents;
@@ -477,15 +519,17 @@ static mem_dirent_t *dir_entry(mem_core_t *c, int64_t addr)
         d->ents = ents;
         d->ix.cap = cap;
     }
-    i = ix_append(&d->ix, addr);
+    i = ix_upsert(&d->ix, addr);
     if (i < 0)
         return NULL;
     e = &d->ents[i];
-    e->addr = addr;
-    e->sharers = 0;
-    e->owner = -1;
-    e->lw_id = -1;
-    e->mode = DIR_UNCACHED;
+    if (i == n) {
+        e->addr = addr;
+        e->sharers = 0;
+        e->owner = -1;
+        e->lw_id = -1;
+        e->mode = DIR_UNCACHED;
+    }
     return e;
 }
 
@@ -496,11 +540,8 @@ static mem_dirent_t *dir_peek(mem_core_t *c, int64_t addr)
 }
 
 /* Directory.evict_copy: a copy left ``pid`` (LW-ID preserved). */
-static void dir_evict_copy(mem_core_t *c, int64_t addr, int pid)
+static void dir_evict_copy(mem_dirent_t *e, int pid)
 {
-    mem_dirent_t *e = dir_peek(c, addr);
-    if (!e)
-        return;
     if (e->mode == DIR_EXCL && e->owner == pid) {
         e->mode = DIR_UNCACHED;
         e->owner = -1;
@@ -628,21 +669,18 @@ static int l2_invalidate(mem_core_t *c, int pid, int64_t addr,
     return 0;
 }
 
-/* Cache.insert: installs ``addr``; returns 1 and the victim if one was
- * displaced. */
-static int l2_insert(mem_core_t *c, int pid, int64_t addr, int state,
-                     int64_t value, mem_line_t *victim)
+/* Cache.insert of a line the cache does not hold (every caller has just
+ * missed it): installs ``addr``, whose directory entry is ``e``; returns
+ * 1 and the victim if one was displaced. */
+static int l2_insert(mem_core_t *c, int pid, const mem_dirent_t *e,
+                     int state, int64_t value, mem_line_t *victim)
 {
+    int64_t addr = e->addr;
     int s = (int)pymod(addr, c->l2_sets);
     mem_line_t *set = L2SET(c, pid, s);
     int32_t *cnt = &L2CNT(c, pid, s);
-    mem_line_t *line = l2_touch(c, pid, addr);
+    mem_line_t *line;
     int evicted = 0;
-    if (line) {  /* refill over an existing line: update in place */
-        line->state = (uint8_t)state;
-        line->value = value;
-        return 0;
-    }
     if (*cnt >= c->l2_assoc) {
         *victim = set[0];
         memmove(set, set + 1, sizeof(mem_line_t) * (*cnt - 1));
@@ -655,6 +693,7 @@ static int l2_insert(mem_core_t *c, int pid, int64_t addr, int state,
     line->value = value;
     line->dirty = state == ST_MODIFIED;
     line->delayed = 0;
+    line->dir_pos = (int32_t)(e - c->dir.ents);
     return evicted;
 }
 
@@ -876,7 +915,7 @@ static int log_append(mem_core_t *c, double time, int pid, int64_t addr,
                       int64_t old, int64_t interval)
 {
     mem_logent_t *e;
-    int64_t tbin;
+    int64_t tbin, *bytes;
     if (c->log_n == c->log_cap) {
         int64_t cap = c->log_cap ? c->log_cap * 2 : 256;
         mem_logent_t *log = realloc(c->log, sizeof(mem_logent_t) * cap);
@@ -894,8 +933,11 @@ static int log_append(mem_core_t *c, double time, int pid, int64_t addr,
     e->interval = interval;
     c->log_total++;
     tbin = (int64_t)time / c->bin_cycles;
-    return map_set(c, &c->log_bins, tbin,
-                   map_get(&c->log_bins, tbin) + c->entry_bytes);
+    bytes = map_slot(c, &c->log_bins, tbin);
+    if (!bytes)
+        return 0;
+    *bytes += c->entry_bytes;
+    return 1;
 }
 
 /* The first-writeback filter of (pid, interval), created if absent;
@@ -943,17 +985,12 @@ static int log_writeback(mem_core_t *c, double time, int pid, int64_t addr,
     int added;
     c->mem_writes++;
     g = filter_group(c, pid, interval);
-    if (!g) {
-        fail(c, FAIL_MEMORY);
-        return 0;
-    }
-    if (ix_find(&g->lines, addr) >= 0) {
+    added = g ? ix_add(&g->lines, addr) : -1;
+    if (added == 0) {
         c->suppressed_logs++;
         return 0;
     }
-    added = log_append(c, time, pid, addr, old, interval) &&
-            ix_add(&g->lines, addr) > 0;
-    if (!added) {
+    if (added < 0 || !log_append(c, time, pid, addr, old, interval)) {
         fail(c, FAIL_MEMORY);
         return 0;
     }
@@ -1037,8 +1074,11 @@ static void memory_writeback(mem_core_t *c, double now, int pid,
                              int64_t addr, int64_t value, int kind,
                              int64_t interval)
 {
-    int64_t old = map_get(&c->image, addr);
-    map_set(c, &c->image, addr, value);
+    int64_t *slot = map_slot(c, &c->image, addr), old;
+    if (!slot)
+        return;
+    old = *slot;
+    *slot = value;
     if (line_event(c, now, pid, addr, kind, &interval) == 0)
         log_writeback(c, now, pid, addr, old, interval);
 }
@@ -1120,17 +1160,19 @@ static void evict(mem_core_t *c, int pid, const mem_line_t *victim,
         c->energy_log++;
     }
     c->base_messages++;
-    dir_evict_copy(c, addr, pid);
+    dir_evict_copy(&c->dir.ents[victim->dir_pos], pid);
     c->energy_dir++;
 }
 
-static void install(mem_core_t *c, int pid, int64_t addr, int state,
-                    int64_t value, double now)
+/* Installs the line of directory entry ``e``, which ``pid``'s L2 has
+ * just missed. */
+static void install(mem_core_t *c, int pid, const mem_dirent_t *e,
+                    int state, int64_t value, double now)
 {
     mem_line_t victim;
-    if (l2_insert(c, pid, addr, state, value, &victim))
+    if (l2_insert(c, pid, e, state, value, &victim))
         evict(c, pid, &victim, now);
-    l1_fill(c, pid, addr);
+    l1_fill(c, pid, e->addr);
 }
 
 static int64_t invalidate_sharers(mem_core_t *c, mem_dirent_t *e, int keep,
@@ -1288,7 +1330,7 @@ double mem_load(mem_core_t *c, int pid, int64_t addr, double now)
         handle_dependence(c, e, pid, 1);
         value = fetch_from_owner(c, e, pid, now, 1);
         lat += (double)c->remote_l2;
-        install(c, pid, addr, ST_SHARED, value, now);
+        install(c, pid, e, ST_SHARED, value, now);
     } else if (e->mode == DIR_SHARED) {
         handle_dependence(c, e, pid, 0);
         extra = ch_demand_access(c, now, addr, &ckpt_share);
@@ -1297,7 +1339,7 @@ double mem_load(mem_core_t *c, int pid, int64_t addr, double now)
         value = map_get(&c->image, addr);
         c->energy_dram++;
         e->sharers |= 1ull << pid;
-        install(c, pid, addr, ST_SHARED, value, now);
+        install(c, pid, e, ST_SHARED, value, now);
     } else {  /* UNCACHED -> RDX: grant Exclusive, stamp LW-ID */
         handle_dependence(c, e, pid, 0);
         extra = ch_demand_access(c, now, addr, &ckpt_share);
@@ -1309,7 +1351,7 @@ double mem_load(mem_core_t *c, int pid, int64_t addr, double now)
         e->owner = pid;
         e->sharers = 0;
         stamp_writer(c, e, pid);
-        install(c, pid, addr, ST_EXCLUSIVE, value, now);
+        install(c, pid, e, ST_EXCLUSIVE, value, now);
     }
     check_load(c, addr, value);
     return c->failed ? -1.0 : lat;
@@ -1399,7 +1441,7 @@ double mem_store(mem_core_t *c, int pid, int64_t addr, int64_t value,
     e->owner = pid;
     e->sharers = 0;
     stamp_writer(c, e, pid);
-    install(c, pid, addr, ST_MODIFIED, value, now);
+    install(c, pid, e, ST_MODIFIED, value, now);
     return c->failed ? -1.0 : lat;
 }
 
@@ -2086,6 +2128,8 @@ oom:
 #define ADV_LIMIT 5      /* the cycle limit was exceeded */
 #define ADV_DEADLOCK 6   /* the heap is empty with work outstanding */
 #define ADV_FAILED 7     /* the memory system failed (raise_failure) */
+#define N_ADV 8
+#define N_OPS 8          /* trace ops, OUTPUT (6) included */
 
 /* mem_hot_t.blocked */
 #define BLOCK_LOCK 1
@@ -2096,7 +2140,7 @@ oom:
 #define SYNC_WAIT 1      /* arrived; other participants have not */
 #define SYNC_LAST 2      /* arrived last: the barrier releases */
 
-/* A heap entry, and what mem_advance reports.  Entries order by
+/* A heap entry, as mem_advance and loop_pop report it.  Entries order by
  * (when, seq); seqs are unique, so the pop order is that of the Python
  * loop's heapq of (when, seq, kind, a, b) tuples. */
 typedef struct {
@@ -2106,6 +2150,16 @@ typedef struct {
     int32_t pid;
     int64_t arg;
 } mem_event_t;
+
+/* An entry as the heap stores it: ``when`` and ``seq`` as unsigned words
+ * in the same order (when_key, seq_key), so that comparing two entries
+ * takes integer comparisons only. */
+typedef struct {
+    uint64_t wkey, skey;
+    int32_t kind;
+    int32_t pid;
+    int64_t arg;
+} mem_node_t;
 
 /* Locks and barriers keep their lists of pids inline, so a loop with
  * any has at most this many cores (the memory system's limit too). */
@@ -2141,7 +2195,7 @@ typedef struct mem_loop {
     const unsigned char **args;
     int64_t *n_records;
     /* the event heap */
-    mem_event_t *heap;
+    mem_node_t *heap;
     int64_t heap_n, heap_cap;
     int64_t seq;        /* last seq handed out */
     int64_t n_done;
@@ -2157,6 +2211,11 @@ typedef struct mem_loop {
     int suspended, batch_pid;
     double batch_now;
     int64_t batch_budget;
+    /* counters, integers only (CompiledEngine.counters): entries taken
+     * off the heap, fused residencies, records dispatched per trace op
+     * and returns per ADV_ reason; a fork starts its own at zero */
+    int64_t pops, residencies;
+    int64_t records[N_OPS], returns[N_ADV];
 } mem_loop_t;
 
 /* The memory system reads ``l``'s core rows (writeback intervals,
@@ -2166,26 +2225,99 @@ void mem_bind_loop(mem_core_t *c, mem_loop_t *l)
     c->hot = l->hot;
 }
 
-static inline int ev_before(const mem_event_t *x, const mem_event_t *y)
+/* ``when`` as an unsigned word of the same order: the sign bit flipped
+ * for a positive time, every bit for a negative one.  -0.0 becomes 0.0
+ * first (Python compares the two equal).  Times are never NaN. */
+static inline uint64_t when_key(double when)
 {
-    return x->when < y->when || (x->when == y->when && x->seq < y->seq);
+    uint64_t bits;
+    when += 0.0;
+    memcpy(&bits, &when, sizeof(bits));
+    return bits >> 63 ? ~bits : bits | (1ull << 63);
+}
+
+static inline double key_when(uint64_t key)
+{
+    uint64_t bits = key >> 63 ? key & ~(1ull << 63) : ~key;
+    double when;
+    memcpy(&when, &bits, sizeof(when));
+    return when;
+}
+
+/* ``seq`` as an unsigned word of the same order. */
+static inline uint64_t seq_key(int64_t seq)
+{
+    return (uint64_t)seq ^ (1ull << 63);
+}
+
+static inline void node_event(const mem_node_t *n, mem_event_t *e)
+{
+    e->when = key_when(n->wkey);
+    e->seq = (int64_t)(n->skey ^ (1ull << 63));
+    e->kind = n->kind;
+    e->pid = n->pid;
+    e->arg = n->arg;
+}
+
+/* The (when, seq) order, without a branch: a descent's choice between
+ * two children is then a data dependence instead of a jump that
+ * mispredicts about half the time.  The two keys make one 128-bit
+ * number where the compiler has the type; elsewhere the comparisons
+ * are combined with ``&`` and ``|``, not ``&&`` and ``||``. */
+static inline int ev_before(const mem_node_t *x, const mem_node_t *y)
+{
+#ifdef __SIZEOF_INT128__
+    return ((unsigned __int128)x->wkey << 64 | x->skey) <
+           ((unsigned __int128)y->wkey << 64 | y->skey);
+#else
+    return (x->wkey < y->wkey) | ((x->wkey == y->wkey) & (x->skey < y->skey));
+#endif
+}
+
+/* Fills the hole at heap[i] with ``e`` (Floyd's bottom-up descent): the
+ * hole moves down along the earlier child to a leaf, comparing only the
+ * two children, then ``e`` rises from there, no higher than ``i``.  An
+ * entry that replaces the root is usually due after most of the heap,
+ * so it rises little, and the descent costs about one comparison per
+ * level instead of two. */
+static void heap_fill(mem_loop_t *l, int64_t i, const mem_node_t *e)
+{
+    mem_node_t *h = l->heap;
+    int64_t n = l->heap_n, top = i, child, parent;
+    while ((child = 2 * i + 1) + 1 < n) {
+        child += ev_before(&h[child + 1], &h[child]);
+        h[i] = h[child];
+        i = child;
+    }
+    if (child < n) {    /* a lone last child */
+        h[i] = h[child];
+        i = child;
+    }
+    while (i > top) {
+        parent = (i - 1) / 2;
+        if (!ev_before(e, &h[parent]))
+            break;
+        h[i] = h[parent];
+        i = parent;
+    }
+    h[i] = *e;
 }
 
 static int heap_push(mem_loop_t *l, double when, int64_t seq, int kind,
                      int pid, int64_t arg)
 {
-    mem_event_t e;
+    mem_node_t e;
     int64_t i, parent;
     if (l->heap_n == l->heap_cap) {
         int64_t cap = l->heap_cap * 2;
-        mem_event_t *heap = realloc(l->heap, sizeof(mem_event_t) * cap);
+        mem_node_t *heap = realloc(l->heap, sizeof(mem_node_t) * cap);
         if (!heap)
             return 0;
         l->heap = heap;
         l->heap_cap = cap;
     }
-    e.when = when;
-    e.seq = seq;
+    e.wkey = when_key(when);
+    e.skey = seq_key(seq);
     e.kind = kind;
     e.pid = pid;
     e.arg = arg;
@@ -2199,34 +2331,16 @@ static int heap_push(mem_loop_t *l, double when, int64_t seq, int kind,
     return 1;
 }
 
-/* Moves heap[i] down to its place. */
-static void heap_sift(mem_loop_t *l, int64_t i)
-{
-    mem_event_t e = l->heap[i];
-    int64_t child;
-    for (;;) {
-        child = 2 * i + 1;
-        if (child >= l->heap_n)
-            break;
-        if (child + 1 < l->heap_n &&
-                ev_before(&l->heap[child + 1], &l->heap[child]))
-            child++;
-        if (!ev_before(&l->heap[child], &e))
-            break;
-        l->heap[i] = l->heap[child];
-        i = child;
-    }
-    l->heap[i] = e;
-}
-
 static int heap_pop(mem_loop_t *l, mem_event_t *out)
 {
+    mem_node_t last;
     if (!l->heap_n)
         return 0;
-    *out = l->heap[0];
+    l->pops++;
+    node_event(&l->heap[0], out);
     if (--l->heap_n) {
-        l->heap[0] = l->heap[l->heap_n];
-        heap_sift(l, 0);
+        last = l->heap[l->heap_n];
+        heap_fill(l, 0, &last);
     }
     return 1;
 }
@@ -2264,7 +2378,7 @@ int loop_pop(mem_loop_t *l, mem_event_t *out)
 /* The earliest pending time (infinity when the heap is empty). */
 double loop_next_when(mem_loop_t *l)
 {
-    return l->heap_n ? l->heap[0].when : INFINITY;
+    return l->heap_n ? key_when(l->heap[0].wkey) : INFINITY;
 }
 
 /* Removes every entry of ``kind`` (a fork drops its parent's pauses). */
@@ -2275,8 +2389,10 @@ void loop_drop(mem_loop_t *l, int kind)
         if (l->heap[i].kind != kind)
             l->heap[n++] = l->heap[i];
     l->heap_n = n;
-    for (i = n / 2 - 1; i >= 0; i--)
-        heap_sift(l, i);
+    for (i = n / 2 - 1; i >= 0; i--) {
+        mem_node_t e = l->heap[i];
+        heap_fill(l, i, &e);
+    }
 }
 
 void loop_set_trace(mem_loop_t *l, int pid, const int8_t *ops,
@@ -2525,19 +2641,38 @@ static int sync_record(mem_core_t *c, mem_loop_t *l, int pid, int op,
     return 1;
 }
 
+/* Counts a return of mem_advance. */
+static inline int adv(mem_loop_t *l, int reason)
+{
+    l->returns[reason]++;
+    return reason;
+}
+
 /* Machine._advance_main over the compiled memory system: pops entries
  * and runs each popped core's batch of COMPUTE/LOAD/STORE records until
  * something needs Python (see the ADV_ codes); a LOCK, UNLOCK or (unless
  * barrier_hooks) BARRIER record runs here too and ends the batch.  A
  * batch continues while no heap entry is due at or before the core's
- * next record, for at most ``quantum`` records; it then re-pushes the
- * core.  A batch suspended for post_op resumes on the next call unless
- * post_op stalled the core past the batch's clock. */
+ * next record, for at most ``quantum`` records.  A batch suspended for
+ * post_op resumes on the next call unless post_op stalled the core past
+ * the batch's clock.
+ *
+ * A batch ends with a push of the core's new entry and the next pop,
+ * done as one step (replace-top).  The batch ended because heap[0] is
+ * due at or before the new entry; on a tie of times the new entry's
+ * fresh seq is the largest handed out, so heap[0] is what pops next.  It
+ * is taken, and the new entry fills the root with one descent.  When
+ * only the budget ended the batch, the new entry is itself the next pop
+ * and never enters the heap.  At 64 cores a residency averages about
+ * one record, so this step runs about once per record. */
 int mem_advance(mem_core_t *c, mem_loop_t *l, double limit, double gate,
                 int64_t quantum, mem_event_t *out)
 {
     mem_event_t e;
-    int pid = l->batch_pid, in_batch = l->suspended, gated = 0, op, r;
+    mem_node_t next;
+    int pid = l->batch_pid, in_batch = l->suspended, gated = 0;
+    int taken = 0, op, r;
+    mem_hot_t *h = &l->hot[pid];
     double now = l->batch_now, when, t, nb, lat;
     int64_t budget = l->batch_budget, ip, arg;
     if (in_batch) {
@@ -2545,7 +2680,7 @@ int mem_advance(mem_core_t *c, mem_loop_t *l, double limit, double gate,
          * post_op stalled the core, which ends the batch. */
         l->suspended = 0;
         gated = 1;
-        if (l->hot[pid].not_before > now) {
+        if (h->not_before > now) {
             in_batch = gated = 0;
             if (!loop_push_core(l, pid))
                 goto oom;
@@ -2553,55 +2688,68 @@ int mem_advance(mem_core_t *c, mem_loop_t *l, double limit, double gate,
     }
     for (;;) {
         if (!in_batch) {
-            if (l->n_done >= l->n)
-                return ADV_DONE;
-            if (!heap_pop(l, &e))
-                return ADV_DEADLOCK;
+            if (taken) {
+                taken = 0;  /* a batch end took ``e`` off the heap */
+            } else {
+                if (l->n_done >= l->n)
+                    return adv(l, ADV_DONE);
+                if (!heap_pop(l, &e))
+                    return adv(l, ADV_DEADLOCK);
+            }
             /* A pause leaves the clock at the last real event. */
             if (e.kind == EV_PAUSE)
-                return ADV_PAUSE;
+                return adv(l, ADV_PAUSE);
             if (e.when > l->now)
                 l->now = e.when;
             if (e.when > limit)
-                return ADV_LIMIT;
+                return adv(l, ADV_LIMIT);
             if (e.kind != EV_EXEC) {
                 *out = e;
-                return ADV_CALL;
+                return adv(l, ADV_CALL);
             }
             pid = e.pid;
-            if (l->hot[pid].done || l->hot[pid].blocked || e.arg != l->hot[pid].epoch)
+            h = &l->hot[pid];
+            if (h->done || h->blocked || e.arg != h->epoch)
                 continue;  /* stale entry */
-            if (e.when < l->hot[pid].not_before) {
+            if (e.when < h->not_before) {
                 if (!loop_push_core(l, pid))
                     goto oom;
                 continue;
             }
-            t = l->hot[pid].time;
+            t = h->time;
             now = e.when >= t ? e.when : t;
             budget = quantum;
             in_batch = 1;
+            l->residencies++;
         }
         /* Checkpoint initiation runs at the core's true position in
          * the global time order, before its next record. */
-        if (!gated && (double)l->hot[pid].instr_since_ckpt >= gate) {
+        if (!gated && (double)h->instr_since_ckpt >= gate) {
             l->suspended = 1;
             l->batch_pid = pid;
             l->batch_now = now;
             l->batch_budget = budget;
             out->pid = pid;
             out->when = now;
-            return ADV_POST_OP;
+            return adv(l, ADV_POST_OP);
         }
         gated = 0;
-        ip = l->hot[pid].ip;
+        ip = h->ip;
         op = ip < l->n_records[pid] ? l->ops[pid][ip] : OP_END;
         arg = op == OP_END ? 0 : trace_arg(l, pid, ip);
+        l->records[op & (N_OPS - 1)]++;
+        /* The core reads its columns in order, one of 128 such streams
+         * at 64 cores: fetch its next lines well before it gets there. */
+        __builtin_prefetch((const void *)((uintptr_t)l->args[pid] +
+                                          8 * (uintptr_t)(ip + 16)));
+        __builtin_prefetch((const void *)((uintptr_t)l->ops[pid] +
+                                          (uintptr_t)(ip + 64)));
         if (op == OP_COMPUTE) {
-            l->hot[pid].time = now + (double)arg;
-            l->hot[pid].instr_count += arg;
-            l->hot[pid].instr_since_ckpt += arg;
-            l->hot[pid].busy += (double)arg;
-            l->hot[pid].ip = ip + 1;
+            h->time = now + (double)arg;
+            h->instr_count += arg;
+            h->instr_since_ckpt += arg;
+            h->busy += (double)arg;
+            h->ip = ip + 1;
         } else if (op == OP_LOAD || op == OP_STORE) {
             if (op == OP_LOAD) {
                 lat = mem_load(c, pid, arg, now);
@@ -2609,18 +2757,18 @@ int mem_advance(mem_core_t *c, mem_loop_t *l, double limit, double gate,
                 lat = mem_store(c, pid, arg, store_value(l, pid), now);
             }
             if (lat < 0.0)
-                return ADV_FAILED;
-            l->hot[pid].time = now + lat;
-            l->hot[pid].instr_count++;
-            l->hot[pid].instr_since_ckpt++;
-            l->hot[pid].busy += lat;
-            l->hot[pid].ip = ip + 1;
+                return adv(l, ADV_FAILED);
+            h->time = now + lat;
+            h->instr_count++;
+            h->instr_since_ckpt++;
+            h->busy += lat;
+            h->ip = ip + 1;
         } else {
             r = op >= OP_BARRIER && op <= OP_UNLOCK &&
                 !(op == OP_BARRIER && l->barrier_hooks)
                 ? sync_record(c, l, pid, op, arg, ip, now) : 0;
             if (r < 0)
-                return ADV_FAILED;
+                return adv(l, ADV_FAILED);
             if (r) {
                 in_batch = 0;
                 continue;
@@ -2629,30 +2777,42 @@ int mem_advance(mem_core_t *c, mem_loop_t *l, double limit, double gate,
             out->kind = op;
             out->pid = pid;
             out->arg = arg;
-            return ADV_RECORD;
+            return adv(l, ADV_RECORD);
         }
         /* fused continuation */
         budget--;
-        t = l->hot[pid].time;
-        nb = l->hot[pid].not_before;
+        t = h->time;
+        nb = h->not_before;
         when = t >= nb ? t : nb;
-        if (budget <= 0 || (l->heap_n && l->heap[0].when <= when)) {
+        next.wkey = when_key(when);
+        if (budget <= 0 || (l->heap_n && l->heap[0].wkey <= next.wkey)) {
+            /* push_exec and the next pop, as one step (see above) */
             in_batch = 0;
-            if (!push_exec(l, pid, when))
-                goto oom;
+            next.skey = seq_key(++l->seq);
+            next.kind = EV_EXEC;
+            next.pid = pid;
+            next.arg = ++h->epoch;
+            if (l->heap_n && ev_before(&l->heap[0], &next)) {
+                node_event(&l->heap[0], &e);
+                heap_fill(l, 0, &next);
+            } else {
+                node_event(&next, &e);
+            }
+            l->pops++;
+            taken = 1;
             continue;
         }
         /* The clock is not advanced record by record (nothing can
          * observe it mid-batch); the next pop re-synchronizes it. */
         if (when > limit) {
             l->now = when;
-            return ADV_LIMIT;
+            return adv(l, ADV_LIMIT);
         }
         now = when;
     }
 oom:
     fail(c, FAIL_MEMORY);
-    return ADV_FAILED;
+    return adv(l, ADV_FAILED);
 }
 
 void loop_free(mem_loop_t *l)
@@ -2748,6 +2908,9 @@ mem_loop_t *loop_clone(const mem_loop_t *src)
     l->heap = NULL;
     l->locks = NULL;
     l->barriers = NULL;
+    l->pops = l->residencies = 0;
+    memset(l->records, 0, sizeof(l->records));
+    memset(l->returns, 0, sizeof(l->returns));
     memset(&l->lock_ix, 0, sizeof(mem_index_t));
     memset(&l->barrier_ix, 0, sizeof(mem_index_t));
     if (!ix_clone(&l->lock_ix, &src->lock_ix) ||
@@ -2759,10 +2922,10 @@ mem_loop_t *loop_clone(const mem_loop_t *src)
     DUP(l->ops, src->ops, m);
     DUP(l->args, src->args, m);
     DUP(l->n_records, src->n_records, m);
-    l->heap = malloc(sizeof(mem_event_t) * src->heap_cap);
+    l->heap = malloc(sizeof(mem_node_t) * src->heap_cap);
     if (!l->heap)
         goto oom;
-    memcpy(l->heap, src->heap, sizeof(mem_event_t) * src->heap_n);
+    memcpy(l->heap, src->heap, sizeof(mem_node_t) * src->heap_n);
     return l;
 oom:
     loop_free(l);

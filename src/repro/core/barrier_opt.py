@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.backref import backref
 from repro.interconnect import MessageClass
 from repro.sim.events import DurableCall
 from repro.sim.stats import CheckpointEvent
@@ -44,6 +45,9 @@ class BarrierCheckpoint:
 
 class BarrierCheckpointCoordinator:
     """Implements the BarCK protocol for a :class:`ReboundScheme`."""
+
+    #: The scheme (weak: the scheme owns the coordinator).
+    scheme = backref()
 
     def __init__(self, scheme: "ReboundScheme"):
         self.scheme = scheme

@@ -29,6 +29,7 @@ import copy
 import ctypes
 from typing import Optional
 
+from repro.backref import backref
 from repro.core.signature import WriteSignature
 
 
@@ -252,7 +253,10 @@ class CoreWriteSignature:
     row.  It offers what the set lifecycle and the statistics ask of a
     :class:`WriteSignature`; the core itself adds and tests lines."""
 
-    __slots__ = ("_file", "_slot", "_row")
+    __slots__ = ("_file_ref", "_slot", "_row_ref")
+    #: The file and the set row (weak: the row holds the signature).
+    _file = backref()
+    _row = backref()
 
     def __init__(self, file: "CoreDepRegisterFile", slot: int,
                  row: DepRegisterSet):
@@ -291,6 +295,9 @@ class CoreDepRegisterFile(DepRegisterFile):
     list is published to the core, which reads the active set and the
     live sets newest first on each dependence and WSIG stamp.  The set
     lifecycle is :class:`DepRegisterFile`'s own code."""
+
+    #: The engine (weak: its scheme owns the file).
+    _engine = backref()
 
     def __init__(self, engine, pid: int, n_sets: int, wsig_bits: int,
                  wsig_hashes: int):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Optional
 
+from repro.backref import backref
 from repro.coherence.protocol import DependenceTracker
 from repro.interconnect import MessageClass
 from repro.sim.events import DurableCall
@@ -50,6 +51,9 @@ class BaseScheme(DependenceTracker):
     #: recycling (``DepRegisterFile.can_open_interval``) reads L during
     #: fault-free checkpointing.
     FAULT_FREE_INVARIANT_OVERRIDES: frozenset = frozenset()
+
+    #: The machine (weak: the machine owns the scheme).
+    machine = backref()
 
     def __init__(self, machine: "Machine"):
         self.machine = machine

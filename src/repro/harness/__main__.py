@@ -18,8 +18,9 @@ Options::
     -j / --jobs N      worker processes (default REPRO_JOBS or CPU count)
     --cache-dir DIR    result cache location (default benchmarks/.cache)
     --no-cache         bypass the persistent result cache
-    --profile          print a per-run wall-clock table and the
-                       aggregated workload-store counters at the end
+    --profile          print a per-run wall-clock table, the aggregated
+                       workload-store counters and the machine loop's
+                       counters at the end
 
 Fault campaigns get their own subcommand (see ``campaign --help``)::
 
@@ -602,6 +603,14 @@ def main(argv: list[str] | None = None) -> int:
               f"epoch_bumps={mem['fastpath_epoch_bumps']}, "
               f"accesses={accesses}"
               if accesses else "[memsys] no completed runs in-process")
+        loop = engine.loop_counters
+        if loop:
+            records = sum(count for name, count in loop.items()
+                          if name.startswith("records."))
+            print(f"[loop] records/residency="
+                  f"{records / max(1, loop['residencies']):.2f}, "
+                  + ", ".join(f"{name}={count}"
+                              for name, count in loop.items() if count))
     return 0
 
 

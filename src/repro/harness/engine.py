@@ -82,6 +82,7 @@ import os
 import pickle
 import sys
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -236,7 +237,8 @@ def execute_run(key: RunKey,
 
 
 def execute_batch(keys: list[RunKey],
-                  store: Optional[WorkloadStore] = None) -> list[SimStats]:
+                  store: Optional[WorkloadStore] = None,
+                  counters: Optional[Counter] = None) -> list[SimStats]:
     """Run a same-workload replica group (a lone key is a group of one)
     through the vector executor — the engine's only task executor.
 
@@ -250,7 +252,9 @@ def execute_batch(keys: list[RunKey],
     differ in invariant fields ride the same leader with their own
     resolved config (``replica_configs``) — a detection-latency sweep
     under Global is served from one trace pass.  Returns the per-key
-    stats in input order.
+    stats in input order; the machine loops' counters
+    (:meth:`~repro.sim.machine.Machine.counters`) are added into
+    ``counters`` when one is given.
     """
     from repro.sim.vector import run_replica_batch
 
@@ -270,8 +274,11 @@ def execute_batch(keys: list[RunKey],
     if any(key.overrides != keys[0].overrides for key in keys):
         replica_configs = [config if key.overrides == keys[0].overrides
                            else resolve_config(key) for key in keys]
-    return run_replica_batch(config, workload, fault_lists,
-                             replica_configs=replica_configs).stats
+    result = run_replica_batch(config, workload, fault_lists,
+                               replica_configs=replica_configs)
+    if counters is not None:
+        counters.update(result.report.counters)
+    return result.stats
 
 
 #: One store instance per root per worker process: pool tasks arrive as
@@ -353,8 +360,9 @@ def _run_tasks(chunk: list[list[RunKey]], store: Optional[WorkloadStore],
     """The engine's one task loop: run planned replica batches back to
     back, in the pool and on the serial path alike.
 
-    Per task the outcome is ``("ok", stats_list, seconds, cached)`` —
-    ``cached`` says every result already landed in the disk cache — or
+    Per task the outcome is ``("ok", stats_list, seconds, cached,
+    counters)`` — ``cached`` says every result already landed in the
+    disk cache, ``counters`` are the task's loop counters — or
     ``("err", exc)``; a raising task never takes its siblings down, and
     completed siblings are already persisted when it does.
     ``KeyboardInterrupt`` is not a task failure: it propagates, so an
@@ -363,8 +371,9 @@ def _run_tasks(chunk: list[list[RunKey]], store: Optional[WorkloadStore],
     outcomes: list = []
     for task in chunk:
         start = time.perf_counter()
+        counters: Counter = Counter()
         try:
-            stats_list = execute_batch(task, store)
+            stats_list = execute_batch(task, store, counters)
         except KeyboardInterrupt:
             raise
         except BaseException as exc:  # noqa: BLE001 - reported per task
@@ -374,7 +383,7 @@ def _run_tasks(chunk: list[list[RunKey]], store: Optional[WorkloadStore],
         cached = cache_dir is not None and all(
             _write_cache_entry(cache_dir, key, stats) is None
             for key, stats in zip(task, stats_list))
-        outcomes.append(("ok", stats_list, seconds, cached))
+        outcomes.append(("ok", stats_list, seconds, cached, counters))
     return outcomes
 
 
@@ -564,6 +573,9 @@ class ExperimentEngine:
         self.profile: dict[RunKey, float] = {}
         #: Replica-batch width each computed key ran at (1 = a lone key).
         self.batch_width: dict[RunKey, int] = {}
+        #: Machine-loop counters summed over every task computed this
+        #: session (:meth:`~repro.sim.machine.Machine.counters`).
+        self.loop_counters: Counter = Counter()
         self.disk_hits = 0
         self._store_warned = False
         #: Workload-store counter deltas shipped back by pool workers
@@ -995,12 +1007,14 @@ class ExperimentEngine:
         change), the task's wall clock is attributed evenly across its
         keys, and ``on_land`` fires for each.  ``cached`` means the task
         loop already wrote the disk entries — writing them again would
-        double every entry's serialization cost.
+        double every entry's serialization cost.  The task's loop
+        counters add into :attr:`loop_counters`.
         """
         if outcome[0] == "err":
             report.failures.extend((key, outcome[1]) for key in task)
             return
-        _tag, stats_list, seconds, cached = outcome
+        _tag, stats_list, seconds, cached, counters = outcome
+        self.loop_counters.update(counters)
         share = seconds / len(task)
         for key, stats in zip(task, stats_list):
             self.memo[key] = stats

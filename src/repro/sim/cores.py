@@ -30,7 +30,7 @@ from typing import Optional
 from repro.coherence.core import ffi, lib
 from repro.sim.stats import CoreStats
 from repro.sim.sync import SYNC_CORES, BarrierState, LockState, optional_field
-from repro.trace import CompiledTrace
+from repro.trace import OP_NAMES, CompiledTrace
 
 
 @dataclass(slots=True)
@@ -51,6 +51,12 @@ class CoreSnapshot:
     overhead_mark: float = 0.0
 
 
+#: ``mem_advance``'s return reasons, by code (``CoreTable.counters``).
+_RETURNS = {lib.ADV_DONE: "done", lib.ADV_PAUSE: "pause",
+            lib.ADV_CALL: "call", lib.ADV_POST_OP: "post_op",
+            lib.ADV_RECORD: "record", lib.ADV_LIMIT: "limit",
+            lib.ADV_DEADLOCK: "deadlock", lib.ADV_FAILED: "failed"}
+
 #: Why the loop refuses a lock or barrier (``loop_add_*``).
 _REFUSED = (f"a negative or duplicate id, a participant that is not a "
             f"core, or over {SYNC_CORES} cores")
@@ -65,7 +71,7 @@ class CoreTable:
     exported (alive, unresizable) while it lives, and a fork's table
     shares them."""
 
-    __slots__ = ("c", "_keep", "locks", "barriers")
+    __slots__ = ("c", "_keep", "locks", "barriers", "__weakref__")
 
     def __init__(self, n: int, locks=(), barriers=()):
         self._adopt(lib.loop_new(n, len(locks), len(barriers)))
@@ -141,6 +147,20 @@ class CoreTable:
         clone._keep = self._keep
         clone._views()
         return clone
+
+    def counters(self) -> dict[str, int]:
+        """What the loop did, as integers (never part of the results):
+        entries taken off the heap (``pops``), fused residencies, records
+        ``mem_advance`` dispatched per trace op (``records.<op>``) and its
+        returns per reason (``returns.<reason>``).  A fork's table counts
+        from zero."""
+        c = self.c
+        counts = {"pops": c.pops, "residencies": c.residencies}
+        counts.update((f"records.{name}", c.records[op])
+                      for op, name in OP_NAMES.items())
+        counts.update((f"returns.{name}", c.returns[code])
+                      for code, name in _RETURNS.items())
+        return counts
 
 
 #: ``Core.blocked`` values by their row code.

@@ -33,9 +33,14 @@ therefore every statistic) is bit-identical to the unbatched loop;
 ``fuse_quantum=1`` recovers the one-record-per-pop behaviour and the
 parity tests compare the two.  When a batch ends, the core is re-pushed
 with the largest sequence number, so the next pop returns exactly what
-it would have without the batch.  A batch the ``post_op`` gate
-interrupts resumes, with its remaining budget, unless ``post_op``
-stalled the core.
+it would have without the batch.  ``mem_advance`` does that push and
+the next pop as one step (replace-top): the entry due first is taken
+and the core's new entry fills the root with one descent.  At 64 cores
+a residency averages about one record, so that step is the loop's
+per-record cost.  A batch the ``post_op`` gate interrupts resumes, with
+its remaining budget, unless ``post_op`` stalled the core.
+:meth:`Machine.counters` reports the loop's heap pops, residencies,
+records per op and returns to Python.
 
 :meth:`Machine._advance_main` is the same loop in Python.  Only
 machines on the oracle memory system
@@ -648,6 +653,10 @@ class Machine:
         if self.config.check_coherence:
             stats.verify_cycle_accounting()
         return stats
+
+    def counters(self) -> dict[str, int]:
+        """The machine loop's counters (:meth:`CoreTable.counters`)."""
+        return self._table.counters()
 
     @property
     def finished(self) -> bool:

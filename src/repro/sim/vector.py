@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import copy
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -94,6 +95,9 @@ class BatchReport:
     #: re-executing per replica: sum of divergence prefixes minus the
     #: one leader walk that actually happened.
     shared_prefix_cycles: float = 0.0
+    #: The machine loops' counters summed over every machine the batch
+    #: ran (:meth:`Machine.counters`; a fork counts only its own work).
+    counters: Counter = field(default_factory=Counter)
 
 
 @dataclass
@@ -166,8 +170,10 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
     results: list[Optional[SimStats]] = [None] * n
 
     for index in filter(direct.__getitem__, range(n)):
-        results[index] = Machine(config_of(index), workload,
-                                 faults=list(fault_lists[index])).run()
+        machine = Machine(config_of(index), workload,
+                          faults=list(fault_lists[index]))
+        results[index] = machine.run()
+        report.counters.update(machine.counters())
         report.spilled += 1
         report.direct_runs += 1
 
@@ -194,6 +200,8 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
         replica.install_faults(list(fault_lists[index]))
         replica.advance()
         results[index] = replica.finalize()
+        if replica is not leader:
+            report.counters.update(replica.counters())
         report.spilled += 1
 
     if served:
@@ -214,6 +222,8 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
             if rc is not config:
                 results[i].config = rc
         report.leader_served = len(served)
+    if leader is not None:
+        report.counters.update(leader.counters())
 
     # Shared-prefix accounting: each *forked* replica saved its
     # divergence prefix t_i, each leader-served replica its whole run;

@@ -164,3 +164,64 @@ class TestBatchedParity:
             return Machine(tiny_config(2, Scheme.REBOUND), spec,
                            fuse_quantum=quantum)
         assert build(DEFAULT_FUSE_QUANTUM).run() == build(1).run()
+
+    @pytest.mark.parametrize("app,scheme", [("ocean", Scheme.GLOBAL),
+                                            ("water_sp", Scheme.REBOUND)])
+    def test_64_core_parity(self, app, scheme):
+        # At 64 cores a residency averages about one record, so nearly
+        # every record ends its batch with a replace-top (the core's
+        # new entry takes heap[0]'s place); at 8 cores most do not.
+        unbatched, batched = _run_pair(app, 64, scheme)
+        assert batched == unbatched
+
+
+def _counted_run(app, n_cores, scheme):
+    config = MachineConfig.scaled(n_cores=n_cores, scheme=scheme,
+                                  scale=SCALE)
+    machine = Machine(config, _spec(app, n_cores, config))
+    stats = machine.run()
+    return stats, machine.counters()
+
+
+class TestLoopCounters:
+    def test_64_core_ocean_pops_about_once_per_record(self):
+        stats, counts = _counted_run("ocean", 64, Scheme.GLOBAL)
+        records = sum(count for name, count in counts.items()
+                      if name.startswith("records."))
+        assert counts["records.end"] == 64
+        assert counts["records.compute"] + counts["records.load"] + \
+            counts["records.store"] > 0.9 * records
+        assert 0.9 * records <= counts["pops"] <= 1.1 * records
+        assert counts["residencies"] > 0.9 * records
+        # One return per END record, one when all are done, and one per
+        # post_op gate (the global checkpoint) in between.
+        assert counts["returns.record"] == 64
+        assert counts["returns.done"] == 1
+        assert counts["returns.post_op"] >= len(stats.checkpoints) > 0
+        assert counts["returns.limit"] == counts["returns.failed"] == 0
+
+    def test_counts_repeat_and_stay_out_of_the_results(self):
+        first = _counted_run("water_sp", 16, Scheme.REBOUND)
+        second = _counted_run("water_sp", 16, Scheme.REBOUND)
+        assert first == second
+        assert not any(hasattr(first[0], name) for name in first[1])
+
+    def test_a_fork_counts_only_its_own_work(self):
+        config = MachineConfig.scaled(n_cores=8, scheme=Scheme.REBOUND,
+                                      scale=SCALE)
+        spec = _spec("ocean", 8, config)
+        whole = Machine(config, spec)
+        whole.run()
+        leader = Machine(config, spec)
+        leader.start()
+        assert leader.advance(pause_at=2 * config.checkpoint_interval)
+        fork = leader.fork()
+        assert fork.counters()["pops"] == 0
+        fork.advance()
+        fork.finalize()
+        total = {name: count + fork.counters()[name]
+                 for name, count in leader.counters().items()}
+        # The pause's own pop and return are the leader's extra work.
+        total["pops"] -= 1
+        total["returns.pause"] -= 1
+        assert total == whole.counters()

@@ -163,7 +163,7 @@ def test_fork_at_several_points_matches_a_fresh_run():
         fork = leader.fork()
         engine = fork.engine
         assert type(engine) is CompiledEngine
-        assert ffi.from_handle(engine._c.owner) is engine
+        assert ffi.from_handle(engine._c.owner)() is engine
         assert engine.tracker is fork.scheme
         assert engine.memory is fork.memory
         assert engine.memory.log is fork.log

@@ -44,6 +44,21 @@ class TestEngineFlags:
         assert "cluster" in out
         assert "overrides" in out
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_profile_prints_loop_counters(self, capsys, tmp_path, jobs):
+        # The counters ride back from the workers with each task.
+        code = main(["fig6_1", "--quick", "--profile", "-j", jobs,
+                     "--cache-dir", str(tmp_path)])
+        assert code == 0
+        line, = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("[loop]")]
+        assert "records/residency=" in line
+        assert "pops=" in line and "returns.done=" in line
+        # A session served from the disk cache ran no loop.
+        main(["fig6_1", "--quick", "--profile", "-j", jobs,
+              "--cache-dir", str(tmp_path)])
+        assert "[loop]" not in capsys.readouterr().out
+
     def test_jobs_flag_parallel_run(self, capsys, tmp_path):
         code = main(["fig6_1", "--quick", "-j", "2",
                      "--cache-dir", str(tmp_path)])

@@ -118,9 +118,10 @@ class TestStats:
         assert log.entries_of([0, 1]) == 3
 
 
-def _compiled_memory(n_banks: int, bin_cycles: int):
-    """The memory controller of a standalone compiled core
-    (``CoreMemory`` over its ``CoreLog``)."""
+def _compiled_engine(n_banks: int, bin_cycles: int):
+    """A standalone compiled core; its ``memory`` is the memory
+    controller (``CoreMemory`` over its ``CoreLog``), valid while the
+    engine lives."""
     from repro.coherence.core import CompiledEngine
     from repro.coherence.protocol import DependenceTracker
     from repro.interconnect import Interconnect
@@ -129,7 +130,7 @@ def _compiled_memory(n_banks: int, bin_cycles: int):
     config = tiny_config(4)
     engine = CompiledEngine(config, ReviveLog(n_banks, bin_cycles),
                             Interconnect(config), DependenceTracker())
-    return engine.memory
+    return engine
 
 
 def _entries(entries):
@@ -149,8 +150,9 @@ class TestCompiledLog:
     def test_matches_the_python_log(self, records, cut):
         """The compiled core's log and first-writeback filter keep
         ReviveLog's and MainMemory's API and results."""
+        engine = _compiled_engine(n_banks=3, bin_cycles=100)
         memories = (MainMemory(ReviveLog(n_banks=3, bin_cycles=100)),
-                    _compiled_memory(n_banks=3, bin_cycles=100))
+                    engine.memory)
         for memory in memories:
             memory.log.mark_begin(0.0, 0, 1)
             for pid, addr, interval, time in records:

@@ -1,12 +1,17 @@
 """Tests for the machine's event loop and trace execution."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.params import Scheme
+from repro.params import MachineConfig, Scheme
 from repro.sim.events import DurableCall
+from repro.sim.machine import Machine
 from repro.trace import COMPUTE, END, LOAD, OUTPUT, STORE
+from repro.workloads import get_workload
 from tests.conftest import make_machine, make_spec, tiny_config
 
 
@@ -172,3 +177,65 @@ class TestStatsAssembly:
         for event in stats.checkpoints:
             assert event.duration >= 0
             assert 1 <= event.size <= 2
+
+
+@pytest.fixture
+def no_cycle_collector():
+    """Run the test with Python's cycle collector off: whatever it frees
+    is freed by reference counting alone."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def _freed(*objects) -> list:
+    return [weakref.ref(obj) for obj in objects]
+
+
+@pytest.mark.usefixtures("no_cycle_collector")
+class TestMachineLifetime:
+    """A finished machine, its compiled engine and its loop table (and
+    the C memory behind the two) are freed when the last reference goes,
+    not when a full collection happens to run."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.NONE, Scheme.GLOBAL,
+                                        Scheme.REBOUND,
+                                        Scheme.REBOUND_NODWB_BARR])
+    def test_freed_on_del(self, scheme):
+        config = MachineConfig.scaled(n_cores=16, scheme=scheme, scale=150)
+        spec = get_workload("water_sp", 16, config, intervals=1.5, seed=1)
+        machine = Machine(config, spec)
+        machine.run()
+        refs = _freed(machine, machine.engine, machine._table,
+                      machine.scheme, machine.memory)
+        del machine
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_forks_are_freed_on_del(self):
+        config = MachineConfig.scaled(n_cores=8, scheme=Scheme.REBOUND,
+                                      scale=150)
+        spec = get_workload("ocean", 8, config, intervals=2.0, seed=1)
+        leader = Machine(config, spec)
+        leader.start()
+        leader.advance(pause_at=config.checkpoint_interval)
+        fork = leader.fork()
+        fork.install_faults([(1.1 * config.checkpoint_interval, 2)])
+        fork.advance()
+        assert fork.finalize().rollbacks
+        leader.advance()
+        leader.finalize()
+        refs = _freed(leader, leader.engine, leader._table,
+                      fork, fork.engine, fork._table)
+        del leader, fork
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_a_view_past_its_engine_says_so(self):
+        machine = make_machine([[(COMPUTE, 5), (END,)]],
+                               config=tiny_config(2, Scheme.NONE))
+        memory = machine.memory
+        del machine
+        with pytest.raises(ReferenceError, match="keep the machine"):
+            memory.peek(0)
