@@ -2211,9 +2211,10 @@ typedef struct mem_loop {
     int suspended, batch_pid;
     double batch_now;
     int64_t batch_budget;
-    /* counters, integers only (CompiledEngine.counters): entries taken
-     * off the heap, fused residencies, records dispatched per trace op
-     * and returns per ADV_ reason; a fork starts its own at zero */
+    /* counters, integers only (CoreTable.counters, Machine.counters):
+     * entries taken off the heap, fused residencies, records dispatched
+     * per trace op and returns per ADV_ reason; a fork starts its own
+     * at zero */
     int64_t pops, residencies;
     int64_t records[N_OPS], returns[N_ADV];
 } mem_loop_t;
@@ -2259,19 +2260,13 @@ static inline void node_event(const mem_node_t *n, mem_event_t *e)
     e->arg = n->arg;
 }
 
-/* The (when, seq) order, without a branch: a descent's choice between
- * two children is then a data dependence instead of a jump that
- * mispredicts about half the time.  The two keys make one 128-bit
- * number where the compiler has the type; elsewhere the comparisons
- * are combined with ``&`` and ``|``, not ``&&`` and ``||``. */
+/* The (when, seq) order, without a branch: the comparisons are combined
+ * with ``&`` and ``|``, not ``&&`` and ``||``, so a descent's choice
+ * between two children is a data dependence instead of a jump that
+ * mispredicts about half the time. */
 static inline int ev_before(const mem_node_t *x, const mem_node_t *y)
 {
-#ifdef __SIZEOF_INT128__
-    return ((unsigned __int128)x->wkey << 64 | x->skey) <
-           ((unsigned __int128)y->wkey << 64 | y->skey);
-#else
     return (x->wkey < y->wkey) | ((x->wkey == y->wkey) & (x->skey < y->skey));
-#endif
 }
 
 /* Fills the hole at heap[i] with ``e`` (Floyd's bottom-up descent): the
