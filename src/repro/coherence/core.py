@@ -51,7 +51,7 @@ from typing import Optional
 
 from repro.backref import BackRef, backref
 from repro.coherence import build
-from repro.coherence.protocol import EntryState, LineState
+from repro.coherence.protocol import EntryState, LineState, overrides
 from repro.mem import LogEntry, MainMemory, MemoryChannels, ReviveLog
 from repro.params import LOG_ENTRY_BYTES, MachineConfig
 
@@ -59,14 +59,31 @@ _module = build.load()
 ffi = _module.ffi
 lib = _module.lib
 
-#: Sharers are one 64-bit mask per directory entry.
-MAX_CORES = 64
+#: Sharers are one 64-bit mask per directory entry, and the loop's lock
+#: and barrier rows hold as many pids.
+MAX_CORES = lib.SYNC_CORES
 
 _IMAGE, _GOLDEN = 0, 1
 
-#: ``NATIVE_HOOKS`` names (set on the built-in trackers) -> core modes.
-_NATIVE = {"none": lib.HOOKS_NONE, "global": lib.HOOKS_GLOBAL,
-           "rebound": lib.HOOKS_REBOUND}
+#: The ``ctypes`` type of each scalar C type a row view's struct uses.
+_CTYPES = {"_Bool": ctypes.c_bool, "int8_t": ctypes.c_int8,
+           "uint8_t": ctypes.c_uint8, "int32_t": ctypes.c_int32,
+           "int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64,
+           "double": ctypes.c_double}
+
+
+def row_fields(struct: str, wrapped=frozenset()) -> list[tuple[str, type]]:
+    """The ``_fields_`` of a ``ctypes`` view of C struct ``struct``, as
+    cffi read it from the C source's declaration block: every field in
+    order under its C name, or under ``_name`` for the names in
+    ``wrapped`` (those a property of the view wraps)."""
+    def ctype(tp):
+        if tp.kind == "array":
+            return ctype(tp.item) * tp.length
+        return _CTYPES[tp.cname]
+    return [("_" + name if name in wrapped else name, ctype(field.type))
+            for name, field in ffi.typeof(struct).fields]
+
 #: The tracker methods the core runs in place of a built-in tracker.
 _HOOK_METHODS = ("on_write", "record_dependence", "on_line_left_cache",
                  "interval_of", "delayed_interval_of")
@@ -81,11 +98,10 @@ def native_hooks(tracker) -> int:
     back (``HOOKS_PYTHON``)."""
     cls = type(tracker)
     base = next((k for k in cls.__mro__ if "NATIVE_HOOKS" in vars(k)), None)
-    if base is None or tracker.enabled != base.enabled or any(
-            getattr(cls, name) is not getattr(base, name)
-            for name in _HOOK_METHODS):
+    if base is None or tracker.enabled != base.enabled or overrides(
+            cls, base, _HOOK_METHODS):
         return lib.HOOKS_PYTHON
-    return _NATIVE[base.NATIVE_HOOKS]
+    return getattr(lib, "HOOKS_" + base.NATIVE_HOOKS.upper())
 
 
 # Each callback runs its work under ``except BaseException``: an
@@ -425,11 +441,7 @@ class CompiledEngine:
         per core when the core runs Rebound's hooks, else None."""
         if self.hooks != lib.HOOKS_REBOUND:
             return None
-        from repro.core.dep_registers import (
-            CoreDepRegisterFile,
-            DepRegisterSet,
-        )
-        _check_dep_layout(DepRegisterSet)
+        from repro.core.dep_registers import CoreDepRegisterFile
         config = self.config
         return [CoreDepRegisterFile(self, pid, config.n_dep_sets,
                                     config.wsig_bits, config.wsig_hashes)
@@ -622,18 +634,6 @@ class CompiledEngine:
             lib.mem_dir_at(self._c, i, out)
             entries.append(_entry_state(out))
         return entries
-
-
-def _check_dep_layout(view) -> None:
-    """``view`` (``DepRegisterSet``) must lay over ``mem_dep_t``."""
-    names = {"_complete_time": "ckpt_complete_time", "_complete": "complete"}
-    for name, _ in view._fields_:
-        if getattr(view, name).offset != ffi.offsetof(
-                "mem_dep_t", names.get(name, name)):
-            raise ImportError(f"{view.__name__}.{name} is not at its "
-                              f"mem_dep_t offset")
-    if ctypes.sizeof(view) != ffi.sizeof("mem_dep_t"):
-        raise ImportError(f"{view.__name__} and mem_dep_t differ in size")
 
 
 def _entry_state(raw) -> EntryState:

@@ -32,8 +32,8 @@
  * row's delayed_ckpt_id and counts down its pending_delayed.  Python
  * hears only about checkpoints and rollbacks.
  *
- * Other trackers (HOOKS_PYTHON) are called back, see the extern
- * "Python" declarations in repro/coherence/build.py:
+ * Other trackers (HOOKS_PYTHON) are called back through the three
+ * extern "Python" callbacks cffi defines (repro/coherence/build.py):
  *   mem_cb_dependence  LW-ID names another core and tracking is on;
  *   mem_cb_wsig        a store stamps the writer's WSIG, tracking on;
  *   mem_cb_line        a writeback needs the writer's interval, and/or
@@ -69,12 +69,21 @@
  * of its directory entry for its eviction.  The loop counts its pops,
  * residencies, records and returns (integers only).
  *
+ * Everything Python reaches is declared once, in the cdef block after
+ * the includes, which the build hands to cffi as its declarations.
+ *
  * The source reads no clock and no entropy. */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* The cdef block holds only what cffi parses: integer #defines with
+ * literal values, typedefs, and a prototype of every function that is
+ * not static.  The ctypes row views take their fields from these
+ * structs; a field Python reads as a boolean is a _Bool. */
+/* cdef: begin */
 
 #define ST_INVALID 0
 #define ST_SHARED 1
@@ -106,6 +115,46 @@
 
 /* Most WSIG hash functions (repro.core.signature: n_hashes). */
 #define MAX_WSIG_HASHES 64
+
+/* Trace ops (repro.trace); the loop executes all but OUTPUT and END. */
+#define OP_COMPUTE 0
+#define OP_LOAD 1
+#define OP_STORE 2
+#define OP_BARRIER 3
+#define OP_LOCK 4
+#define OP_UNLOCK 5
+#define OP_END 7
+
+/* Heap entry kinds (repro.sim.machine). */
+#define EV_EXEC 0     /* run core ``pid`` if ``arg`` is still its epoch */
+#define EV_CALL 2     /* a scheduled DurableCall, keyed by ``seq`` */
+#define EV_PAUSE 3    /* a replica-batch pause sentinel */
+
+/* Why mem_advance returned. */
+#define ADV_DONE 0       /* every core finished its trace */
+#define ADV_PAUSE 1      /* a pause sentinel popped */
+#define ADV_CALL 2       /* a call popped: fire ``seq`` at ``when`` */
+#define ADV_POST_OP 3    /* the post_op gate: post_op(``pid``, ``when``) */
+#define ADV_RECORD 4     /* record ``kind`` (``arg``) of ``pid`` at ``when`` */
+#define ADV_LIMIT 5      /* the cycle limit was exceeded */
+#define ADV_DEADLOCK 6   /* the heap is empty with work outstanding */
+#define ADV_FAILED 7     /* the memory system failed (raise_failure) */
+#define N_ADV 8
+#define N_OPS 8          /* trace ops, OUTPUT (6) included */
+
+/* mem_hot_t.blocked */
+#define BLOCK_LOCK 1
+#define BLOCK_BARRIER 2
+
+/* What sync_arrive did. */
+#define SYNC_PASSED 0    /* a straggler passed a released generation */
+#define SYNC_WAIT 1      /* arrived; other participants have not */
+#define SYNC_LAST 2      /* arrived last: the barrier releases */
+
+/* Locks and barriers keep their lists of pids inline, so a loop with
+ * any has at most this many cores; it is the memory system's limit too
+ * (one 64-bit sharer mask per directory entry). */
+#define SYNC_CORES 64
 
 /* An L2 line.  dir_pos is the position of the line's directory entry
  * (entries are never removed, so it is stable): an eviction finds the
@@ -146,10 +195,12 @@ typedef struct {
     mem_dirent_t *ents;
 } mem_dir_t;
 
-/* One core's hot state.  repro.sim.cores.Core is a ctypes structure
- * with this layout over its entry of mem_loop_t.hot, so the Python code
- * around the loop reads and writes these fields in place.  The memory
- * system reads pending_delayed, delayed_ckpt_id (-1: none) and interval
+/* One core's hot state (repro.sim.cores.Core is a ctypes view of it),
+ * an entry of mem_loop_t.hot: the Python code around the loop reads
+ * and writes these fields in place.  epoch guards stale heap entries,
+ * not_before is a scheme-injected delay floor, and Core.finish copies
+ * busy and sync_wait to the stats.  The memory system reads
+ * pending_delayed, delayed_ckpt_id (-1: none) and interval
  * (GlobalScheme's) when it logs a writeback. */
 typedef struct {
     int64_t ip, instr_count, instr_since_ckpt, epoch, store_seq;
@@ -157,20 +208,20 @@ typedef struct {
     int64_t block_site;     /* the lock or barrier id blocked on; -1: none */
     double time, not_before, busy;
     double block_start, sync_wait;
-    uint8_t done;
-    int8_t blocked;     /* 0: no, 1: on a lock, 2: at a barrier */
+    _Bool done;
+    int8_t blocked;     /* 0: no, BLOCK_LOCK or BLOCK_BARRIER */
 } mem_hot_t;
 
 /* A Dep-register set's fields (repro.core.dep_registers.DepRegisterSet
- * is a ctypes structure with this layout over it). */
+ * is a ctypes view of it). */
 typedef struct {
     int64_t interval_id;
     double start_time;
     uint64_t producers, consumers, producers_genuine, consumers_genuine;
     double ckpt_complete_time;      /* meaningful when complete */
     int64_t wsig_tests, wsig_false_positives;
-    uint8_t complete;
-    uint8_t ckpt_started;
+    _Bool complete;
+    _Bool ckpt_started;
 } mem_dep_t;
 
 /* A Dep-register set: its fields and the WSIG's exact shadow (the Bloom
@@ -262,6 +313,146 @@ typedef struct mem_core {
     int failed;
     int64_t fail_addr, fail_loaded, fail_expected, fail_pid;
 } mem_core_t;
+
+/* A heap entry, as mem_advance and loop_pop report it.  Entries order by
+ * (when, seq); seqs are unique, so the pop order is that of the Python
+ * loop's heapq of (when, seq, kind, a, b) tuples. */
+typedef struct {
+    double when;
+    int64_t seq;
+    int32_t kind;
+    int32_t pid;
+    int64_t arg;
+} mem_event_t;
+
+/* An entry as the heap stores it: ``when`` and ``seq`` as unsigned words
+ * in the same order (when_key, seq_key), so that comparing two entries
+ * takes integer comparisons only. */
+typedef struct {
+    uint64_t wkey, skey;
+    int32_t kind;
+    int32_t pid;
+    int64_t arg;
+} mem_node_t;
+
+/* A lock (repro.sim.sync.LockState is a ctypes view of it): its line,
+ * its holder, and the pids waiting for it, first in line first. */
+typedef struct {
+    int64_t lock_id, line;
+    int32_t holder;     /* -1: free */
+    int32_t n_waiting;
+    int32_t waiting[SYNC_CORES];
+} mem_lock_t;
+
+/* A barrier (repro.sim.sync.BarrierState): its count and flag lines,
+ * its generation (releases so far), its n participants, the n_arrived
+ * pids that arrived in this generation, in order, and each core's
+ * crossings. */
+typedef struct {
+    int64_t barrier_id, count_line, flag_line, gen;
+    int32_t n, n_arrived;
+    int32_t parts[SYNC_CORES], arrived[SYNC_CORES];
+    int64_t crossed[SYNC_CORES];
+} mem_barrier_t;
+
+typedef struct mem_loop {
+    int n;              /* cores */
+    mem_hot_t *hot;
+    /* trace columns, owned by Python and read in place; args may be
+     * unaligned (a view into the workload store's file) */
+    const int8_t **ops;
+    const unsigned char **args;
+    int64_t *n_records;
+    /* the event heap */
+    mem_node_t *heap;
+    int64_t heap_n, heap_cap;
+    int64_t seq;        /* last seq handed out */
+    int64_t n_done;
+    double now;
+    /* locks and barriers, in the order Python added them */
+    int n_locks, n_barriers;
+    mem_lock_t *locks;
+    mem_barrier_t *barriers;
+    mem_index_t lock_ix, barrier_ix;    /* id -> slot */
+    int64_t lock_acquisitions, barrier_episodes;
+    int barrier_hooks;  /* BARRIER records go to Python (scheme hooks) */
+    /* a batch suspended at the post_op gate, resumed by mem_advance */
+    int suspended, batch_pid;
+    double batch_now;
+    int64_t batch_budget;
+    /* counters, integers only (CoreTable.counters, Machine.counters):
+     * entries taken off the heap, fused residencies, records dispatched
+     * per trace op and returns per ADV_ reason; a fork starts its own
+     * at zero */
+    int64_t pops, residencies;
+    int64_t records[N_OPS], returns[N_ADV];
+} mem_loop_t;
+
+mem_core_t *mem_new(int, int, int, int, int, int, int64_t, int64_t, int64_t,
+                    int64_t, int64_t, int64_t, int, int);
+int mem_set_hooks(mem_core_t *, int, int, int64_t, int, int);
+void mem_set_log(mem_core_t *, int64_t, int64_t);
+mem_core_t *mem_clone(const mem_core_t *);
+void mem_free(mem_core_t *);
+
+double mem_load(mem_core_t *, int, int64_t, double);
+double mem_store(mem_core_t *, int, int64_t, int64_t, double);
+void mem_fastpath_epoch(mem_core_t *, int);
+double mem_checkpoint_writeback(mem_core_t *, int, double, int64_t,
+                                int64_t *);
+int64_t mem_mark_delayed(mem_core_t *, int);
+int64_t mem_complete_delayed(mem_core_t *, int, double, int64_t);
+int64_t mem_invalidate_core(mem_core_t *, int);
+
+int64_t mem_dirty_lines(mem_core_t *, int, int64_t *, int64_t);
+int mem_peek_line(mem_core_t *, int, int64_t, mem_line_t *);
+int mem_l1_holds(mem_core_t *, int, int64_t);
+int64_t mem_resident(mem_core_t *, int);
+int mem_peek_entry(mem_core_t *, int64_t, mem_dirent_t *);
+int64_t mem_dir_size(mem_core_t *);
+void mem_dir_at(mem_core_t *, int64_t, mem_dirent_t *);
+int mem_map_get(mem_core_t *, int, int64_t, int64_t *);
+int mem_map_set(mem_core_t *, int, int64_t, int64_t);
+int64_t mem_map_size(mem_core_t *, int);
+int64_t mem_map_key(mem_core_t *, int, int64_t);
+
+mem_dep_t *mem_dep_row(mem_core_t *, int, int);
+uint64_t *mem_dep_words(mem_core_t *, int, int);
+int mem_dep_reset(mem_core_t *, int, int, int64_t, double);
+void mem_dep_order(mem_core_t *, int, const int32_t *, int);
+int mem_wsig_merge(mem_core_t *, int, int, int);
+int64_t mem_wsig_size(mem_core_t *, int, int);
+int64_t mem_wsig_key(mem_core_t *, int, int, int64_t);
+
+int mem_log_writeback(mem_core_t *, double, int, int64_t, int64_t, int64_t);
+void mem_end_interval(mem_core_t *, int, int64_t);
+int64_t mem_log_select(mem_core_t *, const int64_t *, mem_logent_t *);
+int64_t mem_log_discard(mem_core_t *, const int64_t *);
+int64_t mem_log_restore(mem_core_t *, const int64_t *, mem_logent_t *);
+int64_t mem_log_trim(mem_core_t *, double, int);
+int64_t mem_log_max_bin(mem_core_t *);
+
+mem_loop_t *loop_new(int, int, int);
+int loop_add_lock(mem_loop_t *, int64_t, int64_t);
+int loop_add_barrier(mem_loop_t *, int64_t, int64_t, int64_t, const int32_t *,
+                     int);
+mem_loop_t *loop_clone(const mem_loop_t *);
+void loop_free(mem_loop_t *);
+void loop_set_trace(mem_loop_t *, int, const int8_t *, const unsigned char *,
+                    int64_t);
+int loop_push_core(mem_loop_t *, int);
+int loop_push(mem_loop_t *, double, int64_t, int);
+int loop_pop(mem_loop_t *, mem_event_t *);
+double loop_next_when(mem_loop_t *);
+void loop_drop(mem_loop_t *, int);
+void mem_bind_loop(mem_core_t *, mem_loop_t *);
+int mem_advance(mem_core_t *, mem_loop_t *, double, double, int64_t,
+                mem_event_t *);
+int sync_grant_next(mem_core_t *, mem_loop_t *, int64_t, double);
+int sync_arrive(mem_core_t *, mem_loop_t *, int, int64_t, double, double *);
+double sync_release(mem_core_t *, mem_loop_t *, int, int64_t, double, double);
+
+/* cdef: end */
 
 static int mem_cb_dependence(void *owner, int consumer, int producer,
                              int64_t addr);
@@ -2104,120 +2295,6 @@ oom:
 /* ------------------------------------------------------------------ */
 /* the machine loop                                                    */
 /* ------------------------------------------------------------------ */
-
-/* Trace ops (repro.trace); the loop executes all but OUTPUT and END. */
-#define OP_COMPUTE 0
-#define OP_LOAD 1
-#define OP_STORE 2
-#define OP_BARRIER 3
-#define OP_LOCK 4
-#define OP_UNLOCK 5
-#define OP_END 7
-
-/* Heap entry kinds (repro.sim.machine). */
-#define EV_EXEC 0     /* run core ``pid`` if ``arg`` is still its epoch */
-#define EV_CALL 2     /* a scheduled DurableCall, keyed by ``seq`` */
-#define EV_PAUSE 3    /* a replica-batch pause sentinel */
-
-/* Why mem_advance returned. */
-#define ADV_DONE 0       /* every core finished its trace */
-#define ADV_PAUSE 1      /* a pause sentinel popped */
-#define ADV_CALL 2       /* a call popped: fire ``seq`` at ``when`` */
-#define ADV_POST_OP 3    /* the post_op gate: post_op(``pid``, ``when``) */
-#define ADV_RECORD 4     /* record ``kind`` (``arg``) of ``pid`` at ``when`` */
-#define ADV_LIMIT 5      /* the cycle limit was exceeded */
-#define ADV_DEADLOCK 6   /* the heap is empty with work outstanding */
-#define ADV_FAILED 7     /* the memory system failed (raise_failure) */
-#define N_ADV 8
-#define N_OPS 8          /* trace ops, OUTPUT (6) included */
-
-/* mem_hot_t.blocked */
-#define BLOCK_LOCK 1
-#define BLOCK_BARRIER 2
-
-/* What sync_arrive did. */
-#define SYNC_PASSED 0    /* a straggler passed a released generation */
-#define SYNC_WAIT 1      /* arrived; other participants have not */
-#define SYNC_LAST 2      /* arrived last: the barrier releases */
-
-/* A heap entry, as mem_advance and loop_pop report it.  Entries order by
- * (when, seq); seqs are unique, so the pop order is that of the Python
- * loop's heapq of (when, seq, kind, a, b) tuples. */
-typedef struct {
-    double when;
-    int64_t seq;
-    int32_t kind;
-    int32_t pid;
-    int64_t arg;
-} mem_event_t;
-
-/* An entry as the heap stores it: ``when`` and ``seq`` as unsigned words
- * in the same order (when_key, seq_key), so that comparing two entries
- * takes integer comparisons only. */
-typedef struct {
-    uint64_t wkey, skey;
-    int32_t kind;
-    int32_t pid;
-    int64_t arg;
-} mem_node_t;
-
-/* Locks and barriers keep their lists of pids inline, so a loop with
- * any has at most this many cores (the memory system's limit too). */
-#define SYNC_CORES 64
-
-/* A lock (repro.sim.sync.LockState is a ctypes structure with this
- * layout over it): its line, its holder, and the pids waiting for it,
- * first in line first. */
-typedef struct {
-    int64_t lock_id, line;
-    int32_t holder;     /* -1: free */
-    int32_t n_waiting;
-    int32_t waiting[SYNC_CORES];
-} mem_lock_t;
-
-/* A barrier (repro.sim.sync.BarrierState): its count and flag lines,
- * its generation (releases so far), its n participants, the n_arrived
- * pids that arrived in this generation, in order, and each core's
- * crossings. */
-typedef struct {
-    int64_t barrier_id, count_line, flag_line, gen;
-    int32_t n, n_arrived;
-    int32_t parts[SYNC_CORES], arrived[SYNC_CORES];
-    int64_t crossed[SYNC_CORES];
-} mem_barrier_t;
-
-typedef struct mem_loop {
-    int n;              /* cores */
-    mem_hot_t *hot;
-    /* trace columns, owned by Python and read in place; args may be
-     * unaligned (a view into the workload store's file) */
-    const int8_t **ops;
-    const unsigned char **args;
-    int64_t *n_records;
-    /* the event heap */
-    mem_node_t *heap;
-    int64_t heap_n, heap_cap;
-    int64_t seq;        /* last seq handed out */
-    int64_t n_done;
-    double now;
-    /* locks and barriers, in the order Python added them */
-    int n_locks, n_barriers;
-    mem_lock_t *locks;
-    mem_barrier_t *barriers;
-    mem_index_t lock_ix, barrier_ix;    /* id -> slot */
-    int64_t lock_acquisitions, barrier_episodes;
-    int barrier_hooks;  /* BARRIER records go to Python (scheme hooks) */
-    /* a batch suspended at the post_op gate, resumed by mem_advance */
-    int suspended, batch_pid;
-    double batch_now;
-    int64_t batch_budget;
-    /* counters, integers only (CoreTable.counters, Machine.counters):
-     * entries taken off the heap, fused residencies, records dispatched
-     * per trace op and returns per ADV_ reason; a fork starts its own
-     * at zero */
-    int64_t pops, residencies;
-    int64_t records[N_OPS], returns[N_ADV];
-} mem_loop_t;
 
 /* The memory system reads ``l``'s core rows (writeback intervals,
  * Delayed lines); a fork binds its clones to each other. */

@@ -66,6 +66,15 @@ class EntryState(NamedTuple):
                 if self.sharers >> pid & 1]
 
 
+def overrides(cls: type, base: type, names) -> bool:
+    """Whether class ``cls`` replaces any of the methods ``names`` of
+    ``base``, one of its built-in bases: a built-in fast path that skips
+    the calls (hooks run in C, a post_op gate, barrier hooks) holds only
+    when it does not."""
+    return any(getattr(cls, name) is not getattr(base, name)
+               for name in names)
+
+
 class DependenceTracker:
     """Scheme-side interface for LW-ID / Dep-register maintenance.
 
@@ -77,8 +86,9 @@ class DependenceTracker:
 
     #: The compiled core runs this class's hooks itself, with no call
     #: per access, for instances of subclasses that override none of them
-    #: (``repro.coherence.core.native_hooks``): ``"none"`` here,
-    #: ``"global"`` and ``"rebound"`` on the built-in schemes.
+    #: (``repro.coherence.core.native_hooks``, which runs the core's
+    #: ``HOOKS_<NAME>`` mode): ``"none"`` here, ``"global"`` and
+    #: ``"rebound"`` on the built-in schemes.
     NATIVE_HOOKS = "none"
 
     def on_write(self, pid: int, addr: int) -> None:

@@ -30,6 +30,7 @@ import ctypes
 from typing import Optional
 
 from repro.backref import backref
+from repro.coherence.core import row_fields
 from repro.core.signature import WriteSignature
 
 
@@ -47,9 +48,8 @@ def mask_to_pids(mask: int) -> list[int]:
 class DepRegisterSet(ctypes.Structure):
     """One interval's dependence state (a row of Figure 4.1c/d).
 
-    The fields have the layout of ``mem_dep_t`` (``memsys.c``; the
-    engine checks it before it hands out views).  In a compiled machine
-    running Rebound's hooks the set is a view of its row in the core
+    The fields are those of ``mem_dep_t`` (``memsys.c``).  In a compiled
+    machine running Rebound's hooks the set is a view of its row in the core
     (:class:`CoreDepRegisterFile`) and ``wsig`` a
     :class:`CoreWriteSignature`, whose counters are the row's
     ``wsig_*`` fields; otherwise the set owns its buffer and ``wsig``
@@ -59,19 +59,7 @@ class DepRegisterSet(ctypes.Structure):
     j: j consumed data I produced; the ``*_genuine`` masks exclude
     edges created by Bloom false positives (statistics only)."""
 
-    _fields_ = [
-        ("interval_id", ctypes.c_int64),
-        ("start_time", ctypes.c_double),
-        ("producers", ctypes.c_uint64),
-        ("consumers", ctypes.c_uint64),
-        ("producers_genuine", ctypes.c_uint64),
-        ("consumers_genuine", ctypes.c_uint64),
-        ("_complete_time", ctypes.c_double),
-        ("wsig_tests", ctypes.c_int64),
-        ("wsig_false_positives", ctypes.c_int64),
-        ("_complete", ctypes.c_bool),
-        ("ckpt_started", ctypes.c_bool),
-    ]
+    _fields_ = row_fields("mem_dep_t", {"ckpt_complete_time", "complete"})
 
     def __init__(self, interval_id: int = 0, start_time: float = 0.0,
                  wsig=None):
@@ -82,12 +70,12 @@ class DepRegisterSet(ctypes.Structure):
     def ckpt_complete_time(self) -> Optional[float]:
         """When the checkpoint closing this interval fully completed
         (including delayed writebacks); None while open or draining."""
-        return self._complete_time if self._complete else None
+        return self._ckpt_complete_time if self._complete else None
 
     @ckpt_complete_time.setter
     def ckpt_complete_time(self, value: Optional[float]) -> None:
         self._complete = value is not None
-        self._complete_time = 0.0 if value is None else value
+        self._ckpt_complete_time = 0.0 if value is None else value
 
     def __deepcopy__(self, memo) -> "DepRegisterSet":
         clone = type(self)()

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.coherence.protocol import overrides
 from repro.core.barrier_opt import BarrierCheckpointCoordinator
 from repro.core.checkpoint_protocol import build_ichk
 from repro.core.cluster import ClusterMap
 from repro.core.dep_registers import DepRegisterFile
 from repro.core.rollback_protocol import build_irec
-from repro.core.scheme_base import BaseScheme, overrides_barrier_hooks
+from repro.core.scheme_base import BARRIER_HOOKS, BaseScheme
 from repro.interconnect import MessageClass
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -201,7 +202,7 @@ class ReboundScheme(BaseScheme):
 
     def barrier_hooks_act(self) -> bool:
         return (self.config.scheme.barrier_optimization or
-                overrides_barrier_hooks(self, ReboundScheme))
+                overrides(type(self), ReboundScheme, BARRIER_HOOKS))
 
     # ------------------------------------------------------------------
     # recovery

@@ -16,7 +16,7 @@ import random
 from typing import TYPE_CHECKING, Optional
 
 from repro.backref import backref
-from repro.coherence.protocol import DependenceTracker
+from repro.coherence.protocol import DependenceTracker, overrides
 from repro.interconnect import MessageClass
 from repro.sim.events import DurableCall
 from repro.sim.stats import CheckpointEvent, RollbackEvent
@@ -26,11 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.machine import Machine
 
 
-def overrides_barrier_hooks(scheme: "BaseScheme", base: type) -> bool:
-    """Whether ``scheme``'s class replaces a barrier hook of ``base``."""
-    cls = type(scheme)
-    return any(getattr(cls, name) is not getattr(base, name)
-               for name in ("on_barrier_update", "barrier_release_gate"))
+#: The barrier hooks (``barrier_hooks_act``).
+BARRIER_HOOKS = ("on_barrier_update", "barrier_release_gate")
 
 
 class BaseScheme(DependenceTracker):
@@ -102,7 +99,7 @@ class BaseScheme(DependenceTracker):
         cannot, the compiled machine loop runs BARRIER records without
         calling them.  These do nothing; a subclass overriding either
         is called."""
-        return overrides_barrier_hooks(self, BaseScheme)
+        return overrides(type(self), BaseScheme, BARRIER_HOOKS)
 
     def on_core_done(self, core: "Core", now: float) -> None:
         """A core finished its trace."""

@@ -27,9 +27,9 @@ import ctypes
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.coherence.core import ffi, lib
+from repro.coherence.core import ffi, lib, row_fields
 from repro.sim.stats import CoreStats
-from repro.sim.sync import SYNC_CORES, BarrierState, LockState, optional_field
+from repro.sim.sync import BarrierState, LockState, optional_field
 from repro.trace import OP_NAMES, CompiledTrace
 
 
@@ -52,14 +52,13 @@ class CoreSnapshot:
 
 
 #: ``mem_advance``'s return reasons, by code (``CoreTable.counters``).
-_RETURNS = {lib.ADV_DONE: "done", lib.ADV_PAUSE: "pause",
-            lib.ADV_CALL: "call", lib.ADV_POST_OP: "post_op",
-            lib.ADV_RECORD: "record", lib.ADV_LIMIT: "limit",
-            lib.ADV_DEADLOCK: "deadlock", lib.ADV_FAILED: "failed"}
+_RETURNS = {getattr(lib, "ADV_" + name.upper()): name for name in (
+    "done", "pause", "call", "post_op", "record", "limit", "deadlock",
+    "failed")}
 
 #: Why the loop refuses a lock or barrier (``loop_add_*``).
 _REFUSED = (f"a negative or duplicate id, a participant that is not a "
-            f"core, or over {SYNC_CORES} cores")
+            f"core, or over {lib.SYNC_CORES} cores")
 
 
 class CoreTable:
@@ -171,29 +170,12 @@ _BLOCK_CODES = {value: code for code, value in enumerate(_BLOCKED)}
 class Core(ctypes.Structure):
     """One tile's core: trace cursor, clock, block state, snapshots.
 
-    The ``_fields_`` are the core's row of the machine loop
-    (``mem_hot_t``; checked against the C layout at import).  A
-    standalone core (unit tests) gets a table of its own; a machine's
-    cores share the machine's."""
+    The ``_fields_`` are those of the core's row of the machine loop
+    (``mem_hot_t``).  A standalone core (unit tests) gets a table of its
+    own; a machine's cores share the machine's."""
 
-    _fields_ = [
-        ("ip", ctypes.c_int64),
-        ("instr_count", ctypes.c_int64),
-        ("instr_since_ckpt", ctypes.c_int64),
-        ("epoch", ctypes.c_int64),            # guards stale heap entries
-        ("store_seq", ctypes.c_int64),
-        ("pending_delayed", ctypes.c_int64),  # lines still draining
-        ("_delayed_ckpt_id", ctypes.c_int64),  # -1: no drain
-        ("interval", ctypes.c_int64),         # GlobalScheme's interval
-        ("_block_site", ctypes.c_int64),      # -1: not blocked
-        ("time", ctypes.c_double),
-        ("not_before", ctypes.c_double),      # scheme-injected delay floor
-        ("busy", ctypes.c_double),            # finish() copies it to stats
-        ("block_start", ctypes.c_double),
-        ("sync_wait", ctypes.c_double),       # finish() copies it to stats
-        ("done", ctypes.c_bool),
-        ("_blocked", ctypes.c_int8),
-    ]
+    _fields_ = row_fields("mem_hot_t",
+                          {"delayed_ckpt_id", "block_site", "blocked"})
 
     # ctypes structures are unhashable by default; a core is an entity.
     __hash__ = object.__hash__
@@ -388,19 +370,3 @@ class Core(ctypes.Structure):
         self.pending_delayed = 0
         self.delayed_ckpt_id = None
         return wasted
-
-
-def _check_layout() -> None:
-    """The row views' fields must sit where ``memsys.c`` puts them."""
-    for view, struct in ((Core, "mem_hot_t"), (LockState, "mem_lock_t"),
-                         (BarrierState, "mem_barrier_t")):
-        for name, _ in view._fields_:
-            if getattr(view, name).offset != ffi.offsetof(
-                    struct, name.lstrip("_")):
-                raise ImportError(f"{view.__name__}.{name} is not at its "
-                                  f"{struct} offset")
-        if ctypes.sizeof(view) != ffi.sizeof(struct):
-            raise ImportError(f"{view.__name__} and {struct} differ in size")
-
-
-_check_layout()

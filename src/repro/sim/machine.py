@@ -54,6 +54,7 @@ import copy
 from typing import Optional
 
 from repro.coherence.core import CompiledEngine, ffi, lib
+from repro.coherence.protocol import overrides
 from repro.core.factory import build_scheme
 from repro.core.scheme_base import BaseScheme
 from repro.interconnect import Interconnect
@@ -157,10 +158,10 @@ class Machine:
         # post_op_gate() instructions since its checkpoint (the gate is
         # owned by the scheme, next to post_op itself).  Schemes that
         # don't override post_op never need the call at all.
-        if type(self.scheme).post_op is BaseScheme.post_op:
-            self._post_op_gate = float("inf")
-        else:
+        if overrides(type(self.scheme), BaseScheme, ("post_op",)):
             self._post_op_gate = self.scheme.post_op_gate()
+        else:
+            self._post_op_gate = float("inf")
         # Phased-run state: "init" (not started), "main" (application
         # loop), "drain" (post-run background work), "done", and
         # "failed" (an exception left the loop mid-step).
@@ -554,8 +555,16 @@ class Machine:
             # the same objects (the C loop reads them in place).
             memo[id(core.trace)] = core.trace
         clone = copy.deepcopy(self, memo)
-        clone._bind_loop()
         lib.loop_drop(clone._table.c, _PAUSE)
+        return clone
+
+    def __deepcopy__(self, memo) -> "Machine":
+        """A deep copy whose memory system reads the copy's core rows
+        (a cloned engine still points at the original's)."""
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update(copy.deepcopy(vars(self), memo))
+        clone._bind_loop()
         return clone
 
     def rebind_config(self, config: MachineConfig) -> None:

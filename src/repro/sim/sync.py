@@ -22,7 +22,7 @@ from __future__ import annotations
 import ctypes
 from typing import TYPE_CHECKING, Optional
 
-from repro.coherence.core import ffi, lib
+from repro.coherence.core import lib, row_fields
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cores import Core, CoreSnapshot, CoreTable
@@ -45,18 +45,11 @@ def _pid_list(row: str, count: str) -> property:
                     store)
 
 
-#: Most cores of a machine with locks or barriers (``SYNC_CORES``).
-SYNC_CORES = 64
-_PIDS = ctypes.c_int32 * SYNC_CORES
-
-
 class LockState(ctypes.Structure):
     """A test-and-set lock on one cache line (its ``mem_lock_t`` row);
     ``queue`` lists the waiting pids, first in line first."""
 
-    _fields_ = [("lock_id", ctypes.c_int64), ("line", ctypes.c_int64),
-                ("_holder", ctypes.c_int32), ("n_waiting", ctypes.c_int32),
-                ("_waiting", _PIDS)]
+    _fields_ = row_fields("mem_lock_t", {"holder", "waiting"})
     holder = optional_field("_holder")
     queue = _pid_list("_waiting", "n_waiting")
 
@@ -65,12 +58,7 @@ class BarrierState(ctypes.Structure):
     """A sense-reversing barrier: count line + flag line (its
     ``mem_barrier_t`` row); ``crossed[pid]`` counts crossings."""
 
-    _fields_ = [("barrier_id", ctypes.c_int64),
-                ("count_line", ctypes.c_int64),
-                ("flag_line", ctypes.c_int64), ("gen", ctypes.c_int64),
-                ("n", ctypes.c_int32), ("n_arrived", ctypes.c_int32),
-                ("_parts", _PIDS), ("_arrived", _PIDS),
-                ("crossed", ctypes.c_int64 * SYNC_CORES)]
+    _fields_ = row_fields("mem_barrier_t", {"parts", "arrived"})
     participants = _pid_list("_parts", "n")
     arrived = _pid_list("_arrived", "n_arrived")
 

@@ -30,18 +30,12 @@
 #define SYN_OP_LOCK 4
 #define SYN_OP_UNLOCK 5
 
+/* The Python boundary: the text between the markers is this file's
+ * part of the extension's cffi declaration (repro/coherence/build.py). */
+/* cdef: begin */
+
 #define SYN_EBOUND -1   /* a draw bound is empty or >= 2**32 */
 #define SYN_EFULL -2    /* the output columns are too short */
-
-/* Instructions a lock section retires: LOCK and UNLOCK expand to RMWs
- * in the simulator (2 each), plus the load, the compute and the store. */
-#define SYN_LOCK_INSTR(compute) (2 + (compute) + 2 + 2)
-
-/* Accesses to the private region remember the last 16 lines. */
-#define SYN_RECENT 16
-
-#define SYN_MT_N 624
-#define SYN_MT_M 397
 
 typedef struct {
     int64_t total_instructions;
@@ -64,6 +58,22 @@ typedef struct {
     const int64_t *barriers;    /* instruction positions, ascending */
     int64_t n_barriers;
 } syn_thread_t;
+
+int64_t syn_capacity(const syn_thread_t *);
+int64_t syn_thread_trace(const syn_thread_t *, uint32_t *, int, int8_t *,
+                         int64_t *, int64_t, int64_t *);
+
+/* cdef: end */
+
+/* Instructions a lock section retires: LOCK and UNLOCK expand to RMWs
+ * in the simulator (2 each), plus the load, the compute and the store. */
+#define SYN_LOCK_INSTR(compute) (2 + (compute) + 2 + 2)
+
+/* Accesses to the private region remember the last 16 lines. */
+#define SYN_RECENT 16
+
+#define SYN_MT_N 624
+#define SYN_MT_M 397
 
 typedef struct {
     uint32_t *mt;

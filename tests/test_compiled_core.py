@@ -1,12 +1,15 @@
 """Contracts of the compiled memory system (``repro/coherence/memsys.c``):
 its place in the code fingerprint, its core-count limit, its build
-(concurrent, corrupted, no compiler), forking a paused machine, the
-handles it does not expose, and failures raised inside it or its
+(concurrent, corrupted, no compiler, declared by the C sources' marked
+blocks), the ``ctypes`` views of its rows, forking and deep-copying a
+machine, the handles it does not expose, and failures raised inside it or its
 machine loop (callback exceptions, golden checks, the cycle limit,
 deadlocks), which leave the machine refusing to advance."""
 
 from __future__ import annotations
 
+import copy
+import ctypes
 import os
 import shutil
 import subprocess
@@ -21,11 +24,14 @@ from repro.coherence import build
 from repro.coherence.core import CompiledEngine, ffi, lib
 from repro.coherence.protocol import CoherenceEngine, DependenceTracker
 from repro.core import register_scheme, unregister_scheme
+from repro.core.dep_registers import DepRegisterSet
 from repro.core.rebound_scheme import ReboundScheme
 from repro.interconnect import Interconnect
 from repro.mem import ReviveLog
 from repro.params import MachineConfig, Scheme
+from repro.sim.cores import Core
 from repro.sim.machine import Machine, SimulationDeadlock
+from repro.sim.sync import BarrierState, LockState
 from repro.trace import COMPUTE, END, LOAD, LOCK, STORE
 from repro.workloads import get_workload
 from tests.conftest import lock_spec, make_machine, make_spec, tiny_config
@@ -121,11 +127,13 @@ class TestBuild:
             build.load(tmp_path)
 
     def test_name_follows_the_declarations_in_this_process(
-            self, monkeypatch):
+            self, monkeypatch, tmp_path):
         """The name digests the ``CDEF`` and flags the build emits, not
         ``build.py`` on disk: a process that imported an older
         ``build.py`` cannot publish its declarations under the new
-        file's name."""
+        file's name.  The marked blocks of the C sources are the rest of
+        the declarations cffi wraps: a prototype added to one renames
+        the build and gets a wrapper in the emitted file."""
         source = build.source_text()
         name = build.module_name(source)
         monkeypatch.setattr(build, "CDEF",
@@ -135,6 +143,15 @@ class TestBuild:
         monkeypatch.setattr(build, "FLAGS", build.FLAGS + ("-g",))
         assert build.module_name(source) != name
         assert build.module_name(source + "\n") != name
+        monkeypatch.undo()
+        end = "/* cdef: end */"
+        assert source.count(end) == len(build.SOURCES)
+        edited = source.replace(end, "int64_t mem_extra(mem_core_t *);\n"
+                                + end, 1)
+        assert "mem_extra" in build.declarations(edited)
+        assert build.module_name(edited) != name
+        build.emit(build.module_name(edited), edited, tmp_path / "x.c")
+        assert "_cffi_f_mem_extra" in (tmp_path / "x.c").read_text()
 
     def test_a_process_loads_each_build_once(self):
         assert build.load() is build.load()
@@ -174,6 +191,36 @@ def test_fork_at_several_points_matches_a_fresh_run():
                 leader.engine.energy_events()) == before
     assert not leader.advance()
     assert leader.finalize() == reference
+
+
+def test_a_deep_copy_runs_like_a_fresh_machine():
+    """``copy.deepcopy`` of a machine gives a copy whose memory system
+    reads the copy's core rows, and leaves the original intact."""
+    config = MachineConfig.scaled(n_cores=16, scheme=Scheme.REBOUND,
+                                  scale=150)
+    spec = get_workload("water_sp", 16, config, intervals=1.5, seed=1)
+    reference = Machine(config, spec).run()
+    original = Machine(config, spec)
+    clone = copy.deepcopy(original)
+    assert clone.run() == reference
+    assert original.run() == reference
+
+
+@pytest.mark.parametrize("view, struct", [
+    (Core, "mem_hot_t"), (LockState, "mem_lock_t"),
+    (BarrierState, "mem_barrier_t"), (DepRegisterSet, "mem_dep_t")])
+def test_row_views_lay_over_their_structs(view, struct):
+    """Each ``ctypes`` view has every field of its C struct, under its
+    name or with a leading underscore, at the struct's offset and size,
+    and reads the ``_Bool`` fields as ``bool``."""
+    assert ctypes.sizeof(view) == ffi.sizeof(struct)
+    row = view.from_buffer(bytearray(ctypes.sizeof(view)))
+    for name, field in ffi.typeof(struct).fields:
+        attr = name if name in dict(view._fields_) else "_" + name
+        assert getattr(view, attr).offset == field.offset
+        assert getattr(view, attr).size == ffi.sizeof(field.type)
+        if field.type.cname == "_Bool":
+            assert getattr(row, attr) is False
 
 
 class _ExplodingTracker(DependenceTracker):
