@@ -27,7 +27,9 @@ directory and moved into place with ``os.replace``, then a SHA-256 stamp
 of its bytes is published the same way.  A concurrently importing
 process therefore sees either no library, or a complete one.  A library
 whose bytes do not match its stamp (truncated, or replaced by a racing
-build) is rebuilt rather than loaded.
+build) is rebuilt rather than loaded.  A successful build deletes the
+builds it supersedes (:func:`_prune`), so edits to the sources do not
+pile libraries up in ``__pycache__``.
 
 The compiler is the interpreter's own ``CC``, run with ``-O2
 -ffp-contract=off``: no fused multiply-adds, no ``-ffast-math`` and no
@@ -59,6 +61,8 @@ HERE = Path(__file__).resolve().parent
 SOURCES = (HERE / "memsys.c", HERE.parent / "workloads" / "synthetic.c")
 BUILD_DIR = HERE / "__pycache__"
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+#: Every build's name starts with this (:func:`module_name`).
+PREFIX = "_memsys_"
 
 #: Modules this process has loaded, by library path.
 _LOADED: dict[Path, object] = {}
@@ -99,7 +103,7 @@ def module_name(source: str) -> str:
                  _cffi_backend.__version__):
         digest.update(part.encode())
         digest.update(b"\0")
-    return "_memsys_" + digest.hexdigest()[:16]
+    return PREFIX + digest.hexdigest()[:16]
 
 
 def _sha256(path: Path) -> str:
@@ -167,6 +171,20 @@ def _build(name: str, source: str, library: Path, stamp: Path) -> None:
         shutil.rmtree(work, ignore_errors=True)
 
 
+def _prune(library: Path) -> None:
+    """Delete the builds ``library`` supersedes: every other library of
+    this interpreter's ABI in its directory, with its stamp.  A process
+    that has one of them loaded keeps its mapping (unlinking a mapped
+    file is safe); builds for other interpreters and the temporary
+    directories of builds in progress are left alone."""
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    keep = {library.name, library.name + ".sha256"}
+    for path in library.parent.glob(f"{PREFIX}*{suffix}*"):
+        if path.name not in keep and path.is_file():
+            with contextlib.suppress(OSError):
+                path.unlink()
+
+
 def load(build_dir: Path = BUILD_DIR):
     """The compiled extension module, built first if needed; a process
     loads each build once and gets the same module on every call.
@@ -189,6 +207,7 @@ def load(build_dir: Path = BUILD_DIR):
         try:
             build_dir.mkdir(parents=True, exist_ok=True)
             _build(name, source, library, stamp)
+            _prune(library)
         except OSError as exc:
             raise ImportError(
                 f"cannot build the compiled memory system in {build_dir}: "

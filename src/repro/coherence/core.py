@@ -436,6 +436,19 @@ class CompiledEngine:
         binds its engine before any access, and a fork its clones."""
         lib.mem_bind_loop(self._c, table.c)
 
+    def rebind_tracker(self, tracker) -> None:
+        """Hand the core to another tracker before any checkpoint: the
+        hooks become ``tracker``'s, and the writebacks logged so far are
+        re-tagged with the interval those hooks name.  Only trackers
+        that track nothing are exchanged (no Dep registers to build)."""
+        if tracker.enabled or self.tracker.enabled:
+            raise ValueError("only trackers that track no dependences "
+                             "can be exchanged")
+        self.tracker = tracker
+        self.hooks = native_hooks(tracker)
+        lib.mem_set_hooks(self._c, self.hooks, 0, 0, 0, 0)
+        lib.mem_retag_intervals(self._c)
+
     def dep_files(self) -> Optional[list]:
         """One :class:`~repro.core.dep_registers.CoreDepRegisterFile`
         per core when the core runs Rebound's hooks, else None."""

@@ -426,6 +426,7 @@ int64_t mem_wsig_key(mem_core_t *, int, int, int64_t);
 
 int mem_log_writeback(mem_core_t *, double, int, int64_t, int64_t, int64_t);
 void mem_end_interval(mem_core_t *, int, int64_t);
+void mem_retag_intervals(mem_core_t *);
 int64_t mem_log_select(mem_core_t *, const int64_t *, mem_logent_t *);
 int64_t mem_log_discard(mem_core_t *, const int64_t *);
 int64_t mem_log_restore(mem_core_t *, const int64_t *, mem_logent_t *);
@@ -1951,6 +1952,21 @@ void mem_end_interval(mem_core_t *c, int pid, int64_t interval)
             return;
         }
     }
+}
+
+/* After a change of hooks before any checkpoint: every log entry and
+ * first-writeback filter of a core is re-tagged with the interval the
+ * new hooks name for it.  Each core then has at most one filter, so the
+ * writebacks logged so far count as logged in that interval. */
+void mem_retag_intervals(mem_core_t *c)
+{
+    int64_t i;
+    int pid, g;
+    for (i = 0; i < c->log_n; i++)
+        c->log[i].interval = current_interval(c, c->log[i].pid);
+    for (pid = 0; pid < c->n_cores; pid++)
+        for (g = 0; g < c->filters[pid].n; g++)
+            c->filters[pid].groups[g].interval = current_interval(c, pid);
 }
 
 static inline int undone(const mem_logent_t *e, const int64_t *targets)

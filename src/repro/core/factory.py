@@ -117,17 +117,42 @@ def fault_free_invariant_overrides(scheme: SchemeLike) -> frozenset:
     return invariant if isinstance(invariant, frozenset) else frozenset()
 
 
-def build_scheme(machine: "Machine") -> BaseScheme:
-    """Instantiate the checkpointing scheme the config asks for."""
-    scheme = machine.config.scheme
+def scheme_builder(scheme: SchemeLike) -> SchemeBuilder:
+    """The builder registered for ``scheme``."""
     name = getattr(scheme, "value", scheme)
     try:
-        builder = _BUILDERS[name]
+        return _BUILDERS[name]
     except KeyError:
         raise ValueError(
             f"unknown scheme {scheme!r}; known: "
             f"{sorted(_BUILDERS)}") from None
-    return builder(machine)
+
+
+def build_scheme(machine: "Machine") -> BaseScheme:
+    """Instantiate the checkpointing scheme the config asks for."""
+    return scheme_builder(machine.config.scheme)(machine)
+
+
+#: Prefix families: schemes whose fault-free runs are the same machine
+#: up to the first time scheme code runs.  Delayed writebacks only
+#: change what a checkpoint does, and the NONE baseline only differs by
+#: never taking one; the replica-batch planner runs one leader per
+#: family (``ExperimentEngine._batch_key``).  Every other scheme is a
+#: family of its own: the BarCK variants act at barriers, and a
+#: registered scheme declares nothing.
+_PREFIX_FAMILIES: dict[SchemeLike, SchemeLike] = {
+    Scheme.NONE: Scheme.GLOBAL,
+    Scheme.GLOBAL: Scheme.GLOBAL,
+    Scheme.GLOBAL_DWB: Scheme.GLOBAL,
+    Scheme.REBOUND_NODWB: Scheme.REBOUND_NODWB,
+    Scheme.REBOUND: Scheme.REBOUND_NODWB,
+}
+
+
+def prefix_family(scheme: SchemeLike) -> SchemeLike:
+    """The prefix family ``scheme`` belongs to (named by its base
+    scheme; a scheme outside the table is its own family)."""
+    return _PREFIX_FAMILIES.get(scheme, scheme)
 
 
 def _register_builtin(member: Scheme, builder: SchemeBuilder) -> None:

@@ -56,10 +56,17 @@ class BaseScheme(DependenceTracker):
         self.machine = machine
         self.config = machine.config
         self.rng = random.Random(machine.config.seed)
-        self.use_dwb = machine.config.scheme.delayed_writebacks
         self.busy_retries = 0
         self.declines = 0
         self.nacks = 0
+
+    @property
+    def use_dwb(self) -> bool:
+        """Whether checkpoints drain their lines in the background: read
+        off ``config.scheme`` each time, so a fork re-pointed at the
+        other member of a prefix family (``Machine.rebind_config``)
+        checkpoints as that member."""
+        return self.config.scheme.delayed_writebacks
 
     def attach(self, machine: "Machine") -> None:
         """Called once the machine is fully constructed."""
@@ -388,7 +395,3 @@ class NoCheckpointScheme(BaseScheme):
 
     #: No checkpoints, no recovery: the detection latency is never read.
     FAULT_FREE_INVARIANT_OVERRIDES = frozenset({"detection_latency"})
-
-    def __init__(self, machine: "Machine"):
-        super().__init__(machine)
-        self.use_dwb = False

@@ -611,6 +611,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"{records / max(1, loop['residencies']):.2f}, "
                   + ", ".join(f"{name}={count}"
                               for name, count in loop.items() if count))
+            print(f"[batch] variant_forks={engine.variant_forks}")
     return 0
 
 

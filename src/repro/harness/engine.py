@@ -55,12 +55,17 @@ Every chunk is submitted at once (one future per chunk, not per task);
 chunks that have not started stay cancellable.
 
 Replica batches: every task is a batch of the missing keys that agree
-on everything except their faults — (workload, cores, scheme,
-intervals, seed, scale, io_every, cluster, overrides) — and runs
-through the replica-batch executor (:mod:`repro.sim.vector`): one
-fault-free leader machine walks the shared workload once and each
-replica forks off it at its first fault-detection time, producing
-bit-identical per-replica ``SimStats``.  A lone key is a batch of one.
+on everything except their faults and their scheme's prefix family —
+(workload, cores, prefix family, intervals, seed, scale, io_every,
+cluster, overrides) — and runs through the replica-batch executor
+(:mod:`repro.sim.vector`): one fault-free leader machine walks the
+shared workload once, each replica of the leader's scheme forks off it
+at its first fault-detection time, and each replica of another scheme
+of the family (NONE and Global_DWB beside Global, Rebound beside
+Rebound_NoDWB) forks off at the leader's first scheme decision or at
+its own first fault, whichever comes first, producing bit-identical
+per-replica ``SimStats``.  A lone key is a batch of one; Fig 6.3's five
+schemes per app run as two batches.
 Results are memoized and disk-cached *per key*, so the cache format,
 the invariant harness and the campaign summaries see no difference.
 
@@ -88,7 +93,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from repro.core.factory import fault_free_invariant_overrides
+from repro.core.factory import fault_free_invariant_overrides, prefix_family
 from repro.harness.scenario import EMPTY_OVERRIDES, Overrides
 from repro.harness.workload_store import WorkloadStore
 from repro.params import MachineConfig, Scheme
@@ -236,6 +241,10 @@ def execute_run(key: RunKey,
     return Machine(config, workload, faults=key.fault_list()).run()
 
 
+#: The task counter :func:`execute_batch` reports ``variant_forks`` under.
+VARIANT_FORKS = "variant_forks"
+
+
 def execute_batch(keys: list[RunKey],
                   store: Optional[WorkloadStore] = None,
                   counters: Optional[Counter] = None) -> list[SimStats]:
@@ -245,15 +254,19 @@ def execute_batch(keys: list[RunKey],
     ``keys`` must agree on every :class:`RunKey` field except their
     faults — and, for built-in workloads, except overrides of config
     fields the scheme declared fault-free invariant
-    (:func:`~repro.core.factory.fault_free_invariant_overrides`);
+    (:func:`~repro.core.factory.fault_free_invariant_overrides`) and
+    the scheme within its prefix family
+    (:func:`~repro.core.factory.prefix_family`);
     ``ExperimentEngine._batch_key`` groups them exactly that way.  The
     shared workload is built (and io-injected) once, each key's fault
-    list becomes one replica of the batch, and keys whose overrides
-    differ in invariant fields ride the same leader with their own
-    resolved config (``replica_configs``) — a detection-latency sweep
-    under Global is served from one trace pass.  Returns the per-key
+    list becomes one replica of the batch, and keys whose overrides or
+    scheme differ ride the same leader with their own resolved config
+    (``replica_configs``) — a detection-latency sweep under Global is
+    served from one trace pass, and so is Fig 6.3's NONE / Global /
+    Global_DWB up to the first checkpoint.  Returns the per-key
     stats in input order; the machine loops' counters
-    (:meth:`~repro.sim.machine.Machine.counters`) are added into
+    (:meth:`~repro.sim.machine.Machine.counters`) and the batch's
+    ``variant_forks`` (under :data:`VARIANT_FORKS`) are added into
     ``counters`` when one is given.
     """
     from repro.sim.vector import run_replica_batch
@@ -270,14 +283,16 @@ def execute_batch(keys: list[RunKey],
         workload = inject_output_io(spec=workload, pid=0,
                                     every_instructions=keys[0].io_every)
     fault_lists = [key.fault_list() or [] for key in keys]
-    replica_configs = None
-    if any(key.overrides != keys[0].overrides for key in keys):
-        replica_configs = [config if key.overrides == keys[0].overrides
-                           else resolve_config(key) for key in keys]
+    same = [(key.overrides, key.scheme) == (keys[0].overrides,
+                                            keys[0].scheme) for key in keys]
+    replica_configs = None if all(same) else [
+        config if alike else resolve_config(key)
+        for alike, key in zip(same, keys)]
     result = run_replica_batch(config, workload, fault_lists,
                                replica_configs=replica_configs)
     if counters is not None:
         counters.update(result.report.counters)
+        counters[VARIANT_FORKS] += result.report.variant_forks
     return result.stats
 
 
@@ -576,6 +591,9 @@ class ExperimentEngine:
         #: Machine-loop counters summed over every task computed this
         #: session (:meth:`~repro.sim.machine.Machine.counters`).
         self.loop_counters: Counter = Counter()
+        #: Forks taken at a leader's first scheme return, summed over
+        #: every task computed this session (``BatchReport``).
+        self.variant_forks = 0
         self.disk_hits = 0
         self._store_warned = False
         #: Workload-store counter deltas shipped back by pool workers
@@ -713,10 +731,16 @@ class ExperimentEngine:
 
     @staticmethod
     def _batch_key(key: RunKey) -> tuple:
-        """Replica-group identity: everything but the faults.  Keys that
-        agree here run the *same* machine up to their first
-        fault-detection point, which is exactly what the vector executor
-        shares.
+        """Replica-group identity: everything but the faults and the
+        scheme's prefix family.  Keys that agree here run the *same*
+        machine up to their first fault-detection point or the first
+        time scheme code runs, whichever comes first, which is exactly
+        what the vector executor shares.
+
+        Schemes group by :func:`~repro.core.factory.prefix_family`:
+        NONE, Global and Global_DWB share a leader, and so do
+        Rebound_NoDWB and Rebound; the leader's first checkpoint
+        decision is where they part.
 
         Overrides of config fields the scheme declared **fault-free
         invariant** (``FAULT_FREE_INVARIANT_OVERRIDES``, e.g.
@@ -726,17 +750,18 @@ class ExperimentEngine:
         ``execute_batch`` — a detection-latency sweep batches across
         all its L values.  Only built-in workloads widen: a registered
         generator receives the full resolved config, so its *traces*
-        could depend on any override.
+        could depend on any override or on the scheme.
         """
-        overrides = key.overrides
-        if overrides and is_builtin_workload(key.app):
+        overrides, scheme = key.overrides, key.scheme
+        if is_builtin_workload(key.app):
+            scheme = prefix_family(scheme)
             invariant = fault_free_invariant_overrides(key.scheme)
-            if invariant:
+            if overrides and invariant:
                 kept = {name: value for name, value in overrides.items()
                         if name not in invariant}
                 if len(kept) != len(overrides):
                     overrides = Overrides(kept)
-        return (key.app, key.n_cores, key.scheme, key.intervals, key.seed,
+        return (key.app, key.n_cores, scheme, key.intervals, key.seed,
                 key.scale, key.io_every, key.cluster, overrides)
 
     def _plan_tasks(self, missing: list[RunKey]) -> list[list[RunKey]]:
@@ -1008,12 +1033,14 @@ class ExperimentEngine:
         keys, and ``on_land`` fires for each.  ``cached`` means the task
         loop already wrote the disk entries — writing them again would
         double every entry's serialization cost.  The task's loop
-        counters add into :attr:`loop_counters`.
+        counters add into :attr:`loop_counters`, its forks at a
+        leader's first scheme return into :attr:`variant_forks`.
         """
         if outcome[0] == "err":
             report.failures.extend((key, outcome[1]) for key in task)
             return
         _tag, stats_list, seconds, cached, counters = outcome
+        self.variant_forks += counters.pop(VARIANT_FORKS, 0)
         self.loop_counters.update(counters)
         share = seconds / len(task)
         for key, stats in zip(task, stats_list):

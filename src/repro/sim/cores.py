@@ -247,11 +247,24 @@ class Core(ctypes.Structure):
         self._blocked = _BLOCK_CODES[value]
 
     def __deepcopy__(self, memo) -> "Core":
+        """A core over the copied table's row.  What the simulator never
+        mutates in place is shared: a completed snapshot (only an
+        in-flight one still gets its ``complete_time``) and the stall
+        windows (tuples); the flat stats are copied shallowly."""
         table = copy.deepcopy(self._t, memo)
         clone = type(self).from_address(table.row(self.pid))
         memo[id(self)] = clone
+        state = {
+            "_t": table,
+            "stats": copy.copy(self.stats),
+            "snapshots": [snap if snap.complete_time is not None
+                          else copy.copy(snap) for snap in self.snapshots],
+            "stall_segments": list(self.stall_segments),
+        }
         for name, value in vars(self).items():
-            setattr(clone, name, copy.deepcopy(value, memo))
+            if name not in state:
+                state[name] = copy.deepcopy(value, memo)
+        vars(clone).update(state)
         return clone
 
     def finish(self) -> None:

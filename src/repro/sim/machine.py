@@ -55,7 +55,7 @@ from typing import Optional
 
 from repro.coherence.core import CompiledEngine, ffi, lib
 from repro.coherence.protocol import overrides
-from repro.core.factory import build_scheme
+from repro.core.factory import build_scheme, scheme_builder
 from repro.core.scheme_base import BaseScheme
 from repro.interconnect import Interconnect
 from repro.mem import ReviveLog
@@ -81,6 +81,9 @@ from repro.workloads.base import WorkloadSpec
 _EXEC = lib.EV_EXEC
 _DCALL = lib.EV_CALL     # durable descriptor callback (fork-safe)
 _PAUSE = lib.EV_PAUSE    # replica-batch pause sentinel (never observable)
+
+#: The returns of ``mem_advance`` that run scheme code.
+_SCHEME_RETURNS = (lib.ADV_RECORD, lib.ADV_CALL, lib.ADV_POST_OP)
 
 #: Sentinel seq base: more negative than any fault seq, so a pause
 #: fires before a same-time fault would in a true run (the fork then
@@ -149,11 +152,29 @@ class Machine:
         #: Pending DurableCalls by heap seq (the heap holds the key).
         self._calls: dict[int, DurableCall] = {}
         self.sync = SyncManager(self._table)
-        # BARRIER records return to Python only for hooks that can act.
-        self._table.c.barrier_hooks = self.scheme.barrier_hooks_act()
+        self._gate_scheme()
         if isinstance(faults, FaultPlan):
             faults = list(faults.faults)
         self.faults = FaultInjector(faults or [], config.detection_latency)
+        # Phased-run state: "init" (not started), "main" (application
+        # loop), "drain" (post-run background work), "done", and
+        # "failed" (an exception left the loop mid-step).
+        self._phase = "init"
+        #: A return of the loop that would run scheme code, held by
+        #: ``advance(until_scheme=True)``: ``(reason, pid, kind, arg,
+        #: when, seq)``, dispatched first by the next :meth:`advance`.
+        self._held: Optional[tuple] = None
+        self._until_scheme = False
+        self._pause_seq = _PAUSE_SEQ_BASE
+        self._limit = float("inf")
+        self._max_cycles: Optional[float] = None
+        self.stats = SimStats(config=config, scheme=config.scheme,
+                              workload=workload.name)
+        self.scheme.attach(self)
+
+    def _gate_scheme(self) -> None:
+        """Set the ``post_op`` gate and the barrier-hook flag from the
+        scheme."""
         # The hot loop only calls post_op once a core has executed
         # post_op_gate() instructions since its checkpoint (the gate is
         # owned by the scheme, next to post_op itself).  Schemes that
@@ -162,16 +183,8 @@ class Machine:
             self._post_op_gate = self.scheme.post_op_gate()
         else:
             self._post_op_gate = float("inf")
-        # Phased-run state: "init" (not started), "main" (application
-        # loop), "drain" (post-run background work), "done", and
-        # "failed" (an exception left the loop mid-step).
-        self._phase = "init"
-        self._pause_seq = _PAUSE_SEQ_BASE
-        self._limit = float("inf")
-        self._max_cycles: Optional[float] = None
-        self.stats = SimStats(config=config, scheme=config.scheme,
-                              workload=workload.name)
-        self.scheme.attach(self)
+        # BARRIER records return to Python only for hooks that can act.
+        self._table.c.barrier_hooks = self.scheme.barrier_hooks_act()
 
     def _bind_loop(self) -> None:
         """Let the compiled memory system read the core rows (the
@@ -275,7 +288,8 @@ class Machine:
         return RuntimeError(
             f"simulation exceeded {self._max_cycles:,.0f} cycles")
 
-    def advance(self, pause_at: Optional[float] = None) -> bool:
+    def advance(self, pause_at: Optional[float] = None,
+                until_scheme: bool = False) -> bool:
         """Drive the event loop; returns True if paused, False if done.
 
         With ``pause_at`` a sentinel heap entry is planted at that time:
@@ -286,6 +300,16 @@ class Machine:
         fault has at the moment the fault fires.  The sentinel never
         advances the clock and is stripped from forks, so it is
         unobservable.
+
+        With ``until_scheme`` the loop also pauses at its first return
+        that would run scheme code (the ``post_op`` gate, a call, a
+        record Python executes, END included) and holds that return
+        (:attr:`held`) instead of handling it: up to there no scheme
+        code has run, so a fork re-pointed at another scheme
+        (:meth:`rebind_config`) goes on exactly as that scheme's own
+        run would.  The next :meth:`advance` of the machine or of a
+        fork handles the held return first.  Only the compiled loop
+        can hold.
 
         An exception escaping the loop (a scheme callback's, the cycle
         limit, a deadlock, a failed coherence check) leaves the machine
@@ -301,11 +325,15 @@ class Machine:
             if not lib.loop_push(self._table.c, pause_at, self._pause_seq,
                                  _PAUSE):
                 raise MemoryError("cannot grow the event heap")
+        compiled = hasattr(self.engine, "advance")
+        if until_scheme and not compiled:
+            raise NotImplementedError(
+                "only the compiled loop can hold a scheme return")
+        self._until_scheme = until_scheme
         try:
             # The compiled memory system runs the loop itself; the
             # oracle has no ``advance`` and runs the Python loop.
-            main = (self._advance_compiled
-                    if hasattr(self.engine, "advance")
+            main = (self._advance_compiled if compiled
                     else self._advance_main)
             if self._phase == "main" and not main():
                 return True
@@ -323,22 +351,27 @@ class Machine:
         ``mem_advance`` runs the loop and comes back only for an event
         Python owns; each is handled here, then the loop resumes (a
         batch suspended at the ``post_op`` gate picks up where it
-        stopped).
+        stopped).  With ``until_scheme`` the first return that would
+        run scheme code is held instead (:meth:`advance`).
         """
+        until_scheme = self._until_scheme
+        if self._held is not None:
+            reason, pid, kind, arg, when, seq = self._held
+            self._held = None
+            self._handle(reason, pid, kind, arg, when, seq)
         advance = self.engine.advance
         loop = self._table.c
-        cores = self.cores
         event = ffi.new("mem_event_t *")
         while True:
             reason = advance(loop, self._limit, self._post_op_gate,
                              self._fuse_quantum, event)
-            if reason == lib.ADV_RECORD:
-                self._exec_record(cores[event.pid], event.kind, event.arg,
-                                  event.when)
-            elif reason == lib.ADV_CALL:
-                self._calls.pop(event.seq).fire(self, event.when)
-            elif reason == lib.ADV_POST_OP:
-                self.scheme.post_op(cores[event.pid], event.when)
+            if reason in _SCHEME_RETURNS:
+                if until_scheme:
+                    self._held = (reason, event.pid, event.kind, event.arg,
+                                  event.when, event.seq)
+                    return False
+                self._handle(reason, event.pid, event.kind, event.arg,
+                             event.when, event.seq)
             elif reason == lib.ADV_DONE:
                 self._phase = "drain"
                 return True
@@ -350,6 +383,22 @@ class Machine:
                 self._diagnose_deadlock()
             else:
                 self.engine.raise_failure()
+
+    def _handle(self, reason: int, pid: int, kind: int, arg: int,
+                when: float, seq: int) -> None:
+        """Run the scheme code a return of the loop asks for."""
+        if reason == lib.ADV_RECORD:
+            self._exec_record(self.cores[pid], kind, arg, when)
+        elif reason == lib.ADV_CALL:
+            self._calls.pop(seq).fire(self, when)
+        else:
+            self.scheme.post_op(self.cores[pid], when)
+
+    @property
+    def held(self) -> bool:
+        """Whether a return that would run scheme code is held
+        (``advance(until_scheme=True)``)."""
+        return self._held is not None
 
     def _advance_main(self) -> bool:
         """The reference loop, in Python: machines on the oracle memory
@@ -555,8 +604,14 @@ class Machine:
             # the same objects (the C loop reads them in place).
             memo[id(core.trace)] = core.trace
         clone = copy.deepcopy(self, memo)
-        lib.loop_drop(clone._table.c, _PAUSE)
+        clone.drop_pauses()
         return clone
+
+    def drop_pauses(self) -> None:
+        """Remove every pause sentinel still planted: they belong to a
+        replica batch's schedule, not to the run that goes on from
+        here (a fork, or the replica that takes the leader over)."""
+        lib.loop_drop(self._table.c, _PAUSE)
 
     def __deepcopy__(self, memo) -> "Machine":
         """A deep copy whose memory system reads the copy's core rows
@@ -582,10 +637,43 @@ class Machine:
         replica's config, not the leader's.  Invariant fields must be
         read lazily through these references; capturing one at
         construction time would make this rebind a silent no-op.
+
+        It also groups the schemes of one prefix family
+        (:func:`~repro.core.factory.prefix_family`), whose runs agree
+        until scheme code first runs.  A replica leaving there takes
+        its own scheme: one built by the same class reads the new
+        ``config.scheme`` lazily (``BaseScheme.use_dwb``), and another
+        class replaces the scheme (:meth:`_switch_scheme`).
         """
+        previous = self.config.scheme
         self.config = config
         self.stats.config = config
+        self.stats.scheme = config.scheme
         self.scheme.config = config
+        if scheme_builder(config.scheme) is not scheme_builder(previous):
+            self._switch_scheme()
+
+    def _switch_scheme(self) -> None:
+        """Go on under another scheme class (a fork of a leader of the
+        same prefix family, :func:`~repro.core.factory.prefix_family`).
+
+        Exact only while no scheme code has acted: the machine must be
+        held at or before its first scheme return, with no checkpoint
+        taken.  The new scheme attaches to the core rows as it does at
+        construction (every row's interval restarts at 0), the
+        compiled core takes its hooks and re-tags the writebacks logged
+        so far, and the gate follows the new ``post_op``.
+        """
+        if self.stats.checkpoints or self.stats.rollbacks or any(
+                len(core.snapshots) > 1 for core in self.cores):
+            raise RuntimeError("a machine can change its scheme only "
+                               "before its first checkpoint")
+        self.scheme = build_scheme(self)
+        for core in self.cores:
+            core.interval = 0
+        self.scheme.attach(self)
+        self.engine.rebind_tracker(self.scheme)
+        self._gate_scheme()
 
     def install_faults(self, faults: list[tuple[float, int]] | FaultPlan,
                        ) -> None:

@@ -16,7 +16,26 @@ spill — runs in the spilled scalar machine, so every replica's
 ``SimStats`` (including the exact cycle-bucket partition) is unchanged
 by construction.
 
-Soundness rests on three properties of the scalar kernel:
+Who rides a leader:
+
+* replicas of one run that differ in their faults, or in config fields
+  the scheme declared fault-free invariant (``detection_latency`` under
+  Global and NONE);
+* replicas of the schemes of one **prefix family**
+  (:func:`~repro.core.factory.prefix_family`: NONE, Global and
+  Global_DWB; Rebound_NoDWB and Rebound).  The leader runs one member
+  scheme that has a ``post_op`` gate.  A member of another scheme (a
+  *variant*) leaves at the leader's first return that would run scheme
+  code — the first checkpoint decision, an OUTPUT or END record, a
+  call — or earlier at its own first fault detection, re-pointed at
+  its scheme (:meth:`Machine.rebind_config`);
+* only replicas whose divergence is worth a fork: a first detection
+  before ``SPILL_THRESHOLD_FRACTION`` of the run runs standalone, and
+  variants ride only when ``checkpoint_interval`` clears the same
+  threshold (no core reaches the first gate before it has run that many
+  instructions).
+
+Soundness rests on four properties of the scalar kernel:
 
 * **Pause sentinels are unobservable.**  ``Machine.advance(pause_at=t)``
   plants a heap sentinel at ``t`` whose presence gives the fused
@@ -24,6 +43,8 @@ Soundness rests on three properties of the scalar kernel:
   fusion condition only reads ``heap[0][0]``); record fusing is
   parity-guaranteed for *any* break pattern (``fuse_quantum=1`` is the
   repo's golden reference), and the sentinel never advances the clock.
+  A replica leaving the leader, by a fork or by taking it over, drops
+  the sentinels left for the others (``Machine.drop_pauses``).
 * **Forks are faithful.**  Every scheduled callback is a
   :class:`~repro.sim.events.DurableCall` descriptor that re-binds to
   the firing machine, so a fork's pending drains complete inside the
@@ -33,14 +54,26 @@ Soundness rests on three properties of the scalar kernel:
   first (lowest seqs), so at equal timestamps a fault beats any trace
   record; ``Machine.install_faults`` injects the fork's fault events
   with seqs below every live entry, preserving that order.
+* **Family members cannot diverge before the leader's first return to
+  Python.**  Up to there the compiled loop runs no scheme code: the
+  schemes of a family differ only in what their Python hooks do
+  (delayed writebacks only change a checkpoint; NONE never takes one),
+  and their compiled hooks log every writeback alike, up to the
+  interval tag (a NONE fork re-tags Global's interval 1 as its 0,
+  ``CompiledEngine.rebind_tracker``).  The leader holds
+  that return unhandled (``advance(until_scheme=True)``), so each
+  variant's fork handles it as its own scheme — the ``post_op`` gate
+  stays pending and the suspended batch resumes exactly.
 
-The speedup is the shared prefix: for first-detections at
+The speedup is the shared prefix: for departures (first detections, or
+the leader's first scheme return ``h`` for a variant) at
 ``t_1 <= ... <= t_N`` over a run of length ``T``, the batch simulates
 ``T + sum(T - t_i)`` cycles instead of ``N * T``.  Dense fault
 campaigns (MTTF ~ one interval) diverge early and gain modestly;
 sparse campaigns (and fault-free replicas, which are served directly
-from the leader's finalized stats) approach ``N``-fold savings.  No
-cycle of post-divergence work is ever approximated away — this is an
+from the leader's finalized stats) approach ``N``-fold savings; a
+fault-free family of ``k`` schemes saves ``(k - 1) * h``.  No cycle of
+post-divergence work is ever approximated away — this is an
 exact-prefix-sharing optimization, not a sampling one.
 
 The experiment engine runs every task through this executor; a lone
@@ -55,7 +88,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.params import MachineConfig
+from repro.params import MachineConfig, Scheme
 from repro.sim.machine import Machine
 from repro.sim.stats import SimStats
 from repro.workloads.base import WorkloadSpec
@@ -69,8 +102,10 @@ FaultList = Sequence[tuple[float, int]]
 #: Forking the leader costs a copy of the whole machine state: the
 #: compiled core (caches, directory, image, undo log, Dep registers) and
 #: the loop are cloned in C, the scheme, sync and core objects are
-#: deep-copied.  For a 16-core, scale-40 ocean or water_sp machine
-#: forked at half its run that is about 2 ms, 0.05-0.20 of a whole run.
+#: copied (completed snapshots shared).  For a scale-40 ocean or
+#: water_sp machine forked at a third to half of its run that is about
+#: 0.5-1.5 ms at 16 cores and 2.2-2.8 ms at 64, 0.01-0.10 of a whole
+#: run (2-CPU dev box).
 #: A replica only rides the leader when its shared prefix is worth more
 #: than the fork: replicas whose first divergence lands before this
 #: fraction of the estimated run length are run standalone through the
@@ -89,7 +124,14 @@ class BatchReport:
     #: Spilled replicas that diverged too early to be worth a fork and
     #: ran standalone (subset of ``spilled``).
     direct_runs: int = 0
-    #: Per-replica divergence times (inf = never diverged), batch order.
+    #: Forks taken at a leader's first scheme return, one per member of
+    #: another scheme of the leader's prefix family still riding there
+    #: (subset of ``spilled``).
+    variant_forks: int = 0
+    #: Per-replica divergence times, batch order: the first fault
+    #: detection, or for a member of another scheme than its leader's
+    #: the leader's first scheme return if that came first (inf =
+    #: never diverged).
     divergence: list[float] = field(default_factory=list)
     #: Simulated cycles the batch shared in the leader instead of
     #: re-executing per replica: sum of divergence prefixes minus the
@@ -130,17 +172,24 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
     itself armed with the faults (late fault, no fork).
 
     ``replica_configs[i]`` (default: ``config`` for everyone) lets the
-    replicas differ in config fields the scheme declared **fault-free
-    invariant** (``FAULT_FREE_INVARIANT_OVERRIDES``, e.g.
-    ``detection_latency`` under Global/NONE): the shared fault-free
-    prefix is bit-identical under every member's config by that
-    declaration, each replica's divergence clock uses its *own*
-    detection latency, and each fork is re-pointed at its own config
-    (:meth:`Machine.rebind_config`) before its faults are installed —
-    replica *i*'s stats then equal ``Machine(replica_configs[i],
-    workload, faults=fault_lists[i]).run()``.  The caller
-    (``ExperimentEngine._batch_key``) is responsible for only grouping
-    configs whose differences are declared invariant.
+    replicas differ in two ways, each re-pointed at its own config
+    (:meth:`Machine.rebind_config`) when it leaves the leader, so that
+    replica *i*'s stats equal ``Machine(replica_configs[i], workload,
+    faults=fault_lists[i]).run()``:
+
+    * in config fields the scheme declared **fault-free invariant**
+      (``FAULT_FREE_INVARIANT_OVERRIDES``, e.g. ``detection_latency``
+      under Global/NONE): the shared fault-free prefix is bit-identical
+      under every member's config by that declaration, and each
+      replica's divergence clock uses its *own* detection latency;
+    * in the scheme, within one prefix family
+      (:func:`~repro.core.factory.prefix_family`): the leader runs one
+      member's scheme, and members of the others leave it at its first
+      return that would run scheme code, or earlier at their own first
+      fault detection.
+
+    The caller (``ExperimentEngine._batch_key``) is responsible for only
+    grouping configs that differ in these ways.
     """
     n = len(fault_lists)
     if n == 0:
@@ -148,13 +197,11 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
     if replica_configs is not None and len(replica_configs) != n:
         raise ValueError(f"replica_configs has {len(replica_configs)} "
                          f"entries for {n} replicas")
-
-    def config_of(index: int) -> MachineConfig:
-        return config if replica_configs is None \
-            else replica_configs[index]
+    configs = [config] * n if replica_configs is None \
+        else list(replica_configs)
 
     # -- batch schedule: per-replica divergence clocks -----------------
-    divergence = [_first_detect(faults, config_of(i).detection_latency)
+    divergence = [_first_detect(faults, configs[i].detection_latency)
                   for i, faults in enumerate(fault_lists)]
 
     # Cost model: a fork only pays when the shared prefix beats the
@@ -163,79 +210,151 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
     run_estimate = max((trace.instruction_count()
                         for trace in workload.traces), default=1)
     threshold = SPILL_THRESHOLD_FRACTION * run_estimate
-    finite = [math.isfinite(t) for t in divergence]
-    direct = [finite[i] and divergence[i] < threshold for i in range(n)]
-
     report = BatchReport(width=n, divergence=list(divergence))
-    results: list[Optional[SimStats]] = [None] * n
+    batch = _Batch(workload, fault_lists, configs, report)
 
-    for index in filter(direct.__getitem__, range(n)):
-        machine = Machine(config_of(index), workload,
-                          faults=list(fault_lists[index]))
-        results[index] = machine.run()
-        report.counters.update(machine.counters())
-        report.spilled += 1
-        report.direct_runs += 1
+    # A member of another scheme leaves the leader at its first scheme
+    # return at the latest, which no core reaches before it has run
+    # ``checkpoint_interval`` instructions: the same threshold decides
+    # whether that prefix is worth a fork.  If it is not, every scheme
+    # runs its own leader.
+    shared = config.checkpoint_interval >= threshold
+    groups: dict = {}
+    for index in range(n):
+        if math.isfinite(divergence[index]) \
+                and divergence[index] < threshold:
+            batch.run_direct(index)
+            continue
+        groups.setdefault(None if shared else configs[index].scheme,
+                          []).append(index)
+    for riders in groups.values():
+        batch.run_leader(riders)
+    return BatchResult(batch.results, report)
 
-    fork_order = [i for i in sorted(range(n), key=divergence.__getitem__)
-                  if finite[i] and not direct[i]]
-    served = [i for i in range(n)
-              if divergence[i] == float("inf")]
-    leader = None
-    if fork_order or served:
-        leader = Machine(config, workload)
+
+class _Batch:
+    """One batch's machines: direct runs and one leader per group of
+    riders (:func:`run_replica_batch`)."""
+
+    def __init__(self, workload: WorkloadSpec,
+                 fault_lists: Sequence[FaultList],
+                 configs: list[MachineConfig], report: BatchReport):
+        self.workload = workload
+        self.fault_lists = fault_lists
+        self.configs = configs
+        self.report = report
+        self.results: list[Optional[SimStats]] = [None] * len(configs)
+
+    def run_direct(self, index: int) -> None:
+        """A replica that diverges too early to ride: run standalone."""
+        machine = Machine(self.configs[index], self.workload,
+                          faults=list(self.fault_lists[index]))
+        self.results[index] = machine.run()
+        self.report.counters.update(machine.counters())
+        self.report.spilled += 1
+        self.report.direct_runs += 1
+
+    def run_leader(self, riders: list[int]) -> None:
+        """Walk one leader for ``riders`` (batch indices).
+
+        The leader runs the scheme of the first rider not of NONE (a
+        run without a ``post_op`` gate leads only its own kind): its
+        members
+        fork at their first fault detection or are served its stats at
+        the end.  Members of another scheme of its prefix family are
+        *variants*: until they have all left, the leader holds at its
+        first return that would run scheme code, and every variant
+        still riding forks there (``variant_forks``).  Whoever uses the
+        leader last takes it over instead of forking it.
+        """
+        configs, report = self.configs, self.report
+        divergence = report.divergence
+        lead = next((i for i in riders
+                     if configs[i].scheme is not Scheme.NONE), riders[0])
+        lead_config = configs[lead]
+        own = [i for i in riders
+               if configs[i].scheme == lead_config.scheme]
+        variants = [i for i in riders if i not in own]
+        served = [i for i in own if not math.isfinite(divergence[i])]
+        timeline = sorted((i for i in riders
+                           if math.isfinite(divergence[i])),
+                          key=divergence.__getitem__)
+        left: dict[int, float] = {}     # rider -> leader clock it left at
+        leader = Machine(lead_config, self.workload)
         leader.start()
-    for position, index in enumerate(fork_order):
-        at = divergence[index]
-        if not leader.finished:
-            leader.advance(pause_at=at)
-        # The last forked replica of a batch with nobody left to serve
-        # takes over the leader in place: forking would deep-copy a
-        # machine only to abandon the original.
-        last = position == len(fork_order) - 1 and not served
-        replica = leader if last else leader.fork()
-        rc = config_of(index)
-        if rc is not config:
-            replica.rebind_config(rc)
-        replica.install_faults(list(fault_lists[index]))
-        replica.advance()
-        results[index] = replica.finalize()
-        if replica is not leader:
-            report.counters.update(replica.counters())
-        report.spilled += 1
 
-    if served:
-        # Fault-free replicas: the leader *is* their run.  Serve the
-        # first directly and deep-copy for the rest so no two RunKeys
-        # alias one mutable SimStats.  A served replica with its own
-        # (invariant-field) config gets it stamped into the stats — the
-        # run itself is identical, but ``SimStats.config`` equality with
-        # the scalar twin is part of the bit-identity contract.
-        if not leader.finished:
-            leader.advance()
-        base = leader.finalize()
-        results[served[0]] = base
-        for i in served[1:]:
-            results[i] = copy.deepcopy(base)
-        for i in served:
-            rc = config_of(i)
-            if rc is not config:
-                results[i].config = rc
-        report.leader_served = len(served)
-    if leader is not None:
+        def depart(index: int, at: float) -> bool:
+            """Rider ``index`` leaves the leader; True if it forked."""
+            last = not served and len(left) == len(riders) - 1
+            replica = leader if last else leader.fork()
+            # Leaving at the first scheme return, the rider may find the
+            # sentinel of the pause the leader was headed for.
+            replica.drop_pauses()
+            left[index] = at
+            if configs[index] is not lead_config:
+                replica.rebind_config(configs[index])
+            replica.install_faults(list(self.fault_lists[index]))
+            replica.advance()
+            self.results[index] = replica.finalize()
+            if replica is not leader:
+                report.counters.update(replica.counters())
+            report.spilled += 1
+            return not last
+
+        def depart_variants() -> None:
+            """The leader holds its first scheme return: every variant
+            still riding leaves here."""
+            at = leader.now
+            for index in variants:
+                if index not in left:
+                    divergence[index] = at
+                    report.variant_forks += depart(index, at)
+
+        waiting = bool(variants)
+        for index in timeline:
+            if index in left:
+                continue
+            if not leader.finished:
+                leader.advance(pause_at=divergence[index],
+                               until_scheme=waiting)
+                if leader.held and waiting:
+                    waiting = False
+                    depart_variants()
+                    if len(left) == len(riders) and not served:
+                        break           # the last variant took it over
+                    # On to the pause at this rider's divergence.
+                    leader.advance()
+                    if index in left:
+                        continue
+            depart(index, divergence[index])
+        if waiting:
+            leader.advance(until_scheme=True)
+            depart_variants()
+
+        if served:
+            # Fault-free replicas: the leader *is* their run.  Serve the
+            # first directly and deep-copy for the rest so no two
+            # RunKeys alias one mutable SimStats.  A served replica with
+            # its own (invariant-field) config gets it stamped into the
+            # stats — the run itself is identical, but
+            # ``SimStats.config`` equality with the scalar twin is part
+            # of the bit-identity contract.
+            if not leader.finished:
+                leader.advance()
+            base = leader.finalize()
+            self.results[served[0]] = base
+            for i in served[1:]:
+                self.results[i] = copy.deepcopy(base)
+            for i in served:
+                if configs[i] is not lead_config:
+                    self.results[i].config = configs[i]
+                left[i] = base.runtime
+            report.leader_served += len(served)
         report.counters.update(leader.counters())
 
-    # Shared-prefix accounting: each *forked* replica saved its
-    # divergence prefix t_i, each leader-served replica its whole run;
-    # direct runs shared nothing and the one leader walk that actually
-    # happened is subtracted.
-    forked_prefix = float(sum(divergence[i] for i in fork_order))
-    if served:
-        walked = results[served[0]].runtime
-        shared = forked_prefix + len(served) * walked - walked
-    else:
-        walked = float(max((divergence[i] for i in fork_order),
-                           default=0.0))
-        shared = forked_prefix - walked
-    report.shared_prefix_cycles = max(0.0, shared)
-    return BatchResult(list(results), report)
+        # Shared-prefix accounting: every rider saved the prefix it
+        # rode (a served replica its whole run), and the one leader
+        # walk that actually happened, the longest, is subtracted.
+        if left:
+            report.shared_prefix_cycles += max(
+                0.0, sum(left.values()) - max(left.values()))

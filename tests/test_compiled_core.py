@@ -153,6 +153,29 @@ class TestBuild:
         build.emit(build.module_name(edited), edited, tmp_path / "x.c")
         assert "_cffi_f_mem_extra" in (tmp_path / "x.c").read_text()
 
+    def test_a_build_deletes_the_builds_it_supersedes(self, tmp_path,
+                                                      monkeypatch):
+        """Two sources built into one directory leave only the second
+        build: the first library and its stamp go, while another
+        interpreter's build and a build in progress stay."""
+        source = build.source_text()
+        suffix = build.importlib.machinery.EXTENSION_SUFFIXES[0]
+        other_abi = tmp_path / f"{build.PREFIX}{'0' * 16}.other-abi.so"
+        in_progress = tmp_path / f"{build.PREFIX}{'1' * 16}.99.tmp"
+        kept = []
+        for edit in ("/* first */\n", "/* second */\n"):
+            monkeypatch.setattr(build, "source_text",
+                                lambda edit=edit: source + edit)
+            build.load(tmp_path)
+            name = build.module_name(source + edit)
+            kept = [name + suffix, name + suffix + ".sha256"]
+            assert {path.name for path in tmp_path.iterdir()} \
+                >= set(kept)
+            other_abi.write_text("")
+            in_progress.mkdir(exist_ok=True)
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == sorted(kept + [other_abi.name, in_progress.name])
+
     def test_a_process_loads_each_build_once(self):
         assert build.load() is build.load()
 

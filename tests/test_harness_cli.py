@@ -59,6 +59,21 @@ class TestEngineFlags:
               "--cache-dir", str(tmp_path)])
         assert "[loop]" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_profile_prints_variant_forks(self, capsys, tmp_path, jobs):
+        # Fig 6.3 runs two prefix families per app; the leaders' forks
+        # at their first scheme return ride back from the workers.
+        code = main(["fig6_3", "--quick", "--profile", "-j", jobs,
+                     "--cache-dir", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "[loop]" in out
+        line, = [line for line in out.splitlines()
+                 if line.startswith("[batch]")]
+        # NONE and Global_DWB beside Global, Rebound beside
+        # Rebound_NoDWB, for each of the three quick apps.
+        assert line == "[batch] variant_forks=9"
+
     def test_jobs_flag_parallel_run(self, capsys, tmp_path):
         code = main(["fig6_1", "--quick", "-j", "2",
                      "--cache-dir", str(tmp_path)])

@@ -1,5 +1,6 @@
 """Tests for the machine's event loop and trace execution."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -239,3 +240,54 @@ class TestMachineLifetime:
         del machine
         with pytest.raises(ReferenceError, match="keep the machine"):
             memory.peek(0)
+
+
+class TestForkIsolation:
+    """A fork shares what the simulator never mutates in place
+    (completed snapshots, the stall windows' tuples) with its parent;
+    everything the fork goes on to change stays its own."""
+
+    def _paused_mid_drain(self):
+        config = MachineConfig.scaled(n_cores=16, scheme=Scheme.GLOBAL_DWB,
+                                      scale=150)
+        spec = get_workload("ocean", 16, config, intervals=2.0, seed=1)
+        leader = Machine(config, spec)
+        leader.start()
+        leader.advance(until_scheme=True)
+        # The held gate takes the first checkpoint; its lines are still
+        # draining one cycle later.
+        leader.advance(pause_at=leader.now + 1)
+        return leader
+
+    def test_mutating_a_fork_leaves_the_parent_alone(self):
+        leader = self._paused_mid_drain()
+        core = leader.cores[0]
+        assert core.snapshots[-1].complete_time is None
+        assert core.stall_segments
+        before = _core_state(leader)
+        fork = leader.fork()
+        forked = fork.cores[0]
+        forked.stats.busy += 1.0
+        forked.stats.n_checkpoints += 1
+        forked.snapshots[-1].complete_time = 1.0
+        forked.snapshots.append(forked.snapshots[0])
+        forked.stall_segments.append((0.0, 1.0))
+        forked.truncate_stalls(0.0)
+        fork.advance()
+        fork.finalize()
+        assert _core_state(leader) == before
+        assert core.snapshots[-1].complete_time is None
+
+    def test_parent_and_fork_finish_alike(self):
+        leader = self._paused_mid_drain()
+        fork = leader.fork()
+        fork.advance()
+        leader.advance()
+        assert fork.finalize() == leader.finalize()
+
+
+def _core_state(machine):
+    """Every core's stats, snapshots and stall windows, by value."""
+    return [(dataclasses.asdict(core.stats),
+             [dataclasses.asdict(snap) for snap in core.snapshots],
+             list(core.stall_segments)) for core in machine.cores]

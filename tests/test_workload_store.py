@@ -144,7 +144,10 @@ class TestEngineIntegration:
                                use_disk_cache=True)
         eng.run_many(self.KEYS)
         assert len(list(eng.workload_store.root.glob("*.wl"))) == 1
-        assert eng.workload_store.hits == len(self.KEYS)
+        # One load per task: NONE and Global share a prefix family
+        # (one replica batch), Rebound runs alone.
+        assert eng.workload_store.hits == len(eng._plan_tasks(self.KEYS)) \
+            == 2
 
     def test_prebuild_failure_defers_to_the_run(self, tmp_path):
         # A builder that raises must not abort run_many from the
