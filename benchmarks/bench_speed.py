@@ -14,7 +14,7 @@ scalar per-replica runs at two fault densities, with per-replica
 parity asserted.
 
 The ``lint`` section times the ``reprolint`` static analysis pass over
-the full shipped tree (parse + all six contract rules), so the
+the full shipped tree (parse + all five contract rules), so the
 analyzer's cost — it runs on every CI push — stays visible from PR to
 PR, and asserts the tree is clean while it is at it.
 
@@ -24,15 +24,13 @@ directory), L1/L2 hit rates, invalidations and residency epochs.
 
 The ``engine`` section is the one part that measures the harness
 itself: the dispatch-overhead microbench drives ≥500 tiny
-store-cached runs through (a) the pre-chunking data plane — one
-future per task, all submitted upfront, workers re-parsing the spec
-from disk on every run — and (b) the shipped engine (guided chunk
-dispatch, worker-side spec LRU, mmap loads).  The workload is a
+store-cached runs through the shipped engine (one pool future per
+task, worker-side spec LRU, mmap loads).  The workload is a
 purpose-registered few-op trace so simulation time is negligible and
 the wall clock is almost pure engine overhead; per-run overhead is
 ``wall/N - t_run`` with ``t_run`` the warm single-run cost measured
-in-process.  The section also records the worker LRU hit rate and a
-``-j`` scaling curve.
+in-process.  The section also records the worker LRU hit rate and
+asserts it is at least 0.8.
 
 The ``service`` section drives one plan of small-but-real runs (a few
 hundred microseconds each — a campaign of zero-cost runs is a landing
@@ -55,7 +53,6 @@ import multiprocessing
 import os
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
 
 from repro.harness.engine import (
@@ -214,7 +211,6 @@ def _measure_vector() -> dict:
                 "mttf_intervals": mttf_intervals,
                 "width": width,
                 "spilled": batch.report.spilled,
-                "direct_runs": batch.report.direct_runs,
                 "leader_served": batch.report.leader_served,
                 "scalar_wall_s": round(scalar_wall, 4),
                 "vector_wall_s": round(vector_wall, 4),
@@ -275,17 +271,12 @@ def _measure_lint() -> dict:
     }
 
 
-#: Dispatch-overhead microbench: ≥500 tiny store-cached runs (ISSUE 8
-#: acceptance floor), distinct keys sharing one store spec, on a
-#: purpose-registered workload whose simulation costs microseconds —
-#: so the wall clock is almost pure data-plane overhead.
+#: Dispatch-overhead microbench: ≥500 tiny store-cached runs, distinct
+#: keys sharing one store spec, on a purpose-registered workload whose
+#: simulation costs microseconds — so the wall clock is almost pure
+#: data-plane overhead.
 ENGINE_RUNS = 500
 ENGINE_THREADS = 2
-ENGINE_JOBS_CURVE = (1, 2, 4)
-#: Per-run overhead floor (seconds): the chunked plane amortizes to
-#: below wall-clock resolution at N=500, so the ratio denominator is
-#: clamped to keep the reported speedup conservative.
-ENGINE_OVERHEAD_FLOOR = 10e-6
 
 
 def _tiny_workload(n_threads, config, intervals, seed):
@@ -301,26 +292,14 @@ def _tiny_workload(n_threads, config, intervals, seed):
     return WorkloadSpec(name="bench_tiny", traces=traces)
 
 
-def _per_task_run(key, store_root):
-    """One pre-chunking worker call: a store with the LRU disabled
-    re-reads and re-parses the spec from disk on every run, as the old
-    ``_timed_run`` data plane did."""
-    return execute_run(key, WorkloadStore(store_root, lru_capacity=0))
-
-
 def _measure_engine() -> dict:
-    """Chunked data plane vs. per-task submission, on near-free runs.
+    """The shipped data plane's per-run overhead, on near-free runs.
 
-    The baseline leg replays the pre-chunking engine faithfully: one
-    future per task, all submitted upfront (deep executor queue),
-    drained with ``wait(FIRST_COMPLETED)``, every worker run paying a
-    fresh disk read + parse of the spec.  The measured leg is the
-    shipped ``ExperimentEngine`` default: affinity-grouped guided
-    chunks, all submitted at once, specs served from the
-    worker-side LRU.  Both legs are min-of-REPEATS wall clocks; the
-    warm single-run cost ``t_run`` (measured in-process against an
-    LRU-serving store) is subtracted so the per-run overheads compare
-    engine machinery, not simulation.
+    ``ExperimentEngine.run_many`` over ``ENGINE_RUNS`` keys that each
+    plan as their own task (one pool future each), specs served from
+    the worker-side LRU; min-of-3 wall clock.  The warm single-run cost
+    ``t_run`` (measured in-process against an LRU-serving store) is
+    subtracted so the overhead is engine machinery, not simulation.
     """
     if multiprocessing.get_start_method() != "fork":
         # Workers must inherit the bench-registered workload builder.
@@ -341,74 +320,29 @@ def _measure_engine() -> dict:
                 execute_run(key, store)
                 t_run = min(t_run, time.perf_counter() - start)
 
-            per_task_wall = float("inf")
-            for _ in range(3):
-                start = time.perf_counter()
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    pending = {pool.submit(_per_task_run, key, tmp)
-                               for key in keys}
-                    while pending:
-                        done, pending = wait(
-                            pending, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            future.result()
-                per_task_wall = min(per_task_wall,
-                                    time.perf_counter() - start)
-
-            chunked_wall = float("inf")
+            wall = float("inf")
             counters = None
             for _ in range(3):
                 eng = ExperimentEngine(jobs=jobs, use_disk_cache=False)
                 eng.workload_store = WorkloadStore(Path(tmp))
                 start = time.perf_counter()
                 eng.run_many(keys)
-                chunked_wall = min(chunked_wall,
-                                   time.perf_counter() - start)
+                wall = min(wall, time.perf_counter() - start)
                 counters = eng.store_counters()
-
-            curve = []
-            for j in ENGINE_JOBS_CURVE:
-                eng = ExperimentEngine(jobs=j, use_disk_cache=False)
-                eng.workload_store = WorkloadStore(Path(tmp))
-                start = time.perf_counter()
-                eng.run_many(keys)
-                curve.append({"jobs": j,
-                              "wall_s": round(time.perf_counter() - start,
-                                              4)})
     finally:
         unregister_workload("bench_tiny")
 
-    per_task_overhead = per_task_wall / ENGINE_RUNS - t_run
-    chunked_overhead = max(chunked_wall / ENGINE_RUNS - t_run,
-                           ENGINE_OVERHEAD_FLOOR)
-    ratio = per_task_overhead / chunked_overhead
     lru_rate = counters["lru_hits"] / max(1, counters["hits"])
-    # ISSUE 8 acceptance: the chunked plane must carry at least 3x less
-    # engine overhead per run than per-task submission.
-    assert ratio >= 3.0, (
-        f"chunked dispatch overhead ratio {ratio:.1f}x < 3x "
-        f"(per-task {per_task_overhead * 1e3:.3f} ms/run, chunked "
-        f"{chunked_overhead * 1e3:.3f} ms/run)")
     assert lru_rate >= 0.8, f"worker LRU hit rate {lru_rate:.2f} < 0.8"
     return {
         "runs": ENGINE_RUNS,
         "jobs": jobs,
         "t_run_ms": round(t_run * 1e3, 4),
-        "per_task": {
-            "wall_s": round(per_task_wall, 4),
-            "overhead_ms_per_run": round(per_task_overhead * 1e3, 4),
-        },
-        "chunked": {
-            "wall_s": round(chunked_wall, 4),
-            "overhead_ms_per_run": round(chunked_overhead * 1e3, 4),
-            "lru_hit_rate": round(lru_rate, 4),
-        },
-        "overhead_ratio": round(ratio, 1),
-        "jobs_curve": curve,
-        "note": ("per-run overhead is wall/N - t_run; the chunked "
-                 "denominator is floored at "
-                 f"{ENGINE_OVERHEAD_FLOOR * 1e6:.0f}us so the ratio "
-                 "stays conservative"),
+        "wall_s": round(wall, 4),
+        "overhead_ms_per_run": round((wall / ENGINE_RUNS - t_run) * 1e3,
+                                     4),
+        "lru_hit_rate": round(lru_rate, 4),
+        "note": "per-run overhead is wall/N - t_run",
     }
 
 
@@ -572,7 +506,7 @@ def test_kernel_speed():
     engine = _measure_engine()
     service = _measure_service()
     payload = {
-        "schema": 7,
+        "schema": 8,
         "scale": SCALE,
         "intervals": INTERVALS,
         "repeats": REPEATS,
@@ -616,8 +550,7 @@ def test_kernel_speed():
               f"scalar {row['scalar_wall_s']:7.3f}s  "
               f"vector {row['vector_wall_s']:7.3f}s  "
               f"{row['speedup']:5.2f}x "
-              f"(spilled {row['spilled']}, direct "
-              f"{row['direct_runs']}, served "
+              f"(spilled {row['spilled']}, served "
               f"{row['leader_served']})")
     print(f"reprolint ({','.join(lint['rules'])}): "
           f"{lint['checked_files']} files in {lint['wall_s']:.3f}s "
@@ -627,15 +560,9 @@ def test_kernel_speed():
         print(f"engine dispatch: {engine['skipped']}")
     else:
         print(f"engine dispatch ({engine['runs']} tiny runs, "
-              f"-j {engine['jobs']}): per-task "
-              f"{engine['per_task']['overhead_ms_per_run']:.3f} ms/run, "
-              f"chunked "
-              f"{engine['chunked']['overhead_ms_per_run']:.3f} ms/run "
-              f"({engine['overhead_ratio']:.0f}x lower overhead, "
-              f"worker LRU {engine['chunked']['lru_hit_rate']:.0%})")
-        print("  -j curve: " + ", ".join(
-            f"j={row['jobs']} {row['wall_s']:.3f}s"
-            for row in engine["jobs_curve"]))
+              f"-j {engine['jobs']}): "
+              f"{engine['overhead_ms_per_run']:.3f} ms/run overhead "
+              f"(worker LRU {engine['lru_hit_rate']:.0%})")
     if "skipped" in service:
         print(f"campaign service: {service['skipped']}")
     else:

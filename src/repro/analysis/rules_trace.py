@@ -1,8 +1,8 @@
 """RL005 — trace immutability: ``CompiledTrace`` columns are frozen.
 
 The zero-copy data plane hands the *same* column objects to many
-readers: ``WorkloadStore`` serves one LRU-cached spec to every task of
-a worker chunk, ``from_buffer`` columns are read-only memoryviews over
+readers: ``WorkloadStore`` serves one LRU-cached spec to every task a
+worker runs, ``from_buffer`` columns are read-only memoryviews over
 a shared mmap, and the vectorized executor's leader walks columns that
 every forked replica also sees.  One in-place write —
 ``trace.ops[i] = x``, ``trace.args.frombytes(...)`` — would therefore

@@ -437,17 +437,12 @@ class CompiledEngine:
         lib.mem_bind_loop(self._c, table.c)
 
     def rebind_tracker(self, tracker) -> None:
-        """Hand the core to another tracker before any checkpoint: the
-        hooks become ``tracker``'s, and the writebacks logged so far are
-        re-tagged with the interval those hooks name.  Only trackers
-        that track nothing are exchanged (no Dep registers to build)."""
-        if tracker.enabled or self.tracker.enabled:
-            raise ValueError("only trackers that track no dependences "
+        """Hand the core to another tracker that runs the same hooks
+        (a NONE fork of a Global leader: both run Global's)."""
+        if native_hooks(tracker) != self.hooks:
+            raise ValueError("only trackers that run the same hooks "
                              "can be exchanged")
         self.tracker = tracker
-        self.hooks = native_hooks(tracker)
-        lib.mem_set_hooks(self._c, self.hooks, 0, 0, 0, 0)
-        lib.mem_retag_intervals(self._c)
 
     def dep_files(self) -> Optional[list]:
         """One :class:`~repro.core.dep_registers.CoreDepRegisterFile`

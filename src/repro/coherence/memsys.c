@@ -20,9 +20,9 @@
  *     order; log entries are kept in seq order.
  *
  * Scheme hooks.  The built-in trackers run inside the core (``hooks``):
- *   HOOKS_NONE     nothing tracked, every interval is 0 (no scheme);
  *   HOOKS_GLOBAL   nothing tracked, the interval is the core row's
- *                  (GlobalScheme);
+ *                  (GlobalScheme; NONE too, whose rows nothing rotates,
+ *                  and 0 for a core bound to no loop);
  *   HOOKS_REBOUND  the Dep registers and WSIGs live here (mem_depset_t,
  *                  a ring of sets per core whose order Python
  *                  publishes); a dependence or a WSIG stamp is handled
@@ -108,7 +108,6 @@
 #define FAIL_MEMORY 5
 #define FAIL_BLOOM 6         /* a WSIG false negative (fail_addr, fail_pid) */
 
-#define HOOKS_NONE 0
 #define HOOKS_GLOBAL 1
 #define HOOKS_REBOUND 2
 #define HOOKS_PYTHON 3
@@ -426,7 +425,6 @@ int64_t mem_wsig_key(mem_core_t *, int, int, int64_t);
 
 int mem_log_writeback(mem_core_t *, double, int, int64_t, int64_t, int64_t);
 void mem_end_interval(mem_core_t *, int, int64_t);
-void mem_retag_intervals(mem_core_t *);
 int64_t mem_log_select(mem_core_t *, const int64_t *, mem_logent_t *);
 int64_t mem_log_discard(mem_core_t *, const int64_t *);
 int64_t mem_log_restore(mem_core_t *, const int64_t *, mem_logent_t *);
@@ -1225,7 +1223,7 @@ static inline int64_t current_interval(mem_core_t *c, int pid)
 {
     if (c->hooks == HOOKS_REBOUND)
         return dep_active(c, pid)->d.interval_id;
-    return c->hooks == HOOKS_GLOBAL ? c->hot[pid].interval : 0;
+    return c->hot != NULL ? c->hot[pid].interval : 0;
 }
 
 /* A writeback of ``kind`` left ``pid``'s cache: resolves the interval
@@ -1251,8 +1249,7 @@ static int line_event(mem_core_t *c, double now, int pid, int64_t addr,
         return 0;
     }
     if (kind == LINE_LOG_DELAYED)  /* tracker.delayed_interval_of(pid) */
-        *interval = c->hooks != HOOKS_NONE &&
-                    c->hot[pid].delayed_ckpt_id >= 0
+        *interval = c->hot != NULL && c->hot[pid].delayed_ckpt_id >= 0
                     ? c->hot[pid].delayed_ckpt_id
                     : current_interval(c, pid);
     if (c->hooks == HOOKS_REBOUND && c->hot[pid].pending_delayed > 0)
@@ -1952,21 +1949,6 @@ void mem_end_interval(mem_core_t *c, int pid, int64_t interval)
             return;
         }
     }
-}
-
-/* After a change of hooks before any checkpoint: every log entry and
- * first-writeback filter of a core is re-tagged with the interval the
- * new hooks name for it.  Each core then has at most one filter, so the
- * writebacks logged so far count as logged in that interval. */
-void mem_retag_intervals(mem_core_t *c)
-{
-    int64_t i;
-    int pid, g;
-    for (i = 0; i < c->log_n; i++)
-        c->log[i].interval = current_interval(c, c->log[i].pid);
-    for (pid = 0; pid < c->n_cores; pid++)
-        for (g = 0; g < c->filters[pid].n; g++)
-            c->filters[pid].groups[g].interval = current_interval(c, pid);
 }
 
 static inline int undone(const mem_logent_t *e, const int64_t *targets)

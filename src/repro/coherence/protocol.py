@@ -87,9 +87,12 @@ class DependenceTracker:
     #: The compiled core runs this class's hooks itself, with no call
     #: per access, for instances of subclasses that override none of them
     #: (``repro.coherence.core.native_hooks``, which runs the core's
-    #: ``HOOKS_<NAME>`` mode): ``"none"`` here, ``"global"`` and
-    #: ``"rebound"`` on the built-in schemes.
-    NATIVE_HOOKS = "none"
+    #: ``HOOKS_<NAME>`` mode): ``"global"`` here and on GlobalScheme,
+    #: ``"rebound"`` on ReboundScheme.  Global's hooks read the core
+    #: row's interval, which nothing rotates without checkpoints (and
+    #: which is 0 on a core bound to no machine), so they track nothing
+    #: and tag every writeback with one interval, as this class does.
+    NATIVE_HOOKS = "global"
 
     def on_write(self, pid: int, addr: int) -> None:
         """A store or exclusive grant: add ``addr`` to pid's WSIG."""

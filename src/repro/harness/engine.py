@@ -22,7 +22,7 @@ content-addressed store under ``<cache_dir>/workloads`` (see
 :mod:`repro.harness.workload_store`).  Each workload that two or more
 missing runs share is built once before they run — as one pool job per
 unbuilt workload on the parallel path (the builds run side by side and
-the run chunks go out once all of them finished), in the engine's own
+the runs go out once all of them finished), in the engine's own
 process on the serial path — and the runs mmap the entry and execute
 over read-only views of the compiled-trace IR instead of re-running
 ``SyntheticWorkload`` per run.  ``--no-cache`` (``REPRO_NO_CACHE=1``)
@@ -30,29 +30,21 @@ disables it along with the result cache.
 
 One run loop: :meth:`ExperimentEngine.run_stream` is the only
 execution path.  It replays what the memo and the disk cache hold,
-plans the rest as replica batches, and runs them through one task loop
-(:func:`_run_tasks`) — in-process when one worker (or one run) is
-enough, otherwise inside the workers of the chunked pool dispatch below
-— landing each result through one method as it completes and
-collecting every failure by :class:`RunKey` instead of stopping at the
-first.  :meth:`~ExperimentEngine.run_many` is ``run_stream`` plus one
+plans the rest as replica batches, and runs them through one task
+runner (:func:`_run_task`) — in-process when one worker (or one run) is
+enough, otherwise inside the workers of the pool dispatch below —
+landing each result through one method as it completes and collecting
+every failure by :class:`RunKey` instead of stopping at the first.
+:meth:`~ExperimentEngine.run_many` is ``run_stream`` plus one
 ``RuntimeError`` naming every failing run.
 
-Chunked dispatch: the parallel path does not submit one pool future per
-task — per-future overhead (pickling a RunKey, a result round-trip, an
-executor wakeup) would dominate sub-second simulations.  Tasks are
-packed into *chunks* by guided self-scheduling: each chunk takes
-``ceil(remaining / (4 * workers))`` tasks, capped at 32, so chunks
-shrink toward the tail of the plan and the last ones are single tasks
-— no worker is left running a multi-task chunk while the others idle.
-Tasks are sorted so those sharing a workload digest land in adjacent
-chunks — together with the store's per-process spec LRU a worker maps
-and parses each workload once for its whole chunk.  Workers write
-completed results into the disk cache themselves, so a chunk's
-finished siblings are persisted even when a later task in the chunk
-raises; every failing task still reports its own :class:`RunKey`.
-Every chunk is submitted at once (one future per chunk, not per task);
-chunks that have not started stay cancellable.
+Pool dispatch: every task is one pool future, all submitted at once in
+plan order; futures that have not started stay cancellable.  A task is
+a whole replica batch, so the per-future cost (pickling its keys, a
+result round-trip, an executor wakeup) is small beside it.  Workers
+write completed results into the disk cache themselves, and each
+worker's workload store keeps an LRU of parsed workloads, so a worker
+that runs several tasks of one workload maps and parses it once.
 
 Replica batches: every task is a batch of the missing keys that agree
 on everything except their faults and their scheme's prefix family —
@@ -101,6 +93,7 @@ from repro.sim import SimStats
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import Machine
 from repro.workloads import (
+    WorkloadSpec,
     get_workload,
     inject_output_io,
     workload_fingerprint,
@@ -229,6 +222,14 @@ def execute_run(key: RunKey,
     purely a build cache.
     """
     config = resolve_config(key)
+    return Machine(config, _load_workload(key, config, store),
+                   faults=key.fault_list()).run()
+
+
+def _load_workload(key: RunKey, config: MachineConfig,
+                   store: Optional[WorkloadStore]) -> WorkloadSpec:
+    """``key``'s workload under ``config``: from the ``store`` when
+    given, else generated, then io-injected when the key asks for it."""
     if store is not None:
         workload = store.get_or_build(key.app, key.n_cores, config,
                                       key.intervals, key.seed)
@@ -238,7 +239,7 @@ def execute_run(key: RunKey,
     if key.io_every is not None:
         workload = inject_output_io(spec=workload, pid=0,
                                     every_instructions=key.io_every)
-    return Machine(config, workload, faults=key.fault_list()).run()
+    return workload
 
 
 #: The task counter :func:`execute_batch` reports ``variant_forks`` under.
@@ -272,16 +273,7 @@ def execute_batch(keys: list[RunKey],
     from repro.sim.vector import run_replica_batch
 
     config = resolve_config(keys[0])
-    if store is not None:
-        workload = store.get_or_build(keys[0].app, keys[0].n_cores, config,
-                                      keys[0].intervals, keys[0].seed)
-    else:
-        workload = get_workload(keys[0].app, keys[0].n_cores, config,
-                                intervals=keys[0].intervals,
-                                seed=keys[0].seed)
-    if keys[0].io_every is not None:
-        workload = inject_output_io(spec=workload, pid=0,
-                                    every_instructions=keys[0].io_every)
+    workload = _load_workload(keys[0], config, store)
     fault_lists = [key.fault_list() or [] for key in keys]
     same = [(key.overrides, key.scheme) == (keys[0].overrides,
                                             keys[0].scheme) for key in keys]
@@ -361,8 +353,8 @@ def _write_cache_entry(cache_dir: Path, key: RunKey,
 def _portable_exc(exc: BaseException) -> BaseException:
     """Exceptions cross the pool boundary pickled; one that cannot
     round-trip (custom ``__init__`` signature, handle-holding payload)
-    would kill the whole chunk result instead of failing its own task,
-    so it degrades to a RuntimeError carrying the repr."""
+    would fail to come back as its task's outcome, so it degrades to a
+    RuntimeError carrying the repr."""
     try:
         pickle.loads(pickle.dumps(exc))
     except Exception:
@@ -370,41 +362,36 @@ def _portable_exc(exc: BaseException) -> BaseException:
     return exc
 
 
-def _run_tasks(chunk: list[list[RunKey]], store: Optional[WorkloadStore],
-               cache_dir: Optional[str]) -> list:
-    """The engine's one task loop: run planned replica batches back to
-    back, in the pool and on the serial path alike.
+def _run_task(task: list[RunKey], store: Optional[WorkloadStore],
+              cache_dir: Optional[str]) -> tuple:
+    """The engine's one task runner: run one planned replica batch, in
+    the pool and on the serial path alike.
 
-    Per task the outcome is ``("ok", stats_list, seconds, cached,
-    counters)`` — ``cached`` says every result already landed in the
-    disk cache, ``counters`` are the task's loop counters — or
-    ``("err", exc)``; a raising task never takes its siblings down, and
-    completed siblings are already persisted when it does.
+    The outcome is ``("ok", stats_list, seconds, cached, counters)`` —
+    ``cached`` says every result already landed in the disk cache,
+    ``counters`` are the task's loop counters — or ``("err", exc)``.
     ``KeyboardInterrupt`` is not a task failure: it propagates, so an
-    interrupted worker stops instead of running the rest of its chunk.
+    interrupted worker stops.
     """
-    outcomes: list = []
-    for task in chunk:
-        start = time.perf_counter()
-        counters: Counter = Counter()
-        try:
-            stats_list = execute_batch(task, store, counters)
-        except KeyboardInterrupt:
-            raise
-        except BaseException as exc:  # noqa: BLE001 - reported per task
-            outcomes.append(("err", _portable_exc(exc)))
-            continue
-        seconds = time.perf_counter() - start
-        cached = cache_dir is not None and all(
-            _write_cache_entry(cache_dir, key, stats) is None
-            for key, stats in zip(task, stats_list))
-        outcomes.append(("ok", stats_list, seconds, cached, counters))
-    return outcomes
+    start = time.perf_counter()
+    counters: Counter = Counter()
+    try:
+        stats_list = execute_batch(task, store, counters)
+    except KeyboardInterrupt:
+        raise
+    except BaseException as exc:  # noqa: BLE001 - reported per task
+        return ("err", _portable_exc(exc))
+    seconds = time.perf_counter() - start
+    cached = cache_dir is not None and all(
+        _write_cache_entry(cache_dir, key, stats) is None
+        for key, stats in zip(task, stats_list))
+    return ("ok", stats_list, seconds, cached, counters)
 
 
-def _run_chunk(chunk: list[list[RunKey]], store_root: Optional[str] = None,
-               cache_dir: Optional[str] = None) -> tuple[list, Optional[dict]]:
-    """Worker entry point: :func:`_run_tasks` over this process's store.
+def _run_pooled(task: list[RunKey], store_root: Optional[str] = None,
+                cache_dir: Optional[str] = None
+                ) -> tuple[tuple, Optional[dict]]:
+    """Worker entry point: :func:`_run_task` over this process's store.
 
     The second return value is this call's workload-store counter
     deltas, so the engine can aggregate store behaviour across worker
@@ -412,19 +399,19 @@ def _run_chunk(chunk: list[list[RunKey]], store_root: Optional[str] = None,
     """
     store = _worker_store(store_root)
     before = store.counters() if store is not None else None
-    outcomes = _run_tasks(chunk, store, cache_dir)
+    outcome = _run_task(task, store, cache_dir)
     deltas = None
     if store is not None:
         deltas = {name: count - before[name]
                   for name, count in store.counters().items()}
-    return outcomes, deltas
+    return outcome, deltas
 
 
 def _build_workload(params: tuple, store_root: str) -> dict:
     """Worker entry point: build one shared workload into the store.
 
     ``params`` are :meth:`WorkloadStore.ensure`'s arguments.  Returns
-    the store-counter deltas, like :func:`_run_chunk`, so the engine's
+    the store-counter deltas, like :func:`_run_pooled`, so the engine's
     ``builds`` count stays exact across processes.  A builder that
     raises is left to fail inside each of its own runs, where the error
     report carries the full :class:`RunKey` and healthy siblings still
@@ -680,9 +667,9 @@ class ExperimentEngine:
         for replayed results (zero recomputation) and ``"run"`` for
         ones computed this call.  ``should_cancel`` is polled between
         landings; once it returns True no further task starts,
-        in-flight chunks drain (and land), and the keys never started
+        in-flight tasks drain (and land), and the keys never started
         come back in ``pending``.  Serial and pool execution share the
-        task loop (:func:`_run_tasks`) and the landing (:meth:`_land`).
+        task runner (:func:`_run_task`) and the landing (:meth:`_land`).
         """
         report = StreamReport()
         unique = list(dict.fromkeys(keys))
@@ -720,8 +707,8 @@ class ExperimentEngine:
                 report.pending.extend(key for rest in tasks[index:]
                                       for key in rest)
                 break
-            outcome, = _run_tasks([task], self.workload_store, cache_root)
-            self._land(task, outcome, report, on_land)
+            self._land(task, _run_task(task, self.workload_store,
+                                       cache_root), report, on_land)
         return report
 
     def describe_failure(self, key: RunKey, exc: BaseException) -> str:
@@ -766,13 +753,25 @@ class ExperimentEngine:
 
     def _plan_tasks(self, missing: list[RunKey]) -> list[list[RunKey]]:
         """The execution plan: one replica batch per :meth:`_batch_key`
-        (a lone key is a batch of one), in first-seen order so serial
-        execution keeps the submission order — a failing task never
-        masks work listed before it."""
+        (a lone key is a batch of one), in first-seen order except that
+        the batches of one workload are next to each other.
+
+        Batches of one workload cost about the same, so the pool's
+        workers take them side by side: in plan order a campaign that
+        lists its variants outermost would start its longest batch
+        last (the ``campaign_sparse`` benchmark ran ~10% longer at
+        ``-j 2``)."""
+        def workload(key: RunKey) -> tuple:
+            return (key.app, key.n_cores, key.intervals, key.seed,
+                    key.scale)
+
         groups: dict[tuple, list[RunKey]] = {}
+        first_seen: dict[tuple, int] = {}
         for key in missing:
             groups.setdefault(self._batch_key(key), []).append(key)
-        return list(groups.values())
+            first_seen.setdefault(workload(key), len(first_seen))
+        return sorted(groups.values(),
+                      key=lambda task: first_seen[workload(task[0])])
 
     def _shared_builds(self, keys: list[RunKey]) -> dict[str, tuple]:
         """Store digest -> :meth:`WorkloadStore.ensure` arguments for
@@ -834,55 +833,12 @@ class ExperimentEngine:
                 try:
                     self._merge_worker_counters(future.result())
                 except Exception:  # noqa: BLE001
-                    # The worker died; the broken pool fails the run
-                    # chunks, run by run.
+                    # The worker died; the broken pool fails the
+                    # tasks, run by run.
                     pass
         if self.verbose:  # pragma: no cover - progress printing
             print(f"  [engine] built {len(builds)} shared workload(s) "
                   f"for {len(missing)} runs", flush=True)
-
-    def _affinity_key(self, task: list[RunKey]):
-        """What a task must share to profit from a chunk-mate: the
-        workload-store digest when addressable (built-ins share one
-        entry across schemes/overrides), else the build parameters."""
-        key = task[0]
-        store = self.workload_store
-        if store is not None:
-            digest = store.digest_for(key.app, key.n_cores,
-                                      resolve_config(key),
-                                      key.intervals, key.seed)
-            if digest is not None:
-                return digest
-        return (workload_name(key.app), key.n_cores, key.intervals,
-                key.seed)
-
-    def _chunk_tasks(self, tasks: list, workers: int) -> list[list]:
-        """Pack the plan into dispatch chunks.
-
-        Size: guided self-scheduling — each chunk takes
-        ``ceil(remaining / (4 * workers))`` tasks, capped at 32.  Early
-        chunks amortize per-future overhead over many tasks; chunks
-        shrink as the plan drains, and once at most ``4 * workers``
-        tasks remain every chunk is a single task, so no worker is
-        stuck behind a multi-task chunk of long runs while the others
-        idle.  Order: stable-sorted so
-        tasks with the same workload affinity are adjacent (first-seen
-        group order), maximizing each worker's store-LRU hit rate;
-        within a group the submission order is preserved.
-        """
-        first_seen: dict = {}
-        for task in tasks:
-            first_seen.setdefault(self._affinity_key(task),
-                                  len(first_seen))
-        ordered = sorted(tasks, key=lambda task:
-                         first_seen[self._affinity_key(task)])
-        chunks = []
-        start = 0
-        while start < len(ordered):
-            size = min(32, -(-(len(ordered) - start) // (4 * workers)))
-            chunks.append(ordered[start:start + size])
-            start += size
-        return chunks
 
     def _merge_worker_counters(self, deltas: Optional[dict]) -> None:
         if not deltas:
@@ -893,7 +849,7 @@ class ExperimentEngine:
 
     def store_counters(self) -> dict[str, int]:
         """Workload-store counters aggregated across every process:
-        the parent store's own, plus the deltas each dispatch chunk
+        the parent store's own, plus the deltas each pool task
         shipped back (``--profile`` prints these)."""
         totals = {name: 0 for name in ("hits", "misses", "builds",
                                        "lru_hits", "corrupt_rebuilds",
@@ -923,61 +879,56 @@ class ExperimentEngine:
                   on_land: Optional[Callable] = None,
                   should_cancel: Optional[Callable[[], bool]] = None
                   ) -> None:
-        """Chunked pool dispatch: the engine's one parallel data plane,
-        recording failures, pending keys and cancellation in ``report``.
+        """Pool dispatch, one future per task: the engine's one parallel
+        data plane, recording failures, pending keys and cancellation
+        in ``report``.
 
         Shared workloads the store lacks are built first, one pool job
         each (:meth:`_prepare_workloads`), so the workers never wait on
         a parent-side build and no two runs race to build the same
-        workload.  Then every chunk is submitted at once: the pool only
+        workload.  Then every task is submitted at once: the pool only
         moves ``workers + 1`` of them into its call queue, so the rest
         stay cancellable.  Cancellation (``should_cancel``) cancels the
-        chunks that have not started and reports their keys in
-        ``pending``, while in-flight chunks drain and land.  A submit
-        the pool refuses (a broken pool) fails the remaining chunks'
+        tasks that have not started and reports their keys in
+        ``pending``, while in-flight tasks drain and land.  A submit
+        the pool refuses (a broken pool) fails the remaining tasks'
         keys.  ``KeyboardInterrupt`` in the wait loop cancels the queued
-        chunks, lands every already-completed one in the memo/cache and
+        tasks, lands every already-completed one in the memo/cache and
         re-raises with a one-line partial-progress note — Ctrl-C on a
         campaign keeps what it paid for.
         """
         n_runs = sum(map(len, tasks))
         workers = min(self.jobs, len(tasks))
-        chunks = self._chunk_tasks(tasks, workers)
-        workers = min(workers, len(chunks))
         if self.verbose:  # pragma: no cover - progress printing
-            print(f"  [engine] {n_runs} runs as {len(tasks)} task(s) in "
-                  f"{len(chunks)} chunk(s) on {workers} workers ...",
-                  flush=True)
+            print(f"  [engine] {n_runs} runs as {len(tasks)} task(s) on "
+                  f"{workers} workers ...", flush=True)
         store_root = str(self.workload_store.root) \
             if self.workload_store is not None else None
         cache_root = str(self.cache_dir) if self.use_disk_cache else None
 
-        def land_chunk(future) -> None:
-            chunk = futures.pop(future)
+        def land(future) -> None:
+            task = futures.pop(future)
             try:
-                outcomes, deltas = future.result()
+                outcome, deltas = future.result()
             except BaseException as exc:  # noqa: BLE001
-                # The whole worker died (OOM kill, broken pool): every
-                # task of the chunk is lost.
-                outcomes, deltas = [("err", exc)] * len(chunk), None
+                # The whole worker died (OOM kill, broken pool): the
+                # task is lost.
+                outcome, deltas = ("err", exc), None
             self._merge_worker_counters(deltas)
-            for task, outcome in zip(chunk, outcomes):
-                self._land(task, outcome, report, on_land)
+            self._land(task, outcome, report, on_land)
 
         futures: dict = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 self._prepare_workloads([key for task in tasks
                                          for key in task], pool)
-                for chunk in chunks:
+                for task in tasks:
                     try:
-                        futures[pool.submit(_run_chunk, chunk, store_root,
-                                            cache_root)] = chunk
+                        futures[pool.submit(_run_pooled, task, store_root,
+                                            cache_root)] = task
                     except BaseException as exc:  # noqa: BLE001
-                        for rest in chunks[len(futures):]:
-                            for task in rest:
-                                self._land(task, ("err", exc), report,
-                                           on_land)
+                        for rest in tasks[len(futures):]:
+                            self._land(rest, ("err", exc), report, on_land)
                         break
                 running = set(futures)
                 while running:
@@ -986,9 +937,7 @@ class ExperimentEngine:
                         report.cancelled = True
                         for future in list(futures):    # plan order
                             if future.cancel():
-                                report.pending.extend(
-                                    key for task in futures[future]
-                                    for key in task)
+                                report.pending.extend(futures[future])
                         running = {future for future in running
                                    if not future.cancelled()}
                         continue
@@ -996,21 +945,20 @@ class ExperimentEngine:
                         running, return_when=FIRST_COMPLETED,
                         timeout=0.1 if should_cancel is not None else None)
                     for future in done:
-                        land_chunk(future)
+                        land(future)
             except KeyboardInterrupt:
-                # Drop the queued chunks, let in-flight ones finish
-                # (they are small), and keep every completed result:
-                # the workers already wrote their cache entries, and
-                # landing them in the memo makes the partial session
-                # consistent.  Then re-raise — the interrupt still
-                # means stop.
+                # Drop the queued tasks, let in-flight ones finish, and
+                # keep every completed result: the workers already
+                # wrote their cache entries, and landing them in the
+                # memo makes the partial session consistent.  Then
+                # re-raise — the interrupt still means stop.
                 pool.shutdown(wait=True, cancel_futures=True)
                 for future in list(futures):
                     if future.done() and not future.cancelled():
-                        land_chunk(future)
+                        land(future)
                 print(f"  [engine] interrupted: {report.computed} of "
                       f"{n_runs} run(s) landed in the memo/cache; queued "
-                      f"chunks cancelled", flush=True)
+                      f"tasks cancelled", flush=True)
                 raise
 
     @staticmethod
@@ -1024,7 +972,7 @@ class ExperimentEngine:
 
     def _land(self, task: list[RunKey], outcome: tuple,
               report: StreamReport, on_land: Optional[Callable]) -> None:
-        """Land one task's outcome from :func:`_run_tasks`.
+        """Land one task's outcome from :func:`_run_task`.
 
         A failure is recorded once per key (a failed replica batch
         reports every member, so failure counts match run counts).  A

@@ -34,8 +34,8 @@ long-running service:
   ``--no-cache`` is refused.
 
 * **Cancellation** — touching a cancel marker stops a running job
-  cooperatively: un-submitted chunks are dropped, in-flight chunks
-  drain and land, and the job reports a partial summary over exactly
+  cooperatively: unstarted tasks are dropped, in-flight tasks drain
+  and land, and the job reports a partial summary over exactly
   the runs that landed.
 
 Spool layout (``REPRO_SERVE_SPOOL`` or ``<cache_dir>/service``)::
@@ -114,8 +114,8 @@ class CampaignService:
     server running at all.  Server-side operations (``serve`` /
     ``run_job`` / ``replay``, and ``summarize`` / ``job_results``,
     which read the result cache) go through the wrapped
-    :class:`~repro.harness.engine.ExperimentEngine`: chunked affinity
-    dispatch across the worker pool, worker-side cache writes,
+    :class:`~repro.harness.engine.ExperimentEngine`: one pool future
+    per task across the worker pool, worker-side cache writes,
     vectorized replica batches — the whole batch data plane, reused
     per job.  The engine must keep its result cache on: the journal
     only indexes results that live there.
@@ -343,7 +343,7 @@ class CampaignService:
         # The marker check is a stat() and the engine polls between
         # landings — throttle to ~20 polls/s so a million tiny runs
         # don't pay a filesystem round-trip each (cancellation latency
-        # of 50ms is invisible next to chunk drain time).
+        # of 50ms is invisible next to task drain time).
         poll_state = {"at": float("-inf"), "cancelled": False}
 
         def should_cancel() -> bool:

@@ -39,9 +39,7 @@ building the spec as read-only memoryview traces over the mapping
 views keep the mapping alive.  On top of that sits a small per-store
 (hence per-worker-process) **LRU of loaded specs** keyed by digest
 (``lru_capacity`` entries, default 16; 0 disables), so a worker that
-runs hundreds of tasks of one workload maps and parses it once — the
-engine's chunked dispatch packs same-digest tasks next to each other
-to maximize exactly this hit rate.
+runs many tasks of one workload maps and parses it once.
 """
 
 from __future__ import annotations

@@ -660,17 +660,17 @@ class Machine:
         Exact only while no scheme code has acted: the machine must be
         held at or before its first scheme return, with no checkpoint
         taken.  The new scheme attaches to the core rows as it does at
-        construction (every row's interval restarts at 0), the
-        compiled core takes its hooks and re-tags the writebacks logged
-        so far, and the gate follows the new ``post_op``.
+        construction, the compiled core hands its hooks to it (the
+        schemes of a family run the same ones) and the gate follows the
+        new ``post_op``.  Rows keep their interval: NONE, the one scheme
+        a fork switches to, closes no interval, so the interval its log
+        entries carry is never read.
         """
         if self.stats.checkpoints or self.stats.rollbacks or any(
                 len(core.snapshots) > 1 for core in self.cores):
             raise RuntimeError("a machine can change its scheme only "
                                "before its first checkpoint")
         self.scheme = build_scheme(self)
-        for core in self.cores:
-            core.interval = 0
         self.scheme.attach(self)
         self.engine.rebind_tracker(self.scheme)
         self._gate_scheme()

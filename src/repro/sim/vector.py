@@ -16,7 +16,9 @@ spill — runs in the spilled scalar machine, so every replica's
 ``SimStats`` (including the exact cycle-bucket partition) is unchanged
 by construction.
 
-Who rides a leader:
+Every replica rides the leader, however early it diverges: a fork
+costs 0.01-0.10 of a run, and running an early replica standalone
+instead showed no measured gain.  Who shares a leader:
 
 * replicas of one run that differ in their faults, or in config fields
   the scheme declared fault-free invariant (``detection_latency`` under
@@ -28,12 +30,7 @@ Who rides a leader:
   *variant*) leaves at the leader's first return that would run scheme
   code — the first checkpoint decision, an OUTPUT or END record, a
   call — or earlier at its own first fault detection, re-pointed at
-  its scheme (:meth:`Machine.rebind_config`);
-* only replicas whose divergence is worth a fork: a first detection
-  before ``SPILL_THRESHOLD_FRACTION`` of the run runs standalone, and
-  variants ride only when ``checkpoint_interval`` clears the same
-  threshold (no core reaches the first gate before it has run that many
-  instructions).
+  its scheme (:meth:`Machine.rebind_config`).
 
 Soundness rests on four properties of the scalar kernel:
 
@@ -58,12 +55,12 @@ Soundness rests on four properties of the scalar kernel:
   Python.**  Up to there the compiled loop runs no scheme code: the
   schemes of a family differ only in what their Python hooks do
   (delayed writebacks only change a checkpoint; NONE never takes one),
-  and their compiled hooks log every writeback alike, up to the
-  interval tag (a NONE fork re-tags Global's interval 1 as its 0,
-  ``CompiledEngine.rebind_tracker``).  The leader holds
-  that return unhandled (``advance(until_scheme=True)``), so each
-  variant's fork handles it as its own scheme — the ``post_op`` gate
-  stays pending and the suspended batch resumes exactly.
+  and their compiled hooks are the same (NONE runs Global's row hooks;
+  the interval its log entries carry is never read, since NONE closes
+  no interval).  The leader holds that return unhandled
+  (``advance(until_scheme=True)``), so each variant's fork handles it
+  as its own scheme — the ``post_op`` gate stays pending and the
+  suspended batch resumes exactly.
 
 The speedup is the shared prefix: for departures (first detections, or
 the leader's first scheme return ``h`` for a variant) at
@@ -99,30 +96,15 @@ __all__ = ["run_replica_batch", "BatchResult", "BatchReport"]
 FaultList = Sequence[tuple[float, int]]
 
 
-#: Forking the leader costs a copy of the whole machine state: the
-#: compiled core (caches, directory, image, undo log, Dep registers) and
-#: the loop are cloned in C, the scheme, sync and core objects are
-#: copied (completed snapshots shared).  For a scale-40 ocean or
-#: water_sp machine forked at a third to half of its run that is about
-#: 0.5-1.5 ms at 16 cores and 2.2-2.8 ms at 64, 0.01-0.10 of a whole
-#: run (2-CPU dev box).
-#: A replica only rides the leader when its shared prefix is worth more
-#: than the fork: replicas whose first divergence lands before this
-#: fraction of the estimated run length are run standalone through the
-#: ordinary scalar kernel instead — bit-identical either way, the
-#: threshold only moves cost.
-SPILL_THRESHOLD_FRACTION = 0.2
-
-
 @dataclass
 class BatchReport:
     """Per-batch accounting (progress/bench reporting, not results)."""
 
     width: int = 0                     #: replicas in the batch
-    spilled: int = 0                   #: replicas run by the scalar kernel
+    spilled: int = 0                   #: replicas that left the leader
     leader_served: int = 0             #: fault-free replicas served
-    #: Spilled replicas that diverged too early to be worth a fork and
-    #: ran standalone (subset of ``spilled``).
+    #: Always 0 (every replica rides the leader); kept because the
+    #: benchmark's per-layer report reads it.
     direct_runs: int = 0
     #: Forks taken at a leader's first scheme return, one per member of
     #: another scheme of the leader's prefix family still riding there
@@ -167,9 +149,9 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
     ``fault_lists[i]`` is replica *i*'s fault campaign (empty = fault
     free).  Returns per-replica ``SimStats`` in input order, each equal
     to ``Machine(config, workload, faults=fault_lists[i]).run()``.  A
-    batch of one takes one of three exact paths: a direct scalar run
-    (early fault), the leader's own run (fault-free), or the leader
-    itself armed with the faults (late fault, no fork).
+    batch of one takes one of two exact paths: the leader's own run
+    (fault-free), or the leader itself armed with the faults at the
+    first detection (no fork).
 
     ``replica_configs[i]`` (default: ``config`` for everyone) lets the
     replicas differ in two ways, each re-pointed at its own config
@@ -190,6 +172,15 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
 
     The caller (``ExperimentEngine._batch_key``) is responsible for only
     grouping configs that differ in these ways.
+
+    The leader runs the scheme of the first replica not of NONE (a run
+    without a ``post_op`` gate leads only its own kind): replicas of
+    its scheme fork at their first fault detection or are served its
+    stats at the end.  Replicas of another scheme are *variants*: until
+    they have all left, the leader holds at its first return that would
+    run scheme code, and every variant still riding forks there
+    (``variant_forks``).  Whoever uses the leader last takes it over
+    instead of forking it.
     """
     n = len(fault_lists)
     if n == 0:
@@ -199,162 +190,94 @@ def run_replica_batch(config: MachineConfig, workload: WorkloadSpec,
                          f"entries for {n} replicas")
     configs = [config] * n if replica_configs is None \
         else list(replica_configs)
-
-    # -- batch schedule: per-replica divergence clocks -----------------
     divergence = [_first_detect(faults, configs[i].detection_latency)
                   for i, faults in enumerate(fault_lists)]
+    report = BatchReport(width=n, divergence=divergence)
+    results: list[Optional[SimStats]] = [None] * n
 
-    # Cost model: a fork only pays when the shared prefix beats the
-    # deep-copy.  Instruction counts lower-bound the run length (1-IPC
-    # cores only ever stall longer), so the threshold is conservative.
-    run_estimate = max((trace.instruction_count()
-                        for trace in workload.traces), default=1)
-    threshold = SPILL_THRESHOLD_FRACTION * run_estimate
-    report = BatchReport(width=n, divergence=list(divergence))
-    batch = _Batch(workload, fault_lists, configs, report)
+    lead_config = next((c for c in configs if c.scheme is not Scheme.NONE),
+                       configs[0])
+    variants = [i for i in range(n)
+                if configs[i].scheme != lead_config.scheme]
+    served = [i for i in range(n) if not math.isfinite(divergence[i])
+              and configs[i].scheme == lead_config.scheme]
+    timeline = sorted((i for i in range(n) if math.isfinite(divergence[i])),
+                      key=divergence.__getitem__)
+    left: dict[int, float] = {}     # replica -> leader clock it left at
+    leader = Machine(lead_config, workload)
+    leader.start()
 
-    # A member of another scheme leaves the leader at its first scheme
-    # return at the latest, which no core reaches before it has run
-    # ``checkpoint_interval`` instructions: the same threshold decides
-    # whether that prefix is worth a fork.  If it is not, every scheme
-    # runs its own leader.
-    shared = config.checkpoint_interval >= threshold
-    groups: dict = {}
-    for index in range(n):
-        if math.isfinite(divergence[index]) \
-                and divergence[index] < threshold:
-            batch.run_direct(index)
+    def depart(index: int, at: float) -> bool:
+        """Replica ``index`` leaves the leader; True if it forked."""
+        last = not served and len(left) == n - 1
+        replica = leader if last else leader.fork()
+        # Leaving at the first scheme return, the replica may find the
+        # sentinel of the pause the leader was headed for.
+        replica.drop_pauses()
+        left[index] = at
+        if configs[index] is not lead_config:
+            replica.rebind_config(configs[index])
+        replica.install_faults(list(fault_lists[index]))
+        replica.advance()
+        results[index] = replica.finalize()
+        if replica is not leader:
+            report.counters.update(replica.counters())
+        report.spilled += 1
+        return not last
+
+    def depart_variants() -> None:
+        """The leader holds its first scheme return: every variant
+        still riding leaves here."""
+        at = leader.now
+        for index in variants:
+            if index not in left:
+                divergence[index] = at
+                report.variant_forks += depart(index, at)
+
+    waiting = bool(variants)
+    for index in timeline:
+        if index in left:
             continue
-        groups.setdefault(None if shared else configs[index].scheme,
-                          []).append(index)
-    for riders in groups.values():
-        batch.run_leader(riders)
-    return BatchResult(batch.results, report)
-
-
-class _Batch:
-    """One batch's machines: direct runs and one leader per group of
-    riders (:func:`run_replica_batch`)."""
-
-    def __init__(self, workload: WorkloadSpec,
-                 fault_lists: Sequence[FaultList],
-                 configs: list[MachineConfig], report: BatchReport):
-        self.workload = workload
-        self.fault_lists = fault_lists
-        self.configs = configs
-        self.report = report
-        self.results: list[Optional[SimStats]] = [None] * len(configs)
-
-    def run_direct(self, index: int) -> None:
-        """A replica that diverges too early to ride: run standalone."""
-        machine = Machine(self.configs[index], self.workload,
-                          faults=list(self.fault_lists[index]))
-        self.results[index] = machine.run()
-        self.report.counters.update(machine.counters())
-        self.report.spilled += 1
-        self.report.direct_runs += 1
-
-    def run_leader(self, riders: list[int]) -> None:
-        """Walk one leader for ``riders`` (batch indices).
-
-        The leader runs the scheme of the first rider not of NONE (a
-        run without a ``post_op`` gate leads only its own kind): its
-        members
-        fork at their first fault detection or are served its stats at
-        the end.  Members of another scheme of its prefix family are
-        *variants*: until they have all left, the leader holds at its
-        first return that would run scheme code, and every variant
-        still riding forks there (``variant_forks``).  Whoever uses the
-        leader last takes it over instead of forking it.
-        """
-        configs, report = self.configs, self.report
-        divergence = report.divergence
-        lead = next((i for i in riders
-                     if configs[i].scheme is not Scheme.NONE), riders[0])
-        lead_config = configs[lead]
-        own = [i for i in riders
-               if configs[i].scheme == lead_config.scheme]
-        variants = [i for i in riders if i not in own]
-        served = [i for i in own if not math.isfinite(divergence[i])]
-        timeline = sorted((i for i in riders
-                           if math.isfinite(divergence[i])),
-                          key=divergence.__getitem__)
-        left: dict[int, float] = {}     # rider -> leader clock it left at
-        leader = Machine(lead_config, self.workload)
-        leader.start()
-
-        def depart(index: int, at: float) -> bool:
-            """Rider ``index`` leaves the leader; True if it forked."""
-            last = not served and len(left) == len(riders) - 1
-            replica = leader if last else leader.fork()
-            # Leaving at the first scheme return, the rider may find the
-            # sentinel of the pause the leader was headed for.
-            replica.drop_pauses()
-            left[index] = at
-            if configs[index] is not lead_config:
-                replica.rebind_config(configs[index])
-            replica.install_faults(list(self.fault_lists[index]))
-            replica.advance()
-            self.results[index] = replica.finalize()
-            if replica is not leader:
-                report.counters.update(replica.counters())
-            report.spilled += 1
-            return not last
-
-        def depart_variants() -> None:
-            """The leader holds its first scheme return: every variant
-            still riding leaves here."""
-            at = leader.now
-            for index in variants:
-                if index not in left:
-                    divergence[index] = at
-                    report.variant_forks += depart(index, at)
-
-        waiting = bool(variants)
-        for index in timeline:
-            if index in left:
-                continue
-            if not leader.finished:
-                leader.advance(pause_at=divergence[index],
-                               until_scheme=waiting)
-                if leader.held and waiting:
-                    waiting = False
-                    depart_variants()
-                    if len(left) == len(riders) and not served:
-                        break           # the last variant took it over
-                    # On to the pause at this rider's divergence.
-                    leader.advance()
-                    if index in left:
-                        continue
-            depart(index, divergence[index])
-        if waiting:
-            leader.advance(until_scheme=True)
-            depart_variants()
-
-        if served:
-            # Fault-free replicas: the leader *is* their run.  Serve the
-            # first directly and deep-copy for the rest so no two
-            # RunKeys alias one mutable SimStats.  A served replica with
-            # its own (invariant-field) config gets it stamped into the
-            # stats — the run itself is identical, but
-            # ``SimStats.config`` equality with the scalar twin is part
-            # of the bit-identity contract.
-            if not leader.finished:
+        if not leader.finished:
+            leader.advance(pause_at=divergence[index],
+                           until_scheme=waiting)
+            if leader.held and waiting:
+                waiting = False
+                depart_variants()
+                if len(left) == n and not served:
+                    break           # the last variant took it over
+                # On to the pause at this replica's divergence.
                 leader.advance()
-            base = leader.finalize()
-            self.results[served[0]] = base
-            for i in served[1:]:
-                self.results[i] = copy.deepcopy(base)
-            for i in served:
-                if configs[i] is not lead_config:
-                    self.results[i].config = configs[i]
-                left[i] = base.runtime
-            report.leader_served += len(served)
-        report.counters.update(leader.counters())
+                if index in left:
+                    continue
+        depart(index, divergence[index])
+    if waiting:
+        leader.advance(until_scheme=True)
+        depart_variants()
 
-        # Shared-prefix accounting: every rider saved the prefix it
-        # rode (a served replica its whole run), and the one leader
-        # walk that actually happened, the longest, is subtracted.
-        if left:
-            report.shared_prefix_cycles += max(
-                0.0, sum(left.values()) - max(left.values()))
+    if served:
+        # Fault-free replicas: the leader *is* their run.  Serve the
+        # first directly and deep-copy for the rest so no two RunKeys
+        # alias one mutable SimStats.  A served replica with its own
+        # (invariant-field) config gets it stamped into the stats — the
+        # run itself is identical, but ``SimStats.config`` equality with
+        # the scalar twin is part of the bit-identity contract.
+        if not leader.finished:
+            leader.advance()
+        base = leader.finalize()
+        results[served[0]] = base
+        for i in served[1:]:
+            results[i] = copy.deepcopy(base)
+        for i in served:
+            if configs[i] is not lead_config:
+                results[i].config = configs[i]
+            left[i] = base.runtime
+        report.leader_served += len(served)
+    report.counters.update(leader.counters())
+
+    # Shared-prefix accounting: every replica saved the prefix it rode
+    # (a served replica its whole run), and the one leader walk that
+    # actually happened, the longest, is subtracted.
+    report.shared_prefix_cycles = max(
+        0.0, sum(left.values()) - max(left.values()))
+    return BatchResult(results, report)

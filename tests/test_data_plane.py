@@ -1,4 +1,4 @@
-"""Zero-copy engine data plane: view loads, chunked dispatch, widening.
+"""Zero-copy engine data plane: view loads, pool dispatch, widening.
 
 Three compounding optimizations share one correctness bar — bit-identical
 ``SimStats``:
@@ -6,9 +6,8 @@ Three compounding optimizations share one correctness bar — bit-identical
 * ``CompiledTrace.from_buffer`` / ``WorkloadSpec.from_buffer`` build
   read-only memoryview columns over a serialized blob (the store mmaps
   entries instead of copying them);
-* ``_dispatch`` builds shared workloads in the pool, then packs tasks
-  into guided-self-scheduling chunks (affinity-sorted by workload
-  digest, workers persist their own cache entries);
+* ``_dispatch`` builds shared workloads in the pool, then submits one
+  future per task (workers persist their own cache entries);
 * ``_batch_key`` widens replica batches across overrides of config
   fields the scheme declared fault-free invariant, so a
   detection-latency sweep under Global shares one leader walk.
@@ -22,7 +21,7 @@ from repro.harness.engine import (
     ExperimentEngine,
     RunKey,
     _cache_path_for,
-    _run_chunk,
+    _run_pooled,
     execute_batch,
     execute_run,
     resolve_config,
@@ -205,83 +204,65 @@ KEY_B2 = RunKey("water_sp", 2, Scheme.GLOBAL, INTERVALS, 1, SCALE)
 
 
 class TestChunkedDispatch:
-    def test_affinity_groups_share_a_chunk(self):
-        # Interleaved submissions of two workloads: the chunks hold each
-        # workload's tasks contiguously (first-seen group order,
-        # submission order within a group), so the first guided chunk
-        # holds four tasks of one workload.
-        a_keys = [RunKey("blackscholes", 4, Scheme.NONE, INTERVALS, 1,
-                         SCALE, overrides={"detection_latency": 2000 + i})
-                  for i in range(8)]
-        b_keys = [RunKey("water_sp", 2, Scheme.NONE, INTERVALS, 1, SCALE,
-                         overrides={"detection_latency": 2000 + i})
-                  for i in range(8)]
-        interleaved = [[key] for pair in zip(a_keys, b_keys)
-                       for key in pair]
-        eng = ExperimentEngine(jobs=1, use_disk_cache=False)
-        chunks = eng._chunk_tasks(interleaved, workers=1)
-        assert [key for chunk in chunks for [key] in chunk] \
-            == a_keys + b_keys
-        assert chunks[0] == [[key] for key in a_keys[:4]]
+    """The pool path: one future per task (a replica batch)."""
 
-    @staticmethod
-    def _seed_tasks(n):
-        return [[RunKey("blackscholes", 4, Scheme.NONE, INTERVALS, seed,
-                        SCALE)] for seed in range(n)]
+    def test_pool_plan_submits_one_future_per_task(self, monkeypatch):
+        import repro.harness.engine as engine_mod
 
-    def test_adaptive_size_bounds(self):
-        # Guided self-scheduling: ceil(remaining / (4 * workers)) per
-        # chunk, capped at 32 — sizes never grow, and the tail of every
-        # plan is single tasks.
-        eng = ExperimentEngine(jobs=4, use_disk_cache=False)
-        for n_tasks, workers in [(1000, 2), (300, 4), (100, 4), (10, 2),
-                                 (3, 2), (1, 1)]:
-            chunks = eng._chunk_tasks(self._seed_tasks(n_tasks), workers)
-            sizes = [len(chunk) for chunk in chunks]
-            assert all(1 <= size <= 32 for size in sizes), sizes
-            assert all(a >= b for a, b in zip(sizes, sizes[1:])), sizes
-            tail = sizes[-workers:]
-            assert tail == [1] * len(tail), sizes
-            # at least two chunks per worker whenever the plan allows
-            assert len(chunks) >= min(n_tasks, 2 * workers)
+        submitted = []
 
-    def test_guided_chunks_hold_every_task_once(self):
-        eng = ExperimentEngine(jobs=4, use_disk_cache=False)
-        tasks = self._seed_tasks(300)
-        chunks = eng._chunk_tasks(tasks, workers=4)
-        flat = [key for chunk in chunks for [key] in chunk]
-        assert len(flat) == len(tasks)
-        assert set(flat) == {key for [key] in tasks}
+        class CountingPool(engine_mod.ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                if fn is engine_mod._run_pooled:
+                    submitted.append(args[0])
+                return super().submit(fn, *args, **kwargs)
 
-    def test_ten_tasks_on_two_workers_end_in_singles(self):
-        # The fig6_3@64 shape: with one fixed size the last chunks held
-        # two long runs back to back while the other worker idled.
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", CountingPool)
+        keys = [RunKey("blackscholes", 4, Scheme.NONE, INTERVALS, seed,
+                       SCALE) for seed in range(1, 6)]
         eng = ExperimentEngine(jobs=2, use_disk_cache=False)
-        chunks = eng._chunk_tasks(self._seed_tasks(10), workers=2)
-        assert [len(chunk) for chunk in chunks] == [2] + [1] * 8
+        tasks = eng._plan_tasks(keys)
+        assert len(tasks) == len(keys)
+        got = eng.run_many(keys)
+        assert submitted == tasks            # N tasks, N futures
+        assert set(got) == set(eng.memo) == set(keys)
+
+    def test_plan_puts_the_batches_of_one_workload_together(self):
+        # A campaign listing its variants outermost: each workload's
+        # batches end up side by side (so the pool runs them together),
+        # the workloads in first-seen order.
+        a_rebound = RunKey("blackscholes", 4, Scheme.REBOUND, INTERVALS, 1,
+                           SCALE)
+        b_rebound = RunKey("water_sp", 2, Scheme.REBOUND, INTERVALS, 1,
+                           SCALE)
+        eng = ExperimentEngine(jobs=2, use_disk_cache=False)
+        tasks = eng._plan_tasks([KEY_A2, KEY_B2, a_rebound, b_rebound])
+        assert tasks == [[KEY_A2], [a_rebound], [KEY_B2], [b_rebound]]
 
     def test_chunked_parallel_matches_serial(self):
         keys = [KEY_A1, KEY_A2, KEY_B1, KEY_B2]
         serial = ExperimentEngine(jobs=1, use_disk_cache=False)
         expect = serial.run_many(keys)
-        chunked = ExperimentEngine(jobs=3, use_disk_cache=False)
-        got = chunked.run_many(keys)
+        pooled = ExperimentEngine(jobs=3, use_disk_cache=False)
+        got = pooled.run_many(keys)
         for key in keys:
             assert got[key] == expect[key], key
 
     def test_failing_task_reports_itself_siblings_cache(self, tmp_path):
-        # One chunk of three tasks, run in-process exactly as a pool
-        # worker runs it: the raising task reports its own error while
-        # its chunk siblings complete AND their results land in the disk
+        # Three tasks run in-process one after another, exactly as a
+        # pool worker runs them: the raising task reports its own error
+        # while its siblings complete AND their results land in the disk
         # cache (written by the worker itself).
         bad = RunKey("no_such_app", 4, Scheme.NONE, INTERVALS, 1, SCALE)
-        outcomes, deltas = _run_chunk([[KEY_A1], [bad], [KEY_A2]],
-                                      str(tmp_path / "workloads"),
-                                      str(tmp_path))
+        calls = [_run_pooled([key], str(tmp_path / "workloads"),
+                             str(tmp_path)) for key in (KEY_A1, bad, KEY_A2)]
+        outcomes = [outcome for outcome, _deltas in calls]
         assert [outcome[0] for outcome in outcomes] == ["ok", "err", "ok"]
         assert "no_such_app" in repr(outcomes[1][1])
         assert outcomes[0][3] and outcomes[2][3]     # cached by the worker
-        assert deltas["builds"] == 1                 # one shared workload
+        # One shared workload, built once: the second task of it is
+        # served by the worker's store.
+        assert sum(deltas["builds"] for _outcome, deltas in calls) == 1
         # A fresh engine replays the siblings from disk.
         fresh = ExperimentEngine(jobs=1, cache_dir=tmp_path,
                                  use_disk_cache=True)
@@ -292,9 +273,9 @@ class TestChunkedDispatch:
         assert [got[KEY_A2]] == outcomes[2][1]
 
     def test_interrupt_stops_the_chunk(self, tmp_path):
-        # Ctrl-C is not a task failure: the task loop re-raises it
-        # instead of running the rest of the chunk, so the task after
-        # the interrupted one never runs and writes no cache entry.
+        # Ctrl-C is not a task failure: the worker entry re-raises it
+        # instead of returning an outcome, and the interrupted task
+        # writes no cache entry.
         from repro.workloads import register_workload
         from repro.workloads.registry import unregister_workload
 
@@ -303,14 +284,14 @@ class TestChunkedDispatch:
 
         tag = register_workload("interrupting_wl", interrupted,
                                 fingerprint="interrupt-v1")
+        key = RunKey(tag, 4, Scheme.NONE, INTERVALS, 1, SCALE)
         try:
             with pytest.raises(KeyboardInterrupt):
-                _run_chunk([[RunKey(tag, 4, Scheme.NONE, INTERVALS, 1,
-                                    SCALE)], [KEY_A1]],
-                           str(tmp_path / "workloads"), str(tmp_path))
+                _run_pooled([key], str(tmp_path / "workloads"),
+                            str(tmp_path))
+            assert not _cache_path_for(tmp_path, key).exists()
         finally:
             unregister_workload("interrupting_wl")
-        assert not _cache_path_for(tmp_path, KEY_A1).exists()
 
     def test_worker_store_counters_aggregate(self, tmp_path):
         # Keys that differ in io_every share one store digest but not a

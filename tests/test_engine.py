@@ -152,7 +152,7 @@ class TestParallelFailures:
 
     def test_failed_batch_reports_every_replica_key(self):
         # Regression: a failed replica *batch* used to surface only its
-        # first RunKey ("failed for 1 of N") — a dead chunk holding N
+        # first RunKey ("failed for 1 of N") — a dead task holding N
         # replicas masked N-1 sibling keys.  Two keys that differ only
         # in their fault plan batch together; both must be reported.
         from repro.sim.faults import FaultPlan
@@ -176,7 +176,7 @@ class TestParallelFailures:
                                              monkeypatch):
         # Regression: Ctrl-C in the dispatch wait loop used to escape
         # past the epilogue and block in ProcessPoolExecutor.__exit__.
-        # Now the engine cancels queued chunks, lands every completed
+        # Now the engine cancels queued tasks, lands every completed
         # result in the memo (workers already wrote the cache entries),
         # prints a one-line partial-progress note, and re-raises.
         real_wait = engine_mod.wait
@@ -193,7 +193,7 @@ class TestParallelFailures:
                                use_disk_cache=True)
         with pytest.raises(KeyboardInterrupt):
             eng.run_many(MATRIX)
-        assert len(eng.memo) >= 1          # completed chunks landed
+        assert len(eng.memo) >= 1          # completed tasks landed
         assert "interrupted:" in capsys.readouterr().out
         # The landed results replay from disk: nothing was lost.
         fresh = ExperimentEngine(jobs=1, cache_dir=tmp_path,
@@ -203,10 +203,10 @@ class TestParallelFailures:
         assert not fresh.profile
 
 
-    def test_pool_cancel_reports_unstarted_chunks_pending(self):
-        # Every chunk is submitted up front; cancelling after the first
-        # landing cancels the chunks that have not started (their keys
-        # come back pending) while in-flight chunks drain and land.
+    def test_pool_cancel_reports_unstarted_tasks_pending(self):
+        # Every task is submitted up front; cancelling after the first
+        # landing cancels the tasks that have not started (their keys
+        # come back pending) while in-flight tasks drain and land.
         keys = [RunKey("blackscholes", 4, Scheme.NONE, 1.5, seed, 300)
                 for seed in range(1, 13)]
         landed = []

@@ -133,6 +133,19 @@ def _compiled_engine(n_banks: int, bin_cycles: int):
     return engine
 
 
+def test_unbound_engine_logs_evictions_in_interval_zero():
+    """A core bound to no machine has no core rows to read an interval
+    from: the tracker's hooks (Global's) tag its writebacks 0."""
+    engine = _compiled_engine(n_banks=2, bin_cycles=100)
+    line = engine.config.l2.line_bytes
+    now = 0.0
+    for i in range(4 * engine.config.l2.size_bytes // line):
+        now = engine.store(0, 0x1000 + line * i, i + 1, now + 1.0)
+    entries = [entry for bank in engine.memory.log.banks for entry in bank]
+    assert entries                       # dirty lines were evicted
+    assert {entry.interval for entry in entries} == {0}
+
+
 def _entries(entries):
     return [(e.seq, e.time, e.pid, e.addr, e.old_value, e.interval)
             for e in entries]

@@ -231,6 +231,41 @@ class TestMultipleFaults:
         initiators = {e.initiator for e in stats.rollbacks}
         assert initiators == {0, 1}
 
+    #: Back-to-back faults on cores 0 and 1 (detected at 400 and 425)
+    #: while core 2 takes a lock whose line is also the barrier's count
+    #: line (``lock_spec()`` and ``barrier_spec()`` each start a fresh
+    #: address space, so both name the same line).
+    ALIASED_SYNC_TRACES = [
+        [(COMPUTE, 1), (COMPUTE, 1), (BARRIER, 0), (END,)],
+        [(COMPUTE, 1), (BARRIER, 0), (END,)],
+        [(LOCK, 0), (STORE, 0), (UNLOCK, 0), (BARRIER, 0), (END,)],
+    ]
+
+    @pytest.mark.parametrize("scheme", [Scheme.GLOBAL, Scheme.GLOBAL_DWB],
+                             ids=lambda s: s.value)
+    def test_back_to_back_faults_on_an_aliased_sync_line(self, scheme):
+        machine = make_machine(self.ALIASED_SYNC_TRACES,
+                               locks=[lock_spec()],
+                               barriers=[barrier_spec(3)],
+                               config=tiny_config(3, scheme, seed=1),
+                               faults=[(0.0, 0), (25.0, 1)])
+        assert len(run_to_completion(machine).rollbacks) == 2
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "lost producer: core 0's rollback clears the line's LW-ID while "
+        "memory holds core 1's open-interval value, so core 2 reads it "
+        "with no Dep on core 1, and core 1's rollback then reverts a "
+        "line core 2 still caches"))
+    @pytest.mark.parametrize("scheme", [Scheme.REBOUND, Scheme.REBOUND_NODWB],
+                             ids=lambda s: s.value)
+    def test_back_to_back_faults_keep_the_lock_producer(self, scheme):
+        machine = make_machine(self.ALIASED_SYNC_TRACES,
+                               locks=[lock_spec()],
+                               barriers=[barrier_spec(3)],
+                               config=tiny_config(3, scheme, seed=1),
+                               faults=[(0.0, 0), (25.0, 1)])
+        assert len(run_to_completion(machine).rollbacks) == 2
+
 
 class TestNoSchemeFaults:
     def test_fault_without_scheme_raises(self):

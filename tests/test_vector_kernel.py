@@ -179,31 +179,26 @@ def test_forced_spill_is_unobservable():
     assert_stats_equal(_scalar(config, spec, []), leader)
 
 
-def test_early_divergence_runs_direct():
-    """A replica whose fault lands before the fork threshold skips the
-    leader entirely (standalone scalar run) — cheaper than a fork whose
-    shared prefix is worth less than the deep copy — while a fork at
-    the same point must still be unobservable."""
-    from repro.sim.vector import SPILL_THRESHOLD_FRACTION
+def test_early_divergence_forks():
+    """A replica whose fault is detected within the first fifth of the
+    run still rides the leader and forks there (no standalone run): its
+    stats equal its standalone run's, and so do its siblings'."""
     config = _config(4, Scheme.REBOUND)
     spec = _spec(4, config)
-    threshold = SPILL_THRESHOLD_FRACTION * max(
-        trace.instruction_count() for trace in spec.traces)
-    early = max(1.0, 0.5 * threshold - config.detection_latency)
-    assert early + config.detection_latency < threshold  # genuinely early
+    run_length = max(trace.instruction_count() for trace in spec.traces)
+    early = max(1.0, 0.1 * run_length - config.detection_latency)
+    assert early + config.detection_latency < 0.2 * run_length
     faults = [(early, 1)]
     late = [(1.2 * config.checkpoint_interval, 0)]
 
     result = run_replica_batch(config, spec, [faults, late, []])
-    assert result.report.direct_runs == 1
-    assert result.report.spilled == 2          # direct is a spill too
+    assert result.report.direct_runs == 0
+    assert result.report.spilled == 2
     assert result.report.leader_served == 1
+    assert result.report.divergence[0] < 0.2 * run_length
     assert_stats_equal(_scalar(config, spec, faults), result.stats[0])
     assert_stats_equal(_scalar(config, spec, late), result.stats[1])
     assert_stats_equal(_scalar(config, spec, []), result.stats[2])
-
-    (forked,), _leader = _spill(config, spec, [[]], [early])
-    assert_stats_equal(_scalar(config, spec, []), forked)
 
 
 # -- hypothesis: arbitrary spill points preserve parity ---------------------
