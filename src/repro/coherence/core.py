@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import copy
 import ctypes
+from collections.abc import Sequence
 from typing import Optional
 
 from repro.backref import BackRef, backref
@@ -194,6 +195,31 @@ def _entry(raw) -> LogEntry:
                     raw.interval)
 
 
+class UndoneEntries(Sequence):
+    """The entries a rollback undid, newest first, as the compiled
+    restore wrote them: a rollback needs their count, and each entry
+    only in check mode, so a :class:`~repro.mem.log.LogEntry` is built
+    only when read."""
+
+    __slots__ = ("_out", "_n")
+
+    def __init__(self, out, n: int):
+        self._out = out
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._n))]
+        if index < 0:
+            index += self._n
+        if not 0 <= index < self._n:
+            raise IndexError("undone entry index out of range")
+        return _entry(self._out[index])
+
+
 class CoreLog(ReviveLog):
     """:class:`ReviveLog` over the core's undo log: the entries, the seq
     counter the checkpoint markers share, the entry count and the bytes
@@ -283,13 +309,13 @@ class CoreMemory(MainMemory):
     def end_interval(self, pid: int, interval: int) -> None:
         lib.mem_end_interval(self._engine._c, pid, interval)
 
-    def restore(self, targets: dict[int, int]) -> list:
+    def restore(self, targets: dict[int, int]) -> UndoneEntries:
         c = self._engine._c
         out = ffi.new("mem_logent_t[]", max(1, c.log_n))
         n = lib.mem_log_restore(c, self._engine.targets(targets), out)
         if n < 0:
             self._engine.raise_failure()
-        return [_entry(out[i]) for i in range(n)]
+        return UndoneEntries(out, n)
 
 
 def _channel_field(name: str) -> property:
@@ -613,6 +639,14 @@ class CompiledEngine:
             "base_messages": self.network.base_messages + c.base_messages,
             "dep_messages": self.network.dep_messages + c.dep_messages,
         }
+
+    def lookup_counters(self) -> dict[str, int]:
+        """Line lookups (directory, image, golden) the direct table
+        answered and those the hash did; never part of the results, and
+        a fork counts from zero."""
+        c = self._c
+        return {"lookups.dense": c.dense_lookups,
+                "lookups.hashed": c.hashed_lookups}
 
     def peek_line(self, pid: int, addr: int) -> Optional[LineState]:
         """``pid``'s L2 copy of ``addr`` (no LRU or counter effect)."""

@@ -46,28 +46,35 @@
  * negative) fails the core the same way.
  *
  * The machine loop (mem_advance, at the end of this file) runs on a
- * separate mem_loop_t: the event heap, every core's hot state, the
+ * separate mem_loop_t: the event queue, every core's hot state, the
  * trace columns and the locks and barriers.  It executes COMPUTE, LOAD,
  * STORE, LOCK and UNLOCK records itself, and BARRIER records unless the
  * scheme's barrier hooks must run (barrier_hooks).  It returns to
  * Python, with a reason code, for everything else: a scheduled call or
  * pause popping, a hooked BARRIER, OUTPUT or END record (or a
  * synchronization record Python must refuse), the scheme's post_op
- * gate, the cycle limit, an empty heap or a failed core.  It is a
+ * gate, the cycle limit, an empty queue or a failed core.  It is a
  * translation of the Python loop (repro.sim.machine.Machine.
  * _advance_main) and of repro.sim.sync.SyncManager with the same order
- * of heap pops, accesses, clock updates and floating-point operations.
+ * of queue pops, accesses, clock updates and floating-point operations.
  * The memory system reads the loop's core rows (mem_bind_loop).
  *
  * Per-record cost.  At 64 cores a fused residency averages about one
- * record, so the loop's heap step and the memory system's hash probes
- * run about once per record.  The loop ends a batch with one heap step
- * (replace-top, see mem_advance), whose descent chooses a child without
- * a branch, and prefetches each core's trace columns ahead of it.  Each
- * lookup probes its index once: a find-or-insert (ix_upsert, map_slot)
- * serves a read followed by a write, and an L2 line keeps the position
- * of its directory entry for its eviction.  The loop counts its pops,
- * residencies, records and returns (integers only).
+ * record, so the loop's queue step and the memory system's line lookups
+ * run about once per record; both are O(1).  Nearly every entry is due
+ * within a few hundred cycles of the clock, so the queue is a calendar
+ * of one bucket per cycle over a CAL_CYCLES window, a bitmap marking
+ * the non-empty buckets; a binary heap holds only the rest (negative,
+ * far-future and infinite times).  Line addresses are dense small
+ * integers, so the directory, the image and golden answer a line from a
+ * direct table (one load) and keep the hash for every other key (sync
+ * lines, negative or sparse addresses).  A find-or-insert (ix_upsert,
+ * map_slot) serves a read followed by a write, an L2 line keeps the
+ * position of its directory entry for its eviction, and the loop
+ * prefetches each core's trace columns ahead of it.  The loop counts
+ * its pops, calendar and heap-tier pushes, residencies, records and
+ * returns, the memory system its dense and hashed line lookups
+ * (integers only).
  *
  * Everything Python reaches is declared once, in the cdef block after
  * the includes, which the build hands to cffi as its declarations.
@@ -124,7 +131,7 @@
 #define OP_UNLOCK 5
 #define OP_END 7
 
-/* Heap entry kinds (repro.sim.machine). */
+/* Queue entry kinds (repro.sim.machine). */
 #define EV_EXEC 0     /* run core ``pid`` if ``arg`` is still its epoch */
 #define EV_CALL 2     /* a scheduled DurableCall, keyed by ``seq`` */
 #define EV_PAUSE 3    /* a replica-batch pause sentinel */
@@ -136,7 +143,7 @@
 #define ADV_POST_OP 3    /* the post_op gate: post_op(``pid``, ``when``) */
 #define ADV_RECORD 4     /* record ``kind`` (``arg``) of ``pid`` at ``when`` */
 #define ADV_LIMIT 5      /* the cycle limit was exceeded */
-#define ADV_DEADLOCK 6   /* the heap is empty with work outstanding */
+#define ADV_DEADLOCK 6   /* the queue is empty with work outstanding */
 #define ADV_FAILED 7     /* the memory system failed (raise_failure) */
 #define N_ADV 8
 #define N_OPS 8          /* trace ops, OUTPUT (6) included */
@@ -175,13 +182,26 @@ typedef struct {
     int32_t mode;
 } mem_dirent_t;
 
-/* Insertion-ordered hash index: key -> dense position. */
+/* A direct table starts at DIRECT_MIN keys and doubles only while it
+ * stays within DIRECT_SPAN keys per entry of its index, so its memory
+ * follows the lines touched: a sparse key stays in the hash. */
+#define DIRECT_MIN 128
+#define DIRECT_SPAN 32
+
+/* Insertion-ordered index: key -> dense position.  A key below ndirect
+ * is answered by the direct table (one load), every other key by the
+ * hash; each key has exactly one home.  Only line maps (the directory,
+ * the image, golden) have a direct table; elsewhere direct is NULL and
+ * ndirect 0. */
 typedef struct {
-    int64_t *keys;
+    int64_t *keys;      /* in insertion order */
     int64_t *slots;     /* dense position + 1; 0 = empty */
     int64_t n;
     int64_t cap;
     int64_t nslots;     /* power of two */
+    int64_t hashed;     /* keys the hash holds */
+    int32_t *direct;    /* dense position + 1 by key; 0 = absent */
+    int64_t ndirect;    /* keys 0 .. ndirect - 1; a power of two */
 } mem_index_t;
 
 typedef struct {
@@ -196,7 +216,7 @@ typedef struct {
 
 /* One core's hot state (repro.sim.cores.Core is a ctypes view of it),
  * an entry of mem_loop_t.hot: the Python code around the loop reads
- * and writes these fields in place.  epoch guards stale heap entries,
+ * and writes these fields in place.  epoch guards stale queue entries,
  * not_before is a scheme-injected delay floor, and Core.finish copies
  * busy and sync_wait to the stats.  The memory system reads
  * pending_delayed, delayed_ckpt_id (-1: none) and interval
@@ -287,6 +307,9 @@ typedef struct mem_core {
     int64_t fast_loads, fast_stores;
     int64_t invalidations_sent, forced_delayed_writebacks;
     int64_t base_messages, dep_messages;
+    /* line lookups (directory, image, golden) the direct table answered
+     * and those the hash did; a clone counts from zero */
+    int64_t dense_lookups, hashed_lookups;
 
     /* scheme hooks (HOOKS_*) and the loop's core rows (mem_bind_loop) */
     int hooks;
@@ -313,9 +336,9 @@ typedef struct mem_core {
     int64_t fail_addr, fail_loaded, fail_expected, fail_pid;
 } mem_core_t;
 
-/* A heap entry, as mem_advance and loop_pop report it.  Entries order by
- * (when, seq); seqs are unique, so the pop order is that of the Python
- * loop's heapq of (when, seq, kind, a, b) tuples. */
+/* A queue entry, as mem_advance and loop_pop report it.  Entries order
+ * by (when, seq); seqs are unique, so the pop order is that of the
+ * Python loop's heapq of (when, seq, kind, a, b) tuples. */
 typedef struct {
     double when;
     int64_t seq;
@@ -324,15 +347,27 @@ typedef struct {
     int64_t arg;
 } mem_event_t;
 
-/* An entry as the heap stores it: ``when`` and ``seq`` as unsigned words
- * in the same order (when_key, seq_key), so that comparing two entries
- * takes integer comparisons only. */
+/* An entry as the queue stores it: ``when`` and ``seq`` as unsigned
+ * words in the same order (when_key, seq_key), so that comparing two
+ * entries takes integer comparisons only. */
 typedef struct {
     uint64_t wkey, skey;
     int32_t kind;
     int32_t pid;
     int64_t arg;
 } mem_node_t;
+
+/* The event queue's calendar: one bucket per cycle for the CAL_CYCLES
+ * cycles from mem_loop_t.cal_base (CAL_WORDS bitmap words). */
+#define CAL_CYCLES 1024
+#define CAL_WORDS 16
+
+/* A calendar entry: the entry and the next of its bucket (-1: none);
+ * a free one chains the free list. */
+typedef struct {
+    mem_node_t e;
+    int32_t next;
+} mem_cal_t;
 
 /* A lock (repro.sim.sync.LockState is a ctypes view of it): its line,
  * its holder, and the pids waiting for it, first in line first. */
@@ -362,9 +397,20 @@ typedef struct mem_loop {
     const int8_t **ops;
     const unsigned char **args;
     int64_t *n_records;
-    /* the event heap */
-    mem_node_t *heap;
-    int64_t heap_n, heap_cap;
+    /* The event queue.  An entry due in the CAL_CYCLES cycles from
+     * cal_base sits in the calendar, in the bucket of its cycle
+     * (floor(when)), sorted by (when, seq); cal_bits marks the non-empty
+     * buckets.  Every other entry (negative, behind the window, too far
+     * ahead, infinite) is in the heap tier, a binary heap.  heap_n counts
+     * the entries of both. */
+    int64_t heap_n;
+    mem_node_t *far;    /* the heap tier */
+    int64_t far_n, far_cap;
+    mem_cal_t *cal;     /* bucket entries and free ones */
+    int32_t cal_cap, cal_free;
+    int64_t cal_base;   /* only moves forward */
+    int32_t cal_head[CAL_CYCLES], cal_tail[CAL_CYCLES];
+    uint64_t cal_bits[CAL_WORDS];
     int64_t seq;        /* last seq handed out */
     int64_t n_done;
     double now;
@@ -380,10 +426,10 @@ typedef struct mem_loop {
     double batch_now;
     int64_t batch_budget;
     /* counters, integers only (CoreTable.counters, Machine.counters):
-     * entries taken off the heap, fused residencies, records dispatched
-     * per trace op and returns per ADV_ reason; a fork starts its own
-     * at zero */
-    int64_t pops, residencies;
+     * entries taken off the queue, pushes into the calendar and into the
+     * heap tier, fused residencies, records dispatched per trace op and
+     * returns per ADV_ reason; a fork starts its own at zero */
+    int64_t pops, cal_pushes, far_pushes, residencies;
     int64_t records[N_OPS], returns[N_ADV];
 } mem_loop_t;
 
@@ -486,20 +532,31 @@ static void fail(mem_core_t *c, int kind)
 /* insertion-ordered index                                             */
 /* ------------------------------------------------------------------ */
 
-static int ix_init(mem_index_t *ix)
+/* An empty index; ``dense`` gives it a direct table. */
+static int ix_init(mem_index_t *ix, int dense)
 {
     ix->n = 0;
     ix->cap = 64;
     ix->nslots = 128;
+    ix->hashed = 0;
+    ix->ndirect = dense ? DIRECT_MIN : 0;
+    ix->direct = dense ? calloc(DIRECT_MIN, sizeof(int32_t)) : NULL;
     ix->keys = malloc(sizeof(int64_t) * ix->cap);
     ix->slots = calloc(ix->nslots, sizeof(int64_t));
-    return ix->keys && ix->slots;
+    return ix->keys && ix->slots && (ix->direct || !dense);
+}
+
+static inline int ix_direct(const mem_index_t *ix, int64_t key)
+{
+    return (uint64_t)key < (uint64_t)ix->ndirect;
 }
 
 static int64_t ix_find(const mem_index_t *ix, int64_t key)
 {
-    uint64_t mask = (uint64_t)ix->nslots - 1;
-    uint64_t h = mix(key) & mask;
+    uint64_t mask = (uint64_t)ix->nslots - 1, h;
+    if (ix_direct(ix, key))
+        return (int64_t)ix->direct[key] - 1;
+    h = mix(key) & mask;
     for (;;) {
         int64_t s = ix->slots[h];
         if (!s)
@@ -510,6 +567,8 @@ static int64_t ix_find(const mem_index_t *ix, int64_t key)
     }
 }
 
+/* Rebuilds the hash at ``nslots`` from the keys the direct table does
+ * not hold. */
 static int ix_rehash(mem_index_t *ix, int64_t nslots)
 {
     int64_t *slots = calloc(nslots, sizeof(int64_t));
@@ -517,11 +576,16 @@ static int ix_rehash(mem_index_t *ix, int64_t nslots)
     int64_t i;
     if (!slots)
         return 0;
+    ix->hashed = 0;
     for (i = 0; i < ix->n; i++) {
-        uint64_t h = mix(ix->keys[i]) & mask;
+        uint64_t h;
+        if (ix_direct(ix, ix->keys[i]))
+            continue;
+        h = mix(ix->keys[i]) & mask;
         while (slots[h])
             h = (h + 1) & mask;
         slots[h] = i + 1;
+        ix->hashed++;
     }
     free(ix->slots);
     ix->slots = slots;
@@ -529,39 +593,79 @@ static int ix_rehash(mem_index_t *ix, int64_t nslots)
     return 1;
 }
 
-/* Appends ``key`` (known absent); the caller grew the dense arrays so
- * that ix->n < ix->cap.  Returns the new position or -1. */
-static int64_t ix_append(mem_index_t *ix, int64_t key)
+/* Widens the direct table (of an index that has one) to ``n`` keys if
+ * narrower, moving the hashed keys it now covers out of the hash.
+ * Returns 0 when out of memory. */
+static int ix_cover(mem_index_t *ix, int64_t n)
 {
-    uint64_t mask, h;
-    if ((ix->n + 1) * 2 > ix->nslots && !ix_rehash(ix, ix->nslots * 2))
-        return -1;
-    mask = (uint64_t)ix->nslots - 1;
-    h = mix(key) & mask;
-    while (ix->slots[h])
-        h = (h + 1) & mask;
-    ix->keys[ix->n] = key;
-    ix->slots[h] = ix->n + 1;
-    return ix->n++;
+    int64_t i;
+    int32_t *direct;
+    if (n <= ix->ndirect)
+        return 1;
+    direct = realloc(ix->direct, sizeof(int32_t) * n);
+    if (!direct)
+        return 0;
+    memset(direct + ix->ndirect, 0, sizeof(int32_t) * (n - ix->ndirect));
+    ix->direct = direct;
+    for (i = 0; i < ix->n; i++)
+        if (ix->keys[i] >= ix->ndirect && ix->keys[i] < n)
+            direct[ix->keys[i]] = (int32_t)(i + 1);
+    ix->ndirect = n;
+    return ix_rehash(ix, ix->nslots);
+}
+
+/* Widens the direct table by doubling to cover ``key`` (absent) if it
+ * then stays within DIRECT_SPAN keys per entry, ``key`` included.
+ * Returns 1 if it covers ``key``, 0 if not, -1 when out of memory. */
+static int ix_widen(mem_index_t *ix, int64_t key)
+{
+    int64_t n = ix->ndirect;
+    if (!ix->direct || key < 0 || key >= DIRECT_SPAN * (ix->n + 1))
+        return 0;
+    while (n <= key)
+        n *= 2;
+    if (n > DIRECT_SPAN * (ix->n + 1))
+        return 0;
+    return ix_cover(ix, n) ? 1 : -1;
 }
 
 /* The position of ``key``, appended if absent, with one probe either
- * way (a rehash aside).  The caller grew the dense arrays so that
- * ix->n < ix->cap.  Returns -1 when out of memory. */
+ * way (a rehash or a widening aside).  The caller grew the dense arrays
+ * so that ix->n < ix->cap.  Returns -1 when out of memory. */
 static int64_t ix_upsert(mem_index_t *ix, int64_t key)
 {
-    uint64_t mask = (uint64_t)ix->nslots - 1;
-    uint64_t h = mix(key) & mask;
+    uint64_t mask, h;
     int64_t s;
+    int widened;
+    if (ix_direct(ix, key)) {
+        int32_t *d = &ix->direct[key];
+        if (*d)
+            return *d - 1;
+        ix->keys[ix->n] = key;
+        *d = (int32_t)(ix->n + 1);
+        return ix->n++;
+    }
+    mask = (uint64_t)ix->nslots - 1;
+    h = mix(key) & mask;
     while ((s = ix->slots[h])) {
         if (ix->keys[s - 1] == key)
             return s - 1;
         h = (h + 1) & mask;
     }
-    if ((ix->n + 1) * 2 > ix->nslots)
-        return ix_append(ix, key);
+    widened = ix_widen(ix, key);
+    if (widened)
+        return widened < 0 ? -1 : ix_upsert(ix, key);
+    if ((ix->hashed + 1) * 2 > ix->nslots) {
+        if (!ix_rehash(ix, ix->nslots * 2))
+            return -1;
+        mask = (uint64_t)ix->nslots - 1;
+        h = mix(key) & mask;
+        while (ix->slots[h])
+            h = (h + 1) & mask;
+    }
     ix->keys[ix->n] = key;
     ix->slots[h] = ix->n + 1;
+    ix->hashed++;
     return ix->n++;
 }
 
@@ -581,16 +685,26 @@ static int ix_add(mem_index_t *ix, int64_t key)
     return i < 0 ? -1 : i == n;
 }
 
+static void ix_free(mem_index_t *ix)
+{
+    free(ix->keys);
+    free(ix->slots);
+    free(ix->direct);
+}
+
 /* Empties the index; a large table shrinks back to the initial size. */
 static int ix_reset(mem_index_t *ix)
 {
-    if (ix->nslots > 1024) {
-        free(ix->keys);
-        free(ix->slots);
-        return ix_init(ix);
+    if (ix->nslots > 1024 || ix->ndirect > DIRECT_MIN) {
+        int dense = ix->direct != NULL;
+        ix_free(ix);
+        return ix_init(ix, dense);
     }
     ix->n = 0;
+    ix->hashed = 0;
     memset(ix->slots, 0, sizeof(int64_t) * ix->nslots);
+    if (ix->direct)
+        memset(ix->direct, 0, sizeof(int32_t) * ix->ndirect);
     return 1;
 }
 
@@ -599,34 +713,45 @@ static int ix_clone(mem_index_t *dst, const mem_index_t *src)
     *dst = *src;
     dst->keys = malloc(sizeof(int64_t) * src->cap);
     dst->slots = malloc(sizeof(int64_t) * src->nslots);
-    if (!dst->keys || !dst->slots)
+    dst->direct = src->direct ? malloc(sizeof(int32_t) * src->ndirect)
+                              : NULL;
+    if (!dst->keys || !dst->slots || (src->direct && !dst->direct))
         return 0;
     memcpy(dst->keys, src->keys, sizeof(int64_t) * src->n);
     memcpy(dst->slots, src->slots, sizeof(int64_t) * src->nslots);
+    if (src->direct)
+        memcpy(dst->direct, src->direct, sizeof(int32_t) * src->ndirect);
     return 1;
-}
-
-static void ix_free(mem_index_t *ix)
-{
-    free(ix->keys);
-    free(ix->slots);
 }
 
 /* ------------------------------------------------------------------ */
 /* value maps (image, golden) and the directory                        */
 /* ------------------------------------------------------------------ */
 
-static int map_init(mem_map_t *m)
+static int map_init(mem_map_t *m, int dense)
 {
-    if (!ix_init(&m->ix))
+    if (!ix_init(&m->ix, dense))
         return 0;
     m->vals = malloc(sizeof(int64_t) * m->ix.cap);
     return m->vals != NULL;
 }
 
-static int64_t map_get(const mem_map_t *m, int64_t key)
+/* Counts a lookup of line ``addr`` in ``ix``: the direct table's or the
+ * hash's. */
+static inline void count_lookup(mem_core_t *c, const mem_index_t *ix,
+                                int64_t addr)
+{
+    if (ix_direct(ix, addr))
+        c->dense_lookups++;
+    else
+        c->hashed_lookups++;
+}
+
+/* The value of line ``key`` in the image or golden (0 if absent). */
+static int64_t map_get(mem_core_t *c, const mem_map_t *m, int64_t key)
 {
     int64_t i = ix_find(&m->ix, key);
+    count_lookup(c, &m->ix, key);
     return i < 0 ? 0 : m->vals[i];
 }
 
@@ -662,9 +787,12 @@ static int64_t *map_slot(mem_core_t *c, mem_map_t *m, int64_t key)
     return &m->vals[i];
 }
 
+/* Sets line ``key`` of the image or golden. */
 static int map_set(mem_core_t *c, mem_map_t *m, int64_t key, int64_t val)
 {
-    int64_t *slot = map_slot(c, m, key);
+    int64_t *slot;
+    count_lookup(c, &m->ix, key);
+    slot = map_slot(c, m, key);
     if (!slot)
         return 0;
     *slot = val;
@@ -684,7 +812,7 @@ static int map_clone(mem_map_t *dst, const mem_map_t *src)
 
 static int dir_init(mem_dir_t *d)
 {
-    if (!ix_init(&d->ix))
+    if (!ix_init(&d->ix, 1))
         return 0;
     d->ents = malloc(sizeof(mem_dirent_t) * d->ix.cap);
     return d->ents != NULL;
@@ -709,8 +837,13 @@ static mem_dirent_t *dir_entry(mem_core_t *c, int64_t addr)
         d->ents = ents;
         d->ix.cap = cap;
     }
+    count_lookup(c, &d->ix, addr);
     i = ix_upsert(&d->ix, addr);
-    if (i < 0)
+    /* The image and golden (kept in check mode) hold lines the
+     * directory has seen or is about to: they cover its range, so a
+     * line takes the same path in all three. */
+    if (i < 0 || !ix_cover(&c->image.ix, d->ix.ndirect) ||
+            (c->check && !ix_cover(&c->golden.ix, d->ix.ndirect)))
         return NULL;
     e = &d->ents[i];
     if (i == n) {
@@ -1150,7 +1283,7 @@ static mem_group_t *filter_group(mem_core_t *c, int pid, int64_t interval)
     }
     g = &f->groups[f->n];
     g->interval = interval;
-    if (!ix_init(&g->lines)) {
+    if (!ix_init(&g->lines, 0)) {
         ix_free(&g->lines);
         return NULL;
     }
@@ -1263,7 +1396,9 @@ static void memory_writeback(mem_core_t *c, double now, int pid,
                              int64_t addr, int64_t value, int kind,
                              int64_t interval)
 {
-    int64_t *slot = map_slot(c, &c->image, addr), old;
+    int64_t *slot, old;
+    count_lookup(c, &c->image.ix, addr);
+    slot = map_slot(c, &c->image, addr);
     if (!slot)
         return;
     old = *slot;
@@ -1277,7 +1412,7 @@ static void check_load(mem_core_t *c, int64_t addr, int64_t value)
     int64_t expected;
     if (!c->check)
         return;
-    expected = map_get(&c->golden, addr);
+    expected = map_get(c, &c->golden, addr);
     if (value != expected && !c->failed) {
         c->failed = FAIL_GOLDEN;
         c->fail_addr = addr;
@@ -1525,7 +1660,7 @@ double mem_load(mem_core_t *c, int pid, int64_t addr, double now)
         extra = ch_demand_access(c, now, addr, &ckpt_share);
         c->ckpt_wait[pid] += ckpt_share;
         lat += (double)c->memory_cycles + extra;
-        value = map_get(&c->image, addr);
+        value = map_get(c, &c->image, addr);
         c->energy_dram++;
         e->sharers |= 1ull << pid;
         install(c, pid, e, ST_SHARED, value, now);
@@ -1534,7 +1669,7 @@ double mem_load(mem_core_t *c, int pid, int64_t addr, double now)
         extra = ch_demand_access(c, now, addr, &ckpt_share);
         c->ckpt_wait[pid] += ckpt_share;
         lat += (double)c->memory_cycles + extra;
-        value = map_get(&c->image, addr);
+        value = map_get(c, &c->image, addr);
         c->energy_dram++;
         e->mode = DIR_EXCL;
         e->owner = pid;
@@ -1739,7 +1874,7 @@ int64_t mem_invalidate_core(mem_core_t *c, int pid)
             for (j = 0; j < cnt; j++)
                 if (set[j].dirty)
                     map_set(c, &c->golden, set[j].addr,
-                            map_get(&c->image, set[j].addr));
+                            map_get(c, &c->image, set[j].addr));
         }
     }
     /* Directory.purge_core(pid, clear_lw=True) */
@@ -2129,14 +2264,14 @@ mem_core_t *mem_new(int n_cores, int l1_sets, int l1_assoc, int l2_sets,
             !ALLOC(c->l1_count, (int64_t)n_cores * l1_sets) ||
             !ALLOC(c->l2, (int64_t)n_cores * l2_sets * l2_assoc) ||
             !ALLOC(c->l2_count, (int64_t)n_cores * l2_sets) ||
-            !dir_init(&c->dir) || !map_init(&c->image) ||
-            !map_init(&c->golden) ||
+            !dir_init(&c->dir) || !map_init(&c->image, 1) ||
+            !map_init(&c->golden, 1) ||
             !ALLOC(c->demand_busy, n_ch) || !ALLOC(c->wb_busy, n_ch) ||
             !ALLOC(c->ckpt_wb_busy, n_ch) ||
             !ALLOC(c->l1_hits, n_cores) || !ALLOC(c->l1_misses, n_cores) ||
             !ALLOC(c->l2_hits, n_cores) || !ALLOC(c->l2_misses, n_cores) ||
             !ALLOC(c->epochs, n_cores) || !ALLOC(c->ckpt_wait, n_cores) ||
-            !ALLOC(c->filters, n_cores) || !map_init(&c->log_bins)) {
+            !ALLOC(c->filters, n_cores) || !map_init(&c->log_bins, 0)) {
         mem_free(c);
         return NULL;
     }
@@ -2171,7 +2306,7 @@ int mem_set_hooks(mem_core_t *c, int hooks, int n_sets, int64_t wsig_bits,
             !ALLOC(c->dep_order, n) || !ALLOC(c->dep_n, c->n_cores))
         return 0;
     for (i = 0; i < n; i++)
-        if (!ix_init(&c->deps[i].exact))
+        if (!ix_init(&c->deps[i].exact, 0))
             return 0;
     return 1;
 }
@@ -2254,6 +2389,7 @@ mem_core_t *mem_clone(const mem_core_t *src)
     c->epochs = NULL;
     c->ckpt_wait = NULL;
     c->owner = NULL;
+    c->dense_lookups = c->hashed_lookups = 0;
     c->deps = NULL;
     c->wsig = NULL;
     c->dep_order = c->dep_n = NULL;
@@ -2344,16 +2480,15 @@ static inline int ev_before(const mem_node_t *x, const mem_node_t *y)
     return (x->wkey < y->wkey) | ((x->wkey == y->wkey) & (x->skey < y->skey));
 }
 
-/* Fills the hole at heap[i] with ``e`` (Floyd's bottom-up descent): the
+/* ---- the heap tier ---- */
+
+/* Fills the hole at far[i] with ``e`` (Floyd's bottom-up descent): the
  * hole moves down along the earlier child to a leaf, comparing only the
- * two children, then ``e`` rises from there, no higher than ``i``.  An
- * entry that replaces the root is usually due after most of the heap,
- * so it rises little, and the descent costs about one comparison per
- * level instead of two. */
+ * two children, then ``e`` rises from there, no higher than ``i``. */
 static void heap_fill(mem_loop_t *l, int64_t i, const mem_node_t *e)
 {
-    mem_node_t *h = l->heap;
-    int64_t n = l->heap_n, top = i, child, parent;
+    mem_node_t *h = l->far;
+    int64_t n = l->far_n, top = i, child, parent;
     while ((child = 2 * i + 1) + 1 < n) {
         child += ev_before(&h[child + 1], &h[child]);
         h[i] = h[child];
@@ -2373,45 +2508,191 @@ static void heap_fill(mem_loop_t *l, int64_t i, const mem_node_t *e)
     h[i] = *e;
 }
 
-static int heap_push(mem_loop_t *l, double when, int64_t seq, int kind,
-                     int pid, int64_t arg)
+static int heap_push(mem_loop_t *l, const mem_node_t *e)
+{
+    int64_t i, parent;
+    if (l->far_n == l->far_cap) {
+        int64_t cap = l->far_cap * 2;
+        mem_node_t *far = realloc(l->far, sizeof(mem_node_t) * cap);
+        if (!far)
+            return 0;
+        l->far = far;
+        l->far_cap = cap;
+    }
+    for (i = l->far_n++; i > 0; i = parent) {
+        parent = (i - 1) / 2;
+        if (!ev_before(e, &l->far[parent]))
+            break;
+        l->far[i] = l->far[parent];
+    }
+    l->far[i] = *e;
+    return 1;
+}
+
+static void heap_remove_root(mem_loop_t *l)
+{
+    mem_node_t last;
+    if (--l->far_n) {
+        last = l->far[l->far_n];
+        heap_fill(l, 0, &last);
+    }
+}
+
+/* ---- the calendar ---- */
+
+/* The bucket of an entry due at ``when``, or -1 when it is outside the
+ * window (negative, behind it, CAL_CYCLES or more ahead, infinite). */
+static inline int cal_bucket(const mem_loop_t *l, double when)
+{
+    double base = (double)l->cal_base;
+    if (!(when >= base && when < base + CAL_CYCLES))
+        return -1;
+    return (int)((int64_t)when & (CAL_CYCLES - 1));
+}
+
+/* Inserts ``e`` into bucket ``b`` in (when, seq) order.  A core's
+ * fresh entry has the largest seq, so it usually goes last: the tail is
+ * tried first. */
+static int cal_push(mem_loop_t *l, int b, const mem_node_t *e)
+{
+    mem_cal_t *cal;
+    int32_t k, prev, cur;
+    if (l->cal_free < 0) {
+        int32_t cap = l->cal_cap * 2, i;
+        cal = realloc(l->cal, sizeof(mem_cal_t) * cap);
+        if (!cal)
+            return 0;
+        for (i = l->cal_cap; i < cap; i++)
+            cal[i].next = i + 1 < cap ? i + 1 : -1;
+        l->cal = cal;
+        l->cal_free = l->cal_cap;
+        l->cal_cap = cap;
+    }
+    cal = l->cal;
+    k = l->cal_free;
+    l->cal_free = cal[k].next;
+    cal[k].e = *e;
+    cal[k].next = -1;
+    prev = l->cal_tail[b];
+    if (prev < 0) {
+        l->cal_head[b] = l->cal_tail[b] = k;
+        l->cal_bits[b >> 6] |= 1ull << (b & 63);
+    } else if (ev_before(&cal[prev].e, e)) {
+        cal[prev].next = k;
+        l->cal_tail[b] = k;
+    } else {
+        prev = -1;
+        for (cur = l->cal_head[b]; ev_before(&cal[cur].e, e);
+             cur = cal[cur].next)
+            prev = cur;
+        cal[k].next = cur;
+        if (prev < 0)
+            l->cal_head[b] = k;
+        else
+            cal[prev].next = k;
+    }
+    return 1;
+}
+
+/* The first non-empty bucket from the base's, or -1 if none: every
+ * entry is in the window, so that bucket's head is the calendar's
+ * earliest entry. */
+static inline int cal_first(const mem_loop_t *l)
+{
+    int b = (int)(l->cal_base & (CAL_CYCLES - 1)), w = b >> 6, i;
+    uint64_t bits = l->cal_bits[w] & (~0ull << (b & 63));
+    if (l->heap_n == l->far_n)
+        return -1;
+    for (i = 0; !bits && i < CAL_WORDS; i++) {
+        w = (w + 1) & (CAL_WORDS - 1);
+        bits = l->cal_bits[w];
+    }
+    return (w << 6) | __builtin_ctzll(bits);
+}
+
+/* Moves the window's base forward to the floor of ``when``, the time of
+ * the entry just taken: every entry left is due at or after it. */
+static inline void cal_advance(mem_loop_t *l, double when)
+{
+    if (when >= (double)(l->cal_base + 1) && when < 0x1p62)
+        l->cal_base = (int64_t)when;
+}
+
+/* ---- the queue: both tiers ---- */
+
+/* The entry due first, or NULL; ``*b`` is its bucket, -1 for the heap
+ * tier. */
+static inline const mem_node_t *queue_first(const mem_loop_t *l, int *b)
+{
+    const mem_node_t *far = l->far_n ? l->far : NULL, *cal;
+    *b = cal_first(l);
+    if (*b < 0)
+        return far;
+    cal = &l->cal[l->cal_head[*b]].e;
+    if (far && ev_before(far, cal)) {
+        *b = -1;
+        return far;
+    }
+    return cal;
+}
+
+/* Takes the entry queue_first returned (from bucket ``b``) into ``out``. */
+static void queue_take(mem_loop_t *l, int b, mem_event_t *out)
+{
+    if (b < 0) {
+        node_event(&l->far[0], out);
+        heap_remove_root(l);
+    } else {
+        int32_t k = l->cal_head[b];
+        node_event(&l->cal[k].e, out);
+        l->cal_head[b] = l->cal[k].next;
+        if (l->cal_head[b] < 0) {
+            l->cal_tail[b] = -1;
+            l->cal_bits[b >> 6] &= ~(1ull << (b & 63));
+        }
+        l->cal[k].next = l->cal_free;
+        l->cal_free = k;
+    }
+    l->heap_n--;
+    l->pops++;
+    cal_advance(l, out->when);
+}
+
+/* Queues ``e``, due at ``when``; 0 when out of memory. */
+static int queue_push(mem_loop_t *l, const mem_node_t *e, double when)
+{
+    int b = cal_bucket(l, when);
+    if (b >= 0) {
+        if (!cal_push(l, b, e))
+            return 0;
+        l->cal_pushes++;
+    } else {
+        if (!heap_push(l, e))
+            return 0;
+        l->far_pushes++;
+    }
+    l->heap_n++;
+    return 1;
+}
+
+static int queue_push_event(mem_loop_t *l, double when, int64_t seq,
+                            int kind, int pid, int64_t arg)
 {
     mem_node_t e;
-    int64_t i, parent;
-    if (l->heap_n == l->heap_cap) {
-        int64_t cap = l->heap_cap * 2;
-        mem_node_t *heap = realloc(l->heap, sizeof(mem_node_t) * cap);
-        if (!heap)
-            return 0;
-        l->heap = heap;
-        l->heap_cap = cap;
-    }
     e.wkey = when_key(when);
     e.skey = seq_key(seq);
     e.kind = kind;
     e.pid = pid;
     e.arg = arg;
-    for (i = l->heap_n++; i > 0; i = parent) {
-        parent = (i - 1) / 2;
-        if (!ev_before(&e, &l->heap[parent]))
-            break;
-        l->heap[i] = l->heap[parent];
-    }
-    l->heap[i] = e;
-    return 1;
+    return queue_push(l, &e, when);
 }
 
-static int heap_pop(mem_loop_t *l, mem_event_t *out)
+static int queue_pop(mem_loop_t *l, mem_event_t *out)
 {
-    mem_node_t last;
-    if (!l->heap_n)
+    int b;
+    if (!queue_first(l, &b))
         return 0;
-    l->pops++;
-    node_event(&l->heap[0], out);
-    if (--l->heap_n) {
-        last = l->heap[l->heap_n];
-        heap_fill(l, 0, &last);
-    }
+    queue_take(l, b, out);
     return 1;
 }
 
@@ -2421,7 +2702,8 @@ static int push_exec(mem_loop_t *l, int pid, double when)
 {
     l->hot[pid].epoch++;
     l->seq++;
-    return heap_push(l, when, l->seq, EV_EXEC, pid, l->hot[pid].epoch);
+    return queue_push_event(l, when, l->seq, EV_EXEC, pid,
+                            l->hot[pid].epoch);
 }
 
 /* Machine.push_core: a runnable core at max(time, not_before). */
@@ -2437,30 +2719,54 @@ int loop_push_core(mem_loop_t *l, int pid)
  * its key in the Python table of pending calls). */
 int loop_push(mem_loop_t *l, double when, int64_t seq, int kind)
 {
-    return heap_push(l, when, seq, kind, 0, 0);
+    return queue_push_event(l, when, seq, kind, 0, 0);
 }
 
 int loop_pop(mem_loop_t *l, mem_event_t *out)
 {
-    return heap_pop(l, out);
+    return queue_pop(l, out);
 }
 
-/* The earliest pending time (infinity when the heap is empty). */
+/* The earliest pending time (infinity when the queue is empty). */
 double loop_next_when(mem_loop_t *l)
 {
-    return l->heap_n ? key_when(l->heap[0].wkey) : INFINITY;
+    int b;
+    const mem_node_t *first = queue_first(l, &b);
+    return first ? key_when(first->wkey) : INFINITY;
 }
 
 /* Removes every entry of ``kind`` (a fork drops its parent's pauses). */
 void loop_drop(mem_loop_t *l, int kind)
 {
     int64_t i, n = 0;
-    for (i = 0; i < l->heap_n; i++)
-        if (l->heap[i].kind != kind)
-            l->heap[n++] = l->heap[i];
-    l->heap_n = n;
+    int b;
+    for (b = 0; b < CAL_CYCLES; b++) {
+        int32_t k = l->cal_head[b], prev = -1, next;
+        for (; k >= 0; k = next) {
+            next = l->cal[k].next;
+            if (l->cal[k].e.kind != kind) {
+                prev = k;
+                continue;
+            }
+            if (prev < 0)
+                l->cal_head[b] = next;
+            else
+                l->cal[prev].next = next;
+            l->cal[k].next = l->cal_free;
+            l->cal_free = k;
+            l->heap_n--;
+        }
+        l->cal_tail[b] = prev;
+        if (prev < 0)
+            l->cal_bits[b >> 6] &= ~(1ull << (b & 63));
+    }
+    for (i = 0; i < l->far_n; i++)
+        if (l->far[i].kind != kind)
+            l->far[n++] = l->far[i];
+    l->heap_n -= l->far_n - n;
+    l->far_n = n;
     for (i = n / 2 - 1; i >= 0; i--) {
-        mem_node_t e = l->heap[i];
+        mem_node_t e = l->far[i];
         heap_fill(l, i, &e);
     }
 }
@@ -2722,26 +3028,27 @@ static inline int adv(mem_loop_t *l, int reason)
  * and runs each popped core's batch of COMPUTE/LOAD/STORE records until
  * something needs Python (see the ADV_ codes); a LOCK, UNLOCK or (unless
  * barrier_hooks) BARRIER record runs here too and ends the batch.  A
- * batch continues while no heap entry is due at or before the core's
+ * batch continues while no queued entry is due at or before the core's
  * next record, for at most ``quantum`` records.  A batch suspended for
  * post_op resumes on the next call unless post_op stalled the core past
  * the batch's clock.
  *
  * A batch ends with a push of the core's new entry and the next pop,
- * done as one step (replace-top).  The batch ended because heap[0] is
+ * done as one step: the batch ended because the queue's first entry is
  * due at or before the new entry; on a tie of times the new entry's
- * fresh seq is the largest handed out, so heap[0] is what pops next.  It
- * is taken, and the new entry fills the root with one descent.  When
- * only the budget ended the batch, the new entry is itself the next pop
- * and never enters the heap.  At 64 cores a residency averages about
- * one record, so this step runs about once per record. */
+ * fresh seq is the largest handed out, so the first entry is what pops
+ * next.  It is taken, then the new entry is queued.  When only the
+ * budget ended the batch, the new entry is itself the next pop and is
+ * never queued.  At 64 cores a residency averages about one record, so
+ * this step runs about once per record. */
 int mem_advance(mem_core_t *c, mem_loop_t *l, double limit, double gate,
                 int64_t quantum, mem_event_t *out)
 {
     mem_event_t e;
     mem_node_t next;
+    const mem_node_t *first;
     int pid = l->batch_pid, in_batch = l->suspended, gated = 0;
-    int taken = 0, op, r;
+    int taken = 0, op, r, b;
     mem_hot_t *h = &l->hot[pid];
     double now = l->batch_now, when, t, nb, lat;
     int64_t budget = l->batch_budget, ip, arg;
@@ -2759,11 +3066,11 @@ int mem_advance(mem_core_t *c, mem_loop_t *l, double limit, double gate,
     for (;;) {
         if (!in_batch) {
             if (taken) {
-                taken = 0;  /* a batch end took ``e`` off the heap */
+                taken = 0;  /* a batch end took ``e`` off the queue */
             } else {
                 if (l->n_done >= l->n)
                     return adv(l, ADV_DONE);
-                if (!heap_pop(l, &e))
+                if (!queue_pop(l, &e))
                     return adv(l, ADV_DEADLOCK);
             }
             /* A pause leaves the clock at the last real event. */
@@ -2855,20 +3162,23 @@ int mem_advance(mem_core_t *c, mem_loop_t *l, double limit, double gate,
         nb = h->not_before;
         when = t >= nb ? t : nb;
         next.wkey = when_key(when);
-        if (budget <= 0 || (l->heap_n && l->heap[0].wkey <= next.wkey)) {
+        first = queue_first(l, &b);
+        if (budget <= 0 || (first && first->wkey <= next.wkey)) {
             /* push_exec and the next pop, as one step (see above) */
             in_batch = 0;
             next.skey = seq_key(++l->seq);
             next.kind = EV_EXEC;
             next.pid = pid;
             next.arg = ++h->epoch;
-            if (l->heap_n && ev_before(&l->heap[0], &next)) {
-                node_event(&l->heap[0], &e);
-                heap_fill(l, 0, &next);
+            if (first && ev_before(first, &next)) {
+                queue_take(l, b, &e);
+                if (!queue_push(l, &next, when))
+                    goto oom;
             } else {
                 node_event(&next, &e);
+                l->pops++;
+                cal_advance(l, when);
             }
-            l->pops++;
             taken = 1;
             continue;
         }
@@ -2893,7 +3203,8 @@ void loop_free(mem_loop_t *l)
     free((void *)l->ops);
     free((void *)l->args);
     free(l->n_records);
-    free(l->heap);
+    free(l->far);
+    free(l->cal);
     free(l->locks);
     free(l->barriers);
     ix_free(&l->lock_ix);
@@ -2907,20 +3218,27 @@ mem_loop_t *loop_new(int n, int n_locks, int n_barriers)
 {
     mem_loop_t *l = calloc(1, sizeof(mem_loop_t));
     int64_t m = n > 0 ? n : 1;
+    int32_t i;
     if (!l)
         return NULL;
     l->n = n;
     l->n_locks = n_locks;
     l->n_barriers = n_barriers;
-    l->heap_cap = 64;
+    l->far_cap = 64;
+    l->cal_cap = 64;
     if (!ALLOC(l->hot, m) || !ALLOC(l->ops, m) || !ALLOC(l->args, m) ||
-            !ALLOC(l->n_records, m) || !ALLOC(l->heap, l->heap_cap) ||
+            !ALLOC(l->n_records, m) || !ALLOC(l->far, l->far_cap) ||
+            !ALLOC(l->cal, l->cal_cap) ||
             !ALLOC(l->locks, n_locks + 1) ||
             !ALLOC(l->barriers, n_barriers + 1) ||
-            !ix_init(&l->lock_ix) || !ix_init(&l->barrier_ix)) {
+            !ix_init(&l->lock_ix, 0) || !ix_init(&l->barrier_ix, 0)) {
         loop_free(l);
         return NULL;
     }
+    for (i = 0; i < l->cal_cap; i++)
+        l->cal[i].next = i + 1 < l->cal_cap ? i + 1 : -1;
+    for (i = 0; i < CAL_CYCLES; i++)
+        l->cal_head[i] = l->cal_tail[i] = -1;
     return l;
 }
 
@@ -2975,10 +3293,11 @@ mem_loop_t *loop_clone(const mem_loop_t *src)
     l->ops = NULL;
     l->args = NULL;
     l->n_records = NULL;
-    l->heap = NULL;
+    l->far = NULL;
+    l->cal = NULL;
     l->locks = NULL;
     l->barriers = NULL;
-    l->pops = l->residencies = 0;
+    l->pops = l->cal_pushes = l->far_pushes = l->residencies = 0;
     memset(l->records, 0, sizeof(l->records));
     memset(l->returns, 0, sizeof(l->returns));
     memset(&l->lock_ix, 0, sizeof(mem_index_t));
@@ -2992,10 +3311,11 @@ mem_loop_t *loop_clone(const mem_loop_t *src)
     DUP(l->ops, src->ops, m);
     DUP(l->args, src->args, m);
     DUP(l->n_records, src->n_records, m);
-    l->heap = malloc(sizeof(mem_node_t) * src->heap_cap);
-    if (!l->heap)
+    l->far = malloc(sizeof(mem_node_t) * src->far_cap);
+    if (!l->far)
         goto oom;
-    memcpy(l->heap, src->heap, sizeof(mem_node_t) * src->heap_n);
+    memcpy(l->far, src->far, sizeof(mem_node_t) * src->far_n);
+    DUP(l->cal, src->cal, src->cal_cap);
     return l;
 oom:
     loop_free(l);

@@ -63,7 +63,7 @@ _REFUSED = (f"a negative or duplicate id, a participant that is not a "
 
 class CoreTable:
     """The machine loop's state in C (``mem_loop_t``, ``memsys.c``): the
-    event heap, one :class:`Core` row per core, the trace columns, and
+    event queue, one :class:`Core` row per core, the trace columns, and
     the ``locks`` and ``barriers`` (views by id).
 
     The trace columns are read in place: the table keeps their buffers
@@ -149,12 +149,15 @@ class CoreTable:
 
     def counters(self) -> dict[str, int]:
         """What the loop did, as integers (never part of the results):
-        entries taken off the heap (``pops``), fused residencies, records
-        ``mem_advance`` dispatched per trace op (``records.<op>``) and its
-        returns per reason (``returns.<reason>``).  A fork's table counts
-        from zero."""
+        entries taken off the queue (``pops``), entries pushed into its
+        calendar and into its heap tier (``pushes.calendar``,
+        ``pushes.heap``), fused residencies, records ``mem_advance``
+        dispatched per trace op (``records.<op>``) and its returns per
+        reason (``returns.<reason>``).  A fork's table counts from
+        zero."""
         c = self.c
-        counts = {"pops": c.pops, "residencies": c.residencies}
+        counts = {"pops": c.pops, "pushes.calendar": c.cal_pushes,
+                  "pushes.heap": c.far_pushes, "residencies": c.residencies}
         counts.update((f"records.{name}", c.records[op])
                       for op, name in OP_NAMES.items())
         counts.update((f"returns.{name}", c.returns[code])

@@ -1,7 +1,7 @@
 """The manycore machine: event loop, trace execution, run assembly.
 
-Execution model: a min-heap orders cores by local time (ties broken by
-push order); one trace record executes atomically at its timestamp
+Execution model: a priority queue orders cores by local time (ties
+broken by push order); one trace record executes atomically at its timestamp
 against the shared structures (caches, directory, channels, log).
 Checkpointing schemes inject delays through ``core.not_before`` and
 scheduled callbacks; fault injection reveals faults after the detection
@@ -10,7 +10,7 @@ scheduled callback is a :class:`~repro.sim.events.DurableCall`
 descriptor (``schedule_call``), never a closure, so a paused machine
 can always be forked (:meth:`Machine.fork`).
 
-Hot path: the loop runs in C.  The event heap, every core's hot state
+Hot path: the loop runs in C.  The event queue, every core's hot state
 (:class:`~repro.sim.cores.CoreTable`), the locks and barriers
 (:mod:`repro.sim.sync`) and the trace columns of the compiled IR
 (:class:`repro.trace.CompiledTrace`, read in place) live in
@@ -20,27 +20,33 @@ and returns to Python only for what Python owns: a ``DurableCall`` or a
 pause popping, an OUTPUT/END record, a BARRIER record whose scheme
 hooks can act or a sync record Python refuses
 (:meth:`Machine._exec_record`), the ``post_op`` gate, the cycle limit,
-an empty heap (deadlock) and a failed memory system.  The heap holds
+an empty queue (deadlock) and a failed memory system.  The queue holds
 only a call's key; the ``DurableCall`` itself stays in a Python table.
+The queue is a calendar of one bucket per cycle over a window just
+ahead of the clock, where nearly every entry lands, and a binary heap
+(the heap tier) for the rest; it pops in ``(time, seq)`` order, as a
+``heapq`` would.
 
 Runs of consecutive COMPUTE/LOAD/STORE records of one core are fused
-into a single heap residency: the core keeps executing without a
-push/pop per record for as long as no other heap entry is due at or
+into a single queue residency: the core keeps executing without a
+push/pop per record for as long as no other queued entry is due at or
 before its next record, up to ``fuse_quantum`` records.  Because the
-fusion condition is exactly the condition under which the serial heap
+fusion condition is exactly the condition under which the serial queue
 discipline would pop the same core again next, the interleaving (and
 therefore every statistic) is bit-identical to the unbatched loop;
 ``fuse_quantum=1`` recovers the one-record-per-pop behaviour and the
 parity tests compare the two.  When a batch ends, the core is re-pushed
 with the largest sequence number, so the next pop returns exactly what
 it would have without the batch.  ``mem_advance`` does that push and
-the next pop as one step (replace-top): the entry due first is taken
-and the core's new entry fills the root with one descent.  At 64 cores
-a residency averages about one record, so that step is the loop's
-per-record cost.  A batch the ``post_op`` gate interrupts resumes, with
-its remaining budget, unless ``post_op`` stalled the core.
-:meth:`Machine.counters` reports the loop's heap pops, residencies,
-records per op and returns to Python.
+the next pop as one step: the entry due first is taken, then the
+core's new entry is queued (or, when it is itself due first, runs at
+once without being queued).  At 64 cores a residency averages about
+one record, so that step is the loop's per-record cost.  A batch the
+``post_op`` gate interrupts resumes, with its remaining budget, unless
+``post_op`` stalled the core.  :meth:`Machine.counters` reports the
+loop's pops, calendar and heap-tier pushes, residencies, records per
+op and returns to Python, and the memory system's dense and hashed
+line lookups.
 
 :meth:`Machine._advance_main` is the same loop in Python.  Only
 machines on the oracle memory system
@@ -91,7 +97,7 @@ _SCHEME_RETURNS = (lib.ADV_RECORD, lib.ADV_CALL, lib.ADV_POST_OP)
 _PAUSE_SEQ_BASE = -(10 ** 15)
 
 #: Fork-injected fault events sort after sentinels but before every
-#: normal heap entry at the same timestamp — exactly the order the
+#: normal queue entry at the same timestamp — exactly the order the
 #: scalar run produces by scheduling faults first (seqs 1..F).
 _FAULT_SEQ_BASE = -(10 ** 9)
 
@@ -100,7 +106,7 @@ class SimulationDeadlock(RuntimeError):
     """No runnable core remains while work is outstanding."""
 
 
-#: Records fused per heap residency before a forced re-push (fairness
+#: Records fused per queue residency before a forced re-push (fairness
 #: backstop only; correctness never depends on it).
 DEFAULT_FUSE_QUANTUM = 256
 
@@ -141,7 +147,7 @@ class Machine:
         self.memory = self.engine.memory
         self.log = self.memory.log
         self.channels = self.engine.channels
-        # The loop's state: the event heap and the cores' hot fields.
+        # The loop's state: the event queue and the cores' hot fields.
         # Traces are consumed as the columnar IR; tuple traces are
         # compiled once here (compiled traces pass through untouched).
         self._table = CoreTable(len(workload.traces), workload.locks,
@@ -149,7 +155,7 @@ class Machine:
         self.cores = [Core(pid, compile_trace(trace), self._table)
                       for pid, trace in enumerate(workload.traces)]
         self._bind_loop()
-        #: Pending DurableCalls by heap seq (the heap holds the key).
+        #: Pending DurableCalls by queue seq (the queue holds the key).
         self._calls: dict[int, DurableCall] = {}
         self.sync = SyncManager(self._table)
         self._gate_scheme()
@@ -194,7 +200,7 @@ class Machine:
 
     @property
     def fuse_quantum(self) -> int:
-        """Records fused per heap residency at most (read by every
+        """Records fused per queue residency at most (read by every
         :meth:`advance`)."""
         return self._fuse_quantum
 
@@ -212,20 +218,20 @@ class Machine:
     def push_core(self, core: Core) -> None:
         """(Re)schedule a core at max(core.time, core.not_before)."""
         if not lib.loop_push_core(self._table.c, core.pid):
-            raise MemoryError("cannot grow the event heap")
+            raise MemoryError("cannot grow the event queue")
 
     def schedule_call(self, when: float, call: DurableCall) -> None:
         """Run ``call.fire(self, time)`` at simulated time ``when`` —
         the one scheduling primitive.  Callbacks are descriptors, never
-        closures, so :meth:`fork` can deep-copy a pending heap."""
+        closures, so :meth:`fork` can deep-copy a pending queue."""
         self._table.c.seq += 1
         self._push_call(when, self._table.c.seq, call)
 
     def _push_call(self, when: float, seq: int, call: DurableCall) -> None:
-        """Queue ``call`` under heap key ``seq``."""
+        """Queue ``call`` under key ``seq``."""
         self._calls[seq] = call
         if not lib.loop_push(self._table.c, when, seq, _DCALL):
-            raise MemoryError("cannot grow the event heap")
+            raise MemoryError("cannot grow the event queue")
 
     def _deliver_fault_at(self, index: int, when: float) -> None:
         """Durable fault delivery: event ``index`` of the injector."""
@@ -266,8 +272,8 @@ class Machine:
             raise RuntimeError(f"machine already started ({self._phase})")
         self._max_cycles = max_cycles
         self._limit = max_cycles if max_cycles is not None else float("inf")
-        # Faults are first-class heap events at their exact detection
-        # times: the fusion condition consults the heap, so a batch
+        # Faults are first-class queue events at their exact detection
+        # times: the fusion condition consults the queue, so a batch
         # always breaks before a fault is due and no core can commit
         # work past a detect_time before the scheme hears about it.
         # Scheduled before the initial core pushes so a fault beats any
@@ -292,7 +298,7 @@ class Machine:
                 until_scheme: bool = False) -> bool:
         """Drive the event loop; returns True if paused, False if done.
 
-        With ``pause_at`` a sentinel heap entry is planted at that time:
+        With ``pause_at`` a sentinel queue entry is planted at that time:
         its presence gives the fused executor exactly the fusion horizon
         a pending fault at the same time would (the condition only reads
         the earliest pending time), and popping it suspends the loop
@@ -324,7 +330,7 @@ class Machine:
             self._pause_seq -= 1
             if not lib.loop_push(self._table.c, pause_at, self._pause_seq,
                                  _PAUSE):
-                raise MemoryError("cannot grow the event heap")
+                raise MemoryError("cannot grow the event queue")
         compiled = hasattr(self.engine, "advance")
         if until_scheme and not compiled:
             raise NotImplementedError(
@@ -405,7 +411,7 @@ class Machine:
         system run it.  Returns False when paused mid-phase.
 
         It is ``mem_advance`` statement for statement, over the same
-        heap and the same core rows; the differential tests hold the
+        queue and the same core rows; the differential tests hold the
         two to equal results.
         """
         limit = self._limit
@@ -589,12 +595,12 @@ class Machine:
 
         The clone shares the immutable bulk (config, workload, trace
         columns) with the parent and deep-copies all mutable simulation
-        state (caches, directory, log, heap, cores, scheme, RNG), so
+        state (caches, directory, log, queue, cores, scheme, RNG), so
         advancing the clone is indistinguishable from advancing a
         machine that was *constructed* with the clone's state.  Pause
         sentinels are stripped — they belong to the parent's schedule.
         Every pending callback is a :class:`DurableCall`, which re-binds
-        to whichever machine fires it, so the clone's heap fires into
+        to whichever machine fires it, so the clone's queue fires into
         the clone.
         """
         memo = {id(self.config): self.config,
@@ -679,7 +685,7 @@ class Machine:
                        ) -> None:
         """Arm a forked replica with its fault campaign.
 
-        The injected heap events carry sequence numbers below every
+        The injected queue events carry sequence numbers below every
         live entry's, so at equal timestamps a fault still fires before
         any trace record or drain callback — the exact order the scalar
         run establishes by scheduling faults first (seqs ``1..F``).
@@ -752,8 +758,14 @@ class Machine:
         return stats
 
     def counters(self) -> dict[str, int]:
-        """The machine loop's counters (:meth:`CoreTable.counters`)."""
-        return self._table.counters()
+        """The machine loop's counters (:meth:`CoreTable.counters`) and
+        the compiled memory system's line lookups
+        (:meth:`CompiledEngine.lookup_counters`; the oracle has none)."""
+        counts = self._table.counters()
+        lookups = getattr(self.engine, "lookup_counters", None)
+        if lookups is not None:
+            counts.update(lookups())
+        return counts
 
     @property
     def finished(self) -> bool:

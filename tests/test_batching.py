@@ -12,7 +12,7 @@ import pytest
 
 from repro.params import MachineConfig, Scheme
 from repro.sim.machine import DEFAULT_FUSE_QUANTUM, Machine
-from repro.trace import BARRIER, COMPUTE, END, LOAD, STORE
+from repro.trace import BARRIER, COMPUTE, END, LOAD, STORE, AddressSpace
 from repro.workloads import get_workload, inject_output_io
 from tests.conftest import make_machine, make_spec, tiny_config
 
@@ -200,6 +200,35 @@ class TestLoopCounters:
         assert counts["returns.post_op"] >= len(stats.checkpoints) > 0
         assert counts["returns.limit"] == counts["returns.failed"] == 0
 
+    def test_64_core_ocean_queues_in_the_calendar_and_lines_densely(self):
+        """Nearly every push lands in the calendar; once the directory's
+        direct table covers the highest data line every data-line lookup
+        is dense (sync lines stay hashed); a fork counts from zero."""
+        config = MachineConfig.scaled(n_cores=64, scheme=Scheme.GLOBAL,
+                                      scale=SCALE)
+        spec = _spec("ocean", 64, config)
+        reference = Machine(config, spec).run()
+        leader = Machine(config, spec)
+        leader.start()
+        assert leader.advance(pause_at=0.5 * reference.runtime)
+        fork = leader.fork()
+        assert all(count == 0 for count in fork.counters().values())
+        top = max(arg for core in leader.cores
+                  for op, arg in zip(core.trace.ops, core.trace.args)
+                  if op in (LOAD, STORE) and arg < AddressSpace.SYNC_BASE)
+        assert leader.engine._c.dir.ix.ndirect > top
+        assert not fork.advance()
+        assert fork.finalize() == reference
+        counts = fork.counters()
+        pushes = counts["pushes.calendar"] + counts["pushes.heap"]
+        assert counts["pushes.calendar"] >= 0.99 * pushes > 0
+        assert counts["lookups.dense"] > 0
+        c = fork.engine._c
+        for ix in (c.dir.ix, c.image.ix):
+            keys = [ix.keys[i] for i in range(ix.n)]
+            assert ix.hashed == sum(key >= AddressSpace.SYNC_BASE
+                                    for key in keys)
+
     def test_counts_repeat_and_stay_out_of_the_results(self):
         first = _counted_run("water_sp", 16, Scheme.REBOUND)
         second = _counted_run("water_sp", 16, Scheme.REBOUND)
@@ -221,7 +250,13 @@ class TestLoopCounters:
         fork.finalize()
         total = {name: count + fork.counters()[name]
                  for name, count in leader.counters().items()}
-        # The pause's own pop and return are the leader's extra work.
+        # The pause's own push, pop and return are the leader's extra
+        # work; the pause may sit in either tier of the queue.
+        expected = whole.counters()
+        for counts in (total, expected):
+            counts["pushes"] = (counts.pop("pushes.calendar") +
+                                counts.pop("pushes.heap"))
+        total["pushes"] -= 1
         total["pops"] -= 1
         total["returns.pause"] -= 1
-        assert total == whole.counters()
+        assert total == expected

@@ -27,7 +27,7 @@ from repro.core import register_scheme, unregister_scheme
 from repro.core.dep_registers import DepRegisterSet
 from repro.core.rebound_scheme import ReboundScheme
 from repro.interconnect import Interconnect
-from repro.mem import ReviveLog
+from repro.mem import MainMemory, ReviveLog
 from repro.params import MachineConfig, Scheme
 from repro.sim.cores import Core
 from repro.sim.machine import Machine, SimulationDeadlock
@@ -431,3 +431,31 @@ def test_lock_deadlock():
     assert kind is SimulationDeadlock
     assert message == ("no runnable core; waiting: core 1: "
                        "blocked=lock site=0 ip=1")
+
+
+class TestUndoneEntries:
+    def test_restore_reads_like_the_oracles_list(self):
+        """The compiled restore hands back a sequence that builds each
+        undone LogEntry only when read: the oracle MainMemory's list,
+        newest first."""
+        machine = make_machine([[(COMPUTE, 1)], [(COMPUTE, 1)]])
+        memory = machine.memory
+        oracle = MainMemory(ReviveLog())
+        for mem in (memory, oracle):
+            for step, (addr, interval) in enumerate(
+                    [(10, 1), (11, 2), (10, 3), (12, 2), (13, 1)]):
+                mem.writeback(float(step), 0, addr, 100 + step,
+                              interval=interval)
+        def fields(entries):
+            return [(e.seq, e.time, e.pid, e.addr, e.old_value, e.interval)
+                    for e in entries]
+
+        expected = fields(oracle.restore({0: 1}))
+        undone = memory.restore({0: 1})
+        assert len(undone) == len(expected) == 3
+        assert fields(undone) == expected
+        assert fields(undone[i] for i in range(-3, 3)) == expected * 2
+        assert fields(undone[1:]) == expected[1:]
+        with pytest.raises(IndexError):
+            undone[3]
+        assert memory.snapshot() == oracle.snapshot()

@@ -182,11 +182,16 @@ class TestParallelFailures:
         real_wait = engine_mod.wait
         calls = {"n": 0}
 
-        def interrupting_wait(*args, **kwargs):
+        def interrupting_wait(futures, *args, **kwargs):
             calls["n"] += 1
             if calls["n"] > 1:
                 raise KeyboardInterrupt
-            return real_wait(*args, **kwargs)
+            done, _ = real_wait(futures, *args, **kwargs)
+            # Hand back one finished future per call, however many
+            # finished together, so tasks remain and a second call (the
+            # interrupt) always comes.
+            first = next(iter(done))
+            return {first}, set(futures) - {first}
 
         monkeypatch.setattr(engine_mod, "wait", interrupting_wait)
         eng = ExperimentEngine(jobs=2, cache_dir=tmp_path,

@@ -7,7 +7,11 @@ a queue that pops in the wrong order.  Here:
 * the queue API (``loop_push``, ``loop_push_core``, ``loop_pop``,
   ``loop_next_when``, ``loop_drop``, ``loop_clone``) against a
   ``heapq`` of ``(when, seq, kind, pid, arg)`` tuples, with many equal
-  times, stale core entries and the negative pause and fault seqs;
+  times, stale core entries and the negative pause and fault seqs, and
+  with times around the calendar's window (its edges, far ahead,
+  behind a base that heap-tier pops moved), after every operation
+  checking the calendar's layout: each bucket sorted and in the
+  window, the bitmap, the heap tier's order, the total ``heap_n``;
 * ``mem_advance`` on COMPUTE-only traces against a Python model of the
   loop in which a batch ends with a push and then a pop -- the
   behaviour the one-step replace-top must keep -- including a
@@ -23,6 +27,7 @@ from __future__ import annotations
 import copy
 import heapq
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -43,8 +48,52 @@ EXEC, CALL, PAUSE = lib.EV_EXEC, lib.EV_CALL, lib.EV_PAUSE
 TIMES = st.sampled_from([0.0, -0.0, 1.0, 1.0, 2.5, 3.0, -4.0, math.inf])
 
 
+#: Times around the calendar's window of CAL_CYCLES cycles: its edges
+#: from a base of 0 and of 5000 (which a pop of a heap-tier entry at
+#: 5000 moves it to), far ahead, non-integral, tied, negative, -0.0 and
+#: infinite.  Behind a moved base, 1.0 and 2.5 go to the heap tier.
+WINDOW = float(lib.CAL_CYCLES)
+WIDE_TIMES = st.sampled_from([
+    0.0, -0.0, 1.0, 1.0, 2.5, -4.0, math.inf, WINDOW - 1.0, WINDOW - 0.5,
+    WINDOW, WINDOW + 0.5, 2 * WINDOW, 5000.0, 5000.0, 5000.5,
+    5000.0 + WINDOW - 0.25, 5000.0 + WINDOW, 1e9])
+
+
 def _event(raw) -> tuple:
     return (raw.when, raw.seq, raw.kind, raw.pid, raw.arg)
+
+
+def _when(key: int) -> float:
+    """``key_when``: the time of a queue node's ``wkey``."""
+    bits = key & ~(1 << 63) if key >> 63 else ~key & ((1 << 64) - 1)
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _check_layout(loop) -> None:
+    """The queue's invariants: every calendar entry in its cycle's
+    bucket inside the window, each bucket sorted by (when, seq) with its
+    tail last and its bitmap bit set, the heap tier a heap, and
+    ``heap_n`` the count of both tiers."""
+    base, n_cal = loop.cal_base, 0
+    heads = ffi.unpack(loop.cal_head, lib.CAL_CYCLES)
+    tails = ffi.unpack(loop.cal_tail, lib.CAL_CYCLES)
+    bits = ffi.unpack(loop.cal_bits, lib.CAL_WORDS)
+    for b, head in enumerate(heads):
+        assert (bits[b >> 6] >> (b & 63)) & 1 == (head >= 0)
+        k, last, prev = head, -1, None
+        while k >= 0:
+            node = loop.cal[k].e
+            when = _when(node.wkey)
+            assert base <= when < base + WINDOW
+            assert int(when) % lib.CAL_CYCLES == b
+            assert prev is None or prev < (node.wkey, node.skey)
+            prev = (node.wkey, node.skey)
+            last, k = k, loop.cal[k].next
+            n_cal += 1
+        assert tails[b] == last
+    far = [(loop.far[i].wkey, loop.far[i].skey) for i in range(loop.far_n)]
+    assert all(far[(i - 1) // 2] < far[i] for i in range(1, len(far)))
+    assert n_cal + loop.far_n == loop.heap_n
 
 
 # ---------------------------------------------------------------------------
@@ -85,33 +134,45 @@ def _pop(loop):
     return _event(out) if lib.loop_pop(loop, out) else None
 
 
-QUEUE_OPS = st.lists(st.one_of(
-    st.tuples(st.just("call"), TIMES),
-    st.tuples(st.just("pause"), TIMES),
-    st.tuples(st.just("fault"), TIMES),
-    st.tuples(st.just("core"), st.integers(0, 3), TIMES, TIMES,
-              st.booleans()),
-    st.tuples(st.just("pop")),
-    st.tuples(st.just("next")),
-    st.tuples(st.just("drop")),
-    st.tuples(st.just("clone")),
-), max_size=80)
+def _queue_ops(times) -> st.SearchStrategy:
+    return st.lists(st.one_of(
+        st.tuples(st.just("call"), times),
+        st.tuples(st.just("pause"), times),
+        st.tuples(st.just("fault"), times),
+        st.tuples(st.just("core"), st.integers(0, 3), times, times,
+                  st.booleans()),
+        st.tuples(st.just("pop")),
+        st.tuples(st.just("next")),
+        st.tuples(st.just("drop")),
+        st.tuples(st.just("clone")),
+    ), max_size=80)
 
 
 class TestQueueApi:
-    @given(QUEUE_OPS)
+    @given(_queue_ops(TIMES))
     @settings(max_examples=300, deadline=None)
     def test_matches_heapq(self, ops):
+        self._check(ops)
+
+    @given(_queue_ops(WIDE_TIMES))
+    @settings(max_examples=300, deadline=None)
+    def test_window_edges_match_heapq(self, ops):
+        self._check(ops)
+
+    @staticmethod
+    def _check(ops):
         table = CoreTable(4)
         loop = table.c
         ref = _RefQueue(4)
-        pauses = faults = 0
+        pauses = faults = pushes = 0
+        base = loop.cal_base
         for op in ops:
             if op[0] == "call":
                 loop.seq += 1
                 ref.seq = loop.seq
                 assert lib.loop_push(loop, op[1], loop.seq, CALL)
                 heapq.heappush(ref.heap, (op[1], loop.seq, CALL, 0, 0))
+                pushes += 1
             elif op[0] in ("pause", "fault"):
                 if op[0] == "pause":
                     pauses += 1
@@ -121,12 +182,14 @@ class TestQueueApi:
                     seq, kind = _FAULT_SEQ_BASE + faults, CALL
                 assert lib.loop_push(loop, op[1], seq, kind)
                 heapq.heappush(ref.heap, (op[1], seq, kind, 0, 0))
+                pushes += 1
             elif op[0] == "core":
                 _, pid, time, not_before, done = op
                 row = loop.hot[pid]
                 row.time, row.not_before, row.done = time, not_before, done
                 assert lib.loop_push_core(loop, pid)
                 ref.push_core(pid, time, not_before, done)
+                pushes += not done
             elif op[0] == "pop":
                 assert _pop(loop) == ref.pop()
             elif op[0] == "next":
@@ -143,8 +206,13 @@ class TestQueueApi:
                     assert _pop(loop) == entry
                 assert _pop(loop) is None
                 loop = clone
+                pushes = 0      # a clone counts from zero
             assert loop.heap_n == len(ref.heap)
             assert loop.seq == ref.seq
+            assert loop.cal_pushes + loop.far_pushes == pushes
+            assert loop.cal_base >= base    # the window only moves on
+            base = loop.cal_base
+            _check_layout(loop)
         while (entry := ref.pop()) is not None:
             assert _pop(loop) == entry
         assert _pop(loop) is None
