@@ -15,7 +15,10 @@ per access.  The built-in trackers' per-access hooks run there too
 (:func:`native_hooks`): Rebound's dependence records and WSIG stamps
 work on the Dep registers in the core, and every writeback is logged in
 the core, its interval read from the Dep registers or the core's row.
-Python hears only about checkpoints and rollbacks.  Any other tracker
+Python hears only about checkpoints and rollbacks, and a built-in
+scheme's checkpoint is itself one call (:meth:`CompiledEngine.
+checkpoint`), its delayed drains completed by the loop
+(:meth:`CompiledEngine.drain`).  Any other tracker
 (an out-of-tree :class:`~repro.coherence.protocol.DependenceTracker`,
 or a built-in one whose hooks a subclass overrides) is called back:
 
@@ -449,6 +452,9 @@ class CompiledEngine:
             raise AssertionError("L1/L2 inclusion violated")
         if c.failed == lib.FAIL_OWNER:
             raise AssertionError("directory owner lost the line")
+        if c.failed == lib.FAIL_DEPSETS:
+            raise AssertionError(
+                f"core {c.fail_pid} is out of Dep register sets")
         if c.failed == lib.FAIL_CALLBACK:
             raise RuntimeError("the compiled memory system failed earlier")
         raise MemoryError("the compiled memory system ran out of memory")
@@ -490,7 +496,7 @@ class CompiledEngine:
         if not lib.mem_dep_reset(self._c, pid, slot, interval_id, now):
             self.raise_failure()
 
-    def dep_order(self, pid: int, slots: list[int]) -> None:
+    def set_dep_order(self, pid: int, slots: list[int]) -> None:
         """Publish ``pid``'s live sets, oldest first."""
         lib.mem_dep_order(self._c, pid, ffi.new("int32_t[]", slots),
                           len(slots))
@@ -596,6 +602,27 @@ class CompiledEngine:
         if self._c.failed:
             self.raise_failure()
         return count
+
+    def checkpoint(self, loop, pids: list[int], now: float, use_dwb: bool,
+                   config: MachineConfig) -> tuple[float, float, int]:
+        """Checkpoint the cores ``pids`` of ``loop`` together at ``now``
+        as :meth:`~repro.core.scheme_base.BaseScheme._execute_checkpoint`
+        does for a built-in scheme (``mem_checkpoint``): returns the
+        members' resume time, the checkpoint's duration and the lines
+        it wrote back."""
+        out = ffi.new("mem_ckpt_t *")
+        if not lib.mem_checkpoint(self._c, loop, ffi.new("int32_t[]", pids),
+                                  len(pids), now, use_dwb, config.msg_cycles,
+                                  config.sync_cycles, config.dwb_drain_period,
+                                  out):
+            self.raise_failure()
+        return out.resume, out.duration, out.dirty
+
+    def drain(self, loop, pid: int, ckpt_id: int, now: float) -> None:
+        """Complete ``pid``'s delayed drain of checkpoint ``ckpt_id``
+        unless it is stale (``mem_drain``)."""
+        if not lib.mem_drain(self._c, loop, pid, ckpt_id, now):
+            self.raise_failure()
 
     def invalidate_core(self, pid: int) -> int:
         """Flash-invalidate both cache levels of ``pid`` (rollback)."""

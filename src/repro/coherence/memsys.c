@@ -32,6 +32,21 @@
  * row's delayed_ckpt_id and counts down its pending_delayed.  Python
  * hears only about checkpoints and rollbacks.
  *
+ * Checkpoints.  A built-in scheme's checkpoint is one call
+ * (mem_checkpoint): Python picks the members and records the
+ * CheckpointEvent; the member steps run here (stop and sync times,
+ * the snapshot, the log markers' seqs, the burst writeback or the
+ * Delayed marking and its drain time, the interval rotation, the stall
+ * charges and the release).  A delayed drain's completion is an
+ * EV_DRAIN queue entry mem_advance completes itself (mem_drain); a
+ * stale one (rolled back, or already hurried to completion) is a
+ * no-op.  The loop keeps what these write: each core's snapshots and
+ * stall windows (mem_history_t), its next snapshot id, its Nack
+ * horizon and its stall accumulators (mem_hot_t), and, for Rebound,
+ * the order of its live Dep sets and its next interval id (mem_core_t).
+ * Rollbacks and BarCK's barrier checkpoints stay in Python, on the
+ * same state.
+ *
  * Other trackers (HOOKS_PYTHON) are called back through the three
  * extern "Python" callbacks cffi defines (repro/coherence/build.py):
  *   mem_cb_dependence  LW-ID names another core and tracking is on;
@@ -46,10 +61,11 @@
  * negative) fails the core the same way.
  *
  * The machine loop (mem_advance, at the end of this file) runs on a
- * separate mem_loop_t: the event queue, every core's hot state, the
- * trace columns and the locks and barriers.  It executes COMPUTE, LOAD,
- * STORE, LOCK and UNLOCK records itself, and BARRIER records unless the
- * scheme's barrier hooks must run (barrier_hooks).  It returns to
+ * separate mem_loop_t: the event queue, every core's hot state, its
+ * snapshots and stall windows, the trace columns and the locks and
+ * barriers.  It executes COMPUTE, LOAD, STORE, LOCK and UNLOCK records
+ * itself, BARRIER records unless the scheme's barrier hooks must run
+ * (barrier_hooks), and drain completions.  It returns to
  * Python, with a reason code, for everything else: a scheduled call or
  * pause popping, a hooked BARRIER, OUTPUT or END record (or a
  * synchronization record Python must refuse), the scheme's post_op
@@ -72,8 +88,9 @@
  * map_slot) serves a read followed by a write, an L2 line keeps the
  * position of its directory entry for its eviction, and the loop
  * prefetches each core's trace columns ahead of it.  The loop counts
- * its pops, calendar and heap-tier pushes, residencies, records and
- * returns, the memory system its dense and hashed line lookups
+ * its pops, calendar and heap-tier pushes, residencies, records,
+ * returns, checkpoints and their members, and completed and stale
+ * drains; the memory system its dense and hashed line lookups
  * (integers only).
  *
  * Everything Python reaches is declared once, in the cdef block after
@@ -114,6 +131,7 @@
 #define FAIL_OWNER 4
 #define FAIL_MEMORY 5
 #define FAIL_BLOOM 6         /* a WSIG false negative (fail_addr, fail_pid) */
+#define FAIL_DEPSETS 7       /* a checkpoint found no free Dep set (fail_pid) */
 
 #define HOOKS_GLOBAL 1
 #define HOOKS_REBOUND 2
@@ -135,6 +153,8 @@
 #define EV_EXEC 0     /* run core ``pid`` if ``arg`` is still its epoch */
 #define EV_CALL 2     /* a scheduled DurableCall, keyed by ``seq`` */
 #define EV_PAUSE 3    /* a replica-batch pause sentinel */
+#define EV_DRAIN 4    /* core ``pid``'s delayed drain of checkpoint ``arg``
+                       * completes (mem_drain) */
 
 /* Why mem_advance returned. */
 #define ADV_DONE 0       /* every core finished its trace */
@@ -217,19 +237,63 @@ typedef struct {
 /* One core's hot state (repro.sim.cores.Core is a ctypes view of it),
  * an entry of mem_loop_t.hot: the Python code around the loop reads
  * and writes these fields in place.  epoch guards stale queue entries,
- * not_before is a scheme-injected delay floor, and Core.finish copies
- * busy and sync_wait to the stats.  The memory system reads
+ * not_before is a scheme-injected delay floor, and Core.stats copies
+ * busy, sync_wait and the checkpoint accumulators (wb_delay through
+ * ckpt_gap_count, CoreStats's names) out.  The memory system reads
  * pending_delayed, delayed_ckpt_id (-1: none) and interval
- * (GlobalScheme's) when it logs a writeback. */
+ * (GlobalScheme's epoch) when it logs a writeback; a checkpoint
+ * (mem_checkpoint) takes snapshot next_ckpt_id and raises
+ * ckpt_busy_until, the horizon before which the core Nacks or Busies
+ * another checkpoint request. */
 typedef struct {
     int64_t ip, instr_count, instr_since_ckpt, epoch, store_seq;
     int64_t pending_delayed, delayed_ckpt_id, interval;
     int64_t block_site;     /* the lock or barrier id blocked on; -1: none */
     double time, not_before, busy;
     double block_start, sync_wait;
+    int64_t next_ckpt_id;
+    double ckpt_busy_until;
+    double wb_delay, wb_imbalance, ckpt_sync, ipc_delay, depset_stall;
+    double ckpt_backoff, stall_overhang, last_ckpt_time, ckpt_gap_sum;
+    int64_t n_checkpoints, ckpt_gap_count;
     _Bool done;
     int8_t blocked;     /* 0: no, BLOCK_LOCK or BLOCK_BARRIER */
 } mem_hot_t;
+
+/* A snapshot (repro.sim.cores.CoreSnapshot): its checkpoint, the trace
+ * position and instruction count, when it was taken, when its
+ * writebacks completed (if complete) and the net checkpoint overhead
+ * charged to the core by then.  The held locks and barrier crossings
+ * are its row of mem_history_t.sync. */
+typedef struct {
+    int64_t ckpt_id, trace_ip, instr_count;
+    double time, complete_time, overhead_mark;
+    _Bool complete;
+} mem_snap_t;
+
+/* A charged checkpoint-stall window (Core.stall_segments). */
+typedef struct {
+    double start, end;
+} mem_window_t;
+
+/* One core's snapshots, oldest first, and its stall windows.  Row k's
+ * lock and barrier state is sync[k * snap_stride ...]: a bitmask of the
+ * lock slots the core held (lock_words words), then its crossings of
+ * each barrier, by slot. */
+typedef struct {
+    mem_snap_t *rows;
+    int64_t *sync;
+    int64_t n, cap;
+    mem_window_t *windows;
+    int64_t n_windows, cap_windows;
+} mem_history_t;
+
+/* What a checkpoint (mem_checkpoint) reports for its CheckpointEvent:
+ * the members' resume time, its duration and the lines written back. */
+typedef struct {
+    double resume, duration;
+    int64_t dirty;
+} mem_ckpt_t;
 
 /* A Dep-register set's fields (repro.core.dep_registers.DepRegisterSet
  * is a ctypes view of it). */
@@ -322,6 +386,7 @@ typedef struct mem_core {
     mem_depset_t *deps;
     uint64_t *wsig;
     int32_t *dep_order, *dep_n;
+    int64_t *dep_next;      /* the interval the next set opens */
 
     /* the undo log (ReviveLog) and its memory controller (MainMemory) */
     mem_logent_t *log;
@@ -421,16 +486,22 @@ typedef struct mem_loop {
     mem_index_t lock_ix, barrier_ix;    /* id -> slot */
     int64_t lock_acquisitions, barrier_episodes;
     int barrier_hooks;  /* BARRIER records go to Python (scheme hooks) */
+    /* every core's snapshots and stall windows */
+    mem_history_t *hist;
+    int64_t lock_words, snap_stride;
     /* a batch suspended at the post_op gate, resumed by mem_advance */
     int suspended, batch_pid;
     double batch_now;
     int64_t batch_budget;
     /* counters, integers only (CoreTable.counters, Machine.counters):
      * entries taken off the queue, pushes into the calendar and into the
-     * heap tier, fused residencies, records dispatched per trace op and
-     * returns per ADV_ reason; a fork starts its own at zero */
+     * heap tier, fused residencies, records dispatched per trace op,
+     * returns per ADV_ reason, checkpoints run by mem_checkpoint and
+     * their members, and drain entries completed and found stale; a
+     * fork starts its own at zero */
     int64_t pops, cal_pushes, far_pushes, residencies;
     int64_t records[N_OPS], returns[N_ADV];
+    int64_t ckpt_calls, ckpt_members, drains_completed, drains_stale;
 } mem_loop_t;
 
 mem_core_t *mem_new(int, int, int, int, int, int, int64_t, int64_t, int64_t,
@@ -494,6 +565,19 @@ void mem_bind_loop(mem_core_t *, mem_loop_t *);
 int mem_advance(mem_core_t *, mem_loop_t *, double, double, int64_t,
                 mem_event_t *);
 int sync_grant_next(mem_core_t *, mem_loop_t *, int64_t, double);
+int64_t loop_snapshot(mem_loop_t *, int, double, double);
+int64_t loop_snap_copy(mem_loop_t *, int, int, int64_t);
+int64_t loop_snap_find(mem_loop_t *, int, int64_t);
+int64_t loop_snap_newer(mem_loop_t *, int, int64_t);
+int64_t loop_snap_safe(mem_loop_t *, int, double, double);
+void loop_snap_keep(mem_loop_t *, int, int64_t);
+int loop_window(mem_loop_t *, int, double, double);
+void loop_truncate_stalls(mem_loop_t *, int, double);
+void loop_refund_overhang(mem_loop_t *, int, double);
+int loop_push_drain(mem_loop_t *, double, int, int64_t);
+int mem_checkpoint(mem_core_t *, mem_loop_t *, const int32_t *, int, double,
+                   int, double, double, double, mem_ckpt_t *);
+int mem_drain(mem_core_t *, mem_loop_t *, int, int64_t, double);
 int sync_arrive(mem_core_t *, mem_loop_t *, int, int64_t, double, double *);
 double sync_release(mem_core_t *, mem_loop_t *, int, int64_t, double, double);
 
@@ -2186,9 +2270,11 @@ static void free_hooks(mem_core_t *c)
     free(c->wsig);
     free(c->dep_order);
     free(c->dep_n);
+    free(c->dep_next);
     c->deps = NULL;
     c->wsig = NULL;
     c->dep_order = c->dep_n = NULL;
+    c->dep_next = NULL;
 }
 
 static void free_filters(mem_core_t *c)
@@ -2303,7 +2389,8 @@ int mem_set_hooks(mem_core_t *c, int hooks, int n_sets, int64_t wsig_bits,
     c->cluster = cluster;
     n = (int64_t)c->n_cores * c->dep_slots;
     if (!ALLOC(c->deps, n) || !ALLOC(c->wsig, n * c->wsig_words) ||
-            !ALLOC(c->dep_order, n) || !ALLOC(c->dep_n, c->n_cores))
+            !ALLOC(c->dep_order, n) || !ALLOC(c->dep_n, c->n_cores) ||
+            !ALLOC(c->dep_next, c->n_cores))
         return 0;
     for (i = 0; i < n; i++)
         if (!ix_init(&c->deps[i].exact, 0))
@@ -2341,6 +2428,7 @@ static int clone_hooks(mem_core_t *c, const mem_core_t *src)
         DUP(c->wsig, src->wsig, n * src->wsig_words);
         DUP(c->dep_order, src->dep_order, n);
         DUP(c->dep_n, src->dep_n, src->n_cores);
+        DUP(c->dep_next, src->dep_next, src->n_cores);
     }
     c->log = malloc(sizeof(mem_logent_t) * (src->log_cap ? src->log_cap : 1));
     if (!c->log)
@@ -2393,6 +2481,7 @@ mem_core_t *mem_clone(const mem_core_t *src)
     c->deps = NULL;
     c->wsig = NULL;
     c->dep_order = c->dep_n = NULL;
+    c->dep_next = NULL;
     c->log = NULL;
     memset(&c->log_bins, 0, sizeof(c->log_bins));
     c->filters = NULL;
@@ -3017,6 +3106,471 @@ static int sync_record(mem_core_t *c, mem_loop_t *l, int pid, int op,
     return 1;
 }
 
+/* ------------------------------------------------------------------ */
+/* checkpoints (repro.core.scheme_base.BaseScheme._execute_checkpoint) */
+/* ------------------------------------------------------------------ */
+
+/* Python's min(a, b): the first argument unless the second is smaller. */
+static inline double pymin(double a, double b)
+{
+    return b < a ? b : a;
+}
+
+/* Room for one more snapshot row of ``s``; 0 when out of memory. */
+static int snap_room(const mem_loop_t *l, mem_history_t *s)
+{
+    int64_t cap = s->cap ? 2 * s->cap : 8;
+    mem_snap_t *rows;
+    int64_t *sync;
+    if (s->n < s->cap)
+        return 1;
+    rows = realloc(s->rows, sizeof(mem_snap_t) * (size_t)cap);
+    if (!rows)
+        return 0;
+    s->rows = rows;
+    sync = realloc(s->sync, sizeof(int64_t) *
+                   (size_t)(cap * l->snap_stride + 1));
+    if (!sync)
+        return 0;
+    s->sync = sync;
+    s->cap = cap;
+    return 1;
+}
+
+/* Core.take_snapshot: snapshot next_ckpt_id of ``pid`` at ``now``, with
+ * the locks it holds and its barrier crossings; returns its index (-1
+ * when out of memory). */
+int64_t loop_snapshot(mem_loop_t *l, int pid, double now,
+                      double overhead_mark)
+{
+    mem_hot_t *h = &l->hot[pid];
+    mem_history_t *s = &l->hist[pid];
+    mem_snap_t *row;
+    uint64_t *sync;
+    int64_t k;
+    if (!snap_room(l, s))
+        return -1;
+    row = &s->rows[s->n];
+    row->ckpt_id = h->next_ckpt_id;
+    row->trace_ip = h->ip;
+    row->instr_count = h->instr_count;
+    row->time = now;
+    row->complete_time = 0.0;
+    row->complete = 0;
+    row->overhead_mark = overhead_mark;
+    sync = (uint64_t *)(s->sync + s->n * l->snap_stride);
+    memset(sync, 0, sizeof(int64_t) * (size_t)l->snap_stride);
+    for (k = 0; k < l->lock_ix.n; k++)
+        if (l->locks[k].holder == pid)
+            sync[k >> 6] |= 1ull << (k & 63);
+    for (k = 0; k < l->barrier_ix.n; k++)
+        sync[l->lock_words + k] = (uint64_t)l->barriers[k].crossed[pid];
+    h->next_ckpt_id++;
+    h->n_checkpoints++;
+    h->ckpt_gap_sum += now - h->last_ckpt_time;
+    h->ckpt_gap_count++;
+    h->last_ckpt_time = now;
+    return s->n++;
+}
+
+/* Appends a copy of snapshot ``k`` of core ``from`` to ``pid``'s
+ * snapshots; returns its index (-1 when out of memory). */
+int64_t loop_snap_copy(mem_loop_t *l, int pid, int from, int64_t k)
+{
+    mem_history_t *s = &l->hist[pid];
+    int64_t w = l->snap_stride;
+    if (!snap_room(l, s))
+        return -1;
+    s->rows[s->n] = l->hist[from].rows[k];
+    memcpy(s->sync + s->n * w, l->hist[from].sync + k * w,
+           sizeof(int64_t) * (size_t)w);
+    return s->n++;
+}
+
+/* Core.snapshot_for: the index of ``pid``'s newest snapshot of
+ * ``ckpt_id``, or -1. */
+int64_t loop_snap_find(mem_loop_t *l, int pid, int64_t ckpt_id)
+{
+    const mem_history_t *s = &l->hist[pid];
+    int64_t k;
+    for (k = s->n - 1; k >= 0; k--)
+        if (s->rows[k].ckpt_id == ckpt_id)
+            return k;
+    return -1;
+}
+
+/* How many of ``pid``'s snapshots are newer than checkpoint
+ * ``ckpt_id``. */
+int64_t loop_snap_newer(mem_loop_t *l, int pid, int64_t ckpt_id)
+{
+    const mem_history_t *s = &l->hist[pid];
+    int64_t k, n = 0;
+    for (k = 0; k < s->n; k++)
+        n += s->rows[k].ckpt_id > ckpt_id;
+    return n;
+}
+
+/* Core.latest_safe_snapshot: the index of ``pid``'s newest snapshot
+ * complete at least ``latency`` cycles before ``detect``, else 0
+ * (program start). */
+int64_t loop_snap_safe(mem_loop_t *l, int pid, double detect,
+                       double latency)
+{
+    const mem_history_t *s = &l->hist[pid];
+    int64_t k;
+    for (k = s->n - 1; k >= 0; k--)
+        if (s->rows[k].complete &&
+                detect - s->rows[k].complete_time >= latency)
+            return k;
+    return 0;
+}
+
+/* Keeps the snapshots of ``pid`` up to checkpoint ``ckpt_id`` (a
+ * rollback to it), in order. */
+void loop_snap_keep(mem_loop_t *l, int pid, int64_t ckpt_id)
+{
+    mem_history_t *s = &l->hist[pid];
+    int64_t k, n = 0, w = l->snap_stride;
+    for (k = 0; k < s->n; k++) {
+        if (s->rows[k].ckpt_id > ckpt_id)
+            continue;
+        if (n != k) {
+            s->rows[n] = s->rows[k];
+            memmove(s->sync + n * w, s->sync + k * w,
+                    sizeof(int64_t) * (size_t)w);
+        }
+        n++;
+    }
+    s->n = n;
+}
+
+/* Remembers the stall window [start, end) of ``pid``; 0 when out of
+ * memory. */
+int loop_window(mem_loop_t *l, int pid, double start, double end)
+{
+    mem_history_t *s = &l->hist[pid];
+    if (s->n_windows == s->cap_windows) {
+        int64_t cap = s->cap_windows ? 2 * s->cap_windows : 16;
+        mem_window_t *w = realloc(s->windows,
+                                  sizeof(mem_window_t) * (size_t)cap);
+        if (!w)
+            return 0;
+        s->windows = w;
+        s->cap_windows = cap;
+    }
+    s->windows[s->n_windows].start = start;
+    s->windows[s->n_windows].end = end;
+    s->n_windows++;
+    return 1;
+}
+
+/* Core.charge_stall: adds the window to ``*field`` (a checkpoint
+ * accumulator of ``pid``'s row) and remembers it; 0 when out of
+ * memory. */
+static int charge(mem_loop_t *l, int pid, double *field, double start,
+                  double end)
+{
+    if (end <= start)
+        return 1;
+    *field += end - start;
+    return loop_window(l, pid, start, end);
+}
+
+/* Core.truncate_stalls: the part of each window past ``cut`` is
+ * overhang; then every window is dropped. */
+void loop_truncate_stalls(mem_loop_t *l, int pid, double cut)
+{
+    mem_history_t *s = &l->hist[pid];
+    int64_t i;
+    for (i = 0; i < s->n_windows; i++) {
+        const mem_window_t *w = &s->windows[i];
+        if (w->end > cut)
+            l->hot[pid].stall_overhang +=
+                w->end - (w->start > cut ? w->start : cut);
+    }
+    s->n_windows = 0;
+}
+
+/* Core.refund_stall_overhang: the part of each window past the core's
+ * end time is overhang. */
+void loop_refund_overhang(mem_loop_t *l, int pid, double end_time)
+{
+    const mem_history_t *s = &l->hist[pid];
+    int64_t i;
+    for (i = 0; i < s->n_windows; i++) {
+        const mem_window_t *w = &s->windows[i];
+        double overhang = w->end - (w->start > end_time ? w->start
+                                                          : end_time);
+        if (overhang > 0.0)
+            l->hot[pid].stall_overhang += overhang;
+    }
+}
+
+/* Queues the completion of ``pid``'s drain of checkpoint ``ckpt_id``
+ * at ``when`` under a fresh seq (Machine.schedule_call's). */
+int loop_push_drain(mem_loop_t *l, double when, int pid, int64_t ckpt_id)
+{
+    l->seq++;
+    return queue_push_event(l, when, l->seq, EV_DRAIN, pid, ckpt_id);
+}
+
+/* BaseScheme._net_overhead_charged: the core's net checkpoint overhead
+ * (CoreStats.ckpt_overhead_cycles less ipc_delay) plus the live
+ * engine counter that stands in for ipc_delay. */
+static double net_overhead(const mem_core_t *c, const mem_hot_t *h, int pid)
+{
+    return h->wb_delay + h->wb_imbalance + h->ckpt_sync + h->ipc_delay +
+           h->depset_stall + h->ckpt_backoff - h->stall_overhang -
+           h->ipc_delay + c->ckpt_wait[pid];
+}
+
+/* DepRegisterFile.open_interval: the active set's checkpoint began and
+ * a fresh set, in the lowest free slot, opens the next interval; 0
+ * (the core failed) when every set is live. */
+static int dep_open(mem_core_t *c, int pid, double now)
+{
+    int32_t *order = c->dep_order + (int64_t)pid * c->dep_slots;
+    int n = c->dep_n[pid], slot, i;
+    if (n >= c->dep_slots) {
+        c->fail_pid = pid;
+        fail(c, FAIL_DEPSETS);
+        return 0;
+    }
+    dep_active(c, pid)->d.ckpt_started = 1;
+    for (slot = 0;; slot++) {
+        for (i = 0; i < n && order[i] != slot; i++)
+            ;
+        if (i == n)
+            break;
+    }
+    if (!mem_dep_reset(c, pid, slot, c->dep_next[pid], now))
+        return 0;
+    c->dep_next[pid]++;
+    order[n] = slot;
+    c->dep_n[pid] = n + 1;
+    return 1;
+}
+
+/* BaseScheme._rotate: ``pid`` opens a new interval (its residency epoch
+ * advances; GlobalScheme's epoch or Rebound's Dep set follows). */
+static int rotate(mem_core_t *c, mem_loop_t *l, int pid, double now)
+{
+    c->epochs[pid]++;
+    if (c->hooks == HOOKS_REBOUND)
+        return dep_open(c, pid, now);
+    l->hot[pid].interval++;
+    return 1;
+}
+
+/* _mark_interval_complete: Rebound's set of ``interval`` records when
+ * its checkpoint completed (GlobalScheme keeps nothing). */
+static void interval_complete(mem_core_t *c, int pid, int64_t interval,
+                              double now)
+{
+    int i;
+    if (c->hooks != HOOKS_REBOUND)
+        return;
+    for (i = 0; i < c->dep_n[pid]; i++) {
+        mem_dep_t *d = &dep_at(c, pid, dep_slot(c, pid, i))->d;
+        if (d->interval_id == interval) {
+            d->complete = 1;
+            d->ckpt_complete_time = now;
+            return;
+        }
+    }
+}
+
+/* MemoryChannels.bg_drain_time: a background drain of ``n_lines``, one
+ * line per ``period`` cycles, slowed by the streams beyond one per
+ * channel. */
+static double bg_drain_time(const mem_core_t *c, int64_t n_lines,
+                            double period)
+{
+    int64_t over = c->bg_streams - c->n_ch;
+    double contention = 1.0 + 0.5 * (double)(over > 0 ? over : 0) /
+                        (double)c->n_ch;
+    return pymax(1.0, (double)n_lines * period * contention);
+}
+
+/* MemoryChannels.bg_account: a drain's occupancy over
+ * [now, now + window] lands on the writeback horizons. */
+static void bg_account(mem_core_t *c, double now, int64_t n_lines,
+                       double window)
+{
+    double occ_total, cap, horizon;
+    int ch;
+    if (n_lines == 0)
+        return;
+    occ_total = (double)(n_lines * c->logged_occ) / (double)c->n_ch;
+    cap = now + window;
+    for (ch = 0; ch < c->n_ch; ch++) {
+        horizon = pymax(c->wb_busy[ch], now) + occ_total;
+        c->wb_busy[ch] = pymin(pymax(horizon, c->wb_busy[ch]),
+                               pymax(cap, c->wb_busy[ch]));
+        c->ckpt_wb_busy[ch] = pymax(c->ckpt_wb_busy[ch], c->wb_busy[ch]);
+    }
+    c->wb_transfers += n_lines;
+}
+
+/* BaseScheme._release_member */
+static inline void release(mem_hot_t *h, double resume)
+{
+    h->not_before = pymax(h->not_before, resume);
+    h->ckpt_busy_until = pymax(h->ckpt_busy_until, resume);
+}
+
+/* BaseScheme._execute_checkpoint's member steps for the built-in
+ * schemes (the hooks GlobalScheme and ReboundScheme run, by ``hooks``):
+ * members ``pids`` (in the caller's order) stop, sync, snapshot, and
+ * write their dirty lines back in a burst (``use_dwb`` 0) or mark them
+ * Delayed and drain them in the background (an EV_DRAIN entry per
+ * member), statement for statement as the Python body, which stays the
+ * reference.  Each begin or end marker takes one log seq, as the
+ * oracle's ReviveLog.mark_begin/mark_end do.  Fills ``out`` for the
+ * CheckpointEvent; 0 when the core failed. */
+int mem_checkpoint(mem_core_t *c, mem_loop_t *l, const int32_t *pids, int n,
+                   double now, int use_dwb, double msg_cycles,
+                   double sync_cycles, double drain_period, mem_ckpt_t *out)
+{
+    double stops[SYNC_CORES], done[SYNC_CORES];
+    int64_t closed[SYNC_CORES], lines, k;
+    int32_t sorted[SYNC_CORES];
+    double t_sync = 0.0, t_end = 0.0, stop, completion, drain, max_done;
+    int64_t dirty = 0;
+    int i, j, pid;
+    mem_hot_t *h;
+    if (n < 1 || n > SYNC_CORES || c->failed)
+        return 0;
+    l->ckpt_calls++;
+    l->ckpt_members += n;
+    /* Cross-processor interrupts stop everyone, then a sync. */
+    for (i = 0; i < n; i++) {
+        h = &l->hot[pids[i]];
+        stop = now + msg_cycles;
+        if (!h->blocked)
+            stop = pymax(stop, h->time);
+        stops[i] = stop;
+        t_sync = i == 0 ? stop : pymax(t_sync, stop);
+    }
+    t_sync += sync_cycles;
+    for (i = 0; i < n; i++) {
+        h = &l->hot[pids[i]];
+        if (!charge(l, pids[i], &h->ckpt_sync, stops[i], t_sync))
+            goto oom;
+    }
+    /* The snapshot, marker and writeback steps go in pid order. */
+    for (i = 0; i < n; i++) {
+        for (j = i; j > 0 && sorted[j - 1] > pids[i]; j--)
+            sorted[j] = sorted[j - 1];
+        sorted[j] = pids[i];
+    }
+    if (!use_dwb) {
+        for (i = 0; i < n; i++) {
+            pid = sorted[i];
+            h = &l->hot[pid];
+            closed[pid] = current_interval(c, pid);
+            if (loop_snapshot(l, pid, t_sync, net_overhead(c, h, pid)) < 0)
+                goto oom;
+            c->log_seq++;   /* the begin marker */
+            done[pid] = mem_checkpoint_writeback(
+                c, pid, t_sync, current_interval(c, pid), &lines);
+            if (c->failed)
+                return 0;
+            dirty += lines;
+            t_end = i == 0 ? done[pid] : pymax(t_end, done[pid]);
+        }
+        t_end += sync_cycles;
+        for (i = 0; i < n; i++) {
+            pid = pids[i];
+            h = &l->hot[pid];
+            c->log_seq++;   /* the end marker */
+            mem_end_interval(c, pid, closed[pid]);
+            if (!rotate(c, l, pid, t_end))
+                return 0;
+            interval_complete(c, pid, closed[pid], t_end);
+            h->instr_since_ckpt = 0;
+            if (!charge(l, pid, &h->wb_delay, t_sync, done[pid]) ||
+                    !charge(l, pid, &h->wb_imbalance, done[pid], t_end))
+                goto oom;
+            k = l->hist[pid].n - 1;
+            l->hist[pid].rows[k].complete_time = t_end;
+            l->hist[pid].rows[k].complete = 1;
+            release(h, t_end);
+        }
+        out->resume = t_end;
+        out->duration = t_end - now;
+    } else {
+        max_done = t_sync;
+        for (i = 0; i < n; i++) {
+            pid = sorted[i];
+            h = &l->hot[pid];
+            k = loop_snapshot(l, pid, t_sync, net_overhead(c, h, pid));
+            if (k < 0)
+                goto oom;
+            c->log_seq++;   /* the begin marker */
+            lines = mem_mark_delayed(c, pid);
+            dirty += lines;
+            /* _start_drain */
+            drain = bg_drain_time(c, lines, drain_period);
+            completion = t_sync + drain;
+            h->pending_delayed = lines;
+            h->delayed_ckpt_id = l->hist[pid].rows[k].ckpt_id;
+            h->ckpt_busy_until = pymax(h->ckpt_busy_until, completion);
+            if (lines > 0) {
+                c->bg_streams++;
+                bg_account(c, t_sync, lines, drain);
+            }
+            if (!rotate(c, l, pid, t_sync))
+                return 0;
+            h->instr_since_ckpt = 0;
+            if (!loop_push_drain(l, completion, pid, h->delayed_ckpt_id))
+                goto oom;
+            max_done = pymax(max_done, completion);
+            release(h, t_sync);
+        }
+        out->resume = t_sync;
+        out->duration = max_done - now;
+    }
+    out->dirty = dirty;
+    return 1;
+oom:
+    fail(c, FAIL_MEMORY);
+    return 0;
+}
+
+/* BaseScheme._complete_drain at ``t``: ``pid``'s delayed drain of
+ * checkpoint ``ckpt_id`` completes, unless that drain is no longer the
+ * core's (rolled back, or already completed by a hurried entry).  A
+ * drain's lines are logged under its checkpoint's interval, which is
+ * the checkpoint id (delayed_interval_of).  0 when the core failed. */
+int mem_drain(mem_core_t *c, mem_loop_t *l, int pid, int64_t ckpt_id,
+              double t)
+{
+    mem_hot_t *h = &l->hot[pid];
+    int64_t k;
+    if (h->delayed_ckpt_id != ckpt_id) {
+        l->drains_stale++;
+        return 1;
+    }
+    if (mem_complete_delayed(c, pid, t, ckpt_id) < 0)
+        return 0;
+    c->log_seq++;   /* the end marker */
+    mem_end_interval(c, pid, ckpt_id);
+    k = loop_snap_find(l, pid, ckpt_id);
+    if (k >= 0) {
+        l->hist[pid].rows[k].complete_time = t;
+        l->hist[pid].rows[k].complete = 1;
+    }
+    interval_complete(c, pid, ckpt_id, t);
+    if (h->pending_delayed > 0)
+        c->bg_streams = c->bg_streams > 1 ? c->bg_streams - 1 : 0;
+    h->pending_delayed = 0;
+    h->delayed_ckpt_id = -1;
+    h->ckpt_busy_until = pymin(h->ckpt_busy_until, t);
+    l->drains_completed++;
+    return 1;
+}
+
 /* Counts a return of mem_advance. */
 static inline int adv(mem_loop_t *l, int reason)
 {
@@ -3080,6 +3634,11 @@ int mem_advance(mem_core_t *c, mem_loop_t *l, double limit, double gate,
                 l->now = e.when;
             if (e.when > limit)
                 return adv(l, ADV_LIMIT);
+            if (e.kind == EV_DRAIN) {
+                if (!mem_drain(c, l, e.pid, e.arg, e.when))
+                    return adv(l, ADV_FAILED);
+                continue;
+            }
             if (e.kind != EV_EXEC) {
                 *out = e;
                 return adv(l, ADV_CALL);
@@ -3195,10 +3754,25 @@ oom:
     return adv(l, ADV_FAILED);
 }
 
+static void free_hist(mem_loop_t *l)
+{
+    int64_t i;
+    if (!l->hist)
+        return;
+    for (i = 0; i < (l->n > 0 ? l->n : 1); i++) {
+        free(l->hist[i].rows);
+        free(l->hist[i].sync);
+        free(l->hist[i].windows);
+    }
+    free(l->hist);
+    l->hist = NULL;
+}
+
 void loop_free(mem_loop_t *l)
 {
     if (!l)
         return;
+    free_hist(l);
     free(l->hot);
     free((void *)l->ops);
     free((void *)l->args);
@@ -3230,10 +3804,26 @@ mem_loop_t *loop_new(int n, int n_locks, int n_barriers)
             !ALLOC(l->n_records, m) || !ALLOC(l->far, l->far_cap) ||
             !ALLOC(l->cal, l->cal_cap) ||
             !ALLOC(l->locks, n_locks + 1) ||
-            !ALLOC(l->barriers, n_barriers + 1) ||
+            !ALLOC(l->barriers, n_barriers + 1) || !ALLOC(l->hist, m) ||
             !ix_init(&l->lock_ix, 0) || !ix_init(&l->barrier_ix, 0)) {
         loop_free(l);
         return NULL;
+    }
+    /* Every core starts at snapshot 0, program start, complete at 0. */
+    l->lock_words = (n_locks + 63) / 64;
+    l->snap_stride = l->lock_words + n_barriers;
+    for (i = 0; i < m; i++) {
+        l->hot[i].next_ckpt_id = 1;
+        l->hot[i].delayed_ckpt_id = -1;
+        l->hot[i].block_site = -1;
+        if (!snap_room(l, &l->hist[i])) {
+            loop_free(l);
+            return NULL;
+        }
+        memset(l->hist[i].sync, 0, sizeof(int64_t) * (size_t)l->snap_stride);
+        memset(&l->hist[i].rows[0], 0, sizeof(mem_snap_t));
+        l->hist[i].rows[0].complete = 1;
+        l->hist[i].n = 1;
     }
     for (i = 0; i < l->cal_cap; i++)
         l->cal[i].next = i + 1 < l->cal_cap ? i + 1 : -1;
@@ -3285,7 +3875,7 @@ mem_loop_t *loop_clone(const mem_loop_t *src)
 {
     mem_loop_t *l = malloc(sizeof(mem_loop_t));
     int64_t m = src->n > 0 ? src->n : 1;
-    int64_t locks = src->n_locks + 1, barriers = src->n_barriers + 1;
+    int64_t locks = src->n_locks + 1, barriers = src->n_barriers + 1, i;
     if (!l)
         return NULL;
     *l = *src;
@@ -3297,7 +3887,10 @@ mem_loop_t *loop_clone(const mem_loop_t *src)
     l->cal = NULL;
     l->locks = NULL;
     l->barriers = NULL;
+    l->hist = NULL;
     l->pops = l->cal_pushes = l->far_pushes = l->residencies = 0;
+    l->ckpt_calls = l->ckpt_members = 0;
+    l->drains_completed = l->drains_stale = 0;
     memset(l->records, 0, sizeof(l->records));
     memset(l->returns, 0, sizeof(l->returns));
     memset(&l->lock_ix, 0, sizeof(mem_index_t));
@@ -3316,6 +3909,21 @@ mem_loop_t *loop_clone(const mem_loop_t *src)
         goto oom;
     memcpy(l->far, src->far, sizeof(mem_node_t) * src->far_n);
     DUP(l->cal, src->cal, src->cal_cap);
+    if (!ALLOC(l->hist, m))
+        goto oom;
+    for (i = 0; i < m; i++) {
+        const mem_history_t *from = &src->hist[i];
+        mem_history_t *to = &l->hist[i];
+        DUP(to->rows, from->rows, from->cap);
+        DUP(to->sync, from->sync, from->cap * src->snap_stride + 1);
+        to->n = from->n;
+        to->cap = from->cap;
+        if (from->cap_windows) {
+            DUP(to->windows, from->windows, from->cap_windows);
+            to->n_windows = from->n_windows;
+            to->cap_windows = from->cap_windows;
+        }
+    }
     return l;
 oom:
     loop_free(l);

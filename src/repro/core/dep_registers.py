@@ -30,18 +30,17 @@ import ctypes
 from typing import Optional
 
 from repro.backref import backref
-from repro.coherence.core import row_fields
+from repro.coherence.core import ffi, row_fields
 from repro.core.signature import WriteSignature
 
 
 def mask_to_pids(mask: int) -> list[int]:
-    """Expand a processor bitmask into a list of PIDs."""
-    out, i = [], 0
+    """Expand a processor bitmask into a list of PIDs, ascending."""
+    out = []
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -98,8 +97,7 @@ class DepRegisterFile:
         self.stall_events = 0
         self.retired_wsig_tests = 0
         self.retired_wsig_fps = 0
-        self.sets.append(self._new_set(0.0))
-        self._publish()
+        self.sets = [self._new_set(0.0)]
 
     # -- set lifecycle ------------------------------------------------------
     def _new_set(self, now: float) -> DepRegisterSet:
@@ -113,20 +111,20 @@ class DepRegisterFile:
     def active(self) -> DepRegisterSet:
         return self.sets[-1]
 
-    def _publish(self) -> None:
-        """The list of live sets changed (a no-op here)."""
-
+    # The live sets change only by assignment to ``sets`` (a compiled
+    # core's file publishes each new list to the core).
     def recycle(self, now: float, detection_latency: float) -> None:
         """Free sets whose closing checkpoint completed >= L cycles ago."""
-        while len(self.sets) > 1:
-            oldest = self.sets[0]
+        sets = self.sets
+        while len(sets) > 1:
+            oldest = sets[0]
             done = oldest.ckpt_complete_time
             if done is None or now - done < detection_latency:
                 break
             self.retired_wsig_tests += oldest.wsig.tests
             self.retired_wsig_fps += oldest.wsig.false_positives
-            self.sets.pop(0)
-            self._publish()
+            sets = sets[1:]
+            self.sets = sets
 
     def can_open_interval(self, now: float, detection_latency: float) -> bool:
         """True when a fresh Dep set can be allocated right now."""
@@ -143,11 +141,11 @@ class DepRegisterFile:
 
     def open_interval(self, now: float) -> DepRegisterSet:
         """Rotate to a fresh Dep set (the instant a checkpoint begins)."""
-        assert len(self.sets) < self.n_sets, "out of Dep register sets"
-        self.active.ckpt_started = True
+        sets = self.sets
+        assert len(sets) < self.n_sets, "out of Dep register sets"
+        sets[-1].ckpt_started = True
         dep = self._new_set(now)
-        self.sets.append(dep)
-        self._publish()
+        self.sets = sets + [dep]
         return dep
 
     def force_open(self, now: float) -> DepRegisterSet:
@@ -158,9 +156,9 @@ class DepRegisterFile:
         conservative (union of producers/consumers/WSIG): it can only
         enlarge future interaction sets, never miss a dependence.
         """
-        if len(self.sets) >= self.n_sets:
-            oldest = self.sets.pop(0)
-            survivor = self.sets[0]
+        sets = self.sets
+        if len(sets) >= self.n_sets:
+            oldest, survivor = sets[0], sets[1]
             survivor.producers |= oldest.producers
             survivor.consumers |= oldest.consumers
             survivor.producers_genuine |= oldest.producers_genuine
@@ -169,6 +167,7 @@ class DepRegisterFile:
             self.retired_wsig_tests += oldest.wsig.tests
             self.retired_wsig_fps += oldest.wsig.false_positives
             self.stall_events += 1
+            self.sets = sets[1:]
         return self.open_interval(now)
 
     def set_for_interval(self, interval_id: int) -> Optional[DepRegisterSet]:
@@ -231,8 +230,7 @@ class DepRegisterFile:
         """
         self.sets = [d for d in self.sets if d.interval_id <= interval_id]
         self._next_interval = interval_id + 1
-        self.sets.append(self._new_set(now))
-        self._publish()
+        self.sets = self.sets + [self._new_set(now)]
 
 
 class CoreWriteSignature:
@@ -278,11 +276,14 @@ class CoreDepRegisterFile(DepRegisterFile):
     """The Dep registers of core ``pid`` in the compiled core.
 
     ``engine`` (a :class:`~repro.coherence.core.CompiledEngine` running
-    Rebound's hooks) holds ``n_sets`` set rows per core; every set
-    in :attr:`sets` is a view of one of them, and every change to the
-    list is published to the core, which reads the active set and the
-    live sets newest first on each dependence and WSIG stamp.  The set
-    lifecycle is :class:`DepRegisterFile`'s own code."""
+    Rebound's hooks) holds ``n_sets`` set rows per core and, per core,
+    the order of the live sets and the next interval id; :attr:`sets`
+    derives from that order (each set a view of its row), an assignment
+    to it publishes the new order, and ``_next_interval`` is the core's.
+    The core reads the active set and the live sets newest first on
+    each dependence and WSIG stamp, and a compiled checkpoint rotates
+    the sets itself (``mem_checkpoint``).  The set lifecycle is
+    :class:`DepRegisterFile`'s own code."""
 
     #: The engine (weak: its scheme owns the file).
     _engine = backref()
@@ -290,7 +291,39 @@ class CoreDepRegisterFile(DepRegisterFile):
     def __init__(self, engine, pid: int, n_sets: int, wsig_bits: int,
                  wsig_hashes: int):
         self._engine = engine
+        self.pid = pid
+        self._bind()
         super().__init__(pid, n_sets, wsig_bits, wsig_hashes)
+
+    def _bind(self) -> None:
+        """The set rows and the core's order of them (``_c`` keeps the
+        core's memory, not the engine, alive)."""
+        self._c = c = self._engine._c
+        self._order = c.dep_order + self.pid * c.dep_slots
+        self._rows = [self._view(slot) for slot in range(c.dep_slots)]
+
+    @property
+    def sets(self) -> list[DepRegisterSet]:
+        """The live sets, oldest first."""
+        rows = self._rows
+        return [rows[slot] for slot in
+                ffi.unpack(self._order, self._c.dep_n[self.pid])]
+
+    @sets.setter
+    def sets(self, sets: list[DepRegisterSet]) -> None:
+        self._engine.set_dep_order(self.pid, [dep._slot for dep in sets])
+
+    @property
+    def active(self) -> DepRegisterSet:
+        return self._rows[self._order[self._c.dep_n[self.pid] - 1]]
+
+    @property
+    def _next_interval(self) -> int:
+        return self._c.dep_next[self.pid]
+
+    @_next_interval.setter
+    def _next_interval(self, interval_id: int) -> None:
+        self._c.dep_next[self.pid] = interval_id
 
     def _view(self, slot: int) -> DepRegisterSet:
         row = DepRegisterSet.from_address(self._engine.dep_row(self.pid,
@@ -304,18 +337,15 @@ class CoreDepRegisterFile(DepRegisterFile):
         slot = min(set(range(self.n_sets)) - used)
         self._engine.dep_reset(self.pid, slot, self._next_interval, now)
         self._next_interval += 1
-        return self._view(slot)
-
-    def _publish(self) -> None:
-        self._engine.dep_order(self.pid, [dep._slot for dep in self.sets])
+        return self._rows[slot]
 
     def __deepcopy__(self, memo) -> "CoreDepRegisterFile":
-        """The same file over the forked core (which cloned the rows and
-        their order)."""
+        """The same file over the forked core (which cloned the rows,
+        their order and the next interval id)."""
         clone = object.__new__(type(self))
         memo[id(self)] = clone
         for name, value in vars(self).items():
-            if name != "sets":
+            if name not in ("_c", "_order", "_rows"):
                 setattr(clone, name, copy.deepcopy(value, memo))
-        clone.sets = [clone._view(dep._slot) for dep in self.sets]
+        clone._bind()
         return clone

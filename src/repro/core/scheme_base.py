@@ -8,6 +8,16 @@ dual rollback machinery (invalidate, undo the log, rewind, re-execute).
 
 Concrete policies: :class:`repro.core.global_scheme.GlobalScheme`
 (ReVive-like) and :class:`repro.core.rebound_scheme.ReboundScheme`.
+
+The member steps of a built-in scheme's checkpoint run in the compiled
+core: :meth:`BaseScheme._execute_checkpoint` makes one call
+(``CompiledEngine.checkpoint``, ``mem_checkpoint`` in ``memsys.c``) for
+all members, and a delayed drain's completion is an entry the C loop
+completes itself (``mem_drain``).  Which members, when and what the
+:class:`~repro.sim.stats.CheckpointEvent` says stay here, as does every
+rollback.  The Python bodies below are the reference: machines on the
+oracle memory system run them, and so does any class that overrides a
+member hook (:data:`MEMBER_HOOKS`, :func:`native_checkpoints`).
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ import random
 from typing import TYPE_CHECKING, Optional
 
 from repro.backref import backref
+from repro.coherence.core import lib
 from repro.coherence.protocol import DependenceTracker, overrides
 from repro.interconnect import MessageClass
 from repro.sim.events import DurableCall
@@ -28,6 +39,33 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: The barrier hooks (``barrier_hooks_act``).
 BARRIER_HOOKS = ("on_barrier_update", "barrier_release_gate")
+
+#: What a checkpoint runs on each member: a built-in scheme class that
+#: overrides none of these checkpoints in the compiled core (one that
+#: overrides an interval hook, ``interval_of`` or
+#: ``delayed_interval_of``, already runs none of the core's hooks).
+MEMBER_HOOKS = ("_execute_checkpoint", "_checkpoint_members",
+                "_closed_interval_of", "_rotate",
+                "_mark_interval_complete", "_net_overhead_charged",
+                "_release_member", "_start_drain", "_complete_drain")
+
+#: The compiled core's hook modes whose checkpoints it runs.
+_NATIVE_MODES = (lib.HOOKS_GLOBAL, lib.HOOKS_REBOUND)
+
+_native_classes: dict[type, bool] = {}
+
+
+def native_checkpoints(cls: type) -> bool:
+    """Whether scheme class ``cls`` checkpoints in the compiled core
+    (decided once per class): it inherits a built-in ``NATIVE_HOOKS``
+    scheme and overrides none of :data:`MEMBER_HOOKS`."""
+    native = _native_classes.get(cls)
+    if native is None:
+        base = next((k for k in cls.__mro__ if "NATIVE_HOOKS" in vars(k)),
+                    None)
+        native = _native_classes[cls] = (
+            base is not None and not overrides(cls, base, MEMBER_HOOKS))
+    return native
 
 
 class BaseScheme(DependenceTracker):
@@ -70,6 +108,13 @@ class BaseScheme(DependenceTracker):
 
     def attach(self, machine: "Machine") -> None:
         """Called once the machine is fully constructed."""
+
+    def _native(self) -> bool:
+        """Whether this scheme's checkpoints and drains run in the
+        compiled core: a native class on a core running its hooks (an
+        oracle machine's engine has none)."""
+        return (native_checkpoints(type(self)) and
+                getattr(self.machine.engine, "hooks", None) in _NATIVE_MODES)
 
     # -- policy hooks (overridden by concrete schemes) -----------------------
     def post_op_gate(self) -> float:
@@ -153,8 +198,33 @@ class BaseScheme(DependenceTracker):
         With delayed writebacks the members resume right after the
         coordination sync and the dirty lines drain in the background
         (Figure 4.1b); otherwise they stall until every member's burst
-        writeback completes (Figure 4.1a).
+        writeback completes (Figure 4.1a).  A native scheme
+        (:meth:`_native`) runs the member steps in one call to the
+        compiled core, the others :meth:`_checkpoint_members`.
         """
+        machine = self.machine
+        if self._native():
+            resume, duration, dirty_total = machine.engine.checkpoint(
+                machine.loop, [core.pid for core in members], now,
+                self.use_dwb, self.config)
+            sends = 1 if self.use_dwb else 2
+            machine.network.send(MessageClass.PROTOCOL,
+                                 sends * 2 * len(members))
+        else:
+            resume, duration, dirty_total = self._checkpoint_members(
+                members, now)
+        machine.stats.checkpoints.append(CheckpointEvent(
+            time=now, initiator=initiator, kind=kind, size=len(members),
+            genuine_size=(genuine_size if genuine_size is not None
+                          else len(members)),
+            dirty_lines=dirty_total, duration=duration))
+        return resume
+
+    def _checkpoint_members(self, members: list["Core"],
+                            now: float) -> tuple[float, float, int]:
+        """The member steps of a checkpoint, in Python (the reference
+        for ``mem_checkpoint``): returns the resume time, the duration
+        and the lines written back."""
         machine = self.machine
         config = self.config
         # Cross-processor interrupts to stop everyone, then a sync.
@@ -213,12 +283,7 @@ class BaseScheme(DependenceTracker):
                 self._release_member(core, t_sync)
             resume = t_sync
             duration = max_completion - now
-        machine.stats.checkpoints.append(CheckpointEvent(
-            time=now, initiator=initiator, kind=kind, size=len(members),
-            genuine_size=(genuine_size if genuine_size is not None
-                          else len(members)),
-            dirty_lines=dirty_total, duration=duration))
-        return resume
+        return resume, duration, dirty_total
 
     def _release_member(self, core: "Core", resume: float) -> None:
         core.not_before = max(core.not_before, resume)
@@ -230,7 +295,8 @@ class BaseScheme(DependenceTracker):
         and the rollback reclaim.  ``ipc_delay`` is only folded into
         ``CoreStats`` at finalize, so the live engine counter stands in
         for it here."""
-        return (core.stats.ckpt_overhead_cycles - core.stats.ipc_delay +
+        stats = core.stats
+        return (stats.ckpt_overhead_cycles - stats.ipc_delay +
                 self.machine.engine.ckpt_wait[core.pid])
 
     def _charge_backoff(self, core: "Core", now: float,
@@ -295,6 +361,9 @@ class BaseScheme(DependenceTracker):
         fast = now + core.pending_delayed * self.config.dwb_fast_period
         if fast < core.ckpt_busy_until:
             core.ckpt_busy_until = fast
+            if self._native():
+                self.machine.push_drain(fast, core.pid, core.delayed_ckpt_id)
+                return
             self.machine.schedule_call(
                 fast, DurableCall("scheme", "_complete_drain",
                                   (core.pid, core.delayed_ckpt_id,
@@ -325,8 +394,7 @@ class BaseScheme(DependenceTracker):
         wasted = 0.0
         for pid, snap in targets.items():
             core = machine.cores[pid]
-            depth = sum(1 for s in core.snapshots
-                        if s.ckpt_id > snap.ckpt_id) + 1
+            depth = core.snapshots_after(snap.ckpt_id) + 1
             max_depth = max(max_depth, depth)
             if core.pending_delayed > 0:
                 machine.channels.bg_stop()
@@ -367,12 +435,12 @@ class BaseScheme(DependenceTracker):
                            snap.overhead_mark)
             reclaim = min(span, max(0.0, overhead_now - baseline))
             core.overhead_reclaim_mark = overhead_now
-            core.stats.rollback_waste += span - reclaim
+            stats = core.stats
+            stats.rollback_waste += span - reclaim
             # Recovery windows of back-to-back faults overlap; count
             # each wall-clock cycle of recovery at most once per core.
-            core.stats.recovery += max(0.0, resume -
-                                       max(detect_time,
-                                           core.recovery_until))
+            stats.recovery += max(0.0, resume -
+                                  max(detect_time, core.recovery_until))
             core.recovery_until = max(core.recovery_until, resume)
             self._drop_dep_state(pid, snap.ckpt_id, resume)
         machine.sync.rollback_cleanup(machine, members, targets, resume)

@@ -10,20 +10,27 @@ snapshot, after which it re-executes the lost work.
 The fields the machine loop touches on every record (trace position,
 clock, instruction counts, epoch, store sequence, done/blocked, what a
 blocked core waits on and since when, and the ``busy`` and
-``sync_wait`` accumulators), and those the memory system reads when it
+``sync_wait`` accumulators), those the memory system reads when it
 logs a writeback (the Delayed-line drain's ``pending_delayed`` and
-``delayed_ckpt_id``, GlobalScheme's ``interval``), live in the compiled
-loop's per-core rows (``mem_hot_t`` in ``memsys.c``): :class:`Core` is
-a ``ctypes`` structure laid over its row, so the C code and the Python
-code around it (schemes, rollback) read and write the same fields.  A
-snapshot's held locks and barrier crossings are read off the loop's
-lock and barrier rows (:mod:`repro.sim.sync`).
+``delayed_ckpt_id``, GlobalScheme's ``interval``) and those a
+checkpoint writes (the next snapshot id, ``ckpt_busy_until`` and the
+:class:`~repro.sim.stats.CoreStats` stall accumulators) live in the
+compiled loop's per-core rows (``mem_hot_t`` in ``memsys.c``):
+:class:`Core` is a ``ctypes`` structure laid over its row, so the C
+code and the Python code around it (schemes, rollback) read and write
+the same fields.  The loop also keeps each core's snapshots and stall
+windows (``mem_history_t``); :attr:`Core.snapshots` and
+:attr:`Core.stall_segments` are views of them.  A snapshot records the
+locks the core held and its barrier crossings off the loop's lock and
+barrier rows (:mod:`repro.sim.sync`).
 """
 
 from __future__ import annotations
 
 import copy
 import ctypes
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +56,117 @@ class CoreSnapshot:
     #: rollback to this snapshot — only overhead charged *after* the
     #: span's start may be reclassified out of rollback waste.
     overhead_mark: float = 0.0
+
+
+def _row_field(name: str) -> property:
+    return property(lambda self: getattr(self._row(), name))
+
+
+class SnapshotRow(CoreSnapshot):
+    """Snapshot ``index`` of core ``pid`` as the loop keeps it (a
+    ``mem_snap_t`` row and its lock and barrier state): every field
+    reads the row, and ``complete_time`` writes it.  A view names its
+    row by position, so it is valid until a rollback drops the
+    snapshot."""
+
+    __slots__ = ("_t", "_pid", "_index")
+
+    def __init__(self, table: "CoreTable", pid: int, index: int):
+        self._t = table
+        self._pid = pid
+        self._index = index
+
+    def _row(self):
+        return self._t.c.hist[self._pid].rows[self._index]
+
+    def _sync(self):
+        c = self._t.c
+        return c.hist[self._pid].sync + self._index * c.snap_stride
+
+    ckpt_id = _row_field("ckpt_id")
+    trace_ip = _row_field("trace_ip")
+    instr_count = _row_field("instr_count")
+    time = _row_field("time")
+    overhead_mark = _row_field("overhead_mark")
+
+    @property
+    def complete_time(self) -> Optional[float]:
+        row = self._row()
+        return row.complete_time if row.complete else None
+
+    @complete_time.setter
+    def complete_time(self, value: Optional[float]) -> None:
+        row = self._row()
+        row.complete = value is not None
+        row.complete_time = 0.0 if value is None else value
+
+    @property
+    def held_locks(self) -> frozenset[int]:
+        sync = self._sync()
+        return frozenset(lock_id for k, lock_id in enumerate(self._t.locks)
+                         if sync[k >> 6] >> (k & 63) & 1)
+
+    @property
+    def barrier_crossings(self) -> dict[int, int]:
+        sync = self._sync() + self._t.c.lock_words
+        return {barrier_id: sync[k]
+                for k, barrier_id in enumerate(self._t.barriers) if sync[k]}
+
+
+class _Rows(Sequence):
+    """Rows of one kind that the loop keeps for core ``pid``."""
+
+    __slots__ = ("_t", "_pid")
+
+    def __init__(self, table: "CoreTable", pid: int):
+        self._t = table
+        self._pid = pid
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("row index out of range")
+        return self._item(index)
+
+
+class Snapshots(_Rows):
+    """A core's snapshots, oldest first (views of the loop's rows)."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return self._t.c.hist[self._pid].n
+
+    def _item(self, index: int) -> SnapshotRow:
+        return SnapshotRow(self._t, self._pid, index)
+
+    def append(self, snap: SnapshotRow) -> None:
+        """Append a copy of ``snap``, a snapshot of the same loop."""
+        if lib.loop_snap_copy(self._t.c, self._pid, snap._pid,
+                              snap._index) < 0:
+            raise MemoryError("cannot grow the snapshot rows")
+
+
+class StallWindows(_Rows):
+    """A core's charged stall windows, ``(start, end)`` tuples in the
+    order they were charged (the loop's rows)."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return self._t.c.hist[self._pid].n_windows
+
+    def _item(self, index: int) -> tuple[float, float]:
+        window = self._t.c.hist[self._pid].windows[index]
+        return (window.start, window.end)
+
+    def append(self, window: tuple[float, float]) -> None:
+        if not lib.loop_window(self._t.c, self._pid, *window):
+            raise MemoryError("cannot grow the stall windows")
 
 
 #: ``mem_advance``'s return reasons, by code (``CoreTable.counters``).
@@ -153,8 +271,10 @@ class CoreTable:
         calendar and into its heap tier (``pushes.calendar``,
         ``pushes.heap``), fused residencies, records ``mem_advance``
         dispatched per trace op (``records.<op>``) and its returns per
-        reason (``returns.<reason>``).  A fork's table counts from
-        zero."""
+        reason (``returns.<reason>``), checkpoints the compiled core ran
+        and their members (``ckpt.calls``, ``ckpt.members``), and drain
+        entries it completed or found stale (``drains.completed``,
+        ``drains.stale``).  A fork's table counts from zero."""
         c = self.c
         counts = {"pops": c.pops, "pushes.calendar": c.cal_pushes,
                   "pushes.heap": c.far_pushes, "residencies": c.residencies}
@@ -162,12 +282,23 @@ class CoreTable:
                       for op, name in OP_NAMES.items())
         counts.update((f"returns.{name}", c.returns[code])
                       for code, name in _RETURNS.items())
+        counts.update({"ckpt.calls": c.ckpt_calls,
+                       "ckpt.members": c.ckpt_members,
+                       "drains.completed": c.drains_completed,
+                       "drains.stale": c.drains_stale})
         return counts
 
 
 #: ``Core.blocked`` values by their row code.
 _BLOCKED = (None, "lock", "barrier")
 _BLOCK_CODES = {value: code for code, value in enumerate(_BLOCKED)}
+
+#: The :class:`CoreStats` fields a core's row accumulates.
+_ROW_STATS = ("busy", "sync_wait", "wb_delay", "wb_imbalance", "ckpt_sync",
+              "ipc_delay", "depset_stall", "ckpt_backoff", "stall_overhang",
+              "n_checkpoints", "last_ckpt_time", "ckpt_gap_sum",
+              "ckpt_gap_count")
+_row_stats = operator.attrgetter(*_ROW_STATS)
 
 
 class Core(ctypes.Structure):
@@ -197,19 +328,14 @@ class Core(ctypes.Structure):
         # traces before building cores.
         if isinstance(trace, CompiledTrace):
             self._t.bind_trace(pid, trace)
-        # The row starts zeroed (loop_new) but for its -1 fields.
-        self.block_site = None                  # the lock or barrier id
-        self.delayed_ckpt_id = None
-        self.stats = CoreStats()
+        # The row starts zeroed (loop_new) but for its -1 fields and
+        # next_ckpt_id 1; while a checkpoint (or its delayed drain) is
+        # in flight (ckpt_busy_until) the core Nacks/Busies external
+        # checkpoint requests (Sections 3.3.4, 4.1).  The loop starts
+        # the snapshots with snapshot 0, program start: rolling back to
+        # it replays all work.
+        self._stats = CoreStats()
         self.store_tag = pid << 40      # high bits of every store value
-        # While a checkpoint (or its delayed drain) is in flight the core
-        # Nacks/Busies external checkpoint requests (Sections 3.3.4, 4.1).
-        self.ckpt_busy_until = 0.0
-        # Snapshot 0 is program start; rolling back to it replays all work.
-        self.snapshots: list[CoreSnapshot] = [
-            CoreSnapshot(0, 0, 0, 0.0, frozenset(), {}, complete_time=0.0)
-        ]
-        self.next_ckpt_id = 1
         # Clock watermarks for back-to-back rollbacks: cycles below
         # waste_charged_until were already written off as wasted work,
         # and recovery time before recovery_until was already counted.
@@ -221,13 +347,6 @@ class Core(ctypes.Structure):
         # than be charged a second time as rollback waste (the useful-
         # work partition would go negative otherwise).
         self.overhead_reclaim_mark = 0.0
-        # Wall-clock extents of every charged checkpoint-stall window:
-        # a window that runs past the core's last committed record (the
-        # final checkpoint's sync and writeback tail, an end-of-run
-        # back-off loop) or past a rollback cut displaced no execution,
-        # so its overhang is tracked in ``stats.stall_overhang`` and
-        # netted out of the useful-work overhead bucket.
-        self.stall_segments: list[tuple[float, float]] = []
 
     #: The checkpoint whose Delayed lines are draining, if any.
     delayed_ckpt_id = optional_field("_delayed_ckpt_id")
@@ -249,39 +368,45 @@ class Core(ctypes.Structure):
     def blocked(self, value: Optional[str]) -> None:
         self._blocked = _BLOCK_CODES[value]
 
+    @property
+    def stats(self) -> CoreStats:
+        """The core's :class:`CoreStats`, with the row's accumulators
+        copied in (those fields are written through the row)."""
+        stats = self._stats
+        for name, value in zip(_ROW_STATS, _row_stats(self)):
+            setattr(stats, name, value)
+        return stats
+
+    #: The snapshots, oldest first (views of the loop's rows).
+    snapshots = property(lambda self: Snapshots(self._t, self.pid))
+    #: Wall-clock extents of every charged checkpoint-stall window: a
+    #: window that runs past the core's last committed record (the
+    #: final checkpoint's sync and writeback tail, an end-of-run
+    #: back-off loop) or past a rollback cut displaced no execution, so
+    #: its overhang is tracked in ``stall_overhang`` and netted out of
+    #: the useful-work overhead bucket.
+    stall_segments = property(lambda self: StallWindows(self._t, self.pid))
+
     def __deepcopy__(self, memo) -> "Core":
-        """A core over the copied table's row.  What the simulator never
-        mutates in place is shared: a completed snapshot (only an
-        in-flight one still gets its ``complete_time``) and the stall
-        windows (tuples); the flat stats are copied shallowly."""
+        """A core over the copied table's row (which holds its snapshots
+        and stall windows); the flat stats are copied shallowly."""
         table = copy.deepcopy(self._t, memo)
         clone = type(self).from_address(table.row(self.pid))
         memo[id(self)] = clone
-        state = {
-            "_t": table,
-            "stats": copy.copy(self.stats),
-            "snapshots": [snap if snap.complete_time is not None
-                          else copy.copy(snap) for snap in self.snapshots],
-            "stall_segments": list(self.stall_segments),
-        }
+        state = {"_t": table, "_stats": copy.copy(self._stats)}
         for name, value in vars(self).items():
             if name not in state:
                 state[name] = copy.deepcopy(value, memo)
         vars(clone).update(state)
         return clone
 
-    def finish(self) -> None:
-        """Copy the row's accumulators into the stats (the run is over)."""
-        self.stats.busy = self.busy
-        self.stats.sync_wait = self.sync_wait
-
     def charge_stall(self, field: str, start: float, end: float) -> None:
-        """Charge a checkpoint-stall window to CoreStats ``field`` and
-        remember its wall-clock extent for overhang accounting."""
+        """Charge a checkpoint-stall window to the row's CoreStats
+        ``field`` and remember its wall-clock extent for overhang
+        accounting."""
         if end <= start:
             return
-        setattr(self.stats, field, getattr(self.stats, field) +
-                (end - start))
+        setattr(self, field, getattr(self, field) + (end - start))
         self.stall_segments.append((start, end))
 
     def truncate_stalls(self, cut: float) -> None:
@@ -290,16 +415,12 @@ class Core(ctypes.Structure):
         ``stall_overhang``, netting it out of the overhead bucket while
         the gross per-category counters keep the paper-facing values.
 
-        Every segment is then dropped: rollback cuts arrive in
+        Every window is then dropped: rollback cuts arrive in
         non-decreasing detection order and the core's final end time is
         at least this rollback's resume time, so a window ending at or
         before ``cut`` can never produce overhang again — keeping it
         would only grow the list for later rescans."""
-        for start, end in self.stall_segments:
-            if end > cut:
-                self.stats.stall_overhang += \
-                    end - (start if start > cut else cut)
-        self.stall_segments.clear()
+        lib.loop_truncate_stalls(self._t.c, self.pid, cut)
 
     def refund_stall_overhang(self) -> None:
         """Count stall cycles charged past the core's final end time as
@@ -307,11 +428,7 @@ class Core(ctypes.Structure):
         is set): a window that ran past the last committed record
         displaced no execution, so it must not occupy overhead budget
         inside the run's [0, runtime] cycle partition."""
-        end_time = self.stats.end_time
-        for start, end in self.stall_segments:
-            overhang = end - (start if start > end_time else end_time)
-            if overhang > 0.0:
-                self.stats.stall_overhang += overhang
+        lib.loop_refund_overhang(self._t.c, self.pid, self._stats.end_time)
 
     # -- values -------------------------------------------------------------
     def next_store_value(self) -> int:
@@ -322,23 +439,18 @@ class Core(ctypes.Structure):
     # -- snapshots ------------------------------------------------------------
     def take_snapshot(self, now: float,
                       overhead_mark: float = 0.0) -> CoreSnapshot:
-        snap = CoreSnapshot(
-            self.next_ckpt_id, self.ip, self.instr_count, now,
-            frozenset(self.held_locks), dict(self.barrier_crossings),
-            overhead_mark=overhead_mark)
-        self.snapshots.append(snap)
-        self.next_ckpt_id += 1
-        self.stats.n_checkpoints += 1
-        self.stats.ckpt_gap_sum += now - self.stats.last_ckpt_time
-        self.stats.ckpt_gap_count += 1
-        self.stats.last_ckpt_time = now
-        return snap
+        """Snapshot ``next_ckpt_id``: the trace position, instruction
+        count, held locks and barrier crossings at ``now``."""
+        index = lib.loop_snapshot(self._t.c, self.pid, now, overhead_mark)
+        if index < 0:
+            raise MemoryError("cannot grow the snapshot rows")
+        return SnapshotRow(self._t, self.pid, index)
 
     def snapshot_for(self, ckpt_id: int) -> CoreSnapshot:
-        for snap in reversed(self.snapshots):
-            if snap.ckpt_id == ckpt_id:
-                return snap
-        raise KeyError(f"core {self.pid}: no snapshot {ckpt_id}")
+        index = lib.loop_snap_find(self._t.c, self.pid, ckpt_id)
+        if index < 0:
+            raise KeyError(f"core {self.pid}: no snapshot {ckpt_id}")
+        return SnapshotRow(self._t, self.pid, index)
 
     def latest_safe_snapshot(self, detect_time: float,
                              detection_latency: float) -> CoreSnapshot:
@@ -347,11 +459,12 @@ class Core(ctypes.Structure):
         The program-start snapshot always qualifies, so recovery can never
         fail to find a target (Appendix A relies on this).
         """
-        for snap in reversed(self.snapshots):
-            done = snap.complete_time
-            if done is not None and detect_time - done >= detection_latency:
-                return snap
-        return self.snapshots[0]
+        return SnapshotRow(self._t, self.pid, lib.loop_snap_safe(
+            self._t.c, self.pid, detect_time, detection_latency))
+
+    def snapshots_after(self, ckpt_id: int) -> int:
+        """How many snapshots are newer than checkpoint ``ckpt_id``."""
+        return lib.loop_snap_newer(self._t.c, self.pid, ckpt_id)
 
     def rollback_to(self, snap: CoreSnapshot, resume_time: float,
                     detect_time: Optional[float] = None) -> float:
@@ -374,9 +487,9 @@ class Core(ctypes.Structure):
         self.ip = snap.trace_ip
         self.instr_count = snap.instr_count
         self.instr_since_ckpt = 0
-        self.snapshots = [s for s in self.snapshots
-                          if s.ckpt_id <= snap.ckpt_id]
-        self.next_ckpt_id = snap.ckpt_id + 1
+        ckpt_id = snap.ckpt_id
+        lib.loop_snap_keep(self._t.c, self.pid, ckpt_id)
+        self.next_ckpt_id = ckpt_id + 1
         self.time = resume_time
         self.blocked = None
         self.block_site = None

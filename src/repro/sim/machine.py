@@ -16,7 +16,9 @@ Hot path: the loop runs in C.  The event queue, every core's hot state
 (:class:`repro.trace.CompiledTrace`, read in place) live in
 ``memsys.c``'s ``mem_loop_t``; ``mem_advance`` pops entries, executes
 every record but OUTPUT and END against the compiled memory system,
-and returns to Python only for what Python owns: a ``DurableCall`` or a
+completes delayed drains (``EV_DRAIN`` entries a built-in scheme's
+compiled checkpoint queued, :meth:`push_drain`), and returns to Python
+only for what Python owns: a ``DurableCall`` or a
 pause popping, an OUTPUT/END record, a BARRIER record whose scheme
 hooks can act or a sync record Python refuses
 (:meth:`Machine._exec_record`), the ``post_op`` gate, the cycle limit,
@@ -45,7 +47,8 @@ one record, so that step is the loop's per-record cost.  A batch the
 ``post_op`` gate interrupts resumes, with its remaining budget, unless
 ``post_op`` stalled the core.  :meth:`Machine.counters` reports the
 loop's pops, calendar and heap-tier pushes, residencies, records per
-op and returns to Python, and the memory system's dense and hashed
+op, returns to Python, compiled checkpoints and their members and
+completed and stale drains, and the memory system's dense and hashed
 line lookups.
 
 :meth:`Machine._advance_main` is the same loop in Python.  Only
@@ -87,6 +90,7 @@ from repro.workloads.base import WorkloadSpec
 _EXEC = lib.EV_EXEC
 _DCALL = lib.EV_CALL     # durable descriptor callback (fork-safe)
 _PAUSE = lib.EV_PAUSE    # replica-batch pause sentinel (never observable)
+_DRAIN = lib.EV_DRAIN    # a delayed drain's completion (mem_drain)
 
 #: The returns of ``mem_advance`` that run scheme code.
 _SCHEME_RETURNS = (lib.ADV_RECORD, lib.ADV_CALL, lib.ADV_POST_OP)
@@ -215,6 +219,12 @@ class Machine:
     # ------------------------------------------------------------------
     # scheduling primitives
     # ------------------------------------------------------------------
+    @property
+    def loop(self):
+        """The loop's C state (``mem_loop_t``), which a compiled
+        checkpoint (``CompiledEngine.checkpoint``) works on."""
+        return self._table.c
+
     def push_core(self, core: Core) -> None:
         """(Re)schedule a core at max(core.time, core.not_before)."""
         if not lib.loop_push_core(self._table.c, core.pid):
@@ -226,6 +236,14 @@ class Machine:
         closures, so :meth:`fork` can deep-copy a pending queue."""
         self._table.c.seq += 1
         self._push_call(when, self._table.c.seq, call)
+
+    def push_drain(self, when: float, pid: int, ckpt_id: int) -> None:
+        """Complete core ``pid``'s delayed drain of checkpoint
+        ``ckpt_id`` at ``when`` (a compiled checkpoint's drain: the
+        loop runs the completion itself, ``mem_drain``), keyed as
+        :meth:`schedule_call` keys a call."""
+        if not lib.loop_push_drain(self._table.c, when, pid, ckpt_id):
+            raise MemoryError("cannot grow the event queue")
 
     def _push_call(self, when: float, seq: int, call: DurableCall) -> None:
         """Queue ``call`` under key ``seq``."""
@@ -438,6 +456,9 @@ class Machine:
                 loop.now = when
             if when > limit:
                 raise self._cycle_limit_exceeded()
+            if kind == _DRAIN:  # only a compiled core queues these
+                self.engine.drain(loop, event.pid, event.arg, when)
+                continue
             if kind != _EXEC:
                 self._calls.pop(event.seq).fire(self, when)
                 continue
@@ -568,13 +589,16 @@ class Machine:
             kind = event.kind
             if kind == _PAUSE:
                 return False
-            if kind == _DCALL:
+            if kind == _DCALL or kind == _DRAIN:
                 when = event.when
                 if when > loop.now:
                     loop.now = when
                 if when > limit:
                     raise self._cycle_limit_exceeded()
-                self._calls.pop(event.seq).fire(self, when)
+                if kind == _DRAIN:
+                    self.engine.drain(loop, event.pid, event.arg, when)
+                else:
+                    self._calls.pop(event.seq).fire(self, when)
         self._phase = "done"
         return True
 
@@ -716,23 +740,20 @@ class Machine:
         stats = self.stats
         engine = self.engine
         counts = engine.tally()
-        for core in self.cores:
-            core.finish()
-        stats.cores = [core.stats for core in self.cores]
         for pid, core in enumerate(self.cores):
-            core.stats.ipc_delay += engine.ckpt_wait[pid]
-            core.stats.end_time = max(core.stats.end_time, core.time)
-        stats.runtime = max((c.end_time for c in stats.cores), default=0.0)
-        # Checkpoint-stall windows charged past a core's last committed
-        # record (a final checkpoint's sync/writeback tail, an
-        # end-of-run back-off loop) displaced no execution: refund the
-        # overhang so the overhead bucket stays inside the run's
-        # runtime x n_cores cycle budget.
-        for core in self.cores:
+            core.ipc_delay += engine.ckpt_wait[pid]
+            core_stats = core.stats
+            core_stats.end_time = max(core_stats.end_time, core.time)
+            core_stats.instructions = core.instr_count
+            # Checkpoint-stall windows charged past a core's last
+            # committed record (a final checkpoint's sync/writeback
+            # tail, an end-of-run back-off loop) displaced no execution:
+            # refund the overhang so the overhead bucket stays inside
+            # the run's runtime x n_cores cycle budget.
             core.refund_stall_overhang()
+        stats.cores = [core.stats for core in self.cores]
+        stats.runtime = max((c.end_time for c in stats.cores), default=0.0)
         stats.total_instructions = sum(c.instr_count for c in self.cores)
-        for core in self.cores:
-            core.stats.instructions = core.instr_count
         stats.base_messages = counts["base_messages"]
         stats.dep_messages = counts["dep_messages"]
         stats.protocol_messages = self.network.protocol_messages

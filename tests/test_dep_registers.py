@@ -1,6 +1,8 @@
 """Tests for the Dep register file (MyProducers/MyConsumers/WSIG sets)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.dep_registers import DepRegisterFile, mask_to_pids
 
@@ -15,6 +17,18 @@ class TestMaskHelpers:
         assert mask_to_pids(0) == []
         assert mask_to_pids(0b1) == [0]
         assert mask_to_pids(0b1010010) == [1, 4, 6]
+
+    @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
+    def test_mask_to_pids_matches_a_shift_per_bit(self, mask):
+        """The set-bit walk against the definition it replaced (one
+        shift per bit position), up to bit 63."""
+        expected, i, rest = [], 0, mask
+        while rest:
+            if rest & 1:
+                expected.append(i)
+            rest >>= 1
+            i += 1
+        assert mask_to_pids(mask) == expected
 
 
 class TestRecording:

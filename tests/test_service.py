@@ -323,7 +323,27 @@ class TestKillDashNine:
         # Zero re-execution: nothing journaled before the kill ran again.
         reexecuted = {repr(key) for key in restarted.engine.profile} \
             & journaled_before
-        assert reexecuted == set()
+
+        def explain() -> str:
+            """Each re-executed key, where its cached result should be,
+            whether it is there, and its journal lines."""
+            records = []
+            for line in journal.read_text().splitlines():
+                try:
+                    records.append((json.loads(line)["key"], line))
+                except (ValueError, KeyError):
+                    continue
+            report = []
+            for key in restarted.engine.profile:
+                if repr(key) not in reexecuted:
+                    continue
+                path = restarted.engine._cache_path(key)
+                lines = [line for name, line in records if name == repr(key)]
+                report.append(f"{key!r}: result cache {path} "
+                              f"(exists: {path.exists()}); journal: {lines}")
+            return "re-executed after the restart:\n" + "\n".join(report)
+
+        assert reexecuted == set(), explain()
         cold = ExperimentEngine(jobs=1, use_disk_cache=False)
         assert restarted.summarize(job_id) \
             == summarize_campaign(cold.run_many(keys).values())
