@@ -22,6 +22,7 @@ member hook (:data:`MEMBER_HOOKS`, :func:`native_checkpoints`).
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import TYPE_CHECKING, Optional
 
@@ -52,20 +53,13 @@ MEMBER_HOOKS = ("_execute_checkpoint", "_checkpoint_members",
 #: The compiled core's hook modes whose checkpoints it runs.
 _NATIVE_MODES = (lib.HOOKS_GLOBAL, lib.HOOKS_REBOUND)
 
-_native_classes: dict[type, bool] = {}
-
-
+@functools.cache
 def native_checkpoints(cls: type) -> bool:
     """Whether scheme class ``cls`` checkpoints in the compiled core
     (decided once per class): it inherits a built-in ``NATIVE_HOOKS``
     scheme and overrides none of :data:`MEMBER_HOOKS`."""
-    native = _native_classes.get(cls)
-    if native is None:
-        base = next((k for k in cls.__mro__ if "NATIVE_HOOKS" in vars(k)),
-                    None)
-        native = _native_classes[cls] = (
-            base is not None and not overrides(cls, base, MEMBER_HOOKS))
-    return native
+    base = next((k for k in cls.__mro__ if "NATIVE_HOOKS" in vars(k)), None)
+    return base is not None and not overrides(cls, base, MEMBER_HOOKS)
 
 
 class BaseScheme(DependenceTracker):

@@ -224,11 +224,15 @@ def test_a_fork_completes_its_own_drains(python_body, scheme):
     check(compiled, python)
 
 
-def test_a_family_batch_matches_the_python_body(python_body):
-    """NONE, Global and Global_DWB share a leader; the members fork at
-    its first scheme return and checkpoint on their own."""
+@pytest.mark.parametrize("family", [
+    (Scheme.GLOBAL, Scheme.GLOBAL_DWB, Scheme.NONE),
+    (Scheme.REBOUND_NODWB, Scheme.REBOUND)],
+    ids=lambda family: family[0].value)
+def test_a_family_batch_matches_the_python_body(python_body, family):
+    """The schemes of a prefix family share a leader; the members fork
+    at its first scheme return and checkpoint on their own."""
     keys = [RunKey("water_sp", 16, scheme, 2.0, 1, 150)
-            for scheme in (Scheme.GLOBAL, Scheme.GLOBAL_DWB, Scheme.NONE)]
+            for scheme in family]
     compiled, python = python_body(lambda: execute_batch(keys))
     assert compiled == python
 
