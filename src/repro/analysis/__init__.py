@@ -3,7 +3,7 @@
 The codebase rests on three contracts enforced, until now, only at
 runtime — after a cache is poisoned or a forked replica has diverged:
 bit-determinism (the content-addressed result/workload caches),
-fork-safety (every scheduled callback a ``DurableCall``), and
+fork-safety (every queue entry plain data, never a callback), and
 fingerprint coverage (every module that can affect a ``SimStats``
 hashed by ``code_fingerprint()``).  ``reprolint`` proves them
 statically.  Production rules:
@@ -12,7 +12,7 @@ statically.  Production rules:
 code      name                contract
 ========  ==================  ===========================================
 RL001     fork-safety         no closure callbacks through ``.schedule``/
-                              ``schedule_call``/``_push_call``/heap
+                              ``push_drain``/``loop_push``/heap
                               pushes in ``repro.sim``/``repro.core``
 RL002     determinism         no wall clocks, OS entropy, global random
                               state, ``id()`` ordering or unordered-set

@@ -6,10 +6,10 @@ enforced only *dynamically* — after the damage was done:
 * **Determinism** — the content-addressed result/workload caches
   (:mod:`repro.harness.engine`, :mod:`repro.harness.workload_store`)
   silently serve wrong entries if two runs of the same key can differ.
-* **Fork-safety** — every scheduled callback must be a
-  :class:`~repro.sim.events.DurableCall`; ``copy.deepcopy`` treats
-  functions as atomic, so a closure on the heap of a forked replica
-  would fire into the pre-fork machine.
+* **Fork-safety** — every queue entry must be plain data, never a
+  callback; ``copy.deepcopy`` treats functions as atomic, so a closure
+  on the queue of a forked replica would fire into the pre-fork
+  machine.
 * **Fingerprint coverage** — every module that can affect a
   ``SimStats`` must be hashed by ``code_fingerprint()``, or a code
   change keeps serving stale cache entries.

@@ -1,20 +1,20 @@
-"""RL001 — fork-safety: scheduled callbacks must be ``DurableCall``\\ s.
+"""RL001 — fork-safety: queue entries are plain data, never callbacks.
 
 ``Machine.fork`` (the vectorized campaign executor's replica spill)
-clones the event heap and deep-copies the table of pending calls;
-``copy.deepcopy`` treats functions as atomic, so a scheduled closure
-would keep firing into the *pre-fork* machine and the replica's results
-would silently diverge.  The heap itself is C (``mem_loop_t`` in
-``memsys.c``) and holds only each call's key; the call goes into the
-machine's table through its heap entry points, ``schedule_call`` and
-``_push_call``.  The machine has no closure entry point and no runtime
-check, so this rule is the guard, inside ``repro.sim`` and
-``repro.core``:
+clones the event queue; ``copy.deepcopy`` treats functions as atomic,
+so a queued closure would keep firing into the *pre-fork* machine and
+the replica's results would silently diverge.  The queue is C
+(``mem_loop_t`` in ``memsys.c``) and every entry is plain data: a core
+to run, a fault's index, a drain's core and checkpoint id, a pause.
+Its entry points are ``push_drain`` and ``loop_push``; nothing may
+bring a callback back onto it.  The machine has no closure entry point
+and no runtime check, so this rule is the guard, inside ``repro.sim``
+and ``repro.core``:
 
 * any closure-scheduling call ``<obj>.schedule(...)``;
-* a ``lambda`` argument to a heap entry point or a ``heappush``;
+* a ``lambda`` argument to a queue entry point or a ``heappush``;
 * a locally-defined function (a closure by construction) passed by
-  name to a heap entry point or a ``heappush``.
+  name to a queue entry point or a ``heappush``.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from typing import Iterator, List
 
 from repro.analysis.framework import Finding, ModuleContext, Rule
 
-#: Callables whose arguments must stay closure-free: the machine's heap
-#: entry points (``schedule_call``, and ``_push_call`` under a chosen
-#: seq) and raw ``heapq`` pushes.
-_SINKS = ("schedule_call", "_push_call", "heappush")
+#: Callables whose arguments must stay closure-free: the machine's queue
+#: entry points (``Machine.push_drain``, and ``loop_push`` under a
+#: chosen seq) and raw ``heapq`` pushes.
+_SINKS = ("push_drain", "loop_push", "heappush")
 
 
 def _call_name(func: ast.expr) -> str:
@@ -66,26 +66,24 @@ class _ForkSafetyVisitor(ast.NodeVisitor):
         if name == "schedule" and isinstance(node.func, ast.Attribute):
             self.findings.append(Finding(
                 self.ctx.relpath, node.lineno, "RL001",
-                "closure scheduling (<obj>.schedule); use "
-                "schedule_call with a DurableCall (deepcopy treats "
-                "functions as atomic, so a closure would fire into the "
-                "pre-fork machine)"))
+                "closure scheduling (<obj>.schedule); queue a plain-data "
+                "entry instead (deepcopy treats functions as atomic, so "
+                "a closure would fire into the pre-fork machine)"))
         elif name in _SINKS:
             for arg in ast.walk(node):
                 if isinstance(arg, ast.Lambda):
                     self.findings.append(Finding(
                         self.ctx.relpath, arg.lineno, "RL001",
-                        f"lambda passed to {name}; scheduled callbacks "
-                        f"must be DurableCalls (deepcopy treats "
-                        f"functions as atomic, breaking Machine.fork)"))
+                        f"lambda passed to {name}; queue entries must "
+                        f"be plain data (deepcopy treats functions as "
+                        f"atomic, breaking Machine.fork)"))
                 elif isinstance(arg, ast.Name) \
                         and self._is_local_fn(arg.id):
                     self.findings.append(Finding(
                         self.ctx.relpath, arg.lineno, "RL001",
                         f"local function {arg.id!r} passed to {name}; "
-                        f"scheduled callbacks must be DurableCalls "
-                        f"(a closure would fire into the pre-fork "
-                        f"machine)"))
+                        f"queue entries must be plain data (a closure "
+                        f"would fire into the pre-fork machine)"))
         self.generic_visit(node)
 
 
@@ -93,8 +91,9 @@ class ForkSafetyRule(Rule):
     code = "RL001"
     name = "fork-safety"
     description = ("no lambda/closure/local-function callbacks through "
-                   "<obj>.schedule, schedule_call, _push_call or heap "
-                   "pushes in repro.sim / repro.core — only DurableCall")
+                   "<obj>.schedule, push_drain, loop_push or heap pushes "
+                   "in repro.sim / repro.core — queue entries are plain "
+                   "data")
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not ctx.in_packages("sim", "core"):

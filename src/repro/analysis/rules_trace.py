@@ -20,8 +20,8 @@ fills fresh local arrays):
   (``<expr>.args.append(v)``, ``.frombytes``, ``.byteswap``, ...).
 
 Plain attribute *rebinding* (``trace.ops = view.cast(...)`` in
-``trace.py``, ``DurableCall.args = args``) stays legal: it replaces the
-reference, never the shared buffer.
+``trace.py``) stays legal: it replaces the reference, never the shared
+buffer.
 """
 
 from __future__ import annotations

@@ -267,12 +267,6 @@ class CoreLog(ReviveLog):
         return lib.mem_log_discard(self._engine._c,
                                    self._engine.targets(targets))
 
-    def trim_before(self, time: float) -> int:
-        trimmed = lib.mem_log_trim(self._engine._c, time, self.n_banks)
-        if trimmed < 0:
-            raise MemoryError("cannot trim the compiled undo log")
-        return trimmed
-
     def live_entries(self) -> int:
         return self._engine._c.log_n
 

@@ -37,15 +37,16 @@
  * CheckpointEvent; the member steps run here (stop and sync times,
  * the snapshot, the log markers' seqs, the burst writeback or the
  * Delayed marking and its drain time, the interval rotation, the stall
- * charges and the release).  A delayed drain's completion is an
- * EV_DRAIN queue entry mem_advance completes itself (mem_drain); a
- * stale one (rolled back, or already hurried to completion) is a
- * no-op.  The loop keeps what these write: each core's snapshots and
- * stall windows (mem_history_t), its next snapshot id, its Nack
- * horizon and its stall accumulators (mem_hot_t), and, for Rebound,
- * the order of its live Dep sets and its next interval id (mem_core_t).
- * Rollbacks and BarCK's barrier checkpoints stay in Python, on the
- * same state.
+ * charges and the release).  Every delayed drain's completion, an
+ * interval checkpoint's, a Nack-hurried one's or a BarCK member's, is
+ * an EV_DRAIN queue entry; for these schemes (native_drains)
+ * mem_advance completes it itself (mem_drain), and a stale one (rolled
+ * back, or already hurried to completion) is a no-op.  The loop keeps
+ * what these write: each core's snapshots and stall windows
+ * (mem_history_t), its next snapshot id, its Nack horizon and its
+ * stall accumulators (mem_hot_t), and, for Rebound, the order of its
+ * live Dep sets and its next interval id (mem_core_t).  Rollbacks and
+ * BarCK's member steps stay in Python, on the same state.
  *
  * Other trackers (HOOKS_PYTHON) are called back through the three
  * extern "Python" callbacks cffi defines (repro/coherence/build.py):
@@ -65,11 +66,14 @@
  * snapshots and stall windows, the trace columns and the locks and
  * barriers.  It executes COMPUTE, LOAD, STORE, LOCK and UNLOCK records
  * itself, BARRIER records unless the scheme's barrier hooks must run
- * (barrier_hooks), and drain completions.  It returns to
- * Python, with a reason code, for everything else: a scheduled call or
- * pause popping, a hooked BARRIER, OUTPUT or END record (or a
- * synchronization record Python must refuse), the scheme's post_op
- * gate, the cycle limit, an empty queue or a failed core.  It is a
+ * (barrier_hooks), and drain completions unless the scheme completes
+ * its drains in Python (native_drains).  Every queue entry is plain
+ * data: a core to run, a fault to deliver, a drain to complete or a
+ * pause.  It returns to Python, with a reason code, for everything
+ * else: a fault, a Python drain or a pause popping, a hooked BARRIER,
+ * OUTPUT or END record (or a synchronization record Python must
+ * refuse), the scheme's post_op gate, the cycle limit, an empty queue
+ * or a failed core.  It is a
  * translation of the Python loop (repro.sim.machine.Machine.
  * _advance_main) and of repro.sim.sync.SyncManager with the same order
  * of queue pops, accesses, clock updates and floating-point operations.
@@ -149,17 +153,19 @@
 #define OP_UNLOCK 5
 #define OP_END 7
 
-/* Queue entry kinds (repro.sim.machine). */
+/* Queue entry kinds (repro.sim.machine): plain data, so a clone of the
+ * queue is a fork's whole schedule. */
 #define EV_EXEC 0     /* run core ``pid`` if ``arg`` is still its epoch */
-#define EV_CALL 2     /* a scheduled DurableCall, keyed by ``seq`` */
+#define EV_FAULT 2    /* deliver the injector's fault number ``arg`` */
 #define EV_PAUSE 3    /* a replica-batch pause sentinel */
 #define EV_DRAIN 4    /* core ``pid``'s delayed drain of checkpoint ``arg``
-                       * completes (mem_drain) */
+                       * completes (mem_drain, or Python's unless
+                       * native_drains) */
 
 /* Why mem_advance returned. */
 #define ADV_DONE 0       /* every core finished its trace */
 #define ADV_PAUSE 1      /* a pause sentinel popped */
-#define ADV_CALL 2       /* a call popped: fire ``seq`` at ``when`` */
+#define ADV_CALL 2       /* a fault or a Python drain popped: the entry */
 #define ADV_POST_OP 3    /* the post_op gate: post_op(``pid``, ``when``) */
 #define ADV_RECORD 4     /* record ``kind`` (``arg``) of ``pid`` at ``when`` */
 #define ADV_LIMIT 5      /* the cycle limit was exceeded */
@@ -486,6 +492,7 @@ typedef struct mem_loop {
     mem_index_t lock_ix, barrier_ix;    /* id -> slot */
     int64_t lock_acquisitions, barrier_episodes;
     int barrier_hooks;  /* BARRIER records go to Python (scheme hooks) */
+    int native_drains;  /* EV_DRAIN entries run mem_drain, not Python */
     /* every core's snapshots and stall windows */
     mem_history_t *hist;
     int64_t lock_words, snap_stride;
@@ -545,7 +552,6 @@ void mem_end_interval(mem_core_t *, int, int64_t);
 int64_t mem_log_select(mem_core_t *, const int64_t *, mem_logent_t *);
 int64_t mem_log_discard(mem_core_t *, const int64_t *);
 int64_t mem_log_restore(mem_core_t *, const int64_t *, mem_logent_t *);
-int64_t mem_log_trim(mem_core_t *, double, int);
 int64_t mem_log_max_bin(mem_core_t *);
 
 mem_loop_t *loop_new(int, int, int);
@@ -557,7 +563,7 @@ void loop_free(mem_loop_t *);
 void loop_set_trace(mem_loop_t *, int, const int8_t *, const unsigned char *,
                     int64_t);
 int loop_push_core(mem_loop_t *, int);
-int loop_push(mem_loop_t *, double, int64_t, int);
+int loop_push(mem_loop_t *, double, int64_t, int, int64_t);
 int loop_pop(mem_loop_t *, mem_event_t *);
 double loop_next_when(mem_loop_t *);
 void loop_drop(mem_loop_t *, int);
@@ -2224,28 +2230,6 @@ int64_t mem_log_restore(mem_core_t *c, const int64_t *targets,
     return c->failed ? -1 : n;
 }
 
-/* ReviveLog.trim_before: in each of ``n_banks`` banks (by address),
- * drop the entries ahead of the first one at or after ``time``;
- * returns the count (-1 when out of memory). */
-int64_t mem_log_trim(mem_core_t *c, double time, int n_banks)
-{
-    uint8_t *reached = calloc((size_t)n_banks, 1);
-    int64_t i, kept = 0;
-    if (!reached)
-        return -1;
-    for (i = 0; i < c->log_n; i++) {
-        int bank = (int)pymod(c->log[i].addr, n_banks);
-        if (!reached[bank] && c->log[i].time >= time)
-            reached[bank] = 1;
-        if (reached[bank])
-            c->log[kept++] = c->log[i];
-    }
-    free(reached);
-    i = c->log_n - kept;
-    c->log_n = kept;
-    return i;
-}
-
 /* ReviveLog.max_interval_bytes */
 int64_t mem_log_max_bin(mem_core_t *c)
 {
@@ -2804,11 +2788,12 @@ int loop_push_core(mem_loop_t *l, int pid)
     return push_exec(l, pid, nb > t ? nb : t);
 }
 
-/* A call or pause entry under a seq the caller chose (a call's seq is
- * its key in the Python table of pending calls). */
-int loop_push(mem_loop_t *l, double when, int64_t seq, int kind)
+/* A fault or pause entry under a seq the caller chose (a fault's
+ * ``arg`` is its number in the injector). */
+int loop_push(mem_loop_t *l, double when, int64_t seq, int kind,
+              int64_t arg)
 {
-    return queue_push_event(l, when, seq, kind, 0, 0);
+    return queue_push_event(l, when, seq, kind, 0, arg);
 }
 
 int loop_pop(mem_loop_t *l, mem_event_t *out)
@@ -3307,7 +3292,7 @@ void loop_refund_overhang(mem_loop_t *l, int pid, double end_time)
 }
 
 /* Queues the completion of ``pid``'s drain of checkpoint ``ckpt_id``
- * at ``when`` under a fresh seq (Machine.schedule_call's). */
+ * at ``when`` under a fresh seq (Machine.push_drain). */
 int loop_push_drain(mem_loop_t *l, double when, int pid, int64_t ckpt_id)
 {
     l->seq++;
@@ -3581,7 +3566,8 @@ static inline int adv(mem_loop_t *l, int reason)
 /* Machine._advance_main over the compiled memory system: pops entries
  * and runs each popped core's batch of COMPUTE/LOAD/STORE records until
  * something needs Python (see the ADV_ codes); a LOCK, UNLOCK or (unless
- * barrier_hooks) BARRIER record runs here too and ends the batch.  A
+ * barrier_hooks) BARRIER record runs here too and ends the batch, and
+ * (under native_drains) a drain entry completes here.  A
  * batch continues while no queued entry is due at or before the core's
  * next record, for at most ``quantum`` records.  A batch suspended for
  * post_op resumes on the next call unless post_op stalled the core past
@@ -3634,7 +3620,7 @@ int mem_advance(mem_core_t *c, mem_loop_t *l, double limit, double gate,
                 l->now = e.when;
             if (e.when > limit)
                 return adv(l, ADV_LIMIT);
-            if (e.kind == EV_DRAIN) {
+            if (e.kind == EV_DRAIN && l->native_drains) {
                 if (!mem_drain(c, l, e.pid, e.arg, e.when))
                     return adv(l, ADV_FAILED);
                 continue;

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 
 from repro.backref import backref
 from repro.interconnect import MessageClass
-from repro.sim.events import DurableCall
 from repro.sim.stats import CheckpointEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover
 @dataclass(slots=True)
 class BarrierCheckpoint:
     """A BarCK in progress at one barrier: who sent it, when, and each
-    member's ``(ckpt_id, interval, n_lines, start)`` by pid."""
+    member's ``(ckpt_id, n_lines, start)`` by pid."""
 
     initiator: int
     time: float
@@ -91,11 +90,8 @@ class BarrierCheckpointCoordinator:
         # core can accept a new checkpoint request (Section 4.1) — even
         # one that wrote back no lines: its snapshot closes only then.
         if core.delayed_ckpt_id is not None:
-            scheme._complete_drain(
-                core.pid, core.delayed_ckpt_id,
-                scheme.delayed_interval_of(core.pid), now)
+            machine.complete_drain(core.pid, core.delayed_ckpt_id, now)
         dep_file = scheme.files[core.pid]
-        interval = dep_file.active.interval_id
         snap = core.take_snapshot(
             now, overhead_mark=scheme._net_overhead_charged(core))
         machine.log.mark_begin(now, core.pid, snap.ckpt_id)
@@ -106,7 +102,7 @@ class BarrierCheckpointCoordinator:
             machine.channels.bg_start()
         dep_file.force_open(now)
         core.instr_since_ckpt = 0
-        barck.members[core.pid] = (snap.ckpt_id, interval, n_lines, now)
+        barck.members[core.pid] = (snap.ckpt_id, n_lines, now)
 
     # ------------------------------------------------------------------
     def release_gate(self, barrier: "BarrierState", now: float) -> float:
@@ -126,8 +122,7 @@ class BarrierCheckpointCoordinator:
         release = now
         dirty_total = 0
         gate = not scheme.use_dwb
-        for pid, (ckpt_id, interval, n_lines,
-                  start) in barck.members.items():
+        for pid, (ckpt_id, n_lines, start) in barck.members.items():
             core = machine.cores[pid]
             drain = machine.channels.bg_drain_time(n_lines,
                                                    config.dwb_drain_period)
@@ -140,16 +135,12 @@ class BarrierCheckpointCoordinator:
                 # Without delayed-writeback hardware the flag write must
                 # wait for every participant's writebacks — they hide
                 # behind the spin / remaining execution (Figure 4.2c).
-                scheme._complete_drain(pid, ckpt_id, interval, completion)
+                machine.complete_drain(pid, ckpt_id, completion)
                 release = max(release, completion)
             else:
                 # With DWB support the drain keeps running past the
-                # barrier, exactly like an interval checkpoint's
-                # (durable, so forked replicas complete their own).
-                machine.schedule_call(
-                    completion,
-                    DurableCall("scheme", "_complete_drain",
-                                (pid, ckpt_id, interval)))
+                # barrier, exactly like an interval checkpoint's.
+                machine.push_drain(completion, pid, ckpt_id)
         release += config.sync_cycles
         machine.stats.checkpoints.append(CheckpointEvent(
             time=t_barck, initiator=barck.initiator,

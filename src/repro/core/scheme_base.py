@@ -12,8 +12,13 @@ Concrete policies: :class:`repro.core.global_scheme.GlobalScheme`
 The member steps of a built-in scheme's checkpoint run in the compiled
 core: :meth:`BaseScheme._execute_checkpoint` makes one call
 (``CompiledEngine.checkpoint``, ``mem_checkpoint`` in ``memsys.c``) for
-all members, and a delayed drain's completion is an entry the C loop
-completes itself (``mem_drain``).  Which members, when and what the
+all members.  Every delayed drain's completion, whoever starts it, is
+an ``EV_DRAIN (pid, ckpt_id)`` queue entry
+(``Machine.push_drain``), and a drain completed at once goes through
+``Machine.complete_drain``; the machine, not the scheme, picks who
+completes it (the compiled core's ``mem_drain`` for a native scheme,
+:meth:`BaseScheme._complete_drain` otherwise).  A drain's interval is
+its checkpoint id.  Which members, when and what the
 :class:`~repro.sim.stats.CheckpointEvent` says stay here, as does every
 rollback.  The Python bodies below are the reference: machines on the
 oracle memory system run them, and so does any class that overrides a
@@ -30,7 +35,6 @@ from repro.backref import backref
 from repro.coherence.core import lib
 from repro.coherence.protocol import DependenceTracker, overrides
 from repro.interconnect import MessageClass
-from repro.sim.events import DurableCall
 from repro.sim.stats import CheckpointEvent, RollbackEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,9 +61,11 @@ _NATIVE_MODES = (lib.HOOKS_GLOBAL, lib.HOOKS_REBOUND)
 def native_checkpoints(cls: type) -> bool:
     """Whether scheme class ``cls`` checkpoints in the compiled core
     (decided once per class): it inherits a built-in ``NATIVE_HOOKS``
-    scheme and overrides none of :data:`MEMBER_HOOKS`."""
+    scheme and overrides none of :data:`MEMBER_HOOKS` (NONE inherits
+    only the tracker's)."""
     base = next((k for k in cls.__mro__ if "NATIVE_HOOKS" in vars(k)), None)
-    return base is not None and not overrides(cls, base, MEMBER_HOOKS)
+    return (base is not None and issubclass(base, BaseScheme) and
+            not overrides(cls, base, MEMBER_HOOKS))
 
 
 class BaseScheme(DependenceTracker):
@@ -106,7 +112,8 @@ class BaseScheme(DependenceTracker):
     def _native(self) -> bool:
         """Whether this scheme's checkpoints and drains run in the
         compiled core: a native class on a core running its hooks (an
-        oracle machine's engine has none)."""
+        oracle machine's engine has none).  The machine reads it once
+        for its drains (``Machine._gate_scheme``)."""
         return (native_checkpoints(type(self)) and
                 getattr(self.machine.engine, "hooks", None) in _NATIVE_MODES)
 
@@ -265,14 +272,12 @@ class BaseScheme(DependenceTracker):
         else:
             max_completion = t_sync
             for core in sorted(members, key=lambda c: c.pid):
-                interval = self._closed_interval_of(core.pid)
                 snap = core.take_snapshot(
                     t_sync, overhead_mark=self._net_overhead_charged(core))
                 machine.log.mark_begin(t_sync, core.pid, snap.ckpt_id)
                 n_lines = machine.engine.mark_delayed(core.pid)
                 dirty_total += n_lines
-                completion = self._start_drain(core, snap, interval,
-                                               n_lines, t_sync)
+                completion = self._start_drain(core, snap, n_lines, t_sync)
                 max_completion = max(max_completion, completion)
                 self._release_member(core, t_sync)
             resume = t_sync
@@ -302,8 +307,8 @@ class BaseScheme(DependenceTracker):
         (re-charging an already-counted window would double-book it)."""
         core.charge_stall("ckpt_backoff", max(now, core.not_before), until)
 
-    def _start_drain(self, core: "Core", snap, interval: int,
-                     n_lines: int, t_sync: float) -> float:
+    def _start_drain(self, core: "Core", snap, n_lines: int,
+                     t_sync: float) -> float:
         """Kick off a background drain; returns its completion time."""
         machine = self.machine
         config = self.config
@@ -318,30 +323,26 @@ class BaseScheme(DependenceTracker):
             machine.channels.bg_account(t_sync, n_lines, drain)
         self._rotate(core.pid, t_sync)
         core.instr_since_ckpt = 0
-        # Durable (fork-safe) completion: the callback re-binds to
-        # whatever machine fires it, so a forked replica's pending
-        # drains complete inside the fork, not the parent.
-        machine.schedule_call(
-            completion, DurableCall("scheme", "_complete_drain",
-                                    (core.pid, snap.ckpt_id, interval)))
+        machine.push_drain(completion, core.pid, snap.ckpt_id)
         return completion
 
-    def _complete_drain(self, pid: int, ckpt_id: int, interval: int,
-                        t: float) -> None:
-        """Finalize a delayed-writeback checkpoint (possibly early)."""
+    def _complete_drain(self, pid: int, ckpt_id: int, t: float) -> None:
+        """Finalize a delayed-writeback checkpoint (possibly early): the
+        reference for ``mem_drain``.  Its lines are logged under the
+        checkpoint's interval, which is ``ckpt_id``."""
         machine = self.machine
         core = machine.cores[pid]
         if core.delayed_ckpt_id != ckpt_id:
             return  # rolled back, or already completed by acceleration
-        machine.engine.complete_delayed(pid, t, interval)
+        machine.engine.complete_delayed(pid, t, ckpt_id)
         machine.log.mark_end(t, pid, ckpt_id)
-        machine.memory.end_interval(pid, interval)
+        machine.memory.end_interval(pid, ckpt_id)
         try:
             snap = core.snapshot_for(ckpt_id)
             snap.complete_time = t
         except KeyError:
             pass
-        self._mark_interval_complete(pid, interval, t)
+        self._mark_interval_complete(pid, ckpt_id, t)
         if core.pending_delayed > 0:
             machine.channels.bg_stop()
         core.pending_delayed = 0
@@ -355,16 +356,7 @@ class BaseScheme(DependenceTracker):
         fast = now + core.pending_delayed * self.config.dwb_fast_period
         if fast < core.ckpt_busy_until:
             core.ckpt_busy_until = fast
-            if self._native():
-                self.machine.push_drain(fast, core.pid, core.delayed_ckpt_id)
-                return
-            self.machine.schedule_call(
-                fast, DurableCall("scheme", "_complete_drain",
-                                  (core.pid, core.delayed_ckpt_id,
-                                   self._drain_interval_for(core))))
-
-    def _drain_interval_for(self, core: "Core") -> int:
-        return self.delayed_interval_of(core.pid)
+            self.machine.push_drain(fast, core.pid, core.delayed_ckpt_id)
 
     # ------------------------------------------------------------------
     # rollback execution (shared by Global and Rebound)

@@ -1,11 +1,12 @@
 """Multistage-interconnect model: latencies and message accounting.
 
 The paper's timing model (Figure 4.3a) uses average round-trip latencies
-rather than a routed topology, so the network here provides the same
-abstraction: fixed latencies plus exact message *counts*, split into the
-classes needed by Table 6.1 (base coherence traffic vs. the extra
+rather than a routed topology: the latencies are ``MachineConfig``
+constants, and the network here keeps exact message *counts*, split into
+the classes needed by Table 6.1 (base coherence traffic vs. the extra
 messages that maintain LW-ID and the Dep registers) and the software
-checkpoint/rollback protocol messages.
+checkpoint/rollback protocol messages.  Table 6.1's percentage is
+``SimStats.dep_message_percent``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class MessageClass:
 
 
 class Interconnect:
-    """Latency constants plus per-class message counters.
+    """Per-class message counters.
 
     The counters are plain int attributes: the coherence engine bumps
     ``base_messages``/``dep_messages`` directly on its hot paths, and
@@ -48,26 +49,3 @@ class Interconnect:
             self.protocol_messages += n
         else:
             raise KeyError(msg_class)
-
-    @property
-    def total_messages(self) -> int:
-        return self.base_messages + self.dep_messages + self.protocol_messages
-
-    def dep_overhead_percent(self) -> float:
-        """Extra coherence messages over the base protocol (Table 6.1)."""
-        if self.base_messages == 0:
-            return 0.0
-        return 100.0 * self.dep_messages / self.base_messages
-
-    # -- latencies --------------------------------------------------------------
-    @property
-    def remote_round_trip(self) -> int:
-        return self.config.remote_l2_cycles
-
-    @property
-    def memory_round_trip(self) -> int:
-        return self.config.memory_cycles
-
-    def protocol_round_trip(self, hops: int = 1) -> int:
-        """Cost of a software-protocol exchange (interrupt + reply)."""
-        return self.config.msg_cycles * max(1, hops)

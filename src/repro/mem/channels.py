@@ -123,18 +123,6 @@ class MemoryChannels:
         self.wb_transfers += 1
         return done
 
-    def burst_writeback(self, now: float, addrs: list[int],
-                        logged: bool = True) -> float:
-        """Write back a batch of lines starting at ``now``.
-
-        Used for checkpoint bursts (Global and Rebound_NoDWB) where the
-        processor stalls; returns the completion time of the last line.
-        """
-        done = now
-        for addr in addrs:
-            done = max(done, self.writeback(now, addr, logged, True))
-        return done
-
     def restore(self, now: float, n_entries: int) -> float:
         """Roll back ``n_entries`` log entries (read log + write memory).
 

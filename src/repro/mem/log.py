@@ -136,26 +136,6 @@ class ReviveLog:
             self.banks[i] = kept
         return dropped
 
-    # -- maintenance -----------------------------------------------------------
-    def trim_before(self, time: float) -> int:
-        """Reclaim entries older than ``time`` (already unrecoverable-to).
-
-        The caller must guarantee no future rollback can target a
-        checkpoint older than ``time``; returns reclaimed entry count.
-        """
-        trimmed = 0
-        for i, bank in enumerate(self.banks):
-            keep_from = 0
-            for keep_from, entry in enumerate(bank):
-                if entry.time >= time:
-                    break
-            else:
-                keep_from = len(bank)
-            trimmed += keep_from
-            if keep_from:
-                self.banks[i] = bank[keep_from:]
-        return trimmed
-
     # -- statistics --------------------------------------------------------------
     @property
     def total_bytes(self) -> int:

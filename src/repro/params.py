@@ -173,11 +173,14 @@ class MachineConfig:
                scale: int = 40, **overrides) -> "MachineConfig":
         """Paper configuration shrunk by ``scale`` for tractable simulation.
 
-        The checkpoint interval, cache capacities, detection latency and
-        back-off window all shrink together so overhead *percentages* are
-        preserved: the workload generators scale footprints and barrier
-        spacing with the same interval, keeping every per-interval ratio
-        the paper's results depend on.
+        The checkpoint interval, cache capacities and detection latency
+        shrink together, and the workload generators scale footprints
+        and barrier spacing with the same interval at every scale,
+        keeping the per-interval ratios the paper's results depend on.
+        Some terms do not scale: the floors below (L1, L2, interval,
+        detection latency), the fixed back-off window, the memory
+        channels and each profile's minimum footprint.  So overhead
+        *percentages* can still move with ``scale``.
         """
         base = MachineConfig(
             n_cores=n_cores,

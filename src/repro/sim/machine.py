@@ -4,11 +4,14 @@ Execution model: a priority queue orders cores by local time (ties
 broken by push order); one trace record executes atomically at its timestamp
 against the shared structures (caches, directory, channels, log).
 Checkpointing schemes inject delays through ``core.not_before`` and
-scheduled callbacks; fault injection reveals faults after the detection
-latency L and hands them to the scheme's rollback protocol.  Every
-scheduled callback is a :class:`~repro.sim.events.DurableCall`
-descriptor (``schedule_call``), never a closure, so a paused machine
-can always be forked (:meth:`Machine.fork`).
+queued drain completions; fault injection reveals faults after the
+detection latency L and hands them to the scheme's rollback protocol.
+The machine defers exactly these two things, and both are plain-data
+queue entries: a fault (``EV_FAULT``, its injector index) and a
+delayed drain's completion (``EV_DRAIN``, the core and checkpoint id,
+:meth:`Machine.push_drain`).  The queue holds nothing else that Python
+would have to copy, so a paused machine can always be forked
+(:meth:`Machine.fork`).
 
 Hot path: the loop runs in C.  The event queue, every core's hot state
 (:class:`~repro.sim.cores.CoreTable`), the locks and barriers
@@ -16,14 +19,14 @@ Hot path: the loop runs in C.  The event queue, every core's hot state
 (:class:`repro.trace.CompiledTrace`, read in place) live in
 ``memsys.c``'s ``mem_loop_t``; ``mem_advance`` pops entries, executes
 every record but OUTPUT and END against the compiled memory system,
-completes delayed drains (``EV_DRAIN`` entries a built-in scheme's
-compiled checkpoint queued, :meth:`push_drain`), and returns to Python
-only for what Python owns: a ``DurableCall`` or a
-pause popping, an OUTPUT/END record, a BARRIER record whose scheme
-hooks can act or a sync record Python refuses
-(:meth:`Machine._exec_record`), the ``post_op`` gate, the cycle limit,
-an empty queue (deadlock) and a failed memory system.  The queue holds
-only a call's key; the ``DurableCall`` itself stays in a Python table.
+completes delayed drains when the scheme's checkpoints run in the
+compiled core (the loop's ``native_drains`` flag, which
+:meth:`Machine._gate_scheme` sets), and returns to Python only for
+what Python owns: a fault, a drain Python completes
+(``BaseScheme._complete_drain``) or a pause popping, an OUTPUT/END
+record, a BARRIER record whose scheme hooks can act or a sync record
+Python refuses (:meth:`Machine._exec_record`), the ``post_op`` gate,
+the cycle limit, an empty queue (deadlock) and a failed memory system.
 The queue is a calendar of one bucket per cycle over a window just
 ahead of the clock, where nearly every entry lands, and a binary heap
 (the heap tier) for the rest; it pops in ``(time, seq)`` order, as a
@@ -70,7 +73,6 @@ from repro.interconnect import Interconnect
 from repro.mem import ReviveLog
 from repro.params import MachineConfig
 from repro.sim.cores import Core, CoreTable
-from repro.sim.events import DurableCall
 from repro.sim.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.sim.stats import SimStats
 from repro.sim.sync import SyncManager
@@ -88,9 +90,9 @@ from repro.trace import (
 from repro.workloads.base import WorkloadSpec
 
 _EXEC = lib.EV_EXEC
-_DCALL = lib.EV_CALL     # durable descriptor callback (fork-safe)
+_FAULT = lib.EV_FAULT    # a fault's delivery (its injector index)
 _PAUSE = lib.EV_PAUSE    # replica-batch pause sentinel (never observable)
-_DRAIN = lib.EV_DRAIN    # a delayed drain's completion (mem_drain)
+_DRAIN = lib.EV_DRAIN    # a delayed drain's completion (complete_drain)
 
 #: The returns of ``mem_advance`` that run scheme code.
 _SCHEME_RETURNS = (lib.ADV_RECORD, lib.ADV_CALL, lib.ADV_POST_OP)
@@ -159,8 +161,6 @@ class Machine:
         self.cores = [Core(pid, compile_trace(trace), self._table)
                       for pid, trace in enumerate(workload.traces)]
         self._bind_loop()
-        #: Pending DurableCalls by queue seq (the queue holds the key).
-        self._calls: dict[int, DurableCall] = {}
         self.sync = SyncManager(self._table)
         self._gate_scheme()
         if isinstance(faults, FaultPlan):
@@ -172,7 +172,7 @@ class Machine:
         self._phase = "init"
         #: A return of the loop that would run scheme code, held by
         #: ``advance(until_scheme=True)``: ``(reason, pid, kind, arg,
-        #: when, seq)``, dispatched first by the next :meth:`advance`.
+        #: when)``, dispatched first by the next :meth:`advance`.
         self._held: Optional[tuple] = None
         self._until_scheme = False
         self._pause_seq = _PAUSE_SEQ_BASE
@@ -183,8 +183,8 @@ class Machine:
         self.scheme.attach(self)
 
     def _gate_scheme(self) -> None:
-        """Set the ``post_op`` gate and the barrier-hook flag from the
-        scheme."""
+        """Set the ``post_op`` gate and the loop's barrier-hook and
+        drain flags from the scheme."""
         # The hot loop only calls post_op once a core has executed
         # post_op_gate() instructions since its checkpoint (the gate is
         # owned by the scheme, next to post_op itself).  Schemes that
@@ -195,6 +195,9 @@ class Machine:
             self._post_op_gate = float("inf")
         # BARRIER records return to Python only for hooks that can act.
         self._table.c.barrier_hooks = self.scheme.barrier_hooks_act()
+        # Drains complete in the compiled core exactly when checkpoints
+        # run there; otherwise they return to the scheme.
+        self._table.c.native_drains = self.scheme._native()
 
     def _bind_loop(self) -> None:
         """Let the compiled memory system read the core rows (the
@@ -230,33 +233,38 @@ class Machine:
         if not lib.loop_push_core(self._table.c, core.pid):
             raise MemoryError("cannot grow the event queue")
 
-    def schedule_call(self, when: float, call: DurableCall) -> None:
-        """Run ``call.fire(self, time)`` at simulated time ``when`` —
-        the one scheduling primitive.  Callbacks are descriptors, never
-        closures, so :meth:`fork` can deep-copy a pending queue."""
-        self._table.c.seq += 1
-        self._push_call(when, self._table.c.seq, call)
-
     def push_drain(self, when: float, pid: int, ckpt_id: int) -> None:
         """Complete core ``pid``'s delayed drain of checkpoint
-        ``ckpt_id`` at ``when`` (a compiled checkpoint's drain: the
-        loop runs the completion itself, ``mem_drain``), keyed as
-        :meth:`schedule_call` keys a call."""
+        ``ckpt_id`` at ``when`` (:meth:`complete_drain`), under a fresh
+        seq."""
         if not lib.loop_push_drain(self._table.c, when, pid, ckpt_id):
             raise MemoryError("cannot grow the event queue")
 
-    def _push_call(self, when: float, seq: int, call: DurableCall) -> None:
-        """Queue ``call`` under key ``seq``."""
-        self._calls[seq] = call
-        if not lib.loop_push(self._table.c, when, seq, _DCALL):
+    def complete_drain(self, pid: int, ckpt_id: int, when: float) -> None:
+        """Complete core ``pid``'s delayed drain of checkpoint
+        ``ckpt_id`` at ``when``, unless it is stale: in the compiled
+        core when the scheme's checkpoints run there (``mem_drain``),
+        else in the scheme (``BaseScheme._complete_drain``)."""
+        if self._table.c.native_drains:
+            self.engine.drain(self._table.c, pid, ckpt_id, when)
+        else:
+            self.scheme._complete_drain(pid, ckpt_id, when)
+
+    def _push_entry(self, when: float, seq: int, kind: int,
+                    arg: int = 0) -> None:
+        """Queue a fault or pause entry under ``seq``."""
+        if not lib.loop_push(self._table.c, when, seq, kind, arg):
             raise MemoryError("cannot grow the event queue")
 
-    def _deliver_fault_at(self, index: int, when: float) -> None:
-        """Durable fault delivery: event ``index`` of the injector."""
-        self._deliver_fault(self.faults.events[index], when)
+    def _fire(self, kind: int, pid: int, arg: int, when: float) -> None:
+        """Run a fault or drain entry that popped at ``when``."""
+        if kind == _FAULT:
+            self._deliver_fault(self.faults.events[arg], when)
+        else:
+            self.complete_drain(pid, arg, when)
 
     def _deliver_fault(self, event: FaultEvent, when: float) -> None:
-        """Heap callback firing exactly at ``event.detect_time``.
+        """A fault entry popping exactly at ``event.detect_time``.
 
         After the application has finished (the post-run drain loop)
         there is no execution left to roll back into, so the fault is
@@ -296,10 +304,10 @@ class Machine:
         # work past a detect_time before the scheme hears about it.
         # Scheduled before the initial core pushes so a fault beats any
         # trace record carrying the same timestamp.
+        loop = self._table.c
         for index, event in enumerate(self.faults.events):
-            self.schedule_call(event.detect_time,
-                               DurableCall("machine", "_deliver_fault_at",
-                                           (index,)))
+            loop.seq += 1
+            self._push_entry(event.detect_time, loop.seq, _FAULT, index)
         for core in self.cores:
             if not core.trace:
                 core.done = True
@@ -326,14 +334,14 @@ class Machine:
         unobservable.
 
         With ``until_scheme`` the loop also pauses at its first return
-        that would run scheme code (the ``post_op`` gate, a call, a
-        record Python executes, END included) and holds that return
-        (:attr:`held`) instead of handling it: up to there no scheme
-        code has run, so a fork re-pointed at another scheme
-        (:meth:`rebind_config`) goes on exactly as that scheme's own
-        run would.  The next :meth:`advance` of the machine or of a
-        fork handles the held return first.  Only the compiled loop
-        can hold.
+        that would run scheme code (the ``post_op`` gate, a fault or a
+        drain Python completes, a record Python executes, END included)
+        and holds that return (:attr:`held`) instead of handling it: up
+        to there no scheme code has run, so a fork re-pointed at
+        another scheme (:meth:`rebind_config`) goes on exactly as that
+        scheme's own run would.  The next :meth:`advance` of the
+        machine or of a fork handles the held return first.  Only the
+        compiled loop can hold.
 
         An exception escaping the loop (a scheme callback's, the cycle
         limit, a deadlock, a failed coherence check) leaves the machine
@@ -346,9 +354,7 @@ class Machine:
                 "machine failed in an earlier advance(); it cannot go on")
         if pause_at is not None:
             self._pause_seq -= 1
-            if not lib.loop_push(self._table.c, pause_at, self._pause_seq,
-                                 _PAUSE):
-                raise MemoryError("cannot grow the event queue")
+            self._push_entry(pause_at, self._pause_seq, _PAUSE)
         compiled = hasattr(self.engine, "advance")
         if until_scheme and not compiled:
             raise NotImplementedError(
@@ -380,9 +386,8 @@ class Machine:
         """
         until_scheme = self._until_scheme
         if self._held is not None:
-            reason, pid, kind, arg, when, seq = self._held
-            self._held = None
-            self._handle(reason, pid, kind, arg, when, seq)
+            held, self._held = self._held, None
+            self._handle(*held)
         advance = self.engine.advance
         loop = self._table.c
         event = ffi.new("mem_event_t *")
@@ -392,10 +397,10 @@ class Machine:
             if reason in _SCHEME_RETURNS:
                 if until_scheme:
                     self._held = (reason, event.pid, event.kind, event.arg,
-                                  event.when, event.seq)
+                                  event.when)
                     return False
                 self._handle(reason, event.pid, event.kind, event.arg,
-                             event.when, event.seq)
+                             event.when)
             elif reason == lib.ADV_DONE:
                 self._phase = "drain"
                 return True
@@ -409,12 +414,12 @@ class Machine:
                 self.engine.raise_failure()
 
     def _handle(self, reason: int, pid: int, kind: int, arg: int,
-                when: float, seq: int) -> None:
+                when: float) -> None:
         """Run the scheme code a return of the loop asks for."""
         if reason == lib.ADV_RECORD:
             self._exec_record(self.cores[pid], kind, arg, when)
         elif reason == lib.ADV_CALL:
-            self._calls.pop(seq).fire(self, when)
+            self._fire(kind, pid, arg, when)
         else:
             self.scheme.post_op(self.cores[pid], when)
 
@@ -456,11 +461,8 @@ class Machine:
                 loop.now = when
             if when > limit:
                 raise self._cycle_limit_exceeded()
-            if kind == _DRAIN:  # only a compiled core queues these
-                self.engine.drain(loop, event.pid, event.arg, when)
-                continue
             if kind != _EXEC:
-                self._calls.pop(event.seq).fire(self, when)
+                self._fire(kind, event.pid, event.arg, when)
                 continue
             pid = event.pid
             core = cores[pid]
@@ -574,13 +576,13 @@ class Machine:
         """Post-run drain; returns False when paused mid-phase.
 
         The application finished, but background work (delayed-writeback
-        drains) may still be scheduled: let it complete so checkpoints
+        drains) may still be queued: let it complete so checkpoints
         close and the log/markers are consistent.  The cycle limit is
-        enforced here too — a runaway background-callback chain must
-        not spin past ``max_cycles`` silently just because the
-        application part of the run is over.  Fault events popping here
-        (detection after the application end) are recorded as
-        undelivered by ``_deliver_fault``.
+        enforced here too: a drain or fault due past ``max_cycles``
+        must not pass silently just because the application part of
+        the run is over.  Fault entries popping here (detection after
+        the application end) are recorded as undelivered by
+        ``_deliver_fault``.
         """
         limit = self._limit
         loop = self._table.c
@@ -589,16 +591,13 @@ class Machine:
             kind = event.kind
             if kind == _PAUSE:
                 return False
-            if kind == _DCALL or kind == _DRAIN:
+            if kind == _FAULT or kind == _DRAIN:
                 when = event.when
                 if when > loop.now:
                     loop.now = when
                 if when > limit:
                     raise self._cycle_limit_exceeded()
-                if kind == _DRAIN:
-                    self.engine.drain(loop, event.pid, event.arg, when)
-                else:
-                    self._calls.pop(event.seq).fire(self, when)
+                self._fire(kind, event.pid, event.arg, when)
         self._phase = "done"
         return True
 
@@ -623,9 +622,10 @@ class Machine:
         advancing the clone is indistinguishable from advancing a
         machine that was *constructed* with the clone's state.  Pause
         sentinels are stripped — they belong to the parent's schedule.
-        Every pending callback is a :class:`DurableCall`, which re-binds
-        to whichever machine fires it, so the clone's queue fires into
-        the clone.
+        Every pending entry is plain data in the cloned queue (a core,
+        a fault's index, a drain's core and checkpoint id), resolved
+        against whichever machine pops it, so the clone's queue fires
+        into the clone.
         """
         memo = {id(self.config): self.config,
                 id(self.workload): self.workload}
@@ -709,9 +709,9 @@ class Machine:
                        ) -> None:
         """Arm a forked replica with its fault campaign.
 
-        The injected queue events carry sequence numbers below every
+        The injected fault entries carry sequence numbers below every
         live entry's, so at equal timestamps a fault still fires before
-        any trace record or drain callback — the exact order the scalar
+        any trace record or drain — the exact order the scalar
         run establishes by scheduling faults first (seqs ``1..F``).
         Pending faults must all lie at or after the fork point; the
         parent leader is paused at the batch's earliest detection time,
@@ -724,9 +724,8 @@ class Machine:
         self.faults = FaultInjector(faults or [],
                                     self.config.detection_latency)
         for index, event in enumerate(self.faults.events):
-            self._push_call(event.detect_time, _FAULT_SEQ_BASE + index,
-                            DurableCall("machine", "_deliver_fault_at",
-                                        (index,)))
+            self._push_entry(event.detect_time, _FAULT_SEQ_BASE + index,
+                             _FAULT, index)
         # A replica forked past its drain (or even past the final pop)
         # still owes its faults an undelivered verdict: re-open the
         # drain so advance() pops them.

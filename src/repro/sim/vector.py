@@ -42,11 +42,12 @@ Soundness rests on four properties of the scalar kernel:
   repo's golden reference), and the sentinel never advances the clock.
   A replica leaving the leader, by a fork or by taking it over, drops
   the sentinels left for the others (``Machine.drop_pauses``).
-* **Forks are faithful.**  Every scheduled callback is a
-  :class:`~repro.sim.events.DurableCall` descriptor that re-binds to
-  the firing machine, so a fork's pending drains complete inside the
-  fork (``Machine.schedule_call`` is the only scheduling primitive, and
-  reprolint RL001 keeps closures off the event heap).
+* **Forks are faithful.**  Every queue entry is plain data in the C
+  queue (a core, a fault's injector index, a drain's core and
+  checkpoint id), resolved against whichever machine pops it, so a
+  fork's pending faults and drains fire inside the fork and the clone
+  of the queue is the fork's whole schedule (reprolint RL001 keeps
+  callbacks off the queue).
 * **Fault ordering is reproduced.**  A scalar run schedules faults
   first (lowest seqs), so at equal timestamps a fault beats any trace
   record; ``Machine.install_faults`` injects the fork's fault events

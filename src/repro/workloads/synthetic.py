@@ -62,10 +62,12 @@ class SyntheticWorkload:
         self.total_instructions = int(intervals * checkpoint_interval)
         self.seed = seed
         self.space = AddressSpace()
-        # Footprints scale with the interval so the ratio of checkpoint
-        # writeback volume to interval length is preserved at any
-        # ``MachineConfig.scaled`` scale.
-        scale_ref = min(1.0, checkpoint_interval / REFERENCE_INTERVAL * 40)
+        # The profiles quote footprints at scale 40 (an interval of
+        # REFERENCE_INTERVAL / 40); they scale with the interval, above
+        # and below scale 40 alike, so the ratio of checkpoint writeback
+        # volume to interval length is preserved at any
+        # ``MachineConfig.scaled`` scale (up to the floors below).
+        scale_ref = checkpoint_interval / REFERENCE_INTERVAL * 40
         self.private_lines = max(8, int(profile.private_lines * scale_ref))
         self.shared_lines = max(4, int(profile.shared_lines * scale_ref))
         self.private_regions = [self.space.region(self.private_lines)

@@ -11,7 +11,7 @@ class BadScheme:
         machine.schedule(when, self.fire)          # RL001: legacy path
 
     def arm_lambda(self, machine, when):
-        machine.schedule_call(when, lambda t: None)   # RL001: lambda
+        machine.push_drain(when, lambda t: None, 0)   # RL001: lambda
 
     def arm_local(self, machine, heap, when):
         def callback(t):

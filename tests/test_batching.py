@@ -200,6 +200,28 @@ class TestLoopCounters:
         assert counts["returns.post_op"] >= len(stats.checkpoints) > 0
         assert counts["returns.limit"] == counts["returns.failed"] == 0
 
+    def test_64_core_barck_drains_complete_in_the_compiled_loop(self):
+        """Every drain of a BarCK run, its barrier checkpoints' members
+        included, is a queue entry the compiled loop completes itself;
+        the only entries it hands back to Python are the faults."""
+        config = MachineConfig.scaled(n_cores=64, scheme=Scheme.REBOUND_BARR,
+                                      scale=SCALE)
+        interval = config.checkpoint_interval
+        machine = Machine(config, _spec("ocean", 64, config),
+                          faults=[(interval, 5), (1.5 * interval, 40)])
+
+        def python_drain(*args):
+            raise AssertionError("a drain returned to Python")
+
+        machine.scheme._complete_drain = python_drain
+        stats = machine.run()
+        counts = machine.counters()
+        barck = sum(e.size for e in stats.checkpoints if e.kind == "barrier")
+        assert barck > 0
+        assert counts["drains.completed"] + counts["drains.stale"] >= \
+            sum(e.size for e in stats.checkpoints)
+        assert counts["returns.call"] == len(machine.faults.delivered) == 2
+
     def test_64_core_ocean_queues_in_the_calendar_and_lines_densely(self):
         """Nearly every push lands in the calendar; once the directory's
         direct table covers the highest data line every data-line lookup

@@ -61,9 +61,13 @@ class TestWritebackPath:
         plain = channels2.writeback(100.0, 0, logged=False, checkpoint=False)
         assert logged - 100.0 > plain - 100.0
 
-    def test_burst_returns_last_completion(self):
+    def test_checkpoint_writebacks_queue_per_channel(self):
+        # A burst of ten checkpoint writebacks at once: the last one
+        # completes no earlier than the channels can serve them all.
         channels = make_channels()
-        done = channels.burst_writeback(0.0, list(range(10)))
+        done = max(channels.writeback(0.0, addr, logged=True,
+                                      checkpoint=True)
+                   for addr in range(10))
         assert done >= 10 / channels.n * channels.config.dram_occupancy
 
     def test_priority_writeback_jumps_queue(self):

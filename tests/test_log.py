@@ -74,14 +74,6 @@ class TestRollbackSelection:
         assert dropped == 1
         assert log.live_entries() == 1
 
-    def test_trim_before_reclaims_old(self):
-        log = ReviveLog(n_banks=1)
-        for t in range(10):
-            log.append(float(t), 0, t, 0, interval=1)
-        trimmed = log.trim_before(5.0)
-        assert trimmed == 5
-        assert all(e.time >= 5.0 for e in log.banks[0])
-
     @given(st.lists(
         st.tuples(st.integers(0, 3),        # pid
                   st.integers(0, 20),       # addr
@@ -157,10 +149,9 @@ class TestCompiledLog:
                   st.integers(0, 20),       # addr
                   st.integers(1, 5),        # interval
                   st.integers(0, 400)),     # time
-        min_size=1, max_size=60),
-        st.integers(0, 400))
+        min_size=1, max_size=60))
     @settings(max_examples=40, deadline=None)
-    def test_matches_the_python_log(self, records, cut):
+    def test_matches_the_python_log(self, records):
         """The compiled core's log and first-writeback filter keep
         ReviveLog's and MainMemory's API and results."""
         engine = _compiled_engine(n_banks=3, bin_cycles=100)
@@ -184,8 +175,6 @@ class TestCompiledLog:
             _entries(python.entries_after(targets))
         assert compiled.discard_after(targets) == \
             python.discard_after(targets)
-        assert compiled.trim_before(float(cut)) == \
-            python.trim_before(float(cut))
         assert compiled.live_entries() == python.live_entries()
         assert [_entries(bank) for bank in compiled.banks] == \
             [_entries(bank) for bank in python.banks]

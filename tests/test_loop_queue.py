@@ -7,7 +7,9 @@ a queue that pops in the wrong order.  Here:
 * the queue API (``loop_push``, ``loop_push_core``, ``loop_pop``,
   ``loop_next_when``, ``loop_drop``, ``loop_clone``) against a
   ``heapq`` of ``(when, seq, kind, pid, arg)`` tuples, with many equal
-  times, stale core entries and the negative pause and fault seqs, and
+  times, stale core entries, fault entries under fresh seqs (as
+  ``Machine.start`` queues them) and the negative pause and installed
+  fault seqs, and
   with times around the calendar's window (its edges, far ahead,
   behind a base that heap-tier pops moved), after every operation
   checking the calendar's layout: each bucket sorted and in the
@@ -16,7 +18,7 @@ a queue that pops in the wrong order.  Here:
   loop in which a batch ends with a push and then a pop -- the
   behaviour the one-step replace-top must keep -- including a
   replace-top followed at once by a pause, the cycle limit, the
-  ``post_op`` gate, a call or a core's last record;
+  ``post_op`` gate, a fault or a core's last record;
 * whole machines under ``mem_advance`` against the same machines under
   the Python loop (``_advance_main``) on the compiled memory system,
   paused at many points and stopped by the cycle limit.
@@ -41,7 +43,7 @@ from repro.trace import COMPUTE, END
 from repro.workloads import get_workload
 from tests.conftest import make_machine, tiny_config
 
-EXEC, CALL, PAUSE = lib.EV_EXEC, lib.EV_CALL, lib.EV_PAUSE
+EXEC, FAULT, PAUSE = lib.EV_EXEC, lib.EV_FAULT, lib.EV_PAUSE
 
 #: Few distinct times, so that most entries tie on ``when``; -0.0 must
 #: tie with 0.0, as it does in Python.
@@ -136,9 +138,9 @@ def _pop(loop):
 
 def _queue_ops(times) -> st.SearchStrategy:
     return st.lists(st.one_of(
-        st.tuples(st.just("call"), times),
-        st.tuples(st.just("pause"), times),
         st.tuples(st.just("fault"), times),
+        st.tuples(st.just("pause"), times),
+        st.tuples(st.just("installed"), times),
         st.tuples(st.just("core"), st.integers(0, 3), times, times,
                   st.booleans()),
         st.tuples(st.just("pop")),
@@ -167,21 +169,22 @@ class TestQueueApi:
         pauses = faults = pushes = 0
         base = loop.cal_base
         for op in ops:
-            if op[0] == "call":
+            if op[0] == "fault":
                 loop.seq += 1
                 ref.seq = loop.seq
-                assert lib.loop_push(loop, op[1], loop.seq, CALL)
-                heapq.heappush(ref.heap, (op[1], loop.seq, CALL, 0, 0))
+                faults += 1
+                assert lib.loop_push(loop, op[1], loop.seq, FAULT, faults)
+                heapq.heappush(ref.heap, (op[1], loop.seq, FAULT, 0, faults))
                 pushes += 1
-            elif op[0] in ("pause", "fault"):
+            elif op[0] in ("pause", "installed"):
                 if op[0] == "pause":
                     pauses += 1
-                    seq, kind = _PAUSE_SEQ_BASE - pauses, PAUSE
+                    seq, kind, arg = _PAUSE_SEQ_BASE - pauses, PAUSE, 0
                 else:
                     faults += 1
-                    seq, kind = _FAULT_SEQ_BASE + faults, CALL
-                assert lib.loop_push(loop, op[1], seq, kind)
-                heapq.heappush(ref.heap, (op[1], seq, kind, 0, 0))
+                    seq, kind, arg = _FAULT_SEQ_BASE + faults, FAULT, faults
+                assert lib.loop_push(loop, op[1], seq, kind, arg)
+                heapq.heappush(ref.heap, (op[1], seq, kind, 0, arg))
                 pushes += 1
             elif op[0] == "core":
                 _, pid, time, not_before, done = op
@@ -326,14 +329,14 @@ class _CLoop:
         return (reason,)
 
 
-def _drive(model, push, traces, calls, pauses, stalls, limit, gate,
+def _drive(model, push, traces, faults, pauses, stalls, limit, gate,
            quantum) -> list[tuple]:
-    """Start ``model`` like ``Machine.start`` plus extra calls and
-    pauses, then answer its returns as the machine would: a call may
-    schedule another, ``post_op`` checkpoints and maybe stalls the
+    """Start ``model`` like ``Machine.start`` plus extra faults and
+    pauses, then answer its returns as the machine would: a fault may
+    queue another entry, ``post_op`` checkpoints and maybe stalls the
     core, an END retires the core."""
-    for when in calls:
-        push("call", when)
+    for when in faults:
+        push("fault", when)
     for when in pauses:
         push("pause", when)
     for pid in range(len(traces)):
@@ -347,7 +350,7 @@ def _drive(model, push, traces, calls, pauses, stalls, limit, gate,
         if reason == lib.ADV_CALL:
             when, seq = result[1:]
             if seq % 3 == 0:
-                push("call", when + 1.0)
+                push("fault", when + 1.0)
         elif reason == lib.ADV_POST_OP:
             pid, now = result[1:]
             stall = stalls.pop() if stalls else 0.0
@@ -362,9 +365,9 @@ def _drive(model, push, traces, calls, pauses, stalls, limit, gate,
 def _ref_push(model: _RefLoop):
     def push(what, *args):
         q = model.q
-        if what == "call":
+        if what == "fault":
             q.seq += 1
-            heapq.heappush(q.heap, (args[0], q.seq, CALL, 0, 0))
+            heapq.heappush(q.heap, (args[0], q.seq, FAULT, 0, 0))
         elif what == "pause":
             model.pauses = getattr(model, "pauses", 0) + 1
             heapq.heappush(q.heap, (args[0], _PAUSE_SEQ_BASE - model.pauses,
@@ -387,13 +390,13 @@ def _c_push(model: _CLoop):
     cores = model.machine.cores
 
     def push(what, *args):
-        if what == "call":
+        if what == "fault":
             loop.seq += 1
-            assert lib.loop_push(loop, args[0], loop.seq, CALL)
+            assert lib.loop_push(loop, args[0], loop.seq, FAULT, 0)
         elif what == "pause":
             model.pauses = getattr(model, "pauses", 0) + 1
             assert lib.loop_push(loop, args[0],
-                                 _PAUSE_SEQ_BASE - model.pauses, PAUSE)
+                                 _PAUSE_SEQ_BASE - model.pauses, PAUSE, 0)
         elif what == "core":
             assert lib.loop_push_core(loop, args[0])
         elif what == "post_op":
@@ -420,10 +423,10 @@ class TestAdvanceModel:
            st.sampled_from([math.inf, 3, 6]),
            st.sampled_from([1, 2, 3, 256]))
     @settings(max_examples=300, deadline=None)
-    def test_matches_push_then_pop(self, traces, calls, pauses, stalls,
+    def test_matches_push_then_pop(self, traces, faults, pauses, stalls,
                                    limit, gate, quantum):
         ref, comp = _RefLoop(traces), _CLoop(traces)
-        args = (traces, calls, pauses, stalls, limit, gate, quantum)
+        args = (traces, faults, pauses, stalls, limit, gate, quantum)
         expected = _drive(ref, _ref_push(ref), *args)
         got = _drive(comp, _c_push(comp), *args)
         assert got == expected
@@ -453,15 +456,15 @@ class TestAdvanceModel:
                                         "call", "done"])
     def test_replace_top_then_return(self, reason):
         """Two cores in lockstep end every batch by a replace-top; the
-        entry it takes is the pause, the call past the limit, the core
-        at the gate, the call, or the core whose next record is END."""
+        entry it takes is the pause, the fault past the limit, the core
+        at the gate, the fault, or the core whose next record is END."""
         traces = [[1] * 6, [1] * 6]
-        calls = [3.0] if reason in ("call", "limit") else []
+        faults = [3.0] if reason in ("call", "limit") else []
         pauses = [3.0] if reason == "pause" else []
         limit = 2.5 if reason == "limit" else math.inf
         gate = 3 if reason == "post_op" else math.inf
         ref, comp = _RefLoop(traces), _CLoop(traces)
-        args = (traces, calls, pauses, [], limit, gate, 256)
+        args = (traces, faults, pauses, [], limit, gate, 256)
         expected = _drive(ref, _ref_push(ref), *args)
         assert _drive(comp, _c_push(comp), *args) == expected
         code = {"pause": lib.ADV_PAUSE, "limit": lib.ADV_LIMIT,

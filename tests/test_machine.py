@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coherence.core import ffi, lib
 from repro.params import MachineConfig, Scheme
-from repro.sim.events import DurableCall
 from repro.sim.machine import Machine
 from repro.trace import COMPUTE, END, LOAD, OUTPUT, STORE
 from repro.workloads import get_workload
@@ -61,22 +61,23 @@ class TestBasicExecution:
             make_machine([[(99, 0)]], config=tiny_config(2, Scheme.NONE))
 
     def test_max_cycles_guard_covers_post_run_drain(self):
-        # The application finishes almost immediately, then a
-        # self-rescheduling background callback chain keeps the heap
-        # alive: the post-run drain loop must enforce the cycle limit
-        # too instead of spinning past it silently.
-        machine = make_machine([[(COMPUTE, 10), (END,)]],
-                               config=tiny_config(2, Scheme.NONE))
-        step = DurableCall("machine", "_test_chain", ())
-
-        def chain(now):
-            if now < 1_000_000:
-                machine.schedule_call(now + 100.0, step)
-
-        machine._test_chain = chain
-        machine.schedule_call(50.0, step)
+        # The application finishes almost immediately, but a drain
+        # entry or a fault is still queued past the cycle limit: the
+        # post-run drain loop must enforce the limit too instead of
+        # passing it silently.
+        config = tiny_config(2, Scheme.GLOBAL_DWB)
+        machine = make_machine([[(COMPUTE, 10), (END,)]], config=config)
+        machine.start(max_cycles=5_000)
+        machine.push_drain(50_000.0, 0, 1)
+        with pytest.raises(RuntimeError, match="exceeded"):
+            machine.advance()
+        assert machine.now == 50_000.0
+        # A fault detected after the limit, with no drain queued.
+        machine = make_machine([[(COMPUTE, 10), (END,)]], config=config,
+                               faults=[(6_000.0, 0)])
         with pytest.raises(RuntimeError, match="exceeded"):
             machine.run(max_cycles=5_000)
+        assert machine.now == 6_000.0 + config.detection_latency
 
     def test_too_many_threads_rejected(self):
         spec = make_spec([[(END,)]] * 3)
@@ -284,6 +285,54 @@ class TestForkIsolation:
         fork.advance()
         leader.advance()
         assert fork.finalize() == leader.finalize()
+
+    @pytest.mark.parametrize("scheme", [Scheme.GLOBAL_DWB, Scheme.REBOUND])
+    def test_fork_fires_pending_faults_and_drains(self, scheme):
+        """The queue is plain data: a fork paused with faults and drains
+        pending fires them itself, ends as a run never forked does, and
+        leaves the parent's queue, rows and results as they were."""
+        config = MachineConfig.scaled(n_cores=16, scheme=scheme, scale=150)
+        spec = get_workload("ocean", 16, config, intervals=2.0, seed=1)
+        first = Machine(config, spec).run().checkpoints[0]
+        pause = first.time + first.duration / 2   # its drains in flight
+        faults = [(pause, 3), (pause + config.checkpoint_interval / 2, 9)]
+        reference = Machine(config, spec, faults=faults).run()
+        assert len(reference.rollbacks) == 2
+        parent = Machine(config, spec, faults=faults)
+        parent.start()
+        assert parent.advance(pause_at=pause)
+        kinds = [entry[2] for entry in _pending(parent)]
+        assert kinds.count(lib.EV_FAULT) == 2
+        assert kinds.count(lib.EV_DRAIN) > 0
+        before = _machine_state(parent)
+        fork = parent.fork()
+        assert not fork.advance()
+        assert fork.finalize() == reference
+        assert len(fork.faults.delivered) == 2
+        assert _machine_state(parent) == before
+        assert not parent.advance()
+        assert parent.finalize() == reference
+
+
+def _pending(machine):
+    """The entries in ``machine``'s queue, in pop order (read off a
+    clone, so the queue itself is left alone)."""
+    clone = ffi.gc(lib.loop_clone(machine.loop), lib.loop_free)
+    event = ffi.new("mem_event_t *")
+    entries = []
+    while lib.loop_pop(clone, event):
+        entries.append((event.when, event.seq, event.kind, event.pid,
+                        event.arg))
+    return entries
+
+
+def _machine_state(machine):
+    """A paused machine's queue, clock, rows, faults and results."""
+    return (_pending(machine), machine.now, _core_state(machine),
+            [(core.ip, core.time, core.not_before, core.delayed_ckpt_id,
+              core.pending_delayed) for core in machine.cores],
+            len(machine.faults.delivered), machine.faults.outstanding,
+            list(machine.stats.checkpoints), list(machine.stats.rollbacks))
 
 
 def _core_state(machine):

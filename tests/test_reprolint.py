@@ -80,27 +80,27 @@ class TestRL001ForkSafety:
         findings = findings_for("RL001")
         lines = {finding.line for finding in findings}
         assert all(f.path == "sim/bad_fork.py" for f in findings)
-        # legacy .schedule, lambda to schedule_call, local fn to heappush
+        # legacy .schedule, lambda to push_drain, local fn to heappush
         assert len(findings) == 3
         assert {11, 14, 19} == lines
         messages = " ".join(f.message for f in findings)
-        assert "DurableCall" in messages
+        assert "plain data" in messages
         assert "closure scheduling" in messages
         assert "local function 'callback'" in messages
 
     def test_machine_heap_entry_points_are_sinks(self, tmp_path):
-        # The machine's heap is C and holds a key; the call itself goes
-        # into the machine's table through these entry points.
+        # The machine's queue is C and holds plain data; these are its
+        # entry points.
         (tmp_path / "sim").mkdir()
         (tmp_path / "sim" / "mod.py").write_text(
-            "def arm(m):\n"
-            "    m.schedule_call(1.0, lambda t: None)\n"
-            "    m._push_call(1.0, -5, lambda t: None)\n")
+            "def arm(m, lib):\n"
+            "    m.push_drain(1.0, lambda t: None, 0)\n"
+            "    lib.loop_push(m.loop, 1.0, -5, 2, lambda t: None)\n")
         report = run_lint(Project(root=tmp_path, package="pkg"),
                           rules=["RL001"])
         assert [(f.line, f.code) for f in report.findings] \
             == [(2, "RL001"), (3, "RL001")]
-        assert "_push_call" in report.findings[1].message
+        assert "loop_push" in report.findings[1].message
 
     def test_scoped_to_sim_and_core(self, tmp_path):
         # The same hazard outside sim/ or core/ is not RL001's business
@@ -293,7 +293,7 @@ class TestMutatedShippedTree:
         machine = tree_copy / "sim" / "machine.py"
         machine.write_text(machine.read_text() + (
             "\n\ndef _bad_arm(machine, when):\n"
-            "    machine.schedule_call(when, lambda t: None)\n"))
+            "    machine.push_drain(when, lambda t: None, 0)\n"))
         report = run_lint(Project(root=tree_copy, package="repro"),
                           rules=["RL001"])
         assert not report.ok

@@ -56,6 +56,7 @@ class TestDerivedMetrics:
 
     def test_dep_message_percent(self):
         stats = make_stats()
+        assert stats.dep_message_percent() == 0.0   # no traffic
         stats.base_messages = 200
         stats.dep_messages = 10
         assert abs(stats.dep_message_percent() - 5.0) < 1e-9

@@ -107,16 +107,3 @@ class TestInterconnect:
         assert net.base_messages == 10
         assert net.dep_messages == 2
         assert net.protocol_messages == 5
-        assert net.total_messages == 17
-        assert net.dep_overhead_percent() == 20.0
-
-    def test_dep_overhead_zero_without_traffic(self):
-        net = Interconnect(MachineConfig.scaled(n_cores=4))
-        assert net.dep_overhead_percent() == 0.0
-
-    def test_latency_constants(self):
-        config = MachineConfig.scaled(n_cores=4)
-        net = Interconnect(config)
-        assert net.remote_round_trip == config.remote_l2_cycles
-        assert net.memory_round_trip == config.memory_cycles
-        assert net.protocol_round_trip(3) == 3 * config.msg_cycles

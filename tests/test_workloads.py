@@ -178,6 +178,18 @@ class TestFootprintScaling:
         small = SyntheticWorkload(profile, 4, 20_000, 1.0, 1)
         assert small.private_lines < big.private_lines
 
+    @pytest.mark.parametrize("scale,factor", [(10, 4), (20, 2)])
+    def test_footprints_grow_below_scale_40(self, scale, factor):
+        # Footprints follow the interval below scale 40 too: a scale-10
+        # interval is 4x a scale-40 one, and so is every footprint.
+        def lines(app, at):
+            interval = MachineConfig.scaled(scale=at).checkpoint_interval
+            gen = SyntheticWorkload(get_profile(app), 64, interval, 1.0, 1)
+            return gen.private_lines, gen.shared_lines
+        for app in ALL_APPS:
+            for small, big in zip(lines(app, 40), lines(app, scale)):
+                assert abs(big - factor * small) < factor, app
+
     def test_relative_footprints_preserve_table_order(self):
         # Ocean must stay the largest log producer, Water-Sp the smallest
         # (Table 6.1 ordering).
