@@ -4,6 +4,7 @@ import pytest
 
 from repro.interconnect import Interconnect, MessageClass
 from repro.params import CacheConfig, MachineConfig, Scheme
+from repro.sim.stats import SimStats
 from repro.trace import (
     AddressSpace,
     BARRIER,
@@ -107,3 +108,12 @@ class TestInterconnect:
         assert net.base_messages == 10
         assert net.dep_messages == 2
         assert net.protocol_messages == 5
+
+    def test_dep_overhead_zero_without_traffic(self):
+        config = MachineConfig.scaled(n_cores=4)
+        net = Interconnect(config)
+        assert (net.base_messages, net.dep_messages, net.protocol_messages) == (0, 0, 0)
+        stats = SimStats(config=config, scheme=config.scheme, workload="unit",
+                         base_messages=net.base_messages,
+                         dep_messages=net.dep_messages)
+        assert stats.dep_message_percent() == 0.0
